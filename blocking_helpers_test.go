@@ -2,9 +2,9 @@ package gridvine
 
 import "context"
 
-// Test-side ports of the deprecated blocking search wrappers: facade tests
-// and benchmarks exercise Query plus the Collect drain helpers — the
-// supported surface — instead of the deprecated methods.
+// Blocking test helpers: each drives Query and drains the cursor with the
+// matching Collect helper, for facade tests and benchmarks that want the
+// whole answer at once.
 
 func blockingSearchFor(p *Peer, q Pattern) (*ResultSet, error) {
 	ctx := context.Background()

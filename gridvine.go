@@ -113,9 +113,8 @@ var (
 )
 
 // Cursor drain helpers: each consumes a Peer.Query cursor to completion,
-// closes it, and rebuilds the corresponding blocking-era aggregate
-// (sorted, deduplicated) — the migration path off the deprecated
-// blocking search methods when the caller wants the whole answer at once.
+// closes it, and rebuilds the aggregate answer (sorted, deduplicated) for
+// callers that want the whole answer at once.
 var (
 	// CollectPattern drains a single-pattern cursor into a ResultSet.
 	CollectPattern = mediation.CollectPattern
@@ -225,16 +224,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Peer is one GridVine participant. Its primary query entry point is
+// Peer is one GridVine participant. Its query entry point is
 // Query(ctx, Request), which streams rows through a Cursor and honours
-// cancellation, deadlines and Limit; the blocking methods (SearchFor,
-// SearchWithReformulation, SearchConjunctive*, QueryRDQL*) are deprecated
-// wrappers over it that preserve their historical aggregate results.
-// Its primary mutation entry point is Write(ctx, Batch), which plans a
-// mixed batch by responsible key and ships one grouped message per
-// destination; the per-entry methods (InsertTriple, DeleteTriple,
-// InsertSchema, InsertMapping, ReplaceMapping) are deprecated one-entry
-// wrappers over it.
+// cancellation, deadlines and Limit; CollectPattern, CollectSet and
+// CollectRows drain a cursor into the whole answer. Its mutation entry
+// point is Write(ctx, Batch), which plans a mixed batch by responsible key
+// and ships one grouped message per destination; the …Context methods
+// (InsertTripleContext, InsertMappingContext, …) are one-entry batches over
+// it.
 type Peer struct {
 	*mediation.Peer
 }

@@ -5,14 +5,21 @@
 // cycle analysis refreshes, so reformulation becomes one cached lookup
 // instead of a per-query breadth-first walk of the mapping network.
 //
-// Build replicates the mediation layer's iterative BFS exactly — same
-// visited-set claims, same wave order, same confidence gate — so a closure's
-// targets enumerate precisely the reformulations the traversal would have
-// produced, making the BFS the equivalence oracle for the cache. On top of
-// the traversal, each target carries its composed attribute correspondences
-// with conflict and loss tracking, and branches whose accumulated attribute
-// loss exceeds Options.MaxLoss are pruned before any fan-out ("Managing
-// Semantic Loss during Query Reformulation").
+// The reformulation rule of the paper (§3–§4) lives here once, as Expand:
+// rewrite the predicate through each outgoing mapping, multiply the
+// confidences, drop chains below the confidence gate, and let the caller
+// decide whether the rewritten predicate is new. Every traversal of the
+// mapping graph is a visitor over that rule: the mediation layer's iterative
+// BFS claims predicates in a wave-global visited set and routes each one,
+// its recursive handler checks the path-local visited list of the request it
+// serves, and Build below is the BFS's wave loop with retrieval only — its
+// visitor additionally composes each chain and gates on accumulated loss
+// before claiming. A closure's targets are therefore the BFS's
+// reformulations by construction: same claims, same wave order, same gate.
+// Each target carries its composed attribute correspondences with conflict
+// and loss tracking, and branches whose accumulated attribute loss exceeds
+// Options.MaxLoss are pruned before any fan-out ("Managing Semantic Loss
+// during Query Reformulation").
 //
 // The package depends only on the schema model: callers supply the mapping
 // retrieval as a MappingSource closure, so the engine is testable without an
@@ -60,20 +67,59 @@ func (o Options) withDefaults() Options {
 // aborts the build — a truncated closure must never be cached.
 type MappingSource func(ctx context.Context, schemaName string) ([]schema.Mapping, int, error)
 
-// Target is one precomposed reformulation destination: a predicate reachable
-// from the closure's source predicate through a chain of mappings, collapsed
-// into a single composite mapping.
-type Target struct {
-	// Predicate is the reformulated Schema#Attr URI.
-	Predicate string
-	// SchemaName and Attr split Predicate.
+// Step is one predicate reached by a traversal of the mapping graph: the
+// root predicate of a query (empty Path, Confidence 1) or a reformulation of
+// it through the chain of mappings in Path.
+type Step struct {
+	// Predicate is the Schema#Attr URI; SchemaName and Attr split it.
+	Predicate  string
 	SchemaName string
 	Attr       string
-	// Path lists the IDs of the mappings composed to reach the predicate, in
-	// traversal order — identical to the MappingPath the BFS reports.
+	// Path lists the IDs of the mappings traversed from the root, in order.
 	Path []string
-	// Confidence is the product of the chained mappings' confidences.
+	// Confidence is the product of the traversed mappings' confidences.
 	Confidence float64
+}
+
+// Expand applies the reformulation rule to one step and appends the steps
+// it reaches to next. For each of the step's outgoing mappings, in order: the
+// attribute is translated (a mapping without a correspondence for it is
+// skipped), the chain's confidence is multiplied by the mapping's and gated
+// on minConfidence, and admit decides whether the rewritten predicate is
+// taken — it is where a traversal keeps its visited set, counts its
+// reformulations and applies any gate of its own; it sees the predicate and
+// the mapping that produced it, before the path is extended.
+func Expand(next []Step, from Step, mappings []schema.Mapping, minConfidence float64, admit func(predicate string, via schema.Mapping) bool) []Step {
+	for _, m := range mappings {
+		attr, ok := m.TranslateAttr(from.Attr)
+		if !ok {
+			continue
+		}
+		conf := from.Confidence * m.Confidence
+		if conf < minConfidence {
+			continue
+		}
+		pred := m.Target + "#" + attr
+		if !admit(pred, m) {
+			continue
+		}
+		next = append(next, Step{
+			Predicate:  pred,
+			SchemaName: m.Target,
+			Attr:       attr,
+			Path:       append(append([]string{}, from.Path...), m.ID),
+			Confidence: conf,
+		})
+	}
+	return next
+}
+
+// Target is one precomposed reformulation destination: a Step of the
+// traversal — its Path and Confidence are exactly the MappingPath and
+// Confidence the BFS reports for the predicate — with the chain that reaches
+// it collapsed into a single composite mapping.
+type Target struct {
+	Step
 	// Composed is the chain collapsed into one mapping (source schema →
 	// target schema): only attribute correspondences that survive every hop
 	// remain, with per-correspondence confidences multiplied.
@@ -119,23 +165,20 @@ type Entry struct {
 	Reformulations int
 }
 
-// frontier is one BFS wave item: a predicate reached through a chain, with
-// the chain's running composition.
-type frontier struct {
-	schemaName string
-	attr       string
-	path       []string
-	confidence float64
-	composed   schema.Mapping // chain collapsed so far (zero at the root)
-	first      schema.Mapping // the chain's first hop (loss baseline)
+// chain is the running composition of the mappings that reach a claimed
+// predicate: the chain collapsed into one mapping, its first hop (the loss
+// baseline), and the loss of the collapse.
+type chain struct {
+	composed, first schema.Mapping
+	loss            float64
 }
 
-// Build computes the closure of a predicate: the breadth-first traversal of
-// the mapping graph the mediation layer's iterative reformulation performs,
-// with each reached predicate's chain collapsed into a composite mapping.
-// The traversal claims predicates in wave order under the same confidence
-// gate as the BFS, so with MaxLoss unset the targets are exactly the BFS's
-// reformulations. Any retrieval error aborts the build.
+// Build computes the closure of a predicate: the wave-ordered traversal of
+// the mapping graph that iterative reformulation performs, without the
+// pattern lookups, each reached predicate's chain collapsed into a composite
+// mapping. Predicates are claimed in wave order after the loss gate, so with
+// MaxLoss unset the targets are exactly the BFS's reformulations. Any
+// retrieval error aborts the build.
 func Build(ctx context.Context, src MappingSource, predicate string, opts Options) (*Entry, error) {
 	opts = opts.withDefaults()
 	schemaName, attr, ok := schema.SplitPredicateURI(predicate)
@@ -143,75 +186,59 @@ func Build(ctx context.Context, src MappingSource, predicate string, opts Option
 		return nil, fmt.Errorf("compose: predicate %q is not Schema#Attr", predicate)
 	}
 	e := &Entry{Source: predicate, Options: opts}
-	visited := map[string]bool{predicate: true}
 	touched := map[string]bool{}
-	wave := []frontier{{schemaName: schemaName, attr: attr, confidence: 1}}
+	// chains doubles as the visited set: the root and every claimed predicate
+	// have an entry (the root's is the zero chain).
+	chains := map[string]chain{predicate: {}}
+	wave := []Step{{Predicate: predicate, SchemaName: schemaName, Attr: attr, Confidence: 1}}
 	for len(wave) > 0 {
-		var next []frontier
+		var next []Step
 		for _, it := range wave {
-			if len(it.path) >= opts.MaxDepth {
+			if len(it.Path) >= opts.MaxDepth {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			mappings, msgs, err := src(ctx, it.schemaName)
+			mappings, msgs, err := src(ctx, it.SchemaName)
 			e.BuildMessages += msgs
-			touched[it.schemaName] = true
+			touched[it.SchemaName] = true
 			if err != nil {
-				return nil, fmt.Errorf("compose: retrieving mappings of %s: %w", it.schemaName, err)
+				return nil, fmt.Errorf("compose: retrieving mappings of %s: %w", it.SchemaName, err)
 			}
-			for _, m := range mappings {
-				targetAttr, ok := m.TranslateAttr(it.attr)
-				if !ok {
-					continue
+			claimed, parent := len(next), chains[it.Predicate]
+			next = Expand(next, it, mappings, opts.MinConfidence, func(pred string, m schema.Mapping) bool {
+				if _, seen := chains[pred]; seen {
+					return false
 				}
-				conf := it.confidence * m.Confidence
-				if conf < opts.MinConfidence {
-					continue
-				}
-				newPred := m.Target + "#" + targetAttr
-				if visited[newPred] {
-					continue
-				}
-				composed, first := m, m
-				if len(it.path) > 0 {
-					first = it.first
-					var err error
-					if composed, err = it.composed.Compose(m); err != nil {
-						continue // impossible by construction: it.composed targets m.Source
+				c := chain{composed: m, first: m}
+				if len(it.Path) > 0 {
+					composed, err := parent.composed.Compose(m)
+					if err != nil {
+						return false // impossible by construction: the chain targets m.Source
 					}
+					c = chain{composed: composed, first: parent.first}
 				}
-				loss := lossOf(first, composed)
-				if loss > opts.MaxLoss {
-					continue // pruned before claiming or fanning out
+				if c.loss = lossOf(c.first, c.composed); c.loss > opts.MaxLoss {
+					return false // pruned before claiming or fanning out
 				}
-				visited[newPred] = true
-				e.Reformulations++
-				path := append(append([]string{}, it.path...), m.ID)
+				chains[pred] = c
+				return true
+			})
+			for _, st := range next[claimed:] {
+				c := chains[st.Predicate]
 				e.Targets = append(e.Targets, Target{
-					Predicate:  newPred,
-					SchemaName: m.Target,
-					Attr:       targetAttr,
-					Path:       path,
-					Confidence: conf,
-					Composed:   composed,
-					Loss:       loss,
-					Conflicts:  conflictsOf(composed),
-					Depth:      len(path),
-				})
-				next = append(next, frontier{
-					schemaName: m.Target,
-					attr:       targetAttr,
-					path:       path,
-					confidence: conf,
-					composed:   composed,
-					first:      first,
+					Step:      st,
+					Composed:  c.composed,
+					Loss:      c.loss,
+					Conflicts: conflictsOf(c.composed),
+					Depth:     len(st.Path),
 				})
 			}
 		}
 		wave = next
 	}
+	e.Reformulations = len(e.Targets)
 	e.Touched = sortedKeys(touched)
 	return e, nil
 }

@@ -3,6 +3,7 @@ package compose
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -290,5 +291,104 @@ func TestOptionsKeySeparation(t *testing.T) {
 func TestBuildNonSchemaPredicate(t *testing.T) {
 	if _, err := Build(context.Background(), (&graphSource{}).source(), "plainpred", Options{}); err == nil {
 		t.Fatal("expected an error for a predicate without '#'")
+	}
+}
+
+// refTarget is what the reference enumerator reports per reached predicate.
+type refTarget struct {
+	pred string
+	path []string
+	conf float64
+}
+
+// referenceClosure is the obviously-correct statement of the reformulation
+// rule, the oracle Build (and through it Expand) is checked against: a plain
+// FIFO queue over the adjacency map, one predicate at a time, never
+// revisiting a predicate. It shares no code with the traversal under test.
+func referenceClosure(out map[string][]schema.Mapping, root string, maxDepth int, minConf float64) []refTarget {
+	type item struct {
+		schemaName, attr string
+		path             []string
+		conf             float64
+	}
+	s, a, _ := schema.SplitPredicateURI(root)
+	seen := map[string]bool{root: true}
+	queue := []item{{schemaName: s, attr: a, conf: 1}}
+	var targets []refTarget
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		if len(it.path) >= maxDepth {
+			continue
+		}
+		for _, m := range out[it.schemaName] {
+			for _, c := range m.Correspondences {
+				if c.SourceAttr != it.attr {
+					continue
+				}
+				pred := m.Target + "#" + c.TargetAttr
+				if conf := it.conf * m.Confidence; conf >= minConf && !seen[pred] {
+					seen[pred] = true
+					path := append(append([]string{}, it.path...), m.ID)
+					targets = append(targets, refTarget{pred: pred, path: path, conf: conf})
+					queue = append(queue, item{schemaName: m.Target, attr: c.TargetAttr, path: path, conf: conf})
+				}
+				break // only the first correspondence of an attribute translates it
+			}
+		}
+	}
+	return targets
+}
+
+// randomGraph draws a mapping graph over n schemas with attributes a0..a2:
+// random edges (so cycles and chords occur), partial and permuted attribute
+// correspondences, confidences that reach below the default gate once
+// chained, and bidirectional mappings published at both ends like
+// MappingsFrom serves them.
+func randomGraph(rng *rand.Rand, n int) map[string][]schema.Mapping {
+	out := map[string][]schema.Mapping{}
+	name := func(i int) string { return fmt.Sprintf("S%d", i) }
+	for e := 0; e < 2*n; e++ {
+		src, tgt := rng.Intn(n), rng.Intn(n)
+		if src == tgt {
+			continue
+		}
+		var attrs [][2]string
+		for _, p := range rng.Perm(3)[:1+rng.Intn(3)] {
+			attrs = append(attrs, [2]string{fmt.Sprintf("a%d", p), fmt.Sprintf("a%d", rng.Intn(3))})
+		}
+		m := mkMapping(name(src), name(tgt), []float64{1, 0.9, 0.5, 0.2, 0.04}[rng.Intn(5)], attrs)
+		m.Bidirectional = rng.Intn(3) == 0
+		out[m.Source] = append(out[m.Source], m)
+		if rev, err := m.Reverse(); err == nil {
+			out[m.Target] = append(out[m.Target], rev)
+		}
+	}
+	return out
+}
+
+// TestBuildMatchesReferenceClosure checks the one reformulation rule against
+// its oracle on seeded random graphs: same targets in the same order with the
+// same paths and confidences, and the same reformulation count.
+func TestBuildMatchesReferenceClosure(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := &graphSource{out: randomGraph(rng, 3+rng.Intn(6))}
+		opts := Options{MaxDepth: 1 + rng.Intn(6), MinConfidence: []float64{0.05, 0.3}[rng.Intn(2)]}
+		e, err := Build(context.Background(), g.source(), "S0#a0", opts)
+		if err != nil {
+			t.Fatalf("seed %d: Build: %v", seed, err)
+		}
+		want := referenceClosure(g.out, "S0#a0", opts.MaxDepth, opts.MinConfidence)
+		var got []refTarget
+		for _, tg := range e.Targets {
+			got = append(got, refTarget{pred: tg.Predicate, path: tg.Path, conf: tg.Confidence})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (%+v):\nBuild     %+v\nreference %+v", seed, opts, got, want)
+		}
+		if e.Reformulations != len(want) {
+			t.Errorf("seed %d: reformulations = %d, want %d", seed, e.Reformulations, len(want))
+		}
 	}
 }

@@ -74,19 +74,9 @@ func RunIndexing(cfg IndexingConfig) (IndexingResult, error) {
 	}
 	build := func(subjectOnly bool, seed int64) (world, error) {
 		rng := rand.New(rand.NewSource(seed))
-		net := simnet.NewNetwork()
-		ov, err := pgrid.Build(net, pgrid.BuildOptions{
-			Peers:         cfg.Peers,
-			ReplicaFactor: 2,
-			SampleKeys:    workloadKeySample(w, 2000, rng),
-			Rng:           rng,
-		})
+		_, peers, err := newSimPeers(cfg.Peers, workloadKeySample(w, 2000, rng), rng)
 		if err != nil {
 			return world{}, err
-		}
-		var peers []*mediation.Peer
-		for _, n := range ov.Nodes() {
-			peers = append(peers, mediation.NewPeer(n))
 		}
 		if subjectOnly {
 			for _, t := range w.Triples() {
@@ -345,14 +335,9 @@ func RunStrategies(cfg StrategiesConfig) (StrategiesResult, error) {
 	var out StrategiesResult
 	for _, chain := range cfg.ChainLengths {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(chain)))
-		net := simnet.NewNetwork()
-		ov, err := pgrid.Build(net, pgrid.BuildOptions{Peers: cfg.Peers, ReplicaFactor: 2, Rng: rng})
+		_, peers, err := newSimPeers(cfg.Peers, nil, rng)
 		if err != nil {
 			return out, err
-		}
-		var peers []*mediation.Peer
-		for _, n := range ov.Nodes() {
-			peers = append(peers, mediation.NewPeer(n))
 		}
 		ctx := context.Background()
 		for i := 0; i <= chain; i++ {

@@ -10,7 +10,6 @@ import (
 	"gridvine/internal/bioworkload"
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
-	"gridvine/internal/pgrid"
 	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
@@ -117,19 +116,9 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 
 	build := func() (bulkWorld, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		net := simnet.NewNetwork()
-		ov, err := pgrid.Build(net, pgrid.BuildOptions{
-			Peers:         cfg.Peers,
-			ReplicaFactor: 2,
-			SampleKeys:    workloadKeySample(w, 4000, rng),
-			Rng:           rng,
-		})
+		net, peers, err := newSimPeers(cfg.Peers, workloadKeySample(w, 4000, rng), rng)
 		if err != nil {
 			return bulkWorld{}, err
-		}
-		peers := make([]*mediation.Peer, 0, cfg.Peers)
-		for _, n := range ov.Nodes() {
-			peers = append(peers, mediation.NewPeer(n))
 		}
 		// Sleeps stay off here; PayloadUnits accounting is free.
 		net.SetPayloadDelay(0, mediation.PayloadTriples)

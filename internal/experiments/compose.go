@@ -9,9 +9,7 @@ import (
 
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
-	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
-	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
 
@@ -140,18 +138,9 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 
 	for _, depth := range cfg.Depths {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(depth)))
-		net := simnet.NewNetwork()
-		ov, err := pgrid.Build(net, pgrid.BuildOptions{
-			Peers:         cfg.Peers,
-			ReplicaFactor: 2,
-			Rng:           rng,
-		})
+		_, peers, err := newSimPeers(cfg.Peers, nil, rng)
 		if err != nil {
 			return out, err
-		}
-		peers := make([]*mediation.Peer, 0, cfg.Peers)
-		for _, n := range ov.Nodes() {
-			peers = append(peers, mediation.NewPeer(n))
 		}
 		issuer := peers[rng.Intn(len(peers))]
 		chain, err := composeChain(issuer, depth, cfg.Entities)

@@ -10,8 +10,6 @@ import (
 
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
-	"gridvine/internal/pgrid"
-	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
 
@@ -89,18 +87,9 @@ func RunConjunctive(cfg ConjunctiveConfig) (ConjunctiveResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	net := simnet.NewNetwork()
-	ov, err := pgrid.Build(net, pgrid.BuildOptions{
-		Peers:         cfg.Peers,
-		ReplicaFactor: 2,
-		Rng:           rng,
-	})
+	net, peers, err := newSimPeers(cfg.Peers, nil, rng)
 	if err != nil {
 		return ConjunctiveResult{}, err
-	}
-	peers := make([]*mediation.Peer, 0, cfg.Peers)
-	for _, n := range ov.Nodes() {
-		peers = append(peers, mediation.NewPeer(n))
 	}
 
 	var dataset []triple.Triple

@@ -15,9 +15,7 @@ import (
 
 	"gridvine/internal/bioworkload"
 	"gridvine/internal/des"
-	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
-	"gridvine/internal/pgrid"
 	"gridvine/internal/simnet"
 )
 
@@ -115,19 +113,9 @@ func RunDeployment(cfg DeploymentConfig) (DeploymentResult, error) {
 		Seed:        cfg.Seed + 1,
 	})
 
-	net := simnet.NewNetwork()
-	ov, err := pgrid.Build(net, pgrid.BuildOptions{
-		Peers:         cfg.Peers,
-		ReplicaFactor: 2,
-		SampleKeys:    workloadKeySample(w, 4000, rng),
-		Rng:           rng,
-	})
+	_, peers, err := newSimPeers(cfg.Peers, workloadKeySample(w, 4000, rng), rng)
 	if err != nil {
 		return DeploymentResult{}, err
-	}
-	peers := make([]*mediation.Peer, 0, cfg.Peers)
-	for _, n := range ov.Nodes() {
-		peers = append(peers, mediation.NewPeer(n))
 	}
 	// The issuer draw happens in both load paths so the rng stream — and
 	// with it the query phase — is identical whether or not a snapshot

@@ -8,9 +8,7 @@ import (
 	"gridvine/internal/bioworkload"
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
-	"gridvine/internal/pgrid"
 	"gridvine/internal/selforg"
-	"gridvine/internal/simnet"
 )
 
 // RecallConfig parameterizes EXP-D, the §4 demonstration storyline: "In a
@@ -90,19 +88,9 @@ func RunRecall(cfg RecallConfig) (RecallResult, error) {
 		Seed:     cfg.Seed + 1,
 	})
 
-	net := simnet.NewNetwork()
-	ov, err := pgrid.Build(net, pgrid.BuildOptions{
-		Peers:         cfg.Peers,
-		ReplicaFactor: 2,
-		SampleKeys:    workloadKeySample(w, 2000, rng),
-		Rng:           rng,
-	})
+	_, peers, err := newSimPeers(cfg.Peers, workloadKeySample(w, 2000, rng), rng)
 	if err != nil {
 		return RecallResult{}, err
-	}
-	peers := make([]*mediation.Peer, 0, cfg.Peers)
-	for _, n := range ov.Nodes() {
-		peers = append(peers, mediation.NewPeer(n))
 	}
 	if err := bulkInsert(peers[rng.Intn(len(peers))], w.Triples()); err != nil {
 		return RecallResult{}, err

@@ -8,8 +8,33 @@ import (
 	"gridvine/internal/bioworkload"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/mediation"
+	"gridvine/internal/pgrid"
+	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
+
+// newSimPeers builds the world every mediation experiment starts from: a
+// fresh simulated network, a replica-factor-2 overlay over it — adapted to
+// sampleKeys when given, balanced otherwise — and one mediation peer per
+// node. The overlay build is the only draw from rng, so a seeded caller's
+// later draws (and message counts) do not depend on this helper.
+func newSimPeers(peers int, sampleKeys []keyspace.Key, rng *rand.Rand) (*simnet.Network, []*mediation.Peer, error) {
+	net := simnet.NewNetwork()
+	ov, err := pgrid.Build(net, pgrid.BuildOptions{
+		Peers:         peers,
+		ReplicaFactor: 2,
+		SampleKeys:    sampleKeys,
+		Rng:           rng,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	ps := make([]*mediation.Peer, 0, peers)
+	for _, n := range ov.Nodes() {
+		ps = append(ps, mediation.NewPeer(n))
+	}
+	return net, ps, nil
+}
 
 // bulkInsert loads a triple set through the batched write path — the way
 // every experiment now assimilates its dataset (one Write, key-grouped
@@ -31,8 +56,7 @@ func bulkInsert(issuer *mediation.Peer, ts []triple.Triple) error {
 
 // searchConjunctiveSet runs a conjunctive query through the streaming
 // engine and drains it into the sorted binding-set form the experiment
-// tables aggregate — the migrated shape of the old blocking
-// SearchConjunctiveSet entry point.
+// tables aggregate.
 func searchConjunctiveSet(ctx context.Context, issuer *mediation.Peer, patterns []triple.Pattern, reformulate bool, opts mediation.SearchOptions) (*triple.BindingSet, mediation.ConjunctiveStats, error) {
 	cur, err := issuer.Query(ctx, mediation.Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
 	if err != nil {
@@ -42,8 +66,7 @@ func searchConjunctiveSet(ctx context.Context, issuer *mediation.Peer, patterns 
 }
 
 // searchFor resolves one pattern without reformulation and drains the
-// stream into the aggregate ResultSet — the migrated shape of the old
-// blocking SearchFor entry point.
+// stream into the aggregate ResultSet.
 func searchFor(ctx context.Context, issuer *mediation.Peer, q triple.Pattern) (*mediation.ResultSet, error) {
 	cur, err := issuer.Query(ctx, mediation.Request{Pattern: &q})
 	if err != nil {
@@ -54,8 +77,7 @@ func searchFor(ctx context.Context, issuer *mediation.Peer, q triple.Pattern) (*
 
 // searchWithReformulation resolves one pattern with mapping traversal and
 // drains the stream into the aggregate ResultSet the recall and latency
-// experiments score — the migrated shape of the old blocking
-// SearchWithReformulation entry point.
+// experiments score.
 func searchWithReformulation(ctx context.Context, issuer *mediation.Peer, q triple.Pattern, opts mediation.SearchOptions) (*mediation.ResultSet, error) {
 	cur, err := issuer.Query(ctx, mediation.Request{Pattern: &q, Reformulate: true, Options: opts})
 	if err != nil {

@@ -8,9 +8,7 @@ import (
 
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
-	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
-	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
 
@@ -80,7 +78,7 @@ type StreamingResult struct {
 	Match   bool `json:"streamed_matches_blocking"`
 
 	// Pattern-query streaming: time to first row vs draining the cursor vs
-	// the deprecated blocking aggregate.
+	// the blocking aggregate (CollectPattern).
 	FirstRowMs      float64 `json:"first_row_ms"`
 	FullWallMs      float64 `json:"full_wall_ms"`
 	BlockingWallMs  float64 `json:"blocking_wall_ms"`
@@ -103,18 +101,9 @@ func RunStreaming(cfg StreamingConfig) (StreamingResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	net := simnet.NewNetwork()
-	ov, err := pgrid.Build(net, pgrid.BuildOptions{
-		Peers:         cfg.Peers,
-		ReplicaFactor: 2,
-		Rng:           rng,
-	})
+	net, peers, err := newSimPeers(cfg.Peers, nil, rng)
 	if err != nil {
 		return StreamingResult{}, err
-	}
-	peers := make([]*mediation.Peer, 0, cfg.Peers)
-	for _, n := range ov.Nodes() {
-		peers = append(peers, mediation.NewPeer(n))
 	}
 
 	var dataset []triple.Triple

@@ -1,9 +1,9 @@
-// Package lint assembles the gridvine-lint analyzer suite: five custom
+// Package lint assembles the gridvine-lint analyzer suite: four custom
 // analyzers encoding invariants the codebase's design depends on but the
 // compiler cannot check. See DESIGN.md, "Static analysis & enforced
 // invariants", for the invariant catalogue and the escape-hatch
-// directives (//gridvine:serverctx, //gridvine:allowdeprecated,
-// //gridvine:uncharged, //gridvine:exacterr, //gridvine:lockio).
+// directives (//gridvine:serverctx, //gridvine:uncharged,
+// //gridvine:exacterr, //gridvine:lockio).
 package lint
 
 import (
@@ -12,14 +12,12 @@ import (
 	"gridvine/internal/lint/ctxpropagate"
 	"gridvine/internal/lint/errsentinel"
 	"gridvine/internal/lint/lockscope"
-	"gridvine/internal/lint/nodeprecated"
 )
 
 // Analyzers returns the full suite, in the order diagnostics group best.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxpropagate.Analyzer,
-		nodeprecated.Analyzer,
 		accounting.Analyzer,
 		errsentinel.Analyzer,
 		lockscope.Analyzer,

@@ -7,11 +7,9 @@ import (
 	"gridvine/internal/triple"
 )
 
-// Test-side ports of the deprecated blocking search wrappers: each drives
-// the streaming entry point and drains the cursor into the historical
-// aggregate, so engine tests exercise Query directly instead of the
-// deprecated methods. TestBlockingWrappersMatchQuery keeps the deprecated
-// wrappers themselves covered against these semantics.
+// Blocking test helpers: each drives the streaming entry point and drains
+// the cursor into the aggregate answer, for engine tests that want the whole
+// answer at once.
 
 func blockingSearchFor(p *Peer, q triple.Pattern) (*ResultSet, error) {
 	ctx := context.Background()

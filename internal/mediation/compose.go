@@ -156,16 +156,6 @@ type compositeGroup struct {
 // back to the BFS engine of the selected mode, which tolerates per-branch
 // failures.
 func (p *Peer) streamComposite(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, emit emitResult) (*ResultSet, bool, error) {
-	if _, _, ok := schema.SplitPredicateURI(q.P.Value); !ok {
-		// Constant predicate but not Schema#Attr: no reformulation possible
-		// (same contract as the BFS engines).
-		plain, err := p.searchForFiltered(ctx, q, filters)
-		if plain == nil || err != nil {
-			return plain, false, err
-		}
-		emitAll(plain, emit)
-		return plain, false, nil
-	}
 	entry, built, err := p.composites.GetOrBuild(ctx, p.mappingSource(), q.P.Value, composeOptions(opts))
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gridvine/internal/compose"
 	"gridvine/internal/schema"
 	"gridvine/internal/triple"
 )
@@ -257,5 +258,77 @@ func TestCompositeCutsMessages(t *testing.T) {
 	}
 	if comp.Messages*3 > bfs.Messages {
 		t.Errorf("warmed composite spent %d messages, BFS %d — want ≥ 3x reduction", comp.Messages, bfs.Messages)
+	}
+}
+
+// TestIterativeBFSEmitsBuildTargets asserts "one rule" end to end: on a
+// graph with a cycle, a chord, a bidirectional and a sub-threshold mapping,
+// the iterative BFS emits its (pattern, MappingPath, Confidence) sequence in
+// exactly the order, and with exactly the provenance, of the closure Build
+// computes for the same predicate. Every (schema, attribute) holds one
+// matching triple, so each reformulated variant emits exactly one row.
+func TestIterativeBFSEmitsBuildTargets(t *testing.T) {
+	_, peers := testNetwork(t, 24, 31)
+	issuer := peers[5]
+	ctx := context.Background()
+	mapping := func(src, tgt string, conf float64, corrs ...schema.Correspondence) schema.Mapping {
+		m := schema.NewMapping(src, tgt, schema.Equivalence, schema.Manual, corrs)
+		m.Confidence = conf
+		return m
+	}
+	same := schema.Correspondence{SourceAttr: "a0", TargetAttr: "a0", Confidence: 1}
+	back := mapping("G2", "G0", 1, same) // closes the cycle G0→G1→G2→G0
+	both := mapping("G3", "G1", 0.8, schema.Correspondence{SourceAttr: "a1", TargetAttr: "a0", Confidence: 1})
+	both.Bidirectional = true // reached from G1 through its reverse
+	b := &Batch{Parallelism: 1}
+	for _, m := range []schema.Mapping{
+		mapping("G0", "G1", 0.9, same),
+		mapping("G1", "G2", 0.9, same),
+		back,
+		mapping("G0", "G2", 0.7, same), // chord: G2 is claimed in wave 1, not via G1
+		both,
+		mapping("G2", "G4", 0.05, same), // below the gate once chained
+	} {
+		b.PublishMapping(m)
+	}
+	for i := 0; i < 5; i++ {
+		for _, attr := range []string{"a0", "a1"} {
+			b.InsertTriple(triple.Triple{Subject: fmt.Sprintf("urn:g:%d:%s", i, attr), Predicate: fmt.Sprintf("G%d#%s", i, attr), Object: "v"})
+		}
+	}
+	if rec, err := issuer.Write(ctx, b); err != nil || rec.FirstErr() != nil {
+		t.Fatalf("write: %v / %v", err, rec.FirstErr())
+	}
+
+	q := triple.Pattern{S: triple.Var("s"), P: triple.Const("G0#a0"), O: triple.Const("v")}
+	opts := SearchOptions{Parallelism: 1}
+	cur, err := issuer.Query(ctx, Request{Pattern: &q, Reformulate: true, Options: opts})
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	var emitted []compose.Step
+	for row, ok := cur.Next(ctx); ok; row, ok = cur.Next(ctx) {
+		emitted = append(emitted, compose.Step{Predicate: row.Result.Pattern.P.Value, Path: row.Result.MappingPath, Confidence: row.Result.Confidence})
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("cursor: %v", err)
+	}
+
+	entry, err := compose.Build(ctx, issuer.mappingSource(), q.P.Value, composeOptions(opts.withDefaults()))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	want := []compose.Step{{Predicate: q.P.Value, Confidence: 1}}
+	for _, tg := range entry.Targets {
+		want = append(want, compose.Step{Predicate: tg.Predicate, Path: tg.Path, Confidence: tg.Confidence})
+	}
+	if len(want) != 4 { // root, G1, G2 (by the chord), G3 (by the reverse); G4 gated out
+		t.Fatalf("closure = %+v — the graph no longer exercises the rule", want)
+	}
+	if !reflect.DeepEqual(emitted, want) {
+		t.Errorf("BFS emission diverges from the closure:\nbfs   %+v\nbuild %+v", emitted, want)
+	}
+	if got := cur.Stats().Reformulations; got != entry.Reformulations {
+		t.Errorf("reformulations: bfs %d, build %d", got, entry.Reformulations)
 	}
 }

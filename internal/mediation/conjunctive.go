@@ -130,55 +130,10 @@ func (s *ConjunctiveStats) add(o ConjunctiveStats) {
 	s.Degraded = s.Degraded || o.Degraded
 }
 
-// SearchConjunctive resolves a conjunctive query — a list of triple
-// patterns sharing variables — through the planning engine (selectivity
-// ordering, bound-value pushdown, hash joins) and returns the joined
-// bindings plus the total message cost. Reformulation applies per pattern
-// when reformulate is set.
-//
-// Bindings carry set semantics: duplicate rows (two triples differing only
-// at non-variable positions, e.g. under a LIKE term) collapse, where the
-// seed's evaluator returned one binding per matching triple. The message
-// count includes data-transfer chunk accounting (see ResponseChunk), not
-// just routing hops.
-//
-// Deprecated: SearchConjunctive is a thin wrapper over Query with
-// context.Background(); use Query for cancellation, deadlines, Limit and
-// streaming consumption.
-func (p *Peer) SearchConjunctive(patterns []triple.Pattern, reformulate bool, opts SearchOptions) ([]triple.Bindings, int, error) {
-	bs, stats, err := p.SearchConjunctiveSet(patterns, reformulate, opts)
-	if err != nil {
-		return nil, stats.TotalMessages(), err
-	}
-	return bs.ToBindings(), stats.TotalMessages(), nil
-}
-
-// SearchConjunctiveSet is SearchConjunctive returning the flattened
-// binding representation and full execution statistics — the entry point
-// the RDQL layer projects from.
-//
-// Deprecated: SearchConjunctiveSet is a thin wrapper over Query with
-// context.Background(): it drains the cursor and rebuilds the sorted
-// binding set the blocking engine always returned. Use Query to consume
-// rows as join stages complete.
-func (p *Peer) SearchConjunctiveSet(patterns []triple.Pattern, reformulate bool, opts SearchOptions) (*triple.BindingSet, ConjunctiveStats, error) {
-	if len(patterns) == 0 {
-		return nil, ConjunctiveStats{}, errors.New("mediation: empty conjunctive query")
-	}
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, ConjunctiveStats{}, err
-	}
-	return CollectSet(ctx, cur)
-}
-
 // CollectSet drains a conjunctive or RDQL cursor under ctx and rebuilds
-// the sorted BindingSet the blocking engine always returned, alongside the
-// full execution statistics. It closes the cursor. Callers migrating off
-// SearchConjunctiveSet pair it with Peer.Query when they want the whole
-// join result at once.
+// the sorted BindingSet of the whole join, alongside the full execution
+// statistics. It closes the cursor. Pair it with Peer.Query to get the
+// whole join result at once.
 func CollectSet(ctx context.Context, cur *Cursor) (*triple.BindingSet, ConjunctiveStats, error) {
 	var rows [][]string
 	for {
@@ -209,12 +164,12 @@ type rowSink struct {
 	emit func([]string) bool
 }
 
-// streamConjunctive is the conjunctive engine behind both the cursor and
-// the blocking wrapper: it plans and executes the query with ctx threaded
-// through every overlay operation, streaming joined rows through sink as
-// the final join stage produces them. Single-component queries whose last
-// pattern resolves by pushdown emit incrementally per lookup chunk;
-// everything else emits once its (ctx-interruptible) pipeline completes.
+// streamConjunctive is the conjunctive engine behind the cursor: it plans
+// and executes the query with ctx threaded through every overlay operation,
+// streaming joined rows through sink as the final join stage produces them.
+// Single-component queries whose last pattern resolves by pushdown emit
+// incrementally per lookup chunk; everything else emits once its
+// (ctx-interruptible) pipeline completes.
 func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern, reformulate bool, opts SearchOptions, sink rowSink) (ConjunctiveStats, error) {
 	opts = opts.withDefaults()
 	var stats ConjunctiveStats
@@ -231,7 +186,7 @@ func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern,
 		// Single join component — the common case, and the one that
 		// streams: the final pattern's pushdown lookups are chunked and
 		// their joined rows emitted as each chunk lands.
-		st, err := p.runComponentStream(ctx, patterns, comps[0], sv, reformulate, opts, sink)
+		_, st, err := p.runComponent(ctx, patterns, comps[0], sv, reformulate, opts, &sink)
 		stats.add(st)
 		return stats, err
 	}
@@ -243,7 +198,7 @@ func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern,
 	}
 	outs := make([]compOut, len(comps))
 	poolErr := runPoolCtx(ctx, len(comps), opts.Parallelism, func(i int) {
-		bs, st, err := p.runComponent(ctx, patterns, comps[i], sv, reformulate, opts)
+		bs, st, err := p.runComponent(ctx, patterns, comps[i], sv, reformulate, opts, nil)
 		outs[i] = compOut{bs: bs, stats: st, err: err}
 	})
 
@@ -370,15 +325,29 @@ func joinComponents(patterns []triple.Pattern) [][]int {
 // bindings into the accumulated set. An empty intermediate join
 // short-circuits — no remaining pattern can contribute rows, so their
 // lookups are skipped entirely.
-func (p *Peer) runComponent(ctx context.Context, patterns []triple.Pattern, idxs []int, sv *statsView, reformulate bool, opts SearchOptions) (*triple.BindingSet, ConjunctiveStats, error) {
+//
+// Without a sink the component's binding set is returned (the
+// multi-component path joins the sets itself). With one, the rows go to the
+// sink and the returned set is nil; the final pattern — when its plan is a
+// pushdown — then resolves chunk by chunk, each chunk's lookups joined and
+// emitted immediately. First rows therefore surface while the remaining
+// lookups are still in flight, and a sink that stops (Request.Limit
+// satisfied) cuts those lookups entirely — the top-k path.
+func (p *Peer) runComponent(ctx context.Context, patterns []triple.Pattern, idxs []int, sv *statsView, reformulate bool, opts SearchOptions, sink *rowSink) (*triple.BindingSet, ConjunctiveStats, error) {
 	var stats ConjunctiveStats
 	done := make(map[int]bool, len(idxs))
 	var cur *triple.BindingSet
-	for range idxs {
+	for step := range idxs {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
 		plan := chooseNext(patterns, idxs, done, cur, sv, reformulate, opts)
+		if sink != nil && step == len(idxs)-1 && plan.strategy == planPushdown && cur != nil {
+			if err := p.resolvePushdownStream(ctx, patterns[plan.idx], plan, cur, reformulate, opts, *sink, &stats); err != nil {
+				return nil, stats, fmt.Errorf("mediation: pattern %d: %w", plan.idx, err)
+			}
+			return nil, stats, nil
+		}
 		bs, err := p.resolvePlanned(ctx, patterns[plan.idx], plan, reformulate, opts, &stats)
 		if err != nil {
 			return nil, stats, fmt.Errorf("mediation: pattern %d: %w", plan.idx, err)
@@ -393,44 +362,8 @@ func (p *Peer) runComponent(ctx context.Context, patterns []triple.Pattern, idxs
 			break
 		}
 	}
-	return cur, stats, nil
-}
-
-// runComponentStream is runComponent with a row sink: intermediate stages
-// run exactly as the barrier version, but the final pattern — when its plan
-// is a pushdown — resolves chunk by chunk, each chunk's lookups joined and
-// emitted immediately. First rows therefore surface while the remaining
-// lookups are still in flight, and a sink that stops (Request.Limit
-// satisfied) cuts those lookups entirely — the top-k path.
-func (p *Peer) runComponentStream(ctx context.Context, patterns []triple.Pattern, idxs []int, sv *statsView, reformulate bool, opts SearchOptions, sink rowSink) (ConjunctiveStats, error) {
-	var stats ConjunctiveStats
-	done := make(map[int]bool, len(idxs))
-	var cur *triple.BindingSet
-	for step := 0; step < len(idxs); step++ {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		plan := chooseNext(patterns, idxs, done, cur, sv, reformulate, opts)
-		if step == len(idxs)-1 && plan.strategy == planPushdown && cur != nil {
-			err := p.resolvePushdownStream(ctx, patterns[plan.idx], plan, cur, reformulate, opts, sink, &stats)
-			if err != nil {
-				return stats, fmt.Errorf("mediation: pattern %d: %w", plan.idx, err)
-			}
-			return stats, nil
-		}
-		bs, err := p.resolvePlanned(ctx, patterns[plan.idx], plan, reformulate, opts, &stats)
-		if err != nil {
-			return stats, fmt.Errorf("mediation: pattern %d: %w", plan.idx, err)
-		}
-		if cur == nil {
-			cur = bs
-		} else {
-			cur = triple.HashJoin(cur, bs)
-		}
-		done[plan.idx] = true
-		if cur.Len() == 0 {
-			break
-		}
+	if sink == nil {
+		return cur, stats, nil
 	}
 	sink.cols(cur.Vars)
 	for _, row := range cur.Rows {
@@ -438,7 +371,7 @@ func (p *Peer) runComponentStream(ctx context.Context, patterns []triple.Pattern
 			break
 		}
 	}
-	return stats, nil
+	return nil, stats, nil
 }
 
 // resolvePlanned executes one pattern by its chosen strategy and returns
@@ -446,7 +379,8 @@ func (p *Peer) runComponentStream(ctx context.Context, patterns []triple.Pattern
 func (p *Peer) resolvePlanned(ctx context.Context, q triple.Pattern, plan resolvePlan, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*triple.BindingSet, error) {
 	switch plan.strategy {
 	case planPushdown:
-		return p.resolvePushdown(ctx, q, plan.pushVars, plan.pushTuples, reformulate, opts, stats)
+		stats.Pushdowns++
+		return p.pushdownBatch(ctx, q, plan.pushVars, plan.pushTuples, reformulate, opts, stats)
 	case planSemiJoin:
 		return p.resolveSemiJoin(ctx, q, plan.filterVars, plan.filterVals, reformulate, opts, stats)
 	default:
@@ -802,19 +736,11 @@ func substituteVar(q triple.Pattern, name, value string) triple.Pattern {
 	return q
 }
 
-// resolvePushdown ships one constrained point lookup per distinct bound
-// tuple of the substituted variables, fanned out across the parallelism
-// pool, and merges the per-tuple bindings in sorted-tuple order
-// (deterministic results at any width). The substituted variables are
-// restored as constant columns.
-func (p *Peer) resolvePushdown(ctx context.Context, q triple.Pattern, vars []string, tuples [][]string, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*triple.BindingSet, error) {
-	stats.Pushdowns++
-	return p.pushdownBatch(ctx, q, vars, tuples, reformulate, opts, stats)
-}
-
-// pushdownBatch resolves one slice of pushdown tuples across the worker
-// pool and merges their bindings in tuple order. Tuples skipped by
-// cancellation surface as ctx's error.
+// pushdownBatch ships one constrained point lookup per distinct bound tuple
+// of the substituted variables, fanned out across the parallelism pool, and
+// merges the per-tuple bindings in sorted-tuple order (deterministic results
+// at any width). The substituted variables are restored as constant columns.
+// Tuples skipped by cancellation surface as ctx's error.
 func (p *Peer) pushdownBatch(ctx context.Context, q triple.Pattern, vars []string, tuples [][]string, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*triple.BindingSet, error) {
 	type out struct {
 		bs    *triple.BindingSet

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gridvine/internal/keyspace"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
 	"gridvine/internal/simnet"
@@ -558,6 +559,52 @@ func TestIterativeVsRecursiveSameResults(t *testing.T) {
 	for i := range ti {
 		if ti[i] != tr[i] {
 			t.Errorf("result %d differs: %v vs %v", i, ti[i], tr[i])
+		}
+	}
+}
+
+// TestTruncatedTraversalIsDegraded: when no replica of a schema key is
+// reachable the mapping retrieval fails, the traversal stops below that
+// schema, and the partial answer must say so — in both modes. All
+// "schema:"-prefixed keys share one leaf under the order-preserving hash, so
+// killing the peers responsible for one schema's key cuts every mapping
+// retrieval; the data key (the pattern routes on its object) stays alive.
+// Seed 2 is one where routing to the data key does not itself detour around
+// a dead peer, which would set Degraded by accident.
+func TestTruncatedTraversalIsDegraded(t *testing.T) {
+	for _, mode := range []Mode{Iterative, Recursive} {
+		net, peers := chainNetwork(t, 3, 2)
+		full, err := blockingSearchReformulated(peers[0], triple.Pattern{
+			S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("aspergillus"),
+		}, SearchOptions{Mode: mode, Parallelism: 1})
+		if err != nil || len(full.Results) != 3 || full.Degraded {
+			t.Fatalf("[%v] healthy run: %d rows, degraded=%v, err=%v", mode, len(full.Results), full.Degraded, err)
+		}
+
+		dataKey := keyspace.Hash("aspergillus", peers[0].depth)
+		var issuer *Peer
+		for _, p := range peers {
+			if !p.Node().Responsible(p.schemaKey("S0")) {
+				if issuer == nil && !p.Node().Responsible(dataKey) {
+					issuer = p
+				}
+				continue
+			}
+			if p.Node().Responsible(dataKey) {
+				t.Fatalf("test setup: %s holds both the schema and the data key", p.Node().ID())
+			}
+			net.Fail(p.Node().ID())
+		}
+
+		rs, err := blockingSearchReformulated(issuer, full.Query, SearchOptions{Mode: mode, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("[%v] truncated run: %v", mode, err)
+		}
+		if len(rs.Results) != 1 {
+			t.Errorf("[%v] rows = %d, want only the unreformulated answer", mode, len(rs.Results))
+		}
+		if !rs.Degraded {
+			t.Errorf("[%v] %d of %d reachable rows returned without Degraded", mode, len(rs.Results), len(full.Results))
 		}
 	}
 }

@@ -183,8 +183,8 @@ func (p *Peer) tripleKeys(t triple.Triple) []keyspace.Key {
 	}
 }
 
-// writeOne submits a one-entry batch serially and reproduces the historical
-// per-entry contract of the deprecated write methods: the aggregate route,
+// writeOne submits a one-entry batch serially with the per-entry contract
+// of the …Context one-entry helpers: the aggregate route,
 // plus the entry's own error (or the batch's terminal error) when it did
 // not apply.
 func (p *Peer) writeOne(ctx context.Context, b *Batch) (pgrid.Route, error) {
@@ -212,15 +212,6 @@ func (p *Peer) InsertTripleContext(ctx context.Context, t triple.Triple) (pgrid.
 	return route, nil
 }
 
-// InsertTriple is InsertTripleContext under context.Background().
-//
-// Deprecated: use Peer.Write (batched, cancellable) or
-// InsertTripleContext.
-func (p *Peer) InsertTriple(t triple.Triple) (pgrid.Route, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	return p.InsertTripleContext(context.Background(), t)
-}
-
 // DeleteTripleContext removes a triple from all three component indexes
 // under the caller's context.
 func (p *Peer) DeleteTripleContext(ctx context.Context, t triple.Triple) (pgrid.Route, error) {
@@ -233,14 +224,6 @@ func (p *Peer) DeleteTripleContext(ctx context.Context, t triple.Triple) (pgrid.
 	return route, nil
 }
 
-// DeleteTriple is DeleteTripleContext under context.Background().
-//
-// Deprecated: use Peer.Write or DeleteTripleContext.
-func (p *Peer) DeleteTriple(t triple.Triple) (pgrid.Route, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	return p.DeleteTripleContext(context.Background(), t)
-}
-
 // InsertSchemaContext publishes a schema definition at the key of its name
 // (paper §2.2: Update(Hash(Schema Name), Schema Definition)) under the
 // caller's context.
@@ -248,14 +231,6 @@ func (p *Peer) InsertSchemaContext(ctx context.Context, s schema.Schema) (pgrid.
 	b := &Batch{Parallelism: 1}
 	b.PublishSchema(s)
 	return p.writeOne(ctx, b)
-}
-
-// InsertSchema is InsertSchemaContext under context.Background().
-//
-// Deprecated: use Peer.Write or InsertSchemaContext.
-func (p *Peer) InsertSchema(s schema.Schema) (pgrid.Route, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	return p.InsertSchemaContext(context.Background(), s)
 }
 
 // LookupSchema retrieves a schema definition by name under the caller's
@@ -283,14 +258,6 @@ func (p *Peer) InsertMappingContext(ctx context.Context, m schema.Mapping) (pgri
 	return p.writeOne(ctx, b)
 }
 
-// InsertMapping is InsertMappingContext under context.Background().
-//
-// Deprecated: use Peer.Write or InsertMappingContext.
-func (p *Peer) InsertMapping(m schema.Mapping) (pgrid.Route, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	return p.InsertMappingContext(context.Background(), m)
-}
-
 // ReplaceMappingContext substitutes an updated version of a mapping (same
 // ID) in the overlay — used to publish confidence changes and deprecations
 // — under the caller's context. The deletions of the old version and the
@@ -300,14 +267,6 @@ func (p *Peer) ReplaceMappingContext(ctx context.Context, old, updated schema.Ma
 	b.ReplaceMapping(old, updated)
 	_, err := p.writeOne(ctx, b)
 	return err
-}
-
-// ReplaceMapping is ReplaceMappingContext under context.Background().
-//
-// Deprecated: use Peer.Write or ReplaceMappingContext.
-func (p *Peer) ReplaceMapping(old, updated schema.Mapping) error {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	return p.ReplaceMappingContext(context.Background(), old, updated)
 }
 
 // MappingsFrom returns the active (non-deprecated) mappings usable to

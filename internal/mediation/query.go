@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gridvine/internal/compose"
 	"gridvine/internal/graph"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/pgrid"
@@ -183,50 +185,12 @@ func (rs *ResultSet) Triples() []triple.Triple {
 	return out
 }
 
-// SearchFor resolves a single triple pattern without reformulation:
-// the key space is derived from the most specific constant, the query is
-// shipped there, and the responsible peer answers from its local database
-// (paper §2.3: SearchFor(x? : (s, p, o))).
-//
-// Deprecated: SearchFor is a thin wrapper over Query with
-// context.Background() — it cannot be cancelled, given a deadline, or
-// consumed incrementally. New code should use Query.
-func (p *Peer) SearchFor(q triple.Pattern) (*ResultSet, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
-}
-
-// SearchWithReformulation resolves a pattern and additionally traverses the
-// network of schema mappings, rewriting the predicate by view unfolding and
-// re-issuing the query against semantically related schemas, aggregating
-// all results (paper §3, Figure 2; §4 for the two strategies).
-//
-// Deprecated: SearchWithReformulation is a thin wrapper over Query with
-// context.Background() — it blocks until every reformulation wave
-// completes. New code should use Query, which streams results as waves
-// finish and honours cancellation, deadlines, and Limit.
-func (p *Peer) SearchWithReformulation(q triple.Pattern, opts SearchOptions) (*ResultSet, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q, Reformulate: true, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
-}
-
 // CollectPattern drains a pattern-request cursor under ctx and rebuilds
-// the aggregate ResultSet the blocking search methods have always
-// returned: every streamed raw result collected in order, deduplicated
-// (best confidence per triple) when the mapping traversal ran, plus the
-// message and route accounting from the cursor's summary. It closes the
-// cursor. Callers migrating off SearchFor/SearchWithReformulation pair it
-// with Peer.Query when they want the whole answer at once.
+// the aggregate ResultSet: every streamed raw result collected in order,
+// deduplicated (best confidence per triple) when the mapping traversal ran,
+// plus the message and route accounting from the cursor's summary. It
+// closes the cursor. Pair it with Peer.Query to get the whole answer at
+// once.
 func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	var results []Result
 	for {
@@ -242,8 +206,7 @@ func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	rs, traversed := cur.pattern, cur.traversed
 	cur.mu.Unlock()
 	if rs == nil {
-		// The engine had no result set to report (e.g. ErrNotRoutable),
-		// matching the blocking methods' historical nil return.
+		// The engine had no result set to report (e.g. ErrNotRoutable).
 		return nil, err
 	}
 	rs.Results = results
@@ -284,23 +247,27 @@ func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters 
 }
 
 // streamPattern is the single pattern-search engine behind the streaming
-// cursor, the blocking wrappers, and the conjunctive engine's per-pattern
-// lookups: it resolves q — traversing the mapping network when reformulate
-// is set — delivering every raw (undeduplicated) result through emit in
-// deterministic order, and returns the ResultSet skeleton (Query, Messages,
-// Reformulations, Route; Results stays empty — they went through emit).
+// cursor and the conjunctive engine's per-pattern lookups: it resolves q —
+// traversing the mapping network when reformulate is set — delivering every
+// raw (undeduplicated) result through emit in deterministic order, and
+// returns the ResultSet skeleton (Query, Messages, Reformulations, Route;
+// Results stays empty — they went through emit).
 //
 // traversed reports whether the mapping-graph traversal ran, i.e. whether an
-// aggregating caller must apply dedupeResults to reproduce the blocking
-// aggregate answer. A nil *ResultSet (with ErrNotRoutable) mirrors the
-// blocking methods' contract for patterns without a routable constant.
+// aggregating caller must apply dedupeResults to build the aggregate
+// answer. A nil *ResultSet (with ErrNotRoutable) reports a pattern without
+// a routable constant.
 //
 // Cancelling ctx stops the traversal between hops and between waves: the
 // results already emitted stand, and ctx.Err() is returned.
 func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, emit emitResult) (rs *ResultSet, traversed bool, err error) {
 	opts = opts.withDefaults()
-	if !reformulate || q.P.Kind != triple.Constant {
-		// No predicate to rewrite: plain search.
+	rewritable := reformulate && q.P.Kind == triple.Constant
+	if rewritable {
+		_, _, rewritable = schema.SplitPredicateURI(q.P.Value)
+	}
+	if !rewritable {
+		// No Schema#Attr predicate to rewrite: plain search.
 		rs, err := p.searchForFiltered(ctx, q, filters)
 		if rs == nil || err != nil {
 			return rs, false, err
@@ -328,10 +295,10 @@ func emitAll(rs *ResultSet, emit emitResult) {
 	rs.Results = nil
 }
 
-// searchPattern resolves one pattern exactly as the deprecated blocking
-// search methods do — collecting, deduplicating and ordering the streamed
-// results — with ctx threaded through every hop. It is the conjunctive
-// engine's per-pattern primitive.
+// searchPattern resolves one pattern into its aggregate answer —
+// collecting, deduplicating and ordering the streamed results — with ctx
+// threaded through every hop. It is the conjunctive engine's per-pattern
+// primitive.
 func (p *Peer) searchPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions) (*ResultSet, error) {
 	var collected []Result
 	rs, traversed, err := p.streamPattern(ctx, q, filters, reformulate, opts, func(r Result) bool {
@@ -348,44 +315,36 @@ func (p *Peer) searchPattern(ctx context.Context, q triple.Pattern, filters []Va
 	return rs, err
 }
 
-// frontierItem is one reformulated pattern awaiting resolution during
-// issuer-driven traversal of the mapping graph.
-type frontierItem struct {
-	pattern    triple.Pattern
-	schemaName string
-	attr       string
-	path       []string
-	confidence float64
-}
-
-// frontierOut is what resolving one frontier item over the overlay yields:
-// its search answer and, when the item is still expandable, the outgoing
-// mappings of its schema. A nil sub marks an item the pool never ran
+// frontierOut is what resolving one wave step over the overlay yields: its
+// search answer and, when the step is still expandable, the outgoing
+// mappings of its schema. A nil sub marks a step the pool never ran
 // (cancelled before its turn).
 type frontierOut struct {
 	sub      *ResultSet
 	err      error
 	mappings []schema.Mapping
 	mapMsgs  int
+	// mapLost reports that the mapping retrieval failed or was answered by a
+	// fallback replica: the next wave may be missing reformulations.
+	mapLost bool
 }
 
-// resolveFrontier resolves one frontier item: the routed pattern search,
-// plus the mapping lookup that seeds the next wave (skipped at MaxDepth).
-// It touches no shared state, so the fan-out can run it from any goroutine.
-func (p *Peer) resolveFrontier(ctx context.Context, item frontierItem, filters []VarFilter, opts SearchOptions) frontierOut {
+// resolveFrontier resolves one wave step: the routed search of q rewritten
+// to the step's predicate, plus the mapping lookup that seeds the next wave
+// (skipped at MaxDepth). It touches no shared state, so the fan-out can run
+// it from any goroutine.
+func (p *Peer) resolveFrontier(ctx context.Context, q triple.Pattern, step compose.Step, filters []VarFilter, opts SearchOptions) frontierOut {
 	var out frontierOut
-	out.sub, out.err = p.searchForFiltered(ctx, item.pattern, filters)
+	out.sub, out.err = p.searchForFiltered(ctx, q.WithTerm(triple.Predicate, triple.Const(step.Predicate)), filters)
 	if out.sub == nil {
 		out.sub = &ResultSet{}
 	}
-	if len(item.path) >= opts.MaxDepth {
+	if len(step.Path) >= opts.MaxDepth {
 		return out
 	}
-	mappings, route, err := p.MappingsFrom(ctx, item.schemaName)
-	out.mapMsgs = route.Messages
-	if err == nil {
-		out.mappings = mappings
-	}
+	mappings, route, err := p.MappingsFrom(ctx, step.SchemaName)
+	out.mappings, out.mapMsgs = mappings, route.Messages
+	out.mapLost = err != nil || route.Degraded
 	return out
 }
 
@@ -435,52 +394,50 @@ func runPoolCtx(ctx context.Context, n, workers int, fn func(int)) error {
 	return ctx.Err()
 }
 
-// fanOut resolves a whole frontier wave across a bounded worker pool.
-// outs[i] corresponds to wave[i], so the caller can merge in wave order and
-// keep the traversal deterministic regardless of completion order. Items
-// skipped after cancellation are left with a nil sub.
-func (p *Peer) fanOut(ctx context.Context, wave []frontierItem, filters []VarFilter, opts SearchOptions) ([]frontierOut, error) {
+// fanOut resolves a whole wave across a bounded worker pool. outs[i]
+// corresponds to wave[i], so the caller can merge in wave order and keep the
+// traversal deterministic regardless of completion order. Steps skipped
+// after cancellation are left with a nil sub.
+func (p *Peer) fanOut(ctx context.Context, q triple.Pattern, wave []compose.Step, filters []VarFilter, opts SearchOptions) ([]frontierOut, error) {
 	outs := make([]frontierOut, len(wave))
 	err := runPoolCtx(ctx, len(wave), opts.Parallelism, func(i int) {
-		outs[i] = p.resolveFrontier(ctx, wave[i], filters, opts)
+		outs[i] = p.resolveFrontier(ctx, q, wave[i], filters, opts)
 	})
 	return outs, err
 }
 
 // streamIterative performs issuer-driven breadth-first traversal of the
-// mapping graph. Each BFS wave fans out across the worker pool — the
-// reformulated patterns of a wave are independent overlay operations — and
-// is merged back in wave order, emitting every raw result as soon as its
-// wave completes, so visited-set claims, aggregation order and
-// reformulation counts match the serial traversal exactly. When emit stops
-// the search (row limit) the remaining merge is skipped and no further wave
-// is launched — a top-k query stops fanning out mid-traversal.
+// mapping graph: the routing visitor over compose.Expand. Each BFS wave fans
+// out across the worker pool — the reformulated patterns of a wave are
+// independent overlay operations — and is merged back in wave order,
+// emitting every raw result as soon as its wave completes, so visited-set
+// claims, aggregation order and reformulation counts match the serial
+// traversal exactly. When emit stops the search (row limit) the remaining
+// merge is skipped and no further wave is launched — a top-k query stops
+// fanning out mid-traversal.
 func (p *Peer) streamIterative(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, emit emitResult) (*ResultSet, bool, error) {
-	schemaName, attr, ok := schema.SplitPredicateURI(q.P.Value)
-	if !ok {
-		// Predicate is constant but not Schema#Attr: no reformulation
-		// possible, answer the plain query.
-		plain, err := p.searchForFiltered(ctx, q, filters)
-		if plain == nil || err != nil {
-			return plain, false, err
-		}
-		emitAll(plain, emit)
-		return plain, false, nil
-	}
-
+	schemaName, attr, _ := schema.SplitPredicateURI(q.P.Value) // streamPattern checked the form
 	rs := &ResultSet{Query: q}
 	visited := map[string]bool{q.P.Value: true}
-	wave := []frontierItem{{pattern: q, schemaName: schemaName, attr: attr, confidence: 1}}
+	claim := func(pred string, _ schema.Mapping) bool {
+		if visited[pred] {
+			return false
+		}
+		visited[pred] = true
+		rs.Reformulations++
+		return true
+	}
+	wave := []compose.Step{{Predicate: q.P.Value, SchemaName: schemaName, Attr: attr, Confidence: 1}}
 
 	var firstErr error
 	emitted, stopped := 0, false
 	for len(wave) > 0 && !stopped {
-		outs, poolErr := p.fanOut(ctx, wave, filters, opts)
-		var nextWave []frontierItem
-		for i, item := range wave {
+		outs, poolErr := p.fanOut(ctx, q, wave, filters, opts)
+		var nextWave []compose.Step
+		for i, step := range wave {
 			out := outs[i]
 			if out.sub == nil {
-				continue // cancelled before this item ran
+				continue // cancelled before this step ran
 			}
 			rs.Messages += out.sub.Messages + out.mapMsgs
 			rs.Degraded = rs.Degraded || out.sub.Degraded
@@ -494,6 +451,7 @@ func (p *Peer) streamIterative(ctx context.Context, q triple.Pattern, filters []
 					}
 				}
 			} else {
+				pattern := q.WithTerm(triple.Predicate, triple.Const(step.Predicate))
 				for _, r := range out.sub.Results {
 					if stopped {
 						break
@@ -501,9 +459,9 @@ func (p *Peer) streamIterative(ctx context.Context, q triple.Pattern, filters []
 					emitted++
 					if !emit(Result{
 						Triple:      r.Triple,
-						Pattern:     item.pattern,
-						MappingPath: item.path,
-						Confidence:  item.confidence,
+						Pattern:     pattern,
+						MappingPath: step.Path,
+						Confidence:  step.Confidence,
 					}) {
 						stopped = true
 					}
@@ -512,36 +470,18 @@ func (p *Peer) streamIterative(ctx context.Context, q triple.Pattern, filters []
 			if stopped {
 				continue // keep accounting the wave's messages, stop expanding
 			}
-			for _, m := range out.mappings {
-				targetAttr, ok := m.TranslateAttr(item.attr)
-				if !ok {
-					continue
-				}
-				conf := item.confidence * m.Confidence
-				if conf < opts.MinConfidence {
-					continue
-				}
-				newPred := m.Target + "#" + targetAttr
-				if visited[newPred] {
-					continue
-				}
-				visited[newPred] = true
-				rs.Reformulations++
-				newPath := append(append([]string{}, item.path...), m.ID)
-				nextWave = append(nextWave, frontierItem{
-					pattern:    item.pattern.WithTerm(triple.Predicate, triple.Const(newPred)),
-					schemaName: m.Target,
-					attr:       targetAttr,
-					path:       newPath,
-					confidence: conf,
-				})
+			if out.mapLost && ctx.Err() == nil {
+				// The traversal is truncated below this step (a cancelled
+				// retrieval is reported through ctx's error instead).
+				rs.Degraded = true
 			}
+			nextWave = compose.Expand(nextWave, step, out.mappings, opts.MinConfidence, claim)
 		}
 		if poolErr != nil {
 			return rs, true, poolErr
 		}
-		// Cancellation observed by an item of this wave (rather than by the
-		// pool itself) is terminal, not a per-item failure to tolerate: the
+		// Cancellation observed by a step of this wave (rather than by the
+		// pool itself) is terminal, not a per-step failure to tolerate: the
 		// traversal is incomplete and must say so, whatever was emitted.
 		if err := ctx.Err(); err != nil {
 			return rs, true, err
@@ -587,6 +527,10 @@ type ReformulatedResponse struct {
 	Results        []ReformResult
 	Messages       int
 	Reformulations int
+	// Degraded reports that the cascade below this step is truncated or was
+	// answered around unreachable peers: a mapping retrieval or a forward
+	// failed or fell back to a replica.
+	Degraded bool
 }
 
 // streamRecursive delegates reformulation to the destination peers. The
@@ -622,6 +566,7 @@ func (p *Peer) streamRecursive(ctx context.Context, q triple.Pattern, filters []
 	}
 	rs.Messages += resp.Messages
 	rs.Reformulations = resp.Reformulations
+	rs.Degraded = rs.Degraded || resp.Degraded
 	for _, r := range resp.Results {
 		if !emit(Result{
 			Triple:      r.Triple,
@@ -657,79 +602,50 @@ func (p *Peer) handleReformulated(req ReformulatedQuery) (ReformulatedResponse, 
 	if !ok {
 		return resp, nil
 	}
-	visited := map[string]bool{}
-	for _, v := range req.VisitedPredicates {
-		visited[v] = true
-	}
 	//gridvine:serverctx reformulation handler runs on the responsible peer; the issuer's context ended at the hop that delivered the request
 	mappings, route, err := p.MappingsFrom(context.Background(), schemaName)
 	resp.Messages += route.Messages
-	if err != nil {
-		return resp, nil // local results still count
-	}
-	// Collect the eligible forwards first, then fan them out across a
-	// bounded pool and merge in mapping order, keeping the aggregation
-	// deterministic. Each forward inherits half the fanout budget so a
-	// recursive cascade cannot multiply concurrency without bound.
-	type forward struct {
-		key keyspace.Key
-		req ReformulatedQuery
-	}
-	var forwards []forward
-	for _, m := range mappings {
-		targetAttr, ok := m.TranslateAttr(attr)
-		if !ok {
-			continue
-		}
-		conf := req.Confidence * m.Confidence
-		if conf < req.MinConfidence {
-			continue
-		}
-		newPred := m.Target + "#" + targetAttr
-		if visited[newPred] {
-			continue
-		}
-		resp.Reformulations++
-		newPattern := req.Pattern.WithTerm(triple.Predicate, triple.Const(newPred))
-		_, fwdConstant, ok := newPattern.MostSpecificConstant()
-		if !ok {
-			continue
-		}
-		forwards = append(forwards, forward{
-			key: keyspace.Hash(fwdConstant, p.depth),
-			req: ReformulatedQuery{
-				Pattern:           newPattern,
-				TTL:               req.TTL - 1,
-				VisitedPredicates: append(append([]string{}, req.VisitedPredicates...), newPred),
-				MappingPath:       append(append([]string{}, req.MappingPath...), m.ID),
-				Confidence:        conf,
-				MinConfidence:     req.MinConfidence,
-				Fanout:            req.Fanout / 2,
-				Filters:           req.Filters,
-			},
-		})
-	}
+	resp.Degraded = err != nil || route.Degraded
+	// The forwards are the rule's steps from this request, checked against
+	// the request's own path only: siblings are not claimed, each cascades
+	// independently. Fanned out across a bounded pool and merged in mapping
+	// order, the aggregation stays deterministic; each forward inherits half
+	// the fanout budget so a recursive cascade cannot multiply concurrency
+	// without bound.
+	from := compose.Step{Predicate: req.Pattern.P.Value, SchemaName: schemaName, Attr: attr, Path: req.MappingPath, Confidence: req.Confidence}
+	forwards := compose.Expand(nil, from, mappings, req.MinConfidence, func(pred string, _ schema.Mapping) bool {
+		return !slices.Contains(req.VisitedPredicates, pred)
+	})
+	resp.Reformulations += len(forwards)
 
 	subs := make([]ReformulatedResponse, len(forwards))
-	msgs := make([]int, len(forwards))
-	run := func(i int) {
+	runPool(len(forwards), req.Fanout, func(i int) {
+		step := forwards[i]
+		fwd := req
+		fwd.Pattern = req.Pattern.WithTerm(triple.Predicate, triple.Const(step.Predicate))
+		fwd.TTL = req.TTL - 1
+		fwd.VisitedPredicates = append(append([]string{}, req.VisitedPredicates...), step.Predicate)
+		fwd.MappingPath = step.Path
+		fwd.Confidence = step.Confidence
+		fwd.Fanout = req.Fanout / 2
+		_, constant, ok := fwd.Pattern.MostSpecificConstant()
+		if !ok {
+			return
+		}
 		// Server-side forwarding carries no issuer context: the recursive
 		// cascade completes (or fails) on its own.
 		//gridvine:serverctx recursive reformulation fan-out runs on the responsible peer, past the issuer's context
-		result, fwdRoute, err := p.node.Query(context.Background(), forwards[i].key, forwards[i].req)
-		msgs[i] = fwdRoute.Messages
-		if err != nil {
-			return
-		}
-		if sub, ok := result.(ReformulatedResponse); ok {
-			subs[i] = sub
-		}
-	}
-	runPool(len(forwards), req.Fanout, run)
+		result, fwdRoute, err := p.node.Query(context.Background(), keyspace.Hash(constant, p.depth), fwd)
+		sub, ok := result.(ReformulatedResponse)
+		sub.Messages += fwdRoute.Messages
+		sub.Degraded = sub.Degraded || err != nil || !ok || fwdRoute.Degraded
+		subs[i] = sub
+	})
 	for i := range forwards {
-		resp.Messages += msgs[i] + subs[i].Messages
+		resp.Messages += subs[i].Messages
 		resp.Results = append(resp.Results, subs[i].Results...)
 		resp.Reformulations += subs[i].Reformulations
+		resp.Degraded = resp.Degraded || subs[i].Degraded
 	}
 	return resp, nil
 }
@@ -738,8 +654,9 @@ func (p *Peer) handleReformulated(req ReformulatedQuery) (ReformulatedResponse, 
 func (p *Peer) handleQuery(key keyspace.Key, payload any) (any, error) {
 	switch req := payload.(type) {
 	case PatternQuery:
-		// Sorted: SearchFor ships these answers back verbatim (no dedupe
-		// pass), so the wire format stays deterministic across runs.
+		// Sorted: a plain pattern search ships these answers back verbatim
+		// (no dedupe pass), so the wire format stays deterministic across
+		// runs.
 		// Semi-join filters, when present, drop non-joining rows before
 		// they ship (SelectSorted returns a fresh slice, so the in-place
 		// filter is safe).

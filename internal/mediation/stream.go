@@ -25,17 +25,15 @@ import (
 // rows already produced. Request.Limit propagates into the engine, so a
 // top-k query stops issuing overlay lookups once enough rows exist.
 //
-// The historical blocking methods (SearchFor, SearchWithReformulation,
-// SearchConjunctive*, QueryRDQL*) survive as thin deprecated wrappers that
-// drain a cursor under context.Background() and rebuild their aggregate
-// return values — byte-identical to what they always returned.
+// Callers that want the whole answer at once drain the cursor with
+// CollectPattern, CollectSet or CollectRows.
 
 // Request unifies the query surface. Exactly one of Pattern, Patterns and
 // RDQL must be set.
 type Request struct {
-	// Pattern asks for a triple-pattern search (the streaming counterpart
-	// of SearchFor / SearchWithReformulation). Rows carry the matched
-	// triple and its reformulation provenance in Result.
+	// Pattern asks for a triple-pattern search (paper §2.3:
+	// SearchFor(x? : (s, p, o))). Rows carry the matched triple and its
+	// reformulation provenance in Result.
 	Pattern *triple.Pattern
 	// Patterns asks for a conjunctive query over the planning engine. Rows
 	// carry the joined variable values, aligned with Cursor.Columns().
@@ -140,8 +138,8 @@ type Cursor struct {
 	err   error
 	stats QueryStats
 
-	// Blocking-wrapper bookkeeping: the deprecated aggregate methods
-	// rebuild their historical return values from the engine's summary.
+	// CollectPattern bookkeeping: the aggregate ResultSet is rebuilt from
+	// the engine's summary.
 	pattern   *ResultSet
 	traversed bool
 
@@ -336,7 +334,7 @@ func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
 // runConjunctive executes a conjunctive (or RDQL) request through the
 // planning engine, emitting joined rows as the final join stage produces
 // them. RDQL requests are projected to their SELECT variables with
-// duplicate rows collapsed, exactly like the blocking projection.
+// duplicate rows collapsed.
 func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parsed *rdql.Query) error {
 	// deliver pushes one output row, enforcing Request.Limit: false stops
 	// the engine (which skips the remaining lookups of its final stage).
@@ -379,8 +377,7 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 			},
 			emit: func(row []string) bool {
 				if missing {
-					// A selected variable no row binds: nothing projects
-					// (the blocking projection returns no rows either).
+					// A selected variable no row binds: nothing projects.
 					return false
 				}
 				out := make([]string, len(colIdx))
@@ -407,38 +404,10 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 	return err
 }
 
-// QueryRDQL parses and executes an RDQL query on this peer through the
-// conjunctive planning engine and returns the deduplicated, sorted result
-// rows of its SELECT clause.
-//
-// Deprecated: QueryRDQL is a thin wrapper over Query with
-// context.Background(). New code should use Query with Request.RDQL, which
-// streams projected rows and honours cancellation, deadlines, and LIMIT.
-func (p *Peer) QueryRDQL(query string, reformulate bool, opts SearchOptions) ([]rdql.Row, error) {
-	rows, _, err := p.QueryRDQLStats(query, reformulate, opts)
-	return rows, err
-}
-
-// QueryRDQLStats is QueryRDQL returning the execution statistics of the
-// conjunctive engine alongside the rows.
-//
-// Deprecated: like QueryRDQL, this blocks until the full answer is
-// assembled; use Query for streaming consumption.
-func (p *Peer) QueryRDQLStats(query string, reformulate bool, opts SearchOptions) ([]rdql.Row, ConjunctiveStats, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{RDQL: query, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, ConjunctiveStats{}, err
-	}
-	return CollectRows(ctx, cur)
-}
-
 // CollectRows drains a cursor under ctx into the deduplicated, sorted
-// projected-row representation the blocking RDQL entry points always
-// returned, alongside the execution statistics. It closes the cursor.
-// Callers migrating off QueryRDQL/QueryRDQLStats pair it with Peer.Query
-// and Request.RDQL when they want the whole answer at once.
+// projected-row representation of an RDQL answer, alongside the execution
+// statistics. It closes the cursor. Pair it with Peer.Query and
+// Request.RDQL to get the whole answer at once.
 func CollectRows(ctx context.Context, cur *Cursor) ([]rdql.Row, ConjunctiveStats, error) {
 	var rows []rdql.Row
 	for {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -73,7 +72,7 @@ func waitNoLeak(t *testing.T, baseline int) {
 }
 
 // TestQueryPatternStreamsPerWave: a reformulation chain streams its first
-// row before the traversal completes, and the blocking wrapper returns the
+// row before the traversal completes, and CollectPattern returns the
 // byte-identical aggregate.
 func TestQueryPatternStreamsPerWave(t *testing.T) {
 	_, peers := chainNetwork(t, 5, 11)
@@ -113,7 +112,7 @@ func TestQueryPatternStreamsPerWave(t *testing.T) {
 		t.Errorf("first-row %v vs elapsed %v", st.FirstRow, st.Elapsed)
 	}
 
-	// The deprecated wrapper aggregates the same stream. (Message counts
+	// CollectPattern aggregates the same stream. (Message counts
 	// are not compared: routing tie-break randomness advances between runs,
 	// so two executions of the same query may spend different hop counts.)
 	rs, err := blockingSearchReformulated(issuer, q, SearchOptions{})
@@ -297,107 +296,6 @@ func TestQueryConjunctiveLimitCutsLookups(t *testing.T) {
 	if top.Conjunctive.PatternLookups >= full.Conjunctive.PatternLookups {
 		t.Errorf("top-k issued %d lookups, unbounded %d — limit did not reach the planner",
 			top.Conjunctive.PatternLookups, full.Conjunctive.PatternLookups)
-	}
-}
-
-// TestBlockingWrappersMatchQuery is the wrapper-equality property test: for
-// every pattern order × reformulation × parallelism, the deprecated
-// blocking methods return exactly what draining Query and aggregating
-// yields — and the planner still matches the naive evaluator.
-//
-//gridvine:allowdeprecated wrapper-equivalence test: the deprecated blocking methods are the subject under test
-func TestBlockingWrappersMatchQuery(t *testing.T) {
-	_, peers := testNetwork(t, 16, 16)
-	p := peers[0]
-	for i := 0; i < 12; i++ {
-		subj := fmt.Sprintf("acc:W%03d", i)
-		mustInsert(t, p, subj, "A#org", fmt.Sprintf("species-%d", i%3))
-		mustInsert(t, p, subj, "A#len", fmt.Sprint(100+i))
-		if i%2 == 0 {
-			mustInsert(t, p, subj, "B#name", fmt.Sprintf("species-%d", i%3))
-		}
-	}
-	if _, err := p.InsertMappingContext(context.Background(), testMapping("A", "B", "org", "name")); err != nil {
-		t.Fatalf("InsertMapping: %v", err)
-	}
-
-	base := []triple.Pattern{
-		{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("species-1")},
-		{S: triple.Var("x"), P: triple.Const("A#len"), O: triple.Var("len")},
-	}
-	orders := [][]triple.Pattern{
-		{base[0], base[1]},
-		{base[1], base[0]},
-	}
-	issuer := peers[7]
-
-	for oi, patterns := range orders {
-		for _, reformulate := range []bool{false, true} {
-			for _, par := range []int{1, 0} {
-				name := fmt.Sprintf("order=%d/reformulate=%v/par=%d", oi, reformulate, par)
-				opts := SearchOptions{Parallelism: par}
-
-				// Conjunctive wrapper vs drained cursor.
-				bs, _, err := issuer.SearchConjunctiveSet(patterns, reformulate, opts)
-				if err != nil {
-					t.Fatalf("%s: SearchConjunctiveSet: %v", name, err)
-				}
-				cur, err := issuer.Query(context.Background(), Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-				if err != nil {
-					t.Fatalf("%s: Query: %v", name, err)
-				}
-				var rows [][]string
-				for {
-					row, ok := cur.Next(context.Background())
-					if !ok {
-						break
-					}
-					rows = append(rows, row.Values)
-				}
-				cur.Close()
-				if err := cur.Err(); err != nil {
-					t.Fatalf("%s: cursor: %v", name, err)
-				}
-				got := &triple.BindingSet{Vars: cur.Columns(), Rows: rows}
-				got.SortRows()
-				if !reflect.DeepEqual(bs.Vars, got.Vars) || !reflect.DeepEqual(bs.Rows, got.Rows) {
-					t.Errorf("%s: wrapper bindings diverge from cursor\nwrapper: %v %v\ncursor:  %v %v",
-						name, bs.Vars, bs.Rows, got.Vars, got.Rows)
-				}
-
-				// And against the naive evaluator (order-insensitive anchor).
-				naive, _, err := issuer.SearchConjunctiveNaive(context.Background(), patterns, reformulate, opts)
-				if err != nil {
-					t.Fatalf("%s: naive: %v", name, err)
-				}
-				if !sameBindingsSet(t, naive, bs.ToBindings()) {
-					t.Errorf("%s: planner != naive", name)
-				}
-
-				// Pattern wrapper vs drained cursor.
-				q := patterns[0]
-				var want *ResultSet
-				if reformulate {
-					want, err = issuer.SearchWithReformulation(q, opts)
-				} else {
-					want, err = issuer.SearchFor(q)
-				}
-				if err != nil {
-					t.Fatalf("%s: blocking pattern search: %v", name, err)
-				}
-				pcur, err := issuer.Query(context.Background(), Request{Pattern: &q, Reformulate: reformulate, Options: opts})
-				if err != nil {
-					t.Fatalf("%s: pattern Query: %v", name, err)
-				}
-				pgot, err := CollectPattern(context.Background(), pcur)
-				if err != nil {
-					t.Fatalf("%s: collect: %v", name, err)
-				}
-				if !reflect.DeepEqual(want, pgot) {
-					t.Errorf("%s: pattern wrapper diverges:\nwant %+v\ngot  %+v", name, want, pgot)
-				}
-			}
-		}
 	}
 }
 

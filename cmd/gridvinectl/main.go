@@ -160,12 +160,12 @@ func cmdStats(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d\n",
+		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d\n",
 			st.Daemon, len(st.Peers), (time.Duration(st.UptimeMillis) * time.Millisecond).Round(time.Second),
 			st.Draining, st.QueriesServed, st.WritesServed, st.RowsStreamed,
 			st.ActiveQueries, st.ActiveWrites,
 			st.ActiveConns, st.ConnsRejected,
-			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries)
+			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries, st.JournalErrs)
 		return nil
 	})
 }
@@ -191,8 +191,8 @@ func cmdDump(args []string) error {
 			return err
 		}
 		for _, pd := range d.Peers {
-			fmt.Printf("daemon %d: %s path=%s triples=%d digest=%016x wal_seq=%d\n",
-				i, pd.ID, pd.Path, pd.Triples, pd.Digest, pd.WALSeq)
+			fmt.Printf("daemon %d: %s path=%s triples=%d digest=%016x wal_seq=%d journal_err=%q\n",
+				i, pd.ID, pd.Path, pd.Triples, pd.Digest, pd.WALSeq, pd.JournalErr)
 		}
 		return nil
 	})

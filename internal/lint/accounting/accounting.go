@@ -42,7 +42,6 @@ const (
 var chargedTypes = map[string]bool{
 	"gridvine/internal/pgrid.ExecRequest":              true,
 	"gridvine/internal/pgrid.ExecResponse":             true,
-	"gridvine/internal/pgrid.ReplicateRequest":         true,
 	"gridvine/internal/pgrid.BatchEntry":               true,
 	"gridvine/internal/pgrid.BatchUpdate":              true,
 	"gridvine/internal/pgrid.BatchReplicate":           true,

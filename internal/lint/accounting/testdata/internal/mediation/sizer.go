@@ -24,7 +24,7 @@ func PayloadTriples(payload any) int {
 	switch payload.(type) { // want `missing a sizing case for charged payload type gridvine/internal/pgrid\.SyncResponse` `PayloadTriples sizes gridvine/internal/pgrid\.SyncRequest, which is not in the accounting analyzer's charged-type registry`
 	case pgrid.ExecRequest, pgrid.ExecResponse:
 		return 1
-	case pgrid.ReplicateRequest, pgrid.BatchEntry, pgrid.BatchUpdate, pgrid.BatchReplicate:
+	case pgrid.BatchEntry, pgrid.BatchUpdate, pgrid.BatchReplicate:
 		return 2
 	case pgrid.SubtreeResponse:
 		return 3

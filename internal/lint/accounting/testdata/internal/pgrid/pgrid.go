@@ -4,15 +4,14 @@ package pgrid
 
 // Charged payload types (must appear in PayloadTriples' switch).
 type (
-	ExecRequest      struct{}
-	ExecResponse     struct{}
-	ReplicateRequest struct{}
-	BatchEntry       struct{}
-	BatchUpdate      struct{}
-	BatchReplicate   struct{}
-	SubtreeResponse  struct{}
-	SyncResponse     struct{}
-	RepairResponse   struct{}
+	ExecRequest     struct{}
+	ExecResponse    struct{}
+	BatchEntry      struct{}
+	BatchUpdate     struct{}
+	BatchReplicate  struct{}
+	SubtreeResponse struct{}
+	SyncResponse    struct{}
+	RepairResponse  struct{}
 )
 
 // Data-free payload types (acks and pure requests; never charged).

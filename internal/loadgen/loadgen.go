@@ -29,7 +29,8 @@ type Config struct {
 	// Duration is how long to sustain the load (default 5s).
 	Duration time.Duration
 	// WriteRatio is the fraction of operations that are writes, in
-	// [0,1] (default 0.2).
+	// [0,1]: 0 — the zero value — issues only queries, 1 only writes.
+	// Values outside the range fall back to 0.2.
 	WriteRatio float64
 	// QueryPredicate is the predicate the query mix matches on
 	// (default "Bench#p" — the preload namespace, so result sets are

@@ -854,14 +854,9 @@ func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []V
 func PayloadTriples(payload any) int {
 	switch v := payload.(type) {
 	case pgrid.ExecRequest:
-		// A mutation's value rides every routing hop of the request; charge
-		// it like one shipped result triple so per-op ingest pays for the
-		// copies batching avoids.
-		return PayloadTriples(v.Payload) + tripleValued(v.Value)
+		return PayloadTriples(v.Payload)
 	case pgrid.ExecResponse:
 		return PayloadTriples(v.AppResult)
-	case pgrid.ReplicateRequest:
-		return tripleValued(v.Value)
 	case []triple.Triple:
 		return len(v)
 	case ReformulatedResponse:
@@ -882,7 +877,9 @@ func PayloadTriples(payload any) int {
 		}
 		return n
 	case pgrid.BatchEntry:
-		// The head entry of a batched write, riding its routing probe.
+		// The head entry of a write rides every routing hop of its probe;
+		// charge it like one shipped result triple so per-op ingest pays for
+		// the copies batching avoids.
 		return tripleValued(v.Value)
 	case pgrid.BatchUpdate:
 		// Batched writes carry their values in bulk: charge each

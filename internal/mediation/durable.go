@@ -13,12 +13,13 @@ import (
 // mappings, stats digests) is the authoritative local state — the
 // relational triple database is a derived mirror — so it is the overlay
 // store that a crash must not lose. Every mutation the node observes
-// through its store hooks is appended to an attached store.Log at
-// exactly the hook granularity (one BatchStoreHook invocation = one WAL
-// record), and snapshots dump the node's full store + tombstones via
-// Node.DumpState.
+// through its store hook is appended to an attached store.Log at exactly
+// the hook granularity (one hook invocation — a batch, or one
+// anti-entropy repair response — = one WAL record), and snapshots dump
+// the node's full store + tombstones via Node.DumpState. This is the
+// only durability layer: there is no journaled triple store beneath it.
 //
-// The hooks run after the node has applied the mutation, so the log is
+// The hook runs after the node has applied the mutation, so the log is
 // write-behind by one handler invocation: a crash between apply and
 // append can lose that one batch locally. That gap is exactly what §6
 // digest anti-entropy closes on rejoin — the replicas that acked the

@@ -25,7 +25,7 @@ import (
 // node is responsible for — and the mediation operations.
 type Peer struct {
 	node  *pgrid.Node
-	db    triple.Driver
+	db    *triple.DB
 	depth int
 
 	// walMu guards wal, the durable mutation log attached by AttachLog
@@ -86,17 +86,10 @@ func (d DomainDegree) Replaces(old any) bool {
 
 // NewPeer wraps an overlay node with mediation-layer behaviour, backed by
 // the in-memory triple store. It registers the node's query handler and
-// store hooks; one node must back at most one Peer.
+// store hook; one node must back at most one Peer.
 func NewPeer(node *pgrid.Node) *Peer {
-	return NewPeerWithDriver(node, triple.NewDB())
-}
-
-// NewPeerWithDriver is NewPeer over an explicit storage driver — the
-// in-memory triple.DB or a durable store.DurableDB.
-func NewPeerWithDriver(node *pgrid.Node, drv triple.Driver) *Peer {
-	p := &Peer{node: node, db: drv, depth: keyspace.DefaultDepth, composites: compose.NewCache()}
-	node.SetStoreHook(p.hookStoreChange)
-	node.SetBatchStoreHook(p.hookStoreBatch)
+	p := &Peer{node: node, db: triple.NewDB(), depth: keyspace.DefaultDepth, composites: compose.NewCache()}
+	node.SetStoreHook(p.hookStore)
 	node.SetQueryHandler(p.handleQuery)
 	return p
 }
@@ -106,28 +99,17 @@ func (p *Peer) Node() *pgrid.Node { return p.node }
 
 // DB returns the peer's local triple database (the triples this peer is
 // responsible for).
-func (p *Peer) DB() triple.Driver { return p.db }
+func (p *Peer) DB() *triple.DB { return p.db }
 
-// hookStoreChange is the node's StoreHook: it logs the mutation to the
-// attached durable log (if any), then mirrors it into the relational
-// view. A mapping value landing or leaving the local store invalidates
-// the composite closures passing through its schemas — the
-// responsible-peer side of the schema-graph version counter (the issuer
-// side is Peer.Write).
-func (p *Peer) hookStoreChange(op pgrid.Op, key keyspace.Key, value any) {
-	p.logMutations([]pgrid.StoreMutation{{Op: op, Key: key, Value: value}})
-	p.onStoreChange(op, key, value)
-	if m, ok := value.(schema.Mapping); ok {
-		p.invalidateComposites([]schema.Mapping{m})
-	}
-}
-
-// hookStoreBatch is the node's BatchStoreHook: the whole batch becomes
-// one durable log record before it is mirrored. Mapping values in the
-// batch invalidate the composite closures through their schemas, once.
-func (p *Peer) hookStoreBatch(muts []pgrid.StoreMutation) {
+// hookStore is the node's StoreHook: one locked apply pass of the overlay
+// store becomes one durable log record (if a log is attached) before it is
+// mirrored into the relational view. Mapping values landing or leaving the
+// local store invalidate the composite closures through their schemas, once
+// — the responsible-peer side of the schema-graph version counter (the
+// issuer side is Peer.Write).
+func (p *Peer) hookStore(muts []pgrid.StoreMutation) {
 	p.logMutations(muts)
-	p.onStoreBatch(muts)
+	p.mirrorStore(muts)
 	var mappings []schema.Mapping
 	for _, mut := range muts {
 		if m, ok := mut.Value.(schema.Mapping); ok {
@@ -144,34 +126,23 @@ func (p *Peer) GUID(localID string) string {
 	return schema.GUID(p.node.Path().String(), localID)
 }
 
-// onStoreChange mirrors triple values of the overlay store into the local
-// relational database.
-func (p *Peer) onStoreChange(op pgrid.Op, key keyspace.Key, value any) {
-	t, ok := value.(triple.Triple)
-	if !ok {
-		return
-	}
-	switch op {
-	case pgrid.OpInsert:
-		p.db.Insert(t)
-	case pgrid.OpDelete:
-		// The same triple is indexed under up to three keys; drop it from
-		// the relational view only when no copy remains in the overlay
-		// store.
-		for _, k := range p.tripleKeys(t) {
-			if key.Equal(k) {
-				continue
-			}
-			if p.node.Responsible(k) {
-				for _, v := range p.node.LocalGet(k) {
-					if v == value {
-						return
-					}
+// mirrorDelete drops a triple deleted under key from the relational view.
+// The same triple is indexed under up to three keys, so it goes only when
+// no copy remains in the overlay store.
+func (p *Peer) mirrorDelete(key keyspace.Key, t triple.Triple) {
+	for _, k := range p.tripleKeys(t) {
+		if key.Equal(k) {
+			continue
+		}
+		if p.node.Responsible(k) {
+			for _, v := range p.node.LocalGet(k) {
+				if v == t {
+					return
 				}
 			}
 		}
-		p.db.Delete(t)
 	}
+	p.db.Delete(t)
 }
 
 // tripleKeys returns the three overlay keys a triple is indexed under.

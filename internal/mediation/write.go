@@ -27,10 +27,6 @@ import (
 // deadline-aware retry budget) stops the pool between groups, and the
 // returned Receipt records exactly which entries were applied, which
 // failed, and which were never attempted. No goroutine outlives Write.
-//
-// The historical per-entry methods (InsertTriple, DeleteTriple,
-// InsertSchema, InsertMapping, ReplaceMapping) survive as deprecated
-// wrappers that submit a one-entry batch.
 
 // Batch collects mutations for one Peer.Write. The zero value is an empty
 // batch ready for use; it must not be shared across concurrent Writes.
@@ -349,15 +345,14 @@ func (p *Peer) Write(ctx context.Context, b *Batch) (*Receipt, error) {
 	return rec, nil
 }
 
-// onStoreBatch is the node's BatchStoreHook: it mirrors one applied batch
-// into the local relational database, absorbing runs of inserted triples in
-// sharded passes (triple.DB.InsertBatch) and running deletions through the
-// same multi-key refcount logic as single mutations. Mutation order is
-// preserved — pending inserts flush before any delete — so an
-// insert-then-delete of the same triple within one batch resolves exactly
-// as the per-mutation path does; a bulk load (all inserts) still lands in
+// mirrorStore mirrors one applied pass of store changes into the local
+// relational database, absorbing runs of inserted triples in sharded passes
+// (triple.DB.InsertBatch) and running deletions through the multi-key
+// refcount logic of mirrorDelete. Mutation order is preserved — pending
+// inserts flush before any delete — so an insert-then-delete of the same
+// triple within one batch nets out; a bulk load (all inserts) still lands in
 // one pass.
-func (p *Peer) onStoreBatch(muts []pgrid.StoreMutation) {
+func (p *Peer) mirrorStore(muts []pgrid.StoreMutation) {
 	var inserts []triple.Triple
 	flush := func() {
 		if len(inserts) > 0 {
@@ -375,7 +370,7 @@ func (p *Peer) onStoreBatch(muts []pgrid.StoreMutation) {
 			continue
 		}
 		flush()
-		p.onStoreChange(m.Op, m.Key, m.Value)
+		p.mirrorDelete(m.Key, t)
 	}
 	flush()
 }

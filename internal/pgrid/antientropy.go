@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 
 	"gridvine/internal/keyspace"
@@ -232,56 +233,41 @@ func (n *Node) handleRepair(req RepairRequest) RepairResponse {
 	return resp
 }
 
-// mergeInsert inserts a value pulled by anti-entropy unless a local
-// tombstone marks it deleted — within repair, the delete wins; only a fresh
-// direct insert supersedes a tombstone. Fires the store hook on change.
-func (n *Node) mergeInsert(key string, value any) bool {
-	n.mu.Lock()
-	for _, t := range n.tombs[key] {
-		if reflect.DeepEqual(t.value, value) {
-			n.mu.Unlock()
-			return false
+// mergeRepair applies the pull half of one repair response in a single
+// locked pass that fires the store hook once. Tombstones go first — each is
+// retained locally (so it propagates onward) and removes the value if
+// present — so a value the replica deleted does not land from its item list
+// and immediately resurrect. Items are then inserted unless a local
+// tombstone marks them deleted: within repair the delete wins; only a fresh
+// direct insert supersedes a tombstone. Entries whose key fails to parse
+// are not applied. Returns how many deletions and insertions changed the
+// store.
+func (n *Node) mergeRepair(tombs []Tombstone, items []SubtreeItem) (deleted, inserted int) {
+	n.mutate(func() (muts []StoreMutation) {
+		for _, t := range tombs {
+			key, err := keyspace.ParseKey(t.Key)
+			if err != nil {
+				continue
+			}
+			n.recordTombLocked(t.Key, t.Value)
+			if n.deleteLocked(t.Key, t.Value) {
+				muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: t.Value})
+				deleted++
+			}
 		}
-	}
-	changed := false
-	dup := false
-	for _, v := range n.store[key] {
-		if reflect.DeepEqual(v, value) {
-			dup = true
-			break
+		for _, it := range items {
+			key, err := keyspace.ParseKey(it.Key)
+			tombstoned := slices.ContainsFunc(n.tombs[it.Key], func(t tombEntry) bool {
+				return reflect.DeepEqual(t.value, it.Value)
+			})
+			if err == nil && !tombstoned && n.insertLocked(it.Key, it.Value) {
+				muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: it.Value})
+				inserted++
+			}
 		}
-	}
-	if !dup {
-		n.store[key] = append(n.store[key], value)
-		changed = true
-	}
-	hook := n.storeHook
-	n.mu.Unlock()
-
-	if changed && hook != nil {
-		if k, err := keyspace.ParseKey(key); err == nil {
-			hook(OpInsert, k, value)
-		}
-	}
-	return changed
-}
-
-// applyTombstone applies a deletion pulled by anti-entropy: the tombstone
-// is retained locally (so it propagates onward) and the value, if present,
-// is removed. Reports whether the store changed.
-func (n *Node) applyTombstone(key string, value any) bool {
-	n.mu.Lock()
-	n.recordTombLocked(key, value)
-	changed := n.deleteLocked(key, value)
-	hook := n.storeHook
-	n.mu.Unlock()
-
-	if changed && hook != nil {
-		if k, err := keyspace.ParseKey(key); err == nil {
-			hook(OpDelete, k, value)
-		}
-	}
-	return changed
+		return muts
+	})
+	return deleted, inserted
 }
 
 // AntiEntropy runs one push-pull repair round against every replica in
@@ -353,17 +339,11 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 		return
 	}
 
-	// Pull half: apply the replica's tombstones first so a value it deleted
-	// does not land and immediately resurrect from its Missing list.
-	for _, t := range rep.Tombs {
-		n.applyTombstone(t.Key, t.Value)
-		stats.TombsPulled++
-	}
-	for _, it := range rep.Missing {
-		if n.mergeInsert(it.Key, it.Value) {
-			stats.Pulled++
-		}
-	}
+	// Pull half: one locked pass, one hook invocation — a durable peer
+	// journals the whole response as one record.
+	_, pulled := n.mergeRepair(rep.Tombs, rep.Missing)
+	stats.TombsPulled += len(rep.Tombs)
+	stats.Pulled += pulled
 
 	// Push half: ship what the replica asked for as one replication batch —
 	// inserts for live values, deletes for tombstones (the receiver records

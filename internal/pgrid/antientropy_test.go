@@ -273,9 +273,11 @@ func TestSuspectedPeersOrderedLast(t *testing.T) {
 func TestTombstoneCapPrunes(t *testing.T) {
 	net := simnet.NewNetwork()
 	n := NewNode("solo", keyspace.Key{}, net, Config{TombstoneCap: 8})
+	n.mu.Lock()
 	for i := 0; i < 40; i++ {
-		n.localDelete(fmt.Sprintf("k%02d", i), i)
+		n.recordTombLocked(fmt.Sprintf("k%02d", i), i)
 	}
+	n.mu.Unlock()
 	if got := n.TombstoneCount(); got > 8 {
 		t.Errorf("tombstones = %d, want ≤ cap 8", got)
 	}
@@ -327,5 +329,79 @@ func TestDegradedRouteFlag(t *testing.T) {
 	}
 	if len(vals) != 1 {
 		t.Errorf("degraded retrieve lost the value: %v", vals)
+	}
+}
+
+// TestRepairResponseFiresHookOnce pins "one repair response = one hook
+// invocation": a replica that missed N inserts and M deletes pulls them
+// in one locked pass and its hook sees them in a single call — N inserts
+// plus the M′ ≤ M deletes that actually removed a value (a tombstone for
+// a value the replica never held changes nothing) — so a durable peer
+// journals the whole response as one record.
+func TestRepairResponseFiresHookOnce(t *testing.T) {
+	net, ov := testOverlay(t, 8, 2, 64)
+	var survivor, victim *Node
+	for _, group := range replicaGroups(ov) {
+		if len(group) == 2 {
+			survivor, victim = group[0], group[1]
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no two-replica group")
+	}
+	// Nine distinct keys under the group's path: the path, then i in binary.
+	keys := make([]keyspace.Key, 9)
+	for i := range keys {
+		k := survivor.Path()
+		for b := 0; k.Len() < keyspace.DefaultDepth; b++ {
+			k = k.Append(i >> b & 1)
+		}
+		keys[i] = k
+	}
+	ctx := context.Background()
+	const inserts, deletes = 6, 3
+	for _, k := range keys[:deletes] {
+		if _, err := survivor.Update(ctx, k, "stale"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The victim misses six inserts and three deletes, one of them of a
+	// value it never held.
+	net.Fail(victim.ID())
+	for _, k := range keys[deletes:] {
+		if _, err := survivor.Update(ctx, k, "fresh"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys[:deletes-1] {
+		if _, err := survivor.Delete(ctx, k, "stale"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := survivor.Delete(ctx, keys[deletes-1], "never-stored"); err != nil {
+		t.Fatal(err)
+	}
+	net.Recover(victim.ID())
+
+	var calls [][]StoreMutation
+	victim.SetStoreHook(func(muts []StoreMutation) { calls = append(calls, muts) })
+	stats := victim.AntiEntropy(ctx)
+	if stats.Pulled != inserts || stats.TombsPulled != deletes {
+		t.Fatalf("pulled %d items and %d tombstones, want %d and %d", stats.Pulled, stats.TombsPulled, inserts, deletes)
+	}
+	if len(calls) != 1 {
+		t.Fatalf("hook fired %d times for one repair response, want 1", len(calls))
+	}
+	got := map[Op]int{}
+	for _, m := range calls[0] {
+		got[m.Op]++
+	}
+	if got[OpInsert] != inserts || got[OpDelete] != deletes-1 || len(calls[0]) != inserts+deletes-1 {
+		t.Fatalf("hook saw %v, want %d inserts and %d deletes", got, inserts, deletes-1)
+	}
+	if survivor.ContentDigest() != victim.ContentDigest() {
+		t.Fatal("replicas did not converge")
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"gridvine/internal/simnet"
 )
 
-// The batched write path. A bulk mutation over the overlay costs, naively,
+// The write path — the only one: Update, Delete and Replace are one-entry
+// WriteBatch calls. A bulk mutation over the overlay costs, naively,
 // one routed operation per (key, value) pair — O(log |Π|) messages each,
 // every one carrying its value across every hop. WriteBatch collapses that:
 // entries are sorted by key, so (the hash being order-preserving and
@@ -21,8 +22,7 @@ import (
 // peer, which applies it under one lock pass and synchronizes each replica
 // with one message. Routed message count collapses from the number of
 // entries toward the number of distinct responsible peers — and a run of
-// one (the deprecated per-entry write methods) costs exactly the one routed
-// operation it always did.
+// one costs exactly one routed operation.
 
 // BatchStatus is the terminal state of one WriteBatch entry.
 type BatchStatus int8
@@ -130,8 +130,7 @@ func (n *Node) WriteBatch(ctx context.Context, entries []BatchEntry) (*BatchOutc
 
 		// Resolve the run's responsible peer (and its path) with a routed
 		// probe that carries — and applies — the head entry, so a run of one
-		// costs exactly one routed operation, like the historical per-key
-		// Update.
+		// costs exactly one routed operation.
 		resp, route, err := n.execute(ctx, ExecRequest{Key: head.Key, Op: OpProbe, Payload: head})
 		accumulateRoute(&out.Route, route)
 		if err != nil {
@@ -236,4 +235,5 @@ func accumulateRoute(total *Route, r Route) {
 	total.Contacted = append(total.Contacted, r.Contacted...)
 	total.Messages += r.Messages
 	total.Retries += r.Retries
+	total.Degraded = total.Degraded || r.Degraded
 }

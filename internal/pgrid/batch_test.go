@@ -202,3 +202,57 @@ func TestRetryBudgetFailsFast(t *testing.T) {
 		t.Errorf("fail-fast took %v, should not have waited out the deadline", elapsed)
 	}
 }
+
+// TestPerOpWritesCostOneRoutedOperation pins what Update, Delete and
+// Replace cost as one-entry batches: the issuer-observed route is the
+// probe's hops, and the transport carries exactly those plus one
+// replication send per replica of the answering peer — nothing else.
+func TestPerOpWritesCostOneRoutedOperation(t *testing.T) {
+	net, ov := testOverlay(t, 32, 3, 91)
+	ctx := context.Background()
+	ops := map[string]func(*Node, keyspace.Key) (Route, error){
+		"update":  func(n *Node, k keyspace.Key) (Route, error) { return n.Update(ctx, k, "v") },
+		"delete":  func(n *Node, k keyspace.Key) (Route, error) { return n.Delete(ctx, k, "v") },
+		"replace": func(n *Node, k keyspace.Key) (Route, error) { return n.Replace(ctx, k, "w") },
+	}
+	for name, op := range ops {
+		for i, issuer := range ov.Nodes() {
+			key := keyspace.HashDefault(fmt.Sprintf("%s-cost-%d", name, i))
+			net.ResetStats()
+			route, err := op(issuer, key)
+			if err != nil {
+				t.Fatalf("%s from %s: %v", name, issuer.ID(), err)
+			}
+			owner := issuer
+			if len(route.Contacted) > 0 {
+				owner = ov.Node(route.Contacted[len(route.Contacted)-1])
+			}
+			if !owner.Responsible(key) {
+				t.Fatalf("%s from %s answered by non-responsible %s", name, issuer.ID(), owner.ID())
+			}
+			if route.Messages != len(route.Contacted) || route.Retries != 0 || route.Degraded {
+				t.Fatalf("%s from %s: route %+v, want one message per contacted peer on a healthy overlay", name, issuer.ID(), route)
+			}
+			if got, want := net.Stats().Messages, route.Messages+len(owner.Replicas()); got != want {
+				t.Fatalf("%s from %s: transport carried %d messages, want %d routed + %d replication", name, issuer.ID(), got, route.Messages, len(owner.Replicas()))
+			}
+		}
+	}
+}
+
+// TestExecRejectsMutationOps: mutations travel as batch entries only; a
+// routed request naming one is an unknown op.
+func TestExecRejectsMutationOps(t *testing.T) {
+	_, ov := testOverlay(t, 4, 2, 19)
+	key := keyspace.HashDefault("no-per-op-path")
+	for _, n := range ov.Nodes() {
+		if !n.Responsible(key) {
+			continue
+		}
+		for _, op := range []Op{OpInsert, OpDelete, OpReplace} {
+			if _, err := n.handleExec(ExecRequest{Key: key.String(), Op: op}); err == nil {
+				t.Errorf("handleExec accepted %s", op)
+			}
+		}
+	}
+}

@@ -97,7 +97,10 @@ func TestBootstrapDataMigratesOnSplit(t *testing.T) {
 	// are empty).
 	for i := 0; i < 40; i++ {
 		key := keyspace.HashDefault(fmt.Sprintf("pre-%d", i))
-		ov.nodes[rng.Intn(len(ov.nodes))].localInsert(key.String(), i)
+		n := ov.nodes[rng.Intn(len(ov.nodes))]
+		n.mu.Lock()
+		n.insertLocked(key.String(), i)
+		n.mu.Unlock()
 	}
 	for m := 0; m < 16*80; m++ {
 		a := ov.nodes[rng.Intn(len(ov.nodes))]

@@ -8,32 +8,31 @@ import (
 
 // Message type identifiers on the transport.
 const (
-	msgExec      = "pgrid.exec"      // routed storage / query operation
-	msgReplicate = "pgrid.replicate" // direct replica synchronization
-	msgBatch     = "pgrid.batch"     // direct batched mutation delivery
-	msgBatchRep  = "pgrid.batchrep"  // batched replica synchronization
-	msgSubtree   = "pgrid.subtree"   // prefix-subtree enumeration step
-	msgPing      = "pgrid.ping"      // liveness probe
+	msgExec     = "pgrid.exec"     // routed storage / query operation
+	msgBatch    = "pgrid.batch"    // direct batched mutation delivery
+	msgBatchRep = "pgrid.batchrep" // batched replica synchronization
+	msgSubtree  = "pgrid.subtree"  // prefix-subtree enumeration step
+	msgPing     = "pgrid.ping"     // liveness probe
 )
 
-// Op selects the storage operation an ExecRequest performs at the
-// responsible peer.
+// Op names an operation at the responsible peer.
 type Op int
 
-// Operations supported at the responsible peer. OpQuery invokes the
-// registered application handler with the request payload — this is the
-// Retrieve(key, q) primitive the mediation layer uses to ship triple-pattern
-// queries to data (paper §2.3).
+// OpGet, OpQuery and OpProbe travel in a routed ExecRequest; OpInsert,
+// OpDelete and OpReplace are the mutations a BatchEntry carries. OpQuery
+// invokes the registered application handler with the request payload —
+// this is the Retrieve(key, q) primitive the mediation layer uses to ship
+// triple-pattern queries to data (paper §2.3).
 const (
 	OpGet Op = iota
 	OpInsert
 	OpDelete
 	OpQuery
 	OpReplace
-	// OpProbe resolves the responsible peer for a key without touching its
-	// store: the answer carries the peer's path, which the batched write
-	// path uses to compute the full key run the peer covers before shipping
-	// it one BatchUpdate message.
+	// OpProbe resolves the responsible peer for a key: the answer carries
+	// the peer's path, which the write path uses to compute the full key run
+	// the peer covers before shipping it one BatchUpdate message. A probe
+	// carrying a head BatchEntry applies it on arrival.
 	OpProbe
 )
 
@@ -75,8 +74,7 @@ type Replacer interface {
 type ExecRequest struct {
 	Key       string // binary key, e.g. "010011…"
 	Op        Op
-	Value     any  // for OpInsert / OpDelete
-	Payload   any  // for OpQuery: handed to the application handler
+	Payload   any  // OpQuery: handed to the application handler; OpProbe: the head BatchEntry
 	Recursive bool // forward server-side instead of answering with refs
 	TTL       int  // remaining hops in recursive mode
 }
@@ -92,13 +90,6 @@ type ExecResponse struct {
 	// Path is the answering responsible peer's trie path π(p); the batched
 	// write path uses it to compute the contiguous key run the peer covers.
 	Path string
-}
-
-// ReplicateRequest applies a storage mutation directly, without routing.
-type ReplicateRequest struct {
-	Key   string
-	Op    Op // OpInsert, OpDelete or OpReplace
-	Value any
 }
 
 // BatchEntry is one keyed mutation of a batched write.
@@ -155,7 +146,6 @@ type SubtreeResponse struct {
 func init() {
 	gob.Register(ExecRequest{})
 	gob.Register(ExecResponse{})
-	gob.Register(ReplicateRequest{})
 	gob.Register(BatchEntry{})
 	gob.Register(BatchUpdate{})
 	gob.Register(BatchResult{})

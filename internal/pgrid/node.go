@@ -75,7 +75,6 @@ type Node struct {
 	store     map[string][]any        // key bits → stored values
 	handler   QueryHandler
 	storeHook StoreHook
-	batchHook BatchStoreHook
 
 	// tombs records deletions so anti-entropy reconciles them instead of
 	// resurrecting the value from a replica that missed the delete. Guarded
@@ -102,11 +101,19 @@ type Node struct {
 	rng   *rand.Rand
 }
 
-// StoreHook observes successful storage mutations applied at this node
-// (routed updates and replica synchronization; not construction-time data
-// exchanges). The mediation layer uses it to keep the peer's local
-// relational database in sync with the overlay store.
-type StoreHook func(op Op, key keyspace.Key, value any)
+// StoreMutation is one observed store change, as delivered to a StoreHook.
+type StoreMutation struct {
+	Op    Op // OpInsert or OpDelete (replaces are expanded)
+	Key   keyspace.Key
+	Value any
+}
+
+// StoreHook observes the store changes of one locked apply pass — a routed
+// or replicated batch, or one anti-entropy repair response — in a single
+// call (not construction-time data exchanges). The mediation layer uses it
+// to journal the pass as one record and keep the peer's local relational
+// database in sync with the overlay store.
+type StoreHook func(muts []StoreMutation)
 
 // SetStoreHook registers the mutation observer.
 func (n *Node) SetStoreHook(h StoreHook) {
@@ -115,26 +122,17 @@ func (n *Node) SetStoreHook(h StoreHook) {
 	n.storeHook = h
 }
 
-// StoreMutation is one observed store change, as delivered to a
-// BatchStoreHook.
-type StoreMutation struct {
-	Op    Op // OpInsert or OpDelete (replaces are expanded)
-	Key   keyspace.Key
-	Value any
-}
-
-// BatchStoreHook observes every store change of one applied batch in a
-// single call, letting the application layer absorb them in bulk (the
-// mediation layer groups triple inserts per database shard). A node with no
-// batch hook falls back to firing the per-mutation StoreHook for each
-// change.
-type BatchStoreHook func(muts []StoreMutation)
-
-// SetBatchStoreHook registers the batched mutation observer.
-func (n *Node) SetBatchStoreHook(h BatchStoreHook) {
+// mutate runs apply under the store lock and delivers the changes it
+// reports to the store hook in one call, outside the lock. Every hooked
+// store mutation goes through here.
+func (n *Node) mutate(apply func() []StoreMutation) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.batchHook = h
+	muts := apply()
+	hook := n.storeHook
+	n.mu.Unlock()
+	if hook != nil && len(muts) > 0 {
+		hook(muts)
+	}
 }
 
 // NewNode creates a node with the given identity and path, attached to the
@@ -291,15 +289,8 @@ func (n *Node) LocalGet(key keyspace.Key) []any {
 	return out
 }
 
-// localInsert stores value under key, collapsing exact duplicates. It
-// reports whether the store changed.
-func (n *Node) localInsert(key string, value any) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.insertLocked(key, value)
-}
-
-// insertLocked is localInsert's core; n.mu must be held. A direct insert
+// insertLocked stores value under key, collapsing exact duplicates, and
+// reports whether the store changed; n.mu must be held. A direct insert
 // supersedes any matching tombstone: re-publishing a previously deleted
 // value must stick, so the tombstone is cleared before the value lands.
 func (n *Node) insertLocked(key string, value any) bool {
@@ -313,19 +304,11 @@ func (n *Node) insertLocked(key string, value any) bool {
 	return true
 }
 
-// localDelete removes the first value deep-equal to value under key. It
-// reports whether the store changed. The deletion is tombstoned whether or
-// not the value was present — the delete may have raced ahead of the
-// insert it cancels, and anti-entropy must not resurrect either way.
-func (n *Node) localDelete(key string, value any) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.recordTombLocked(key, value)
-	return n.deleteLocked(key, value)
-}
-
 // recordTombLocked notes a deletion for later anti-entropy reconciliation;
-// n.mu must be held. An existing equal tombstone is refreshed in place.
+// n.mu must be held. Callers tombstone a delete whether or not the value
+// was present — the delete may have raced ahead of the insert it cancels,
+// and anti-entropy must not resurrect either way. An existing equal
+// tombstone is refreshed in place.
 func (n *Node) recordTombLocked(key string, value any) {
 	n.tombSeq++
 	for i, t := range n.tombs[key] {
@@ -384,7 +367,8 @@ func (n *Node) TombstoneCount() int {
 	return n.tombLen
 }
 
-// deleteLocked is localDelete's core; n.mu must be held.
+// deleteLocked removes the first value deep-equal to value under key and
+// reports whether the store changed; n.mu must be held.
 func (n *Node) deleteLocked(key string, value any) bool {
 	vs := n.store[key]
 	for i, v := range vs {
@@ -429,13 +413,6 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 			return simnet.Message{}, err
 		}
 		return simnet.Message{Type: msgExec, Payload: resp}, nil
-	case msgReplicate:
-		req, ok := msg.Payload.(ReplicateRequest)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad replicate payload %T", msg.Payload)
-		}
-		n.applyMutation(req.Key, req.Op, req.Value)
-		return simnet.Message{Type: msgReplicate}, nil
 	case msgBatch:
 		req, ok := msg.Payload.(BatchUpdate)
 		if !ok {
@@ -448,8 +425,8 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 		if !ok {
 			return simnet.Message{}, fmt.Errorf("pgrid: bad batch replicate payload %T", msg.Payload)
 		}
-		// Replica synchronization applies unconditionally, like the
-		// single-mutation replicate path, and never re-replicates.
+		// Replica synchronization applies unconditionally and never
+		// re-replicates.
 		n.applyBatchLocal(req.Entries, false)
 		return simnet.Message{Type: msgBatchRep}, nil
 	case msgSubtree:
@@ -481,44 +458,10 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 	}
 }
 
-// applyMutation performs an insert/delete/replace on the local store and
-// notifies the store hook on change (outside the node lock).
-func (n *Node) applyMutation(key string, op Op, value any) {
-	if op == OpReplace {
-		n.applyReplace(key, value)
-		return
-	}
-	changed := false
-	switch op {
-	case OpInsert:
-		changed = n.localInsert(key, value)
-	case OpDelete:
-		changed = n.localDelete(key, value)
-	}
-	if !changed {
-		return
-	}
-	n.mu.RLock()
-	hook := n.storeHook
-	n.mu.RUnlock()
-	if hook != nil {
-		if k, err := keyspace.ParseKey(key); err == nil {
-			hook(op, k, value)
-		}
-	}
-}
-
-// localReplace removes every stored value under key that value Replaces
-// (see Replacer) and inserts value, all under one lock acquisition. It
-// returns the removed values and whether value was newly inserted (false
-// when an exact duplicate was already stored).
-func (n *Node) localReplace(key string, value any) (removed []any, inserted bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.replaceLocked(key, value)
-}
-
-// replaceLocked is localReplace's core; n.mu must be held.
+// replaceLocked removes every stored value under key that value Replaces
+// (see Replacer) and inserts value; n.mu must be held. It returns the
+// removed values and whether value was newly inserted (false when an exact
+// duplicate was already stored).
 func (n *Node) replaceLocked(key string, value any) (removed []any, inserted bool) {
 	rep, _ := value.(Replacer)
 	vs := n.store[key]
@@ -562,10 +505,11 @@ func (n *Node) applyBatch(entries []BatchEntry, checkResponsible bool) []int {
 		keys = append(keys, entries[i].Key)
 	}
 	for _, r := range n.Replicas() {
-		// Best-effort, like single-mutation replication — but a failed push
-		// is observed, not dropped: the replica becomes suspected and the
-		// batch's keys land on its repair hot-list for targeted anti-entropy.
-		// One message carries the whole batch.
+		// Best-effort — but a failed push is observed, not dropped: the
+		// replica becomes suspected and the batch's keys land on its repair
+		// hot-list, so the next anti-entropy round re-ships exactly what was
+		// lost instead of rescanning the whole store. One message carries
+		// the whole batch.
 		//gridvine:serverctx batch replication must complete even if the issuing batch's context is cancelled, or replicas diverge
 		if _, err := n.net.Send(context.Background(), n.id, r, simnet.Message{Type: msgBatchRep, Payload: rep}); err != nil {
 			n.noteReplicaFailure(r, keys...)
@@ -577,91 +521,50 @@ func (n *Node) applyBatch(entries []BatchEntry, checkResponsible bool) []int {
 }
 
 // applyBatchLocal performs the store mutations of a batch under one lock
-// acquisition, then fires the batch store hook once with every change (or
-// the per-mutation hook for each, when no batch hook is set). Entries are
+// acquisition and fires the store hook once with every change. Entries are
 // applied in slice order, so same-key delete/insert sequences (mapping
 // replacement) keep their submission semantics. Entries whose key fails to
 // parse, or — under checkResponsible — lies outside the node's path, are
 // not applied.
 func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []int {
 	applied := make([]int, 0, len(entries))
-	var muts []StoreMutation
-
-	n.mu.Lock()
-	for i, e := range entries {
-		key, err := keyspace.ParseKey(e.Key)
-		if err != nil {
-			continue
-		}
-		if checkResponsible && !n.path.IsPrefixOf(key) {
-			continue
-		}
-		switch e.Op {
-		case OpInsert:
-			if n.insertLocked(e.Key, e.Value) {
-				muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: e.Value})
+	n.mutate(func() (muts []StoreMutation) {
+		for i, e := range entries {
+			key, err := keyspace.ParseKey(e.Key)
+			if err != nil {
+				continue
 			}
-		case OpDelete:
-			n.recordTombLocked(e.Key, e.Value)
-			if n.deleteLocked(e.Key, e.Value) {
-				muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: e.Value})
+			if checkResponsible && !n.path.IsPrefixOf(key) {
+				continue
 			}
-		case OpReplace:
-			removed, inserted := n.replaceLocked(e.Key, e.Value)
-			for _, v := range removed {
-				muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: v})
+			switch e.Op {
+			case OpInsert:
+				if n.insertLocked(e.Key, e.Value) {
+					muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: e.Value})
+				}
+			case OpDelete:
+				n.recordTombLocked(e.Key, e.Value)
+				if n.deleteLocked(e.Key, e.Value) {
+					muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: e.Value})
+				}
+			case OpReplace:
+				removed, inserted := n.replaceLocked(e.Key, e.Value)
+				for _, v := range removed {
+					muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: v})
+				}
+				if inserted {
+					muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: e.Value})
+				}
+			default:
+				continue
 			}
-			if inserted {
-				muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: e.Value})
-			}
-		default:
-			continue
+			// Duplicate inserts / missing deletes count as applied: the
+			// entry's intended end state holds.
+			applied = append(applied, i)
 		}
-		// Duplicate inserts / missing deletes count as applied: the entry's
-		// intended end state holds, exactly as the per-op path reports.
-		applied = append(applied, i)
-	}
-	batchHook, hook := n.batchHook, n.storeHook
-	n.mu.Unlock()
-
-	if len(muts) == 0 {
-		return applied
-	}
-	switch {
-	case batchHook != nil:
-		batchHook(muts)
-	case hook != nil:
-		for _, m := range muts {
-			hook(m.Op, m.Key, m.Value)
-		}
-	}
+		return muts
+	})
 	return applied
-}
-
-// applyReplace runs a replace mutation and fires the store hook once per
-// removed value plus once for the insertion, mirroring the delete + insert
-// sequence the operation collapses.
-func (n *Node) applyReplace(key string, value any) {
-	removed, inserted := n.localReplace(key, value)
-	if len(removed) == 0 && !inserted {
-		return
-	}
-	n.mu.RLock()
-	hook := n.storeHook
-	n.mu.RUnlock()
-	if hook == nil {
-		return
-	}
-	k, err := keyspace.ParseKey(key)
-	if err != nil {
-		return
-	}
-	for _, v := range removed {
-		hook(OpDelete, k, v)
-	}
-	if inserted {
-		hook(OpInsert, k, value)
-	}
 }
 
 // markSuspect records one failed exchange with a peer. Suspected peers are

@@ -115,9 +115,11 @@ func TestReplaceFiresStoreHook(t *testing.T) {
 	var mu sync.Mutex
 	events := map[string]int{}
 	for _, n := range ov.Nodes() {
-		n.SetStoreHook(func(op Op, _ keyspace.Key, _ any) {
+		n.SetStoreHook(func(muts []StoreMutation) {
 			mu.Lock()
-			events[op.String()]++
+			for _, m := range muts {
+				events[m.Op.String()]++
+			}
 			mu.Unlock()
 		})
 	}

@@ -62,18 +62,8 @@ func (n *Node) FullSyncFromReplicas() (merged, replicasSeen int) {
 		}
 		n.clearSuspect(r)
 		replicasSeen++
-		// Tombstones first: a value the replica deleted must not land from
-		// its item list and immediately resurrect.
-		for _, t := range resp.Tombs {
-			if n.applyTombstone(t.Key, t.Value) {
-				merged++
-			}
-		}
-		for _, it := range resp.Items {
-			if n.mergeInsert(it.Key, it.Value) {
-				merged++
-			}
-		}
+		deleted, inserted := n.mergeRepair(resp.Tombs, resp.Items)
+		merged += deleted + inserted
 	}
 	return merged, replicasSeen
 }

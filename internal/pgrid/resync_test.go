@@ -82,9 +82,11 @@ func TestSyncFromReplicasInvokesStoreHook(t *testing.T) {
 		t.Skip("no suitable victim")
 	}
 	hookCalls := 0
-	victim.SetStoreHook(func(op Op, k keyspace.Key, v any) {
-		if op == OpInsert {
-			hookCalls++
+	victim.SetStoreHook(func(muts []StoreMutation) {
+		for _, m := range muts {
+			if m.Op == OpInsert {
+				hookCalls++
+			}
 		}
 	})
 	net.Fail(victim.ID())
@@ -114,12 +116,16 @@ func TestHandleSyncFiltersByPath(t *testing.T) {
 			own = own.Append(0)
 		}
 	}
-	n.localInsert(own.String(), "own")
+	n.mu.Lock()
+	n.insertLocked(own.String(), "own")
+	n.mu.Unlock()
 	foreign := n.Path().Sibling()
 	for foreign.Len() < keyspace.DefaultDepth {
 		foreign = foreign.Append(0)
 	}
-	n.localInsert(foreign.String(), "foreign")
+	n.mu.Lock()
+	n.insertLocked(foreign.String(), "foreign")
+	n.mu.Unlock()
 
 	resp := n.handleSync(SyncRequest{Path: n.Path().String()})
 	for _, it := range resp.Items {

@@ -65,14 +65,12 @@ func (n *Node) Retrieve(ctx context.Context, key keyspace.Key) ([]any, Route, er
 // Update inserts value at the peer responsible for key (paper §2.1:
 // Update(key, value)); the responsible peer synchronizes its replicas.
 func (n *Node) Update(ctx context.Context, key keyspace.Key, value any) (Route, error) {
-	_, route, err := n.execute(ctx, ExecRequest{Key: key.String(), Op: OpInsert, Value: value})
-	return route, err
+	return n.writeOne(ctx, BatchEntry{Key: key.String(), Op: OpInsert, Value: value})
 }
 
 // Delete removes value at the peer responsible for key.
 func (n *Node) Delete(ctx context.Context, key keyspace.Key, value any) (Route, error) {
-	_, route, err := n.execute(ctx, ExecRequest{Key: key.String(), Op: OpDelete, Value: value})
-	return route, err
+	return n.writeOne(ctx, BatchEntry{Key: key.String(), Op: OpDelete, Value: value})
 }
 
 // Replace atomically substitutes value for every stored value it Replaces
@@ -80,8 +78,17 @@ func (n *Node) Delete(ctx context.Context, key keyspace.Key, value any) (Route, 
 // replica synchronization message per replica. A value that implements no
 // Replacer is simply inserted.
 func (n *Node) Replace(ctx context.Context, key keyspace.Key, value any) (Route, error) {
-	_, route, err := n.execute(ctx, ExecRequest{Key: key.String(), Op: OpReplace, Value: value})
-	return route, err
+	return n.writeOne(ctx, BatchEntry{Key: key.String(), Op: OpReplace, Value: value})
+}
+
+// writeOne is a one-entry WriteBatch: the routed probe carries and applies
+// the entry, so it costs exactly one routed operation.
+func (n *Node) writeOne(ctx context.Context, e BatchEntry) (Route, error) {
+	out, err := n.WriteBatch(ctx, []BatchEntry{e})
+	if err == nil {
+		err = out.Errs[0]
+	}
+	return out.Route, err
 }
 
 // Query ships payload to the peer responsible for key and runs the
@@ -356,13 +363,10 @@ func (n *Node) handleExec(req ExecRequest) (ExecResponse, error) {
 		// The response's Path is the answer. A probe piggybacking the head
 		// entry of a batched write additionally applies (and replicates) it
 		// on the spot, so a single-entry run costs exactly one routed
-		// operation — the same as the historical per-key Update.
+		// operation.
 		if e, ok := req.Payload.(BatchEntry); ok {
 			resp.AppResult = BatchResult{Applied: n.applyBatch([]BatchEntry{e}, true)}
 		}
-	case OpInsert, OpDelete, OpReplace:
-		n.applyMutation(req.Key, req.Op, req.Value)
-		n.replicate(ReplicateRequest{Key: req.Key, Op: req.Op, Value: req.Value})
 	case OpQuery:
 		n.mu.RLock()
 		h := n.handler
@@ -403,22 +407,4 @@ func (n *Node) forwardRecursive(key keyspace.Key, req ExecRequest, hops []simnet
 		return resp, nil
 	}
 	return ExecResponse{Chain: []simnet.PeerID{n.id}}, nil
-}
-
-// replicate pushes a mutation to the node's replicas σ(p), best-effort. A
-// failed push is tolerated but observed: the replica becomes suspected and
-// the key is enqueued on its repair hot-list, so the next anti-entropy
-// round re-ships exactly the lost mutations instead of rescanning the
-// whole store.
-func (n *Node) replicate(req ReplicateRequest) {
-	for _, r := range n.Replicas() {
-		// Replication always completes regardless of the issuer's context —
-		// a cancelled query must never leave replicas diverged.
-		//gridvine:serverctx replication must complete even if the issuing mutation's context is cancelled, or replicas diverge
-		if _, err := n.net.Send(context.Background(), n.id, r, simnet.Message{Type: msgReplicate, Payload: req}); err != nil {
-			n.noteReplicaFailure(r, req.Key)
-		} else {
-			n.clearSuspect(r)
-		}
-	}
 }

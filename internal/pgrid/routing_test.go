@@ -298,7 +298,7 @@ func TestBadPayloads(t *testing.T) {
 	net, ov := testOverlay(t, 4, 2, 17)
 	to := ov.Nodes()[1].ID()
 	from := ov.Nodes()[0].ID()
-	for _, typ := range []string{msgExec, msgReplicate, msgSubtree} {
+	for _, typ := range []string{msgExec, msgBatch, msgBatchRep, msgSubtree} {
 		if _, err := net.Send(context.Background(), from, to, simnet.Message{Type: typ, Payload: 42}); err == nil {
 			t.Errorf("bad payload for %s should error", typ)
 		}

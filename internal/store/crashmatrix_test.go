@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gridvine/internal/triple"
@@ -49,44 +50,94 @@ func crashWorkload(seed int64, batches int) []crashBatch {
 	return out
 }
 
-// referenceDigests returns digest[i] = ContentDigest of an in-memory
-// store that applied exactly the first i batches.
-func referenceDigests(batches []crashBatch) []uint64 {
-	ref := triple.NewDB()
-	out := make([]uint64, 0, len(batches)+1)
-	out = append(out, ref.ContentDigest())
-	for _, b := range batches {
-		if b.del {
-			ref.DeleteBatch(b.ts)
-		} else {
-			ref.InsertBatch(b.ts)
+// model is the test-local store the crash matrix journals: a triple.DB
+// written WAL-ahead (Append, then apply, then MaybeSnapshot) that doubles
+// as the Log's snapshot source, rebuilt on open by replaying the recovery
+// into a fresh DB.
+type model struct {
+	db  *triple.DB
+	log *Log
+}
+
+func openModel(fsys FS, dir string, opts Options) (*model, *Recovery, error) {
+	l, rec, err := Open(fsys, dir, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &model{db: triple.NewDB(), log: l}
+	m.apply(rec.SnapshotItems)
+	m.apply(rec.WAL)
+	l.SetSnapshotSource(func() (items, tombs []Entry) {
+		for _, t := range m.db.AllSorted() {
+			items = append(items, Entry{Op: OpInsert, Value: t})
 		}
-		out = append(out, ref.ContentDigest())
+		return items, nil
+	})
+	return m, rec, nil
+}
+
+func (m *model) apply(entries []Entry) {
+	for _, e := range entries {
+		if t := e.Value.(triple.Triple); e.Op == OpDelete {
+			m.db.Delete(t)
+		} else {
+			m.db.Insert(t)
+		}
+	}
+}
+
+// write journals one batch as one record and applies it once acked; it
+// reports false on a durability failure (sticky in the log).
+func (m *model) write(b crashBatch) bool {
+	op := OpInsert
+	if b.del {
+		op = OpDelete
+	}
+	entries := make([]Entry, len(b.ts))
+	for i, t := range b.ts {
+		entries[i] = Entry{Op: op, Value: t}
+	}
+	if m.log.Append(entries) != nil {
+		return false
+	}
+	m.apply(entries)
+	return m.log.MaybeSnapshot() == nil
+}
+
+// referenceStates returns state[i] = the sorted content of an in-memory
+// store that applied exactly the first i batches.
+func referenceStates(batches []crashBatch) [][]triple.Triple {
+	ref := triple.NewDB()
+	out := [][]triple.Triple{ref.AllSorted()}
+	for _, b := range batches {
+		for _, t := range b.ts {
+			if b.del {
+				ref.Delete(t)
+			} else {
+				ref.Insert(t)
+			}
+		}
+		out = append(out, ref.AllSorted())
 	}
 	return out
 }
 
 var crashOpts = Options{SnapshotEvery: 3}
 
-// feedUntilFailure runs the workload against a DurableDB on fsys until
-// the first durability failure (or completion) and returns the number
-// of batches durably acked — appends whose write+fsync returned nil.
+// feedUntilFailure runs the workload against a model on fsys until the
+// first durability failure (or completion) and returns the number of
+// batches durably acked — appends whose write+fsync returned nil.
 func feedUntilFailure(fsys FS, batches []crashBatch) (acked uint64) {
-	d, _, err := OpenDB(fsys, "peer", crashOpts)
+	m, _, err := openModel(fsys, "peer", crashOpts)
 	if err != nil {
 		return 0
 	}
 	for _, b := range batches {
-		if b.del {
-			d.DeleteBatch(b.ts)
-		} else {
-			d.InsertBatch(b.ts)
-		}
-		if d.Err() != nil {
+		if !m.write(b) {
 			break
 		}
 	}
-	return d.log.Seq()
+	return m.log.Seq()
 }
 
 // TestCrashMatrix kills the store at EVERY write/fsync/rename boundary
@@ -94,9 +145,9 @@ func feedUntilFailure(fsys FS, batches []crashBatch) (acked uint64) {
 // post-crash disk image and asserts the core durability invariants:
 //
 //  1. recovery always succeeds (a crash can never wedge the store);
-//  2. the recovered content is ContentDigest-identical to a reference
-//     store that applied exactly the prefix of batches recovery
-//     reports (no partial batch is ever visible);
+//  2. the recovered content is identical to a reference store that
+//     applied exactly the prefix of batches recovery reports (no
+//     partial batch is ever visible);
 //  3. that prefix covers at least every acked batch (fsync'd data is
 //     never lost) and at most what was fed;
 //  4. recovery is idempotent — reopening again yields the same state.
@@ -106,7 +157,7 @@ func feedUntilFailure(fsys FS, batches []crashBatch) (acked uint64) {
 func TestCrashMatrix(t *testing.T) {
 	const nBatches = 14
 	batches := crashWorkload(42, nBatches)
-	refs := referenceDigests(batches)
+	refs := referenceStates(batches)
 
 	// Clean run: counts the op universe and sanity-checks the workload.
 	clean := NewFaultFS(1)
@@ -130,7 +181,7 @@ func TestCrashMatrix(t *testing.T) {
 			}
 
 			view := fs.CrashedView()
-			d, rec, err := OpenDB(view, "peer", crashOpts)
+			d, rec, err := openModel(view, "peer", crashOpts)
 			if err != nil {
 				t.Fatalf("%s: recovery failed: %v", name, err)
 			}
@@ -143,27 +194,27 @@ func TestCrashMatrix(t *testing.T) {
 			if rec.LastSeq > uint64(len(batches)) {
 				t.Fatalf("%s: recovered seq %d > fed %d", name, rec.LastSeq, len(batches))
 			}
-			if got, want := d.ContentDigest(), refs[rec.LastSeq]; got != want {
-				t.Fatalf("%s: recovered digest %x != reference prefix digest %x (seq %d)",
+			if got, want := d.db.AllSorted(), refs[rec.LastSeq]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: recovered content %v != reference prefix %v (seq %d)",
 					name, got, want, rec.LastSeq)
 			}
-			if err := d.Close(); err != nil {
+			if err := d.log.Close(); err != nil {
 				t.Fatalf("%s: close: %v", name, err)
 			}
 
 			// Recovery must be idempotent: a second open (e.g. a crash
 			// during the first recovery's restart) sees the same state.
-			d2, rec2, err := OpenDB(view, "peer", crashOpts)
+			d2, rec2, err := openModel(view, "peer", crashOpts)
 			if err != nil {
 				t.Fatalf("%s: re-recovery failed: %v", name, err)
 			}
-			if rec2.LastSeq != rec.LastSeq || d2.ContentDigest() != refs[rec.LastSeq] {
+			if rec2.LastSeq != rec.LastSeq || !reflect.DeepEqual(d2.db.AllSorted(), refs[rec.LastSeq]) {
 				t.Fatalf("%s: re-recovery diverged (seq %d vs %d)", name, rec2.LastSeq, rec.LastSeq)
 			}
 			if rec2.TruncatedBytes != 0 {
 				t.Fatalf("%s: first recovery left a corrupt tail behind (%d bytes)", name, rec2.TruncatedBytes)
 			}
-			d2.Close()
+			d2.log.Close()
 		}
 		if torn && truncations == 0 {
 			t.Fatalf("torn matrix never exercised tail truncation (%d crash points)", totalOps)
@@ -176,7 +227,7 @@ func TestCrashMatrix(t *testing.T) {
 // and land on the full reference state.
 func TestCrashMatrixWriteResume(t *testing.T) {
 	batches := crashWorkload(42, 14)
-	refs := referenceDigests(batches)
+	refs := referenceStates(batches)
 	clean := NewFaultFS(1)
 	feedUntilFailure(clean, batches)
 	totalOps := clean.Ops()
@@ -187,23 +238,19 @@ func TestCrashMatrixWriteResume(t *testing.T) {
 		fs.CrashAt(op, true)
 		feedUntilFailure(fs, batches)
 		view := fs.CrashedView()
-		d, rec, err := OpenDB(view, "peer", crashOpts)
+		d, rec, err := openModel(view, "peer", crashOpts)
 		if err != nil {
 			t.Fatalf("op %d: recovery: %v", op, err)
 		}
 		for _, b := range batches[rec.LastSeq:] {
-			if b.del {
-				d.DeleteBatch(b.ts)
-			} else {
-				d.InsertBatch(b.ts)
-			}
+			d.write(b)
 		}
-		if err := d.Err(); err != nil {
+		if err := d.log.Err(); err != nil {
 			t.Fatalf("op %d: resumed writes failed: %v", op, err)
 		}
-		if got, want := d.ContentDigest(), refs[len(batches)]; got != want {
-			t.Fatalf("op %d: resumed store digest %x != full reference %x", op, got, want)
+		if got, want := d.db.AllSorted(), refs[len(batches)]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: resumed store %v != full reference %v", op, got, want)
 		}
-		d.Close()
+		d.log.Close()
 	}
 }

@@ -1,9 +1,8 @@
-// Package store is the durable storage engine behind the triple.Driver
-// interface: a write-ahead log of checksummed, length-prefixed batch
-// records plus periodic snapshots with log truncation. The WAL records
-// exactly the batches the mediation layer already produces
-// (InsertBatch / DeleteBatch / pgrid.BatchStoreHook), so one acked
-// batch is one durable record.
+// Package store is the durable journal under a peer's overlay store: a
+// write-ahead log of checksummed, length-prefixed batch records plus
+// periodic snapshots with log truncation. The WAL records exactly the
+// passes the mediation layer observes (one pgrid.StoreHook invocation),
+// so one acked batch is one durable record.
 //
 // All file access goes through the small FS interface so recovery can
 // be exercised adversarially: FaultFS injects a crash at any

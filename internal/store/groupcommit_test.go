@@ -152,26 +152,6 @@ func TestGroupCommitRecoversAllRecords(t *testing.T) {
 	}
 }
 
-// TestNoGroupCommitOneSyncPerAppend pins the baseline arm: with
-// NoGroupCommit every append pays exactly one fsync.
-func TestNoGroupCommitOneSyncPerAppend(t *testing.T) {
-	fs := NewMemFS()
-	l, _, err := Open(fs, "d", Options{SnapshotEvery: -1, NoGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := l.Append(entryN(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := l.Syncs(); got != n {
-		t.Fatalf("serial syncs = %d, want %d", got, n)
-	}
-	l.Close()
-}
-
 // TestSnapshotAbsorbsPendingAppends proves an append staged behind a
 // flush can be acked by a concurrent snapshot instead: the snapshot's
 // Seq covers it, and recovery sees the snapshot state.
@@ -229,12 +209,11 @@ func TestSnapshotAbsorbsPendingAppends(t *testing.T) {
 	}
 }
 
-// The before/after microbenchmark for the group-commit satellite: same
-// concurrent workload, one arm with coalescing and one with the old
-// fsync-per-append behaviour. Run with -bench GroupCommit on a real
-// disk to see the fsync amortisation; syncs/op is reported either way.
-func benchmarkAppends(b *testing.B, opts Options) {
-	l, _, err := Open(OsFS{}, b.TempDir(), opts)
+// BenchmarkWALAppendGroupCommit appends from concurrent writers. Run on
+// a real disk to see the fsync amortisation; syncs/op is reported either
+// way.
+func BenchmarkWALAppendGroupCommit(b *testing.B) {
+	l, _, err := Open(OsFS{}, b.TempDir(), Options{SnapshotEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,12 +236,4 @@ func benchmarkAppends(b *testing.B, opts Options) {
 	if n := i.Load(); n > 0 {
 		b.ReportMetric(float64(l.Syncs())/float64(n), "syncs/op")
 	}
-}
-
-func BenchmarkWALAppendGroupCommit(b *testing.B) {
-	benchmarkAppends(b, Options{SnapshotEvery: -1})
-}
-
-func BenchmarkWALAppendSerialFsync(b *testing.B) {
-	benchmarkAppends(b, Options{SnapshotEvery: -1, NoGroupCommit: true})
 }

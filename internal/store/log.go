@@ -21,10 +21,6 @@ type Options struct {
 	// MaybeSnapshot takes a snapshot and truncates the WAL. 0 selects
 	// the default (256); negative disables automatic snapshots.
 	SnapshotEvery int
-	// NoGroupCommit makes every Append pay its own fsync while holding
-	// the log lock (the pre-group-commit behaviour). Kept as the
-	// baseline arm of the group-commit microbenchmark.
-	NoGroupCommit bool
 }
 
 const defaultSnapshotEvery = 256
@@ -73,7 +69,7 @@ type snapshotRecord struct {
 // Callers must invoke MaybeSnapshot/Snapshot only at points where the
 // snapshot source reflects every record appended so far (the
 // apply-then-snapshot discipline), otherwise a snapshot could claim a
-// Seq whose data it doesn't contain. The mediation hooks satisfy this
+// Seq whose data it doesn't contain. The mediation hook satisfies this
 // (mutations apply to the store before Append), which is also why a
 // snapshot may absorb still-pending records: their data is already in
 // the snapshot source, so the snapshot itself is their durability.
@@ -91,7 +87,6 @@ type Log struct {
 	syncs       int64
 	sinceSnap   int
 	snapEvery   int
-	serial      bool // Options.NoGroupCommit
 	source      func() (items, tombs []Entry)
 	err         error
 	closed      bool
@@ -177,7 +172,6 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		flushedSeq: lastSeq,
 		sinceSnap:  rec.Records,
 		snapEvery:  snapEvery,
-		serial:     opts.NoGroupCommit,
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l, rec, nil
@@ -274,9 +268,9 @@ func (l *Log) Append(entries []Entry) error {
 }
 
 // flushPendingLocked writes and fsyncs the staged pending buffer as one
-// group. Called with l.mu held and l.flushing false; in group-commit
-// mode the lock is released for the I/O so new appends can stage behind
-// this flush. Unlocks l.mu before returning.
+// group. Called with l.mu held and l.flushing false; the lock is
+// released for the I/O so new appends can stage behind this flush.
+// Unlocks l.mu before returning.
 func (l *Log) flushPendingLocked() error {
 	l.flushing = true
 	group := l.pending
@@ -284,18 +278,14 @@ func (l *Log) flushPendingLocked() error {
 	target := l.seq
 	l.pending = nil
 	l.pendingRecs = 0
-	if !l.serial {
-		l.mu.Unlock()
-	}
+	l.mu.Unlock()
 	var werr error
 	if _, err := l.wal.Write(group); err != nil {
 		werr = fmt.Errorf("store: WAL write: %w", err)
 	} else if err := l.wal.Sync(); err != nil {
 		werr = fmt.Errorf("store: WAL fsync: %w", err)
 	}
-	if !l.serial {
-		l.mu.Lock()
-	}
+	l.mu.Lock()
 	l.flushing = false
 	if werr != nil {
 		l.err = werr

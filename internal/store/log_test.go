@@ -1,7 +1,11 @@
 package store
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gridvine/internal/triple"
@@ -161,5 +165,89 @@ func TestLogOsFS(t *testing.T) {
 	}
 	if len(rec.SnapshotItems) != 4 || rec.Records != 1 || rec.LastSeq != 5 {
 		t.Fatalf("OsFS recovery = %d items, %d records, seq %d", len(rec.SnapshotItems), rec.Records, rec.LastSeq)
+	}
+}
+
+// TestLogStickyError proves the log refuses appends after a durability
+// failure instead of silently diverging from disk: every later Append
+// returns the sticky error and the acked watermark does not advance.
+func TestLogStickyError(t *testing.T) {
+	fs := NewFaultFS(3)
+	l, _, err := Open(fs, "d", Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(entryN(0)); err != nil {
+		t.Fatalf("first append: %v", err)
+	}
+	fs.CrashAt(1, false)
+	failed := l.Append(entryN(1))
+	if failed == nil {
+		t.Fatal("append across the crash must fail")
+	}
+	if l.Err() == nil {
+		t.Fatal("Err must report the durability failure")
+	}
+	for i := 2; i < 5; i++ {
+		if err := l.Append(entryN(i)); !errors.Is(err, failed) {
+			t.Fatalf("append %d after failure returned %v, want the sticky %v", i, err, failed)
+		}
+	}
+	if got := l.Seq(); got != 1 {
+		t.Fatalf("acked watermark advanced past the durable state: Seq=%d, want 1", got)
+	}
+}
+
+// TestLogMatchesMemory is the journal-equivalence property test: over
+// random interleavings of insert batches, delete batches, forced
+// snapshots and close/reopen cycles, what the log recovers stays
+// identical to an in-memory DB fed the same operations.
+func TestLogMatchesMemory(t *testing.T) {
+	opts := Options{SnapshotEvery: 5}
+	for seed := int64(0); seed < 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			fs := NewMemFS()
+			m, _, err := openModel(fs, "db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := triple.NewDB()
+			for step := 0; step < 160; step++ {
+				switch op := rng.Intn(8); op {
+				case 6: // forced snapshot
+					if err := m.log.Snapshot(); err != nil {
+						t.Fatalf("step %d: snapshot: %v", step, err)
+					}
+				case 7: // close and reopen
+					if err := m.log.Close(); err != nil {
+						t.Fatalf("step %d: close: %v", step, err)
+					}
+					if m, _, err = openModel(fs, "db", opts); err != nil {
+						t.Fatalf("step %d: reopen: %v", step, err)
+					}
+				default: // batch insert, or batch delete of random (often absent) values
+					b := crashBatch{del: op >= 4, ts: make([]triple.Triple, 1+rng.Intn(5))}
+					for i := range b.ts {
+						b.ts[i] = triple.Triple{
+							Subject:   fmt.Sprintf("urn:s%d", rng.Intn(30)),
+							Predicate: fmt.Sprintf("urn:p%d", rng.Intn(5)),
+							Object:    fmt.Sprintf("o%d", rng.Intn(50)),
+						}
+						if b.del {
+							mem.Delete(b.ts[i])
+						} else {
+							mem.Insert(b.ts[i])
+						}
+					}
+					if !m.write(b) {
+						t.Fatalf("step %d: write: %v", step, m.log.Err())
+					}
+				}
+				if !reflect.DeepEqual(m.db.AllSorted(), mem.AllSorted()) {
+					t.Fatalf("step %d: journaled store diverged from memory", step)
+				}
+			}
+		})
 	}
 }

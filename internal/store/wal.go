@@ -21,10 +21,8 @@ const (
 )
 
 // Entry is one logged mutation. Key is the overlay key the value lives
-// under (empty for pure triple-store drivers, where the value itself —
-// a triple.Triple — is the identity). Value must be gob-encodable with
-// its concrete type registered, which every type shipped over the
-// simnet wire already is.
+// under. Value must be gob-encodable with its concrete type registered,
+// which every type shipped over the simnet wire already is.
 type Entry struct {
 	Op    Op
 	Key   string
@@ -32,8 +30,8 @@ type Entry struct {
 }
 
 // Record is one WAL record: a batch of entries applied atomically, at
-// exactly the granularity the mediation layer writes (one
-// InsertBatch / DeleteBatch / BatchStoreHook invocation). Seq is
+// exactly the granularity the mediation layer writes (one store hook
+// invocation). Seq is
 // assigned monotonically by the Log; a snapshot remembers the last Seq
 // it covers so replay skips records the snapshot already absorbed.
 type Record struct {

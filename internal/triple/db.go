@@ -105,36 +105,6 @@ func (db *DB) Insert(t Triple) bool {
 // acquisition per stripe) instead of paying one lock round-trip per
 // triple. It returns the number of newly inserted triples.
 func (db *DB) InsertBatch(ts []Triple) int {
-	return db.applyBatch(ts, func(s *shard, t Triple) bool {
-		if _, ok := s.triples[t]; ok {
-			return false
-		}
-		s.triples[t] = struct{}{}
-		addIndex(s.bySubject, t.Subject, t)
-		addIndex(s.byPredicate, t.Predicate, t)
-		addIndex(s.byObject, t.Object, t)
-		return true
-	}, 1)
-}
-
-// DeleteBatch removes a set of triples under one lock pass per affected
-// shard and returns the number actually removed.
-func (db *DB) DeleteBatch(ts []Triple) int {
-	return db.applyBatch(ts, func(s *shard, t Triple) bool {
-		if _, ok := s.triples[t]; !ok {
-			return false
-		}
-		delete(s.triples, t)
-		dropIndex(s.bySubject, t.Subject, t)
-		dropIndex(s.byPredicate, t.Predicate, t)
-		dropIndex(s.byObject, t.Object, t)
-		return true
-	}, -1)
-}
-
-// applyBatch groups ts by shard, applies fn to each group under its
-// shard's lock, and adjusts the size counter by delta per change.
-func (db *DB) applyBatch(ts []Triple, fn func(*shard, Triple) bool, delta int64) int {
 	if len(ts) == 0 {
 		return 0
 	}
@@ -143,7 +113,7 @@ func (db *DB) applyBatch(ts []Triple, fn func(*shard, Triple) bool, delta int64)
 		i := fnv1a(t.Subject) & (shardCount - 1)
 		byShard[i] = append(byShard[i], t)
 	}
-	changed := 0
+	inserted := 0
 	for i := range byShard {
 		group := byShard[i]
 		if len(group) == 0 {
@@ -152,17 +122,22 @@ func (db *DB) applyBatch(ts []Triple, fn func(*shard, Triple) bool, delta int64)
 		s := &db.shards[i]
 		s.mu.Lock()
 		for _, t := range group {
-			if fn(s, t) {
-				changed++
+			if _, ok := s.triples[t]; ok {
+				continue
 			}
+			s.triples[t] = struct{}{}
+			addIndex(s.bySubject, t.Subject, t)
+			addIndex(s.byPredicate, t.Predicate, t)
+			addIndex(s.byObject, t.Object, t)
+			inserted++
 		}
 		s.mu.Unlock()
 	}
-	if changed > 0 {
-		db.size.Add(delta * int64(changed))
+	if inserted > 0 {
+		db.size.Add(int64(inserted))
 		db.statsGen.Add(1)
 	}
-	return changed
+	return inserted
 }
 
 // Delete removes a triple and reports whether it was present.

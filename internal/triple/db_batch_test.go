@@ -50,30 +50,6 @@ func TestInsertBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDeleteBatchMatchesSerial: batch deletion mirrors the per-triple loop,
-// including misses (triples never stored).
-func TestDeleteBatchMatchesSerial(t *testing.T) {
-	ts := batchTriples(400, 2)
-	dels := append(batchTriples(100, 3), ts[:150]...)
-
-	serial, batched := NewDB(), NewDB()
-	serial.InsertBatch(ts)
-	batched.InsertBatch(ts)
-
-	serialGone := 0
-	for _, tr := range dels {
-		if serial.Delete(tr) {
-			serialGone++
-		}
-	}
-	if got := batched.DeleteBatch(dels); got != serialGone {
-		t.Errorf("DeleteBatch reported %d removed, serial %d", got, serialGone)
-	}
-	if !reflect.DeepEqual(batched.AllSorted(), serial.AllSorted()) {
-		t.Error("batched and serial databases diverged after deletes")
-	}
-}
-
 // TestInsertBatchConcurrent: concurrent batch writers over overlapping
 // shards must neither race nor lose triples.
 func TestInsertBatchConcurrent(t *testing.T) {

@@ -454,7 +454,11 @@ func (s *Server) statsSnapshot(id uint64) *DaemonStats {
 		RowsStreamed:  s.rowsStreamed.Load(),
 	}
 	for _, pid := range s.order {
-		cs := s.hosted[pid].Peer.ComposeStats()
+		peer := s.hosted[pid].Peer
+		if peer.LogErr() != nil {
+			out.JournalErrs++
+		}
+		cs := peer.ComposeStats()
 		out.ComposeHits += cs.Hits
 		out.ComposeMisses += cs.Misses
 		out.ComposeInvalidations += cs.Invalidations
@@ -485,6 +489,9 @@ func (s *Server) dump(req *DumpReq) *Dump {
 		}
 		if h.WALSeq != nil {
 			pd.WALSeq = h.WALSeq()
+		}
+		if err := h.Peer.LogErr(); err != nil {
+			pd.JournalErr = err.Error()
 		}
 		out.Peers = append(out.Peers, pd)
 	}

@@ -183,6 +183,10 @@ type DaemonStats struct {
 	ComposeMisses        uint64
 	ComposeInvalidations uint64
 	ComposeEntries       int
+	// JournalErrs counts hosted peers whose journal has failed (sticky
+	// LogErr): they keep serving from memory but no longer make writes
+	// durable.
+	JournalErrs int
 }
 
 // DumpReq asks for per-peer store dumps; Peer narrows to one hosted
@@ -194,13 +198,15 @@ type DumpReq struct {
 
 // PeerDump describes one hosted peer's store: trie path, triple-store
 // size, the order-independent content digest (the restart-equivalence
-// fingerprint), and the WAL's durable sequence number.
+// fingerprint), the WAL's durable sequence number, and the journal's
+// sticky error (empty while the peer is durable).
 type PeerDump struct {
-	ID      string
-	Path    string
-	Triples int
-	Digest  uint64
-	WALSeq  uint64
+	ID         string
+	Path       string
+	Triples    int
+	Digest     uint64
+	WALSeq     uint64
+	JournalErr string
 }
 
 // Dump answers a DumpReq.

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"gridvine"
+	"gridvine/internal/keyspace"
 	"gridvine/internal/mediation"
+	"gridvine/internal/store"
 	"gridvine/internal/triple"
 	"gridvine/internal/wire"
 )
@@ -318,6 +320,80 @@ func TestWireDumpDigests(t *testing.T) {
 		}
 		if pd.Path != p.Node().Path().String() {
 			t.Fatalf("peer %s dump path %q != node path %q", pd.ID, pd.Path, p.Node().Path())
+		}
+	}
+}
+
+// TestWireReportsFailedJournal proves a journal that went sticky is
+// visible to an operator: a hosted peer whose log sits on a FaultFS
+// crashed mid-write keeps acking writes from memory, and Stats counts
+// it while Dump names it and carries the cause.
+func TestWireReportsFailedJournal(t *testing.T) {
+	nw, _, addr := testServer(t, nil)
+	fs := store.NewFaultFS(1)
+	l, _, err := store.Open(fs, "peer", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every seedTriples batch of 7+ writes under subject urn:s0, so the
+	// peer responsible for that key journals every write below.
+	var victim *gridvine.Peer
+	for _, p := range nw.Peers() {
+		if p.Node().Responsible(keyspace.HashDefault("urn:s0")) {
+			victim = p
+			break
+		}
+	}
+	victim.AttachLog(l)
+
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	journalErrs := func() int {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.JournalErrs
+	}
+
+	all := seedTriples(120)
+	if _, err := c.Write(ctx, wire.Write{Inserts: all[:60]}); err != nil {
+		t.Fatal(err)
+	}
+	if l.Seq() == 0 {
+		t.Fatal("seed write never reached the victim's journal")
+	}
+	if got := journalErrs(); got != 0 {
+		t.Fatalf("healthy cluster reports %d journal errors", got)
+	}
+
+	fs.CrashAt(1, true)
+	rec, err := c.Write(ctx, wire.Write{Inserts: all[60:]})
+	if err != nil || rec.Failed != 0 || rec.Skipped != 0 {
+		t.Fatalf("write past the journal failure: receipt %+v, err %v — the peer must keep serving from memory", rec, err)
+	}
+	if !fs.Crashed() {
+		t.Fatal("second write never reached the victim's journal")
+	}
+	if got := journalErrs(); got != 1 {
+		t.Fatalf("Stats.JournalErrs = %d, want 1", got)
+	}
+	d, err := c.Dump(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pd := range d.Peers {
+		failed := pd.ID == string(victim.Node().ID())
+		if failed != (pd.JournalErr != "") {
+			t.Fatalf("peer %s: JournalErr = %q, failed journal = %v", pd.ID, pd.JournalErr, failed)
+		}
+		if failed && pd.JournalErr != victim.LogErr().Error() {
+			t.Fatalf("peer %s: JournalErr = %q, want %q", pd.ID, pd.JournalErr, victim.LogErr())
 		}
 	}
 }

@@ -1,16 +1,17 @@
 package gridvine
 
-// Benchmark harness: one benchmark per experiment of DESIGN.md §3 (each
-// regenerates a quantitative claim of the paper and reports its headline
-// numbers as custom metrics), plus micro-benchmarks of the core operations.
+// Benchmark harness: BenchmarkExperiment/<ID> runs the experiments of
+// DESIGN.md §3 from the registry (each regenerates a quantitative claim of
+// the paper and reports its headline numbers as custom metrics), plus
+// micro-benchmarks of the core operations.
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
 // The experiment benchmarks execute one full run per iteration; the heavy
-// ones (deployment) take tens of seconds per run, so -benchtime=1x is the
-// sensible setting for them.
+// ones take seconds per run, so -benchtime=1x is the sensible setting for
+// them.
 
 import (
 	"context"
@@ -21,69 +22,47 @@ import (
 	"gridvine/internal/experiments"
 )
 
-// BenchmarkDeploymentLatency reproduces EXP-A (paper §2.3): 340 peers,
-// ≈17000 triples, 23000 triple-pattern queries under the WAN mixture model.
-// Paper: 40% answered <1s, 75% <5s.
-func BenchmarkDeploymentLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunDeployment(experiments.DeploymentConfig{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+// experimentBenchmarks is the table behind BenchmarkExperiment: which
+// registry entries run, at which scale and seed, and the headline figures
+// each reports as custom metrics. K, L, M, N and R run their -quick
+// parameter sets (their paper-scale figures live in BENCH_*.json); the
+// others are cheap enough to reproduce at paper scale.
+var experimentBenchmarks = []struct {
+	id     string
+	quick  bool
+	seed   int64
+	report func(b *testing.B, r experiments.Result)
+}{
+	// §2.3: 340 peers, ≈17000 triples, 23000 queries; paper 40% <1s, 75% <5s.
+	{"A", false, 1, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.DeploymentResult)
 		b.ReportMetric(r.Within1s, "frac<1s")
 		b.ReportMetric(r.Within5s, "frac<5s")
 		b.ReportMetric(r.MeanHops, "hops/query")
 		b.ReportMetric(float64(r.Triples), "triples")
-	}
-}
-
-// BenchmarkRoutingCost reproduces EXP-B (paper §2.1): Retrieve in O(log |Π|)
-// messages on balanced and skewed tries, 64…4096 peers.
-func BenchmarkRoutingCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunRouting(experiments.RoutingConfig{Skewed: true, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(last.MeanHops, "hops@4096")
+	}},
+	// §2.1: Retrieve in O(log |Π|) messages, 64…4096 peers.
+	{"B", false, 2, func(b *testing.B, res experiments.Result) {
+		last := lastOf(res.(experiments.RoutingResult).Points)
+		b.ReportMetric(last.MeanHops, fmt.Sprintf("hops@%d", last.Peers))
 		b.ReportMetric(last.MeanPerLog, "hops/log2N")
-	}
-}
-
-// BenchmarkConnectivityIndicator reproduces EXP-C (paper §3.1): the ci
-// indicator's zero crossing tracks the emergence of the giant component
-// over 50 schemas.
-func BenchmarkConnectivityIndicator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunConnectivity(experiments.ConnectivityConfig{Seed: 3})
+	}},
+	// §3.1: the ci zero crossing tracks the giant component.
+	{"C", false, 3, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.ConnectivityResult)
 		b.ReportMetric(float64(r.CrossoverMappings()), "crossover-mappings")
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(last.MeanWCCFrac, "final-WCC-frac")
-	}
-}
-
-// BenchmarkRecallGrowth reproduces EXP-D (paper §4): recall grows as the
-// self-organization loop creates mappings.
-func BenchmarkRecallGrowth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunRecall(experiments.RecallConfig{Seed: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		first := r.Points[0]
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(first.MeanRecall, "recall-initial")
-		b.ReportMetric(last.MeanRecall, "recall-final")
-		b.ReportMetric(float64(last.ActiveMappings), "mappings-final")
-	}
-}
-
-// BenchmarkDeprecation reproduces EXP-E (paper §3.2): precision/recall of
-// the Bayesian deprecation of planted erroneous mappings.
-func BenchmarkDeprecation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunDeprecation(experiments.DeprecationConfig{Seed: 5})
+		b.ReportMetric(lastOf(r.Points).MeanWCCFrac, "final-WCC-frac")
+	}},
+	// §4: recall grows as self-organization creates mappings.
+	{"D", false, 4, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.RecallResult)
+		b.ReportMetric(r.Points[0].MeanRecall, "recall-initial")
+		b.ReportMetric(lastOf(r.Points).MeanRecall, "recall-final")
+		b.ReportMetric(float64(lastOf(r.Points).ActiveMappings), "mappings-final")
+	}},
+	// §3.2: precision/recall of the Bayesian deprecation.
+	{"E", false, 5, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.DeprecationResult)
 		var prec, rec float64
 		for _, p := range r.Points {
 			prec += p.Precision
@@ -92,188 +71,97 @@ func BenchmarkDeprecation(b *testing.B) {
 		n := float64(len(r.Points))
 		b.ReportMetric(prec/n, "precision")
 		b.ReportMetric(rec/n, "recall")
-	}
-}
-
-// BenchmarkIndexingAblation reproduces EXP-G (paper §2.2 design): recall of
-// predicate/object-constrained queries with and without the 3× indexing.
-func BenchmarkIndexingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunIndexing(experiments.IndexingConfig{Seed: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range r.Points {
+	}},
+	{"G", false, 6, func(b *testing.B, res experiments.Result) {
+		for _, p := range res.(experiments.IndexingResult).Points {
 			if p.Constraint == "predicate" {
 				b.ReportMetric(p.FullIndexing, "pred-full")
 				b.ReportMetric(p.SubjectOnly, "pred-subjonly")
 			}
 		}
-	}
-}
-
-// BenchmarkChurnAvailability reproduces EXP-H (paper §2.1 design):
-// availability under churn per replica factor.
-func BenchmarkChurnAvailability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunChurn(experiments.ChurnConfig{Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range r.Points {
+	}},
+	{"H", false, 7, func(b *testing.B, res experiments.Result) {
+		for _, p := range res.(experiments.ChurnResult).Points {
 			if p.FailureRate == 0.3 {
 				b.ReportMetric(p.Availability, fmt.Sprintf("avail-rf%d@30%%", p.ReplicaFactor))
 			}
 		}
-	}
-}
-
-// BenchmarkReformulationStrategies reproduces EXP-I (paper §4 design):
-// iterative vs recursive reformulation message costs.
-func BenchmarkReformulationStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunStrategies(experiments.StrategiesConfig{Seed: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(float64(last.IterMessages), "iter-msgs@6")
-		b.ReportMetric(float64(last.RecIssuerMsgs), "rec-issuer-msgs@6")
-	}
-}
-
-// BenchmarkConjunctivePlanner reproduces EXP-K: the conjunctive query
-// planner (selectivity ordering, bound-value pushdown, hash joins) against
-// the naive left-to-right evaluator on a skewed selective-join workload
-// over the simnet with WAN transit and bandwidth delays. The headline
-// metrics are the overlay-message ratio (routing + transfer chunks) and the
-// wall-clock speedup; paper-scale figures live in BENCH_conjunctive.json.
-func BenchmarkConjunctivePlanner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunConjunctive(experiments.ConjunctiveConfig{
-			Seed:        9,
-			Peers:       32,
-			HotEntities: 1500,
-			RareMatches: 4,
-			Queries:     1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Match {
-			b.Fatal("planned execution diverged from the naive evaluator")
-		}
+	}},
+	{"I", false, 8, func(b *testing.B, res experiments.Result) {
+		last := lastOf(res.(experiments.StrategiesResult).Points)
+		b.ReportMetric(float64(last.IterMessages), fmt.Sprintf("iter-msgs@%d", last.ChainLength))
+		b.ReportMetric(float64(last.RecIssuerMsgs), fmt.Sprintf("rec-issuer-msgs@%d", last.ChainLength))
+	}},
+	{"K", true, 9, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.ConjunctiveResult)
 		b.ReportMetric(r.MessageRatio, "msg-ratio")
 		b.ReportMetric(r.Speedup, "speedup")
 		b.ReportMetric(r.PlannedMessages, "planned-msgs/query")
 		b.ReportMetric(r.NaiveMessages, "naive-msgs/query")
-	}
-}
-
-// BenchmarkStreaming reproduces EXP-M: the streaming query API's
-// time-to-first-row against the full traversal wall-clock on a
-// reformulation chain under WAN delays, and the routed-lookup cut a
-// Limit-bounded top-k achieves over the unbounded run. Paper-scale figures
-// live in BENCH_streaming.json.
-func BenchmarkStreaming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunStreaming(experiments.StreamingConfig{
-			Seed:              10,
-			Peers:             32,
-			ChainSchemas:      6,
-			EntitiesPerSchema: 20,
-			HotEntities:       100,
-			Queries:           1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Match {
-			b.Fatal("streamed result diverged from the blocking aggregate")
-		}
+	}},
+	{"L", true, 9, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.SemiJoinResult)
+		b.ReportMetric(r.ShippingReduction, "shipping-cut")
+		b.ReportMetric(r.Speedup, "speedup")
+	}},
+	{"M", true, 10, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.StreamingResult)
 		b.ReportMetric(r.FirstRowMs, "first-row-ms")
 		b.ReportMetric(r.FullWallMs, "full-wall-ms")
 		b.ReportMetric(r.FirstRowSpeedup, "first-row-speedup")
 		b.ReportMetric(r.LookupReduction, "topk-lookup-cut")
-	}
-}
-
-// BenchmarkBulkLoad reproduces EXP-N: batched key-grouped ingest
-// (Peer.Write) against the per-triple Update(t) loop, on routed messages
-// and WAN-modeled wall-clock. Paper-scale figures live in
-// BENCH_bulkload.json.
-func BenchmarkBulkLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunBulkLoad(experiments.BulkLoadConfig{
-			Seed:        11,
-			Peers:       48,
-			Schemas:     12,
-			Entities:    60,
-			WallTriples: 200,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.BatchedMatchesSerial {
-			b.Fatal("batched ingest diverged from the per-triple loop")
-		}
+	}},
+	{"N", true, 11, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.BulkLoadResult)
 		b.ReportMetric(r.MessageReduction, "msg-reduction")
 		b.ReportMetric(float64(r.Groups), "groups")
 		b.ReportMetric(r.WallSpeedup, "wan-wall-speedup")
-	}
-}
-
-// BenchmarkChurn reproduces EXP-O: sustained crash/restart churn under a
-// mixed write/delete/query load, comparing digest anti-entropy repair
-// against the full-store sync baseline. Paper-scale figures live in
-// BENCH_churn.json.
-func BenchmarkChurn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunChurnStress(experiments.ChurnStressConfig{Seed: 12})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Converged {
-			b.Fatal("replica groups did not converge after heal")
-		}
-		if r.Resurrected != 0 {
-			b.Fatalf("resurrected deletes = %d", r.Resurrected)
-		}
+	}},
+	{"O", false, 12, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.ChurnStressResult)
 		b.ReportMetric(r.Recall, "recall")
 		b.ReportMetric(float64(r.ConvergenceRounds), "converge-rounds")
 		b.ReportMetric(float64(r.DigestRepairBytes), "digest-repair-B")
 		b.ReportMetric(float64(r.FullRepairBytes), "full-repair-B")
 		b.ReportMetric(r.ByteReduction, "byte-reduction")
-	}
-}
-
-// BenchmarkDurability reproduces EXP-P: a WAL+snapshot-backed peer
-// crashes with a torn log tail, recovers from disk, and rejoins via
-// anti-entropy — measured against a cold restart that re-syncs its whole
-// store over the network. Paper-scale figures live in
-// BENCH_durability.json.
-func BenchmarkDurability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunDurability(experiments.DurabilityConfig{Seed: 12})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.RecoveredMatchesReference {
-			b.Fatal("recovered store diverged from the pre-crash reference")
-		}
-		if !r.CorruptTailTruncated {
-			b.Fatal("corrupt WAL tail was not truncated")
-		}
-		if !r.RestartConverged || !r.ColdConverged {
-			b.Fatal("rejoin repair did not converge")
-		}
-		if r.RestartRepairBytes >= r.ColdResyncBytes {
-			b.Fatalf("restart repair %d bytes not below cold re-sync %d", r.RestartRepairBytes, r.ColdResyncBytes)
-		}
+	}},
+	{"P", false, 12, func(b *testing.B, res experiments.Result) {
+		r := res.(experiments.DurabilityResult)
 		b.ReportMetric(r.RecoveryMillis, "recovery-ms")
 		b.ReportMetric(float64(r.RestartRepairBytes), "restart-repair-B")
 		b.ReportMetric(float64(r.ColdResyncBytes), "cold-resync-B")
 		b.ReportMetric(r.RepairReduction, "repair-reduction")
+	}},
+	{"R", true, 10, func(b *testing.B, res experiments.Result) {
+		p := lastOf(res.(experiments.ComposeResult).Points)
+		b.ReportMetric(p.MessageReduction, fmt.Sprintf("msg-cut@%d", p.Depth))
+		b.ReportMetric(p.CompositeMsgsPerQuery, "comp-msgs/query")
+		b.ReportMetric(p.BFSMsgsPerQuery, "bfs-msgs/query")
+	}},
+}
+
+func lastOf[T any](xs []T) T { return xs[len(xs)-1] }
+
+// BenchmarkExperiment/<ID> runs one registry experiment per iteration,
+// fails on its gate, and reports its headline figures as custom metrics.
+func BenchmarkExperiment(b *testing.B) {
+	for _, row := range experimentBenchmarks {
+		e, ok := experiments.Lookup(row.id)
+		if !ok {
+			b.Fatalf("EXP-%s is not registered", row.id)
+		}
+		b.Run(row.id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(row.quick, row.seed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := experiments.Check(r); err != nil {
+					b.Fatal(err)
+				}
+				row.report(b, r)
+			}
+		})
 	}
 }
 
@@ -404,33 +292,5 @@ func BenchmarkConjunctiveQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkBindings = out
-	}
-}
-
-// BenchmarkComposite reproduces EXP-R: composite-mapping reformulation
-// (precomposed, quality-pruned closures) against the BFS engine on
-// deepening mapping chains. Headline metrics are the routed-message
-// reduction at the deepest chain and the steady-state composite cost;
-// paper-scale figures live in BENCH_compose.json.
-func BenchmarkComposite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCompose(experiments.ComposeConfig{
-			Seed:    10,
-			Depths:  []int{4},
-			Queries: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := r.Points[0]
-		if !p.CompositeMatchesBFS {
-			b.Fatal("composite reformulation diverged from the BFS oracle")
-		}
-		if !p.InvalidationConsistent {
-			b.Fatal("stale composite served after a mapping replace")
-		}
-		b.ReportMetric(p.MessageReduction, "msg-cut@4")
-		b.ReportMetric(p.CompositeMsgsPerQuery, "comp-msgs/query")
-		b.ReportMetric(p.BFSMsgsPerQuery, "bfs-msgs/query")
 	}
 }

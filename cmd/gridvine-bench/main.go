@@ -1,41 +1,37 @@
 // Command gridvine-bench regenerates every quantitative result of the
-// paper's evaluation (see DESIGN.md §3): the §2.3
-// deployment latency distribution, the O(log |Π|) routing cost, the
-// connectivity-indicator emergence curve, the §4 recall-growth
-// demonstration, the Bayesian deprecation quality, the design
-// ablations, the conjunctive query planner comparison, and the
-// semi-join shipping comparison.
+// paper's evaluation (see DESIGN.md §3) by looping over the experiment
+// registry, experiments.All: the §2.3 deployment latency distribution, the
+// O(log |Π|) routing cost, the connectivity-indicator emergence curve, the
+// §4 recall-growth demonstration, the Bayesian deprecation quality, the
+// design ablations, and the engine comparisons (conjunctive planner,
+// semi-join shipping, streaming, bulk ingest, churn repair, durability,
+// composite mappings).
 //
 // Usage:
 //
 //	gridvine-bench -exp all          # everything, paper-scale
 //	gridvine-bench -exp A            # one experiment
-//	gridvine-bench -exp A -quick     # scaled-down parameters
+//	gridvine-bench -exp A,B -quick   # scaled-down parameters
 //	gridvine-bench -exp K -json BENCH_conjunctive.json
-//	gridvine-bench -exp L -json BENCH_semijoin.json
-//	gridvine-bench -exp M -json BENCH_streaming.json
-//	gridvine-bench -exp N -json BENCH_bulkload.json
-//	gridvine-bench -exp O -json BENCH_churn.json
-//	gridvine-bench -exp P -json BENCH_durability.json
-//	gridvine-bench -exp Q -json BENCH_daemon.json
-//	gridvine-bench -exp R -json BENCH_compose.json
-//	gridvine-bench -exp A -store .bench-store   # cache the bulk load
 //	gridvine-bench -exp L -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// With -json <path>, machine-readable per-experiment results (wall time
-// plus every figure the experiment reports) are written to the file —
-// the format of the repo's BENCH_*.json perf-trajectory snapshots.
-// -cpuprofile/-memprofile capture pprof profiles of the selected
-// experiments, so hot-path work is profileable without editing code.
-// With -store <dir>, experiments that bulk-load a dataset (currently
-// EXP-A) snapshot the loaded overlay there on the first run and restore
-// it on repeat runs with the same parameters, skipping the re-load.
+// Every result that carries a gate (its Check method) is checked; a result
+// that fails is reported, left out of -json, and makes the exit status 1 —
+// after the remaining experiments have run, the profiles are complete and
+// the passing entries are written. With -json <path>, machine-readable
+// per-experiment results (wall time plus every figure the experiment
+// reports) are written to the file — the format of the repo's BENCH_*.json
+// perf-trajectory snapshots. -cpuprofile/-memprofile capture pprof profiles
+// of the selected experiments, so hot-path work is profileable without
+// editing code.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -45,284 +41,143 @@ import (
 	"gridvine/internal/experiments"
 )
 
-// printer renders an experiment result as the human-readable table every
-// experiment type provides.
-type printer interface{ Table() string }
+func main() { os.Exit(run()) }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run: A,B,C,D,E,G,H,I,J,K,L,M,N,O,P,Q,R or all")
+func run() int {
+	exp := flag.String("exp", "all", "experiments to run: comma-separated IDs (A,B,C,D,E,G,H,I,J,K,L,M,N,O,P,R) or all")
 	quick := flag.Bool("quick", false, "run with scaled-down parameters")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 1, "reformulation fan-out width for query-heavy experiments (D); 1 keeps message counts exactly reproducible")
-	storeDir := flag.String("store", "", "overlay snapshot directory: bulk-loading experiments save the loaded state here and repeat runs restore it instead of re-loading")
 	jsonPath := flag.String("json", "", "write machine-readable per-experiment results to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	flag.Parse()
 
+	selected, err := selectExperiments(*exp, *parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *cpuProfile, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "starting cpu profile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	runners := map[string]func(bool, int64) (any, error){
-		"A": func(quick bool, seed int64) (any, error) { return runA(quick, seed, *storeDir) },
-		"B": runB, "C": runC,
-		"D": func(quick bool, seed int64) (any, error) { return runD(quick, seed, *parallel) },
-		"E": runE, "G": runG, "H": runH, "I": runI, "J": runJ, "K": runK, "L": runL, "M": runM, "N": runN,
-		"O": runO, "P": runP, "Q": runQ, "R": runR,
+	entries, runErr := runExperiments(os.Stdout, selected, *quick, *seed)
+	status := 0
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, runErr)
+		status = 1
 	}
-	order := []string{"A", "B", "C", "D", "E", "G", "H", "I", "J", "K", "L", "M", "N", "O", "P", "Q", "R"}
 
-	var selected []string
-	if strings.EqualFold(*exp, "all") {
-		selected = order
-	} else {
-		for _, id := range strings.Split(strings.ToUpper(*exp), ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", id, strings.Join(order, ","))
-				os.Exit(2)
-			}
-			selected = append(selected, id)
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			status = 1
 		}
 	}
-
-	// jsonEntry is one experiment's machine-readable record.
-	type jsonEntry struct {
-		Experiment string  `json:"experiment"`
-		Quick      bool    `json:"quick"`
-		Seed       int64   `json:"seed"`
-		WallMs     float64 `json:"wall_ms"`
-		Result     any     `json:"result"`
+	if *jsonPath != "" {
+		blob, err := json.MarshalIndent(entries, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
+			return 1
+		}
+		fmt.Printf("wrote %d experiment result(s) to %s\n", len(entries), *jsonPath)
 	}
-	var entries []jsonEntry
+	return status
+}
 
-	for _, id := range selected {
+// selectExperiments resolves -exp against the registry; -parallel swaps in
+// EXP-D's declaration at that fan-out width.
+func selectExperiments(exp string, parallel int) ([]experiments.Experiment, error) {
+	var selected []experiments.Experiment
+	if strings.EqualFold(exp, "all") {
+		selected = append(selected, experiments.All...)
+	} else {
+		for _, id := range strings.Split(strings.ToUpper(exp), ",") {
+			e, ok := experiments.Lookup(strings.TrimSpace(id))
+			if !ok {
+				have := make([]string, len(experiments.All))
+				for i, e := range experiments.All {
+					have[i] = e.ID
+				}
+				return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(have, ","))
+			}
+			selected = append(selected, e)
+		}
+	}
+	for i, e := range selected {
+		if e.ID == "D" {
+			selected[i] = experiments.RecallExperiment(parallel)
+		}
+	}
+	return selected, nil
+}
+
+// jsonEntry is one experiment's machine-readable record.
+type jsonEntry struct {
+	Experiment string             `json:"experiment"`
+	Quick      bool               `json:"quick"`
+	Seed       int64              `json:"seed"`
+	WallMs     float64            `json:"wall_ms"`
+	Result     experiments.Result `json:"result"`
+}
+
+// runExperiments runs every experiment in order, printing its table to w
+// and checking its gate. It returns one entry per experiment that ran and
+// passed, and an error naming each one that did not: a failure neither
+// stops the later experiments nor discards the earlier results.
+func runExperiments(w io.Writer, exps []experiments.Experiment, quick bool, seed int64) ([]jsonEntry, error) {
+	var entries []jsonEntry
+	var failed []error
+	for _, e := range exps {
+		fmt.Fprintf(w, "=== EXP-%s: %s ===\n", e.ID, e.Title)
 		start := time.Now()
-		result, err := runners[id](*quick, *seed)
+		result, err := e.Run(quick, seed)
 		elapsed := time.Since(start)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-			os.Exit(1)
+			failed = append(failed, fmt.Errorf("experiment %s failed: %w", e.ID, err))
+			continue
 		}
-		if p, ok := result.(printer); ok {
-			fmt.Print(p.Table())
+		fmt.Fprint(w, result.Table())
+		fmt.Fprintf(w, "[%s completed in %v]\n\n", e.ID, elapsed.Round(time.Millisecond))
+		if err := experiments.Check(result); err != nil {
+			failed = append(failed, fmt.Errorf("experiment %s failed its gate: %w", e.ID, err))
+			continue
 		}
-		fmt.Printf("[%s completed in %v]\n\n", id, elapsed.Round(time.Millisecond))
 		entries = append(entries, jsonEntry{
-			Experiment: id,
-			Quick:      *quick,
-			Seed:       *seed,
+			Experiment: e.ID,
+			Quick:      quick,
+			Seed:       seed,
 			WallMs:     float64(elapsed.Microseconds()) / 1000,
 			Result:     result,
 		})
 	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *memProfile, err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle the heap so the profile reflects retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "writing heap profile: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
-
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(entries, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encoding results: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d experiment result(s) to %s\n", len(entries), *jsonPath)
-	}
+	return entries, errors.Join(failed...)
 }
 
-func header(id, title string) {
-	fmt.Printf("=== EXP-%s: %s ===\n", id, title)
-}
-
-func runA(quick bool, seed int64, storeDir string) (any, error) {
-	header("A", "deployment latency (paper §2.3: 340 peers, 17k triples, 23k queries; 40% <1s, 75% <5s)")
-	cfg := experiments.DeploymentConfig{Seed: seed, SnapshotDir: storeDir}
-	if quick {
-		cfg.Peers, cfg.Queries, cfg.Schemas, cfg.Entities = 120, 3000, 20, 120
-	}
-	return experiments.RunDeployment(cfg)
-}
-
-func runB(quick bool, seed int64) (any, error) {
-	header("B", "routing cost O(log |Π|) (paper §2.1), balanced and skewed tries")
-	cfg := experiments.RoutingConfig{Skewed: true, Seed: seed}
-	if quick {
-		cfg.Sizes = []int{64, 256, 1024}
-		cfg.QueriesPerSize = 150
-	}
-	return experiments.RunRouting(cfg)
-}
-
-func runC(quick bool, seed int64) (any, error) {
-	header("C", "connectivity indicator vs giant component (paper §3.1), 50 schemas")
-	cfg := experiments.ConnectivityConfig{Seed: seed}
-	if quick {
-		cfg.Trials = 10
-	}
-	r := experiments.RunConnectivity(cfg)
-	fmt.Printf("ci crosses 0 at ≈%d mappings\n", r.CrossoverMappings())
-	return r, nil
-}
-
-func runD(quick bool, seed int64, parallel int) (any, error) {
-	header("D", "recall growth under self-organization (paper §4 demonstration)")
-	cfg := experiments.RecallConfig{Seed: seed, Parallelism: parallel}
-	if quick {
-		cfg.Peers, cfg.Schemas, cfg.Entities, cfg.Rounds, cfg.Queries = 32, 10, 60, 5, 30
-	}
-	r, err := experiments.RunRecall(cfg)
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("creating %s: %w", path, err)
 	}
-	fmt.Printf("workload: %d triples\n", r.Triples)
-	return r, nil
-}
-
-func runE(quick bool, seed int64) (any, error) {
-	header("E", "Bayesian deprecation of erroneous mappings (paper §3.2)")
-	cfg := experiments.DeprecationConfig{Seed: seed}
-	if quick {
-		cfg.Trials = 4
-		cfg.BadCounts = []int{2, 4}
+	runtime.GC() // settle the heap so the profile reflects retained memory
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing heap profile: %w", err)
 	}
-	return experiments.RunDeprecation(cfg), nil
-}
-
-func runG(quick bool, seed int64) (any, error) {
-	header("G", "ablation: triple indexed 3x vs subject-only (paper §2.2 design)")
-	cfg := experiments.IndexingConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.Entities, cfg.Schemas, cfg.Queries = 16, 30, 6, 30
-	}
-	return experiments.RunIndexing(cfg)
-}
-
-func runH(quick bool, seed int64) (any, error) {
-	header("H", "ablation: replication factor vs availability under churn (paper §2.1 design)")
-	cfg := experiments.ChurnConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.Keys = 48, 60
-		cfg.ReplicaFactors = []int{1, 2, 3}
-	}
-	return experiments.RunChurn(cfg)
-}
-
-func runI(quick bool, seed int64) (any, error) {
-	header("I", "ablation: iterative vs recursive reformulation (paper §4 design)")
-	cfg := experiments.StrategiesConfig{Seed: seed}
-	if quick {
-		cfg.ChainLengths = []int{1, 2, 3, 4}
-	}
-	return experiments.RunStrategies(cfg)
-}
-
-func runJ(quick bool, seed int64) (any, error) {
-	header("J", "ablation: lexical vs set-distance vs combined matcher (paper §4 design)")
-	cfg := experiments.AlignmentConfig{Seed: seed}
-	if quick {
-		cfg.Schemas, cfg.Entities, cfg.Pairs = 10, 80, 20
-	}
-	return experiments.RunAlignment(cfg), nil
-}
-
-func runK(quick bool, seed int64) (any, error) {
-	header("K", "conjunctive query planner vs naive evaluator (selectivity ordering, pushdown, hash joins)")
-	cfg := experiments.ConjunctiveConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.HotEntities, cfg.RareMatches, cfg.Queries = 32, 1500, 4, 2
-	}
-	return experiments.RunConjunctive(cfg)
-}
-
-func runL(quick bool, seed int64) (any, error) {
-	header("L", "semi-join shipping vs full-pattern fallback on high-fan-out joins (cost-based statistics)")
-	cfg := experiments.SemiJoinConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.HotEntities, cfg.BoundFanout, cfg.Queries = 32, 3000, 120, 2
-	}
-	return experiments.RunSemiJoin(cfg)
-}
-
-func runM(quick bool, seed int64) (any, error) {
-	header("M", "streaming query API: time-to-first-row and Limit-bounded top-k lookup cut")
-	cfg := experiments.StreamingConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.ChainSchemas, cfg.EntitiesPerSchema, cfg.HotEntities, cfg.Queries = 24, 5, 12, 80, 1
-	}
-	return experiments.RunStreaming(cfg)
-}
-
-func runN(quick bool, seed int64) (any, error) {
-	header("N", "batched write path: key-grouped bulk ingest vs the per-triple Update(t) loop")
-	cfg := experiments.BulkLoadConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.Schemas, cfg.Entities, cfg.WallTriples = 48, 12, 60, 200
-	}
-	return experiments.RunBulkLoad(cfg)
-}
-
-func runO(quick bool, seed int64) (any, error) {
-	header("O", "churn stress: digest anti-entropy repair vs full-store sync under sustained crash/restart load")
-	cfg := experiments.ChurnStressConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.Rounds, cfg.CrashPerRound = 32, 8, 2
-		cfg.WritesPerRound, cfg.DeletesPerRound, cfg.QueriesPerRound = 10, 2, 6
-	}
-	return experiments.RunChurnStress(cfg)
-}
-
-func runP(quick bool, seed int64) (any, error) {
-	header("P", "durable store: WAL+snapshot recovery and restart repair vs cold re-sync")
-	cfg := experiments.DurabilityConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.Triples, cfg.BatchSize, cfg.GapWrites, cfg.SnapshotEvery = 12, 200, 25, 50, 16
-	}
-	return experiments.RunDurability(cfg)
-}
-
-func runQ(quick bool, seed int64) (any, error) {
-	header("Q", "daemon cluster: multi-process gridvined under thousand-connection client load")
-	cfg := experiments.DaemonBenchConfig{Seed: seed}
-	if quick {
-		// Still a real 4-process cluster with the full connection pool;
-		// quick only trims the measured window and the preload.
-		cfg.Preload, cfg.Duration = 120, 3*time.Second
-	}
-	return experiments.RunDaemonBench(cfg)
-}
-
-func runR(quick bool, seed int64) (any, error) {
-	header("R", "composite-mapping reformulation vs BFS as mapping chains deepen (precomposed closures, loss pruning)")
-	cfg := experiments.ComposeConfig{Seed: seed}
-	if quick {
-		cfg.Peers, cfg.Depths, cfg.Entities, cfg.Queries = 24, []int{1, 2, 4}, 2, 3
-	}
-	return experiments.RunCompose(cfg)
+	return f.Close()
 }

@@ -31,20 +31,21 @@ type IndexingConfig struct {
 }
 
 func (c IndexingConfig) withDefaults() IndexingConfig {
-	if c.Peers == 0 {
-		c.Peers = 32
-	}
-	if c.Entities == 0 {
-		c.Entities = 60
-	}
-	if c.Schemas == 0 {
-		c.Schemas = 10
-	}
-	if c.Queries == 0 {
-		c.Queries = 90
-	}
+	setDefault(&c.Peers, 32)
+	setDefault(&c.Entities, 60)
+	setDefault(&c.Schemas, 10)
+	setDefault(&c.Queries, 90)
 	return c
 }
+
+var expG = declare("G", "ablation: triple indexed 3x vs subject-only (paper §2.2 design)",
+	func(quick bool, seed int64) (IndexingResult, error) {
+		cfg := IndexingConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Entities, cfg.Schemas, cfg.Queries = 16, 30, 6, 30
+		}
+		return RunIndexing(cfg)
+	})
 
 // IndexingPoint reports answerability for one constrained position.
 type IndexingPoint struct {
@@ -198,12 +199,8 @@ type ChurnConfig struct {
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.Peers == 0 {
-		c.Peers = 120
-	}
-	if c.Keys == 0 {
-		c.Keys = 150
-	}
+	setDefault(&c.Peers, 120)
+	setDefault(&c.Keys, 150)
 	if len(c.ReplicaFactors) == 0 {
 		c.ReplicaFactors = []int{1, 2, 3, 4}
 	}
@@ -212,6 +209,16 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	}
 	return c
 }
+
+var expH = declare("H", "ablation: replication factor vs availability under churn (paper §2.1 design)",
+	func(quick bool, seed int64) (ChurnResult, error) {
+		cfg := ChurnConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Keys = 48, 60
+			cfg.ReplicaFactors = []int{1, 2, 3}
+		}
+		return RunChurn(cfg)
+	})
 
 // ChurnPoint is one (replica factor, failure rate) cell.
 type ChurnPoint struct {
@@ -237,11 +244,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			// spread across the key space rather than sharing one prefix.
 			allKeys := make([]keyspace.Key, 0, cfg.Keys)
 			for i := 0; i < cfg.Keys; i++ {
-				s := make([]byte, 10)
-				for j := range s {
-					s[j] = byte('a' + rng.Intn(26))
-				}
-				allKeys = append(allKeys, keyspace.HashDefault(string(s)))
+				allKeys = append(allKeys, keyspace.HashDefault(churnWord(rng)))
 			}
 			net := simnet.NewNetwork()
 			ov, err := pgrid.Build(net, pgrid.BuildOptions{
@@ -305,14 +308,21 @@ type StrategiesConfig struct {
 }
 
 func (c StrategiesConfig) withDefaults() StrategiesConfig {
-	if c.Peers == 0 {
-		c.Peers = 32
-	}
+	setDefault(&c.Peers, 32)
 	if len(c.ChainLengths) == 0 {
 		c.ChainLengths = []int{1, 2, 3, 4, 5, 6}
 	}
 	return c
 }
+
+var expI = declare("I", "ablation: iterative vs recursive reformulation (paper §4 design)",
+	func(quick bool, seed int64) (StrategiesResult, error) {
+		cfg := StrategiesConfig{Seed: seed}
+		if quick {
+			cfg.ChainLengths = []int{1, 2, 3, 4}
+		}
+		return RunStrategies(cfg)
+	})
 
 // StrategyPoint compares the modes at one chain length.
 type StrategyPoint struct {

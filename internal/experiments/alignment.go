@@ -27,20 +27,23 @@ type AlignmentConfig struct {
 }
 
 func (c AlignmentConfig) withDefaults() AlignmentConfig {
-	if c.Schemas == 0 {
-		c.Schemas = 20
-	}
-	if c.Entities == 0 {
-		c.Entities = 150
-	}
+	setDefault(&c.Schemas, 20)
+	setDefault(&c.Entities, 150)
 	if len(c.SharedSamples) == 0 {
 		c.SharedSamples = []int{0, 2, 5, 10, 25}
 	}
-	if c.Pairs == 0 {
-		c.Pairs = 40
-	}
+	setDefault(&c.Pairs, 40)
 	return c
 }
+
+var expJ = declare("J", "ablation: lexical vs set-distance vs combined matcher (paper §4 design)",
+	func(quick bool, seed int64) (AlignmentResult, error) {
+		cfg := AlignmentConfig{Seed: seed}
+		if quick {
+			cfg.Schemas, cfg.Entities, cfg.Pairs = 10, 80, 20
+		}
+		return RunAlignment(cfg), nil
+	})
 
 // AlignmentPoint is one row of the matcher-quality table.
 type AlignmentPoint struct {

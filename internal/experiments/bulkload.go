@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -38,38 +39,28 @@ type BulkLoadConfig struct {
 	// WallTriples is the sub-load size of the WAN wall-clock measurement
 	// (default 800; negative skips the measurement).
 	WallTriples int
-	// TransitDelay is the per-message delay of the wall-clock measurement
-	// (default 1ms; negative disables). PerTripleDelay models bandwidth per
-	// shipped triple-valued datum (default 50µs; negative disables).
-	TransitDelay   time.Duration
-	PerTripleDelay time.Duration
-	Seed           int64
+	WANModel    // applied to the wall-clock measurement only
+	Seed        int64
 }
 
 func (c BulkLoadConfig) withDefaults() BulkLoadConfig {
-	if c.Peers == 0 {
-		c.Peers = 340
-	}
-	if c.Schemas == 0 {
-		c.Schemas = 50
-	}
-	if c.Entities == 0 {
-		c.Entities = 430
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = mediation.DefaultParallelism
-	}
-	if c.WallTriples == 0 {
-		c.WallTriples = 800
-	}
-	if c.TransitDelay == 0 {
-		c.TransitDelay = time.Millisecond
-	}
-	if c.PerTripleDelay == 0 {
-		c.PerTripleDelay = 50 * time.Microsecond
-	}
+	setDefault(&c.Peers, 340)
+	setDefault(&c.Schemas, 50)
+	setDefault(&c.Entities, 430)
+	setDefault(&c.Parallelism, mediation.DefaultParallelism)
+	setDefault(&c.WallTriples, 800)
+	c.WANModel = c.WANModel.withDefaults()
 	return c
 }
+
+var expN = declare("N", "batched write path: key-grouped bulk ingest vs the per-triple Update(t) loop",
+	func(quick bool, seed int64) (BulkLoadResult, error) {
+		cfg := BulkLoadConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Schemas, cfg.Entities, cfg.WallTriples = 48, 12, 60, 200
+		}
+		return RunBulkLoad(cfg)
+	})
 
 // BulkLoadResult reports EXP-N.
 type BulkLoadResult struct {
@@ -93,12 +84,6 @@ type BulkLoadResult struct {
 	BatchedMatchesSerial bool `json:"batched_matches_serial"`
 }
 
-// bulkWorld is one freshly built network plus its peers.
-type bulkWorld struct {
-	net   *simnet.Network
-	peers []*mediation.Peer
-}
-
 // RunBulkLoad executes the comparison. All networks are built with the
 // same seed (identical trie, placement and replica sets) and loaded from
 // the same fixed issuer, so the only variable is the write path.
@@ -114,30 +99,30 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 	})
 	triples := w.Triples()
 
-	build := func() (bulkWorld, error) {
+	build := func() (*simnet.Network, []*mediation.Peer, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		net, peers, err := newSimPeers(cfg.Peers, workloadKeySample(w, 4000, rng), rng)
 		if err != nil {
-			return bulkWorld{}, err
+			return nil, nil, err
 		}
 		// Sleeps stay off here; PayloadUnits accounting is free.
 		net.SetPayloadDelay(0, mediation.PayloadTriples)
-		return bulkWorld{net: net, peers: peers}, nil
+		return net, peers, nil
 	}
-	loadSerial := func(wd bulkWorld, ts []triple.Triple) error {
+	loadSerial := func(peers []*mediation.Peer, ts []triple.Triple) error {
 		for _, t := range ts {
-			if _, err := wd.peers[0].InsertTripleContext(context.Background(), t); err != nil {
+			if _, err := peers[0].InsertTripleContext(context.Background(), t); err != nil {
 				return fmt.Errorf("serial insert: %w", err)
 			}
 		}
 		return nil
 	}
-	loadBatched := func(wd bulkWorld, ts []triple.Triple) (*mediation.Receipt, error) {
+	loadBatched := func(peers []*mediation.Peer, ts []triple.Triple) (*mediation.Receipt, error) {
 		b := &mediation.Batch{Parallelism: cfg.Parallelism}
 		for _, t := range ts {
 			b.InsertTriple(t)
 		}
-		rec, err := wd.peers[0].Write(context.Background(), b)
+		rec, err := peers[0].Write(context.Background(), b)
 		if err != nil {
 			return rec, fmt.Errorf("batched write: %w", err)
 		}
@@ -150,17 +135,17 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 	out := BulkLoadResult{Triples: len(triples), KeyWrites: 3 * len(triples)}
 
 	// 1. Message / payload accounting and state equivalence at full scale.
-	serial, err := build()
+	serialNet, serial, err := build()
 	if err != nil {
 		return out, err
 	}
 	if err := loadSerial(serial, triples); err != nil {
 		return out, err
 	}
-	out.SerialMessages = serial.net.Stats().Messages
-	out.SerialPayloadUnits = serial.net.Stats().PayloadUnits
+	out.SerialMessages = serialNet.Stats().Messages
+	out.SerialPayloadUnits = serialNet.Stats().PayloadUnits
 
-	batched, err := build()
+	batchedNet, batched, err := build()
 	if err != nil {
 		return out, err
 	}
@@ -168,15 +153,15 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 	if err != nil {
 		return out, err
 	}
-	out.BatchedMessages = batched.net.Stats().Messages
-	out.BatchedPayloadUnits = batched.net.Stats().PayloadUnits
+	out.BatchedMessages = batchedNet.Stats().Messages
+	out.BatchedPayloadUnits = batchedNet.Stats().PayloadUnits
 	out.Groups = rec.Groups
 	if out.BatchedMessages > 0 {
 		out.MessageReduction = float64(out.SerialMessages) / float64(out.BatchedMessages)
 	}
 	out.BatchedMatchesSerial = true
-	for i := range serial.peers {
-		if !reflect.DeepEqual(serial.peers[i].DB().AllSorted(), batched.peers[i].DB().AllSorted()) {
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i].DB().AllSorted(), batched[i].DB().AllSorted()) {
 			out.BatchedMatchesSerial = false
 			break
 		}
@@ -190,31 +175,23 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 			sub = sub[:cfg.WallTriples]
 		}
 		out.WallTriples = len(sub)
-		wanify := func(wd bulkWorld) {
-			if cfg.TransitDelay > 0 {
-				wd.net.SetSendDelay(cfg.TransitDelay)
-			}
-			wd.net.SetPayloadDelay(max(cfg.PerTripleDelay, 0), mediation.PayloadTriples)
-		}
-
-		serialWAN, err := build()
+		wanNet, wanPeers, err := build()
 		if err != nil {
 			return out, err
 		}
-		wanify(serialWAN)
+		cfg.apply(wanNet)
 		start := time.Now()
-		if err := loadSerial(serialWAN, sub); err != nil {
+		if err := loadSerial(wanPeers, sub); err != nil {
 			return out, err
 		}
 		out.SerialWallMs = float64(time.Since(start).Microseconds()) / 1000
 
-		batchedWAN, err := build()
-		if err != nil {
+		if wanNet, wanPeers, err = build(); err != nil {
 			return out, err
 		}
-		wanify(batchedWAN)
+		cfg.apply(wanNet)
 		start = time.Now()
-		if _, err := loadBatched(batchedWAN, sub); err != nil {
+		if _, err := loadBatched(wanPeers, sub); err != nil {
 			return out, err
 		}
 		out.BatchedWallMs = float64(time.Since(start).Microseconds()) / 1000
@@ -223,6 +200,20 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// Check is EXP-N's gate: batched ingest ships at least 3x fewer routed
+// messages and leaves every store as the per-triple loop does.
+func (r BulkLoadResult) Check() error {
+	switch {
+	case !r.BatchedMatchesSerial:
+		return errors.New("batched ingest diverged from the per-triple loop")
+	case !(r.BatchedMessages < r.SerialMessages):
+		return fmt.Errorf("batched messages %d not below serial %d", r.BatchedMessages, r.SerialMessages)
+	case r.MessageReduction < 3:
+		return fmt.Errorf("message reduction %.1fx, want ≥3x", r.MessageReduction)
+	}
+	return nil
 }
 
 // Table renders the comparison.

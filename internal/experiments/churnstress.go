@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -37,38 +38,28 @@ type ChurnStressConfig struct {
 }
 
 func (c ChurnStressConfig) withDefaults() ChurnStressConfig {
-	if c.Peers == 0 {
-		c.Peers = 96
-	}
-	if c.ReplicaFactor == 0 {
-		c.ReplicaFactor = 3
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 24
-	}
-	if c.CrashPerRound == 0 {
-		c.CrashPerRound = 3
-	}
-	if c.DowntimeRounds == 0 {
-		c.DowntimeRounds = 2
-	}
-	if c.WritesPerRound == 0 {
-		c.WritesPerRound = 24
-	}
-	if c.DeletesPerRound == 0 {
-		c.DeletesPerRound = 4
-	}
-	if c.QueriesPerRound == 0 {
-		c.QueriesPerRound = 12
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.01
-	}
-	if c.MaxRepairRounds == 0 {
-		c.MaxRepairRounds = 8
-	}
+	setDefault(&c.Peers, 96)
+	setDefault(&c.ReplicaFactor, 3)
+	setDefault(&c.Rounds, 24)
+	setDefault(&c.CrashPerRound, 3)
+	setDefault(&c.DowntimeRounds, 2)
+	setDefault(&c.WritesPerRound, 24)
+	setDefault(&c.DeletesPerRound, 4)
+	setDefault(&c.QueriesPerRound, 12)
+	setDefault(&c.DropRate, 0.01)
+	setDefault(&c.MaxRepairRounds, 8)
 	return c
 }
+
+var expO = declare("O", "churn stress: digest anti-entropy repair vs full-store sync under sustained crash/restart load",
+	func(quick bool, seed int64) (ChurnStressResult, error) {
+		cfg := ChurnStressConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Rounds, cfg.CrashPerRound = 32, 8, 2
+			cfg.WritesPerRound, cfg.DeletesPerRound, cfg.QueriesPerRound = 10, 2, 6
+		}
+		return RunChurnStress(cfg)
+	})
 
 // ChurnStressResult reports the digest-run quality figures (recall under
 // churn, degraded answers, post-heal convergence, delete resurrection)
@@ -320,7 +311,7 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 				n.AntiEntropy(ctx)
 			}
 		}
-		if churnGroupsConverged(nodes) {
+		if groupsConverged(nodes, "") {
 			out.converged = true
 			out.convergenceRounds = round
 			break
@@ -364,12 +355,16 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 	return out, nil
 }
 
-// churnGroupsConverged reports whether every replica group (nodes sharing
-// a leaf path) holds a byte-identical store.
-func churnGroupsConverged(nodes []*pgrid.Node) bool {
+// groupsConverged reports whether every replica group (nodes sharing a
+// leaf path) holds a byte-identical store. A non-empty path restricts the
+// check to that one group.
+func groupsConverged(nodes []*pgrid.Node, path string) bool {
 	digests := map[string]uint64{}
 	for _, n := range nodes {
 		p := n.Path().String()
+		if path != "" && p != path {
+			continue
+		}
 		d := n.ContentDigest()
 		if prev, ok := digests[p]; ok && prev != d {
 			return false
@@ -379,13 +374,33 @@ func churnGroupsConverged(nodes []*pgrid.Node) bool {
 	return true
 }
 
-// churnWord draws a 10-letter random string (diverse keys, as EXP-H uses).
+// churnWord draws a 10-letter random string: diverse value-like keys that
+// spread across the key space (EXP-H and EXP-O).
 func churnWord(rng *rand.Rand) string {
 	s := make([]byte, 10)
 	for i := range s {
 		s[i] = byte('a' + rng.Intn(26))
 	}
 	return string(s)
+}
+
+// Check is EXP-O's gate: digest anti-entropy converges, ships fewer repair
+// bytes than full-store sync, holds the recall floors, and resurrects no
+// delete.
+func (r ChurnStressResult) Check() error {
+	switch {
+	case !r.Converged:
+		return errors.New("replica groups did not converge after heal")
+	case !(r.DigestRepairBytes < r.FullRepairBytes):
+		return fmt.Errorf("digest repair %d bytes not below full-store sync %d", r.DigestRepairBytes, r.FullRepairBytes)
+	case r.Recall < 0.9:
+		return fmt.Errorf("recall under churn %.3f, want ≥0.9", r.Recall)
+	case r.FinalRecall < 0.99:
+		return fmt.Errorf("final recall %.3f, want ≥0.99", r.FinalRecall)
+	case r.Resurrected != 0:
+		return fmt.Errorf("%d deletes resurrected", r.Resurrected)
+	}
+	return nil
 }
 
 // Table renders the churn-stress figures.

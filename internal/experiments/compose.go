@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -27,20 +28,23 @@ type ComposeConfig struct {
 }
 
 func (c ComposeConfig) withDefaults() ComposeConfig {
-	if c.Peers == 0 {
-		c.Peers = 32
-	}
+	setDefault(&c.Peers, 32)
 	if len(c.Depths) == 0 {
 		c.Depths = []int{1, 2, 4, 6, 8}
 	}
-	if c.Entities == 0 {
-		c.Entities = 4
-	}
-	if c.Queries == 0 {
-		c.Queries = 8
-	}
+	setDefault(&c.Entities, 4)
+	setDefault(&c.Queries, 8)
 	return c
 }
+
+var expR = declare("R", "composite-mapping reformulation vs BFS as mapping chains deepen (precomposed closures, loss pruning)",
+	func(quick bool, seed int64) (ComposeResult, error) {
+		cfg := ComposeConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Depths, cfg.Entities, cfg.Queries = 24, []int{1, 2, 4}, 2, 3
+		}
+		return RunCompose(cfg)
+	})
 
 // ComposePoint is one chain depth's measurement row.
 type ComposePoint struct {
@@ -173,9 +177,8 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		}
 		point.ColdBuildMessages = cold.Messages
 
-		bfsMsgs, bfsWall := metrics.NewDistribution(), metrics.NewDistribution()
-		compMsgs, compWall := metrics.NewDistribution(), metrics.NewDistribution()
-		prunedMsgs := metrics.NewDistribution()
+		var bfsArm, compArm armCost
+		var prunedMsgs metrics.Distribution
 		prunedKept, prunedTotal := 0, 0
 		chainKept, chainTotal := 0, 0
 		for _, q := range queries {
@@ -184,8 +187,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 			if err != nil {
 				return out, err
 			}
-			bfsWall.Add(float64(time.Since(start).Microseconds()))
-			bfsMsgs.Add(float64(bfs.Messages))
+			bfsArm.add(start, bfs.Messages, 0)
 			point.Reformulations = bfs.Reformulations
 
 			start = time.Now()
@@ -193,8 +195,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 			if err != nil {
 				return out, err
 			}
-			compWall.Add(float64(time.Since(start).Microseconds()))
-			compMsgs.Add(float64(cr.Messages))
+			compArm.add(start, cr.Messages, 0)
 			if !reflect.DeepEqual(cr.Results, bfs.Results) {
 				point.CompositeMatchesBFS = false
 			}
@@ -230,13 +231,13 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 				}
 			}
 		}
-		point.BFSMsgsPerQuery = bfsMsgs.Mean()
-		point.BFSMicrosPerQuery = bfsWall.Mean()
-		point.CompositeMsgsPerQuery = compMsgs.Mean()
-		point.CompositeMicrosPerQuery = compWall.Mean()
+		point.BFSMsgsPerQuery = bfsArm.msgs.Mean()
+		point.BFSMicrosPerQuery = bfsArm.wallMicros.Mean()
+		point.CompositeMsgsPerQuery = compArm.msgs.Mean()
+		point.CompositeMicrosPerQuery = compArm.wallMicros.Mean()
 		point.PrunedMsgsPerQry = prunedMsgs.Mean()
-		if compMsgs.Mean() > 0 {
-			point.MessageReduction = bfsMsgs.Mean() / compMsgs.Mean()
+		if point.CompositeMsgsPerQuery > 0 {
+			point.MessageReduction = point.BFSMsgsPerQuery / point.CompositeMsgsPerQuery
 		}
 		if prunedTotal > 0 {
 			point.RecallPruned = float64(prunedKept) / float64(prunedTotal)
@@ -273,6 +274,31 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		out.Points = append(out.Points, point)
 	}
 	return out, nil
+}
+
+// Check is EXP-R's gate: at every depth ≥ 4 (the sweep must reach one) the
+// composite engine matches the BFS byte for byte, survives a mapping
+// replace, and cuts routed messages at least 3x.
+func (r ComposeResult) Check() error {
+	deep := 0
+	for _, p := range r.Points {
+		if p.Depth < 4 {
+			continue
+		}
+		deep++
+		switch {
+		case !p.CompositeMatchesBFS:
+			return fmt.Errorf("depth %d: composite reformulation diverged from the BFS", p.Depth)
+		case !p.InvalidationConsistent:
+			return fmt.Errorf("depth %d: stale composite served after a mapping replace", p.Depth)
+		case p.MessageReduction < 3:
+			return fmt.Errorf("depth %d: message reduction %.1fx, want ≥3x", p.Depth, p.MessageReduction)
+		}
+	}
+	if deep == 0 {
+		return errors.New("no chain of depth ≥ 4 measured")
+	}
+	return nil
 }
 
 // Table renders the depth sweep.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -25,11 +26,7 @@ type ConjunctiveConfig struct {
 	RareMatches int // entities matching the selective constant; default 6
 	Species     int // spread of the skewed A#org distribution; default 50
 	Queries     int // measured repetitions per evaluator; default 2
-	// TransitDelay is the per-message wall-clock delay (default 1ms;
-	// negative disables). PerTripleDelay models bandwidth: extra delay per
-	// result triple a message carries (default 50µs; negative disables).
-	TransitDelay   time.Duration
-	PerTripleDelay time.Duration
+	WANModel
 	// Parallelism is the engine's worker-pool width (default
 	// mediation.DefaultParallelism).
 	Parallelism int
@@ -37,29 +34,23 @@ type ConjunctiveConfig struct {
 }
 
 func (c ConjunctiveConfig) withDefaults() ConjunctiveConfig {
-	if c.Peers == 0 {
-		c.Peers = 64
-	}
-	if c.HotEntities == 0 {
-		c.HotEntities = 8000
-	}
-	if c.RareMatches == 0 {
-		c.RareMatches = 6
-	}
-	if c.Species == 0 {
-		c.Species = 50
-	}
-	if c.Queries == 0 {
-		c.Queries = 2
-	}
-	if c.TransitDelay == 0 {
-		c.TransitDelay = time.Millisecond
-	}
-	if c.PerTripleDelay == 0 {
-		c.PerTripleDelay = 50 * time.Microsecond
-	}
+	setDefault(&c.Peers, 64)
+	setDefault(&c.HotEntities, 8000)
+	setDefault(&c.RareMatches, 6)
+	setDefault(&c.Species, 50)
+	setDefault(&c.Queries, 2)
+	c.WANModel = c.WANModel.withDefaults()
 	return c
 }
+
+var expK = declare("K", "conjunctive query planner vs naive evaluator (selectivity ordering, pushdown, hash joins)",
+	func(quick bool, seed int64) (ConjunctiveResult, error) {
+		cfg := ConjunctiveConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.HotEntities, cfg.RareMatches, cfg.Queries = 32, 1500, 4, 2
+		}
+		return RunConjunctive(cfg)
+	})
 
 // ConjunctiveResult reports the planner-vs-naive comparison. All per-query
 // figures are means over cfg.Queries repetitions.
@@ -111,13 +102,7 @@ func RunConjunctive(cfg ConjunctiveConfig) (ConjunctiveResult, error) {
 	}
 	triples := len(dataset)
 
-	// Delays only once the data is loaded: setup is not the measurement.
-	if cfg.TransitDelay > 0 {
-		net.SetSendDelay(cfg.TransitDelay)
-	}
-	if cfg.PerTripleDelay > 0 {
-		net.SetPayloadDelay(cfg.PerTripleDelay, mediation.PayloadTriples)
-	}
+	cfg.apply(net)
 
 	// Worst-case declaration order: both hot patterns before the rare one.
 	patterns := []triple.Pattern{
@@ -128,9 +113,7 @@ func RunConjunctive(cfg ConjunctiveConfig) (ConjunctiveResult, error) {
 	opts := mediation.SearchOptions{Parallelism: cfg.Parallelism}
 
 	out := ConjunctiveResult{Triples: triples, Match: true}
-	naiveWall, plannedWall := metrics.NewDistribution(), metrics.NewDistribution()
-	naiveMsgs, plannedMsgs := metrics.NewDistribution(), metrics.NewDistribution()
-	naiveShipped, plannedShipped := metrics.NewDistribution(), metrics.NewDistribution()
+	var naiveArm, plannedArm armCost
 	ctx := context.Background()
 	for q := 0; q < cfg.Queries; q++ {
 		issuer := peers[rng.Intn(len(peers))]
@@ -140,18 +123,14 @@ func RunConjunctive(cfg ConjunctiveConfig) (ConjunctiveResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("naive query %d: %w", q, err)
 		}
-		naiveWall.Add(float64(time.Since(start).Microseconds()) / 1000)
-		naiveMsgs.Add(float64(naiveStats.TotalMessages()))
-		naiveShipped.Add(float64(naiveStats.TriplesShipped))
+		naiveArm.add(start, naiveStats.TotalMessages(), naiveStats.TriplesShipped)
 
 		start = time.Now()
 		planned, plannedStats, err := searchConjunctiveSet(ctx, issuer, patterns, false, opts)
 		if err != nil {
 			return out, fmt.Errorf("planned query %d: %w", q, err)
 		}
-		plannedWall.Add(float64(time.Since(start).Microseconds()) / 1000)
-		plannedMsgs.Add(float64(plannedStats.TotalMessages()))
-		plannedShipped.Add(float64(plannedStats.TriplesShipped))
+		plannedArm.add(start, plannedStats.TotalMessages(), plannedStats.TriplesShipped)
 
 		out.Rows = planned.Len()
 		if !sameBindings(naive, planned.ToBindings()) {
@@ -159,12 +138,12 @@ func RunConjunctive(cfg ConjunctiveConfig) (ConjunctiveResult, error) {
 		}
 	}
 
-	out.NaiveMessages = naiveMsgs.Mean()
-	out.PlannedMessages = plannedMsgs.Mean()
-	out.NaiveTriplesShipped = naiveShipped.Mean()
-	out.PlannedTriplesShipped = plannedShipped.Mean()
-	out.NaiveWallMs = naiveWall.Mean()
-	out.PlannedWallMs = plannedWall.Mean()
+	out.NaiveMessages = naiveArm.msgs.Mean()
+	out.PlannedMessages = plannedArm.msgs.Mean()
+	out.NaiveTriplesShipped = naiveArm.shipped.Mean()
+	out.PlannedTriplesShipped = plannedArm.shipped.Mean()
+	out.NaiveWallMs = naiveArm.wallMs()
+	out.PlannedWallMs = plannedArm.wallMs()
 	if out.PlannedMessages > 0 {
 		out.MessageRatio = out.NaiveMessages / out.PlannedMessages
 	}
@@ -207,6 +186,21 @@ func sameBindings(a, b []triple.Bindings) bool {
 		return strings.Join(rows, "\n")
 	}
 	return key(a) == key(b)
+}
+
+// Check is EXP-K's gate: the planner returns the naive evaluator's rows
+// with at least half the messages and a tenth of the shipped triples.
+func (r ConjunctiveResult) Check() error {
+	switch {
+	case !r.Match:
+		return errors.New("planned execution diverged from the naive evaluator")
+	case r.MessageRatio < 2:
+		return fmt.Errorf("message ratio %.2f, want ≥2x", r.MessageRatio)
+	case r.PlannedTriplesShipped*10 > r.NaiveTriplesShipped:
+		return fmt.Errorf("triples shipped: planned %.0f vs naive %.0f, want ≥10x reduction",
+			r.PlannedTriplesShipped, r.NaiveTriplesShipped)
+	}
+	return nil
 }
 
 // Table renders the comparison.

@@ -24,19 +24,24 @@ type ConnectivityConfig struct {
 }
 
 func (c ConnectivityConfig) withDefaults() ConnectivityConfig {
-	if c.Schemas == 0 {
-		c.Schemas = 50
-	}
+	setDefault(&c.Schemas, 50)
 	if len(c.MappingCounts) == 0 {
 		for m := 0; m <= 150; m += 10 {
 			c.MappingCounts = append(c.MappingCounts, m)
 		}
 	}
-	if c.Trials == 0 {
-		c.Trials = 30
-	}
+	setDefault(&c.Trials, 30)
 	return c
 }
+
+var expC = declare("C", "connectivity indicator vs giant component (paper §3.1), 50 schemas",
+	func(quick bool, seed int64) (ConnectivityResult, error) {
+		cfg := ConnectivityConfig{Seed: seed}
+		if quick {
+			cfg.Trials = 10
+		}
+		return RunConnectivity(cfg), nil
+	})
 
 // ConnectivityPoint is one row of the emergence curve.
 type ConnectivityPoint struct {
@@ -127,7 +132,7 @@ func (r ConnectivityResult) Table() string {
 			fmt.Sprintf("%.2f", p.MeanSCCFrac),
 		)
 	}
-	return t.String()
+	return t.String() + fmt.Sprintf("ci crosses 0 at ≈%d mappings\n", r.CrossoverMappings())
 }
 
 // CrossoverMappings returns the first non-degenerate mapping count at which

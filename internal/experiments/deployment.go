@@ -3,14 +3,14 @@
 // paper (deployment latency CDF, routing cost, connectivity emergence,
 // recall growth, deprecation quality) or an ablation of a design choice
 // (triple indexing, replication under churn, reformulation strategies).
-// Runners are shared by cmd/gridvine-bench and the root benchmarks.
+// Every experiment is declared once in the registry (All), which
+// cmd/gridvine-bench, the root benchmarks and the tests all iterate.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"time"
 
 	"gridvine/internal/bioworkload"
@@ -39,47 +39,31 @@ type DeploymentConfig struct {
 	SlowProb      float64       // default 0.15
 	ServiceMean   time.Duration // default 15ms
 	ArrivalGap    time.Duration // default 40ms between query arrivals
-	// SnapshotDir, when set, caches the loaded overlay state on disk:
-	// the first run bulk-loads and saves a snapshot, repeat runs with the
-	// same peer/workload parameters restore it and skip the bulk load
-	// (see cmd/gridvine-bench -store).
-	SnapshotDir string
-	Seed        int64
+	Seed          int64
 }
 
 func (c DeploymentConfig) withDefaults() DeploymentConfig {
-	if c.Peers == 0 {
-		c.Peers = 340
-	}
-	if c.Queries == 0 {
-		c.Queries = 23000
-	}
-	if c.Schemas == 0 {
-		c.Schemas = 50
-	}
-	if c.Entities == 0 {
-		c.Entities = 430
-	}
-	if c.TransitMedian == 0 {
-		c.TransitMedian = 100 * time.Millisecond
-	}
-	if c.TransitSigma == 0 {
-		c.TransitSigma = 0.9
-	}
-	if c.SlowMedian == 0 {
-		c.SlowMedian = 3 * time.Second
-	}
-	if c.SlowProb == 0 {
-		c.SlowProb = 0.15
-	}
-	if c.ServiceMean == 0 {
-		c.ServiceMean = 15 * time.Millisecond
-	}
-	if c.ArrivalGap == 0 {
-		c.ArrivalGap = 40 * time.Millisecond
-	}
+	setDefault(&c.Peers, 340)
+	setDefault(&c.Queries, 23000)
+	setDefault(&c.Schemas, 50)
+	setDefault(&c.Entities, 430)
+	setDefault(&c.TransitMedian, 100*time.Millisecond)
+	setDefault(&c.TransitSigma, 0.9)
+	setDefault(&c.SlowMedian, 3*time.Second)
+	setDefault(&c.SlowProb, 0.15)
+	setDefault(&c.ServiceMean, 15*time.Millisecond)
+	setDefault(&c.ArrivalGap, 40*time.Millisecond)
 	return c
 }
+
+var expA = declare("A", "deployment latency (paper §2.3: 340 peers, 17k triples, 23k queries; 40% <1s, 75% <5s)",
+	func(quick bool, seed int64) (DeploymentResult, error) {
+		cfg := DeploymentConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Queries, cfg.Schemas, cfg.Entities = 120, 3000, 20, 120
+		}
+		return RunDeployment(cfg)
+	})
 
 // DeploymentResult carries the reproduced latency distribution.
 type DeploymentResult struct {
@@ -117,36 +101,8 @@ func RunDeployment(cfg DeploymentConfig) (DeploymentResult, error) {
 	if err != nil {
 		return DeploymentResult{}, err
 	}
-	// The issuer draw happens in both load paths so the rng stream — and
-	// with it the query phase — is identical whether or not a snapshot
-	// short-circuits the bulk load.
-	loader := peers[rng.Intn(len(peers))]
-	manifest := snapshotManifest{
-		Experiment:    "deployment",
-		Peers:         cfg.Peers,
-		ReplicaFactor: 2,
-		Schemas:       cfg.Schemas,
-		Entities:      cfg.Entities,
-		Seed:          cfg.Seed,
-	}
-	snapPath := ""
-	restored := false
-	if cfg.SnapshotDir != "" {
-		snapPath = filepath.Join(cfg.SnapshotDir, "deployment.snapshot.gob")
-		restored, err = loadOverlaySnapshot(snapPath, manifest, peers)
-		if err != nil {
-			return DeploymentResult{}, fmt.Errorf("restoring snapshot: %w", err)
-		}
-	}
-	if !restored {
-		if err := bulkInsert(loader, w.Triples()); err != nil {
-			return DeploymentResult{}, fmt.Errorf("inserting workload: %w", err)
-		}
-		if snapPath != "" {
-			if err := saveOverlaySnapshot(snapPath, manifest, peers); err != nil {
-				return DeploymentResult{}, fmt.Errorf("saving snapshot: %w", err)
-			}
-		}
+	if err := bulkInsert(peers[rng.Intn(len(peers))], w.Triples()); err != nil {
+		return DeploymentResult{}, fmt.Errorf("inserting workload: %w", err)
 	}
 
 	queries := w.Queries(cfg.Queries, rng)

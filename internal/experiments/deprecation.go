@@ -27,20 +27,24 @@ type DeprecationConfig struct {
 }
 
 func (c DeprecationConfig) withDefaults() DeprecationConfig {
-	if c.Schemas == 0 {
-		c.Schemas = 20
-	}
-	if c.GoodMappings == 0 {
-		c.GoodMappings = 30
-	}
+	setDefault(&c.Schemas, 20)
+	setDefault(&c.GoodMappings, 30)
 	if len(c.BadCounts) == 0 {
 		c.BadCounts = []int{1, 2, 4, 8}
 	}
-	if c.Trials == 0 {
-		c.Trials = 10
-	}
+	setDefault(&c.Trials, 10)
 	return c
 }
+
+var expE = declare("E", "Bayesian deprecation of erroneous mappings (paper §3.2)",
+	func(quick bool, seed int64) (DeprecationResult, error) {
+		cfg := DeprecationConfig{Seed: seed}
+		if quick {
+			cfg.Trials = 4
+			cfg.BadCounts = []int{2, 4}
+		}
+		return RunDeprecation(cfg), nil
+	})
 
 // DeprecationPoint is one row of the detection-quality table.
 type DeprecationPoint struct {

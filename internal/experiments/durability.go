@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -40,31 +41,26 @@ type DurabilityConfig struct {
 }
 
 func (c DurabilityConfig) withDefaults() DurabilityConfig {
-	if c.Peers == 0 {
-		c.Peers = 32
-	}
-	if c.ReplicaFactor == 0 {
-		c.ReplicaFactor = 2
-	}
-	if c.Triples == 0 {
-		c.Triples = 1200
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 40
-	}
-	if c.GapWrites == 0 {
-		c.GapWrites = 150
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 64
-	}
-	if c.MaxRepairRounds == 0 {
-		c.MaxRepairRounds = 8
-	}
+	setDefault(&c.Peers, 32)
+	setDefault(&c.ReplicaFactor, 2)
+	setDefault(&c.Triples, 1200)
+	setDefault(&c.BatchSize, 40)
+	setDefault(&c.GapWrites, 150)
+	setDefault(&c.SnapshotEvery, 64)
+	setDefault(&c.MaxRepairRounds, 8)
 	return c
 }
 
-// DurabilityResult carries the crash/restart figures the CI gate checks:
+var expP = declare("P", "durable store: WAL+snapshot recovery and restart repair vs cold re-sync",
+	func(quick bool, seed int64) (DurabilityResult, error) {
+		cfg := DurabilityConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.Triples, cfg.BatchSize, cfg.GapWrites, cfg.SnapshotEvery = 12, 200, 25, 50, 16
+		}
+		return RunDurability(cfg)
+	})
+
+// DurabilityResult carries the crash/restart figures Check gates:
 // recovery must reproduce the pre-crash store exactly, the corrupt tail
 // must be truncated (never absorbed), and rejoining via recovered state
 // plus anti-entropy must ship fewer repair bytes than a cold re-sync.
@@ -320,7 +316,7 @@ func runDurabilityScenario(cfg DurabilityConfig, cold bool) (durRun, error) {
 	preRepair := net.Stats()
 	for round := 1; round <= cfg.MaxRepairRounds; round++ {
 		newNode.AntiEntropy(ctx)
-		if durGroupConverged(nodes, newNode.Path().String()) {
+		if groupsConverged(nodes, newNode.Path().String()) {
 			out.converged = true
 			out.repairRounds = round
 			break
@@ -330,22 +326,21 @@ func runDurabilityScenario(cfg DurabilityConfig, cold bool) (durRun, error) {
 	return out, nil
 }
 
-// durGroupConverged reports whether every node on the given leaf path
-// holds a byte-identical store.
-func durGroupConverged(nodes []*pgrid.Node, path string) bool {
-	var digest uint64
-	seen := false
-	for _, n := range nodes {
-		if n.Path().String() != path {
-			continue
-		}
-		d := n.ContentDigest()
-		if seen && d != digest {
-			return false
-		}
-		digest, seen = d, true
+// Check is EXP-P's gate.
+func (r DurabilityResult) Check() error {
+	switch {
+	case !r.RecoveredMatchesReference:
+		return errors.New("recovered store diverged from the pre-crash reference")
+	case !r.CorruptTailTruncated:
+		return errors.New("corrupt WAL tail was not truncated")
+	case !r.RestartConverged:
+		return errors.New("rejoin repair after the durable restart did not converge")
+	case !r.ColdConverged:
+		return errors.New("cold re-sync did not converge")
+	case !(r.RestartRepairBytes < r.ColdResyncBytes):
+		return fmt.Errorf("restart repair %d bytes not below cold re-sync %d", r.RestartRepairBytes, r.ColdResyncBytes)
 	}
-	return seen
+	return nil
 }
 
 // Table renders the durability figures.

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -251,24 +254,11 @@ func TestRunChurnStress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunChurnStress: %v", err)
 	}
+	if err := r.Check(); err != nil {
+		t.Error(err)
+	}
 	if r.Crashes == 0 || r.Restarts != r.Crashes {
 		t.Errorf("schedule did not run: crashes=%d restarts=%d", r.Crashes, r.Restarts)
-	}
-	if !r.Converged {
-		t.Error("replica groups did not converge after heal")
-	}
-	if r.Resurrected != 0 {
-		t.Errorf("resurrected deletes = %d, want 0", r.Resurrected)
-	}
-	if r.DigestRepairBytes >= r.FullRepairBytes {
-		t.Errorf("digest repair shipped %d bytes, full-store baseline %d — digest must be cheaper",
-			r.DigestRepairBytes, r.FullRepairBytes)
-	}
-	if r.Recall < 0.8 {
-		t.Errorf("recall under churn = %.2f", r.Recall)
-	}
-	if r.FinalRecall < 0.99 {
-		t.Errorf("final recall after heal = %.2f", r.FinalRecall)
 	}
 }
 
@@ -330,24 +320,23 @@ func TestRunAlignmentAblation(t *testing.T) {
 	}
 }
 
-func TestRunSemiJoinBeatsFullPatternFallback(t *testing.T) {
-	// Small workload, delays disabled: pins result equivalence across all
-	// three evaluators, that semi-join fires on an over-cap fan-out, and
-	// the ≥5x shipping reduction over the PR 2 full-pattern fallback.
+func TestRunSemiJoinBeatsNaive(t *testing.T) {
+	// Small workload, delays disabled: pins result equivalence with the
+	// naive reference, that semi-join fires on an over-cap fan-out, and a
+	// ≥5x shipping reduction.
 	r, err := RunSemiJoin(SemiJoinConfig{
-		Peers:          24,
-		HotEntities:    2000,
-		BoundFanout:    100,
-		Queries:        1,
-		TransitDelay:   -1,
-		PerTripleDelay: -1,
-		Seed:           13,
+		Peers:       24,
+		HotEntities: 2000,
+		BoundFanout: 100,
+		Queries:     1,
+		WANModel:    WANModel{TransitDelay: -1, PerTripleDelay: -1},
+		Seed:        13,
 	})
 	if err != nil {
 		t.Fatalf("RunSemiJoin: %v", err)
 	}
-	if !r.Match {
-		t.Fatal("evaluators disagree on the result set")
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if r.Rows != 100 {
 		t.Errorf("rows = %d, want 100", r.Rows)
@@ -356,8 +345,8 @@ func TestRunSemiJoinBeatsFullPatternFallback(t *testing.T) {
 		t.Error("no statistics digests steered the planner")
 	}
 	if r.ShippingReduction < 5 {
-		t.Errorf("shipping reduction = %.1fx, want ≥5x (planned %.0f vs semi-join %.0f)",
-			r.ShippingReduction, r.PlannedTriplesShipped, r.SemiJoinTriplesShipped)
+		t.Errorf("shipping reduction = %.1fx, want ≥5x (naive %.0f vs semi-join %.0f)",
+			r.ShippingReduction, r.NaiveTriplesShipped, r.SemiJoinTriplesShipped)
 	}
 	if !strings.Contains(r.Table(), "semi-join") {
 		t.Error("table missing semi-join row")
@@ -365,32 +354,24 @@ func TestRunSemiJoinBeatsFullPatternFallback(t *testing.T) {
 }
 
 func TestRunConjunctivePlannerBeatsNaive(t *testing.T) {
-	// Small workload, delays disabled (negative): the test pins result
+	// Small workload, delays disabled (negative): the gate pins result
 	// equivalence and the message/transfer reductions, not wall-clock.
 	r, err := RunConjunctive(ConjunctiveConfig{
-		Peers:          24,
-		HotEntities:    1500,
-		RareMatches:    4,
-		Queries:        1,
-		TransitDelay:   -1,
-		PerTripleDelay: -1,
-		Seed:           11,
+		Peers:       24,
+		HotEntities: 1500,
+		RareMatches: 4,
+		Queries:     1,
+		WANModel:    WANModel{TransitDelay: -1, PerTripleDelay: -1},
+		Seed:        11,
 	})
 	if err != nil {
 		t.Fatalf("RunConjunctive: %v", err)
 	}
-	if !r.Match {
-		t.Fatal("planned execution diverged from the naive evaluator")
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if r.Rows != 4 {
 		t.Errorf("rows = %d, want 4", r.Rows)
-	}
-	if r.MessageRatio < 2 {
-		t.Errorf("message ratio = %.2f, want ≥2x", r.MessageRatio)
-	}
-	if r.PlannedTriplesShipped*10 > r.NaiveTriplesShipped {
-		t.Errorf("triples shipped: planned %.0f vs naive %.0f, want ≥10x reduction",
-			r.PlannedTriplesShipped, r.NaiveTriplesShipped)
 	}
 	if !strings.Contains(r.Table(), "planned") {
 		t.Error("table missing planned row")
@@ -398,10 +379,8 @@ func TestRunConjunctivePlannerBeatsNaive(t *testing.T) {
 }
 
 func TestRunStreamingFirstRowBeatsFullWall(t *testing.T) {
-	// Small workload with short delays: pins that the cursor's first row
-	// lands strictly before the full traversal completes, that the
-	// Limit-bounded top-k issues fewer routed lookups than the unbounded
-	// run, and that the streamed answer matches the blocking aggregate.
+	// Small workload with short delays; the gate pins first row before full
+	// traversal, the top-k lookup cut, and streamed == blocking.
 	r, err := RunStreaming(StreamingConfig{
 		Peers:             24,
 		ChainSchemas:      5,
@@ -409,28 +388,23 @@ func TestRunStreamingFirstRowBeatsFullWall(t *testing.T) {
 		HotEntities:       60,
 		TopK:              5,
 		Queries:           1,
-		TransitDelay:      500 * time.Microsecond,
-		PerTripleDelay:    10 * time.Microsecond,
+		WANModel:          WANModel{TransitDelay: 500 * time.Microsecond, PerTripleDelay: 10 * time.Microsecond},
 		Seed:              14,
 	})
 	if err != nil {
 		t.Fatalf("RunStreaming: %v", err)
 	}
-	if !r.Match {
-		t.Fatal("streamed result diverges from the blocking aggregate")
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if r.Rows != 5*12 {
 		t.Errorf("pattern rows = %d, want %d", r.Rows, 5*12)
 	}
-	if r.FirstRowMs <= 0 || r.FirstRowMs >= r.FullWallMs {
-		t.Errorf("first row %.2fms vs full wall %.2fms — streaming bought nothing", r.FirstRowMs, r.FullWallMs)
+	if r.FirstRowMs <= 0 {
+		t.Errorf("first row %.2fms not recorded", r.FirstRowMs)
 	}
 	if r.TopKRows != 5 {
 		t.Errorf("top-k rows = %d, want 5", r.TopKRows)
-	}
-	if r.TopKLookups >= r.UnboundedLookups {
-		t.Errorf("top-k lookups %.0f vs unbounded %.0f — the limit never reached the planner",
-			r.TopKLookups, r.UnboundedLookups)
 	}
 	if !strings.Contains(r.Table(), "first row") {
 		t.Error("table missing first-row measurement")
@@ -438,13 +412,12 @@ func TestRunStreamingFirstRowBeatsFullWall(t *testing.T) {
 }
 
 func TestRunBulkLoadBeatsPerTriple(t *testing.T) {
-	// Small workload: pins the ≥3x routed-message reduction of key-grouped
-	// batched ingest over the per-triple loop, honest payload accounting
+	// Small workload: beyond the gate, pins honest payload accounting
 	// (batched ships every datum at least once but never re-sends values
 	// across routing hops, so its volume is positive and at most the
-	// per-triple loop's), and byte-identical final stores. The WAN
-	// wall-clock sub-measurement is skipped to keep the suite fast; the
-	// paper-scale figures live in BENCH_bulkload.json.
+	// per-triple loop's). The WAN wall-clock sub-measurement is skipped to
+	// keep the suite fast; the paper-scale figures live in
+	// BENCH_bulkload.json.
 	r, err := RunBulkLoad(BulkLoadConfig{
 		Peers:       48,
 		Schemas:     12,
@@ -455,14 +428,8 @@ func TestRunBulkLoadBeatsPerTriple(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunBulkLoad: %v", err)
 	}
-	if !r.BatchedMatchesSerial {
-		t.Fatal("batched ingest diverged from the per-triple loop")
-	}
-	if r.BatchedMessages >= r.SerialMessages {
-		t.Errorf("batched messages %d not below serial %d", r.BatchedMessages, r.SerialMessages)
-	}
-	if r.MessageReduction < 3 {
-		t.Errorf("message reduction = %.1fx, want ≥3x", r.MessageReduction)
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if r.BatchedPayloadUnits <= 0 || r.BatchedPayloadUnits > r.SerialPayloadUnits {
 		t.Errorf("payload units implausible: batched %d vs serial %d", r.BatchedPayloadUnits, r.SerialPayloadUnits)
@@ -490,17 +457,8 @@ func TestRunDurabilityQuick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunDurability: %v", err)
 	}
-	if !r.RecoveredMatchesReference {
-		t.Error("recovered store diverged from the pre-crash reference")
-	}
-	if !r.CorruptTailTruncated {
-		t.Error("corrupt WAL tail was not truncated")
-	}
-	if !r.RestartConverged || !r.ColdConverged {
-		t.Errorf("repair did not converge: restart=%v cold=%v", r.RestartConverged, r.ColdConverged)
-	}
-	if r.RestartRepairBytes >= r.ColdResyncBytes {
-		t.Errorf("restart repair %d bytes not below cold re-sync %d", r.RestartRepairBytes, r.ColdResyncBytes)
+	if err := r.Check(); err != nil {
+		t.Error(err)
 	}
 	if r.SnapshotItems+r.ReplayedRecords == 0 {
 		t.Error("recovery replayed nothing")
@@ -510,33 +468,78 @@ func TestRunDurabilityQuick(t *testing.T) {
 	}
 }
 
-func TestDeploymentSnapshotRestore(t *testing.T) {
-	cfg := DeploymentConfig{
-		Peers:       40,
-		Queries:     120,
-		Schemas:     8,
-		Entities:    40,
-		SnapshotDir: t.TempDir(),
-		Seed:        4,
+// gated lists the experiments whose result type must carry a Check.
+var gated = map[string]bool{"K": true, "L": true, "M": true, "N": true, "O": true, "P": true, "R": true}
+
+func TestRegistry(t *testing.T) {
+	const order = "ABCDEGHIJKLMNOPR"
+	if len(All) != len(order) {
+		t.Fatalf("registry holds %d experiments, want %d", len(All), len(order))
 	}
-	first, err := RunDeployment(cfg)
+	for i, e := range All {
+		if e.ID != order[i:i+1] {
+			t.Errorf("entry %d has ID %q, want %q (unique, in A…R order)", i, e.ID, order[i:i+1])
+		}
+		if e.Title == "" {
+			t.Errorf("EXP-%s has no title", e.ID)
+		}
+		zero, err := e.Decode([]byte("{}"))
+		if err != nil {
+			t.Fatalf("EXP-%s: decoding an empty result: %v", e.ID, err)
+		}
+		if _, ok := zero.(interface{ Check() error }); ok != gated[e.ID] {
+			t.Errorf("EXP-%s: result type %T has Check = %v, want %v", e.ID, zero, ok, gated[e.ID])
+		}
+	}
+	if _, ok := Lookup("Q"); ok {
+		t.Error("Lookup found the deleted EXP-Q")
+	}
+}
+
+// TestCommittedSnapshotsPassTheirGates decodes every entry of the committed
+// BENCH_*.json trajectory files into its registered result type and runs
+// the gate it was produced under.
+func TestCommittedSnapshotsPassTheirGates(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
-		t.Fatalf("first (loading) run: %v", err)
+		t.Fatal(err)
 	}
-	// Second run restores the snapshot; identical rng discipline in both
-	// load paths means the whole result must be bit-identical.
-	second, err := RunDeployment(cfg)
-	if err != nil {
-		t.Fatalf("second (restoring) run: %v", err)
+	checked := map[string]bool{}
+	for _, f := range files {
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entries []struct {
+			Experiment string          `json:"experiment"`
+			Result     json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(blob, &entries); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if len(entries) == 0 {
+			t.Errorf("%s holds no entries", f)
+		}
+		for _, en := range entries {
+			e, ok := Lookup(en.Experiment)
+			if !ok {
+				t.Errorf("%s: entry for unregistered experiment %q", f, en.Experiment)
+				continue
+			}
+			r, err := e.Decode(en.Result)
+			if err != nil {
+				t.Errorf("%s: decoding EXP-%s: %v", f, e.ID, err)
+				continue
+			}
+			if err := Check(r); err != nil {
+				t.Errorf("%s: EXP-%s fails its gate: %v", f, e.ID, err)
+			}
+			checked[e.ID] = true
+		}
 	}
-	if first != second {
-		t.Errorf("snapshot-restored run diverged:\n first %+v\nsecond %+v", first, second)
-	}
-	// A parameter change invalidates the manifest and falls back to a
-	// fresh bulk load rather than restoring a mismatched overlay.
-	cfg2 := cfg
-	cfg2.Seed = 5
-	if _, err := RunDeployment(cfg2); err != nil {
-		t.Fatalf("manifest-mismatch run: %v", err)
+	for id := range gated {
+		if !checked[id] {
+			t.Errorf("no committed snapshot covers gated EXP-%s", id)
+		}
 	}
 }

@@ -32,28 +32,28 @@ type RecallConfig struct {
 }
 
 func (c RecallConfig) withDefaults() RecallConfig {
-	if c.Peers == 0 {
-		c.Peers = 64
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
-	}
-	if c.Schemas == 0 {
-		c.Schemas = 20
-	}
-	if c.Entities == 0 {
-		c.Entities = 120
-	}
-	if c.SeedMappings == 0 {
-		c.SeedMappings = 3
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 8
-	}
-	if c.Queries == 0 {
-		c.Queries = 50
-	}
+	setDefault(&c.Peers, 64)
+	setDefault(&c.Parallelism, 1)
+	setDefault(&c.Schemas, 20)
+	setDefault(&c.Entities, 120)
+	setDefault(&c.SeedMappings, 3)
+	setDefault(&c.Rounds, 8)
+	setDefault(&c.Queries, 50)
 	return c
+}
+
+// RecallExperiment declares EXP-D at the given reformulation fan-out width.
+// The registry holds the serial declaration (exactly reproducible message
+// counts); gridvine-bench -parallel swaps in a wider one.
+func RecallExperiment(parallelism int) Experiment {
+	return declare("D", "recall growth under self-organization (paper §4 demonstration)",
+		func(quick bool, seed int64) (RecallResult, error) {
+			cfg := RecallConfig{Seed: seed, Parallelism: parallelism}
+			if quick {
+				cfg.Peers, cfg.Schemas, cfg.Entities, cfg.Rounds, cfg.Queries = 32, 10, 60, 5, 30
+			}
+			return RunRecall(cfg)
+		})
 }
 
 // RecallPoint is one row of the recall-growth curve.
@@ -194,5 +194,5 @@ func (r RecallResult) Table() string {
 			fmt.Sprintf("%.0f", p.MsgPerQuery), fmt.Sprintf("%.0f", p.MsgPerQueryRec),
 		)
 	}
-	return t.String()
+	return fmt.Sprintf("workload: %d triples\n", r.Triples) + t.String()
 }

@@ -29,11 +29,19 @@ func (c RoutingConfig) withDefaults() RoutingConfig {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{64, 128, 256, 512, 1024, 2048, 4096}
 	}
-	if c.QueriesPerSize == 0 {
-		c.QueriesPerSize = 300
-	}
+	setDefault(&c.QueriesPerSize, 300)
 	return c
 }
+
+var expB = declare("B", "routing cost O(log |Π|) (paper §2.1), balanced and skewed tries",
+	func(quick bool, seed int64) (RoutingResult, error) {
+		cfg := RoutingConfig{Skewed: true, Seed: seed}
+		if quick {
+			cfg.Sizes = []int{64, 256, 1024}
+			cfg.QueriesPerSize = 150
+		}
+		return RunRouting(cfg)
+	})
 
 // RoutingPoint is one row of the routing-cost table.
 type RoutingPoint struct {

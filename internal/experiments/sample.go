@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"gridvine/internal/bioworkload"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/mediation"
+	"gridvine/internal/metrics"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
@@ -35,6 +37,54 @@ func newSimPeers(peers int, sampleKeys []keyspace.Key, rng *rand.Rand) (*simnet.
 	}
 	return net, ps, nil
 }
+
+// setDefault gives a Config field its default when the caller left it zero.
+func setDefault[T comparable](field *T, def T) {
+	var zero T
+	if *field == zero {
+		*field = def
+	}
+}
+
+// WANModel is the modelled-WAN delay pair the wall-clock experiments (K,
+// L, M, N) embed in their Config. TransitDelay is the per-message
+// wall-clock delay (default 1ms); PerTripleDelay models bandwidth as extra
+// delay per result-triple equivalent a message carries (default 50µs). A
+// negative value disables either.
+type WANModel struct {
+	TransitDelay   time.Duration
+	PerTripleDelay time.Duration
+}
+
+func (w WANModel) withDefaults() WANModel {
+	setDefault(&w.TransitDelay, time.Millisecond)
+	setDefault(&w.PerTripleDelay, 50*time.Microsecond)
+	return w
+}
+
+// apply switches the delays on. Runners call it once their data is loaded:
+// setup is not the measurement.
+func (w WANModel) apply(net *simnet.Network) {
+	if w.TransitDelay > 0 {
+		net.SetSendDelay(w.TransitDelay)
+	}
+	if w.PerTripleDelay > 0 {
+		net.SetPayloadDelay(w.PerTripleDelay, mediation.PayloadTriples)
+	}
+}
+
+// armCost accumulates the per-query costs of one evaluator arm of a
+// comparison; the result fields are means over the arm's queries.
+type armCost struct{ wallMicros, msgs, shipped metrics.Distribution }
+
+// add records one query that started at start.
+func (a *armCost) add(start time.Time, msgs, shipped int) {
+	a.wallMicros.Add(float64(time.Since(start).Microseconds()))
+	a.msgs.Add(float64(msgs))
+	a.shipped.Add(float64(shipped))
+}
+
+func (a *armCost) wallMs() float64 { return a.wallMicros.Mean() / 1000 }
 
 // bulkInsert loads a triple set through the batched write path — the way
 // every experiment now assimilates its dataset (one Write, key-grouped

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -30,11 +31,7 @@ type StreamingConfig struct {
 	HotEntities       int // bound values of the top-k join; default 300
 	TopK              int // row limit of the bounded run; default 10
 	Queries           int // measured repetitions; default 2
-	// TransitDelay is the per-message wall-clock delay (default 1ms;
-	// negative disables). PerTripleDelay models bandwidth per shipped
-	// result triple (default 50µs; negative disables).
-	TransitDelay   time.Duration
-	PerTripleDelay time.Duration
+	WANModel
 	// Parallelism is the engine worker-pool width (default
 	// mediation.DefaultParallelism); it is also the streaming pushdown
 	// chunk size.
@@ -43,32 +40,24 @@ type StreamingConfig struct {
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
-	if c.Peers == 0 {
-		c.Peers = 64
-	}
-	if c.ChainSchemas == 0 {
-		c.ChainSchemas = 8
-	}
-	if c.EntitiesPerSchema == 0 {
-		c.EntitiesPerSchema = 50
-	}
-	if c.HotEntities == 0 {
-		c.HotEntities = 300
-	}
-	if c.TopK == 0 {
-		c.TopK = 10
-	}
-	if c.Queries == 0 {
-		c.Queries = 2
-	}
-	if c.TransitDelay == 0 {
-		c.TransitDelay = time.Millisecond
-	}
-	if c.PerTripleDelay == 0 {
-		c.PerTripleDelay = 50 * time.Microsecond
-	}
+	setDefault(&c.Peers, 64)
+	setDefault(&c.ChainSchemas, 8)
+	setDefault(&c.EntitiesPerSchema, 50)
+	setDefault(&c.HotEntities, 300)
+	setDefault(&c.TopK, 10)
+	setDefault(&c.Queries, 2)
+	c.WANModel = c.WANModel.withDefaults()
 	return c
 }
+
+var expM = declare("M", "streaming query API: time-to-first-row and Limit-bounded top-k lookup cut",
+	func(quick bool, seed int64) (StreamingResult, error) {
+		cfg := StreamingConfig{Seed: seed}
+		if quick {
+			cfg.Peers, cfg.ChainSchemas, cfg.EntitiesPerSchema, cfg.HotEntities, cfg.Queries = 24, 5, 12, 80, 1
+		}
+		return RunStreaming(cfg)
+	})
 
 // StreamingResult reports EXP-M. Per-query figures are means over
 // cfg.Queries repetitions.
@@ -143,13 +132,7 @@ func RunStreaming(cfg StreamingConfig) (StreamingResult, error) {
 		return StreamingResult{}, fmt.Errorf("bulk load applied %d of %d entries: %w", rec.Applied, batch.Len(), rec.FirstErr())
 	}
 
-	// Delays only once the data is loaded: setup is not the measurement.
-	if cfg.TransitDelay > 0 {
-		net.SetSendDelay(cfg.TransitDelay)
-	}
-	if cfg.PerTripleDelay > 0 {
-		net.SetPayloadDelay(cfg.PerTripleDelay, mediation.PayloadTriples)
-	}
+	cfg.apply(net)
 
 	out := StreamingResult{Triples: triples, Match: true, TopK: cfg.TopK}
 	opts := mediation.SearchOptions{Parallelism: cfg.Parallelism, MaxDepth: cfg.ChainSchemas}
@@ -257,6 +240,20 @@ func RunStreaming(cfg StreamingConfig) (StreamingResult, error) {
 		out.LookupReduction = out.UnboundedLookups / out.TopKLookups
 	}
 	return out, nil
+}
+
+// Check is EXP-M's gate: the first row lands before the full traversal
+// ends, the Limit reaches the planner, and streaming loses no row.
+func (r StreamingResult) Check() error {
+	switch {
+	case !r.Match:
+		return errors.New("streamed result diverged from the blocking aggregate")
+	case !(r.FirstRowMs < r.FullWallMs):
+		return fmt.Errorf("first row %.2fms not before full wall %.2fms", r.FirstRowMs, r.FullWallMs)
+	case !(r.TopKLookups < r.UnboundedLookups):
+		return fmt.Errorf("top-k lookups %.0f not below unbounded %.0f", r.TopKLookups, r.UnboundedLookups)
+	}
+	return nil
 }
 
 // Table renders the comparison.

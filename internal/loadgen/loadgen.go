@@ -2,7 +2,7 @@
 // at scale: thousands of concurrent client connections, each issuing a
 // mixed stream of writes and streamed queries, with per-operation
 // latency recorded client-side. It is the measurement engine behind
-// `gridvinectl load` and the EXP-Q daemon benchmark.
+// `gridvinectl load`.
 package loadgen
 
 import (

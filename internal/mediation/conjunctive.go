@@ -640,17 +640,14 @@ func assessPattern(patterns []triple.Pattern, idx int, idxs []int, done map[int]
 		}
 		// Over the cap (or pushdown disabled).
 		if routable {
-			if !opts.DisableSemiJoin {
-				return semiJoinPlan()
-			}
-			return resolvePlan{idx: idx, strategy: planFullScan}, fullCost()
+			return semiJoinPlan()
 		}
 		// Unroutable: pushdown is the only way onto the overlay.
 		return resolvePlan{idx: idx, strategy: planPushdown, pushVars: []string{bestVar}, pushTuples: singleTuples(vals)},
 			pushdownCost([]string{bestVar}, len(vals))
 	}
 
-	if len(filterable) > 0 && routable && !opts.DisableSemiJoin {
+	if len(filterable) > 0 && routable {
 		// Only predicate-position variables are bound under reformulation:
 		// substitution is barred, filtering is not.
 		return semiJoinPlan()

@@ -69,16 +69,11 @@ type SearchOptions struct {
 	// this many distinct values (joint tuples, when several variables are
 	// bound), the engine ships that many constrained point lookups instead
 	// of one unconstrained (network-wide) pattern. Above the cap it resolves
-	// the pattern by semi-join filter shipping (unless DisableSemiJoin is
-	// set, where it falls back to the unconstrained pattern). 0 selects
+	// the pattern by semi-join filter shipping. 0 selects
 	// DefaultPushdownLimit; negative disables pushdown (except for patterns
 	// that are not routable unconstrained, where pushdown is the only way
 	// to resolve them).
 	PushdownLimit int
-	// DisableSemiJoin reverts the over-cap strategy to shipping the full
-	// unconstrained pattern — the pre-semi-join engine, kept as the
-	// benchmark baseline.
-	DisableSemiJoin bool
 	// ComposeMappings routes reformulation through the peer's composite
 	// closure cache (internal/compose): the transitive mapping chains of the
 	// queried predicate are precomposed once, cached until a mapping publish

@@ -78,8 +78,9 @@ func TestSemiJoinEquivalence(t *testing.T) {
 
 // TestSemiJoinShipsFewerTriples pins the point of the strategy: on a
 // bound-value fan-out above the pushdown cap, semi-join shipping moves an
-// order of magnitude fewer triples (filters included) than the PR 2
-// full-pattern fallback, while returning identical rows.
+// order of magnitude fewer triples (filters included) than the naive
+// reference, which ships every pattern's full extension, while returning
+// identical rows.
 func TestSemiJoinShipsFewerTriples(t *testing.T) {
 	const entities = 2000
 	_, ps := conjNetwork(t, 32, entities) // species-rare matches 8 of 2000
@@ -92,14 +93,12 @@ func TestSemiJoinShipsFewerTriples(t *testing.T) {
 	// instead of pushdown.
 	opts := SearchOptions{Parallelism: 1, PushdownLimit: 4}
 
-	fallback := opts
-	fallback.DisableSemiJoin = true
-	planned, fallbackStats, err := blockingConjunctiveSet(issuer, patterns, false, fallback)
+	naive, naiveStats, err := issuer.SearchConjunctiveNaive(context.Background(), patterns, false, opts)
 	if err != nil {
-		t.Fatalf("fallback: %v", err)
+		t.Fatalf("naive: %v", err)
 	}
-	if fallbackStats.SemiJoins != 0 || fallbackStats.FullScans < 2 {
-		t.Fatalf("fallback should full-scan, stats = %+v", fallbackStats)
+	if naiveStats.SemiJoins != 0 || naiveStats.TriplesShipped < entities {
+		t.Fatalf("naive should ship the hot pattern whole, stats = %+v", naiveStats)
 	}
 
 	sj, sjStats, err := blockingConjunctiveSet(issuer, patterns, false, opts)
@@ -107,15 +106,15 @@ func TestSemiJoinShipsFewerTriples(t *testing.T) {
 		t.Fatalf("semi-join: %v", err)
 	}
 	if sjStats.SemiJoins == 0 {
-		t.Fatalf("no semi-join fired over a %d-value fan-out, stats = %+v", planned.Len(), sjStats)
+		t.Fatalf("no semi-join fired over a %d-value fan-out, stats = %+v", len(naive), sjStats)
 	}
-	if !equalStrings(bindingKeys(sj.ToBindings()), bindingKeys(planned.ToBindings())) {
-		t.Fatal("semi-join and fallback disagree")
+	if !equalStrings(bindingKeys(sj.ToBindings()), bindingKeys(naive)) {
+		t.Fatal("semi-join and naive disagree")
 	}
 	sjShipped := sjStats.TriplesShipped + sjStats.FilterTriplesShipped
-	if sjShipped*4 > fallbackStats.TriplesShipped {
-		t.Errorf("shipped: semi-join %d (incl. %d filter) vs fallback %d — expected ≥4x reduction",
-			sjShipped, sjStats.FilterTriplesShipped, fallbackStats.TriplesShipped)
+	if sjShipped*4 > naiveStats.TriplesShipped {
+		t.Errorf("shipped: semi-join %d (incl. %d filter) vs naive %d — expected ≥4x reduction",
+			sjShipped, sjStats.FilterTriplesShipped, naiveStats.TriplesShipped)
 	}
 	if sjStats.FilterTriplesShipped == 0 {
 		t.Error("filter shipment not charged")
@@ -255,10 +254,11 @@ func TestFilterTriples(t *testing.T) {
 	}
 }
 
-// BenchmarkSemiJoin compares the three strategies on a fan-out workload
-// where the bound-value set (≈500 subjects) exceeds the pushdown cap, under
-// WAN transit and bandwidth delays. The planned-vs-semijoin triples/query
-// gap is the headline of EXP-L (BENCH_semijoin.json).
+// BenchmarkSemiJoin compares semi-join shipping with the naive reference
+// on a fan-out workload where the bound-value set (150 subjects) exceeds
+// the pushdown cap, under WAN transit and bandwidth delays. The
+// naive-vs-semijoin triples/query gap is the headline of EXP-L
+// (BENCH_semijoin.json).
 func BenchmarkSemiJoin(b *testing.B) {
 	const (
 		hotEntities = 3000
@@ -298,7 +298,7 @@ func BenchmarkSemiJoin(b *testing.B) {
 		{S: triple.Var("x"), P: triple.Const("A#grp"), O: triple.Const("grp-hot")},
 	}
 
-	run := func(b *testing.B, opts SearchOptions, naive bool) {
+	run := func(b *testing.B, naive bool) {
 		ps := build(b)
 		b.ResetTimer()
 		var stats ConjunctiveStats
@@ -306,13 +306,13 @@ func BenchmarkSemiJoin(b *testing.B) {
 			var st ConjunctiveStats
 			var n int
 			if naive {
-				rows, s, err := ps[9].SearchConjunctiveNaive(context.Background(), patterns, false, opts)
+				rows, s, err := ps[9].SearchConjunctiveNaive(context.Background(), patterns, false, SearchOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				st, n = s, len(rows)
 			} else {
-				bs, s, err := blockingConjunctiveSet(ps[9], patterns, false, opts)
+				bs, s, err := blockingConjunctiveSet(ps[9], patterns, false, SearchOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -327,9 +327,6 @@ func BenchmarkSemiJoin(b *testing.B) {
 		b.ReportMetric(float64(stats.TriplesShipped+stats.FilterTriplesShipped), "triples/query")
 	}
 
-	b.Run("naive", func(b *testing.B) { run(b, SearchOptions{}, true) })
-	b.Run("planned-fallback", func(b *testing.B) {
-		run(b, SearchOptions{DisableSemiJoin: true}, false)
-	})
-	b.Run("semijoin", func(b *testing.B) { run(b, SearchOptions{}, false) })
+	b.Run("naive", func(b *testing.B) { run(b, true) })
+	b.Run("semijoin", func(b *testing.B) { run(b, false) })
 }

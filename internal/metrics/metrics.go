@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Distribution accumulates float64 observations and answers summary queries.
@@ -155,16 +156,17 @@ func (t *Table) AddRowf(format string, args ...any) {
 	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
 
-// String renders the table.
+// String renders the table. Column widths count runes, not bytes, so cells
+// holding non-ASCII text ("O(log |Π|)", "≥", "µs") stay aligned.
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -175,7 +177,7 @@ func (t *Table) String() string {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
 		b.WriteString("\n")
 	}

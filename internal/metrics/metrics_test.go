@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 )
 
 func TestDistributionBasics(t *testing.T) {
@@ -139,6 +140,24 @@ func TestTableRendering(t *testing.T) {
 	// All lines padded to the same visual width structure.
 	if len(lines[1]) < len("name  value") {
 		t.Errorf("separator too short: %q", lines[1])
+	}
+}
+
+func TestTableAlignsNonASCIICells(t *testing.T) {
+	tb := NewTable("metric", "µs", "paper")
+	tb.AddRow("mean hops", "2.50", "O(log |Π|)")
+	tb.AddRow("recall", "≥0.9", "-")
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	want := utf8.RuneCountInString(lines[0])
+	for _, l := range lines {
+		if got := utf8.RuneCountInString(l); got != want {
+			t.Errorf("line %q is %d runes wide, header is %d", l, got, want)
+		}
+	}
+	// The last column starts at the same rune offset on every row.
+	col := func(l, cell string) int { return utf8.RuneCountInString(l[:strings.Index(l, cell)]) }
+	if a, b := col(lines[2], "O(log"), col(lines[3], "-"); a != b {
+		t.Errorf("last column starts at rune %d and %d", a, b)
 	}
 }
 

@@ -8,41 +8,6 @@ import (
 	"gridvine/internal/simnet"
 )
 
-// Recursive routing must forward around failed peers: each forwarding step
-// tries its reference candidates in order and skips unreachable ones.
-func TestRecursiveRoutingSurvivesIntermediateFailure(t *testing.T) {
-	net, ov := testOverlay(t, 32, 2, 51)
-	key := keyspace.HashDefault("recursive-ha")
-	for _, n := range ov.Nodes() {
-		n.SetQueryHandler(func(k keyspace.Key, payload any) (any, error) {
-			return "ok", nil
-		})
-	}
-	issuer := ov.Nodes()[0]
-	if issuer.Responsible(key) {
-		t.Skip("issuer responsible; no forwarding to disturb")
-	}
-	// Fail an intermediate peer so a forwarding choice can be dead.
-	failedSomething := false
-	for _, n := range ov.Nodes()[1:] {
-		if !n.Responsible(key) && len(n.Replicas()) > 0 {
-			net.Fail(n.ID())
-			failedSomething = true
-			break
-		}
-	}
-	if !failedSomething {
-		t.Skip("no intermediate peer to fail")
-	}
-	result, _, err := issuer.QueryRecursive(key, "q", 16)
-	if err != nil {
-		t.Fatalf("QueryRecursive with failed intermediate: %v", err)
-	}
-	if result != "ok" {
-		t.Errorf("result = %v", result)
-	}
-}
-
 func TestCandidateHopsFallbackLevels(t *testing.T) {
 	// When the exact-level refs are excluded, shallower-level refs must
 	// still be offered so routing can detour.

@@ -72,11 +72,9 @@ type Replacer interface {
 // ExecRequest asks the receiving peer to either perform the operation (if
 // responsible for Key) or answer with closer references.
 type ExecRequest struct {
-	Key       string // binary key, e.g. "010011…"
-	Op        Op
-	Payload   any  // OpQuery: handed to the application handler; OpProbe: the head BatchEntry
-	Recursive bool // forward server-side instead of answering with refs
-	TTL       int  // remaining hops in recursive mode
+	Key     string // binary key, e.g. "010011…"
+	Op      Op
+	Payload any // OpQuery: handed to the application handler; OpProbe: the head BatchEntry
 }
 
 // ExecResponse carries either the operation result (Responsible=true) or
@@ -86,7 +84,6 @@ type ExecResponse struct {
 	NextHops    []simnet.PeerID
 	Values      []any
 	AppResult   any
-	Chain       []simnet.PeerID // peers traversed (recursive mode)
 	// Path is the answering responsible peer's trie path π(p); the batched
 	// write path uses it to compute the contiguous key run the peer covers.
 	Path string

@@ -591,13 +591,6 @@ func (n *Node) Suspected(id simnet.PeerID) bool {
 	return n.suspect[id] > 0
 }
 
-// SuspectCount returns how many peers are currently under suspicion.
-func (n *Node) SuspectCount() int {
-	n.suspMu.Lock()
-	defer n.suspMu.Unlock()
-	return len(n.suspect)
-}
-
 // noteReplicaFailure records a failed replication push: the replica becomes
 // suspected and every affected key is enqueued on its repair hot-list, so
 // the next anti-entropy round re-ships exactly what was lost instead of

@@ -101,28 +101,6 @@ func (n *Node) Query(ctx context.Context, key keyspace.Key, payload any) (any, R
 	return resp.AppResult, route, nil
 }
 
-// QueryRecursive is Query with server-side forwarding: intermediate peers
-// relay the request toward the responsible peer instead of answering the
-// issuer with references. TTL bounds the chain length.
-func (n *Node) QueryRecursive(key keyspace.Key, payload any, ttl int) (any, Route, error) {
-	req := ExecRequest{Key: key.String(), Op: OpQuery, Payload: payload, Recursive: true, TTL: ttl}
-	var route Route
-	resp, err := n.handleExec(req)
-	if err != nil {
-		return nil, route, err
-	}
-	// Chain starts with this node; each subsequent link cost one send (the
-	// response rides back on the same exchange).
-	if len(resp.Chain) > 1 {
-		route.Contacted = resp.Chain[1:]
-		route.Messages = len(resp.Chain) - 1
-	}
-	if !resp.Responsible {
-		return nil, route, fmt.Errorf("%w: recursive TTL exhausted for %s", ErrNoRoute, key)
-	}
-	return resp.AppResult, route, nil
-}
-
 // execute drives iterative routing for a request: the issuer repeatedly
 // sends the request to the best-known peer; a non-responsible receiver
 // answers with closer references, the responsible receiver answers with the
@@ -349,13 +327,10 @@ func (n *Node) handleExec(req ExecRequest) (ExecResponse, error) {
 	}
 	responsible, hops := n.nextHopInfo(key)
 	if !responsible {
-		if req.Recursive {
-			return n.forwardRecursive(key, req, hops)
-		}
 		return ExecResponse{NextHops: hops}, nil
 	}
 
-	resp := ExecResponse{Responsible: true, Chain: []simnet.PeerID{n.id}, Path: n.Path().String()}
+	resp := ExecResponse{Responsible: true, Path: n.Path().String()}
 	switch req.Op {
 	case OpGet:
 		resp.Values = n.LocalGet(key)
@@ -383,28 +358,4 @@ func (n *Node) handleExec(req ExecRequest) (ExecResponse, error) {
 		return ExecResponse{}, fmt.Errorf("pgrid: unknown op %v", req.Op)
 	}
 	return resp, nil
-}
-
-// forwardRecursive relays the request to one live closer peer and funnels
-// its answer back, recording the chain.
-func (n *Node) forwardRecursive(key keyspace.Key, req ExecRequest, hops []simnet.PeerID) (ExecResponse, error) {
-	if req.TTL <= 0 {
-		return ExecResponse{Chain: []simnet.PeerID{n.id}}, nil
-	}
-	req.TTL--
-	for _, h := range hops {
-		// Server-side forwarding has no issuer context to honour.
-		//gridvine:serverctx recursive forwarding runs on the remote node; the issuer's context ended at the first hop and TTL bounds the work
-		msg, err := n.net.Send(context.Background(), n.id, h, simnet.Message{Type: msgExec, Payload: req})
-		if err != nil {
-			continue
-		}
-		resp, ok := msg.Payload.(ExecResponse)
-		if !ok {
-			continue
-		}
-		resp.Chain = append([]simnet.PeerID{n.id}, resp.Chain...)
-		return resp, nil
-	}
-	return ExecResponse{Chain: []simnet.PeerID{n.id}}, nil
 }

@@ -200,44 +200,6 @@ func TestQueryWithoutHandlerFails(t *testing.T) {
 	}
 }
 
-func TestQueryRecursive(t *testing.T) {
-	_, ov := testOverlay(t, 32, 2, 11)
-	key := keyspace.HashDefault("recursive-query")
-	for _, n := range ov.Nodes() {
-		n.SetQueryHandler(func(k keyspace.Key, payload any) (any, error) {
-			return "ok", nil
-		})
-	}
-	issuer := ov.Nodes()[1]
-	result, route, err := issuer.QueryRecursive(key, "q", 16)
-	if err != nil {
-		t.Fatalf("QueryRecursive: %v", err)
-	}
-	if result != "ok" {
-		t.Errorf("result = %v", result)
-	}
-	if issuer.Responsible(key) {
-		if route.Hops() != 0 {
-			t.Errorf("local answer should have 0 hops, got %d", route.Hops())
-		}
-	} else if route.Hops() == 0 {
-		t.Error("remote answer should list contacted peers")
-	}
-}
-
-func TestQueryRecursiveTTLExhausted(t *testing.T) {
-	_, ov := testOverlay(t, 32, 2, 12)
-	key := keyspace.HashDefault("ttl-test")
-	issuer := ov.Nodes()[0]
-	if issuer.Responsible(key) {
-		t.Skip("issuer responsible; TTL irrelevant")
-	}
-	_, _, err := issuer.QueryRecursive(key, "q", 0)
-	if !errors.Is(err, ErrNoRoute) {
-		t.Errorf("err = %v, want ErrNoRoute", err)
-	}
-}
-
 func TestRoutingCostLogarithmic(t *testing.T) {
 	// Hop counts must stay ≤ trie depth (plus final hop) at every size.
 	for _, peers := range []int{8, 32, 128} {

@@ -160,12 +160,14 @@ func cmdStats(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d\n",
+		ov := st.Overlay
+		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d overlay=%d sent/%d local pool=%d/%d/%d/%d dial/reuse/redial/retired idle=%d\n",
 			st.Daemon, len(st.Peers), (time.Duration(st.UptimeMillis) * time.Millisecond).Round(time.Second),
 			st.Draining, st.QueriesServed, st.WritesServed, st.RowsStreamed,
 			st.ActiveQueries, st.ActiveWrites,
 			st.ActiveConns, st.ConnsRejected,
-			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries, st.JournalErrs)
+			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries, st.JournalErrs,
+			ov.Sends, ov.LocalDeliveries, ov.PoolDials, ov.PoolReuses, ov.PoolRedials, ov.PoolRetired, ov.PoolIdle)
 		return nil
 	})
 }

@@ -22,10 +22,12 @@
 //  3. Publish the address file, wait for the siblings', then serve
 //     clients.
 //  4. On Shutdown, drain wire clients first, then the overlay
-//     transport (tcpnet.Close waits for in-flight handlers), and only
-//     then snapshot and close each journal — so the final snapshot
-//     reflects every acknowledged mutation and the recorded final
-//     digests are exactly what a restart must recover.
+//     transport (tcpnet.Close waits for in-flight handlers), then the
+//     deliveries between this daemon's own peers, which never touch
+//     the transport, and only then snapshot and close each journal —
+//     so the final snapshot reflects every acknowledged mutation and
+//     the recorded final digests are exactly what a restart must
+//     recover.
 package daemon
 
 import (
@@ -36,6 +38,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridvine/internal/mediation"
@@ -145,16 +149,82 @@ func writeAddrFile(dir string, index int, af *AddrFile) error {
 // staging implements simnet.Registrar for pgrid.Build without opening
 // any sockets: it captures each node's handler so the daemon can bind
 // listeners only for the peers it hosts (and only after their journals
-// are open), while Send delegates to the real TCP transport.
+// are open). Send calls the handler directly when the destination is a
+// peer this daemon hosts and crosses the real TCP transport otherwise.
 type staging struct {
 	t        *tcpnet.Transport
 	handlers map[simnet.PeerID]simnet.Handler
+
+	mu       sync.RWMutex
+	hosted   map[simnet.PeerID]simnet.Handler // reachable peers of this daemon
+	draining bool
+	inflight sync.WaitGroup // local deliveries, for Shutdown to wait on
+	local    atomic.Uint64  // local deliveries made
 }
 
 func (s *staging) Register(id simnet.PeerID, h simnet.Handler) { s.handlers[id] = h }
 
+// host makes a peer reachable in-process; the daemon calls it where it
+// binds the peer's listener, once the journal is recovered.
+func (s *staging) host(id simnet.PeerID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hosted[id] = s.handlers[id]
+}
+
+// acquire returns the handler of a hosted peer with the delivery already
+// counted in inflight, or nil when the message must cross the transport:
+// the peer lives elsewhere, or the daemon is draining (the closed
+// transport then refuses it).
+func (s *staging) acquire(to simnet.PeerID) simnet.Handler {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	h := s.hosted[to]
+	if h == nil || s.draining {
+		return nil
+	}
+	s.inflight.Add(1)
+	return h
+}
+
+// drain refuses further local deliveries and waits for the running ones,
+// including those whose sender gave up on a fired ctx.
+func (s *staging) drain() {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	s.inflight.Wait()
+}
+
+// Send keeps tcpnet.Send's contract on the local path too: a fired ctx
+// returns at once, and the handler it leaves behind finishes under
+// inflight. The payload is handed over uncopied, as simnet.Network does.
 func (s *staging) Send(ctx context.Context, from, to simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
-	return s.t.Send(ctx, from, to, msg)
+	h := s.acquire(to)
+	if h == nil {
+		return s.t.Send(ctx, from, to, msg)
+	}
+	s.local.Add(1)
+	if err := ctx.Err(); err != nil {
+		s.inflight.Done()
+		return simnet.Message{}, err
+	}
+	type reply struct {
+		msg simnet.Message
+		err error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		defer s.inflight.Done()
+		m, err := h.HandleMessage(from, msg)
+		done <- reply{m, err}
+	}()
+	select {
+	case r := <-done:
+		return r.msg, r.err
+	case <-ctx.Done():
+		return simnet.Message{}, ctx.Err()
+	}
 }
 
 type hostedPeer struct {
@@ -168,6 +238,7 @@ type hostedPeer struct {
 type Daemon struct {
 	cfg       Config
 	transport *tcpnet.Transport
+	stage     *staging
 	server    *wire.Server
 	ln        net.Listener
 	hosted    []hostedPeer
@@ -197,7 +268,11 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 
 	t := tcpnet.NewTransport()
-	stage := &staging{t: t, handlers: map[simnet.PeerID]simnet.Handler{}}
+	stage := &staging{
+		t:        t,
+		handlers: map[simnet.PeerID]simnet.Handler{},
+		hosted:   map[simnet.PeerID]simnet.Handler{},
+	}
 	ov, err := pgrid.Build(stage, pgrid.BuildOptions{
 		Peers:         cfg.Peers,
 		ReplicaFactor: cfg.ReplicaFactor,
@@ -210,14 +285,16 @@ func Start(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:       cfg,
 		transport: t,
+		stage:     stage,
 		recovered: map[string]uint64{},
 		serveDone: make(chan struct{}),
 	}
 	fail := func(err error) (*Daemon, error) {
+		t.Close()
+		stage.drain()
 		for _, h := range d.hosted {
 			h.log.Close() //nolint:errcheck
 		}
-		t.Close()
 		return nil, err
 	}
 
@@ -260,6 +337,7 @@ func Start(cfg Config) (*Daemon, error) {
 				return fail(fmt.Errorf("daemon %d: listen for %s: %w", cfg.Index, id, err))
 			}
 		}
+		stage.host(node.ID())
 		d.hosted = append(d.hosted, hostedPeer{id: id, peer: p, log: l})
 	}
 	if len(d.hosted) == 0 {
@@ -324,6 +402,7 @@ func Start(cfg Config) (*Daemon, error) {
 		hosted[i] = wire.Hosted{Peer: h.peer, Digest: h.peer.Node().ContentDigest, WALSeq: h.log.Seq}
 	}
 	d.server = wire.NewServerOptions(cfg.Index, hosted, wire.Options{MaxConns: cfg.MaxConns})
+	d.server.SetOverlayStats(d.overlayStats)
 	go func() {
 		d.server.Serve(ln)
 		close(d.serveDone)
@@ -333,7 +412,9 @@ func Start(cfg Config) (*Daemon, error) {
 
 // Shutdown drains and persists in strict order: wire clients first
 // (in-flight Cursors and Receipts complete), then the overlay
-// transport (no handler invocation survives its Close), then a final
+// transport (no handler invoked over a socket survives its Close), then
+// the local deliveries (a handler running on behalf of a hosted peer
+// whose sender's ctx fired may still be mutating a store), then a final
 // snapshot and close of each journal. FinalDigests is recorded between
 // the last mutation and the journal close, so a restart that recovers
 // digest-identical state proves no acknowledged write was lost. ctx
@@ -341,8 +422,12 @@ func Start(cfg Config) (*Daemon, error) {
 // ctx.Err() is returned, but snapshots are still taken.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	firstErr := d.server.Shutdown(ctx)
+	// The server closes the listener only once Serve has stored it; a
+	// Shutdown right behind Start can come first.
+	d.ln.Close() //nolint:errcheck // usually closed already
 	<-d.serveDone
 	d.transport.Close()
+	d.stage.drain()
 	d.final = map[string]uint64{}
 	for _, h := range d.hosted {
 		if err := h.log.Snapshot(); err != nil && firstErr == nil {
@@ -376,6 +461,23 @@ func writeDigestsFile(dir string, index int, digests map[string]uint64) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// overlayStats snapshots where this daemon's overlay messages went: over
+// the transport (and what its connection pool did with them) or straight
+// to a hosted peer's handler.
+func (d *Daemon) overlayStats() wire.OverlayStats {
+	sends, _ := d.transport.Stats()
+	ps := d.transport.PoolStats()
+	return wire.OverlayStats{
+		Sends:           uint64(sends),
+		LocalDeliveries: d.stage.local.Load(),
+		PoolDials:       ps.Dials,
+		PoolReuses:      ps.Reuses,
+		PoolRedials:     ps.Redials,
+		PoolRetired:     ps.Retired,
+		PoolIdle:        ps.Idle,
+	}
 }
 
 // ClientAddr returns the wire protocol listen address.

@@ -42,6 +42,17 @@ func waitNoLeak(t *testing.T, baseline int) {
 	t.Errorf("goroutines leaked: baseline %d, now %d", baseline, last)
 }
 
+// drainRows reads cur to its end and returns the number of rows.
+func drainRows(ctx context.Context, cur *wire.Cursor) int {
+	rows := 0
+	for {
+		if _, ok := cur.Next(ctx); !ok {
+			return rows
+		}
+		rows++
+	}
+}
+
 // startPair boots a two-daemon cluster concurrently (each Start blocks
 // on the other's address file).
 func startPair(t *testing.T, cfg0, cfg1 daemon.Config) (*daemon.Daemon, *daemon.Daemon) {
@@ -107,11 +118,7 @@ func loadWorker(wg *sync.WaitGroup, stop chan struct{}, addr string, id int, ack
 		if seq%5 == 0 {
 			cur, err := cl.Query(ctx, wire.Query{Pattern: &pat, Limit: 32})
 			if err == nil {
-				for {
-					if _, ok := cur.Next(ctx); !ok {
-						break
-					}
-				}
+				drainRows(ctx, cur)
 				cur.Close()
 			} else {
 				cl.Close()
@@ -122,13 +129,37 @@ func loadWorker(wg *sync.WaitGroup, stop chan struct{}, addr string, id int, ack
 	}
 }
 
+// firstQueryNotDegraded issues one query through the daemon at addr and
+// requires a complete, un-Degraded answer.
+func firstQueryNotDegraded(t *testing.T, cycle int, addr string) {
+	t.Helper()
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatalf("cycle %d: dial daemon 0: %v", cycle, err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pat := triple.Pattern{S: triple.Var("s"), P: triple.Const("Load#p"), O: triple.Var("o")}
+	cur, err := cl.Query(ctx, wire.Query{Pattern: &pat, Limit: 32})
+	if err != nil {
+		t.Fatalf("cycle %d: query after restart: %v", cycle, err)
+	}
+	drainRows(ctx, cur)
+	if err := cur.Close(); err != nil || cur.Stats().Degraded {
+		t.Errorf("cycle %d: first query after the restart: degraded=%v, err=%v", cycle, cur.Stats().Degraded, err)
+	}
+}
+
 // TestDaemonSigtermCycleUnderLoad cycles one daemon of a live cluster
 // through the gridvined signal path — real SIGTERM delivery, drain,
 // final snapshot, restart — while clients keep writing and streaming
 // against both daemons. After every cycle the restarted daemon's
 // recovered store digests must equal the digests captured at shutdown
-// (no acknowledged write lost, nothing invented), and once the load
-// stops the process must return to its goroutine baseline (nothing
+// (no acknowledged write lost, nothing invented — with half of all hops
+// delivered in-process, that includes the local deliveries in flight at
+// Shutdown), the first query through the surviving daemon must answer
+// un-Degraded, and once the load stops the process must return to its goroutine baseline (nothing
 // leaked by the drain/restart machinery). Run with -race.
 func TestDaemonSigtermCycleUnderLoad(t *testing.T) {
 	// Install the signal handler before sampling the baseline: the
@@ -201,6 +232,11 @@ func TestDaemonSigtermCycleUnderLoad(t *testing.T) {
 			}
 		}
 		d1 = restarted
+
+		// Daemon 0 spent the downtime failing to reach daemon 1 and may
+		// still hold connections to its old listeners. The first query
+		// after the restart must be served whole all the same.
+		firstQueryNotDegraded(t, cycle, d0.ClientAddr())
 	}
 
 	close(stop)
@@ -215,6 +251,92 @@ func TestDaemonSigtermCycleUnderLoad(t *testing.T) {
 		t.Fatal("load generated no acknowledged writes — test exercised nothing")
 	}
 	waitNoLeak(t, baseline)
+}
+
+// TestRestartedSiblingIsRedialled: daemon 0 holds pooled connections to
+// daemon 1's peers when daemon 1 restarts on the same ports. Every one of
+// them is dead, and the first queries to find that out must not show it:
+// a stale pooled connection is redialled, not surfaced as an unreachable
+// peer, so the answers are complete and un-Degraded on the first try.
+// Messages between daemon 0's own peers never reach the transport, so
+// every transport send counted there crossed to daemon 1.
+func TestRestartedSiblingIsRedialled(t *testing.T) {
+	base := daemon.Config{
+		Dir:           t.TempDir(),
+		Daemons:       2,
+		Peers:         8,
+		ReplicaFactor: 2,
+		Seed:          42,
+		PeerWait:      10 * time.Second,
+	}
+	cfg0, cfg1 := base, base
+	cfg0.Index, cfg1.Index = 0, 1
+	d0, d1 := startPair(t, cfg0, cfg1)
+	defer func() {
+		d0.Shutdown(context.Background()) //nolint:errcheck
+		d1.Shutdown(context.Background()) //nolint:errcheck
+	}()
+	cl, err := wire.Dial(d0.ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// The hash preserves order, so these subjects spread over the trie.
+	subjects := []string{"0-s", "9-s", "A-s", "Z-s", "a-s", "m-s", "z-s", "~-s"}
+	var ins []triple.Triple
+	for _, s := range subjects {
+		ins = append(ins, triple.Triple{Subject: s, Predicate: "Redial#p", Object: "o-" + s})
+	}
+	if rec, err := cl.Write(ctx, wire.Write{Inserts: ins}); err != nil || rec.Applied != len(ins) {
+		t.Fatalf("write: receipt %+v, err %v", rec, err)
+	}
+	// Each subject from each of daemon 0's peers; with phase set, any
+	// flaw in an answer fails the test.
+	sweep := func(phase string) {
+		for _, issuer := range d0.PeerIDs() {
+			for _, s := range subjects {
+				pat := triple.Pattern{S: triple.Const(s), P: triple.Var("p"), O: triple.Var("o")}
+				cur, err := cl.Query(ctx, wire.Query{Peer: issuer, Pattern: &pat})
+				if err != nil {
+					t.Fatalf("%s: query %s from %s: %v", phase, s, issuer, err)
+				}
+				rows := drainRows(ctx, cur)
+				if err := cur.Close(); err != nil || rows != 1 || cur.Stats().Degraded {
+					t.Errorf("%s: query %s from %s: %d rows, degraded=%v, err=%v; want 1 row, not degraded",
+						phase, s, issuer, rows, cur.Stats().Degraded, err)
+				}
+			}
+		}
+	}
+	overlay := func() wire.OverlayStats {
+		st, err := cl.Stats(ctx)
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		return st.Overlay
+	}
+
+	sweep("warm-up")
+	warm := overlay()
+	if warm.PoolIdle == 0 || warm.LocalDeliveries == 0 || warm.Sends == 0 {
+		t.Fatalf("after the warm-up daemon 0 reports %+v; want pooled connections to daemon 1, local deliveries and transport sends", warm)
+	}
+
+	if err := d1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown daemon 1: %v", err)
+	}
+	if d1, err = daemon.Start(cfg1); err != nil {
+		t.Fatalf("restart daemon 1: %v", err)
+	}
+
+	sweep("after the restart")
+	after := overlay()
+	if after.Sends == warm.Sends || after.PoolRedials == warm.PoolRedials {
+		t.Errorf("overlay stats %+v -> %+v across the restart: the sweep met no stale connection, so it proved nothing", warm, after)
+	}
 }
 
 // TestDaemonColdStartServesAndDumps pins the basic single-daemon
@@ -254,13 +376,7 @@ func TestDaemonColdStartServesAndDumps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	rows := 0
-	for {
-		if _, ok := cur.Next(ctx); !ok {
-			break
-		}
-		rows++
-	}
+	rows := drainRows(ctx, cur)
 	if err := cur.Close(); err != nil {
 		t.Fatalf("cursor: %v", err)
 	}

@@ -1,0 +1,188 @@
+package daemon
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gridvine/internal/keyspace"
+	"gridvine/internal/mediation"
+	"gridvine/internal/simnet"
+	"gridvine/internal/tcpnet"
+	"gridvine/internal/triple"
+)
+
+var echo = simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+	return m, nil
+})
+
+// TestStagingLocalDeliveryOpensNoSocket: a message to a peer this daemon
+// hosts goes straight to its handler; one to a sibling daemon's peer
+// crosses the transport.
+func TestStagingLocalDeliveryOpensNoSocket(t *testing.T) {
+	sibling := tcpnet.NewTransport()
+	defer sibling.Close()
+	sibling.Register("theirs", echo)
+
+	tr := tcpnet.NewTransport()
+	defer tr.Close()
+	tr.AddPeer("theirs", sibling.Addr("theirs"))
+	s := &staging{t: tr, handlers: map[simnet.PeerID]simnet.Handler{}, hosted: map[simnet.PeerID]simnet.Handler{}}
+	s.Register("mine", echo)
+	s.Register("theirs", echo) // pgrid.Build registers every peer of the overlay
+	s.host("mine")
+
+	ctx := context.Background()
+	resp, err := s.Send(ctx, "theirs", "mine", simnet.Message{Type: "x", Payload: "local"})
+	if err != nil || resp.Payload != "local" {
+		t.Fatalf("local send: resp = %+v, err = %v", resp, err)
+	}
+	if msgs, _ := tr.Stats(); msgs != 0 || tr.PoolStats().Dials != 0 || s.local.Load() != 1 {
+		t.Fatalf("after a local send: transport messages %d, pool %+v, local %d; want no socket and one local delivery",
+			msgs, tr.PoolStats(), s.local.Load())
+	}
+
+	resp, err = s.Send(ctx, "mine", "theirs", simnet.Message{Type: "x", Payload: "remote"})
+	if err != nil || resp.Payload != "remote" {
+		t.Fatalf("remote send: resp = %+v, err = %v", resp, err)
+	}
+	if msgs, _ := tr.Stats(); msgs != 1 || tr.PoolStats().Dials != 1 || s.local.Load() != 1 {
+		t.Fatalf("after a remote send: transport messages %d, pool %+v, local %d; want one dialled exchange",
+			msgs, tr.PoolStats(), s.local.Load())
+	}
+}
+
+// TestStagingAbandonedDeliveryIsDrained: a fired ctx returns the sender
+// at once, as on the socket path, but the handler it walked away from
+// keeps running; drain waits for it and turns later deliveries away.
+func TestStagingAbandonedDeliveryIsDrained(t *testing.T) {
+	tr := tcpnet.NewTransport()
+	defer tr.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	s := &staging{t: tr, handlers: map[simnet.PeerID]simnet.Handler{}, hosted: map[simnet.PeerID]simnet.Handler{}}
+	s.Register("mine", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+		close(entered)
+		<-release
+		return m, nil
+	}))
+	s.host("mine")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-entered
+		cancel()
+	}()
+	if _, err := s.Send(ctx, "a", "mine", simnet.Message{Type: "x"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled while the handler is still running", err)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		s.drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("drain returned with a handler still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-drained
+	// Draining: the delivery is left to the transport, which knows no
+	// address for a peer only ever reached in-process.
+	if _, err := s.Send(context.Background(), "a", "mine", simnet.Message{Type: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
+		t.Fatalf("send after drain: err = %v, want ErrUnreachable", err)
+	}
+}
+
+// gate blocks the first delivery that passes through it once armed.
+type gate struct {
+	armed, taken     atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gate) wrap(h simnet.Handler) simnet.Handler {
+	return simnet.HandlerFunc(func(from simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+		if g.armed.Load() && g.taken.CompareAndSwap(false, true) {
+			close(g.entered)
+			<-g.release
+		}
+		return h.HandleMessage(from, m)
+	})
+}
+
+// TestShutdownWaitsForLocalDelivery: a write's sender gives up while the
+// responsible peer's handler — reached in-process, so no transport knows
+// about it — has not applied the mutation yet. Shutdown must wait for
+// that handler before the final snapshot: the digests it records have to
+// be the ones a restart recovers.
+func TestShutdownWaitsForLocalDelivery(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Peers: 4, ReplicaFactor: 2, Seed: 7, Daemons: 1}
+	d, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The issuer is responsible for none of the triple's keys, so the
+	// first delivery is the routed write under the caller's ctx, not the
+	// issuer's own replication (which no caller can abandon).
+	tr := triple.Triple{Subject: "s", Predicate: "Gate#p", Object: "o"}
+	var issuer *mediation.Peer
+	for _, h := range d.hosted {
+		path := h.peer.Node().Path()
+		if !path.IsPrefixOf(keyspace.HashDefault(tr.Subject)) &&
+			!path.IsPrefixOf(keyspace.HashDefault(tr.Predicate)) &&
+			!path.IsPrefixOf(keyspace.HashDefault(tr.Object)) {
+			issuer = h.peer
+			break
+		}
+	}
+	if issuer == nil {
+		t.Fatal("every hosted peer is responsible for one of the triple's keys")
+	}
+
+	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
+	d.stage.mu.Lock()
+	for id, h := range d.stage.hosted {
+		d.stage.hosted[id] = g.wrap(h)
+	}
+	d.stage.mu.Unlock()
+	g.armed.Store(true)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := issuer.InsertTripleContext(ctx, tr)
+		wrote <- err
+	}()
+	<-g.entered
+	cancel()
+	if err := <-wrote; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned write: err = %v, want context.Canceled", err)
+	}
+
+	down := make(chan error, 1)
+	go func() { down <- d.Shutdown(context.Background()) }()
+	select {
+	case err := <-down:
+		t.Fatalf("Shutdown returned (%v) with a local delivery still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(g.release)
+	if err := <-down; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	final := d.FinalDigests()
+
+	restarted, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer restarted.Shutdown(context.Background()) //nolint:errcheck
+	for id, want := range final {
+		if got := restarted.RecoveredDigests()[id]; got != want {
+			t.Errorf("%s: recovered digest %#x, shutdown digest %#x — a mutation landed after the final snapshot", id, got, want)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 // Package tcpnet provides a real-network Transport for GridVine peers:
 // each registered peer listens on a local TCP socket and messages are
-// exchanged as gob-encoded request/response frames. It implements
+// exchanged as gob-encoded request/response pairs over persistent
+// connections. A connection carries one exchange at a time and one
+// long-lived gob encoder/decoder pair, so after the first exchange a
+// message costs neither a dial nor gob's type descriptors; between
+// exchanges it waits in a small per-address pool. It implements
 // simnet.Registrar, so the overlay builders work unchanged over TCP — the
-// configuration used by the multi-process-style integration tests and the
-// gridvine CLI's --tcp mode.
+// configuration used by the daemons, the multi-process-style integration
+// tests and the gridvine CLI's --tcp mode.
 package tcpnet
 
 import (
@@ -19,6 +23,24 @@ import (
 	"gridvine/internal/simnet"
 )
 
+const (
+	// maxIdlePerAddr caps the idle connections kept per destination
+	// address. It bounds what the pool retains, never how many exchanges
+	// run at once: a Send that finds no idle connection dials one, and an
+	// exchange that finishes with the pool full closes its connection.
+	maxIdlePerAddr = 4
+	// retireBytes is the most one exchange may move over a connection
+	// that is pooled afterwards. A long-lived gob codec keeps buffers as
+	// large as the largest message it ever carried, on both ends;
+	// closing the connection after a big exchange frees them, so what the
+	// pool retains is bounded by this and not by the biggest batch.
+	retireBytes = 16 << 10
+	// maxIdleAge is how long a connection may sit idle and still be
+	// reused: after a quiet period a query dials rather than meet a
+	// half-open socket first.
+	maxIdleAge = 30 * time.Second
+)
+
 // request is the wire frame for one call.
 type request struct {
 	From simnet.PeerID
@@ -31,27 +53,22 @@ type response struct {
 	Err string
 }
 
-// Transport hosts peers on TCP sockets and dials peers by their registered
-// addresses. The zero value is not usable; call NewTransport.
+// Transport hosts peers on TCP sockets and reaches peers by their
+// registered addresses. The zero value is not usable; call NewTransport.
 type Transport struct {
 	mu      sync.RWMutex
 	addrs   map[simnet.PeerID]string
 	servers map[simnet.PeerID]*server
 	closed  bool
 
-	// stats
-	messages int
-	dropped  int
-	// Byte counters are atomic: countingConn tallies every gob chunk on
-	// the hot send path, which must not contend on the transport mutex.
+	// Counters are atomic: Send bumps them per message and clientConn per
+	// gob chunk, and the hot send path must not contend on the mutex.
+	messages  atomic.Int64
+	dropped   atomic.Int64
 	bytesSent atomic.Int64
 	bytesRecv atomic.Int64
-}
 
-type server struct {
-	ln      net.Listener
-	handler simnet.Handler
-	wg      sync.WaitGroup
+	pool pool
 }
 
 // NewTransport returns an empty TCP transport.
@@ -59,6 +76,7 @@ func NewTransport() *Transport {
 	return &Transport{
 		addrs:   make(map[simnet.PeerID]string),
 		servers: make(map[simnet.PeerID]*server),
+		pool:    pool{idle: make(map[string][]*clientConn)},
 	}
 }
 
@@ -77,8 +95,9 @@ func (t *Transport) Register(id simnet.PeerID, h simnet.Handler) {
 // daemon uses it to re-bind a peer to the port recorded before a
 // restart, keeping cross-process address books valid). It returns the
 // bound address. An addr of "127.0.0.1:0" selects an ephemeral port.
-// Any previous server for id is shut down first — also when the new
-// listen then fails, in which case id is left unhosted.
+// Any previous server for id is shut down first, its connections
+// included — also when the new listen then fails, in which case id is
+// left unhosted.
 func (t *Transport) RegisterOn(id simnet.PeerID, addr string, h simnet.Handler) (string, error) {
 	t.mu.Lock()
 	old, hadOld := t.servers[id]
@@ -86,8 +105,8 @@ func (t *Transport) RegisterOn(id simnet.PeerID, addr string, h simnet.Handler) 
 	t.mu.Unlock()
 	if hadOld {
 		// The old listener may hold the very address we are binding;
-		// release it (and drain its accept loop) before listening.
-		old.ln.Close()
+		// release it (and drain its connections) before listening.
+		old.stop()
 		old.wg.Wait()
 	}
 
@@ -95,18 +114,30 @@ func (t *Transport) RegisterOn(id simnet.PeerID, addr string, h simnet.Handler) 
 	if err != nil {
 		return "", err
 	}
-	srv := &server{ln: ln, handler: h}
+	srv := &server{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
 	t.mu.Lock()
 	t.servers[id] = srv
 	t.addrs[id] = ln.Addr().String()
 	t.mu.Unlock()
 
 	srv.wg.Add(1)
-	go srv.serve(id)
+	go srv.serve()
 	return ln.Addr().String(), nil
 }
 
-func (s *server) serve(id simnet.PeerID) {
+// server is one hosted peer: its listener, its handler and the
+// connections it has accepted.
+type server struct {
+	ln      net.Listener
+	handler simnet.Handler
+	wg      sync.WaitGroup // the accept loop and every connection handler
+
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	stopped bool
+}
+
+func (s *server) serve() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
@@ -116,23 +147,73 @@ func (s *server) serve(id simnet.PeerID) {
 		// Connection handlers join the server's WaitGroup so Close (and a
 		// replacing RegisterOn) returns only after every in-flight handler
 		// has finished — the daemon relies on this to snapshot with no
-		// overlay mutation still running. Exchanges are short-lived (Send
-		// dials per call and closes after the reply), so the wait is
-		// bounded by the slowest in-flight exchange.
+		// overlay mutation still running. Senders keep connections open
+		// between exchanges, so stop ends the idle ones itself; the wait
+		// is bounded by the slowest exchange in flight.
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
 }
 
+// stop closes the listener and ends every accepted connection: an idle
+// one at once, one with an exchange in flight after its reply (only its
+// next read fails). No request read after stop returns is handled. It
+// does not wait; wg does.
+func (s *server) stop() {
+	s.ln.Close() //nolint:errcheck // closing twice is harmless
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stopped = true
+	for c := range s.conns {
+		c.SetReadDeadline(time.Now()) //nolint:errcheck // fails only on a connection already closed
+	}
+}
+
+// track records an accepted connection so stop can end it; false means
+// the server stopped first.
+func (s *server) track(c net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	return true
+}
+
+func (s *server) isStopped() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stopped
+}
+
+func (s *server) untrack(c net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.conns, c)
+}
+
+// handleConn serves exchanges on one connection, one at a time, until
+// the sender closes it or the server stops.
 func (s *server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
+	if !s.track(conn) {
+		return
+	}
+	defer s.untrack(conn)
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt
+			return // connection closed, server stopped, or corrupt stream
+		}
+		// The deadline stop sets cannot fail a read that finds its data
+		// already there, so a request can still get this far; it is
+		// dropped unhandled, and its sender sees a stale connection.
+		if s.isStopped() {
+			return
 		}
 		msg, err := s.handler.HandleMessage(req.From, req.Msg)
 		resp := response{Msg: msg}
@@ -160,89 +241,263 @@ func (t *Transport) AddPeer(id simnet.PeerID, addr string) {
 	t.addrs[id] = addr
 }
 
-// Send implements simnet.Transport: it dials the destination, performs one
-// request/response exchange and closes the connection. Connection failures
-// surface as simnet.ErrUnreachable so the overlay's failure handling works
-// identically over TCP. The dial honours ctx, and cancelling ctx while the
-// exchange is in flight unblocks the socket read immediately (the
-// connection deadline is slammed shut), so a deadline-expired query never
-// waits out a slow peer.
+// Send implements simnet.Transport: one request/response exchange on a
+// connection to the destination — an idle pooled one when there is one,
+// a freshly dialled one otherwise; Send never waits for a connection,
+// because handlers send nested messages and a blocking cap could
+// deadlock. Connection failures surface as simnet.ErrUnreachable so the
+// overlay's failure handling works identically over TCP. A pooled
+// connection that fails before any byte of the response arrived was
+// closed by the other end while it sat idle (its peer restarted or
+// failed): Send redials once, and only a failed redial is reported — the
+// request may then have been handled twice, which overlay handlers
+// tolerate. The dial honours ctx, and cancelling ctx while the exchange
+// is in flight unblocks the socket read immediately (the connection
+// deadline is slammed shut), so a deadline-expired query never waits out
+// a slow peer.
 func (t *Transport) Send(ctx context.Context, from, to simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
-	t.mu.Lock()
-	t.messages++
+	t.messages.Add(1)
+	t.mu.RLock()
 	addr, ok := t.addrs[to]
 	closed := t.closed
-	if !ok || closed {
-		t.dropped++
-	}
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	if !ok {
+		t.dropped.Add(1)
 		return simnet.Message{}, fmt.Errorf("%w: %s (no address)", simnet.ErrUnreachable, to)
 	}
 	if closed {
+		t.dropped.Add(1)
 		return simnet.Message{}, fmt.Errorf("%w: transport closed", simnet.ErrUnreachable)
 	}
 	if err := ctx.Err(); err != nil {
 		return simnet.Message{}, err
 	}
 
+	req := request{From: from, Msg: msg}
+	c := t.pool.get(addr)
+	reused := c != nil
+	for {
+		if c == nil {
+			var err error
+			if c, err = t.dial(ctx, addr); err != nil {
+				t.dropped.Add(1)
+				if cerr := ctx.Err(); cerr != nil {
+					return simnet.Message{}, cerr
+				}
+				return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, err)
+			}
+		}
+		resp, err := t.exchange(ctx, addr, c, &req)
+		if err == nil {
+			if resp.Err != "" {
+				return simnet.Message{}, errors.New(resp.Err)
+			}
+			return resp.Msg, nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return simnet.Message{}, cerr
+		}
+		if !reused || c.recv > 0 {
+			return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, err)
+		}
+		// Stale pooled connection. Its idle siblings date from the same
+		// listener, so they go too.
+		t.pool.redials.Add(1)
+		t.pool.flush(addr)
+		c, reused = nil, false
+	}
+}
+
+func (t *Transport) dial(ctx context.Context, addr string) (*clientConn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		t.mu.Lock()
-		t.dropped++
-		t.mu.Unlock()
-		if cerr := ctx.Err(); cerr != nil {
-			return simnet.Message{}, cerr
-		}
-		return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, err)
+		return nil, err
 	}
-	defer conn.Close()
+	t.pool.dials.Add(1)
+	c := &clientConn{Conn: conn, t: t}
+	c.enc = gob.NewEncoder(c)
+	c.dec = gob.NewDecoder(c)
+	return c, nil
+}
+
+// exchange performs one request/response on c, then pools c or closes
+// it; the caller does not touch the connection again.
+func (t *Transport) exchange(ctx context.Context, addr string, c *clientConn, req *request) (response, error) {
+	c.sent, c.recv = 0, 0
 	// Propagate cancellation into the blocking reads/writes: a fired ctx
 	// forces an immediate deadline so the gob decode below unblocks.
 	stop := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Now()) //nolint:errcheck
+		c.Conn.SetDeadline(time.Now()) //nolint:errcheck
 	})
-	defer stop()
-
-	cc := &countingConn{Conn: conn, t: t}
-	enc := gob.NewEncoder(cc)
-	dec := gob.NewDecoder(cc)
-	if err := enc.Encode(request{From: from, Msg: msg}); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return simnet.Message{}, cerr
-		}
-		return simnet.Message{}, fmt.Errorf("%w: encoding to %s: %v", simnet.ErrUnreachable, to, err)
-	}
 	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return simnet.Message{}, cerr
+	err := c.enc.Encode(req)
+	if err != nil {
+		err = fmt.Errorf("encoding: %w", err)
+	} else if err = c.dec.Decode(&resp); err != nil {
+		err = fmt.Errorf("decoding: %w", err)
+	}
+	// A connection is reusable only when the stream is known to sit
+	// between two exchanges with no deadline pending: not after a failure
+	// (the reply may still arrive, and the next Send would read it as its
+	// own), and not when ctx fired — stop reports false — even if the
+	// reply beat the deadline.
+	switch fired := !stop(); {
+	case err != nil || fired:
+		c.Close() //nolint:errcheck
+	case c.sent+c.recv > retireBytes:
+		t.pool.retired.Add(1)
+		c.Close() //nolint:errcheck
+	default:
+		if !t.pool.put(addr, c) {
+			c.Close() //nolint:errcheck
 		}
-		return simnet.Message{}, fmt.Errorf("%w: decoding from %s: %v", simnet.ErrUnreachable, to, err)
 	}
-	if resp.Err != "" {
-		return simnet.Message{}, errors.New(resp.Err)
-	}
-	return resp.Msg, nil
+	return resp, err
 }
 
-// Fail closes a peer's listener, simulating a crash (the address stays
-// registered so dials fail with connection errors).
+// clientConn is the sending end of one persistent connection and its gob
+// codec. One goroutine owns it at a time: the Send running an exchange
+// on it, or nobody while it is pooled. Its Read and Write tally bytes
+// into the transport's counters and into the current exchange's.
+type clientConn struct {
+	net.Conn
+	t          *Transport
+	enc        *gob.Encoder
+	dec        *gob.Decoder
+	sent, recv int64 // bytes the current exchange has moved
+	idleSince  time.Time
+}
+
+func (c *clientConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if n > 0 {
+		c.sent += int64(n)
+		c.t.bytesSent.Add(int64(n))
+	}
+	return n, err
+}
+
+func (c *clientConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.recv += int64(n)
+		c.t.bytesRecv.Add(int64(n))
+	}
+	return n, err
+}
+
+// pool holds a transport's idle connections, per destination address,
+// most recently used last.
+type pool struct {
+	mu     sync.Mutex
+	idle   map[string][]*clientConn
+	closed bool
+
+	dials, reuses, redials, retired atomic.Uint64
+}
+
+// get takes the most recently used idle connection to addr, or nil.
+func (p *pool) get(addr string) *clientConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	list := p.idle[addr]
+	if len(list) == 0 {
+		return nil
+	}
+	c := list[len(list)-1]
+	if time.Since(c.idleSince) > maxIdleAge {
+		// The freshest is too old, so all are.
+		p.flushLocked(addr)
+		return nil
+	}
+	list[len(list)-1] = nil
+	p.idle[addr] = list[:len(list)-1]
+	p.reuses.Add(1)
+	return c
+}
+
+// put pools c; false means the pool is closed or full and the caller
+// closes c.
+func (p *pool) put(addr string, c *clientConn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || len(p.idle[addr]) >= maxIdlePerAddr {
+		return false
+	}
+	c.idleSince = time.Now()
+	p.idle[addr] = append(p.idle[addr], c)
+	return true
+}
+
+// flush closes every idle connection to addr.
+func (p *pool) flush(addr string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked(addr)
+}
+
+func (p *pool) flushLocked(addr string) {
+	for _, c := range p.idle[addr] {
+		c.Close() //nolint:errcheck
+	}
+	delete(p.idle, addr)
+}
+
+// close closes every idle connection and refuses further puts.
+func (p *pool) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for addr := range p.idle {
+		p.flushLocked(addr)
+	}
+}
+
+// PoolStats counts what the connection pool has done: connections
+// opened, exchanges that started on a pooled connection, reused
+// connections found stale and replaced by a fresh dial, connections
+// closed for having carried an exchange over the retire threshold, and
+// connections idle right now. Reuses/(Dials+Reuses) is the share of
+// exchanges that paid no dial.
+type PoolStats struct {
+	Dials, Reuses, Redials, Retired uint64
+	Idle                            int
+}
+
+// PoolStats returns a snapshot of the pool's counters.
+func (t *Transport) PoolStats() PoolStats {
+	p := &t.pool
+	st := PoolStats{
+		Dials:   p.dials.Load(),
+		Reuses:  p.reuses.Load(),
+		Redials: p.redials.Load(),
+		Retired: p.retired.Load(),
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, list := range p.idle {
+		st.Idle += len(list)
+	}
+	return st
+}
+
+// Fail stops a peer's server, simulating a crash: the listener and every
+// idle connection close (the address stays registered, so dials fail
+// with connection errors and pooled connections turn out stale); an
+// exchange already in flight still gets its reply.
 func (t *Transport) Fail(id simnet.PeerID) {
-	t.mu.Lock()
+	t.mu.RLock()
 	srv, ok := t.servers[id]
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	if ok {
-		srv.ln.Close()
+		srv.stop()
 	}
 }
 
 // Stats reports (attempted, dropped) message counts.
 func (t *Transport) Stats() (messages, dropped int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.messages, t.dropped
+	return int(t.messages.Load()), int(t.dropped.Load())
 }
 
 // Bytes reports the wire volume this transport's outgoing calls have moved
@@ -254,32 +509,10 @@ func (t *Transport) Bytes() (sent, received int64) {
 	return t.bytesSent.Load(), t.bytesRecv.Load()
 }
 
-// countingConn tallies the bytes of one request/response exchange into the
-// owning transport's counters.
-type countingConn struct {
-	net.Conn
-	t *Transport
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.t.bytesSent.Add(int64(n))
-	}
-	return n, err
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.t.bytesRecv.Add(int64(n))
-	}
-	return n, err
-}
-
-// Close shuts down every hosted listener and waits for in-flight
-// connection handlers to finish, so no handler invocation (and thus no
-// store mutation or WAL append) is running once Close returns.
+// Close closes the pooled connections, shuts down every hosted server
+// and waits for in-flight connection handlers to finish, so no handler
+// invocation (and thus no store mutation or WAL append) is running once
+// Close returns.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	t.closed = true
@@ -288,8 +521,11 @@ func (t *Transport) Close() {
 		servers = append(servers, s)
 	}
 	t.mu.Unlock()
+	t.pool.close()
 	for _, s := range servers {
-		s.ln.Close()
+		s.stop()
+	}
+	for _, s := range servers {
 		s.wg.Wait()
 	}
 }

@@ -61,9 +61,17 @@ func TestFailSimulatesCrash(t *testing.T) {
 	if _, err := tr.Send(context.Background(), "a", "victim", simnet.Message{Type: "x"}); err != nil {
 		t.Fatalf("pre-crash send: %v", err)
 	}
+	if ps := tr.PoolStats(); ps.Idle != 1 {
+		t.Fatalf("pool before the crash = %+v, want the connection idle in it", ps)
+	}
+	// The pooled connection must die with the listener: a failed peer
+	// that kept answering on it would never be suspected.
 	tr.Fail("victim")
 	if _, err := tr.Send(context.Background(), "a", "victim", simnet.Message{Type: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Errorf("post-crash err = %v", err)
+	}
+	if ps := tr.PoolStats(); ps.Redials != 1 || ps.Idle != 0 {
+		t.Errorf("pool after the crash = %+v, want one redial (refused) and nothing idle", ps)
 	}
 }
 
@@ -267,8 +275,16 @@ func TestRegisterOnReusesAddress(t *testing.T) {
 	if addr2 != addr {
 		t.Fatalf("re-bind moved the peer: %q -> %q", addr, addr2)
 	}
+	// The connection pooled before the re-bind belongs to the old
+	// listener. The first send after it must succeed all the same, at
+	// the price of exactly one redial.
+	before := tr.PoolStats()
 	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "y"}); err != nil {
 		t.Fatalf("send after re-bind: %v", err)
+	}
+	after := tr.PoolStats()
+	if after.Redials != before.Redials+1 || after.Dials != before.Dials+1 {
+		t.Errorf("pool %+v -> %+v across the re-bind, want one redial and one dial", before, after)
 	}
 
 	// A genuinely taken address must error, not panic.

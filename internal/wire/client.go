@@ -78,7 +78,6 @@ func (c *Client) readLoop() {
 }
 
 func (c *Client) fail(err error) {
-	c.c.Close()
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -86,6 +85,9 @@ func (c *Client) fail(err error) {
 	pending := c.pending
 	c.pending = map[uint64]chan any{}
 	c.mu.Unlock()
+	// Closed only once the reason is recorded: a writer that trips over
+	// the closed connection reports the reason, not the symptom.
+	c.c.Close()
 	for _, ch := range pending {
 		close(ch)
 	}
@@ -131,6 +133,12 @@ func (c *Client) writeFrame(t Type, msg any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if _, err := c.c.Write(buf); err != nil {
+		c.mu.Lock()
+		failed := c.err
+		c.mu.Unlock()
+		if failed != nil {
+			return failed
+		}
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	return nil

@@ -45,6 +45,7 @@ type Server struct {
 	hosted  map[string]Hosted
 	order   []string
 	started time.Time
+	overlay func() OverlayStats // nil: Stats reports no overlay counters
 
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
@@ -90,6 +91,11 @@ func NewServerOptions(daemon int, hosted []Hosted, opts Options) *Server {
 	}
 	return s
 }
+
+// SetOverlayStats gives the server the source of DaemonStats.Overlay —
+// the transport counters live with whoever assembled the peers, not with
+// the server. Call it before Serve.
+func (s *Server) SetOverlayStats(fn func() OverlayStats) { s.overlay = fn }
 
 // Serve accepts connections on ln until the listener closes (Shutdown
 // closes it). It returns after the accept loop exits; connection read
@@ -452,6 +458,9 @@ func (s *Server) statsSnapshot(id uint64) *DaemonStats {
 		QueriesServed: s.queriesServed.Load(),
 		WritesServed:  s.writesServed.Load(),
 		RowsStreamed:  s.rowsStreamed.Load(),
+	}
+	if s.overlay != nil {
+		out.Overlay = s.overlay()
 	}
 	for _, pid := range s.order {
 		peer := s.hosted[pid].Peer

@@ -187,6 +187,24 @@ type DaemonStats struct {
 	// LogErr): they keep serving from memory but no longer make writes
 	// durable.
 	JournalErrs int
+	// Overlay is where the daemon's overlay messages went; zero when the
+	// server was given no source for it.
+	Overlay OverlayStats
+}
+
+// OverlayStats counts a daemon's outgoing overlay messages: Sends crossed
+// the TCP transport, LocalDeliveries went straight to the handler of a
+// peer the same daemon hosts, and the Pool fields are the transport's
+// connection pool (tcpnet.PoolStats) — PoolReuses/(PoolDials+PoolReuses)
+// is the share of Sends that paid no dial.
+type OverlayStats struct {
+	Sends           uint64
+	LocalDeliveries uint64
+	PoolDials       uint64
+	PoolReuses      uint64
+	PoolRedials     uint64
+	PoolRetired     uint64
+	PoolIdle        int
 }
 
 // DumpReq asks for per-peer store dumps; Peer narrows to one hosted

@@ -68,7 +68,7 @@ func cmdDeploy(args []string) error {
 	fs.IntVar(&spec.Peers, "peers", 16, "total overlay peers")
 	fs.IntVar(&spec.ReplicaFactor, "replicas", 2, "overlay replication factor")
 	fs.Int64Var(&spec.Seed, "seed", 1, "deterministic overlay seed")
-	fs.IntVar(&spec.SnapshotEvery, "snapshot-every", 0, "journal snapshot cadence (0 = default)")
+	fs.IntVar(&spec.SnapshotEvery, "snapshot-every", 0, "journal snapshot cadence in records (0 = default: when the WAL outgrows the snapshot; <0 = never)")
 	fs.DurationVar(&spec.ReadyTimeout, "ready-timeout", 60*time.Second, "readiness wait")
 	fs.Parse(args) //nolint:errcheck
 	if spec.Dir == "" || spec.BinPath == "" {
@@ -160,13 +160,14 @@ func cmdStats(args []string) error {
 		if err != nil {
 			return err
 		}
-		ov := st.Overlay
-		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d overlay=%d sent/%d local pool=%d/%d/%d/%d dial/reuse/redial/retired idle=%d\n",
+		ov, j := st.Overlay, st.Journal
+		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d journal=%d snaps/%d snap-bytes/%d wal-bytes overlay=%d sent/%d local pool=%d/%d/%d/%d dial/reuse/redial/retired idle=%d\n",
 			st.Daemon, len(st.Peers), (time.Duration(st.UptimeMillis) * time.Millisecond).Round(time.Second),
 			st.Draining, st.QueriesServed, st.WritesServed, st.RowsStreamed,
 			st.ActiveQueries, st.ActiveWrites,
 			st.ActiveConns, st.ConnsRejected,
 			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries, st.JournalErrs,
+			j.Snapshots, j.SnapshotBytes, j.WALBytes,
 			ov.Sends, ov.LocalDeliveries, ov.PoolDials, ov.PoolReuses, ov.PoolRedials, ov.PoolRetired, ov.PoolIdle)
 		return nil
 	})

@@ -28,7 +28,7 @@ func main() {
 	flag.IntVar(&cfg.Peers, "peers", 16, "total overlay peers across the cluster")
 	flag.IntVar(&cfg.ReplicaFactor, "replicas", 2, "overlay replication factor")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "deterministic overlay seed (must match across the cluster)")
-	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "WAL records between snapshots (0 = store default)")
+	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "WAL records between snapshots (0 = store default: once the WAL is as long as the snapshot and holds 256 records; <0 = never)")
 	flag.StringVar(&cfg.ClientAddr, "client-addr", "", "wire listen address (default: reuse previous, else ephemeral)")
 	flag.DurationVar(&cfg.PeerWait, "peer-wait", 30*time.Second, "how long to wait for sibling daemons' address files")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "shutdown drain budget before in-flight work is cancelled")

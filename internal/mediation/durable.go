@@ -24,10 +24,10 @@ import (
 // append can lose that one batch locally. That gap is exactly what §6
 // digest anti-entropy closes on rejoin — the replicas that acked the
 // same batch re-ship it — which is why the restart experiment measures
-// repair bytes after recovery rather than assuming zero. Deletes of
-// values that were never present locally leave a tombstone without a
-// store change; those fire no hook and are durable only from the next
-// snapshot onward.
+// repair bytes after recovery rather than assuming zero. A delete of a
+// value that was never present locally changes no stored value but does
+// leave a tombstone; the hook reports it like any other delete, so the
+// tombstone is as durable as the record that carries it.
 
 // NewDurablePeer wraps a fresh overlay node with mediation behaviour,
 // loads the recovered state from rec into it (a nil rec or an empty
@@ -75,13 +75,12 @@ func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
 	// Rebuild the relational mirror: every triple value in the restored
 	// overlay store belongs in it, and set-semantic inserts collapse the
 	// up-to-three key copies of each triple to one row.
-	restored, _ := p.node.DumpState()
 	var ts []triple.Triple
-	for _, it := range restored {
-		if t, ok := it.Value.(triple.Triple); ok {
+	p.node.VisitState(func(_ string, value any, tomb bool) {
+		if t, ok := value.(triple.Triple); ok && !tomb {
 			ts = append(ts, t)
 		}
-	}
+	})
 	p.db.InsertBatch(ts)
 	// Warm the stats cache once over the recovered state so the peer can
 	// republish stats digests immediately.
@@ -96,16 +95,18 @@ func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
 // and LogErr exposes the degradation.
 func (p *Peer) AttachLog(l *store.Log) {
 	l.SetSnapshotSource(func() (items, tombs []store.Entry) {
-		si, st := p.node.DumpState()
-		items = make([]store.Entry, len(si))
-		for i, it := range si {
-			items[i] = store.Entry{Op: store.OpInsert, Key: it.Key, Value: it.Value}
-		}
-		tombs = make([]store.Entry, len(st))
-		for i, tb := range st {
-			tombs[i] = store.Entry{Op: store.OpDelete, Key: tb.Key, Value: tb.Value}
-		}
-		return items, tombs
+		// One slice, items then tombstones, so the log encodes it as is.
+		all := make([]store.Entry, 0, p.node.StoreSize()+p.node.TombstoneCount())
+		live := 0
+		p.node.VisitState(func(key string, value any, tomb bool) {
+			op := store.OpDelete
+			if !tomb {
+				op = store.OpInsert
+				live++
+			}
+			all = append(all, store.Entry{Op: op, Key: key, Value: value})
+		})
+		return all[:live], all[live:]
 	})
 	p.walMu.Lock()
 	p.wal = l
@@ -116,20 +117,31 @@ func (p *Peer) AttachLog(l *store.Log) {
 // mutation could not be made durable and the on-disk state is behind
 // the in-memory one. Nil when no log is attached.
 func (p *Peer) LogErr() error {
-	p.walMu.RLock()
-	l := p.wal
-	p.walMu.RUnlock()
-	if l == nil {
-		return nil
+	if l := p.journal(); l != nil {
+		return l.Err()
 	}
-	return l.Err()
+	return nil
+}
+
+// JournalStats returns the attached log's bookkeeping (snapshots taken,
+// snapshot and WAL lengths); zero when no log is attached.
+func (p *Peer) JournalStats() store.Stats {
+	if l := p.journal(); l != nil {
+		return l.Stats()
+	}
+	return store.Stats{}
+}
+
+// journal returns the attached log, nil when there is none.
+func (p *Peer) journal() *store.Log {
+	p.walMu.RLock()
+	defer p.walMu.RUnlock()
+	return p.wal
 }
 
 // logMutations appends one observed hook invocation as one WAL record.
 func (p *Peer) logMutations(muts []pgrid.StoreMutation) {
-	p.walMu.RLock()
-	l := p.wal
-	p.walMu.RUnlock()
+	l := p.journal()
 	if l == nil || len(muts) == 0 {
 		return
 	}

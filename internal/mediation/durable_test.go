@@ -83,9 +83,7 @@ func TestDurableRestartRejoin(t *testing.T) {
 	fsys := store.NewMemFS()
 	net, peers := durableTestNetwork(t, fsys, 12, 5)
 
-	// Bulk load with inserts only, so the victim's WAL+snapshot covers its
-	// whole store (absent-value delete tombstones are not hook-visible and
-	// would make the digest comparison approximate).
+	// Bulk load: the victim's WAL+snapshot must cover its whole store.
 	load := &Batch{Parallelism: 1}
 	for i := 0; i < 40; i++ {
 		load.InsertTriple(triple.Triple{
@@ -209,5 +207,59 @@ func TestDurablePeerColdStart(t *testing.T) {
 	}
 	if logged == 0 {
 		t.Fatal("no peer journaled the insert")
+	}
+}
+
+// TestTombstoneOnlyDeleteIsJournaled: a delete that arrives before the
+// insert it cancels changes no stored value — it only leaves a tombstone —
+// and must still reach the journal. The peer crashes before any snapshot,
+// restarts from its WAL alone, and a repair response from a replica that
+// holds the value (it missed the delete) must not resurrect it.
+func TestTombstoneOnlyDeleteIsJournaled(t *testing.T) {
+	ctx := context.Background()
+	fsys := store.NewMemFS()
+	net, peers := durableTestNetwork(t, fsys, 4, 3)
+	tr := triple.Triple{Subject: "urn:raced", Predicate: "Dur#p", Object: "x"}
+	key := peers[0].tripleKeys(tr)[0]
+	var group []*Peer
+	for _, p := range peers {
+		if p.Node().Responsible(key) {
+			group = append(group, p)
+		}
+	}
+	if len(group) != 2 {
+		t.Fatalf("%d peers responsible for the subject key, want a replica pair", len(group))
+	}
+	victim, replica := group[0], group[1]
+
+	// The replica is down for the delete and holds the value afterwards,
+	// as if the insert had reached it and the delete had not.
+	net.Fail(replica.Node().ID())
+	if _, err := victim.DeleteTripleContext(ctx, tr); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	net.Recover(replica.Node().ID())
+	replica.Node().RestoreState([]pgrid.SubtreeItem{{Key: key.String(), Value: tr}}, nil, nil)
+	if victim.Node().TombstoneCount() == 0 || len(victim.Node().LocalGet(key)) != 0 {
+		t.Fatalf("victim holds %d tombstones and %d values, want a tombstone and nothing stored",
+			victim.Node().TombstoneCount(), len(victim.Node().LocalGet(key)))
+	}
+
+	net.Fail(victim.Node().ID())
+	restarted, rec := rebuildPeer(t, fsys, net, victim.Node())
+	net.Recover(victim.Node().ID())
+	if len(rec.SnapshotItems)+len(rec.SnapshotTombs) != 0 || rec.Records == 0 {
+		t.Fatalf("recovery = %d snapshot entries and %d WAL records, want the WAL alone", len(rec.SnapshotItems)+len(rec.SnapshotTombs), rec.Records)
+	}
+	if restarted.Node().TombstoneCount() == 0 {
+		t.Fatal("the tombstone did not survive the restart")
+	}
+
+	stats := restarted.Node().AntiEntropy(ctx)
+	if got := restarted.Node().LocalGet(key); len(got) != 0 || restarted.DB().Has(tr) {
+		t.Fatalf("repair resurrected the deleted value: store %v, mirror has it: %v (stats %+v)", got, restarted.DB().Has(tr), stats)
+	}
+	if got := replica.Node().LocalGet(key); len(got) != 0 {
+		t.Fatalf("replica still holds %v after the round: the tombstone was not pushed (stats %+v)", got, stats)
 	}
 }

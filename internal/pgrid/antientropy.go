@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"reflect"
 	"slices"
 	"sort"
 
@@ -250,16 +249,15 @@ func (n *Node) mergeRepair(tombs []Tombstone, items []SubtreeItem) (deleted, ins
 				continue
 			}
 			n.recordTombLocked(t.Key, t.Value)
+			muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: t.Value})
 			if n.deleteLocked(t.Key, t.Value) {
-				muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: t.Value})
 				deleted++
 			}
 		}
 		for _, it := range items {
 			key, err := keyspace.ParseKey(it.Key)
-			tombstoned := slices.ContainsFunc(n.tombs[it.Key], func(t tombEntry) bool {
-				return reflect.DeepEqual(t.value, it.Value)
-			})
+			same := sameAs(it.Value)
+			tombstoned := slices.ContainsFunc(n.tombs[it.Key], func(t tombEntry) bool { return same.is(t.value) })
 			if err == nil && !tombstoned && n.insertLocked(it.Key, it.Value) {
 				muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: it.Value})
 				inserted++

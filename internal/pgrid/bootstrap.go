@@ -3,7 +3,6 @@ package pgrid
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
@@ -196,8 +195,9 @@ func syncStoresLocked(a, b *Node) {
 }
 
 func appendUniqueLocked(n *Node, key string, value any) {
+	same := sameAs(value)
 	for _, v := range n.store[key] {
-		if reflect.DeepEqual(v, value) {
+		if same.is(v) {
 			return
 		}
 	}

@@ -102,6 +102,8 @@ type Node struct {
 }
 
 // StoreMutation is one observed store change, as delivered to a StoreHook.
+// An OpDelete is delivered for every recorded tombstone, whether or not the
+// value was stored: the tombstone is the change.
 type StoreMutation struct {
 	Op    Op // OpInsert or OpDelete (replaces are expanded)
 	Key   keyspace.Key
@@ -289,14 +291,57 @@ func (n *Node) LocalGet(key keyspace.Key) []any {
 	return out
 }
 
+// valueEq is the store's value equality against one value: the answer of
+// reflect.DeepEqual, reached with == when the value is plain
+// (triple.Triple — an insert under a predicate key compares against every
+// value there, and DeepEqual was most of its cost). A scan builds it once,
+// with sameAs.
+type valueEq struct {
+	value any
+	plain bool
+}
+
+func sameAs(value any) valueEq {
+	return valueEq{value: value, plain: plain(reflect.ValueOf(value))}
+}
+
+// plain reports whether v holds only booleans, numbers and strings, directly
+// or in nested structs — no pointer, interface, channel, map, slice, func
+// or array, so that == on two such values of one type is DeepEqual.
+func plain(v reflect.Value) bool {
+	switch k := v.Kind(); {
+	case k == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !plain(v.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case k == reflect.String, reflect.Bool <= k && k <= reflect.Complex128:
+		return true
+	}
+	return false
+}
+
+// is reports whether other equals the value. Interface == is false for
+// different dynamic types, as DeepEqual is, and cannot panic here: a plain
+// type is comparable.
+func (e valueEq) is(other any) bool {
+	if e.plain {
+		return other == e.value
+	}
+	return reflect.DeepEqual(other, e.value)
+}
+
 // insertLocked stores value under key, collapsing exact duplicates, and
 // reports whether the store changed; n.mu must be held. A direct insert
 // supersedes any matching tombstone: re-publishing a previously deleted
 // value must stick, so the tombstone is cleared before the value lands.
 func (n *Node) insertLocked(key string, value any) bool {
-	n.clearTombLocked(key, value)
+	same := sameAs(value)
+	n.clearTombLocked(key, same)
 	for _, v := range n.store[key] {
-		if reflect.DeepEqual(v, value) {
+		if same.is(v) {
 			return false
 		}
 	}
@@ -311,8 +356,9 @@ func (n *Node) insertLocked(key string, value any) bool {
 // tombstone is refreshed in place.
 func (n *Node) recordTombLocked(key string, value any) {
 	n.tombSeq++
+	same := sameAs(value)
 	for i, t := range n.tombs[key] {
-		if reflect.DeepEqual(t.value, value) {
+		if same.is(t.value) {
 			n.tombs[key][i].seq = n.tombSeq
 			return
 		}
@@ -324,11 +370,11 @@ func (n *Node) recordTombLocked(key string, value any) {
 	}
 }
 
-// clearTombLocked removes a tombstone matching (key, value); n.mu held.
-func (n *Node) clearTombLocked(key string, value any) {
+// clearTombLocked removes a tombstone for the value under key; n.mu held.
+func (n *Node) clearTombLocked(key string, same valueEq) {
 	ts := n.tombs[key]
 	for i, t := range ts {
-		if reflect.DeepEqual(t.value, value) {
+		if same.is(t.value) {
 			n.tombs[key] = append(ts[:i:i], ts[i+1:]...)
 			if len(n.tombs[key]) == 0 {
 				delete(n.tombs, key)
@@ -371,8 +417,9 @@ func (n *Node) TombstoneCount() int {
 // reports whether the store changed; n.mu must be held.
 func (n *Node) deleteLocked(key string, value any) bool {
 	vs := n.store[key]
+	same := sameAs(value)
 	for i, v := range vs {
-		if reflect.DeepEqual(v, value) {
+		if same.is(v) {
 			n.store[key] = append(vs[:i:i], vs[i+1:]...)
 			if len(n.store[key]) == 0 {
 				delete(n.store, key)
@@ -466,19 +513,19 @@ func (n *Node) replaceLocked(key string, value any) (removed []any, inserted boo
 	rep, _ := value.(Replacer)
 	vs := n.store[key]
 	kept := make([]any, 0, len(vs)+1)
-	dup := false
+	dup, same := false, sameAs(value)
 	for _, v := range vs {
 		if rep != nil && rep.Replaces(v) {
 			removed = append(removed, v)
 			n.recordTombLocked(key, v)
 			continue
 		}
-		if !dup && reflect.DeepEqual(v, value) {
+		if !dup && same.is(v) {
 			dup = true
 		}
 		kept = append(kept, v)
 	}
-	n.clearTombLocked(key, value)
+	n.clearTombLocked(key, same)
 	if !dup {
 		kept = append(kept, value)
 	}
@@ -544,9 +591,8 @@ func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []in
 				}
 			case OpDelete:
 				n.recordTombLocked(e.Key, e.Value)
-				if n.deleteLocked(e.Key, e.Value) {
-					muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: e.Value})
-				}
+				n.deleteLocked(e.Key, e.Value)
+				muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: e.Value})
 			case OpReplace:
 				removed, inserted := n.replaceLocked(e.Key, e.Value)
 				for _, v := range removed {

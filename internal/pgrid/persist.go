@@ -8,6 +8,21 @@ import "sort"
 // replicas) is deliberately excluded: it is rediscovered on rejoin,
 // while store content is what a crash must not lose.
 func (n *Node) DumpState() (items []SubtreeItem, tombs []Tombstone) {
+	n.VisitState(func(key string, value any, tomb bool) {
+		if tomb {
+			tombs = append(tombs, Tombstone{Key: key, Value: value})
+		} else {
+			items = append(items, SubtreeItem{Key: key, Value: value})
+		}
+	})
+	return items, tombs
+}
+
+// VisitState is DumpState without the slices: it calls visit for every
+// live item, then for every tombstone (tomb true), each group in key
+// order. visit runs under the node's read lock and must not call back
+// into the node.
+func (n *Node) VisitState(visit func(key string, value any, tomb bool)) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	keys := make([]string, 0, len(n.store))
@@ -17,20 +32,19 @@ func (n *Node) DumpState() (items []SubtreeItem, tombs []Tombstone) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		for _, v := range n.store[k] {
-			items = append(items, SubtreeItem{Key: k, Value: v})
+			visit(k, v, false)
 		}
 	}
-	tkeys := make([]string, 0, len(n.tombs))
+	keys = keys[:0]
 	for k := range n.tombs {
-		tkeys = append(tkeys, k)
+		keys = append(keys, k)
 	}
-	sort.Strings(tkeys)
-	for _, k := range tkeys {
+	sort.Strings(keys)
+	for _, k := range keys {
 		for _, t := range n.tombs[k] {
-			tombs = append(tombs, Tombstone{Key: k, Value: t.value})
+			visit(k, t.value, true)
 		}
 	}
-	return items, tombs
 }
 
 // RestoreState loads recovered durable state into the node: snapshot

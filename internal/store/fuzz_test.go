@@ -15,7 +15,7 @@ func buildValidLog(tb testing.TB) []byte {
 			{Op: OpInsert, Key: "0101", Value: triple.Triple{Subject: "urn:s", Predicate: "urn:p", Object: "o"}},
 			{Op: OpDelete, Key: "1100", Value: triple.Triple{Subject: "urn:s2", Predicate: "urn:p", Object: "o2"}},
 		}}
-		b, err := encodeRecord(rec)
+		b, err := encodeRecord(nil, rec)
 		if err != nil {
 			tb.Fatal(err)
 		}

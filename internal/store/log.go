@@ -17,12 +17,20 @@ const (
 
 // Options tunes a Log.
 type Options struct {
-	// SnapshotEvery is the number of appended records after which
-	// MaybeSnapshot takes a snapshot and truncates the WAL. 0 selects
-	// the default (256); negative disables automatic snapshots.
+	// SnapshotEvery, when positive, is the exact number of appended
+	// records after which MaybeSnapshot takes a snapshot and truncates
+	// the WAL; negative disables automatic snapshots; 0 selects the
+	// size-proportional default (see defaultSnapshotEvery).
 	SnapshotEvery int
 }
 
+// defaultSnapshotEvery is the record floor of the default trigger, which
+// fires once the WAL holds that many records and is at least as long as
+// the snapshot it would replace. Below the floor a snapshot is not worth
+// its fsyncs and rename; above it each snapshot is paid for by at least
+// its predecessor's length in WAL bytes, so snapshot bytes written stay
+// within a constant factor of WAL bytes written, and recovery replays
+// about one snapshot's worth of log.
 const defaultSnapshotEvery = 256
 
 // Recovery is what Open found on disk: the last snapshot's state plus
@@ -85,7 +93,8 @@ type Log struct {
 	pendingRecs int
 	flushing    bool // a leader is writing+fsyncing outside the lock
 	syncs       int64
-	sinceSnap   int
+	sinceSnap   int   // records flushed to the WAL since the last snapshot
+	stats       Stats // what the default trigger compares; see Stats
 	snapEvery   int
 	source      func() (items, tombs []Entry)
 	err         error
@@ -106,8 +115,10 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 
 	rec := &Recovery{}
 	var snapSeq uint64
+	var stats Stats
 	snapPath := filepath.Join(dir, snapFile)
 	if data, err := fsys.ReadFile(snapPath); err == nil {
+		stats.SnapshotBytes = int64(len(data))
 		snap, derr := decodeSnapshot(data)
 		if derr != nil {
 			// A crash cannot produce a corrupt snapshot (it is written
@@ -155,14 +166,11 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		return nil, nil, fmt.Errorf("store: WAL decode: %w", decErr)
 	}
 	rec.LastSeq = lastSeq
+	stats.WALBytes = int64(goodLen)
 
 	wal, err := fsys.Append(walPath)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: open WAL for append: %w", err)
-	}
-	snapEvery := opts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = defaultSnapshotEvery
 	}
 	l := &Log{
 		fs:         fsys,
@@ -171,7 +179,8 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		seq:        lastSeq,
 		flushedSeq: lastSeq,
 		sinceSnap:  rec.Records,
-		snapEvery:  snapEvery,
+		stats:      stats,
+		snapEvery:  opts.SnapshotEvery,
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l, rec, nil
@@ -212,7 +221,9 @@ func decodeSnapshot(data []byte) (snapshotRecord, error) {
 // SetSnapshotSource registers the function that produces the full
 // store state (live items plus tombstones) for snapshots. It must be
 // set before Snapshot/MaybeSnapshot are used; it is called without any
-// Log-external locks held by the Log itself.
+// Log-external locks held by the Log itself. The returned slices become
+// the Log's: it encodes append(items, tombs...), which copies nothing
+// when the source laid the tombstones out right behind the items.
 func (l *Log) SetSnapshotSource(fn func() (items, tombs []Entry)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -235,8 +246,8 @@ func (l *Log) Append(entries []Entry) error {
 		l.mu.Unlock()
 		return errors.New("store: log closed")
 	}
-	buf, err := encodeRecord(Record{Seq: l.seq + 1, Entries: entries})
-	if err != nil {
+	var err error
+	if l.pending, err = encodeRecord(l.pending, Record{Seq: l.seq + 1, Entries: entries}); err != nil {
 		l.err = err
 		l.cond.Broadcast()
 		l.mu.Unlock()
@@ -244,7 +255,6 @@ func (l *Log) Append(entries []Entry) error {
 	}
 	l.seq++
 	seq := l.seq
-	l.pending = append(l.pending, buf...)
 	l.pendingRecs++
 
 	// Wait until our record is durable, an error kills the log, or it
@@ -290,22 +300,35 @@ func (l *Log) flushPendingLocked() error {
 	if werr != nil {
 		l.err = werr
 	} else {
-		l.flushedSeq = target
-		l.sinceSnap += recs
-		l.syncs++
+		l.flushedLocked(target, recs, len(group))
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	return werr
 }
 
-// MaybeSnapshot takes a snapshot if at least SnapshotEvery records
-// accumulated since the last one. Call it after applying an appended
-// batch to the store, so the snapshot source covers it.
+// flushedLocked accounts for one group that reached the disk.
+func (l *Log) flushedLocked(target uint64, recs, bytes int) {
+	l.flushedSeq = target
+	l.sinceSnap += recs
+	l.stats.WALBytes += int64(bytes)
+	l.syncs++
+}
+
+// MaybeSnapshot takes a snapshot if one is due (see
+// Options.SnapshotEvery). Call it after applying an appended batch to
+// the store, so the snapshot source covers it.
 func (l *Log) MaybeSnapshot() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.snapEvery < 0 || l.sinceSnap < l.snapEvery || l.source == nil {
+	var due bool
+	switch {
+	case l.snapEvery > 0:
+		due = l.sinceSnap >= l.snapEvery
+	case l.snapEvery == 0:
+		due = l.sinceSnap >= defaultSnapshotEvery && l.stats.WALBytes >= l.stats.SnapshotBytes
+	}
+	if !due || l.source == nil {
 		return l.err
 	}
 	return l.snapshotLocked()
@@ -342,10 +365,7 @@ func (l *Log) snapshotLocked() error {
 		return errors.New("store: no snapshot source registered")
 	}
 	items, tombs := l.source()
-	entries := make([]Entry, 0, len(items)+len(tombs))
-	entries = append(entries, items...)
-	entries = append(entries, tombs...)
-	buf, err := encodeRecord(Record{Seq: l.seq, Entries: entries})
+	buf, err := encodeRecord(make([]byte, 0, l.stats.SnapshotBytes), Record{Seq: l.seq, Entries: append(items, tombs...)})
 	if err != nil {
 		l.err = err
 		l.cond.Broadcast()
@@ -388,6 +408,7 @@ func (l *Log) snapshotLocked() error {
 	}
 	l.wal = wal
 	l.sinceSnap = 0
+	l.stats = Stats{Snapshots: l.stats.Snapshots + 1, SnapshotBytes: int64(len(buf))}
 	l.pending = nil
 	l.pendingRecs = 0
 	l.flushedSeq = l.seq
@@ -430,6 +451,21 @@ func (l *Log) Syncs() int64 {
 	return l.syncs
 }
 
+// Stats is the journal's bookkeeping: the two lengths the default
+// snapshot trigger compares, and how often a snapshot has been taken.
+type Stats struct {
+	Snapshots     int64 // snapshots taken since Open
+	SnapshotBytes int64 // length of the snapshot file (0: none yet)
+	WALBytes      int64 // length of the WAL file: bytes flushed since that snapshot
+}
+
+// Stats returns the journal's current bookkeeping.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
+
 // Close flushes any staged records, then closes the WAL handle. The
 // log cannot be used afterwards.
 func (l *Log) Close() error {
@@ -458,9 +494,7 @@ func (l *Log) Close() error {
 		} else if err := l.wal.Sync(); err != nil {
 			l.err = fmt.Errorf("store: WAL fsync: %w", err)
 		} else {
-			l.flushedSeq = target
-			l.sinceSnap += recs
-			l.syncs++
+			l.flushedLocked(target, recs, len(group))
 		}
 	}
 	l.closed = true

@@ -117,7 +117,7 @@ func TestLogSequenceGapCut(t *testing.T) {
 	l.Append(entryN(1))
 	l.Close()
 	// Forge a seq-9 record onto the tail.
-	forged, err := encodeRecord(Record{Seq: 9, Entries: entryN(2)})
+	forged, err := encodeRecord(nil, Record{Seq: 9, Entries: entryN(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

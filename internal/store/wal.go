@@ -59,19 +59,24 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // record.
 var errBadRecord = errors.New("store: bad WAL record")
 
-// encodeRecord frames one record for appending.
-func encodeRecord(rec Record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return nil, fmt.Errorf("store: encode WAL record: %w", err)
+// encodeRecord appends one framed record to dst and returns the extended
+// slice (dst itself, unextended, on error). The payload is encoded straight
+// behind its reserved header, which is then filled in place, so a caller
+// that sizes dst's capacity — the snapshot does, from the previous
+// snapshot's length — pays no copy at all.
+func encodeRecord(dst []byte, rec Record) ([]byte, error) {
+	start := len(dst)
+	w := bytes.NewBuffer(append(dst, make([]byte, frameHeader)...))
+	if err := gob.NewEncoder(w).Encode(rec); err != nil {
+		return dst, fmt.Errorf("store: encode WAL record: %w", err)
 	}
-	if payload.Len() > maxRecordSize {
-		return nil, fmt.Errorf("store: WAL record too large (%d bytes)", payload.Len())
+	buf := w.Bytes()
+	payload := buf[start+frameHeader:]
+	if len(payload) > maxRecordSize {
+		return dst, fmt.Errorf("store: WAL record too large (%d bytes)", len(payload))
 	}
-	buf := make([]byte, frameHeader+payload.Len())
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	copy(buf[frameHeader:], payload.Bytes())
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
 	return buf, nil
 }
 

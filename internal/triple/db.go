@@ -13,15 +13,16 @@ import (
 const shardCount = 32
 
 // shard is one lock stripe: the triples whose subject hashes to this stripe,
-// plus the three positional equality indexes restricted to those triples.
-// A given subject lives in exactly one shard; predicate and object indexes
-// are therefore partial per shard and cross-shard lookups union them.
+// filed under the three positional equality indexes restricted to those
+// triples. A given subject lives in exactly one shard, so bySubject doubles
+// as the shard's membership set (there is no separate triple set);
+// predicate and object indexes are partial per shard and cross-shard
+// lookups union them.
 type shard struct {
 	mu          sync.RWMutex
-	triples     map[Triple]struct{}
-	bySubject   map[string]map[Triple]struct{}
-	byPredicate map[string]map[Triple]struct{}
-	byObject    map[string]map[Triple]struct{}
+	bySubject   map[string]posting
+	byPredicate map[string]posting
+	byObject    map[string]posting
 }
 
 // DB is the local database DB_p each peer maintains for the triples it is
@@ -55,10 +56,9 @@ func NewDB() *DB {
 	db := &DB{}
 	for i := range db.shards {
 		s := &db.shards[i]
-		s.triples = make(map[Triple]struct{})
-		s.bySubject = make(map[string]map[Triple]struct{})
-		s.byPredicate = make(map[string]map[Triple]struct{})
-		s.byObject = make(map[string]map[Triple]struct{})
+		s.bySubject = make(map[string]posting)
+		s.byPredicate = make(map[string]posting)
+		s.byObject = make(map[string]posting)
 	}
 	return db
 }
@@ -82,22 +82,31 @@ func (db *DB) shardFor(subject string) *shard {
 	return &db.shards[fnv1a(subject)&(shardCount-1)]
 }
 
+// insert files t under its three keys unless it is already stored; s.mu
+// must be held.
+func (s *shard) insert(t Triple) bool {
+	if s.bySubject[t.Subject].has(t) {
+		return false
+	}
+	row := new(Triple) // after the check: a duplicate allocates nothing
+	*row = t
+	addIndex(s.bySubject, t.Subject, row)
+	addIndex(s.byPredicate, t.Predicate, row)
+	addIndex(s.byObject, t.Object, row)
+	return true
+}
+
 // Insert adds a triple (idempotent) and reports whether it was new.
 func (db *DB) Insert(t Triple) bool {
 	s := db.shardFor(t.Subject)
 	s.mu.Lock()
-	if _, ok := s.triples[t]; ok {
-		s.mu.Unlock()
-		return false
-	}
-	s.triples[t] = struct{}{}
-	addIndex(s.bySubject, t.Subject, t)
-	addIndex(s.byPredicate, t.Predicate, t)
-	addIndex(s.byObject, t.Object, t)
+	inserted := s.insert(t)
 	s.mu.Unlock()
-	db.size.Add(1)
-	db.statsGen.Add(1)
-	return true
+	if inserted {
+		db.size.Add(1)
+		db.statsGen.Add(1)
+	}
+	return inserted
 }
 
 // InsertBatch adds a set of triples, visiting each affected shard once
@@ -122,14 +131,9 @@ func (db *DB) InsertBatch(ts []Triple) int {
 		s := &db.shards[i]
 		s.mu.Lock()
 		for _, t := range group {
-			if _, ok := s.triples[t]; ok {
-				continue
+			if s.insert(t) {
+				inserted++
 			}
-			s.triples[t] = struct{}{}
-			addIndex(s.bySubject, t.Subject, t)
-			addIndex(s.byPredicate, t.Predicate, t)
-			addIndex(s.byObject, t.Object, t)
-			inserted++
 		}
 		s.mu.Unlock()
 	}
@@ -144,11 +148,10 @@ func (db *DB) InsertBatch(ts []Triple) int {
 func (db *DB) Delete(t Triple) bool {
 	s := db.shardFor(t.Subject)
 	s.mu.Lock()
-	if _, ok := s.triples[t]; !ok {
+	if !s.bySubject[t.Subject].has(t) {
 		s.mu.Unlock()
 		return false
 	}
-	delete(s.triples, t)
 	dropIndex(s.bySubject, t.Subject, t)
 	dropIndex(s.byPredicate, t.Predicate, t)
 	dropIndex(s.byObject, t.Object, t)
@@ -162,7 +165,7 @@ func (db *DB) Delete(t Triple) bool {
 func (db *DB) Has(t Triple) bool {
 	s := db.shardFor(t.Subject)
 	s.mu.RLock()
-	_, ok := s.triples[t]
+	ok := s.bySubject[t.Subject].has(t)
 	s.mu.RUnlock()
 	return ok
 }
@@ -179,8 +182,8 @@ func (db *DB) All() []Triple {
 	for i := range db.shards {
 		s := &db.shards[i]
 		s.mu.RLock()
-		for t := range s.triples {
-			out = append(out, t)
+		for _, p := range s.bySubject {
+			p.each(func(t Triple) { out = append(out, t) })
 		}
 		s.mu.RUnlock()
 	}
@@ -245,7 +248,7 @@ func (db *DB) planSelect(q Pattern) selectPlan {
 	if q.S.Kind == Constant {
 		s := db.shardFor(q.S.Value)
 		s.mu.RLock()
-		n := len(s.bySubject[q.S.Value])
+		n := s.bySubject[q.S.Value].len()
 		s.mu.RUnlock()
 		consider(Subject, n)
 	}
@@ -254,7 +257,7 @@ func (db *DB) planSelect(q Pattern) selectPlan {
 		for i := range db.shards {
 			s := &db.shards[i]
 			s.mu.RLock()
-			n += len(s.byObject[q.O.Value])
+			n += s.byObject[q.O.Value].len()
 			s.mu.RUnlock()
 		}
 		consider(Object, n)
@@ -264,7 +267,7 @@ func (db *DB) planSelect(q Pattern) selectPlan {
 		for i := range db.shards {
 			s := &db.shards[i]
 			s.mu.RLock()
-			n += len(s.byPredicate[q.P.Value])
+			n += s.byPredicate[q.P.Value].len()
 			s.mu.RUnlock()
 		}
 		consider(Predicate, n)
@@ -282,25 +285,24 @@ func (db *DB) Select(q Pattern) []Triple {
 	plan := db.planSelect(q)
 	out := make([]Triple, 0, plan.candidates)
 
+	match := func(t Triple) {
+		if q.Matches(t) {
+			out = append(out, t)
+		}
+	}
 	scanShard := func(s *shard) {
 		s.mu.RLock()
-		var candidates map[Triple]struct{}
-		if plan.fullScan {
-			candidates = s.triples
-		} else {
-			switch plan.index {
-			case Subject:
-				candidates = s.bySubject[q.S.Value]
-			case Predicate:
-				candidates = s.byPredicate[q.P.Value]
-			case Object:
-				candidates = s.byObject[q.O.Value]
+		switch {
+		case plan.fullScan:
+			for _, p := range s.bySubject {
+				p.each(match)
 			}
-		}
-		for t := range candidates {
-			if q.Matches(t) {
-				out = append(out, t)
-			}
+		case plan.index == Subject:
+			s.bySubject[q.S.Value].each(match)
+		case plan.index == Predicate:
+			s.byPredicate[q.P.Value].each(match)
+		default:
+			s.byObject[q.O.Value].each(match)
 		}
 		s.mu.RUnlock()
 	}
@@ -411,9 +413,7 @@ func (db *DB) DistinctValues(predicate string, pos Position) []string {
 	for i := range db.shards {
 		s := &db.shards[i]
 		s.mu.RLock()
-		for t := range s.byPredicate[predicate] {
-			set[t.Component(pos)] = true
-		}
+		s.byPredicate[predicate].each(func(t Triple) { set[t.Component(pos)] = true })
 		s.mu.RUnlock()
 	}
 	out := make([]string, 0, len(set))
@@ -441,24 +441,6 @@ func (db *DB) Predicates() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func addIndex(idx map[string]map[Triple]struct{}, key string, t Triple) {
-	m, ok := idx[key]
-	if !ok {
-		m = make(map[Triple]struct{})
-		idx[key] = m
-	}
-	m[t] = struct{}{}
-}
-
-func dropIndex(idx map[string]map[Triple]struct{}, key string, t Triple) {
-	if m, ok := idx[key]; ok {
-		delete(m, t)
-		if len(m) == 0 {
-			delete(idx, key)
-		}
-	}
 }
 
 // SortTriples orders triples by (subject, predicate, object) in place — the

@@ -2,6 +2,7 @@ package triple
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,9 +35,19 @@ func (db *legacyDB) insert(t Triple) {
 		return
 	}
 	db.triples[t] = struct{}{}
-	addIndex(db.bySubject, t.Subject, t)
-	addIndex(db.byPredicate, t.Predicate, t)
-	addIndex(db.byObject, t.Object, t)
+	legacyAdd(db.bySubject, t.Subject, t)
+	legacyAdd(db.byPredicate, t.Predicate, t)
+	legacyAdd(db.byObject, t.Object, t)
+}
+
+// legacyAdd is the seed's addIndex: one inner map per index key.
+func legacyAdd(idx map[string]map[Triple]struct{}, key string, t Triple) {
+	m, ok := idx[key]
+	if !ok {
+		m = make(map[Triple]struct{})
+		idx[key] = m
+	}
+	m[t] = struct{}{}
 }
 
 func (db *legacyDB) selectPattern(q Pattern) []Triple {
@@ -174,5 +185,29 @@ func BenchmarkInsert(b *testing.B) {
 				db.Insert(Triple{fmt.Sprintf("s%d", i), fmt.Sprintf("p%d", i%50), fmt.Sprintf("o%d", i%100)})
 			}
 		})
+	})
+	// unique-objects: every object value is filed under its own index key
+	// (the shape of a corpus of identifiers and sequences), so the cost of
+	// a one-triple posting decides what a stored triple retains.
+	b.Run("unique-objects", func(b *testing.B) {
+		const load = 50000
+		data := make([]Triple, load)
+		for i := range data {
+			data[i] = Triple{fmt.Sprintf("s%d", i/4), fmt.Sprintf("p%d", i%50), fmt.Sprintf("value-%d", i)}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db := NewDB()
+		db.InsertBatch(data)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := float64(after.HeapAlloc-before.HeapAlloc) / load
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			db.Insert(Triple{fmt.Sprintf("t%d", i/4), fmt.Sprintf("p%d", i%50), fmt.Sprintf("more-%d", i)})
+		}
+		b.ReportMetric(retained, "retained-B/triple")
+		runtime.KeepAlive(data)
 	})
 }

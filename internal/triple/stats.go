@@ -96,14 +96,14 @@ func (db *DB) computeStats() Stats {
 				}
 				perPred[pred] = c
 			}
-			c.triples += len(ts)
-			total += len(ts)
-			for t := range ts {
+			c.triples += ts.len()
+			total += ts.len()
+			ts.each(func(t Triple) {
 				c.subjects[t.Subject] = struct{}{}
 				c.objects[t.Object] = struct{}{}
 				c.subj.Add(t.Subject)
 				c.obj.Add(t.Object)
-			}
+			})
 		}
 		s.mu.RUnlock()
 	}

@@ -467,6 +467,10 @@ func (s *Server) statsSnapshot(id uint64) *DaemonStats {
 		if peer.LogErr() != nil {
 			out.JournalErrs++
 		}
+		js := peer.JournalStats()
+		out.Journal.Snapshots += js.Snapshots
+		out.Journal.SnapshotBytes += js.SnapshotBytes
+		out.Journal.WALBytes += js.WALBytes
 		cs := peer.ComposeStats()
 		out.ComposeHits += cs.Hits
 		out.ComposeMisses += cs.Misses

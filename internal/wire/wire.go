@@ -187,9 +187,20 @@ type DaemonStats struct {
 	// LogErr): they keep serving from memory but no longer make writes
 	// durable.
 	JournalErrs int
+	// Journal sums the hosted peers' journals (store.Stats).
+	Journal JournalStats
 	// Overlay is where the daemon's overlay messages went; zero when the
 	// server was given no source for it.
 	Overlay OverlayStats
+}
+
+// JournalStats is store.Stats summed over a daemon's peers: snapshots
+// taken since start, the bytes the current snapshot files hold, and the
+// bytes of WAL written since those snapshots (what a restart replays).
+type JournalStats struct {
+	Snapshots     int64
+	SnapshotBytes int64
+	WALBytes      int64
 }
 
 // OverlayStats counts a daemon's outgoing overlay messages: Sends crossed

@@ -352,13 +352,13 @@ func TestWireReportsFailedJournal(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	journalErrs := func() int {
+	stats := func() *wire.DaemonStats {
 		t.Helper()
 		st, err := c.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.JournalErrs
+		return st
 	}
 
 	all := seedTriples(120)
@@ -368,8 +368,19 @@ func TestWireReportsFailedJournal(t *testing.T) {
 	if l.Seq() == 0 {
 		t.Fatal("seed write never reached the victim's journal")
 	}
-	if got := journalErrs(); got != 0 {
+	if got := stats().JournalErrs; got != 0 {
 		t.Fatalf("healthy cluster reports %d journal errors", got)
+	}
+	// The journal's own counters ride the same frame: the one attached
+	// log is the daemon's sum, before and after a snapshot.
+	if st := stats(); st.Journal != (wire.JournalStats{WALBytes: l.Stats().WALBytes}) || st.Journal.WALBytes == 0 {
+		t.Fatalf("Stats.Journal = %+v, the log says %+v", st.Journal, l.Stats())
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if st := stats(); st.Journal.Snapshots != 1 || st.Journal.SnapshotBytes != l.Stats().SnapshotBytes || st.Journal.WALBytes != 0 {
+		t.Fatalf("after a snapshot Stats.Journal = %+v, the log says %+v", st.Journal, l.Stats())
 	}
 
 	fs.CrashAt(1, true)
@@ -380,7 +391,7 @@ func TestWireReportsFailedJournal(t *testing.T) {
 	if !fs.Crashed() {
 		t.Fatal("second write never reached the victim's journal")
 	}
-	if got := journalErrs(); got != 1 {
+	if got := stats().JournalErrs; got != 1 {
 		t.Fatalf("Stats.JournalErrs = %d, want 1", got)
 	}
 	d, err := c.Dump(ctx, "")

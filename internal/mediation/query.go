@@ -235,6 +235,9 @@ func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters 
 	if !ok {
 		return rs, fmt.Errorf("mediation: unexpected query result %T", result)
 	}
+	if len(triples) > 0 {
+		rs.Results = make([]Result, 0, len(triples))
+	}
 	for _, t := range triples {
 		rs.Results = append(rs.Results, Result{Triple: t, Pattern: q, Confidence: 1})
 	}

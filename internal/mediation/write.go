@@ -185,8 +185,9 @@ func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
 			if e.kind == writeDeleteTriple {
 				op = pgrid.OpDelete
 			}
+			var t any = e.t // boxed once for the three keys
 			for _, k := range p.tripleKeys(e.t) {
-				add(i, k, op, e.t)
+				add(i, k, op, t)
 			}
 		case writePublishSchema:
 			add(i, p.schemaKey(e.s.Name), pgrid.OpInsert, e.s)

@@ -15,14 +15,15 @@ const shardCount = 32
 // shard is one lock stripe: the triples whose subject hashes to this stripe,
 // filed under the three positional equality indexes restricted to those
 // triples. A given subject lives in exactly one shard, so bySubject doubles
-// as the shard's membership set (there is no separate triple set);
-// predicate and object indexes are partial per shard and cross-shard
-// lookups union them.
+// as the shard's membership set (there is no separate triple set) and owns
+// the lookup from a triple's value to its row; predicate and object indexes
+// hold row pointers only, are partial per shard, and cross-shard lookups
+// union them.
 type shard struct {
 	mu          sync.RWMutex
-	bySubject   map[string]posting
-	byPredicate map[string]posting
-	byObject    map[string]posting
+	bySubject   map[string]members
+	byPredicate map[string]rows
+	byObject    map[string]rows
 }
 
 // DB is the local database DB_p each peer maintains for the triples it is
@@ -56,9 +57,9 @@ func NewDB() *DB {
 	db := &DB{}
 	for i := range db.shards {
 		s := &db.shards[i]
-		s.bySubject = make(map[string]posting)
-		s.byPredicate = make(map[string]posting)
-		s.byObject = make(map[string]posting)
+		s.bySubject = make(map[string]members)
+		s.byPredicate = make(map[string]rows)
+		s.byObject = make(map[string]rows)
 	}
 	return db
 }
@@ -85,14 +86,16 @@ func (db *DB) shardFor(subject string) *shard {
 // insert files t under its three keys unless it is already stored; s.mu
 // must be held.
 func (s *shard) insert(t Triple) bool {
-	if s.bySubject[t.Subject].has(t) {
+	m := s.bySubject[t.Subject]
+	if m.find(t) != nil {
 		return false
 	}
 	row := new(Triple) // after the check: a duplicate allocates nothing
 	*row = t
-	addIndex(s.bySubject, t.Subject, row)
-	addIndex(s.byPredicate, t.Predicate, row)
-	addIndex(s.byObject, t.Object, row)
+	m.add(row)
+	s.bySubject[t.Subject] = m
+	addRow(s.byPredicate, t.Predicate, row)
+	addRow(s.byObject, t.Object, row)
 	return true
 }
 
@@ -148,13 +151,19 @@ func (db *DB) InsertBatch(ts []Triple) int {
 func (db *DB) Delete(t Triple) bool {
 	s := db.shardFor(t.Subject)
 	s.mu.Lock()
-	if !s.bySubject[t.Subject].has(t) {
+	m := s.bySubject[t.Subject]
+	row := m.find(t)
+	if row == nil {
 		s.mu.Unlock()
 		return false
 	}
-	dropIndex(s.bySubject, t.Subject, t)
-	dropIndex(s.byPredicate, t.Predicate, t)
-	dropIndex(s.byObject, t.Object, t)
+	if m.remove(row); m.len() == 0 {
+		delete(s.bySubject, t.Subject)
+	} else {
+		s.bySubject[t.Subject] = m
+	}
+	dropRow(s.byPredicate, t.Predicate, row)
+	dropRow(s.byObject, t.Object, row)
 	s.mu.Unlock()
 	db.size.Add(-1)
 	db.statsGen.Add(1)
@@ -165,7 +174,7 @@ func (db *DB) Delete(t Triple) bool {
 func (db *DB) Has(t Triple) bool {
 	s := db.shardFor(t.Subject)
 	s.mu.RLock()
-	ok := s.bySubject[t.Subject].has(t)
+	ok := s.bySubject[t.Subject].find(t) != nil
 	s.mu.RUnlock()
 	return ok
 }

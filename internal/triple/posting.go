@@ -5,98 +5,151 @@ import "slices"
 // postingPromote is the largest posting kept as a slice. Most index keys
 // file a handful of triples (a subject's attributes, a near-unique object
 // value) and a Go map costs several hundred bytes before its first entry;
-// a slice of up to postingPromote triples costs what it holds. Larger
+// a slice of up to postingPromote rows costs what it holds. Larger
 // postings (a predicate's extension, a hot subject) are maps, so
 // membership stays O(1).
 const postingPromote = 8
 
-// posting is the set of triples filed under one key of a shard index: few
-// while small, many once it outgrew postingPromote — never both. The zero
-// value is the empty posting. The slice holds pointers: a stored triple is
-// one row that its (up to) three small postings share, 8 bytes each
-// instead of the 48 of a copy. Every index read goes through len, has and
-// each; add and remove leave membership to the caller, who asked has of
-// the subject posting first (the triple is absent, respectively present).
-type posting struct {
+// A stored triple is one row; the postings filed under its three keys hold
+// pointers to it, as a slice while few and a map once a posting outgrew
+// postingPromote — never both. The two kinds differ in what the map is
+// keyed by. members, the subject posting, is the shard's membership set and
+// the only one that answers "is this triple stored?": its map goes from the
+// triple's value to its row. rows, the predicate and object posting, is
+// keyed by the row pointer the subject posting handed out, so a predicate's
+// extension does not store a second copy of every triple. The zero value of
+// either is the empty posting; add and remove leave membership to the
+// caller, who asked find of the subject posting first.
+type members struct {
 	few  []*Triple
-	many map[Triple]struct{}
+	many map[Triple]*Triple
 }
 
-func (p posting) len() int { return len(p.few) + len(p.many) }
+type rows struct {
+	few  []*Triple
+	many map[*Triple]struct{}
+}
 
-func (p posting) has(t Triple) bool {
+func (p members) len() int { return len(p.few) + len(p.many) }
+func (p rows) len() int    { return len(p.few) + len(p.many) }
+
+// find returns the row holding t, nil when t is not stored.
+func (p members) find(t Triple) *Triple {
 	if p.many != nil {
-		_, ok := p.many[t]
-		return ok
+		return p.many[t]
 	}
-	return p.index(t) >= 0
-}
-
-func (p posting) index(t Triple) int {
-	return slices.IndexFunc(p.few, func(row *Triple) bool { return *row == t })
+	for _, row := range p.few {
+		if *row == t {
+			return row
+		}
+	}
+	return nil
 }
 
 // each calls fn for every triple, in unspecified order.
-func (p posting) each(fn func(Triple)) {
+func (p members) each(fn func(Triple)) {
 	for _, row := range p.few {
 		fn(*row)
 	}
-	for t := range p.many {
-		fn(t)
+	for _, row := range p.many {
+		fn(*row)
 	}
 }
 
-func (p *posting) add(row *Triple) {
+func (p rows) each(fn func(Triple)) {
+	for _, row := range p.few {
+		fn(*row)
+	}
+	for row := range p.many {
+		fn(*row)
+	}
+}
+
+func (p *members) add(row *Triple) {
 	switch {
 	case p.many != nil:
-		p.many[*row] = struct{}{}
+		p.many[*row] = row
 	case len(p.few) < postingPromote:
-		if len(p.few) == cap(p.few) {
-			// Grown to fit: append's doubling would leave a five-triple
-			// posting holding room for eight.
-			p.few = append(make([]*Triple, 0, len(p.few)+1), p.few...)
-		}
-		p.few = append(p.few, row)
+		p.few = appendFit(p.few, row)
 	default:
-		p.many = make(map[Triple]struct{})
+		p.many = make(map[Triple]*Triple)
 		for _, old := range append(p.few, row) {
-			p.many[*old] = struct{}{}
+			p.many[*old] = old
 		}
 		p.few = nil
 	}
 }
 
-// remove drops t. A map that shrank to half of postingPromote goes back to
+func (p *rows) add(row *Triple) {
+	switch {
+	case p.many != nil:
+		p.many[row] = struct{}{}
+	case len(p.few) < postingPromote:
+		p.few = appendFit(p.few, row)
+	default:
+		p.many = make(map[*Triple]struct{})
+		for _, old := range append(p.few, row) {
+			p.many[old] = struct{}{}
+		}
+		p.few = nil
+	}
+}
+
+// remove drops row. A map that shrank to half of postingPromote goes back to
 // a slice; the gap to the promotion size keeps a posting that hovers around
 // either from converting on every write.
-func (p *posting) remove(t Triple) {
+func (p *members) remove(row *Triple) {
 	if p.many == nil {
-		if i := p.index(t); i >= 0 {
-			last := len(p.few) - 1
-			p.few[i], p.few[last] = p.few[last], nil
-			p.few = p.few[:last]
-		}
-		return
-	}
-	if delete(p.many, t); len(p.many) <= postingPromote/2 {
+		p.few = swapOut(p.few, row)
+	} else if delete(p.many, *row); len(p.many) <= postingPromote/2 {
 		p.few = make([]*Triple, 0, len(p.many))
-		for old := range p.many {
-			row := old
-			p.few = append(p.few, &row)
+		for _, old := range p.many {
+			p.few = append(p.few, old)
 		}
 		p.many = nil
 	}
 }
 
-func addIndex(idx map[string]posting, key string, row *Triple) {
+func (p *rows) remove(row *Triple) {
+	if p.many == nil {
+		p.few = swapOut(p.few, row)
+	} else if delete(p.many, row); len(p.many) <= postingPromote/2 {
+		p.few = make([]*Triple, 0, len(p.many))
+		for old := range p.many {
+			p.few = append(p.few, old)
+		}
+		p.many = nil
+	}
+}
+
+// appendFit grows a full slice by one: append's doubling would leave a
+// five-row posting holding room for eight.
+func appendFit(few []*Triple, row *Triple) []*Triple {
+	if len(few) == cap(few) {
+		few = append(make([]*Triple, 0, len(few)+1), few...)
+	}
+	return append(few, row)
+}
+
+func swapOut(few []*Triple, row *Triple) []*Triple {
+	i := slices.Index(few, row)
+	if i < 0 {
+		return few
+	}
+	last := len(few) - 1
+	few[i], few[last] = few[last], nil
+	return few[:last]
+}
+
+func addRow(idx map[string]rows, key string, row *Triple) {
 	p := idx[key]
 	p.add(row)
 	idx[key] = p
 }
 
-func dropIndex(idx map[string]posting, key string, t Triple) {
+func dropRow(idx map[string]rows, key string, row *Triple) {
 	p := idx[key]
-	if p.remove(t); p.len() == 0 {
+	if p.remove(row); p.len() == 0 {
 		delete(idx, key)
 	} else {
 		idx[key] = p

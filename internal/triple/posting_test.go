@@ -3,6 +3,7 @@ package triple
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,31 +44,86 @@ type crossings struct {
 	up, down [3]int
 }
 
+// form is what the two posting kinds have in common: the rows of the slice,
+// the rows the map holds, and whether the map is there at all.
+type form struct {
+	few, many []*Triple
+	isMany    bool
+}
+
+func (f form) len() int { return len(f.few) + len(f.many) }
+
+func formOfMembers(t *testing.T, p members) form {
+	f := form{few: p.few, isMany: p.many != nil}
+	for key, row := range p.many {
+		if *row != key {
+			t.Fatalf("subject posting maps %v to a row holding %v", key, *row)
+		}
+		f.many = append(f.many, row)
+	}
+	return f
+}
+
+func formOfRows(p rows) form {
+	f := form{few: p.few, isMany: p.many != nil}
+	for row := range p.many {
+		f.many = append(f.many, row)
+	}
+	return f
+}
+
+// forms lists the shard's postings by index (subject, predicate, object)
+// and key; s.mu must be held.
+func (s *shard) forms(t *testing.T) [3]map[string]form {
+	out := [3]map[string]form{{}, {}, {}}
+	for key, p := range s.bySubject {
+		out[0][key] = formOfMembers(t, p)
+	}
+	for key, p := range s.byPredicate {
+		out[1][key] = formOfRows(p)
+	}
+	for key, p := range s.byObject {
+		out[2][key] = formOfRows(p)
+	}
+	return out
+}
+
 // check asserts every posting's representation invariant — slice or map,
-// never both, each within its size range — and records conversions.
+// never both, each within its size range; the subject posting's map keyed
+// by the value of the row it points to; every pointer of a predicate or
+// object posting the very row the subject posting holds for that triple,
+// filed under the key it belongs to — and records conversions.
 func (c *crossings) check(t *testing.T, db *DB) {
 	t.Helper()
 	for i := range db.shards {
 		s := &db.shards[i]
 		s.mu.RLock()
-		for n, idx := range []map[string]posting{s.bySubject, s.byPredicate, s.byObject} {
+		for n, idx := range s.forms(t) {
 			for key, p := range idx {
 				switch {
 				case p.len() == 0:
 					t.Fatalf("empty posting left under %q", key)
-				case p.many != nil && (p.few != nil || len(p.many) <= postingPromote/2):
+				case p.isMany && (p.few != nil || len(p.many) <= postingPromote/2):
 					t.Fatalf("posting %q: map of %d beside a slice of %d", key, len(p.many), len(p.few))
-				case p.many == nil && len(p.few) > postingPromote:
+				case !p.isMany && len(p.few) > postingPromote:
 					t.Fatalf("posting %q: slice of %d, over the promotion size", key, len(p.few))
 				}
+				for _, row := range append(p.many, p.few...) {
+					if row.Component(Position(n)) != key {
+						t.Fatalf("posting %q of index %d holds %v", key, n, *row)
+					}
+					if owner := s.bySubject[row.Subject].find(*row); owner != row {
+						t.Fatalf("posting %q of index %d holds a row of %v that is not the subject posting's (%p, %p)", key, n, *row, row, owner)
+					}
+				}
 				id := fmt.Sprint(i, n, key)
-				switch was, is := c.wasMany[id], p.many != nil; {
+				switch was, is := c.wasMany[id], p.isMany; {
 				case is && !was:
 					c.up[n]++
 				case was && !is:
 					c.down[n]++
 				}
-				c.wasMany[id] = p.many != nil
+				c.wasMany[id] = p.isMany
 			}
 		}
 		s.mu.RUnlock()
@@ -229,35 +285,148 @@ func equalTriples(a, b []Triple) bool {
 	return true
 }
 
-// TestPostingPromotionHysteresis pins the two conversion points: a
-// posting becomes a map with its ninth triple and a slice again when it is
-// back to four, and keeps its content across both.
+// TestPostingPromotionHysteresis pins the two conversion points of both
+// posting kinds: a posting becomes a map with its ninth row and a slice
+// again when it is back to four, and keeps its rows — the same pointers —
+// across both.
 func TestPostingPromotionHysteresis(t *testing.T) {
-	var p posting
-	tr := func(i int) Triple { return Triple{Subject: "s", Predicate: "p", Object: fmt.Sprint(i)} }
-	add := func(i int) { row := tr(i); p.add(&row) }
-	for i := 0; i < postingPromote; i++ {
-		add(i)
+	type kind struct {
+		add, remove func(*Triple)
+		form        func() form
 	}
-	if p.many != nil || cap(p.few) != postingPromote {
-		t.Fatalf("%d triples: map %v, slice capacity %d; want a slice grown to fit", postingPromote, p.many != nil, cap(p.few))
+	var m members
+	var r rows
+	kinds := map[string]kind{
+		"members": {m.add, m.remove, func() form { return formOfMembers(t, m) }},
+		"rows":    {r.add, r.remove, func() form { return formOfRows(r) }},
 	}
-	add(postingPromote)
-	if p.many == nil || p.few != nil || p.len() != postingPromote+1 {
-		t.Fatalf("%d triples: not promoted (len %d)", postingPromote+1, p.len())
+	for name, p := range kinds {
+		t.Run(name, func(t *testing.T) {
+			stored := make([]*Triple, postingPromote+1)
+			for i := range stored {
+				stored[i] = &Triple{Subject: "s", Predicate: "p", Object: fmt.Sprint(i)}
+			}
+			for _, row := range stored[:postingPromote] {
+				p.add(row)
+			}
+			if f := p.form(); f.isMany || cap(f.few) != postingPromote {
+				t.Fatalf("%d rows: map %v, slice capacity %d; want a slice grown to fit", postingPromote, f.isMany, cap(f.few))
+			}
+			p.add(stored[postingPromote])
+			if f := p.form(); !f.isMany || f.few != nil || f.len() != postingPromote+1 {
+				t.Fatalf("%d rows: not promoted (len %d)", postingPromote+1, f.len())
+			}
+			for i := postingPromote; i >= postingPromote/2; i-- {
+				if f := p.form(); !f.isMany {
+					t.Fatalf("demoted at %d rows, above half the promotion size", f.len())
+				}
+				p.remove(stored[i])
+			}
+			f := p.form()
+			if f.isMany || len(f.few) != postingPromote/2 {
+				t.Fatalf("%d rows: map %v, slice of %d; want a slice again", f.len(), f.isMany, len(f.few))
+			}
+			for _, row := range stored[:postingPromote/2] {
+				if !slices.Contains(f.few, row) {
+					t.Fatalf("row %v lost across promotion and demotion", *row)
+				}
+			}
+		})
 	}
-	for i := postingPromote; i >= postingPromote/2; i-- {
-		if p.many == nil {
-			t.Fatalf("demoted at %d triples, above half the promotion size", p.len())
+}
+
+// sharedRow returns the one row all three postings of tr hold, failing the
+// test when they hold none or different ones.
+func sharedRow(t *testing.T, db *DB, tr Triple) *Triple {
+	t.Helper()
+	s := db.shardFor(tr.Subject)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	row := s.bySubject[tr.Subject].find(tr)
+	if row == nil {
+		t.Fatalf("%v is not in its subject posting", tr)
+	}
+	for name, p := range map[string]form{"predicate": formOfRows(s.byPredicate[tr.Predicate]), "object": formOfRows(s.byObject[tr.Object])} {
+		n := 0
+		for _, held := range append(p.many, p.few...) {
+			if *held == tr {
+				if n++; held != row {
+					t.Fatalf("%s posting of %v holds row %p, subject posting %p", name, tr, held, row)
+				}
+			}
 		}
-		p.remove(tr(i))
-	}
-	if p.many != nil || len(p.few) != postingPromote/2 {
-		t.Fatalf("%d triples: map %v, slice of %d; want a slice again", p.len(), p.many != nil, len(p.few))
-	}
-	for i := 0; i < postingPromote/2; i++ {
-		if !p.has(tr(i)) {
-			t.Fatalf("triple %d lost across promotion and demotion", i)
+		if n != 1 {
+			t.Fatalf("%s posting holds %v %d times", name, tr, n)
 		}
+	}
+	return row
+}
+
+// TestDeleteAcrossPostingForms deletes a triple whose predicate posting is
+// a map while its subject posting is a slice, and the reverse: the row found
+// by value in the one must leave the other by pointer. A re-insert files one
+// fresh row under all three keys.
+func TestDeleteAcrossPostingForms(t *testing.T) {
+	// Predicate and object postings are per shard: all subjects share one.
+	var subjects []string
+	for i := 0; len(subjects) < 2*postingPromote; i++ {
+		if s := fmt.Sprintf("s%d", i); fnv1a(s)&(shardCount-1) == 0 {
+			subjects = append(subjects, s)
+		}
+	}
+	for name, triples := range map[string][]Triple{
+		"predicate-map/subject-slice": func() (ts []Triple) {
+			for i, s := range subjects {
+				ts = append(ts, Triple{Subject: s, Predicate: "p", Object: fmt.Sprint("o", i)})
+			}
+			return ts
+		}(),
+		"predicate-slice/subject-map": func() (ts []Triple) {
+			for i := range subjects {
+				ts = append(ts, Triple{Subject: subjects[0], Predicate: fmt.Sprint("p", i), Object: "o"})
+			}
+			return ts
+		}(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := NewDB()
+			db.InsertBatch(triples)
+			s := &db.shards[0]
+			victim := triples[3]
+			subjectIsMap, predicateIsMap := s.bySubject[victim.Subject].many != nil, s.byPredicate[victim.Predicate].many != nil
+			if subjectIsMap == predicateIsMap || subjectIsMap != (name == "predicate-slice/subject-map") {
+				t.Fatalf("postings of %v not in the forms this case is about (subject map %v, predicate map %v)", victim, subjectIsMap, predicateIsMap)
+			}
+			sharedRow(t, db, victim)
+			if !db.Delete(victim) || db.Delete(victim) || db.Has(victim) || db.Len() != len(triples)-1 {
+				t.Fatalf("Delete(%v) did not remove exactly that triple (Len %d)", victim, db.Len())
+			}
+			for _, q := range []Pattern{
+				{S: Const(victim.Subject), P: Var("p"), O: Var("o")},
+				{S: Var("s"), P: Const(victim.Predicate), O: Var("o")},
+				{S: Var("s"), P: Var("p"), O: Const(victim.Object)},
+			} {
+				var want []Triple
+				for _, tr := range triples {
+					if tr != victim && q.Matches(tr) {
+						want = append(want, tr)
+					}
+				}
+				SortTriples(want)
+				if got := db.SelectSorted(q); !equalTriples(got, want) {
+					t.Fatalf("after Delete, Select(%v) = %v, want %v", q, got, want)
+				}
+			}
+			for _, tr := range triples {
+				if tr != victim {
+					sharedRow(t, db, tr)
+				}
+			}
+			if !db.Insert(victim) || db.Len() != len(triples) {
+				t.Fatalf("re-insert of %v refused (Len %d)", victim, db.Len())
+			}
+			sharedRow(t, db, victim)
+			(&crossings{wasMany: map[string]bool{}}).check(t, db)
+		})
 	}
 }

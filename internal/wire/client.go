@@ -285,7 +285,7 @@ func (c *Client) Write(ctx context.Context, w Write) (*Receipt, error) {
 	if err := c.writeFrame(TWrite, &w); err != nil {
 		return nil, err
 	}
-	canceled := false
+	done := ctx.Done()
 	for {
 		select {
 		case msg, ok := <-ch:
@@ -300,13 +300,10 @@ func (c *Client) Write(ctx context.Context, w Write) (*Receipt, error) {
 				return rec, errors.New(rec.Err)
 			}
 			return rec, nil
-		case <-ctx.Done():
-			if canceled {
-				// Second fire can only be the same ctx; keep waiting
-				// for the receipt on the channel.
-				continue
-			}
-			canceled = true
+		case <-done:
+			// A closed channel is ready on every turn; once the Cancel is
+			// out, wait for the receipt alone (a nil channel never fires).
+			done = nil
 			c.writeFrame(TCancel, &Cancel{ID: id})
 		}
 	}

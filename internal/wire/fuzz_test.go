@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 // FuzzWireDecode throws arbitrary bytes at both frame decoders (the
 // byte-slice parser and the io.Reader path) and asserts the protocol's
 // robustness contract: truncated, corrupt, or oversized frames yield a
-// classified error — never a panic, never an unbounded allocation, and
-// never a frame that failed its checksum.
+// classified error — never a panic, never an allocation beyond the bytes
+// received, and never a frame that failed its checksum — and a payload
+// that decodes re-encodes to the same bytes.
 func FuzzWireDecode(f *testing.F) {
 	pat := triple.Pattern{S: triple.Var("s"), P: triple.Const("p"), O: triple.Var("o")}
 	seeds := [][]byte{
@@ -39,6 +41,15 @@ func FuzzWireDecode(f *testing.F) {
 	huge[0] = byte(TRowChunk)
 	binary.LittleEndian.PutUint32(huge[1:5], MaxPayload+1)
 	seeds = append(seeds, huge)
+	// Well-framed lies: a count of 2^40 rows, a string length past the
+	// payload's end. The checksum holds, so they reach the message decoder.
+	for _, h := range hostilePayloads[:2] {
+		fr := make([]byte, frameHeader, frameHeader+len(h.payload))
+		fr[0] = byte(h.t)
+		binary.LittleEndian.PutUint32(fr[1:5], uint32(len(h.payload)))
+		binary.LittleEndian.PutUint32(fr[5:9], crc32.Checksum(h.payload, crcTable))
+		seeds = append(seeds, append(fr, h.payload...))
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -59,22 +70,15 @@ func FuzzWireDecode(f *testing.F) {
 			if len(payload) != n-frameHeader {
 				t.Fatalf("payload %d bytes for frame of %d", len(payload), n)
 			}
-			// Payload passed the checksum; gob decoding may still fail
-			// (a validly-framed garbage payload) but must not panic.
-			if msg, err := DecodeMessage(typ, payload); err == nil {
-				// A decoded message must re-encode into a decodable
-				// frame of the same type.
-				refr, err := EncodeFrame(typ, msg)
-				if err != nil {
-					t.Fatalf("re-encode of decoded %T: %v", msg, err)
-				}
-				if typ2, _, _, err := DecodeFrame(refr); err != nil || typ2 != typ {
-					t.Fatalf("re-encoded frame broken: type %d err %v", typ2, err)
-				}
-			} else if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("unclassified message error: %v", err)
-			}
+			checkPayload(t, typ, payload)
 			rest = rest[n:]
+		}
+
+		// The checksum keeps most mutated frames away from the message
+		// decoder: hand it the bytes as a payload too, of the type the
+		// first byte picks.
+		if len(data) > 0 {
+			checkPayload(t, Type(data[0])%maxType+1, data[1:])
 		}
 
 		// The io.Reader path must classify identically and never panic.
@@ -84,6 +88,27 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPayload decodes a payload that passed its checksum. It may still
+// not be a message (validly-framed garbage) and must then fail classified,
+// without panicking. The layout is canonical: a payload that does decode
+// is the only spelling of its message, so re-encoding returns it.
+func checkPayload(t *testing.T, typ Type, payload []byte) {
+	msg, err := DecodeMessage(typ, payload)
+	if err != nil {
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("unclassified message error: %v", err)
+		}
+		return
+	}
+	refr, err := EncodeFrame(typ, msg)
+	if err != nil {
+		t.Fatalf("re-encode of decoded %T: %v", msg, err)
+	}
+	if !bytes.Equal(refr[frameHeader:], payload) {
+		t.Fatalf("decoded %T re-encodes differently:\n got %x\nfrom %x", msg, refr[frameHeader:], payload)
+	}
 }
 
 // TestDecodeFrameOversizedLength pins the allocation guard: a header

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -64,6 +65,11 @@ type Server struct {
 	writesServed  atomic.Uint64
 	rowsStreamed  atomic.Uint64
 	connsRejected atomic.Uint64
+	framesIn      atomic.Uint64
+	framesOut     atomic.Uint64
+	bytesIn       atomic.Uint64
+	bytesOut      atomic.Uint64
+	badFrames     atomic.Uint64
 }
 
 // NewServer builds a server over the given hosted peers with default
@@ -241,10 +247,15 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
-		_, msg, err := ReadFrame(br)
+		_, msg, n, err := readFrame(br)
 		if err != nil {
+			if errors.Is(err, ErrBadFrame) {
+				s.badFrames.Add(1)
+			}
 			return
 		}
+		s.framesIn.Add(1)
+		s.bytesIn.Add(uint64(n))
 		switch m := msg.(type) {
 		case *Query:
 			if !s.beginReq() {
@@ -283,6 +294,8 @@ func (sc *srvConn) send(t Type, msg any) error {
 	if err != nil {
 		return err
 	}
+	sc.s.framesOut.Add(1)
+	sc.s.bytesOut.Add(uint64(len(buf)))
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	_, err = sc.c.Write(buf)
@@ -347,7 +360,7 @@ func (sc *srvConn) handleQuery(q *Query) {
 		if err := sc.send(TRowChunk, chunk); err != nil {
 			return false
 		}
-		rows = make([][]string, 0, chunkRows)
+		rows = rows[:0] // send has encoded the chunk: the buffer is free again
 		return true
 	}
 	for {
@@ -458,6 +471,13 @@ func (s *Server) statsSnapshot(id uint64) *DaemonStats {
 		QueriesServed: s.queriesServed.Load(),
 		WritesServed:  s.writesServed.Load(),
 		RowsStreamed:  s.rowsStreamed.Load(),
+		Wire: WireStats{
+			FramesIn:  s.framesIn.Load(),
+			FramesOut: s.framesOut.Load(),
+			BytesIn:   s.bytesIn.Load(),
+			BytesOut:  s.bytesOut.Load(),
+			BadFrames: s.badFrames.Load(),
+		},
 	}
 	if s.overlay != nil {
 		out.Overlay = s.overlay()

@@ -9,10 +9,36 @@
 //
 //	[1B type][4B payload length][4B CRC32C of payload][payload]
 //
-// The payload is a self-contained gob stream of the frame type's
-// message struct (a fresh encoder per frame, like the store WAL), so
-// a corrupt frame never poisons its neighbours and any frame decodes
-// in isolation.
+// The payload is the frame type's message struct in one explicit layout
+// (codec.go): its fields in struct order, nested structs inline, and
+// nothing else — no names, tags or type descriptors — so a frame
+// decodes in isolation and a corrupt one never poisons its neighbours.
+//
+//	uint64                       uvarint
+//	int, int64, time.Duration    zigzag varint
+//	bool                         one byte, 0 or 1
+//	TermKind, Mode, MappingType,
+//	Origin                       one byte, within the type's range
+//	float64                      8 bytes, little-endian IEEE 754
+//	string                       byte length (uvarint), then the bytes
+//	slice                        element count (uvarint), then the elements
+//	*triple.Pattern              presence byte, then the pattern if 1
+//
+// Field order per type is the order of the struct declarations below
+// (and of triple.Term/Pattern/Triple, schema.Schema/Mapping/
+// Correspondence, mediation.SearchOptions); DESIGN.md §8 spells it out.
+// The layout has no version and tolerates no added or missing field:
+// client and daemon must be built from the same commit, and a mismatch
+// shows as ErrBadFrame, not as a silently dropped field.
+//
+// The decoder rejects, as ErrBadFrame: a count or string length the
+// remaining bytes cannot hold (checked before anything is allocated for
+// it), a varint not in shortest form or past 64 bits, an out-of-range
+// bool or enum byte, a payload that ends early, and bytes after the
+// message. Decoding is therefore canonical: a payload that decodes
+// re-encodes to the same bytes. A decoded message's strings are
+// substrings of one copy of its payload, so the strings of all rows of
+// a chunk are one allocation (and keeping one keeps the chunk).
 //
 // Request/response shapes:
 //
@@ -31,13 +57,12 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 
 	"gridvine/internal/mediation"
 	"gridvine/internal/schema"
@@ -75,8 +100,8 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadFrame wraps every decoding failure caused by frame content
-// (bad type, oversized length, checksum mismatch, gob garbage) as
-// opposed to a short read.
+// (bad type, oversized length, checksum mismatch, a payload that is not
+// its type's layout) as opposed to a short read.
 var ErrBadFrame = errors.New("wire: bad frame")
 
 // ErrShortFrame reports that data ends mid-frame: not an error on a
@@ -192,6 +217,9 @@ type DaemonStats struct {
 	// Overlay is where the daemon's overlay messages went; zero when the
 	// server was given no source for it.
 	Overlay OverlayStats
+	// Wire counts the frames and bytes (headers included) this daemon's
+	// client connections carried since start.
+	Wire WireStats
 }
 
 // JournalStats is store.Stats summed over a daemon's peers: snapshots
@@ -216,6 +244,16 @@ type OverlayStats struct {
 	PoolRedials     uint64
 	PoolRetired     uint64
 	PoolIdle        int
+}
+
+// WireStats is a daemon's client-protocol traffic. BadFrames counts
+// connections dropped for a frame that failed its checksum or layout.
+type WireStats struct {
+	FramesIn  uint64
+	FramesOut uint64
+	BytesIn   uint64
+	BytesOut  uint64
+	BadFrames uint64
 }
 
 // DumpReq asks for per-peer store dumps; Peer narrows to one hosted
@@ -245,42 +283,17 @@ type Dump struct {
 	Peers []PeerDump
 }
 
-// payloadFor returns a fresh payload struct for a frame type, nil for
-// unknown types.
-func payloadFor(t Type) any {
-	switch t {
-	case TQuery:
-		return &Query{}
-	case TRowChunk:
-		return &RowChunk{}
-	case TTrailer:
-		return &Trailer{}
-	case TWrite:
-		return &Write{}
-	case TReceipt:
-		return &Receipt{}
-	case TCancel:
-		return &Cancel{}
-	case TStatsReq:
-		return &StatsReq{}
-	case TStats:
-		return &DaemonStats{}
-	case TDumpReq:
-		return &DumpReq{}
-	case TDump:
-		return &Dump{}
-	}
-	return nil
-}
-
-// EncodeFrame gob-encodes msg and wraps it in a frame.
+// EncodeFrame lays msg out as the payload of a frame of type t; msg is the
+// pointer type that frame type carries (*Query for TQuery, …).
 func EncodeFrame(t Type, msg any) ([]byte, error) {
-	var body bytes.Buffer
-	body.Write(make([]byte, frameHeader))
-	if err := gob.NewEncoder(&body).Encode(msg); err != nil {
-		return nil, fmt.Errorf("wire: encode %T: %w", msg, err)
+	c := codec{encoding: true, out: make([]byte, frameHeader, 256)}
+	if !c.encode(t, msg) {
+		return nil, fmt.Errorf("wire: a type %d frame does not carry %T", t, msg)
 	}
-	buf := body.Bytes()
+	if c.err != nil {
+		return nil, fmt.Errorf("wire: encode %T: %w", msg, c.err)
+	}
+	buf := c.out
 	payload := buf[frameHeader:]
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("wire: %T payload %d exceeds MaxPayload", msg, len(payload))
@@ -318,50 +331,54 @@ func DecodeFrame(data []byte) (t Type, payload []byte, n int, err error) {
 	return t, payload, total, nil
 }
 
-// DecodeMessage decodes a frame payload into its message struct. The
-// returned value is one of the pointer types payloadFor hands out.
+// DecodeMessage decodes a frame payload into its message struct, returned
+// as the pointer type EncodeFrame takes for t. The message's strings are
+// substrings of one copy of payload, which the caller may reuse.
 func DecodeMessage(t Type, payload []byte) (any, error) {
-	msg := payloadFor(t)
-	if msg == nil {
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, t)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(msg); err != nil {
-		return nil, fmt.Errorf("%w: gob: %v", ErrBadFrame, err)
-	}
-	return msg, nil
+	c := codec{in: string(payload)}
+	return c.decode(t)
 }
 
 // ReadFrame reads one frame from r and decodes its payload. The
 // payload buffer grows with the bytes actually read (capped chunks),
 // so a hostile length claim cannot force a large allocation up front.
 func ReadFrame(r io.Reader) (Type, any, error) {
+	t, msg, _, err := readFrame(r)
+	return t, msg, err
+}
+
+// readFrame is ReadFrame that also reports the frame's size on the wire.
+func readFrame(r io.Reader) (Type, any, int, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, ErrShortFrame
+			return 0, nil, 0, ErrShortFrame
 		}
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	t := Type(hdr[0])
 	if t == 0 || t > maxType {
-		return 0, nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, hdr[0])
+		return 0, nil, 0, fmt.Errorf("%w: unknown type %d", ErrBadFrame, hdr[0])
 	}
 	length := binary.LittleEndian.Uint32(hdr[1:5])
 	if length > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, length, MaxPayload)
+		return 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, length, MaxPayload)
 	}
 	payload, err := readPayload(r, int(length))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	if crc := crc32.Checksum(payload, crcTable); crc != binary.LittleEndian.Uint32(hdr[5:9]) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
+		return 0, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
-	msg, err := DecodeMessage(t, payload)
+	// The buffer is this call's alone and is not written again, so the
+	// message's strings can point into it: no second copy of the payload.
+	c := codec{in: unsafe.String(unsafe.SliceData(payload), len(payload))}
+	msg, err := c.decode(t)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
-	return t, msg, nil
+	return t, msg, frameHeader + len(payload), nil
 }
 
 // readPayload reads exactly n bytes, growing the buffer in bounded

@@ -544,3 +544,54 @@ func TestWireMaxConns(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestWireStatsCountTraffic reads DaemonStats.Wire around one query and one
+// corrupt frame: every frame either way is counted with its bytes, and a
+// connection dropped for a bad frame shows as one.
+func TestWireStatsCountTraffic(t *testing.T) {
+	_, _, addr := testServer(t, seedTriples(21))
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := wire.Query{Pattern: &triple.Pattern{S: triple.Const("urn:s1"), P: triple.Var("p"), O: triple.Var("o")}}
+	if rows, _ := drainWire(t, c, q); len(rows) != 3 {
+		t.Fatalf("lookup returned %d rows, want 3", len(rows))
+	}
+
+	// A frame whose checksum does not hold, on a connection of its own.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	frame, _ := wire.EncodeFrame(wire.TCancel, &wire.Cancel{ID: 1})
+	frame[len(frame)-1] ^= 1
+	raw.Write(frame)                                     //nolint:errcheck
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if n, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered a corrupt frame with %d bytes instead of hanging up", n)
+	}
+
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, a := before.Wire, after.Wire
+	// In: the Query and the second StatsReq (a request is counted before
+	// its answer is built). Out: the first DaemonStats (sent after it was
+	// built), one RowChunk, the Trailer.
+	queryFrame, _ := wire.EncodeFrame(wire.TQuery, &wire.Query{ID: 2, Pattern: q.Pattern})
+	if a.FramesIn-b.FramesIn != 2 || a.FramesOut-b.FramesOut != 3 || a.BadFrames-b.BadFrames != 1 {
+		t.Fatalf("frames in/out/bad grew by %d/%d/%d, want 2/3/1", a.FramesIn-b.FramesIn, a.FramesOut-b.FramesOut, a.BadFrames-b.BadFrames)
+	}
+	if in := a.BytesIn - b.BytesIn; in < uint64(len(queryFrame)) || a.BytesOut <= b.BytesOut {
+		t.Fatalf("bytes in grew by %d (the Query alone is %d), out %d → %d", in, len(queryFrame), b.BytesOut, a.BytesOut)
+	}
+}

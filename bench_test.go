@@ -136,7 +136,7 @@ var experimentBenchmarks = []struct {
 		p := lastOf(res.(experiments.ComposeResult).Points)
 		b.ReportMetric(p.MessageReduction, fmt.Sprintf("msg-cut@%d", p.Depth))
 		b.ReportMetric(p.CompositeMsgsPerQuery, "comp-msgs/query")
-		b.ReportMetric(p.BFSMsgsPerQuery, "bfs-msgs/query")
+		b.ReportMetric(p.TraversalMsgsPerQuery, "traversal-msgs/query")
 	}},
 }
 

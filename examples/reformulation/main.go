@@ -55,8 +55,10 @@ func main() {
 	}
 	fmt.Printf("SearchFor(x1? : %v)\n\n", query)
 
-	// Both strategies of §4 — iterative (issuer reformulates) and recursive
-	// (intermediate peers reformulate) — return the same aggregate.
+	// Both strategies of §4 return the same aggregate. Iterative: the issuer
+	// looks the mappings of each schema it reaches up and sends the
+	// rewritten patterns in one message per destination key. Recursive: the
+	// peers that answer reformulate and forward.
 	for _, mode := range []gridvine.SearchOptions{
 		{Mode: gridvine.Iterative},
 		{Mode: gridvine.Recursive},

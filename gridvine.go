@@ -128,7 +128,9 @@ var (
 
 // Reformulation modes.
 const (
-	// Iterative reformulation: the issuer walks the mapping graph itself.
+	// Iterative reformulation: the issuer looks each reached schema's
+	// mappings up and ships the rewritten patterns grouped by destination
+	// key — after every wave under a row limit, else once at the end.
 	Iterative = mediation.Iterative
 	// Recursive reformulation: destinations reformulate and forward.
 	Recursive = mediation.Recursive

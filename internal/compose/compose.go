@@ -9,17 +9,17 @@
 // rewrite the predicate through each outgoing mapping, multiply the
 // confidences, drop chains below the confidence gate, and let the caller
 // decide whether the rewritten predicate is new. Every traversal of the
-// mapping graph is a visitor over that rule: the mediation layer's iterative
-// BFS claims predicates in a wave-global visited set and routes each one,
-// its recursive handler checks the path-local visited list of the request it
-// serves, and Build below is the BFS's wave loop with retrieval only — its
-// visitor additionally composes each chain and gates on accumulated loss
-// before claiming. A closure's targets are therefore the BFS's
-// reformulations by construction: same claims, same wave order, same gate.
-// Each target carries its composed attribute correspondences with conflict
-// and loss tracking, and branches whose accumulated attribute loss exceeds
-// Options.MaxLoss are pruned before any fan-out ("Managing Semantic Loss
-// during Query Reformulation").
+// mapping graph is a visitor over that rule: the mediation layer's wave loop
+// claims predicates in a wave-global visited set, its recursive handler
+// checks the path-local visited list of the request it serves, and Builder
+// is the wave loop's visitor when a closure is wanted — it additionally
+// composes each chain and gates on accumulated loss before claiming. A
+// closure's targets are therefore the traversal's reformulations by
+// construction: same claims, same wave order, same gate. Each target carries
+// its composed attribute correspondences with conflict and loss tracking,
+// and branches whose accumulated attribute loss exceeds Options.MaxLoss are
+// pruned before any fan-out ("Managing Semantic Loss during Query
+// Reformulation").
 //
 // The package depends only on the schema model: callers supply the mapping
 // retrieval as a MappingSource closure, so the engine is testable without an
@@ -43,7 +43,7 @@ type Options struct {
 	MinConfidence float64
 	// MaxLoss prunes chains whose attribute loss (see Target.Loss) exceeds
 	// it, before the chain fans out further. 0 selects 1 — no pruning, the
-	// full-recall mode whose targets match the BFS exactly.
+	// full-recall mode whose targets match an uncomposed traversal exactly.
 	MaxLoss float64
 }
 
@@ -116,8 +116,8 @@ func Expand(next []Step, from Step, mappings []schema.Mapping, minConfidence flo
 
 // Target is one precomposed reformulation destination: a Step of the
 // traversal — its Path and Confidence are exactly the MappingPath and
-// Confidence the BFS reports for the predicate — with the chain that reaches
-// it collapsed into a single composite mapping.
+// Confidence a query's rows report for the predicate — with the chain that
+// reaches it collapsed into a single composite mapping.
 type Target struct {
 	Step
 	// Composed is the chain collapsed into one mapping (source schema →
@@ -144,9 +144,9 @@ type Entry struct {
 	Source string
 	// Options are the (defaulted) options the closure was built under.
 	Options Options
-	// Targets lists the reachable predicates in BFS wave order — the order
-	// the iterative traversal claims them, which keeps composite
-	// reformulation's emission order identical to the BFS's.
+	// Targets lists the reachable predicates in wave order — the order the
+	// traversal claims them, so a query served from the entry emits its rows
+	// in the order a fresh traversal would.
 	Targets []Target
 	// Touched lists the schema names whose key spaces the build consulted,
 	// sorted. A mapping publish or replace whose source or target schema is
@@ -161,7 +161,7 @@ type Entry struct {
 	// the build issued.
 	BuildMessages int
 	// Reformulations counts the visited-set claims of the traversal —
-	// exactly the Reformulations counter the BFS would have reported.
+	// exactly the Reformulations counter a fresh traversal reports.
 	Reformulations int
 }
 
@@ -173,74 +173,107 @@ type chain struct {
 	loss            float64
 }
 
+// Builder is the closure-building visitor over Expand: whoever drives the
+// traversal — Build serially, the mediation layer's wave loop through its
+// worker pool — hands it each looked-up step's mappings in wave order, and
+// it claims the predicates they reach after the loss gate, collapsing each
+// chain into a composite mapping. With MaxLoss unset the claims are exactly
+// the reformulations of a traversal that composes nothing.
+type Builder struct {
+	e       *Entry
+	touched map[string]bool
+	// chains doubles as the visited set: the root and every claimed predicate
+	// have an entry (the root's is the zero chain).
+	chains map[string]chain
+}
+
+// NewBuilder starts the closure of root, the Step of a Schema#Attr predicate
+// with an empty path and confidence 1.
+func NewBuilder(root Step, opts Options) *Builder {
+	return &Builder{
+		e:       &Entry{Source: root.Predicate, Options: opts.withDefaults()},
+		touched: map[string]bool{},
+		chains:  map[string]chain{root.Predicate: {}},
+	}
+}
+
+// Expand applies the rule to one step whose schema key was consulted and
+// returned mappings, appending the steps it claims to next and recording
+// them as targets. Steps at MaxDepth are the driver's to skip: their keys
+// are not consulted, so they must not count as touched.
+func (b *Builder) Expand(next []Step, from Step, mappings []schema.Mapping) []Step {
+	b.touched[from.SchemaName] = true
+	claimed, parent := len(next), b.chains[from.Predicate]
+	next = Expand(next, from, mappings, b.e.Options.MinConfidence, func(pred string, m schema.Mapping) bool {
+		if _, seen := b.chains[pred]; seen {
+			return false
+		}
+		c := chain{composed: m, first: m}
+		if len(from.Path) > 0 {
+			composed, err := parent.composed.Compose(m)
+			if err != nil {
+				return false // impossible by construction: the chain targets m.Source
+			}
+			c = chain{composed: composed, first: parent.first}
+		}
+		if c.loss = lossOf(c.first, c.composed); c.loss > b.e.Options.MaxLoss {
+			return false // pruned before claiming or fanning out
+		}
+		b.chains[pred] = c
+		return true
+	})
+	for _, st := range next[claimed:] {
+		c := b.chains[st.Predicate]
+		b.e.Targets = append(b.e.Targets, Target{
+			Step:      st,
+			Composed:  c.composed,
+			Loss:      c.loss,
+			Conflicts: conflictsOf(c.composed),
+			Depth:     len(st.Path),
+		})
+	}
+	return next
+}
+
+// Entry returns the closure of a traversal that ran to completion. The
+// driver stamps Version and BuildMessages; a traversal that lost a lookup or
+// stopped early has no closure to install.
+func (b *Builder) Entry() *Entry {
+	b.e.Reformulations = len(b.e.Targets)
+	b.e.Touched = sortedKeys(b.touched)
+	return b.e
+}
+
 // Build computes the closure of a predicate: the wave-ordered traversal of
-// the mapping graph that iterative reformulation performs, without the
-// pattern lookups, each reached predicate's chain collapsed into a composite
-// mapping. Predicates are claimed in wave order after the loss gate, so with
-// MaxLoss unset the targets are exactly the BFS's reformulations. Any
-// retrieval error aborts the build.
+// the mapping graph that reformulation performs, without the pattern
+// lookups, driven serially through a Builder. Any retrieval error aborts the
+// build.
 func Build(ctx context.Context, src MappingSource, predicate string, opts Options) (*Entry, error) {
-	opts = opts.withDefaults()
 	schemaName, attr, ok := schema.SplitPredicateURI(predicate)
 	if !ok {
 		return nil, fmt.Errorf("compose: predicate %q is not Schema#Attr", predicate)
 	}
-	e := &Entry{Source: predicate, Options: opts}
-	touched := map[string]bool{}
-	// chains doubles as the visited set: the root and every claimed predicate
-	// have an entry (the root's is the zero chain).
-	chains := map[string]chain{predicate: {}}
-	wave := []Step{{Predicate: predicate, SchemaName: schemaName, Attr: attr, Confidence: 1}}
-	for len(wave) > 0 {
+	root := Step{Predicate: predicate, SchemaName: schemaName, Attr: attr, Confidence: 1}
+	b := NewBuilder(root, opts)
+	for wave := []Step{root}; len(wave) > 0; {
 		var next []Step
 		for _, it := range wave {
-			if len(it.Path) >= opts.MaxDepth {
+			if len(it.Path) >= b.e.Options.MaxDepth {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			mappings, msgs, err := src(ctx, it.SchemaName)
-			e.BuildMessages += msgs
-			touched[it.SchemaName] = true
+			b.e.BuildMessages += msgs
 			if err != nil {
 				return nil, fmt.Errorf("compose: retrieving mappings of %s: %w", it.SchemaName, err)
 			}
-			claimed, parent := len(next), chains[it.Predicate]
-			next = Expand(next, it, mappings, opts.MinConfidence, func(pred string, m schema.Mapping) bool {
-				if _, seen := chains[pred]; seen {
-					return false
-				}
-				c := chain{composed: m, first: m}
-				if len(it.Path) > 0 {
-					composed, err := parent.composed.Compose(m)
-					if err != nil {
-						return false // impossible by construction: the chain targets m.Source
-					}
-					c = chain{composed: composed, first: parent.first}
-				}
-				if c.loss = lossOf(c.first, c.composed); c.loss > opts.MaxLoss {
-					return false // pruned before claiming or fanning out
-				}
-				chains[pred] = c
-				return true
-			})
-			for _, st := range next[claimed:] {
-				c := chains[st.Predicate]
-				e.Targets = append(e.Targets, Target{
-					Step:      st,
-					Composed:  c.composed,
-					Loss:      c.loss,
-					Conflicts: conflictsOf(c.composed),
-					Depth:     len(st.Path),
-				})
-			}
+			next = b.Expand(next, it, mappings)
 		}
 		wave = next
 	}
-	e.Reformulations = len(e.Targets)
-	e.Touched = sortedKeys(touched)
-	return e, nil
+	return b.Entry(), nil
 }
 
 // lossOf measures how much of the chain's initial translation capability the

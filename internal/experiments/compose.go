@@ -14,11 +14,12 @@ import (
 	"gridvine/internal/triple"
 )
 
-// ComposeConfig parameterizes EXP-R: composite-mapping reformulation vs the
-// BFS engine as the mapping chain deepens. Each depth builds a fresh
-// overlay holding a chain of equivalence mappings S0→…→Sk (full attribute
-// coverage) with a lossy single-attribute branch hanging off every interior
-// schema, then resolves subject-bound queries through both engines.
+// ComposeConfig parameterizes EXP-R: what a cached composite closure saves
+// over the reformulation engine's per-query traversal as the mapping chain
+// deepens. Each depth builds a fresh overlay holding a chain of equivalence
+// mappings S0→…→Sk (full attribute coverage) with a lossy single-attribute
+// branch hanging off every interior schema, then resolves subject-bound
+// queries with and without the closure cache.
 type ComposeConfig struct {
 	Peers    int   // overlay size per depth (default 32)
 	Depths   []int // chain depths to sweep (default 1,2,4,6,8)
@@ -37,7 +38,7 @@ func (c ComposeConfig) withDefaults() ComposeConfig {
 	return c
 }
 
-var expR = declare("R", "composite-mapping reformulation vs BFS as mapping chains deepen (precomposed closures, loss pruning)",
+var expR = declare("R", "cached composite closures vs per-query traversal as mapping chains deepen (key-grouped shipping, loss pruning)",
 	func(quick bool, seed int64) (ComposeResult, error) {
 		cfg := ComposeConfig{Seed: seed}
 		if quick {
@@ -49,33 +50,34 @@ var expR = declare("R", "composite-mapping reformulation vs BFS as mapping chain
 // ComposePoint is one chain depth's measurement row.
 type ComposePoint struct {
 	Depth int `json:"depth"`
-	// Reformulations per query (identical for both engines by the
+	// Reformulations per query (identical with and without the cache by the
 	// equivalence property).
 	Reformulations int `json:"reformulations"`
-	// Routed messages per query: the BFS pays a pattern lookup plus a
-	// mapping retrieval per reachable schema; the warmed composite ships
-	// key-grouped variant batches.
-	BFSMsgsPerQuery       float64 `json:"bfs_messages_per_query"`
+	// Routed messages per query. The traversal pays the root pattern, one
+	// mapping retrieval per expandable schema and one key-grouped batch for
+	// every variant (subject-bound, so one key); the warm closure skips the
+	// retrievals and ships root and variants in that one batch.
+	TraversalMsgsPerQuery float64 `json:"traversal_messages_per_query"`
 	CompositeMsgsPerQuery float64 `json:"composite_messages_per_query"`
 	MessageReduction      float64 `json:"message_reduction"`
 	// ColdBuildMessages is what the one-time closure build cost — the
 	// first query's surcharge, amortized over every query after it.
 	ColdBuildMessages int `json:"cold_build_messages"`
 	// Wall-clock per query, microseconds.
-	BFSMicrosPerQuery       float64 `json:"bfs_micros_per_query"`
+	TraversalMicrosPerQuery float64 `json:"traversal_micros_per_query"`
 	CompositeMicrosPerQuery float64 `json:"composite_micros_per_query"`
-	// CompositeMatchesBFS: every query's composite results were
-	// byte-identical to both BFS modes.
-	CompositeMatchesBFS bool `json:"composite_matches_bfs"`
+	// CompositeMatchesTraversal: every query's cached results were
+	// byte-identical to the uncached engine's and the recursive mode's.
+	CompositeMatchesTraversal bool `json:"composite_matches_traversal"`
 	// Recall of loss-pruned (MaxLoss 0.5) vs unpruned composite answers:
 	// overall fraction retained, and the fraction of full-coverage chain
 	// answers retained (pruning must only shed the lossy branches).
 	RecallPruned     float64 `json:"recall_pruned"`
 	ChainRecallKept  float64 `json:"pruned_chain_recall"`
 	PrunedMsgsPerQry float64 `json:"pruned_messages_per_query"`
-	// InvalidationConsistent: after replacing a mid-chain mapping the
-	// composite engine agreed with the BFS again — the replace invalidated
-	// exactly the stale closure.
+	// InvalidationConsistent: after replacing a mid-chain mapping cached
+	// and uncached answers agreed again — the replace invalidated exactly
+	// the stale closure.
 	InvalidationConsistent bool `json:"invalidation_consistent"`
 }
 
@@ -132,9 +134,9 @@ func composeChain(issuer *mediation.Peer, depth, entities int) ([]schema.Mapping
 	return chain, nil
 }
 
-// RunCompose sweeps chain depth and scores the composite engine against the
-// BFS oracle on messages, wall-clock, result equivalence, loss-pruned
-// recall, and post-replace consistency.
+// RunCompose sweeps chain depth and scores cached closures against the
+// per-query traversal on messages, wall-clock, result equivalence,
+// loss-pruned recall, and post-replace consistency.
 func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 	cfg = cfg.withDefaults()
 	out := ComposeResult{}
@@ -167,7 +169,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		pruned := comp
 		pruned.MaxLoss = 0.5
 
-		point := ComposePoint{Depth: depth, CompositeMatchesBFS: true, ChainRecallKept: 1}
+		point := ComposePoint{Depth: depth, CompositeMatchesTraversal: true, ChainRecallKept: 1}
 
 		// Cold query: charged the closure build, recorded separately so
 		// the steady-state rate is honest about what amortizes.
@@ -177,18 +179,18 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		}
 		point.ColdBuildMessages = cold.Messages
 
-		var bfsArm, compArm armCost
+		var travArm, compArm armCost
 		var prunedMsgs metrics.Distribution
 		prunedKept, prunedTotal := 0, 0
 		chainKept, chainTotal := 0, 0
 		for _, q := range queries {
 			start := time.Now()
-			bfs, err := searchWithReformulation(ctx, issuer, q, base)
+			trav, err := searchWithReformulation(ctx, issuer, q, base)
 			if err != nil {
 				return out, err
 			}
-			bfsArm.add(start, bfs.Messages, 0)
-			point.Reformulations = bfs.Reformulations
+			travArm.add(start, trav.Messages, 0)
+			point.Reformulations = trav.Reformulations
 
 			start = time.Now()
 			cr, err := searchWithReformulation(ctx, issuer, q, comp)
@@ -196,8 +198,8 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 				return out, err
 			}
 			compArm.add(start, cr.Messages, 0)
-			if !reflect.DeepEqual(cr.Results, bfs.Results) {
-				point.CompositeMatchesBFS = false
+			if !reflect.DeepEqual(cr.Results, trav.Results) {
+				point.CompositeMatchesTraversal = false
 			}
 			rec, err := searchWithReformulation(ctx, issuer, q, mediation.SearchOptions{
 				Mode: mediation.Recursive, MaxDepth: depth + 1, Parallelism: 1,
@@ -206,7 +208,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 				return out, err
 			}
 			if !reflect.DeepEqual(cr.Results, rec.Results) {
-				point.CompositeMatchesBFS = false
+				point.CompositeMatchesTraversal = false
 			}
 
 			pr, err := searchWithReformulation(ctx, issuer, q, pruned)
@@ -231,13 +233,13 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 				}
 			}
 		}
-		point.BFSMsgsPerQuery = bfsArm.msgs.Mean()
-		point.BFSMicrosPerQuery = bfsArm.wallMicros.Mean()
+		point.TraversalMsgsPerQuery = travArm.msgs.Mean()
+		point.TraversalMicrosPerQuery = travArm.wallMicros.Mean()
 		point.CompositeMsgsPerQuery = compArm.msgs.Mean()
 		point.CompositeMicrosPerQuery = compArm.wallMicros.Mean()
 		point.PrunedMsgsPerQry = prunedMsgs.Mean()
 		if point.CompositeMsgsPerQuery > 0 {
-			point.MessageReduction = point.BFSMsgsPerQuery / point.CompositeMsgsPerQuery
+			point.MessageReduction = point.TraversalMsgsPerQuery / point.CompositeMsgsPerQuery
 		}
 		if prunedTotal > 0 {
 			point.RecallPruned = float64(prunedKept) / float64(prunedTotal)
@@ -247,9 +249,9 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		}
 
 		// Replace a mid-chain mapping (a confidence refresh, as the
-		// self-organization rounds publish) and require the composite
-		// engine to agree with the BFS again: the stale closure must have
-		// been invalidated, nothing else.
+		// self-organization rounds publish) and require cached and uncached
+		// answers to agree again: the stale closure must have been
+		// invalidated, nothing else.
 		point.InvalidationConsistent = true
 		mid := chain[len(chain)/2]
 		updated := mid
@@ -258,7 +260,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 			return out, err
 		}
 		for _, q := range queries {
-			bfs, err := searchWithReformulation(ctx, issuer, q, base)
+			trav, err := searchWithReformulation(ctx, issuer, q, base)
 			if err != nil {
 				return out, err
 			}
@@ -266,7 +268,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 			if err != nil {
 				return out, err
 			}
-			if !reflect.DeepEqual(cr.Results, bfs.Results) {
+			if !reflect.DeepEqual(cr.Results, trav.Results) {
 				point.InvalidationConsistent = false
 			}
 		}
@@ -276,9 +278,13 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 	return out, nil
 }
 
-// Check is EXP-R's gate: at every depth ≥ 4 (the sweep must reach one) the
-// composite engine matches the BFS byte for byte, survives a mapping
-// replace, and cuts routed messages at least 3x.
+// Check is EXP-R's gate: at every depth ≥ 4 (the sweep must reach one)
+// cached answers match uncached ones byte for byte and survive a mapping
+// replace, and the message cut sits where key-grouped shipping puts it. With
+// r reformulations the traversal is r mapping retrievals and two data
+// operations against the warm closure's one, an (r+2)× bill; shipping every
+// variant on its own would make it (2r+1)×. The gate takes ≥ 3× (a closure
+// still pays for its cache) and at most the midpoint of the two.
 func (r ComposeResult) Check() error {
 	deep := 0
 	for _, p := range r.Points {
@@ -286,13 +292,15 @@ func (r ComposeResult) Check() error {
 			continue
 		}
 		deep++
-		switch {
-		case !p.CompositeMatchesBFS:
-			return fmt.Errorf("depth %d: composite reformulation diverged from the BFS", p.Depth)
+		switch ungrouped := 1.5*float64(p.Reformulations) + 1.5; {
+		case !p.CompositeMatchesTraversal:
+			return fmt.Errorf("depth %d: cached reformulation diverged from the traversal", p.Depth)
 		case !p.InvalidationConsistent:
 			return fmt.Errorf("depth %d: stale composite served after a mapping replace", p.Depth)
 		case p.MessageReduction < 3:
 			return fmt.Errorf("depth %d: message reduction %.1fx, want ≥3x", p.Depth, p.MessageReduction)
+		case p.MessageReduction > ungrouped:
+			return fmt.Errorf("depth %d: the traversal spent %.1fx the warm closure's messages, want ≤%.1fx — are its variants still shipped grouped by key?", p.Depth, p.MessageReduction, ungrouped)
 		}
 	}
 	if deep == 0 {
@@ -303,15 +311,15 @@ func (r ComposeResult) Check() error {
 
 // Table renders the depth sweep.
 func (r ComposeResult) Table() string {
-	t := metrics.NewTable("depth", "reforms", "msg/q bfs", "msg/q comp", "cut", "build", "µs bfs", "µs comp", "recall pruned", "match", "inval ok")
+	t := metrics.NewTable("depth", "reforms", "msg/q trav", "msg/q comp", "cut", "build", "µs trav", "µs comp", "recall pruned", "match", "inval ok")
 	for _, p := range r.Points {
 		t.AddRow(
 			fmt.Sprint(p.Depth), fmt.Sprint(p.Reformulations),
-			fmt.Sprintf("%.1f", p.BFSMsgsPerQuery), fmt.Sprintf("%.1f", p.CompositeMsgsPerQuery),
+			fmt.Sprintf("%.1f", p.TraversalMsgsPerQuery), fmt.Sprintf("%.1f", p.CompositeMsgsPerQuery),
 			fmt.Sprintf("%.1fx", p.MessageReduction), fmt.Sprint(p.ColdBuildMessages),
-			fmt.Sprintf("%.0f", p.BFSMicrosPerQuery), fmt.Sprintf("%.0f", p.CompositeMicrosPerQuery),
+			fmt.Sprintf("%.0f", p.TraversalMicrosPerQuery), fmt.Sprintf("%.0f", p.CompositeMicrosPerQuery),
 			fmt.Sprintf("%.2f", p.RecallPruned),
-			fmt.Sprint(p.CompositeMatchesBFS), fmt.Sprint(p.InvalidationConsistent),
+			fmt.Sprint(p.CompositeMatchesTraversal), fmt.Sprint(p.InvalidationConsistent),
 		)
 	}
 	return t.String()

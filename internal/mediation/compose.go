@@ -8,22 +8,21 @@ import (
 
 	"gridvine/internal/compose"
 	"gridvine/internal/keyspace"
+	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
 	"gridvine/internal/triple"
 )
 
-// Composite reformulation (SearchOptions.ComposeMappings): instead of
-// walking the mapping graph per query, the peer consults its composite
-// closure cache (internal/compose) — the precomposed transitive mapping
-// chains of the queried predicate — and ships the reformulated pattern
-// variants grouped by destination key: every variant routing to the same
-// responsible key rides one CompositeQuery, so a subject-constant query
-// whose variants all hash to the subject costs a single routed operation
-// regardless of chain depth, where the BFS pays one pattern lookup plus one
-// mapping retrieval per reachable schema. The BFS path (streamIterative /
-// streamRecursive) remains the default engine and the equivalence oracle:
-// with loss pruning disabled, a closure enumerates exactly the BFS's
-// reformulations, in the same order.
+// Key-grouped shipping and the composite closure cache. The reformulation
+// engine (streamReformulated) ships its variants grouped by destination
+// key: every variant routing to the same responsible key rides one
+// CompositeQuery, so a subject- or object-constant query, whose variants all
+// hash to that constant, pays one data operation for the whole closure
+// whatever the chain depth. SearchOptions.ComposeMappings additionally lets
+// the engine reuse a cached closure (internal/compose) — the precomposed
+// transitive mapping chains of the queried predicate — instead of looking
+// the mappings up again; with loss pruning disabled a closure enumerates
+// exactly the traversal's reformulations, in the same order.
 //
 // The cache is keyed on a schema-graph version counter: Peer.Write bumps it
 // (issuer side) whenever a batch publishes or replaces a mapping, and the
@@ -56,12 +55,20 @@ func (p *Peer) handleComposite(req CompositeQuery) CompositeResponse {
 	return resp
 }
 
-// mappingSource adapts MappingsFrom to the compose build interface,
-// reporting the retrieval's route messages so closure builds are charged
-// like the BFS's mapping lookups.
+// errReplicaAnswered refuses a mapping list for a closure build: it came
+// from a fallback replica, which may not have seen the latest publish.
+var errReplicaAnswered = errors.New("mediation: mapping lookup answered by a fallback replica")
+
+// mappingSource adapts MappingsFrom to the compose build interface for
+// WarmComposites, reporting each retrieval's route messages. A
+// replica-answered lookup is an error: a closure must never be cached from
+// a mapping list the responsible peer did not serve.
 func (p *Peer) mappingSource() compose.MappingSource {
 	return func(ctx context.Context, name string) ([]schema.Mapping, int, error) {
 		ms, route, err := p.MappingsFrom(ctx, name)
+		if err == nil && route.Degraded {
+			err = errReplicaAnswered
+		}
 		return ms, route.Messages, err
 	}
 }
@@ -107,20 +114,12 @@ func (p *Peer) WarmComposites(ctx context.Context, predicates []string, opts Sea
 }
 
 // invalidateComposites drops the cached closures that pass through any of
-// the given mappings' schemas and advances the schema-graph version.
+// the given mappings' schemas and advances the schema-graph version; without
+// mappings it does nothing.
 func (p *Peer) invalidateComposites(mappings []schema.Mapping) {
-	if len(mappings) == 0 {
-		return
-	}
-	seen := map[string]bool{}
-	var schemas []string
+	schemas := make([]string, 0, 2*len(mappings))
 	for _, m := range mappings {
-		for _, s := range []string{m.Source, m.Target} {
-			if !seen[s] {
-				seen[s] = true
-				schemas = append(schemas, s)
-			}
-		}
+		schemas = append(schemas, m.Source, m.Target)
 	}
 	p.composites.Invalidate(schemas...)
 }
@@ -140,149 +139,90 @@ func (b *Batch) mappingSchemas() []schema.Mapping {
 	return out
 }
 
-// compositeGroup is one destination key's share of a composite fan-out: the
-// variant indices whose patterns route there, in variant order.
-type compositeGroup struct {
-	key      keyspace.Key
-	variants []int
-}
+// flush ships the variants reached since the last flush — one routed
+// CompositeQuery per destination key, fanned out across the worker pool —
+// and emits their answers in variant order, so rows arrive as the serial
+// traversal would produce them whatever the grouping. A subject- or
+// object-constant query collapses to one group (reformulation only rewrites
+// the predicate); predicate-keyed queries get one group per variant. stopped
+// reports that emit ended the search.
+func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
+	pending := r.variants[r.shipped:]
+	if len(pending) == 0 {
+		return false, nil
+	}
 
-// streamComposite resolves a reformulating pattern query through the
-// composite closure cache. Both reformulation modes route here when
-// ComposeMappings is set: precomposition leaves nothing to delegate, so the
-// iterative/recursive distinction collapses. On a cache miss the closure is
-// built first (its mapping retrievals are charged to this query); if the
-// build fails — some schema key unreachable mid-closure — the query falls
-// back to the BFS engine of the selected mode, which tolerates per-branch
-// failures.
-func (p *Peer) streamComposite(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, emit emitResult) (*ResultSet, bool, error) {
-	entry, built, err := p.composites.GetOrBuild(ctx, p.mappingSource(), q.P.Value, composeOptions(opts))
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return &ResultSet{Query: q}, true, ctxErr
+	type group struct {
+		key      keyspace.Key
+		variants []int // indices into pending, ascending
+		req      CompositeQuery
+		route    pgrid.Route // zero, like err, if cancellation skipped the group
+		err      error
+	}
+	var groups []*group
+	byKey := map[keyspace.Key]*group{}
+	patterns := make([]triple.Pattern, len(pending))
+	pos, constant, _ := r.q.MostSpecificConstant() // the predicate is constant: always routable
+	key := keyspace.Hash(constant, r.p.depth)
+	for i, v := range pending {
+		patterns[i] = r.q.WithTerm(triple.Predicate, triple.Const(v.Predicate))
+		if pos == triple.Predicate { // only then does rewriting it move the key
+			key = keyspace.Hash(v.Predicate, r.p.depth)
 		}
-		if opts.Mode == Recursive {
-			return p.streamRecursive(ctx, q, filters, opts, emit)
+		g := byKey[key]
+		if g == nil {
+			g = &group{key: key, req: CompositeQuery{Filters: r.filters}}
+			byKey[key] = g
+			groups = append(groups, g)
 		}
-		return p.streamIterative(ctx, q, filters, opts, emit)
+		g.variants = append(g.variants, i)
+		g.req.Patterns = append(g.req.Patterns, patterns[i])
 	}
 
-	rs := &ResultSet{Query: q, Reformulations: entry.Reformulations}
-	if built {
-		rs.Messages += entry.BuildMessages
-	}
-
-	// The variants, in BFS emission order: the original pattern, then every
-	// closure target in wave order.
-	type variant struct {
-		pattern    triple.Pattern
-		path       []string
-		confidence float64
-	}
-	variants := make([]variant, 0, len(entry.Targets)+1)
-	variants = append(variants, variant{pattern: q, confidence: 1})
-	for _, t := range entry.Targets {
-		variants = append(variants, variant{
-			pattern:    q.WithTerm(triple.Predicate, triple.Const(t.Predicate)),
-			path:       t.Path,
-			confidence: t.Confidence,
-		})
-	}
-
-	// Group variants by destination key. A subject- or object-constant query
-	// collapses to one group (reformulation only rewrites the predicate);
-	// predicate-driven queries get one group per distinct predicate key —
-	// still dropping every mapping-retrieval round trip the BFS pays.
-	groups := make([]compositeGroup, 0, 1)
-	groupIdx := map[string]int{}
-	for i, v := range variants {
-		_, constant, ok := v.pattern.MostSpecificConstant()
-		if !ok {
-			continue // unreachable: q.P is constant, so every variant is routable
-		}
-		key := keyspace.Hash(constant, p.depth)
-		ks := key.String()
-		gi, ok := groupIdx[ks]
-		if !ok {
-			gi = len(groups)
-			groupIdx[ks] = gi
-			groups = append(groups, compositeGroup{key: key})
-		}
-		groups[gi].variants = append(groups[gi].variants, i)
-	}
-
-	// One routed CompositeQuery per group, fanned out across the worker
-	// pool and merged in group order for determinism.
-	answers := make([][]triple.Triple, len(variants))
-	groupErrs := make([]error, len(groups))
-	groupMsgs := make([]int, len(groups))
-	groupDegraded := make([]bool, len(groups))
-	ran := make([]bool, len(groups))
-	poolErr := runPoolCtx(ctx, len(groups), opts.Parallelism, func(i int) {
+	answers := make([][]triple.Triple, len(pending))
+	poolErr := runPoolCtx(ctx, len(groups), r.workers, func(i int) {
 		g := groups[i]
-		patterns := make([]triple.Pattern, len(g.variants))
-		for j, vi := range g.variants {
-			patterns[j] = variants[vi].pattern
-		}
-		result, route, err := p.node.Query(ctx, g.key, CompositeQuery{Patterns: patterns, Filters: filters})
-		groupMsgs[i] = route.Messages
-		groupDegraded[i] = route.Degraded
-		ran[i] = true
-		if err != nil {
-			groupErrs[i] = err
+		var result any
+		result, g.route, g.err = r.p.node.Query(ctx, g.key, g.req)
+		if g.err != nil {
 			return
 		}
 		resp, ok := result.(CompositeResponse)
-		if !ok || len(resp.Answers) != len(patterns) {
-			groupErrs[i] = fmt.Errorf("mediation: unexpected composite result %T", result)
+		if !ok || len(resp.Answers) != len(g.variants) {
+			g.err = fmt.Errorf("mediation: unexpected composite result %T", result)
 			return
 		}
 		for j, vi := range g.variants {
 			answers[vi] = resp.Answers[j]
 		}
 	})
-
-	var firstErr error
-	for i := range groups {
-		if !ran[i] {
-			continue // cancelled before this group's turn
-		}
-		rs.Messages += groupMsgs[i]
-		rs.Degraded = rs.Degraded || groupDegraded[i]
-		if err := groupErrs[i]; err != nil && !errors.Is(err, ErrNotRoutable) {
-			// A failed group is tolerated like a failed BFS branch, but the
-			// aggregate is now partial.
-			rs.Degraded = true
-			if firstErr == nil {
-				firstErr = err
+	if r.shipped == 0 {
+		r.rs.Route = groups[0].route // the root pattern's group
+	}
+	r.shipped = len(r.variants)
+	for _, g := range groups {
+		r.rs.Messages += g.route.Messages
+		r.rs.Degraded = r.rs.Degraded || g.route.Degraded
+		if g.err != nil {
+			// A failed group is tolerated, but the aggregate is now partial.
+			r.rs.Degraded = true
+			if r.firstErr == nil {
+				r.firstErr = g.err
 			}
 		}
 	}
 	if poolErr != nil {
-		return rs, true, poolErr
+		return false, poolErr // cancelled, possibly mid-group: the answer is incomplete and says so
 	}
-	if err := ctx.Err(); err != nil {
-		return rs, true, err
-	}
-
-	emitted := 0
-	for i, v := range variants {
+	for i, v := range pending {
 		for _, t := range answers[i] {
-			emitted++
-			if !emit(Result{
-				Triple:      t,
-				Pattern:     v.pattern,
-				MappingPath: v.path,
-				Confidence:  v.confidence,
-			}) {
-				return rs, true, nil
+			r.emitted++
+			if !r.emit(Result{Triple: t, Pattern: patterns[i], MappingPath: v.Path, Confidence: v.Confidence}) {
+				return true, nil
 			}
 		}
 	}
-	if emitted == 0 && firstErr != nil {
-		return rs, true, firstErr
-	}
-	return rs, true, nil
+	return false, nil
 }
 
 func init() {

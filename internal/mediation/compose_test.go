@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"gridvine/internal/compose"
+	"gridvine/internal/keyspace"
 	"gridvine/internal/schema"
 	"gridvine/internal/triple"
 )
@@ -66,71 +66,6 @@ func buildChain(t *testing.T, issuer *Peer, prefix string, depth, entities int) 
 	return chain
 }
 
-// TestCompositeMatchesBFSProperty is the equivalence property: composite
-// reformulation returns binding sets identical to the BFS across chain
-// depths × reformulation modes × parallelism 1/default, for subject-bound
-// and predicate-only queries — and again after every mapping replace, which
-// exercises incremental invalidation (a stale closure would surface as a
-// result diff immediately).
-func TestCompositeMatchesBFSProperty(t *testing.T) {
-	for _, depth := range []int{1, 2, 3, 5} {
-		_, peers := testNetwork(t, 24, int64(100+depth))
-		issuer := peers[depth%len(peers)]
-		chain := buildChain(t, issuer, "S", depth, 3)
-
-		queries := []triple.Pattern{
-			{S: triple.Const("urn:S:e1"), P: triple.Const("S0#a0"), O: triple.Var("o")},
-			{S: triple.Var("s"), P: triple.Const("S0#a0"), O: triple.Var("o")},
-		}
-		check := func(phase string) {
-			t.Helper()
-			for _, mode := range []Mode{Iterative, Recursive} {
-				for _, par := range []int{1, 0} {
-					for qi, q := range queries {
-						base := SearchOptions{Mode: mode, MaxDepth: depth + 1, Parallelism: par}
-						bfs, err := blockingSearchReformulated(issuer, q, base)
-						if err != nil {
-							t.Fatalf("%s: BFS %v/par=%d/q%d: %v", phase, mode, par, qi, err)
-						}
-						comp := base
-						comp.ComposeMappings = true
-						got, err := blockingSearchReformulated(issuer, q, comp)
-						if err != nil {
-							t.Fatalf("%s: composite %v/par=%d/q%d: %v", phase, mode, par, qi, err)
-						}
-						if len(bfs.Results) == 0 {
-							t.Fatalf("%s: BFS returned nothing for q%d", phase, qi)
-						}
-						if !reflect.DeepEqual(got.Results, bfs.Results) {
-							t.Fatalf("%s: depth %d %v/par=%d/q%d: composite results diverge\nbfs:  %+v\ncomp: %+v",
-								phase, depth, mode, par, qi, bfs.Results, got.Results)
-						}
-						if got.Reformulations != bfs.Reformulations {
-							t.Errorf("%s: depth %d %v/q%d: reformulations %d != bfs %d",
-								phase, depth, mode, qi, got.Reformulations, bfs.Reformulations)
-						}
-					}
-				}
-			}
-		}
-		check("initial")
-
-		// Replace every chain mapping in turn (confidence refresh, same ID —
-		// the self-organization round's republication) and re-check: each
-		// replace must invalidate the closures through it, so composite
-		// answers track the new graph state exactly.
-		for i, old := range chain {
-			updated := old
-			updated.Confidence = 0.9 - 0.05*float64(i)
-			if err := issuer.ReplaceMappingContext(context.Background(), old, updated); err != nil {
-				t.Fatalf("replace %d: %v", i, err)
-			}
-			chain[i] = updated
-			check(fmt.Sprintf("after replace %d", i))
-		}
-	}
-}
-
 // TestCompositeInvalidationIsIncremental pins the invalidation scope: a
 // mapping replace drops exactly the closures whose chains pass through it —
 // the disjoint component's closure keeps serving cache hits, and no stale
@@ -177,12 +112,12 @@ func TestCompositeInvalidationIsIncremental(t *testing.T) {
 			t.Fatalf("stale composite served: deprecated chain still answers %+v", r)
 		}
 	}
-	bfsA, err := blockingSearchReformulated(issuer, qA, SearchOptions{MaxDepth: 3, Parallelism: 1})
+	freshA, err := blockingSearchReformulated(issuer, qA, SearchOptions{MaxDepth: 3, Parallelism: 1})
 	if err != nil {
-		t.Fatalf("BFS after replace: %v", err)
+		t.Fatalf("uncached query after replace: %v", err)
 	}
-	if !reflect.DeepEqual(rsA.Results, bfsA.Results) {
-		t.Fatalf("post-replace composite diverges from BFS\nbfs:  %+v\ncomp: %+v", bfsA.Results, rsA.Results)
+	if !reflect.DeepEqual(rsA.Results, freshA.Results) {
+		t.Fatalf("post-replace cached answer diverges from the uncached one\nuncached: %+v\ncached:   %+v", freshA.Results, rsA.Results)
 	}
 
 	// B's closure was untouched: the next B query is a pure cache hit.
@@ -235,18 +170,18 @@ func TestCompositeLossPruning(t *testing.T) {
 	}
 }
 
-// TestCompositeCutsMessages pins the cost claim at small scale: a warmed
-// composite query answers a subject-bound reformulation in a fraction of
-// the BFS's routed messages.
+// TestCompositeCutsMessages pins the cost claim at small scale: a warm
+// closure answers a subject-bound reformulation in a fraction of the
+// routed messages the per-query traversal spends on its mapping lookups.
 func TestCompositeCutsMessages(t *testing.T) {
 	_, peers := testNetwork(t, 24, 13)
 	issuer := peers[2]
 	buildChain(t, issuer, "S", 4, 2)
 
 	q := triple.Pattern{S: triple.Const("urn:S:e0"), P: triple.Const("S0#a0"), O: triple.Var("o")}
-	bfs, err := blockingSearchReformulated(issuer, q, SearchOptions{MaxDepth: 5, Parallelism: 1})
+	fresh, err := blockingSearchReformulated(issuer, q, SearchOptions{MaxDepth: 5, Parallelism: 1})
 	if err != nil {
-		t.Fatalf("BFS: %v", err)
+		t.Fatalf("uncached: %v", err)
 	}
 	warm := SearchOptions{MaxDepth: 5, Parallelism: 1, ComposeMappings: true}
 	if _, err := blockingSearchReformulated(issuer, q, warm); err != nil {
@@ -256,79 +191,77 @@ func TestCompositeCutsMessages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("composite: %v", err)
 	}
-	if comp.Messages*3 > bfs.Messages {
-		t.Errorf("warmed composite spent %d messages, BFS %d — want ≥ 3x reduction", comp.Messages, bfs.Messages)
+	if comp.Messages*3 > fresh.Messages {
+		t.Errorf("warm closure spent %d messages, the traversal %d — want ≥ 3x reduction", comp.Messages, fresh.Messages)
 	}
 }
 
-// TestIterativeBFSEmitsBuildTargets asserts "one rule" end to end: on a
-// graph with a cycle, a chord, a bidirectional and a sub-threshold mapping,
-// the iterative BFS emits its (pattern, MappingPath, Confidence) sequence in
-// exactly the order, and with exactly the provenance, of the closure Build
-// computes for the same predicate. Every (schema, attribute) holds one
-// matching triple, so each reformulated variant emits exactly one row.
-func TestIterativeBFSEmitsBuildTargets(t *testing.T) {
-	_, peers := testNetwork(t, 24, 31)
-	issuer := peers[5]
-	ctx := context.Background()
-	mapping := func(src, tgt string, conf float64, corrs ...schema.Correspondence) schema.Mapping {
-		m := schema.NewMapping(src, tgt, schema.Equivalence, schema.Manual, corrs)
-		m.Confidence = conf
-		return m
-	}
-	same := schema.Correspondence{SourceAttr: "a0", TargetAttr: "a0", Confidence: 1}
-	back := mapping("G2", "G0", 1, same) // closes the cycle G0→G1→G2→G0
-	both := mapping("G3", "G1", 0.8, schema.Correspondence{SourceAttr: "a1", TargetAttr: "a0", Confidence: 1})
-	both.Bidirectional = true // reached from G1 through its reverse
-	b := &Batch{Parallelism: 1}
-	for _, m := range []schema.Mapping{
-		mapping("G0", "G1", 0.9, same),
-		mapping("G1", "G2", 0.9, same),
-		back,
-		mapping("G0", "G2", 0.7, same), // chord: G2 is claimed in wave 1, not via G1
-		both,
-		mapping("G2", "G4", 0.05, same), // below the gate once chained
-	} {
-		b.PublishMapping(m)
-	}
-	for i := 0; i < 5; i++ {
-		for _, attr := range []string{"a0", "a1"} {
-			b.InsertTriple(triple.Triple{Subject: fmt.Sprintf("urn:g:%d:%s", i, attr), Predicate: fmt.Sprintf("G%d#%s", i, attr), Object: "v"})
+// TestReplicaAnsweredLookupIsNotCached: a closure assembled from a mapping
+// list that a fallback replica served (the responsible peer the issuer tried
+// first is down) answers its own query Degraded and is never installed —
+// neither by the query path nor by WarmComposites — so no later query is
+// served it without the flag. The issuer holds the data key itself, so only
+// a mapping lookup can meet the failed peer, and the issuer newly suspecting
+// that peer is the sign one did. Whether it does hangs on a routing
+// tie-break, so the scenario runs over several overlays and must occur on
+// both paths.
+func TestReplicaAnsweredLookupIsNotCached(t *testing.T) {
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("aspergillus")}
+	opts := SearchOptions{Parallelism: 1, ComposeMappings: true}
+	met := map[bool]int{}
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, warm := range []bool{true, false} {
+			net, peers := chainNetwork(t, 3, seed)
+			dataKey := keyspace.Hash("aspergillus", peers[0].depth)
+			var issuer, victim *Peer
+			for _, p := range peers {
+				switch {
+				case p.Node().Responsible(dataKey):
+					issuer = p
+				case p.Node().Responsible(p.schemaKey("S0")):
+					victim = p
+				}
+			}
+			if issuer == nil || victim == nil || issuer.Node().Responsible(issuer.schemaKey("S0")) {
+				continue // this overlay keeps data and schema keys in one leaf
+			}
+			net.Fail(victim.Node().ID())
+
+			var degraded bool
+			if warm {
+				built, err := issuer.WarmComposites(context.Background(), []string{q.P.Value}, opts)
+				if err != nil {
+					t.Fatalf("seed %d: warm: %v", seed, err)
+				}
+				degraded = built == 0
+			} else {
+				rs, err := blockingSearchReformulated(issuer, q, opts)
+				if err != nil || len(rs.Results) != 3 {
+					t.Fatalf("seed %d: %d rows, err %v — the replica holds every mapping", seed, len(rs.Results), err)
+				}
+				degraded = rs.Degraded
+			}
+			metFailed := issuer.Node().Suspected(victim.Node().ID())
+			if metFailed {
+				met[warm]++
+			}
+			if installed := issuer.ComposeStats().Entries > 0; degraded != metFailed || installed == metFailed {
+				t.Errorf("seed %d warm=%v: lookup met the failed peer: %v, degraded: %v, closure installed: %v", seed, warm, metFailed, degraded, installed)
+			}
+			// The failed peer is suspected now and tried last: the next
+			// traversal is clean, and only a clean one may be served again.
+			for run := 0; run < 2; run++ {
+				rs, err := blockingSearchReformulated(issuer, q, opts)
+				if err != nil || len(rs.Results) != 3 || rs.Degraded {
+					t.Fatalf("seed %d warm=%v run %d: %d rows, degraded %v, err %v", seed, warm, run, len(rs.Results), rs.Degraded, err)
+				}
+			}
+			if st := issuer.ComposeStats(); st.Entries != 1 || st.Hits == 0 {
+				t.Errorf("seed %d warm=%v: clean traversal was not installed and reused: %+v", seed, warm, st)
+			}
 		}
 	}
-	if rec, err := issuer.Write(ctx, b); err != nil || rec.FirstErr() != nil {
-		t.Fatalf("write: %v / %v", err, rec.FirstErr())
-	}
-
-	q := triple.Pattern{S: triple.Var("s"), P: triple.Const("G0#a0"), O: triple.Const("v")}
-	opts := SearchOptions{Parallelism: 1}
-	cur, err := issuer.Query(ctx, Request{Pattern: &q, Reformulate: true, Options: opts})
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	var emitted []compose.Step
-	for row, ok := cur.Next(ctx); ok; row, ok = cur.Next(ctx) {
-		emitted = append(emitted, compose.Step{Predicate: row.Result.Pattern.P.Value, Path: row.Result.MappingPath, Confidence: row.Result.Confidence})
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatalf("cursor: %v", err)
-	}
-
-	entry, err := compose.Build(ctx, issuer.mappingSource(), q.P.Value, composeOptions(opts.withDefaults()))
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	want := []compose.Step{{Predicate: q.P.Value, Confidence: 1}}
-	for _, tg := range entry.Targets {
-		want = append(want, compose.Step{Predicate: tg.Predicate, Path: tg.Path, Confidence: tg.Confidence})
-	}
-	if len(want) != 4 { // root, G1, G2 (by the chord), G3 (by the reverse); G4 gated out
-		t.Fatalf("closure = %+v — the graph no longer exercises the rule", want)
-	}
-	if !reflect.DeepEqual(emitted, want) {
-		t.Errorf("BFS emission diverges from the closure:\nbfs   %+v\nbuild %+v", emitted, want)
-	}
-	if got := cur.Stats().Reformulations; got != entry.Reformulations {
-		t.Errorf("reformulations: bfs %d, build %d", got, entry.Reformulations)
+	if met[true] == 0 || met[false] == 0 {
+		t.Fatalf("lookups met the failed peer in %d warm-ups and %d queries: the scenario is not exercised", met[true], met[false])
 	}
 }

@@ -824,8 +824,10 @@ func (p *Peer) resolvePushdownStream(ctx context.Context, q triple.Pattern, plan
 // resolvePattern issues one (possibly reformulating, possibly semi-join
 // filtered) overlay search and charges its routing, transfer, filter
 // shipment, and reformulation costs to stats. The filter payload rides
-// every shipped copy of the pattern — the primary lookup and each
-// reformulated variant — so its transfer cost is charged per lookup.
+// every routed copy of the pattern, charged as one per variant — the
+// primary lookup and each reformulation: exact for the recursive cascade
+// and for variants with distinct destination keys, an upper bound where
+// key-grouped shipping puts several variants in one message.
 func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*ResultSet, error) {
 	rs, err := p.searchPattern(ctx, q, filters, reformulate, opts)
 	if rs != nil {

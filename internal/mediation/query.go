@@ -57,12 +57,12 @@ type SearchOptions struct {
 	// MinConfidence prunes mapping paths whose composed confidence falls
 	// below it. Default 0.05.
 	MinConfidence float64
-	// Parallelism bounds the worker pool that fans reformulated patterns
-	// out over the overlay concurrently. 0 selects DefaultParallelism; 1
-	// executes serially (the fully deterministic mode the seeded experiment
-	// harness uses — result sets are deterministic at any width, but
-	// routing tie-breaks, and with them message counts, can vary when
-	// queries race). Negative values are treated as 1.
+	// Parallelism bounds the worker pool that runs a wave's mapping lookups
+	// and a flush's key groups over the overlay concurrently. 0 selects
+	// DefaultParallelism; 1 executes serially (the fully deterministic mode
+	// the seeded experiment harness uses — result sets are deterministic at
+	// any width, but routing tie-breaks, and with them message counts, can
+	// vary when queries race). Negative values are treated as 1.
 	Parallelism int
 	// PushdownLimit caps the bound-value fan-out of the conjunctive query
 	// planner: when a pattern's shared variable is already bound to at most
@@ -74,22 +74,23 @@ type SearchOptions struct {
 	// that are not routable unconstrained, where pushdown is the only way
 	// to resolve them).
 	PushdownLimit int
-	// ComposeMappings routes reformulation through the peer's composite
-	// closure cache (internal/compose): the transitive mapping chains of the
-	// queried predicate are precomposed once, cached until a mapping publish
-	// or replace invalidates them, and the reformulated variants ship
-	// grouped by destination key — one routed operation per distinct key
-	// instead of one pattern lookup plus one mapping retrieval per reachable
-	// schema. Results are identical to the BFS traversal (the default
-	// engine, retained as the equivalence oracle) unless MaxLoss prunes.
-	// Both reformulation modes short-circuit through the cache:
-	// precomposition leaves nothing to delegate.
+	// ComposeMappings lets the reformulation engine reuse a cached composite
+	// closure (internal/compose) in place of its mapping lookups: the
+	// transitive mapping chains of the queried predicate, precomposed by the
+	// first query that traverses them to completion or by WarmComposites,
+	// and served until a mapping publish or replace this peer observes
+	// invalidates them. Rows are identical to the uncached traversal's
+	// unless MaxLoss prunes, and ship the same way, one routed operation per
+	// distinct destination key. It takes precedence over Mode. Off by
+	// default: invalidation reaches only the issuer and the peers storing
+	// the mapping (DESIGN.md §9).
 	ComposeMappings bool
 	// MaxLoss prunes composite chains whose attribute loss — the fraction
 	// of the chain's first-hop source attributes that no longer survive the
 	// composed correspondences — exceeds it, before any fan-out. Only
-	// meaningful with ComposeMappings. 0 disables pruning (full recall);
-	// setting it trades recall for fan-out.
+	// meaningful with ComposeMappings: chains are composed only for the
+	// closure cache. 0 disables pruning (full recall); setting it trades
+	// recall for fan-out.
 	MaxLoss float64
 	// StatsTTL is the freshness horizon of distributed statistics: the
 	// conjunctive planner aggregates published StatsDigests no older than
@@ -256,9 +257,12 @@ func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters 
 // answer. A nil *ResultSet (with ErrNotRoutable) reports a pattern without
 // a routable constant.
 //
-// Cancelling ctx stops the traversal between hops and between waves: the
-// results already emitted stand, and ctx.Err() is returned.
-func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, emit emitResult) (rs *ResultSet, traversed bool, err error) {
+// limited tells the reformulation engine that emit enforces a row limit, so
+// shipping reached variants early can end the traversal early.
+//
+// Cancelling ctx stops the traversal between hops and between routed
+// operations: the results already emitted stand, and ctx.Err() is returned.
+func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, limited bool, emit emitResult) (rs *ResultSet, traversed bool, err error) {
 	opts = opts.withDefaults()
 	rewritable := reformulate && q.P.Kind == triple.Constant
 	if rewritable {
@@ -273,13 +277,10 @@ func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []Va
 		emitAll(rs, emit)
 		return rs, false, nil
 	}
-	if opts.ComposeMappings {
-		return p.streamComposite(ctx, q, filters, opts, emit)
-	}
-	if opts.Mode == Recursive {
+	if opts.Mode == Recursive && !opts.ComposeMappings {
 		return p.streamRecursive(ctx, q, filters, opts, emit)
 	}
-	return p.streamIterative(ctx, q, filters, opts, emit)
+	return p.streamReformulated(ctx, q, filters, opts, limited, emit)
 }
 
 // emitAll moves a plain σ answer's results out through emit, preserving the
@@ -299,7 +300,7 @@ func emitAll(rs *ResultSet, emit emitResult) {
 // primitive.
 func (p *Peer) searchPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions) (*ResultSet, error) {
 	var collected []Result
-	rs, traversed, err := p.streamPattern(ctx, q, filters, reformulate, opts, func(r Result) bool {
+	rs, traversed, err := p.streamPattern(ctx, q, filters, reformulate, opts, false, func(r Result) bool {
 		collected = append(collected, r)
 		return true
 	})
@@ -311,39 +312,6 @@ func (p *Peer) searchPattern(ctx context.Context, q triple.Pattern, filters []Va
 		dedupeResults(rs)
 	}
 	return rs, err
-}
-
-// frontierOut is what resolving one wave step over the overlay yields: its
-// search answer and, when the step is still expandable, the outgoing
-// mappings of its schema. A nil sub marks a step the pool never ran
-// (cancelled before its turn).
-type frontierOut struct {
-	sub      *ResultSet
-	err      error
-	mappings []schema.Mapping
-	mapMsgs  int
-	// mapLost reports that the mapping retrieval failed or was answered by a
-	// fallback replica: the next wave may be missing reformulations.
-	mapLost bool
-}
-
-// resolveFrontier resolves one wave step: the routed search of q rewritten
-// to the step's predicate, plus the mapping lookup that seeds the next wave
-// (skipped at MaxDepth). It touches no shared state, so the fan-out can run
-// it from any goroutine.
-func (p *Peer) resolveFrontier(ctx context.Context, q triple.Pattern, step compose.Step, filters []VarFilter, opts SearchOptions) frontierOut {
-	var out frontierOut
-	out.sub, out.err = p.searchForFiltered(ctx, q.WithTerm(triple.Predicate, triple.Const(step.Predicate)), filters)
-	if out.sub == nil {
-		out.sub = &ResultSet{}
-	}
-	if len(step.Path) >= opts.MaxDepth {
-		return out
-	}
-	mappings, route, err := p.MappingsFrom(ctx, step.SchemaName)
-	out.mappings, out.mapMsgs = mappings, route.Messages
-	out.mapLost = err != nil || route.Degraded
-	return out
 }
 
 // runPool executes fn(0)…fn(n-1) across at most workers goroutines,
@@ -392,102 +360,111 @@ func runPoolCtx(ctx context.Context, n, workers int, fn func(int)) error {
 	return ctx.Err()
 }
 
-// fanOut resolves a whole wave across a bounded worker pool. outs[i]
-// corresponds to wave[i], so the caller can merge in wave order and keep the
-// traversal deterministic regardless of completion order. Steps skipped
-// after cancellation are left with a nil sub.
-func (p *Peer) fanOut(ctx context.Context, q triple.Pattern, wave []compose.Step, filters []VarFilter, opts SearchOptions) ([]frontierOut, error) {
-	outs := make([]frontierOut, len(wave))
-	err := runPoolCtx(ctx, len(wave), opts.Parallelism, func(i int) {
-		outs[i] = p.resolveFrontier(ctx, q, wave[i], filters, opts)
-	})
-	return outs, err
+// reformulation is one issuer-side traversal of the mapping graph: the
+// variants reached so far — the root pattern's step first, then every claimed
+// predicate in wave order — and how many of them have shipped.
+type reformulation struct {
+	p        *Peer
+	q        triple.Pattern
+	filters  []VarFilter
+	workers  int
+	emit     emitResult
+	rs       *ResultSet
+	variants []compose.Step
+	shipped  int
+	emitted  int
+	firstErr error
 }
 
-// streamIterative performs issuer-driven breadth-first traversal of the
-// mapping graph: the routing visitor over compose.Expand. Each BFS wave fans
-// out across the worker pool — the reformulated patterns of a wave are
-// independent overlay operations — and is merged back in wave order,
-// emitting every raw result as soon as its wave completes, so visited-set
-// claims, aggregation order and reformulation counts match the serial
-// traversal exactly. When emit stops the search (row limit) the remaining
-// merge is skipped and no further wave is launched — a top-k query stops
-// fanning out mid-traversal.
-func (p *Peer) streamIterative(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, emit emitResult) (*ResultSet, bool, error) {
+// streamReformulated is the issuer-side reformulation engine: one wave loop
+// over compose.Expand. Each wave looks its schemas' mappings up through the
+// worker pool and claims the predicates they reach in wave order; the reached
+// variants ship grouped by destination key (flush) under one rule — the root
+// pattern at once, so the first row costs one routed operation; after every
+// wave while limited says a row limit could still end the traversal early;
+// otherwise once, after the last wave. Under ComposeMappings a cached closure
+// is the traversal already in hand (root and targets ship in one flush), and
+// a cold one is built by this same loop and installed if it ran to
+// completion. A failed or replica-answered lookup truncates its branch and
+// marks the answer Degraded; such a traversal installs nothing.
+func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, limited bool, emit emitResult) (*ResultSet, bool, error) {
 	schemaName, attr, _ := schema.SplitPredicateURI(q.P.Value) // streamPattern checked the form
+	root := compose.Step{Predicate: q.P.Value, SchemaName: schemaName, Attr: attr, Confidence: 1}
 	rs := &ResultSet{Query: q}
-	visited := map[string]bool{q.P.Value: true}
-	claim := func(pred string, _ schema.Mapping) bool {
-		if visited[pred] {
-			return false
-		}
-		visited[pred] = true
-		rs.Reformulations++
-		return true
-	}
-	wave := []compose.Step{{Predicate: q.P.Value, SchemaName: schemaName, Attr: attr, Confidence: 1}}
+	r := &reformulation{p: p, q: q, filters: filters, workers: opts.Parallelism, emit: emit, rs: rs, variants: []compose.Step{root}}
 
-	var firstErr error
-	emitted, stopped := 0, false
-	for len(wave) > 0 && !stopped {
-		outs, poolErr := p.fanOut(ctx, q, wave, filters, opts)
-		var nextWave []compose.Step
-		for i, step := range wave {
-			out := outs[i]
-			if out.sub == nil {
-				continue // cancelled before this step ran
+	visited := map[string]bool{q.P.Value: true}
+	expand := func(next []compose.Step, from compose.Step, mappings []schema.Mapping) []compose.Step {
+		return compose.Expand(next, from, mappings, opts.MinConfidence, func(pred string, _ schema.Mapping) bool {
+			claimed := !visited[pred]
+			visited[pred] = true
+			return claimed
+		})
+	}
+	wave := []compose.Step{root}
+	var closure *compose.Builder
+	var version uint64
+	if opts.ComposeMappings {
+		copts := composeOptions(opts)
+		if entry, ok := p.composites.Lookup(q.P.Value, copts); ok {
+			for _, t := range entry.Targets {
+				r.variants = append(r.variants, t.Step)
 			}
-			rs.Messages += out.sub.Messages + out.mapMsgs
-			rs.Degraded = rs.Degraded || out.sub.Degraded
-			if out.err != nil {
-				if !errors.Is(out.err, ErrNotRoutable) {
-					// A failed branch is tolerated, but the aggregate is now
-					// partial: surface that through the degraded flag.
-					rs.Degraded = true
-					if firstErr == nil {
-						firstErr = out.err
-					}
-				}
-			} else {
-				pattern := q.WithTerm(triple.Predicate, triple.Const(step.Predicate))
-				for _, r := range out.sub.Results {
-					if stopped {
-						break
-					}
-					emitted++
-					if !emit(Result{
-						Triple:      r.Triple,
-						Pattern:     pattern,
-						MappingPath: step.Path,
-						Confidence:  step.Confidence,
-					}) {
-						stopped = true
-					}
-				}
-			}
-			if stopped {
-				continue // keep accounting the wave's messages, stop expanding
-			}
-			if out.mapLost && ctx.Err() == nil {
-				// The traversal is truncated below this step (a cancelled
-				// retrieval is reported through ctx's error instead).
-				rs.Degraded = true
-			}
-			nextWave = compose.Expand(nextWave, step, out.mappings, opts.MinConfidence, claim)
+			rs.Reformulations = entry.Reformulations
+			wave = nil
+		} else {
+			version = p.composites.Version()
+			closure = compose.NewBuilder(root, copts)
+			expand = closure.Expand
 		}
+	}
+	if len(wave) > 0 {
+		if stopped, err := r.flush(ctx); stopped || err != nil {
+			return rs, true, err
+		}
+	}
+
+	lookupMsgs, complete := 0, true
+	// Every step of wave k has a path of length k: MaxDepth bounds the waves.
+	for depth := 0; len(wave) > 0 && depth < opts.MaxDepth; depth++ {
+		mappings := make([][]schema.Mapping, len(wave))
+		routes := make([]pgrid.Route, len(wave))
+		errs := make([]error, len(wave))
+		poolErr := runPoolCtx(ctx, len(wave), opts.Parallelism, func(i int) {
+			mappings[i], routes[i], errs[i] = p.MappingsFrom(ctx, wave[i].SchemaName)
+		})
+		var next []compose.Step
+		for i, step := range wave {
+			rs.Messages += routes[i].Messages
+			lookupMsgs += routes[i].Messages
+			complete = complete && errs[i] == nil && !routes[i].Degraded
+			next = expand(next, step, mappings[i])
+		}
+		// The pool reports ctx's state as it returns, so a cancellation any
+		// lookup observed is terminal here, never a lost branch to tolerate.
 		if poolErr != nil {
 			return rs, true, poolErr
 		}
-		// Cancellation observed by a step of this wave (rather than by the
-		// pool itself) is terminal, not a per-step failure to tolerate: the
-		// traversal is incomplete and must say so, whatever was emitted.
-		if err := ctx.Err(); err != nil {
-			return rs, true, err
+		rs.Degraded = rs.Degraded || !complete
+		rs.Reformulations += len(next)
+		r.variants = append(r.variants, next...)
+		if limited {
+			if stopped, err := r.flush(ctx); stopped || err != nil {
+				return rs, true, err
+			}
 		}
-		wave = nextWave
+		wave = next
 	}
-	if emitted == 0 && firstErr != nil {
-		return rs, true, firstErr
+	if closure != nil && complete {
+		entry := closure.Entry()
+		entry.Version, entry.BuildMessages = version, lookupMsgs
+		p.composites.PutIfCurrent(entry)
+	}
+	if _, err := r.flush(ctx); err != nil {
+		return rs, true, err
+	}
+	if r.emitted == 0 && r.firstErr != nil {
+		return rs, true, r.firstErr
 	}
 	return rs, true, nil
 }

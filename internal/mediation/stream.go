@@ -15,8 +15,10 @@ import (
 // The streaming query surface. Peer.Query is the single entry point for
 // every query shape GridVine answers — one triple pattern (with or without
 // reformulation), a conjunctive pattern set, or an RDQL text query — and
-// returns a Cursor that yields rows incrementally as reformulation waves
-// and join-pipeline stages complete, instead of after a full barrier.
+// returns a Cursor that yields rows incrementally — a reformulating
+// pattern's own rows after one routed operation, its reformulated rows as
+// their key groups are answered, joined rows as pipeline stages complete —
+// instead of after a full barrier.
 //
 // The request's context governs the whole query: cancelling it (or letting
 // its deadline expire) stops the engine mid-fan-out — between routing hops,
@@ -47,9 +49,11 @@ type Request struct {
 	// rewriting predicates by view unfolding (paper §4).
 	Reformulate bool
 	// Limit caps how many rows the cursor yields; 0 means unlimited. The
-	// limit reaches into the engine: a satisfied pattern search launches no
-	// further reformulation wave, and a satisfied conjunctive query skips
-	// the remaining pushdown lookups of its final join stage.
+	// limit reaches into the engine: a limited pattern search ships its
+	// reformulated variants after every wave instead of once at the end, so
+	// a satisfied one looks no further mappings up, and a satisfied
+	// conjunctive query skips the remaining pushdown lookups of its final
+	// join stage.
 	Limit int
 	// Options tunes reformulation and the conjunctive planner.
 	Options SearchOptions
@@ -286,8 +290,8 @@ func (c *Cursor) send(ctx context.Context, row QueryRow) bool {
 	}
 }
 
-// runPattern executes a pattern request, emitting each raw result as its
-// reformulation wave completes.
+// runPattern executes a pattern request, emitting each raw result as the
+// engine's flushes deliver it.
 func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
 	q := *req.Pattern
 	vars := q.Variables()
@@ -317,7 +321,7 @@ func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
 		return req.Limit == 0 || emitted < req.Limit
 	}
 
-	rs, traversed, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, emit)
+	rs, traversed, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, req.Limit > 0, emit)
 	c.mu.Lock()
 	c.traversed = traversed
 	if rs != nil {

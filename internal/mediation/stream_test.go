@@ -28,7 +28,13 @@ func testMapping(source, target, srcAttr, dstAttr string) schema.Mapping {
 func chainNetwork(t *testing.T, schemas int, seed int64) (*simnet.Network, []*Peer) {
 	t.Helper()
 	net, ps := testNetwork(t, 32, seed)
-	p := ps[0]
+	publishChain(t, ps[0], schemas)
+	return net, ps
+}
+
+// publishChain writes chainNetwork's schemas, mappings and triples through p.
+func publishChain(t *testing.T, p *Peer, schemas int) {
+	t.Helper()
 	for i := 0; i < schemas; i++ {
 		name := fmt.Sprintf("S%d", i)
 		if _, err := p.InsertTripleContext(context.Background(), triple.Triple{
@@ -42,7 +48,6 @@ func chainNetwork(t *testing.T, schemas int, seed int64) (*simnet.Network, []*Pe
 			}
 		}
 	}
-	return net, ps
 }
 
 // countGoroutines samples the goroutine count after letting short-lived

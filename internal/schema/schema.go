@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -144,7 +145,19 @@ type Mapping struct {
 func NewMapping(source, target string, typ MappingType, origin Origin, corrs []Correspondence) Mapping {
 	cs := make([]Correspondence, len(corrs))
 	copy(cs, corrs)
-	sort.Slice(cs, func(i, j int) bool { return cs[i].SourceAttr < cs[j].SourceAttr })
+	return newMapping(source, target, typ, origin, cs)
+}
+
+// newMapping is NewMapping over a correspondence slice it may keep and
+// reorder.
+func newMapping(source, target string, typ MappingType, origin Origin, cs []Correspondence) Mapping {
+	bySource := func(i, j int) bool { return cs[i].SourceAttr < cs[j].SourceAttr }
+	// Mappings are mostly rebuilt from correspondences already in source
+	// order (Reverse of a name-preserving mapping, Compose); sort.Slice
+	// leaves such input as it is, so skipping it keeps IDs unchanged.
+	if !sort.SliceIsSorted(cs, bySource) {
+		sort.Slice(cs, bySource)
+	}
 	m := Mapping{
 		Source:          source,
 		Target:          target,
@@ -167,14 +180,23 @@ func NewMapping(source, target string, typ MappingType, origin Origin, corrs []C
 	return m
 }
 
+// mappingID hashes "Source>Target|Type" followed by "|SourceAttr=TargetAttr"
+// per correspondence, in order.
 func mappingID(m Mapping) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s>%s|%d", m.Source, m.Target, m.Type)
+	n := len(m.Source) + len(m.Target) + 4
 	for _, c := range m.Correspondences {
-		fmt.Fprintf(&b, "|%s=%s", c.SourceAttr, c.TargetAttr)
+		n += len(c.SourceAttr) + len(c.TargetAttr) + 2
 	}
-	sum := sha1.Sum([]byte(b.String()))
-	return "map-" + hex.EncodeToString(sum[:8])
+	b := make([]byte, 0, n)
+	b = append(append(append(b, m.Source...), '>'), m.Target...)
+	b = strconv.AppendInt(append(b, '|'), int64(m.Type), 10)
+	for _, c := range m.Correspondences {
+		b = append(append(append(append(b, '|'), c.SourceAttr...), '='), c.TargetAttr...)
+	}
+	sum := sha1.Sum(b)
+	id := [len("map-") + 16]byte{'m', 'a', 'p', '-'}
+	hex.Encode(id[len("map-"):], sum[:8])
+	return string(id[:])
 }
 
 // TranslateAttr maps a source attribute to its target attribute.
@@ -210,7 +232,7 @@ func (m Mapping) Reverse() (Mapping, error) {
 	for i, c := range m.Correspondences {
 		rev[i] = Correspondence{SourceAttr: c.TargetAttr, TargetAttr: c.SourceAttr, Confidence: c.Confidence}
 	}
-	out := NewMapping(m.Target, m.Source, m.Type, m.Origin, rev)
+	out := newMapping(m.Target, m.Source, m.Type, m.Origin, rev)
 	out.Bidirectional = true
 	out.Confidence = m.Confidence
 	out.Deprecated = m.Deprecated
@@ -227,7 +249,7 @@ func (m Mapping) Compose(next Mapping) (Mapping, error) {
 	if m.Target != next.Source {
 		return Mapping{}, fmt.Errorf("schema: cannot compose %s→%s with %s→%s", m.Source, m.Target, next.Source, next.Target)
 	}
-	var corrs []Correspondence
+	corrs := make([]Correspondence, 0, len(m.Correspondences))
 	for _, c1 := range m.Correspondences {
 		if attr, ok := next.TranslateAttr(c1.TargetAttr); ok {
 			corrs = append(corrs, Correspondence{
@@ -245,7 +267,7 @@ func (m Mapping) Compose(next Mapping) (Mapping, error) {
 	if m.Origin == Manual && next.Origin == Manual {
 		origin = Manual
 	}
-	out := NewMapping(m.Source, next.Target, typ, origin, corrs)
+	out := newMapping(m.Source, next.Target, typ, origin, corrs)
 	out.Confidence = m.Confidence * next.Confidence
 	return out, nil
 }

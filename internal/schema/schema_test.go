@@ -1,6 +1,12 @@
 package schema
 
 import (
+	"crypto/sha1"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -195,5 +201,104 @@ func TestStringMethods(t *testing.T) {
 	s := m.String()
 	if !strings.Contains(s, "↔") || !strings.Contains(s, "[deprecated]") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// benchReversible is a bidirectional mapping of the size the bioinformatics
+// corpus publishes: eight correspondences whose reverse is not in source
+// order, so Reverse pays its sort.
+func benchReversible() Mapping {
+	corrs := make([]Correspondence, 8)
+	for i := range corrs {
+		corrs[i] = Correspondence{SourceAttr: fmt.Sprintf("attr%d", i), TargetAttr: fmt.Sprintf("field%d", 7-i), Confidence: 0.9}
+	}
+	m := NewMapping("EMBL", "SwissProt", Equivalence, Automatic, corrs)
+	m.Bidirectional = true
+	return m
+}
+
+var reverseSink Mapping
+
+// BenchmarkMappingReverse times what MappingsFrom pays for every
+// bidirectional mapping it serves from the target side.
+func BenchmarkMappingReverse(b *testing.B) {
+	m := benchReversible()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rev, err := m.Reverse()
+		if err != nil {
+			b.Fatal(err)
+		}
+		reverseSink = rev
+	}
+}
+
+// referenceMappingID is the fmt-based identifier the repository shipped
+// with; stored mappings, closure paths and BENCH snapshots carry its output,
+// so mappingID must keep producing it byte for byte.
+func referenceMappingID(m Mapping) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s>%s|%d", m.Source, m.Target, m.Type)
+	for _, c := range m.Correspondences {
+		fmt.Fprintf(&b, "|%s=%s", c.SourceAttr, c.TargetAttr)
+	}
+	sum := sha1.Sum([]byte(b.String()))
+	return "map-" + hex.EncodeToString(sum[:8])
+}
+
+// TestMappingIDGolden pins mapping identifiers: literal IDs recorded before
+// mappingID dropped fmt and NewMapping started skipping the sort of ordered
+// input, and the reference formula over random mappings — unsorted, with
+// duplicate source attributes, reversed and composed.
+func TestMappingIDGolden(t *testing.T) {
+	m := NewMapping("EMBL", "EMP", Equivalence, Automatic, []Correspondence{
+		{SourceAttr: "Organism", TargetAttr: "SystematicName", Confidence: 0.8},
+		{SourceAttr: "Length", TargetAttr: "SeqLength", Confidence: 0.6},
+	})
+	m.Bidirectional = true
+	rev, err := m.Reverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := m.Compose(NewMapping("EMP", "C", Equivalence, Manual, []Correspondence{{SourceAttr: "SystematicName", TargetAttr: "name"}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := NewMapping("A", "B", Equivalence, Manual, []Correspondence{
+		{SourceAttr: "x", TargetAttr: "y2"}, {SourceAttr: "x", TargetAttr: "y1"}, {SourceAttr: "a", TargetAttr: "b"}})
+	for _, c := range []struct {
+		name string
+		m    Mapping
+		want string
+	}{
+		{"forward", m, "map-3e6acb3ad992989e"},
+		{"reverse", rev, "map-1701828a35c9dba8"},
+		{"no correspondences", NewMapping("A", "B", Subsumption, Manual, nil), "map-eac208aada987553"},
+		{"duplicate source attr", dup, "map-201b117179d09500"},
+		{"composed", comp, "map-203775e94750cd35"},
+	} {
+		if c.m.ID != c.want {
+			t.Errorf("%s: ID %s, want %s", c.name, c.m.ID, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		corrs := make([]Correspondence, rng.Intn(14))
+		for j := range corrs {
+			corrs[j] = Correspondence{SourceAttr: fmt.Sprintf("s%d", rng.Intn(6)), TargetAttr: fmt.Sprintf("t%d", rng.Intn(20)), Confidence: 1}
+		}
+		if rng.Intn(2) == 0 {
+			sort.SliceStable(corrs, func(a, b int) bool { return corrs[a].SourceAttr < corrs[b].SourceAttr })
+		}
+		input := append([]Correspondence{}, corrs...)
+		sort.Slice(input, func(a, b int) bool { return input[a].SourceAttr < input[b].SourceAttr })
+		got := NewMapping("S", "T", MappingType(rng.Intn(2)), Manual, corrs)
+		want := Mapping{Source: "S", Target: "T", Type: got.Type, Correspondences: input}
+		if !reflect.DeepEqual(got.Correspondences, input) || got.ID != referenceMappingID(want) {
+			t.Fatalf("mapping %d: correspondences %v, ID %s; the sort.Slice order is %v with ID %s",
+				i, got.Correspondences, got.ID, input, referenceMappingID(want))
+		}
 	}
 }

@@ -161,14 +161,14 @@ func cmdStats(args []string) error {
 			return err
 		}
 		ov, j, w := st.Overlay, st.Journal, st.Wire
-		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d journal=%d snaps/%d snap-bytes/%d wal-bytes overlay=%d sent/%d local pool=%d/%d/%d/%d dial/reuse/redial/retired idle=%d wire=in %d/%d out %d/%d bad %d\n",
+		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d journal_errs=%d journal=%d snaps/%d snap-bytes/%d wal-bytes overlay=%d sent/%d local pool=%d/%d/%d dial/reuse/redial idle=%d wire=in %d/%d out %d/%d bad %d\n",
 			st.Daemon, len(st.Peers), (time.Duration(st.UptimeMillis) * time.Millisecond).Round(time.Second),
 			st.Draining, st.QueriesServed, st.WritesServed, st.RowsStreamed,
 			st.ActiveQueries, st.ActiveWrites,
 			st.ActiveConns, st.ConnsRejected,
 			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries, st.JournalErrs,
 			j.Snapshots, j.SnapshotBytes, j.WALBytes,
-			ov.Sends, ov.LocalDeliveries, ov.PoolDials, ov.PoolReuses, ov.PoolRedials, ov.PoolRetired, ov.PoolIdle,
+			ov.Sends, ov.LocalDeliveries, ov.PoolDials, ov.PoolReuses, ov.PoolRedials, ov.PoolIdle,
 			w.FramesIn, w.BytesIn, w.FramesOut, w.BytesOut, w.BadFrames)
 		return nil
 	})

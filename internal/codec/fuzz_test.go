@@ -1,0 +1,104 @@
+package codec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"testing"
+
+	"gridvine/internal/simnet"
+)
+
+// frameOf wraps payload in a valid frame of type t.
+func frameOf(t byte, payload []byte) []byte {
+	fr := make([]byte, FrameHeader, FrameHeader+len(payload))
+	fr[0] = t
+	binary.LittleEndian.PutUint32(fr[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(fr[5:9], crc32.Checksum(payload, crcTable))
+	return append(fr, payload...)
+}
+
+// FuzzOverlayDecode throws arbitrary bytes at the overlay's frame parser,
+// its io.Reader twin and the envelope decoder, and asserts the same
+// contract FuzzWireDecode does for the client protocol: truncated,
+// corrupt, oversized or over-nested input yields a classified error —
+// never a panic, never an allocation for a count the payload cannot hold
+// (TestOverlayRefusesHostilePayloads measures that on these seeds) — and a
+// payload that decodes re-encodes to the same bytes.
+func FuzzOverlayDecode(f *testing.F) {
+	seeds := [][]byte{{}, {0}, {FrameOverlay}, bytes.Repeat([]byte{0xff}, FrameHeader)}
+	for _, g := range goldenFrames {
+		fr, err := EncodeOverlay(&g.env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		corrupt := append([]byte(nil), fr...)
+		corrupt[len(corrupt)-1] ^= 0x40
+		seeds = append(seeds, fr, fr[:len(fr)-2], fr[FrameHeader:], corrupt)
+	}
+	for _, zero := range tagged()[1:] {
+		fr, err := EncodeOverlay(&Envelope{Msg: simnet.Message{Payload: filled(f, zero)}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, fr)
+	}
+	huge := make([]byte, FrameHeader)
+	huge[0] = FrameOverlay
+	binary.LittleEndian.PutUint32(huge[1:5], MaxPayload+1)
+	seeds = append(seeds, huge)
+	for _, h := range hostilePayloads {
+		seeds = append(seeds, frameOf(FrameOverlay, h.payload))
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rest := data
+		for len(rest) > 0 {
+			_, payload, n, err := ParseFrame(rest, FrameOverlay)
+			if err != nil {
+				if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
+					t.Fatalf("unclassified frame error: %v", err)
+				}
+				break
+			}
+			if n < FrameHeader || n > len(rest) || len(payload) != n-FrameHeader {
+				t.Fatalf("consumed %d of %d bytes for a %d-byte payload", n, len(rest), len(payload))
+			}
+			checkEnvelope(t, payload)
+			rest = rest[n:]
+		}
+		// The checksum keeps most mutated frames away from the envelope
+		// decoder: hand it the bytes as a payload too.
+		checkEnvelope(t, data)
+		if _, _, err := ReadFrame(bytes.NewReader(data), FrameOverlay); err != nil {
+			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) && !errors.Is(err, io.EOF) {
+				t.Fatalf("unclassified ReadFrame error: %v", err)
+			}
+		}
+	})
+}
+
+// checkEnvelope decodes a payload that passed its checksum. It may still
+// not be an envelope and must then fail classified; one that decodes is the
+// only spelling of its message, so re-encoding returns it.
+func checkEnvelope(t *testing.T, payload []byte) {
+	env, err := DecodeOverlay(payload)
+	if err != nil {
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("unclassified envelope error: %v", err)
+		}
+		return
+	}
+	again, err := EncodeOverlay(&env)
+	if err != nil {
+		t.Fatalf("re-encode of decoded %T: %v", env.Msg.Payload, err)
+	}
+	if !bytes.Equal(again[FrameHeader:], payload) {
+		t.Fatalf("decoded %T re-encodes differently:\n got %x\nfrom %x", env.Msg.Payload, again[FrameHeader:], payload)
+	}
+}

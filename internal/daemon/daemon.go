@@ -475,7 +475,6 @@ func (d *Daemon) overlayStats() wire.OverlayStats {
 		PoolDials:       ps.Dials,
 		PoolReuses:      ps.Reuses,
 		PoolRedials:     ps.Redials,
-		PoolRetired:     ps.Retired,
 		PoolIdle:        ps.Idle,
 	}
 }

@@ -2,7 +2,10 @@ package tcpnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -10,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gridvine/internal/codec"
 	"gridvine/internal/simnet"
 )
 
@@ -82,11 +86,12 @@ func TestReplyAfterContextFiredIsNotPooled(t *testing.T) {
 	}
 }
 
-// TestBigExchangeRetiresConnection: a persistent gob codec keeps a
-// buffer as large as the largest message it carried, so a connection
-// that moved more than retireBytes in one exchange is closed, and no
-// number of small exchanges afterwards can be holding such a buffer.
-func TestBigExchangeRetiresConnection(t *testing.T) {
+// TestBigExchangeLeavesOnlyTheFixedReader: a connection holds no codec
+// state, so a 1 MB exchange is pooled like any other and what the pool
+// then retains is the connection's fixed read buffer — on this end; the
+// serving end's is the same bufio.Reader — not a buffer the size of the
+// largest message it carried.
+func TestBigExchangeLeavesOnlyTheFixedReader(t *testing.T) {
 	tr := NewTransport()
 	defer tr.Close()
 	tr.Register("p", echo)
@@ -95,28 +100,40 @@ func TestBigExchangeRetiresConnection(t *testing.T) {
 	if _, err := tr.Send(ctx, "a", "p", small); err != nil {
 		t.Fatal(err)
 	}
-	if ps := tr.PoolStats(); ps.Dials != 1 || ps.Idle != 1 {
-		t.Fatalf("pool after a small exchange = %+v, want it pooled", ps)
-	}
-
 	big := simnet.Message{Type: "big", Payload: strings.Repeat("x", 1<<20)}
-	if resp, err := tr.Send(ctx, "a", "p", big); err != nil || resp.Payload != big.Payload {
-		t.Fatalf("1 MB exchange: err = %v", err)
-	}
-	if ps := tr.PoolStats(); ps.Retired != 1 || ps.Idle != 0 {
-		t.Fatalf("pool after a 1 MB exchange = %+v, want its connection retired, none idle", ps)
-	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 
-	for i := 0; i < 10000; i++ {
-		if _, err := tr.Send(ctx, "a", "p", small); err != nil {
-			t.Fatalf("small send %d: %v", i, err)
+	func() { // the reply dies with this frame
+		if resp, err := tr.Send(ctx, "a", "p", big); err != nil || resp.Payload != big.Payload {
+			t.Fatalf("1 MB exchange: err = %v", err)
+		}
+	}()
+	// One more exchange, so the serving goroutine is past the big one.
+	if _, err := tr.Send(ctx, "a", "p", small); err != nil {
+		t.Fatalf("small send after the big one: %v", err)
+	}
+	if ps := tr.PoolStats(); ps.Dials != 1 || ps.Reuses != 2 || ps.Idle != 1 {
+		t.Fatalf("pool after a 1 MB exchange = %+v, want the one connection reused and idle again", ps)
+	}
+	tr.pool.mu.Lock()
+	for _, list := range tr.pool.idle {
+		for _, c := range list {
+			if c.br.Size() != readerSize || c.br.Buffered() != 0 {
+				t.Errorf("pooled reader holds %d of %d bytes, want 0 of %d", c.br.Buffered(), c.br.Size(), readerSize)
+			}
 		}
 	}
-	// Every live connection was dialled after the retirement and has
-	// carried only exchanges under the threshold since.
-	if ps := tr.PoolStats(); ps.Dials != 2 || ps.Retired != 1 || ps.Reuses != 1+9999 || ps.Idle != 1 {
-		t.Fatalf("pool after 10000 small exchanges = %+v, want one new dial reused 9999 times", ps)
+	tr.pool.mu.Unlock()
+	// Both ends live in this process: had either kept the message, the
+	// heap would be a megabyte up.
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 256<<10 {
+		t.Errorf("heap grew %d bytes across a 1 MB exchange on a pooled connection", grew)
 	}
+	runtime.KeepAlive(big)
 }
 
 // TestIdleConnectionExpires: a connection idle past maxIdleAge is not
@@ -225,5 +242,106 @@ func TestConcurrentSendersNeverWaitForTheCap(t *testing.T) {
 	}
 	if msgs, dropped := tr.Stats(); msgs != senders || dropped != 0 {
 		t.Errorf("stats = %d/%d, want %d/0", msgs, dropped, senders)
+	}
+}
+
+// scriptedPeer is a raw listener that answers the first request on a
+// connection properly and the second with reply, byte for byte — the
+// misbehaving end of a live, already pooled connection.
+func scriptedPeer(t *testing.T, reply func(good []byte) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		good, _ := codec.EncodeOverlay(&codec.Envelope{Msg: simnet.Message{Type: "ok"}})
+		for _, out := range [][]byte{good, reply(good)} {
+			if _, _, err := codec.ReadFrame(conn, codec.FrameOverlay); err != nil {
+				return
+			}
+			conn.Write(out) //nolint:errcheck // the sender's error is the test
+		}
+		io.Copy(io.Discard, conn) //nolint:errcheck // hold the connection open until the sender closes it
+	}()
+	return ln.Addr().String()
+}
+
+// TestBadReplyFrameFailsTheExchange: a reply whose checksum does not match,
+// whose header claims more than the 64 MB a frame may carry or a type
+// the overlay does not use, fails that
+// exchange as unreachable — nothing of it is decoded, nothing is allocated
+// for the claim — and the connection it arrived on is closed, not pooled:
+// the stream's position is unknown.
+func TestBadReplyFrameFailsTheExchange(t *testing.T) {
+	for name, reply := range map[string]func([]byte) []byte{
+		"corrupted checksum": func(good []byte) []byte {
+			bad := append([]byte(nil), good...)
+			bad[5] ^= 0x01
+			return bad
+		},
+		"over-64MB claim": func([]byte) []byte {
+			hdr := make([]byte, codec.FrameHeader)
+			hdr[0] = codec.FrameOverlay
+			binary.LittleEndian.PutUint32(hdr[1:5], codec.MaxPayload+1)
+			return hdr
+		},
+		"a frame of another type": func(good []byte) []byte {
+			bad := append([]byte(nil), good...)
+			bad[0] = codec.FrameOverlay + 1
+			return bad
+		},
+	} {
+		tr := NewTransport()
+		tr.AddPeer("p", scriptedPeer(t, reply))
+		ctx := context.Background()
+		if resp, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"}); err != nil || resp.Type != "ok" {
+			t.Fatalf("%s: first exchange = %+v, %v", name, resp, err)
+		}
+		if ps := tr.PoolStats(); ps.Idle != 1 {
+			t.Fatalf("%s: pool after a clean exchange = %+v, want the connection idle", name, ps)
+		}
+		_, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"})
+		if !errors.Is(err, simnet.ErrUnreachable) || !strings.Contains(err.Error(), "bad frame") {
+			t.Errorf("%s: err = %v, want unreachable over a bad frame", name, err)
+		}
+		if ps := tr.PoolStats(); ps.Dials != 1 || ps.Reuses != 1 || ps.Redials != 0 || ps.Idle != 0 {
+			t.Errorf("%s: pool = %+v, want the reused connection closed and no redial", name, ps)
+		}
+		tr.Close()
+	}
+}
+
+// TestUntaggedPayloadIsAnErrorNotADeadPeer: a payload type the codec has
+// no tag for fails the Send that carries it, in either direction, with an
+// error that names the type — and the peer stays reachable.
+func TestUntaggedPayloadIsAnErrorNotADeadPeer(t *testing.T) {
+	type unknown struct{ X int }
+	tr := NewTransport()
+	defer tr.Close()
+	tr.Register("p", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+		if m.Type == "reply-untagged" {
+			return simnet.Message{Payload: unknown{1}}, nil
+		}
+		return m, nil
+	}))
+	ctx := context.Background()
+	for _, msg := range []simnet.Message{{Type: "send-untagged", Payload: unknown{2}}, {Type: "reply-untagged"}} {
+		_, err := tr.Send(ctx, "a", "p", msg)
+		if err == nil || errors.Is(err, simnet.ErrUnreachable) || !strings.Contains(err.Error(), "tcpnet.unknown") {
+			t.Errorf("%s: err = %v, want an encoding error naming the type", msg.Type, err)
+		}
+	}
+	if resp, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "fine", Payload: "x"}); err != nil || resp.Payload != "x" {
+		t.Errorf("after the failures: resp = %+v, err = %v", resp, err)
+	}
+	if ps := tr.PoolStats(); ps.Dials != 1 {
+		t.Errorf("pool = %+v, want one connection throughout", ps)
 	}
 }

@@ -1,18 +1,19 @@
 // Package tcpnet provides a real-network Transport for GridVine peers:
 // each registered peer listens on a local TCP socket and messages are
-// exchanged as gob-encoded request/response pairs over persistent
-// connections. A connection carries one exchange at a time and one
-// long-lived gob encoder/decoder pair, so after the first exchange a
-// message costs neither a dial nor gob's type descriptors; between
-// exchanges it waits in a small per-address pool. It implements
+// exchanged as request/response pairs of internal/codec's checksummed
+// frames over persistent connections. A connection carries one exchange at
+// a time and no codec state, only a small fixed read buffer, so after the
+// first exchange a message costs no dial and a pooled connection retains
+// nothing of the messages it carried; between exchanges it waits in a
+// small per-address pool. It implements
 // simnet.Registrar, so the overlay builders work unchanged over TCP — the
 // configuration used by the daemons, the multi-process-style integration
 // tests and the gridvine CLI's --tcp mode.
 package tcpnet
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -20,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gridvine/internal/codec"
 	"gridvine/internal/simnet"
 )
 
@@ -29,29 +31,15 @@ const (
 	// run at once: a Send that finds no idle connection dials one, and an
 	// exchange that finishes with the pool full closes its connection.
 	maxIdlePerAddr = 4
-	// retireBytes is the most one exchange may move over a connection
-	// that is pooled afterwards. A long-lived gob codec keeps buffers as
-	// large as the largest message it ever carried, on both ends;
-	// closing the connection after a big exchange frees them, so what the
-	// pool retains is bounded by this and not by the biggest batch.
-	retireBytes = 16 << 10
+	// readerSize is each end's read buffer, all a connection holds between
+	// exchanges: a typical frame arrives in one read, a larger payload is
+	// read straight into the buffer it is decoded from.
+	readerSize = 4 << 10
 	// maxIdleAge is how long a connection may sit idle and still be
 	// reused: after a quiet period a query dials rather than meet a
 	// half-open socket first.
 	maxIdleAge = 30 * time.Second
 )
-
-// request is the wire frame for one call.
-type request struct {
-	From simnet.PeerID
-	Msg  simnet.Message
-}
-
-// response is the wire frame for one reply.
-type response struct {
-	Msg simnet.Message
-	Err string
-}
 
 // Transport hosts peers on TCP sockets and reaches peers by their
 // registered addresses. The zero value is not usable; call NewTransport.
@@ -61,8 +49,7 @@ type Transport struct {
 	servers map[simnet.PeerID]*server
 	closed  bool
 
-	// Counters are atomic: Send bumps them per message and clientConn per
-	// gob chunk, and the hot send path must not contend on the mutex.
+	// Counters are atomic: the hot send path must not contend on the mutex.
 	messages  atomic.Int64
 	dropped   atomic.Int64
 	bytesSent atomic.Int64
@@ -202,11 +189,10 @@ func (s *server) handleConn(conn net.Conn) {
 		return
 	}
 	defer s.untrack(conn)
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	br := bufio.NewReaderSize(conn, readerSize)
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		req, err := readEnvelope(br)
+		if err != nil {
 			return // connection closed, server stopped, or corrupt stream
 		}
 		// The deadline stop sets cannot fail a read that finds its data
@@ -216,14 +202,33 @@ func (s *server) handleConn(conn net.Conn) {
 			return
 		}
 		msg, err := s.handler.HandleMessage(req.From, req.Msg)
-		resp := response{Msg: msg}
+		resp := codec.Envelope{Msg: msg}
 		if err != nil {
 			resp.Err = err.Error()
 		}
-		if err := enc.Encode(resp); err != nil {
+		frame, err := codec.EncodeOverlay(&resp)
+		if err != nil {
+			// A reply that does not encode (a payload type without a tag)
+			// is the handler's failure, reported as one: dropping the
+			// connection would make a bug look like a dead peer.
+			frame, err = codec.EncodeOverlay(&codec.Envelope{Err: "tcpnet: reply: " + err.Error()})
+		}
+		if err == nil {
+			_, err = conn.Write(frame)
+		}
+		if err != nil {
 			return
 		}
 	}
+}
+
+// readEnvelope reads and decodes one frame.
+func readEnvelope(r *bufio.Reader) (codec.Envelope, error) {
+	_, payload, err := codec.ReadFrame(r, codec.FrameOverlay)
+	if err != nil {
+		return codec.Envelope{}, err
+	}
+	return codec.DecodeOverlay(payload)
 }
 
 // Addr returns the peer's listen address, or "" if unknown.
@@ -273,7 +278,10 @@ func (t *Transport) Send(ctx context.Context, from, to simnet.PeerID, msg simnet
 		return simnet.Message{}, err
 	}
 
-	req := request{From: from, Msg: msg}
+	frame, err := codec.EncodeOverlay(&codec.Envelope{From: from, Msg: msg})
+	if err != nil {
+		return simnet.Message{}, fmt.Errorf("tcpnet: request to %s: %w", to, err)
+	}
 	c := t.pool.get(addr)
 	reused := c != nil
 	for {
@@ -287,7 +295,7 @@ func (t *Transport) Send(ctx context.Context, from, to simnet.PeerID, msg simnet
 				return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, err)
 			}
 		}
-		resp, err := t.exchange(ctx, addr, c, &req)
+		resp, err := t.exchange(ctx, addr, c, frame)
 		if err == nil {
 			if resp.Err != "" {
 				return simnet.Message{}, errors.New(resp.Err)
@@ -315,75 +323,53 @@ func (t *Transport) dial(ctx context.Context, addr string) (*clientConn, error) 
 		return nil, err
 	}
 	t.pool.dials.Add(1)
-	c := &clientConn{Conn: conn, t: t}
-	c.enc = gob.NewEncoder(c)
-	c.dec = gob.NewDecoder(c)
+	c := &clientConn{Conn: conn}
+	c.br = bufio.NewReaderSize(c, readerSize)
 	return c, nil
 }
 
 // exchange performs one request/response on c, then pools c or closes
 // it; the caller does not touch the connection again.
-func (t *Transport) exchange(ctx context.Context, addr string, c *clientConn, req *request) (response, error) {
-	c.sent, c.recv = 0, 0
+func (t *Transport) exchange(ctx context.Context, addr string, c *clientConn, frame []byte) (codec.Envelope, error) {
+	c.recv = 0
 	// Propagate cancellation into the blocking reads/writes: a fired ctx
-	// forces an immediate deadline so the gob decode below unblocks.
+	// forces an immediate deadline so the read below unblocks.
 	stop := context.AfterFunc(ctx, func() {
 		c.Conn.SetDeadline(time.Now()) //nolint:errcheck
 	})
-	var resp response
-	err := c.enc.Encode(req)
+	var resp codec.Envelope
+	n, err := c.Conn.Write(frame)
+	t.bytesSent.Add(int64(n))
 	if err != nil {
-		err = fmt.Errorf("encoding: %w", err)
-	} else if err = c.dec.Decode(&resp); err != nil {
-		err = fmt.Errorf("decoding: %w", err)
+		err = fmt.Errorf("writing: %w", err)
+	} else if resp, err = readEnvelope(c.br); err != nil {
+		err = fmt.Errorf("reading: %w", err)
 	}
+	t.bytesRecv.Add(c.recv)
 	// A connection is reusable only when the stream is known to sit
 	// between two exchanges with no deadline pending: not after a failure
 	// (the reply may still arrive, and the next Send would read it as its
 	// own), and not when ctx fired — stop reports false — even if the
 	// reply beat the deadline.
-	switch fired := !stop(); {
-	case err != nil || fired:
+	if fired := !stop(); err != nil || fired || !t.pool.put(addr, c) {
 		c.Close() //nolint:errcheck
-	case c.sent+c.recv > retireBytes:
-		t.pool.retired.Add(1)
-		c.Close() //nolint:errcheck
-	default:
-		if !t.pool.put(addr, c) {
-			c.Close() //nolint:errcheck
-		}
 	}
 	return resp, err
 }
 
-// clientConn is the sending end of one persistent connection and its gob
-// codec. One goroutine owns it at a time: the Send running an exchange
-// on it, or nobody while it is pooled. Its Read and Write tally bytes
-// into the transport's counters and into the current exchange's.
+// clientConn is the sending end of one persistent connection and its read
+// buffer. One goroutine owns it at a time: the Send running an exchange
+// on it, or nobody while it is pooled.
 type clientConn struct {
 	net.Conn
-	t          *Transport
-	enc        *gob.Encoder
-	dec        *gob.Decoder
-	sent, recv int64 // bytes the current exchange has moved
-	idleSince  time.Time
-}
-
-func (c *clientConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.sent += int64(n)
-		c.t.bytesSent.Add(int64(n))
-	}
-	return n, err
+	br        *bufio.Reader // reads through Read below
+	recv      int64         // response bytes the current exchange has read
+	idleSince time.Time
 }
 
 func (c *clientConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.recv += int64(n)
-		c.t.bytesRecv.Add(int64(n))
-	}
+	c.recv += int64(n)
 	return n, err
 }
 
@@ -394,7 +380,7 @@ type pool struct {
 	idle   map[string][]*clientConn
 	closed bool
 
-	dials, reuses, redials, retired atomic.Uint64
+	dials, reuses, redials atomic.Uint64
 }
 
 // get takes the most recently used idle connection to addr, or nil.
@@ -456,13 +442,12 @@ func (p *pool) close() {
 
 // PoolStats counts what the connection pool has done: connections
 // opened, exchanges that started on a pooled connection, reused
-// connections found stale and replaced by a fresh dial, connections
-// closed for having carried an exchange over the retire threshold, and
-// connections idle right now. Reuses/(Dials+Reuses) is the share of
-// exchanges that paid no dial.
+// connections found stale and replaced by a fresh dial, and connections
+// idle right now. Reuses/(Dials+Reuses) is the share of exchanges that
+// paid no dial.
 type PoolStats struct {
-	Dials, Reuses, Redials, Retired uint64
-	Idle                            int
+	Dials, Reuses, Redials uint64
+	Idle                   int
 }
 
 // PoolStats returns a snapshot of the pool's counters.
@@ -472,7 +457,6 @@ func (t *Transport) PoolStats() PoolStats {
 		Dials:   p.dials.Load(),
 		Reuses:  p.reuses.Load(),
 		Redials: p.redials.Load(),
-		Retired: p.retired.Load(),
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -501,7 +485,7 @@ func (t *Transport) Stats() (messages, dropped int) {
 }
 
 // Bytes reports the wire volume this transport's outgoing calls have moved
-// (gob-encoded request bytes sent, response bytes received) — the
+// (request frame bytes sent, response frame bytes received) — the
 // bandwidth counterpart of the message counters, so batched operations
 // that collapse many exchanges into few still account for every byte they
 // carry.

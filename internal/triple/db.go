@@ -1,7 +1,9 @@
 package triple
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -455,14 +457,13 @@ func (db *DB) Predicates() []string {
 // SortTriples orders triples by (subject, predicate, object) in place — the
 // canonical deterministic order of the package.
 func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
+	slices.SortFunc(ts, func(a, b Triple) int {
+		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+			return c
 		}
-		if a.Predicate != b.Predicate {
-			return a.Predicate < b.Predicate
+		if c := strings.Compare(a.Predicate, b.Predicate); c != 0 {
+			return c
 		}
-		return a.Object < b.Object
+		return strings.Compare(a.Object, b.Object)
 	})
 }

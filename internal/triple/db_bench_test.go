@@ -161,6 +161,19 @@ func BenchmarkSelect(b *testing.B) {
 			db.Select(byPred)
 		}
 	})
+	// The same selection in canonical order: what a peer answering a
+	// pattern query pays, SortTriples included.
+	b.Run("bypredicate/sorted", func(b *testing.B) {
+		db := NewDB()
+		for _, t := range data {
+			db.Insert(t)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			db.SelectSorted(byPred)
+		}
+	})
 }
 
 // BenchmarkInsert compares write throughput under concurrent load: the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"testing"
 
+	"gridvine/internal/codec"
 	"gridvine/internal/triple"
 )
 
@@ -23,10 +24,10 @@ func FuzzWireDecode(f *testing.F) {
 		{},
 		{0},
 		{byte(TQuery)},
-		bytes.Repeat([]byte{0xff}, frameHeader),
+		bytes.Repeat([]byte{0xff}, codec.FrameHeader),
 	}
 	if fr, err := EncodeFrame(TQuery, &Query{ID: 7, Pattern: &pat}); err == nil {
-		seeds = append(seeds, fr, fr[:len(fr)-2], fr[frameHeader:])
+		seeds = append(seeds, fr, fr[:len(fr)-2], fr[codec.FrameHeader:])
 		corrupt := append([]byte(nil), fr...)
 		corrupt[len(corrupt)-1] ^= 0x40
 		seeds = append(seeds, corrupt)
@@ -37,17 +38,17 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	// A header claiming an oversized payload must be rejected before
 	// any allocation happens.
-	huge := make([]byte, frameHeader)
+	huge := make([]byte, codec.FrameHeader)
 	huge[0] = byte(TRowChunk)
-	binary.LittleEndian.PutUint32(huge[1:5], MaxPayload+1)
+	binary.LittleEndian.PutUint32(huge[1:5], codec.MaxPayload+1)
 	seeds = append(seeds, huge)
 	// Well-framed lies: a count of 2^40 rows, a string length past the
 	// payload's end. The checksum holds, so they reach the message decoder.
 	for _, h := range hostilePayloads[:2] {
-		fr := make([]byte, frameHeader, frameHeader+len(h.payload))
+		fr := make([]byte, codec.FrameHeader, codec.FrameHeader+len(h.payload))
 		fr[0] = byte(h.t)
 		binary.LittleEndian.PutUint32(fr[1:5], uint32(len(h.payload)))
-		binary.LittleEndian.PutUint32(fr[5:9], crc32.Checksum(h.payload, crcTable))
+		binary.LittleEndian.PutUint32(fr[5:9], crc32.Checksum(h.payload, crc32.MakeTable(crc32.Castagnoli)))
 		seeds = append(seeds, append(fr, h.payload...))
 	}
 	for _, s := range seeds {
@@ -64,10 +65,10 @@ func FuzzWireDecode(f *testing.F) {
 				}
 				break
 			}
-			if n <= frameHeader-1 || n > len(rest) {
+			if n <= codec.FrameHeader-1 || n > len(rest) {
 				t.Fatalf("consumed %d of %d bytes", n, len(rest))
 			}
-			if len(payload) != n-frameHeader {
+			if len(payload) != n-codec.FrameHeader {
 				t.Fatalf("payload %d bytes for frame of %d", len(payload), n)
 			}
 			checkPayload(t, typ, payload)
@@ -106,18 +107,18 @@ func checkPayload(t *testing.T, typ Type, payload []byte) {
 	if err != nil {
 		t.Fatalf("re-encode of decoded %T: %v", msg, err)
 	}
-	if !bytes.Equal(refr[frameHeader:], payload) {
-		t.Fatalf("decoded %T re-encodes differently:\n got %x\nfrom %x", msg, refr[frameHeader:], payload)
+	if !bytes.Equal(refr[codec.FrameHeader:], payload) {
+		t.Fatalf("decoded %T re-encodes differently:\n got %x\nfrom %x", msg, refr[codec.FrameHeader:], payload)
 	}
 }
 
 // TestDecodeFrameOversizedLength pins the allocation guard: a header
-// claiming more than MaxPayload is rejected as a bad frame even though
+// claiming more than codec.MaxPayload is rejected as a bad frame even though
 // the bytes "after" it are absent, and the reader path refuses it too.
 func TestDecodeFrameOversizedLength(t *testing.T) {
-	hdr := make([]byte, frameHeader)
+	hdr := make([]byte, codec.FrameHeader)
 	hdr[0] = byte(TRowChunk)
-	binary.LittleEndian.PutUint32(hdr[1:5], MaxPayload+1)
+	binary.LittleEndian.PutUint32(hdr[1:5], codec.MaxPayload+1)
 	if _, _, _, err := DecodeFrame(hdr); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized claim: got %v, want ErrBadFrame", err)
 	}

@@ -5,40 +5,19 @@
 // responses by request ID, and reassemble streamed row chunks into a
 // cursor.
 //
-// Frame layout (little-endian):
-//
-//	[1B type][4B payload length][4B CRC32C of payload][payload]
-//
-// The payload is the frame type's message struct in one explicit layout
-// (codec.go): its fields in struct order, nested structs inline, and
-// nothing else — no names, tags or type descriptors — so a frame
-// decodes in isolation and a corrupt one never poisons its neighbours.
-//
-//	uint64                       uvarint
-//	int, int64, time.Duration    zigzag varint
-//	bool                         one byte, 0 or 1
-//	TermKind, Mode, MappingType,
-//	Origin                       one byte, within the type's range
-//	float64                      8 bytes, little-endian IEEE 754
-//	string                       byte length (uvarint), then the bytes
-//	slice                        element count (uvarint), then the elements
-//	*triple.Pattern              presence byte, then the pattern if 1
-//
-// Field order per type is the order of the struct declarations below
-// (and of triple.Term/Pattern/Triple, schema.Schema/Mapping/
-// Correspondence, mediation.SearchOptions); DESIGN.md §8 spells it out.
-// The layout has no version and tolerates no added or missing field:
-// client and daemon must be built from the same commit, and a mismatch
-// shows as ErrBadFrame, not as a silently dropped field.
-//
-// The decoder rejects, as ErrBadFrame: a count or string length the
-// remaining bytes cannot hold (checked before anything is allocated for
-// it), a varint not in shortest form or past 64 bits, an out-of-range
-// bool or enum byte, a payload that ends early, and bytes after the
-// message. Decoding is therefore canonical: a payload that decodes
-// re-encodes to the same bytes. A decoded message's strings are
-// substrings of one copy of its payload, so the strings of all rows of
-// a chunk are one allocation (and keeping one keeps the chunk).
+// The frame — [1B type][4B payload length][4B CRC32C of payload][payload],
+// little-endian — and the primitives a payload is written in are
+// internal/codec's, shared with the overlay; its package comment says what
+// the decoder refuses as ErrBadFrame. The payload is the frame type's
+// message struct in one explicit layout (codec.go): its fields in struct
+// order (DESIGN.md §8 spells it out), nested structs inline, nothing else,
+// so a frame decodes in isolation and a corrupt one never poisons its
+// neighbours. The layout has no version and tolerates no added or missing
+// field: client and daemon must be built from the same commit, and a
+// mismatch shows as ErrBadFrame, not as a silently dropped field. A
+// decoded message's strings are substrings of one copy of its payload, so
+// the strings of all rows of a chunk are one allocation (and keeping one
+// keeps the chunk).
 //
 // Request/response shapes:
 //
@@ -57,13 +36,11 @@
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"unsafe"
+	"slices"
 
+	"gridvine/internal/codec"
 	"gridvine/internal/mediation"
 	"gridvine/internal/schema"
 	"gridvine/internal/triple"
@@ -88,25 +65,13 @@ const (
 	maxType = TDump
 )
 
-const (
-	// frameHeader is 1 byte type + 4 bytes payload length + 4 bytes
-	// CRC32C, all little-endian.
-	frameHeader = 9
-	// MaxPayload bounds a claimed payload length so a corrupt or
-	// hostile header cannot demand an absurd allocation.
-	MaxPayload = 1 << 26
+// ErrBadFrame and ErrShortFrame classify a decoding failure: frame content
+// that is not a frame or not its type's layout, and data that ends
+// mid-frame (fatal only at end of input).
+var (
+	ErrBadFrame   = codec.ErrBadFrame
+	ErrShortFrame = codec.ErrShortFrame
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrBadFrame wraps every decoding failure caused by frame content
-// (bad type, oversized length, checksum mismatch, a payload that is not
-// its type's layout) as opposed to a short read.
-var ErrBadFrame = errors.New("wire: bad frame")
-
-// ErrShortFrame reports that data ends mid-frame: not an error on a
-// live stream (more bytes may arrive), fatal at end of input.
-var ErrShortFrame = errors.New("wire: truncated frame")
 
 // Query asks a daemon to execute one mediation query. Exactly one of
 // Pattern, Patterns, RDQL must be set (mediation validates). Peer
@@ -242,7 +207,6 @@ type OverlayStats struct {
 	PoolDials       uint64
 	PoolReuses      uint64
 	PoolRedials     uint64
-	PoolRetired     uint64
 	PoolIdle        int
 }
 
@@ -286,21 +250,14 @@ type Dump struct {
 // EncodeFrame lays msg out as the payload of a frame of type t; msg is the
 // pointer type that frame type carries (*Query for TQuery, …).
 func EncodeFrame(t Type, msg any) ([]byte, error) {
-	c := codec{encoding: true, out: make([]byte, frameHeader, 256)}
-	if !c.encode(t, msg) {
+	c := codec.Encoder(256)
+	if !(walk{&c}).encode(t, msg) {
 		return nil, fmt.Errorf("wire: a type %d frame does not carry %T", t, msg)
 	}
-	if c.err != nil {
-		return nil, fmt.Errorf("wire: encode %T: %w", msg, c.err)
+	buf, err := c.Frame(byte(t))
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode %T: %w", msg, err)
 	}
-	buf := c.out
-	payload := buf[frameHeader:]
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("wire: %T payload %d exceeds MaxPayload", msg, len(payload))
-	}
-	buf[0] = byte(t)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[5:9], crc32.Checksum(payload, crcTable))
 	return buf, nil
 }
 
@@ -308,35 +265,17 @@ func EncodeFrame(t Type, msg any) ([]byte, error) {
 // frame type, its raw payload (a sub-slice of data — no copy, no
 // allocation), and the bytes consumed. A frame that cannot be complete
 // yet yields ErrShortFrame; corrupt content yields ErrBadFrame.
-func DecodeFrame(data []byte) (t Type, payload []byte, n int, err error) {
-	if len(data) < frameHeader {
-		return 0, nil, 0, ErrShortFrame
-	}
-	t = Type(data[0])
-	if t == 0 || t > maxType {
-		return 0, nil, 0, fmt.Errorf("%w: unknown type %d", ErrBadFrame, data[0])
-	}
-	length := binary.LittleEndian.Uint32(data[1:5])
-	if length > MaxPayload {
-		return 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, length, MaxPayload)
-	}
-	total := frameHeader + int(length)
-	if len(data) < total {
-		return 0, nil, 0, ErrShortFrame
-	}
-	payload = data[frameHeader:total]
-	if crc := crc32.Checksum(payload, crcTable); crc != binary.LittleEndian.Uint32(data[5:9]) {
-		return 0, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
-	}
-	return t, payload, total, nil
+func DecodeFrame(data []byte) (Type, []byte, int, error) {
+	t, payload, n, err := codec.ParseFrame(data, byte(maxType))
+	return Type(t), payload, n, err
 }
 
 // DecodeMessage decodes a frame payload into its message struct, returned
 // as the pointer type EncodeFrame takes for t. The message's strings are
 // substrings of one copy of payload, which the caller may reuse.
 func DecodeMessage(t Type, payload []byte) (any, error) {
-	c := codec{in: string(payload)}
-	return c.decode(t)
+	c := codec.Decoder(slices.Clone(payload))
+	return walk{&c}.decode(t)
 }
 
 // ReadFrame reads one frame from r and decodes its payload. The
@@ -349,55 +288,18 @@ func ReadFrame(r io.Reader) (Type, any, error) {
 
 // readFrame is ReadFrame that also reports the frame's size on the wire.
 func readFrame(r io.Reader) (Type, any, int, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, 0, ErrShortFrame
-		}
-		return 0, nil, 0, err
-	}
-	t := Type(hdr[0])
-	if t == 0 || t > maxType {
-		return 0, nil, 0, fmt.Errorf("%w: unknown type %d", ErrBadFrame, hdr[0])
-	}
-	length := binary.LittleEndian.Uint32(hdr[1:5])
-	if length > MaxPayload {
-		return 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, length, MaxPayload)
-	}
-	payload, err := readPayload(r, int(length))
+	t, payload, err := codec.ReadFrame(r, byte(maxType))
 	if err != nil {
 		return 0, nil, 0, err
-	}
-	if crc := crc32.Checksum(payload, crcTable); crc != binary.LittleEndian.Uint32(hdr[5:9]) {
-		return 0, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
 	// The buffer is this call's alone and is not written again, so the
 	// message's strings can point into it: no second copy of the payload.
-	c := codec{in: unsafe.String(unsafe.SliceData(payload), len(payload))}
-	msg, err := c.decode(t)
+	c := codec.Decoder(payload)
+	msg, err := walk{&c}.decode(Type(t))
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return t, msg, frameHeader + len(payload), nil
-}
-
-// readPayload reads exactly n bytes, growing the buffer in bounded
-// chunks so allocation tracks data actually received.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		m := min(n-len(buf), chunk)
-		off := len(buf)
-		buf = append(buf, make([]byte, m)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-				return nil, ErrShortFrame
-			}
-			return nil, err
-		}
-	}
-	return buf, nil
+	return Type(t), msg, codec.FrameHeader + len(payload), nil
 }
 
 // MessageID extracts the request ID every wire message carries.

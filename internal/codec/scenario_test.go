@@ -92,7 +92,7 @@ func (tr *transcript) note(what string, answer any) {
 	tr.lines = append(tr.lines, fmt.Sprintf("%s: %+v (after %d messages)", what, answer, tr.raw.Stats().Messages))
 }
 
-func buildOverlay(t *testing.T, net simnet.Registrar, peers int, seed int64) *pgrid.Overlay {
+func buildOverlay(t testing.TB, net simnet.Registrar, peers int, seed int64) *pgrid.Overlay {
 	t.Helper()
 	ov, err := pgrid.Build(net, pgrid.BuildOptions{Peers: peers, ReplicaFactor: 2, Rng: rand.New(rand.NewSource(seed))})
 	if err != nil {

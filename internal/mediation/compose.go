@@ -142,7 +142,8 @@ func (b *Batch) mappingSchemas() []schema.Mapping {
 // flush ships the variants reached since the last flush — one routed
 // CompositeQuery per destination key, fanned out across the worker pool —
 // and emits their answers in variant order, so rows arrive as the serial
-// traversal would produce them whatever the grouping. A subject- or
+// traversal would produce them whatever the grouping, then flushes the sink:
+// the engine goes back to the overlay next. A subject- or
 // object-constant query collapses to one group (reformulation only rewrites
 // the predicate); predicate-keyed queries get one group per variant. stopped
 // reports that emit ended the search.
@@ -215,13 +216,15 @@ func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
 		return false, poolErr // cancelled, possibly mid-group: the answer is incomplete and says so
 	}
 	for i, v := range pending {
-		for _, t := range answers[i] {
-			r.emitted++
-			if !r.emit(Result{Triple: t, Pattern: patterns[i], MappingPath: v.Path, Confidence: v.Confidence}) {
-				return true, nil
-			}
+		if len(answers[i]) == 0 {
+			continue
+		}
+		r.emitted += len(answers[i])
+		if !r.sink.emit(answers[i], provenance{pattern: patterns[i], path: v.Path, confidence: v.Confidence}) {
+			return true, nil
 		}
 	}
+	r.sink.flush()
 	return false, nil
 }
 

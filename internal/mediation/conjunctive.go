@@ -158,10 +158,13 @@ func CollectSet(ctx context.Context, cur *Cursor) (*triple.BindingSet, Conjuncti
 // emit (and also when the query ends up with zero rows, so aggregating
 // consumers know the schema). emit delivers one row; returning false stops
 // the engine, which skips every lookup the remaining rows would have
-// needed. Both are invoked from a single goroutine.
+// needed. flush runs when the engine goes back to the overlay with rows
+// emitted — a consumer that batches rows hands them over now. All three are
+// invoked from a single goroutine.
 type rowSink struct {
-	cols func([]string)
-	emit func([]string) bool
+	cols  func([]string)
+	emit  func([]string) bool
+	flush func()
 }
 
 // streamConjunctive is the conjunctive engine behind the cursor: it plans
@@ -260,12 +263,12 @@ func (p *Peer) SearchConjunctiveNaive(ctx context.Context, patterns []triple.Pat
 	}
 	var joined []triple.Bindings
 	for i, q := range patterns {
-		rs, err := p.resolvePattern(ctx, q, nil, reformulate, opts, &stats)
+		bs, err := p.resolvePattern(ctx, q, nil, reformulate, opts, &stats)
 		if err != nil {
 			return nil, stats, fmt.Errorf("mediation: pattern %d: %w", i, err)
 		}
 		stats.FullScans++
-		bindings := rs.Bindings()
+		bindings := bs.ToBindings()
 		if i == 0 {
 			joined = bindings
 		} else {
@@ -385,11 +388,7 @@ func (p *Peer) resolvePlanned(ctx context.Context, q triple.Pattern, plan resolv
 		return p.resolveSemiJoin(ctx, q, plan.filterVars, plan.filterVals, reformulate, opts, stats)
 	default:
 		stats.FullScans++
-		rs, err := p.resolvePattern(ctx, q, nil, reformulate, opts, stats)
-		if err != nil {
-			return nil, err
-		}
-		return bindResults(q, rs.Results), nil
+		return p.resolvePattern(ctx, q, nil, reformulate, opts, stats)
 	}
 }
 
@@ -751,12 +750,11 @@ func (p *Peer) pushdownBatch(ctx context.Context, q triple.Pattern, vars []strin
 			sub = substituteVar(sub, v, tuples[i][j])
 		}
 		var st ConjunctiveStats
-		rs, err := p.resolvePattern(ctx, sub, nil, reformulate, opts, &st)
+		bs, err := p.resolvePattern(ctx, sub, nil, reformulate, opts, &st)
 		if err != nil {
 			outs[i] = out{err: err, stats: st}
 			return
 		}
-		bs := bindResults(sub, rs.Results)
 		for j, v := range vars {
 			bs.AddConstColumn(v, tuples[i][j])
 		}
@@ -817,25 +815,30 @@ func (p *Peer) resolvePushdownStream(ctx context.Context, q triple.Pattern, plan
 				return nil
 			}
 		}
+		sink.flush()
 	}
 	return nil
 }
 
 // resolvePattern issues one (possibly reformulating, possibly semi-join
-// filtered) overlay search and charges its routing, transfer, filter
-// shipment, and reformulation costs to stats. The filter payload rides
-// every routed copy of the pattern, charged as one per variant — the
-// primary lookup and each reformulation: exact for the recursive cascade
-// and for variants with distinct destination keys, an upper bound where
-// key-grouped shipping puts several variants in one message.
-func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*ResultSet, error) {
-	rs, err := p.searchPattern(ctx, q, filters, reformulate, opts)
+// filtered) overlay search, charges its routing, transfer, filter shipment
+// and reformulation costs to stats, and binds the shipped triples straight
+// into q's variable schema — a row is materialised once between the frame
+// and the join. Reformulated variants bind identically: reformulation only
+// rewrites the (constant) predicate, so variable positions coincide with
+// q's. The filter payload rides every routed copy of the pattern, charged as
+// one per variant — the primary lookup and each reformulation: exact for the
+// recursive cascade and for variants with distinct destination keys, an
+// upper bound where key-grouped shipping puts several variants in one
+// message.
+func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*triple.BindingSet, error) {
+	ts, rs, plain, err := p.patternTriples(ctx, q, filters, reformulate, opts)
 	if rs != nil {
 		stats.PatternLookups++
 		stats.Degraded = stats.Degraded || rs.Degraded
 		stats.RouteMessages += rs.Messages
-		stats.TriplesShipped += len(rs.Results)
-		stats.TransferMessages += transferMessages(len(rs.Results))
+		stats.TriplesShipped += len(ts)
+		stats.TransferMessages += transferMessages(len(ts))
 		stats.Reformulations += rs.Reformulations
 		if ship := filterTripleEquivalents(filters); ship > 0 {
 			lookups := 1 + rs.Reformulations
@@ -843,7 +846,10 @@ func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []V
 			stats.TransferMessages += lookups * transferMessages(ship)
 		}
 	}
-	return rs, err
+	if err != nil {
+		return nil, err
+	}
+	return triple.BindTriplesMatched(q, ts, plain), nil
 }
 
 // PayloadTriples measures how many result triples a transport payload
@@ -945,18 +951,4 @@ func subtreeItemTriples(items []pgrid.SubtreeItem) int {
 		}
 	}
 	return n
-}
-
-// bindResults flattens a result list into a BindingSet under the original
-// pattern's variable schema. Results of reformulated patterns bind
-// identically: reformulation only rewrites the (constant) predicate, so
-// variable positions coincide with q's — which is why the per-triple match
-// gate is skipped (the remote σ already matched each triple against its
-// own pattern).
-func bindResults(q triple.Pattern, results []Result) *triple.BindingSet {
-	ts := make([]triple.Triple, len(results))
-	for i, r := range results {
-		ts[i] = r.Triple
-	}
-	return triple.BindTriplesMatched(q, ts)
 }

@@ -154,9 +154,10 @@ type ResultSet struct {
 }
 
 // Bindings extracts variable bindings from every result under its matching
-// pattern. The conjunctive engine does not use this — it binds results
-// directly into a flattened triple.BindingSet without a map per triple —
-// but single-pattern callers still get the map representation, pre-sized.
+// pattern. The conjunctive engine does not use this — it binds the shipped
+// triples directly into a flattened triple.BindingSet, never building a
+// Result — but single-pattern callers still get the map representation,
+// pre-sized.
 func (rs *ResultSet) Bindings() []triple.Bindings {
 	out := make([]triple.Bindings, 0, len(rs.Results))
 	for _, r := range rs.Results {
@@ -212,106 +213,122 @@ func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	return rs, err
 }
 
-// emitResult delivers one streamed result to the consumer; returning false
-// stops the search early (row limit reached or the consumer is gone). The
-// engine invokes it from a single goroutine, in deterministic order.
-type emitResult func(Result) bool
+// provenance is how an answer was reached: the (possibly reformulated)
+// pattern that matched, the IDs of the mappings traversed to reach its schema
+// and the product of their confidences (no path and 1 for the query itself).
+type provenance struct {
+	pattern    triple.Pattern
+	path       []string
+	confidence float64
+}
+
+// answerSink receives the raw (undeduplicated) answers of a pattern search,
+// in deterministic order. The engine invokes it from a single goroutine.
+type answerSink struct {
+	// emit delivers the triples one variant of the query matched, which are
+	// only valid during the call; returning false stops the search early (row
+	// limit reached or the consumer is gone).
+	emit func(ts []triple.Triple, via provenance) bool
+	// flush runs whenever the engine goes back to the overlay after emitting:
+	// a consumer that batches rows hands them over now, so no row waits on a
+	// lookup it does not depend on.
+	flush func()
+}
 
 // searchForFiltered resolves one pattern without reformulation, with
 // optional semi-join filters riding the shipped query: the responsible peer
 // filters its σ answer against them and returns only rows the issuer's
-// bound values can join.
-func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters []VarFilter) (*ResultSet, error) {
+// bound values can join. The triples are the peer's sorted answer as it
+// arrived; the ResultSet carries the message accounting only.
+func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters []VarFilter) ([]triple.Triple, *ResultSet, error) {
 	_, constant, ok := q.MostSpecificConstant()
 	if !ok {
-		return nil, ErrNotRoutable
+		return nil, nil, ErrNotRoutable
 	}
 	key := keyspace.Hash(constant, p.depth)
 	result, route, err := p.node.Query(ctx, key, PatternQuery{Pattern: q, Filters: filters})
 	rs := &ResultSet{Query: q, Messages: route.Messages, Route: route, Degraded: route.Degraded}
 	if err != nil {
-		return rs, err
+		return nil, rs, err
 	}
 	triples, ok := result.([]triple.Triple)
 	if !ok {
-		return rs, fmt.Errorf("mediation: unexpected query result %T", result)
+		return nil, rs, fmt.Errorf("mediation: unexpected query result %T", result)
 	}
-	if len(triples) > 0 {
-		rs.Results = make([]Result, 0, len(triples))
-	}
-	for _, t := range triples {
-		rs.Results = append(rs.Results, Result{Triple: t, Pattern: q, Confidence: 1})
-	}
-	return rs, nil
+	return triples, rs, nil
 }
 
-// streamPattern is the single pattern-search engine behind the streaming
-// cursor and the conjunctive engine's per-pattern lookups: it resolves q —
-// traversing the mapping network when reformulate is set — delivering every
-// raw (undeduplicated) result through emit in deterministic order, and
-// returns the ResultSet skeleton (Query, Messages, Reformulations, Route;
-// Results stays empty — they went through emit).
+// rewritable reports whether reformulation applies to q: only a constant
+// Schema#Attr predicate can be rewritten through the mapping network.
+func rewritable(q triple.Pattern, reformulate bool) bool {
+	if !reformulate || q.P.Kind != triple.Constant {
+		return false
+	}
+	_, _, ok := schema.SplitPredicateURI(q.P.Value)
+	return ok
+}
+
+// streamPattern is the pattern-search engine behind the streaming cursor: it
+// resolves q — traversing the mapping network when reformulate is set —
+// delivering every raw (undeduplicated) answer through sink in deterministic
+// order, and returns the ResultSet skeleton (Query, Messages, Reformulations,
+// Route; Results stays empty — they went through the sink).
 //
 // traversed reports whether the mapping-graph traversal ran, i.e. whether an
 // aggregating caller must apply dedupeResults to build the aggregate
 // answer. A nil *ResultSet (with ErrNotRoutable) reports a pattern without
 // a routable constant.
 //
-// limited tells the reformulation engine that emit enforces a row limit, so
-// shipping reached variants early can end the traversal early.
+// limited tells the reformulation engine that the sink enforces a row limit,
+// so shipping reached variants early can end the traversal early.
 //
 // Cancelling ctx stops the traversal between hops and between routed
 // operations: the results already emitted stand, and ctx.Err() is returned.
-func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, limited bool, emit emitResult) (rs *ResultSet, traversed bool, err error) {
+func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, limited bool, sink answerSink) (rs *ResultSet, traversed bool, err error) {
 	opts = opts.withDefaults()
-	rewritable := reformulate && q.P.Kind == triple.Constant
-	if rewritable {
-		_, _, rewritable = schema.SplitPredicateURI(q.P.Value)
+	if rewritable(q, reformulate) {
+		rs, err := p.streamRewritten(ctx, q, filters, opts, limited, sink)
+		return rs, true, err
 	}
-	if !rewritable {
-		// No Schema#Attr predicate to rewrite: plain search.
-		rs, err := p.searchForFiltered(ctx, q, filters)
-		if rs == nil || err != nil {
-			return rs, false, err
-		}
-		emitAll(rs, emit)
-		return rs, false, nil
+	// No Schema#Attr predicate to rewrite: plain search, emitted in the
+	// server's deterministic (sorted) order.
+	ts, rs, err := p.searchForFiltered(ctx, q, filters)
+	if err == nil && len(ts) > 0 {
+		sink.emit(ts, provenance{pattern: q, confidence: 1})
 	}
+	return rs, false, err
+}
+
+// streamRewritten runs the reformulating search of a rewritable pattern in
+// the mode opts selects.
+func (p *Peer) streamRewritten(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, limited bool, sink answerSink) (*ResultSet, error) {
 	if opts.Mode == Recursive && !opts.ComposeMappings {
-		return p.streamRecursive(ctx, q, filters, opts, emit)
+		return p.streamRecursive(ctx, q, filters, opts, sink)
 	}
-	return p.streamReformulated(ctx, q, filters, opts, limited, emit)
+	return p.streamReformulated(ctx, q, filters, opts, limited, sink)
 }
 
-// emitAll moves a plain σ answer's results out through emit, preserving the
-// server's deterministic (sorted) order.
-func emitAll(rs *ResultSet, emit emitResult) {
-	for _, r := range rs.Results {
-		if !emit(r) {
-			break
-		}
+// patternTriples resolves one pattern into the triples it matches — the
+// conjunctive engine's per-pattern primitive, ctx threaded through every
+// hop. A plain pattern's answer is the responsible peer's sorted σ exactly as
+// it was decoded (plain=true: distinct stored triples that agree with q's
+// constants); a reformulated one is the union of its variants' answers,
+// deduplicated and sorted. rs carries the message accounting.
+func (p *Peer) patternTriples(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions) (ts []triple.Triple, rs *ResultSet, plain bool, err error) {
+	if !rewritable(q, reformulate) {
+		ts, rs, err = p.searchForFiltered(ctx, q, filters)
+		return ts, rs, true, err
 	}
-	rs.Results = nil
-}
-
-// searchPattern resolves one pattern into its aggregate answer —
-// collecting, deduplicating and ordering the streamed results — with ctx
-// threaded through every hop. It is the conjunctive engine's per-pattern
-// primitive.
-func (p *Peer) searchPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions) (*ResultSet, error) {
-	var collected []Result
-	rs, traversed, err := p.streamPattern(ctx, q, filters, reformulate, opts, false, func(r Result) bool {
-		collected = append(collected, r)
-		return true
-	})
-	if rs == nil {
-		return nil, err
+	collect := answerSink{
+		emit: func(answer []triple.Triple, _ provenance) bool {
+			ts = append(ts, answer...)
+			return true
+		},
+		flush: func() {},
 	}
-	rs.Results = collected
-	if traversed {
-		dedupeResults(rs)
-	}
-	return rs, err
+	rs, err = p.streamRewritten(ctx, q, filters, opts.withDefaults(), false, collect)
+	triple.SortTriples(ts)
+	return slices.Compact(ts), rs, false, err
 }
 
 // runPool executes fn(0)…fn(n-1) across at most workers goroutines,
@@ -368,7 +385,7 @@ type reformulation struct {
 	q        triple.Pattern
 	filters  []VarFilter
 	workers  int
-	emit     emitResult
+	sink     answerSink
 	rs       *ResultSet
 	variants []compose.Step
 	shipped  int
@@ -387,11 +404,11 @@ type reformulation struct {
 // a cold one is built by this same loop and installed if it ran to
 // completion. A failed or replica-answered lookup truncates its branch and
 // marks the answer Degraded; such a traversal installs nothing.
-func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, limited bool, emit emitResult) (*ResultSet, bool, error) {
-	schemaName, attr, _ := schema.SplitPredicateURI(q.P.Value) // streamPattern checked the form
+func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, limited bool, sink answerSink) (*ResultSet, error) {
+	schemaName, attr, _ := schema.SplitPredicateURI(q.P.Value) // rewritable checked the form
 	root := compose.Step{Predicate: q.P.Value, SchemaName: schemaName, Attr: attr, Confidence: 1}
 	rs := &ResultSet{Query: q}
-	r := &reformulation{p: p, q: q, filters: filters, workers: opts.Parallelism, emit: emit, rs: rs, variants: []compose.Step{root}}
+	r := &reformulation{p: p, q: q, filters: filters, workers: opts.Parallelism, sink: sink, rs: rs, variants: []compose.Step{root}}
 
 	visited := map[string]bool{q.P.Value: true}
 	expand := func(next []compose.Step, from compose.Step, mappings []schema.Mapping) []compose.Step {
@@ -420,7 +437,7 @@ func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters
 	}
 	if len(wave) > 0 {
 		if stopped, err := r.flush(ctx); stopped || err != nil {
-			return rs, true, err
+			return rs, err
 		}
 	}
 
@@ -443,14 +460,14 @@ func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters
 		// The pool reports ctx's state as it returns, so a cancellation any
 		// lookup observed is terminal here, never a lost branch to tolerate.
 		if poolErr != nil {
-			return rs, true, poolErr
+			return rs, poolErr
 		}
 		rs.Degraded = rs.Degraded || !complete
 		rs.Reformulations += len(next)
 		r.variants = append(r.variants, next...)
 		if limited {
 			if stopped, err := r.flush(ctx); stopped || err != nil {
-				return rs, true, err
+				return rs, err
 			}
 		}
 		wave = next
@@ -461,12 +478,12 @@ func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters
 		p.composites.PutIfCurrent(entry)
 	}
 	if _, err := r.flush(ctx); err != nil {
-		return rs, true, err
+		return rs, err
 	}
 	if r.emitted == 0 && r.firstErr != nil {
-		return rs, true, r.firstErr
+		return rs, r.firstErr
 	}
-	return rs, true, nil
+	return rs, nil
 }
 
 // ReformulatedQuery is the payload of recursive reformulation: the
@@ -512,11 +529,11 @@ type ReformulatedResponse struct {
 // whole cascade resolves through one routed operation, so results arrive in
 // a single batch once the recursion unwinds; ctx still cancels the routed
 // operation between hops and in transit.
-func (p *Peer) streamRecursive(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, emit emitResult) (*ResultSet, bool, error) {
+func (p *Peer) streamRecursive(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, sink answerSink) (*ResultSet, error) {
 	rs := &ResultSet{Query: q}
 	_, constant, ok := q.MostSpecificConstant()
 	if !ok {
-		return nil, true, ErrNotRoutable
+		return nil, ErrNotRoutable
 	}
 	key := keyspace.Hash(constant, p.depth)
 	payload := ReformulatedQuery{
@@ -533,26 +550,24 @@ func (p *Peer) streamRecursive(ctx context.Context, q triple.Pattern, filters []
 	rs.Route = route
 	rs.Degraded = route.Degraded
 	if err != nil {
-		return rs, true, err
+		return rs, err
 	}
 	resp, ok := result.(ReformulatedResponse)
 	if !ok {
-		return rs, true, fmt.Errorf("mediation: unexpected recursive result %T", result)
+		return rs, fmt.Errorf("mediation: unexpected recursive result %T", result)
 	}
 	rs.Messages += resp.Messages
 	rs.Reformulations = resp.Reformulations
 	rs.Degraded = rs.Degraded || resp.Degraded
+	// Every downstream result names its own variant: one-triple answers.
+	var one [1]triple.Triple
 	for _, r := range resp.Results {
-		if !emit(Result{
-			Triple:      r.Triple,
-			Pattern:     r.Pattern,
-			MappingPath: r.MappingPath,
-			Confidence:  r.Confidence,
-		}) {
+		one[0] = r.Triple
+		if !sink.emit(one[:], provenance{pattern: r.Pattern, path: r.MappingPath, confidence: r.Confidence}) {
 			break
 		}
 	}
-	return rs, true, nil
+	return rs, nil
 }
 
 // handleReformulated executes one recursive reformulation step at the

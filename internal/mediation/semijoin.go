@@ -157,11 +157,7 @@ func (p *Peer) resolveSemiJoin(ctx context.Context, q triple.Pattern, vars []str
 	for i, v := range vars {
 		filters[i] = NewVarFilter(v, vals[i])
 	}
-	rs, err := p.resolvePattern(ctx, q, filters, reformulate, opts, stats)
-	if err != nil {
-		return nil, err
-	}
-	return bindResults(q, rs.Results), nil
+	return p.resolvePattern(ctx, q, filters, reformulate, opts, stats)
 }
 
 func init() {

@@ -96,8 +96,8 @@ type QueryRow struct {
 // timing counters are safe to read mid-stream (they grow as the engine
 // runs); the totals are final once the cursor is exhausted or closed.
 type QueryStats struct {
-	// Rows is the number of rows the engine has produced so far — handed
-	// to the consumer or sitting in the cursor's buffer ahead of it.
+	// Rows is the number of rows the engine has handed over so far — taken
+	// by the consumer or sitting in the cursor's buffer ahead of it.
 	Rows int
 	// Messages is the overlay message cost (for conjunctive requests:
 	// routing plus transfer chunks, i.e. Conjunctive.TotalMessages()).
@@ -129,7 +129,17 @@ type QueryStats struct {
 // every worker it spawned to exit, so abandoned cursors never leak
 // goroutines.
 type Cursor struct {
-	ch     chan QueryRow
+	// ch carries the rows a chunk at a time (at most rowChunk, never none):
+	// the engine and the consumer meet once per chunk, not once per row.
+	ch chan []QueryRow
+	// chunk and next are the consumer's: the chunk Next is handing out and
+	// how far into it Next is.
+	chunk []QueryRow
+	next  int
+	// pending is the engine goroutine's: the rows emitted since the last
+	// hand-over.
+	pending []QueryRow
+
 	done   chan struct{}
 	cancel context.CancelFunc
 	// reqCtx is the caller's request context; Close consults it to tell a
@@ -174,7 +184,7 @@ func (p *Peer) Query(ctx context.Context, req Request) (*Cursor, error) {
 
 	qctx, cancel := context.WithCancel(ctx)
 	c := &Cursor{
-		ch:      make(chan QueryRow, 32),
+		ch:      make(chan []QueryRow, 1),
 		done:    make(chan struct{}),
 		cancel:  cancel,
 		reqCtx:  ctx,
@@ -186,6 +196,9 @@ func (p *Peer) Query(ctx context.Context, req Request) (*Cursor, error) {
 			err = c.runPattern(qctx, p, req)
 		} else {
 			err = c.runConjunctive(qctx, p, req, parsed)
+		}
+		if !c.handOver(qctx) && err == nil {
+			err = qctx.Err() // the last rows were dropped: the stream is cut short
 		}
 		c.mu.Lock()
 		if c.err == nil {
@@ -207,18 +220,25 @@ func (p *Peer) Query(ctx context.Context, req Request) (*Cursor, error) {
 // a fresh ctx keeps yielding. Buffered rows are drained before ctx is
 // considered, so rows produced ahead of a cancellation are not lost.
 func (c *Cursor) Next(ctx context.Context) (QueryRow, bool) {
-	// Prefer already-produced rows over a concurrently-firing ctx.
-	select {
-	case row, ok := <-c.ch:
-		return row, ok
-	default:
+	if c.next == len(c.chunk) {
+		// Prefer already-produced rows over a concurrently-firing ctx.
+		select {
+		case c.chunk = <-c.ch:
+		default:
+			select {
+			case c.chunk = <-c.ch:
+			case <-ctx.Done():
+				return QueryRow{}, false
+			}
+		}
+		c.next = 0
+		if len(c.chunk) == 0 {
+			return QueryRow{}, false // closed: the stream ended
+		}
 	}
-	select {
-	case row, ok := <-c.ch:
-		return row, ok
-	case <-ctx.Done():
-		return QueryRow{}, false
-	}
+	row := c.chunk[c.next]
+	c.next++
+	return row, true
 }
 
 // Columns returns the output column names (the variable schema rows align
@@ -273,21 +293,44 @@ func (c *Cursor) setCols(cols []string) {
 	c.mu.Unlock()
 }
 
-// send delivers one row to the consumer, blocking until it is accepted or
-// the query context fires; it reports whether the row was delivered.
+// rowChunk is how many rows the engine hands the consumer at a time — what
+// one wire.RowChunk frame carries.
+const rowChunk = 128
+
+// send queues one row for the consumer and hands a full chunk over, blocking
+// until it is accepted or the query context fires; false reports that the
+// rows could not be delivered.
 func (c *Cursor) send(ctx context.Context, row QueryRow) bool {
-	select {
-	case c.ch <- row:
-		c.mu.Lock()
-		if c.stats.Rows == 0 {
-			c.stats.FirstRow = time.Since(c.started)
-		}
-		c.stats.Rows++
-		c.mu.Unlock()
+	c.pending = append(c.pending, row)
+	return len(c.pending) < rowChunk || c.handOver(ctx)
+}
+
+// handOver passes the rows sent since the last hand-over to the consumer as
+// one chunk. The engine calls it whenever it goes back to the overlay after
+// emitting, and as it exits, so a row never waits on an operation it does
+// not depend on. A chunk the buffer has room for is delivered even when ctx
+// has already fired: rows produced ahead of a cancellation stand.
+func (c *Cursor) handOver(ctx context.Context) bool {
+	if len(c.pending) == 0 {
 		return true
-	case <-ctx.Done():
-		return false
 	}
+	select {
+	case c.ch <- c.pending:
+	default:
+		select {
+		case c.ch <- c.pending:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	c.mu.Lock()
+	if c.stats.Rows == 0 {
+		c.stats.FirstRow = time.Since(c.started)
+	}
+	c.stats.Rows += len(c.pending)
+	c.mu.Unlock()
+	c.pending = nil
+	return true
 }
 
 // runPattern executes a pattern request, emitting each raw result as the
@@ -302,26 +345,35 @@ func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
 	}
 
 	emitted := 0
-	emit := func(r Result) bool {
-		if req.Limit > 0 && emitted >= req.Limit {
-			return false
+	emit := func(ts []triple.Triple, via provenance) bool {
+		if req.Limit > 0 {
+			ts = ts[:min(len(ts), req.Limit-emitted)]
 		}
-		values := make([]string, len(vars))
-		for i := range vars {
-			// Reformulation rewrites only the constant predicate, so the
-			// variable positions of every reformulated variant coincide
-			// with the original pattern's.
-			values[i] = r.Triple.Component(positions[i])
+		// One array of results and one of values per answer, not per row.
+		results := make([]Result, len(ts))
+		values := make([]string, len(ts)*len(vars))
+		if c.pending == nil {
+			c.pending = make([]QueryRow, 0, min(len(ts), rowChunk))
 		}
-		res := r
-		if !c.send(ctx, QueryRow{Values: values, Result: &res}) {
-			return false
+		for i, t := range ts {
+			results[i] = Result{Triple: t, Pattern: via.pattern, MappingPath: via.path, Confidence: via.confidence}
+			row := values[i*len(vars) : (i+1)*len(vars) : (i+1)*len(vars)]
+			for j := range row {
+				// Reformulation rewrites only the constant predicate, so the
+				// variable positions of every reformulated variant coincide
+				// with the original pattern's.
+				row[j] = t.Component(positions[j])
+			}
+			if !c.send(ctx, QueryRow{Values: row, Result: &results[i]}) {
+				return false
+			}
 		}
-		emitted++
+		emitted += len(ts)
 		return req.Limit == 0 || emitted < req.Limit
 	}
+	sink := answerSink{emit: emit, flush: func() { c.handOver(ctx) }}
 
-	rs, traversed, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, req.Limit > 0, emit)
+	rs, traversed, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, req.Limit > 0, sink)
 	c.mu.Lock()
 	c.traversed = traversed
 	if rs != nil {
@@ -354,15 +406,18 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 		return req.Limit == 0 || emitted < req.Limit
 	}
 
-	var sink rowSink
-	if parsed == nil {
-		sink = rowSink{cols: c.setCols, emit: deliver}
-	} else {
+	sink := rowSink{cols: c.setCols, emit: deliver, flush: func() { c.handOver(ctx) }}
+	if parsed != nil {
 		var colIdx []int
 		missing := false
 		seen := map[string]struct{}{}
 		var keyBuf []byte
+		// Projected rows are carved from free, which is renewed for twice as
+		// many rows each time, up to a chunk's worth.
+		var free []string
+		grow := 8
 		sink = rowSink{
+			flush: sink.flush,
 			cols: func(vars []string) {
 				c.setCols(append([]string(nil), parsed.Select...))
 				colIdx = make([]int, len(parsed.Select))
@@ -384,15 +439,20 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 					// A selected variable no row binds: nothing projects.
 					return false
 				}
-				out := make([]string, len(colIdx))
+				if len(free) < len(colIdx) {
+					free = make([]string, len(colIdx)*grow)
+					grow = min(2*grow, rowChunk)
+				}
+				out := free[:len(colIdx):len(colIdx)]
 				for i, idx := range colIdx {
 					out[i] = row[idx]
 				}
 				keyBuf = triple.AppendRowKey(keyBuf[:0], out)
 				if _, dup := seen[string(keyBuf)]; dup {
-					return true
+					return true // the next row overwrites out
 				}
 				seen[string(keyBuf)] = struct{}{}
+				free = free[len(colIdx):]
 				return deliver(out)
 			},
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gridvine/internal/keyspace"
 	"gridvine/internal/schema"
 	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
@@ -445,4 +446,182 @@ func sameBindingsSet(t *testing.T, a, b []triple.Bindings) bool {
 		}
 	}
 	return true
+}
+
+// hotJoin stores n subjects with a group and a length each and returns the
+// two-pattern join over them; with a pushdown cap above n the second
+// pattern resolves by one point lookup per subject, streamed.
+func hotJoin(t *testing.T, p *Peer, n int) []triple.Pattern {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		subj := fmt.Sprintf("acc:H%03d", i)
+		mustInsert(t, p, subj, "A#grp", "hot")
+		mustInsert(t, p, subj, "A#len", fmt.Sprint(100+i))
+	}
+	return []triple.Pattern{
+		{S: triple.Var("x"), P: triple.Const("A#grp"), O: triple.Const("hot")},
+		{S: triple.Var("x"), P: triple.Const("A#len"), O: triple.Var("len")},
+	}
+}
+
+// TestCursorHandsRowsOverBeforeGoingBackToTheOverlay: rows travel to the
+// consumer a chunk at a time, but a row emitted before the engine starts
+// another overlay operation is handed over first — Next returns it while
+// that operation is still in flight, not when a chunk fills or the engine
+// exits.
+func TestCursorHandsRowsOverBeforeGoingBackToTheOverlay(t *testing.T) {
+	const delay = 4 * time.Millisecond
+	net, peers := chainNetwork(t, 6, 31)
+	patterns := hotJoin(t, peers[0], 24)
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("aspergillus")}
+	net.SetSendDelay(delay)
+	defer net.SetSendDelay(0)
+	// The hash keeps order, so one peer holds every acc:H… subject; issued
+	// from there the pushdown lookups would never cross the network.
+	issuer := peers[13]
+	for _, p := range peers {
+		if !p.Node().Responsible(keyspace.HashDefault("acc:H000")) && !p.Node().Responsible(keyspace.HashDefault("schema:S1")) {
+			issuer = p
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		req  Request
+		rows int
+	}{
+		// The root's row, then five waves of mapping lookups and data.
+		{"pattern", Request{Pattern: &q, Reformulate: true, Options: SearchOptions{Parallelism: 1}}, 6},
+		// One row per pushdown lookup, 24 lookups one after the other.
+		{"pushdown", Request{Patterns: patterns, Options: SearchOptions{Parallelism: 1, PushdownLimit: 64}}, 24},
+	} {
+		cur, err := issuer.Query(context.Background(), tc.req)
+		if err != nil {
+			t.Fatalf("%s: Query: %v", tc.name, err)
+		}
+		var first time.Time
+		rows := 0
+		for {
+			if _, ok := cur.Next(context.Background()); !ok {
+				break
+			}
+			if rows++; rows == 1 {
+				first = time.Now()
+				select {
+				case <-cur.done:
+					t.Errorf("%s: the first row only arrived once the engine had finished", tc.name)
+				default:
+				}
+			}
+		}
+		rest := time.Since(first)
+		if err := cur.Close(); err != nil || rows != tc.rows {
+			t.Fatalf("%s: %d rows, want %d; Close: %v", tc.name, rows, tc.rows, err)
+		}
+		if rest < 3*delay {
+			t.Errorf("%s: the stream ended %v after its first row — the row waited on lookups it did not depend on", tc.name, rest)
+		}
+		if st := cur.Stats(); st.Rows != tc.rows || st.FirstRow <= 0 || st.Elapsed-st.FirstRow < 3*delay {
+			t.Errorf("%s: stats %d rows, first row at %v of %v", tc.name, st.Rows, st.FirstRow, st.Elapsed)
+		}
+	}
+}
+
+// TestCursorLimitInsideAChunk: Request.Limit counts rows, not chunks — a
+// limit that falls inside a chunk, or past the first one, yields exactly
+// that many rows.
+func TestCursorLimitInsideAChunk(t *testing.T) {
+	_, peers := testNetwork(t, 16, 32)
+	patterns := hotJoin(t, peers[0], 150)
+	grp := patterns[0]
+	for _, tc := range []struct {
+		name  string
+		req   Request
+		limit int
+	}{
+		{"pattern, inside the first chunk", Request{Pattern: &grp}, 5},
+		{"pattern, inside the second chunk", Request{Pattern: &grp}, rowChunk + 2},
+		{"join, inside the first chunk", Request{Patterns: patterns}, 7},
+		{"join, inside the second chunk", Request{Patterns: patterns}, rowChunk + 3},
+		{"rdql", Request{RDQL: `SELECT ?x WHERE (?x, <A#grp>, hot), (?x, <A#len>, ?len)`}, rowChunk + 1},
+	} {
+		tc.req.Limit = tc.limit
+		cur, err := peers[5].Query(context.Background(), tc.req)
+		if err != nil {
+			t.Fatalf("%s: Query: %v", tc.name, err)
+		}
+		rows := 0
+		for {
+			if _, ok := cur.Next(context.Background()); !ok {
+				break
+			}
+			rows++
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", tc.name, err)
+		}
+		if rows != tc.limit || cur.Stats().Rows != tc.limit {
+			t.Errorf("%s: limit %d yielded %d rows, stats %d", tc.name, tc.limit, rows, cur.Stats().Rows)
+		}
+	}
+}
+
+// TestCursorCancelInsideAChunk cancels the query while the consumer is
+// halfway through a chunk: the rest of the chunk was produced ahead of the
+// cancellation and is still yielded — even to a Next whose own ctx has
+// fired — the stream then ends short with context.Canceled, and nothing
+// leaks.
+func TestCursorCancelInsideAChunk(t *testing.T) {
+	net, peers := testNetwork(t, 16, 33)
+	patterns := hotJoin(t, peers[0], 40)
+	baseline := countGoroutines(t)
+	net.SetSendDelay(2 * time.Millisecond)
+	defer net.SetSendDelay(0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Four pushdown lookups at a time: every hand-over carries four rows.
+	cur, err := peers[7].Query(ctx, Request{Patterns: patterns, Options: SearchOptions{Parallelism: 4, PushdownLimit: 64}})
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if _, ok := cur.Next(context.Background()); !ok {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+	cancel()
+	rows := 1
+	for {
+		if _, ok := cur.Next(ctx); !ok {
+			break
+		}
+		rows++
+	}
+	if rows < 4 {
+		t.Errorf("%d rows: the chunk the consumer was reading when the query was cancelled holds four", rows)
+	}
+	if rows >= 40 {
+		t.Errorf("cancellation yielded all %d rows — nothing was cut short", rows)
+	}
+	if err := cur.Close(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Close = %v, want context.Canceled", err)
+	}
+	waitNoLeak(t, baseline)
+}
+
+// TestRowsWithNULValuesStayDistinct: the join, bind and projection dedupe
+// keys are injective, so values that differ only in where a NUL byte sits
+// are different rows from the stored triples to the projected answer.
+func TestRowsWithNULValuesStayDistinct(t *testing.T) {
+	_, peers := testNetwork(t, 16, 34)
+	mustInsert(t, peers[0], "a\x00", "N#p", "b")
+	mustInsert(t, peers[0], "a", "N#p", "\x00b")
+	mustInsert(t, peers[0], "a\x00", "N#q", "b")
+	rows, err := blockingRDQL(peers[3], `SELECT ?x, ?y WHERE (?x, <N#p>, ?y)`, false, SearchOptions{})
+	if err != nil || len(rows) != 2 {
+		t.Errorf("projection: %q, %v; want both triples' rows", rows, err)
+	}
+	rows, err = blockingRDQL(peers[3], `SELECT ?x, ?y WHERE (?x, <N#p>, ?y), (?x, <N#q>, ?y)`, false, SearchOptions{})
+	if err != nil || len(rows) != 1 || rows[0][0] != "a\x00" {
+		t.Errorf("join on both columns: %q, %v; want only the subject that has both", rows, err)
+	}
 }

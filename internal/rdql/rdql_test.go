@@ -277,6 +277,17 @@ func TestProjectSetMatchesProject(t *testing.T) {
 	}
 }
 
+// The projection's dedupe key is injective: values that differ only in
+// where a NUL byte sits are different rows, in both projections.
+func TestProjectKeepsRowsWithNULValuesApart(t *testing.T) {
+	q, _ := Parse(`SELECT ?x, ?y WHERE (?x <A#p> ?y)`)
+	bindings := []triple.Bindings{{"x": "a\x00", "y": "b"}, {"x": "a", "y": "\x00b"}}
+	bs, _ := triple.NewBindingSetFromBindings(bindings)
+	if fromMaps, fromSet := q.Project(bindings), q.ProjectSet(bs); len(fromMaps) != 2 || len(fromSet) != 2 {
+		t.Errorf("rows: maps=%q set=%q, want both", fromMaps, fromSet)
+	}
+}
+
 func BenchmarkProject(b *testing.B) {
 	q, _ := Parse(`SELECT ?x, ?len WHERE (?x <A#org> "v") (?x <A#len> ?len)`)
 	bindings := make([]triple.Bindings, 2000)

@@ -1,6 +1,10 @@
 package triple
 
-import "sort"
+import (
+	"encoding/binary"
+	"slices"
+	"sort"
+)
 
 // BindingSet is the flattened representation of a set of variable bindings:
 // one shared variable schema (Vars) plus one []string tuple per row. It is
@@ -12,11 +16,37 @@ import "sort"
 // Invariant: every row has exactly len(Vars) values, positionally aligned
 // with Vars. Vars order is whatever the producer chose (Pattern.Variables
 // order for pattern results); consumers address columns by name via
-// VarIndex.
+// VarIndex. The rows this package produces are slices of shared backing
+// arrays (rowArena), each capped at its width.
 type BindingSet struct {
 	Vars []string
 	Rows [][]string
 }
+
+// rowArena carves fixed-width rows out of shared backing arrays, so a set of
+// rows costs an allocation per array instead of one per row. A row's
+// capacity is its width: appending to one reallocates it instead of running
+// into its neighbour.
+type rowArena struct {
+	width int
+	buf   []string
+	used  int
+}
+
+// next returns the next row, zeroed. When the current array is spent it
+// allocates room for more further rows — the caller's estimate of how many
+// are still to come.
+func (a *rowArena) next(more int) []string {
+	if a.used+a.width > len(a.buf) {
+		a.buf, a.used = make([]string, a.width*max(more, 1)), 0
+	}
+	row := a.buf[a.used : a.used+a.width : a.used+a.width]
+	a.used += a.width
+	return row
+}
+
+// drop gives the row next returned last back: the following next reuses it.
+func (a *rowArena) drop() { a.used -= a.width }
 
 // NewBindingSet returns an empty set with the given variable schema.
 func NewBindingSet(vars ...string) *BindingSet {
@@ -73,17 +103,19 @@ func (bs *BindingSet) DistinctTuples(names []string) [][]string {
 	seen := make(map[string]struct{}, len(bs.Rows))
 	out := make([][]string, 0, len(bs.Rows))
 	var key []byte
-	tuple := make([]string, len(names))
-	for _, row := range bs.Rows {
+	arena := rowArena{width: len(names)}
+	for n, row := range bs.Rows {
+		tuple := arena.next(len(bs.Rows) - n)
 		for i, idx := range idxs {
 			tuple[i] = row[idx]
 		}
 		key = AppendRowKey(key[:0], tuple)
 		if _, dup := seen[string(key)]; dup {
+			arena.drop()
 			continue
 		}
 		seen[string(key)] = struct{}{}
-		out = append(out, append([]string(nil), tuple...))
+		out = append(out, tuple)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -102,8 +134,11 @@ func (bs *BindingSet) DistinctTuples(names []string) [][]string {
 // resolved with x:=v binds everything but x, and the column re-attaches it.
 func (bs *BindingSet) AddConstColumn(name, value string) {
 	bs.Vars = append(bs.Vars, name)
+	arena := rowArena{width: len(bs.Vars)}
 	for i, row := range bs.Rows {
-		bs.Rows[i] = append(row, value)
+		wide := arena.next(len(bs.Rows) - i)
+		wide[copy(wide, row)] = value
+		bs.Rows[i] = wide
 	}
 }
 
@@ -154,84 +189,126 @@ func NewBindingSetFromBindings(bindings []Bindings) (*BindingSet, bool) {
 	return bs, true
 }
 
-// BindTriples binds a slice of matching triples against the pattern's
-// variables directly into a flattened set — no per-triple map. Triples that
-// fail the pattern (or bind the same variable to two different values) are
-// skipped, and duplicate rows are collapsed: binding sets carry set
-// semantics, so two triples differing only at non-variable positions (e.g.
-// a LIKE term) yield one row. The schema is q.Variables().
-func BindTriples(q Pattern, ts []Triple) *BindingSet {
-	return bindTriples(q, ts, true)
-}
-
-// BindTriplesMatched is BindTriples without the per-triple pattern gate:
-// the caller guarantees every triple already matched q or a variant of q
-// differing only at constant positions (the conjunctive engine's
-// reformulated results, whose predicate was rewritten). Repeated-variable
+// BindTriplesMatched binds triples against q's variables directly into a
+// flattened set — no per-triple map, no per-row allocation. The caller
+// guarantees every triple already matched q or a variant of q differing only
+// at constant positions (the conjunctive engine's reformulated answers, whose
+// predicate was rewritten), so there is no pattern gate; repeated-variable
 // consistency is still enforced, since remote selection matches positions
-// independently.
-func BindTriplesMatched(q Pattern, ts []Triple) *BindingSet {
-	return bindTriples(q, ts, false)
-}
-
-func bindTriples(q Pattern, ts []Triple, check bool) *BindingSet {
+// independently. The schema is q.Variables().
+//
+// Binding sets carry set semantics: triples differing only where q has no
+// variable yield one row. distinct promises that ts is one store's answer to
+// q itself — distinct triples that agree at q's constant positions. Unless q
+// has a LIKE term (a position that is neither constant nor bound), any two
+// of them then differ at a variable position, so their rows differ and the
+// dedupe map is skipped.
+func BindTriplesMatched(q Pattern, ts []Triple, distinct bool) *BindingSet {
 	vars := q.Variables()
-	bs := &BindingSet{Vars: vars, Rows: make([][]string, 0, len(ts))}
-	// varPos[i] lists the triple positions variable vars[i] occupies.
-	varPos := make([][]Position, len(vars))
-	for _, pos := range []Position{Subject, Predicate, Object} {
+	// col[i] is the first position of vars[i]; equal lists the position
+	// pairs a repeated variable ties together.
+	var col [3]Position
+	var equal [][2]Position
+	bound := 0
+	for _, pos := range [3]Position{Subject, Predicate, Object} {
 		t := q.Term(pos)
 		if t.Kind != Variable {
 			continue
 		}
-		for i, v := range vars {
-			if v == t.Value {
-				varPos[i] = append(varPos[i], pos)
-			}
+		if i := slices.Index(vars, t.Value); i < bound {
+			equal = append(equal, [2]Position{col[i], pos})
+		} else {
+			col[bound] = pos
+			bound++
 		}
 	}
-	seen := make(map[string]struct{}, len(ts))
+	bs := &BindingSet{Vars: vars, Rows: make([][]string, 0, len(ts))}
+	arena := rowArena{width: len(vars)}
+	var seen map[string]struct{}
+	if !distinct || q.S.Kind == Like || q.P.Kind == Like || q.O.Kind == Like {
+		seen = make(map[string]struct{}, len(ts))
+	}
 	var key []byte
-	for _, t := range ts {
-		if check && !q.Matches(t) {
-			continue
-		}
-		row := make([]string, len(vars))
-		ok := true
-		for i, positions := range varPos {
-			row[i] = t.Component(positions[0])
-			for _, pos := range positions[1:] {
-				if t.Component(pos) != row[i] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
+triples:
+	for n := range ts {
+		t := &ts[n]
+		for _, e := range equal {
+			if t.Component(e[0]) != t.Component(e[1]) {
+				continue triples
 			}
 		}
-		if !ok {
-			continue
+		row := arena.next(len(ts) - n)
+		for i := range row {
+			row[i] = t.Component(col[i])
 		}
-		key = AppendRowKey(key[:0], row)
-		if _, dup := seen[string(key)]; dup {
-			continue
+		if seen != nil {
+			key = AppendRowKey(key[:0], row)
+			if _, dup := seen[string(key)]; dup {
+				arena.drop()
+				continue
+			}
+			seen[string(key)] = struct{}{}
 		}
-		seen[string(key)] = struct{}{}
 		bs.Rows = append(bs.Rows, row)
 	}
 	return bs
 }
 
-// AppendRowKey serializes a value row into buf with NUL separators — the
-// dedupe and join key builder shared by the binding-set operations and the
-// RDQL projection, allocation-free apart from map-key interning.
+// AppendRowKey serializes a value row into buf, each value behind its uvarint
+// length, so rows that differ have keys that differ whatever bytes their
+// values hold — the dedupe and join key builder shared by the binding-set
+// operations and the RDQL projection, allocation-free apart from map-key
+// interning.
 func AppendRowKey(buf []byte, row []string) []byte {
 	for _, v := range row {
-		buf = append(buf, v...)
-		buf = append(buf, 0)
+		buf = appendKeyValue(buf, v)
 	}
 	return buf
+}
+
+func appendKeyValue(buf []byte, v string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(v))), v...)
+}
+
+// joinTable chains the build side of a hash join by key through index
+// arrays: head maps a key to the first row holding it and next links each
+// row to the following one with the same key, both 1-based so that 0 ends a
+// chain. A single key column is keyed by its value as is; several go through
+// the shared key builder.
+type joinTable struct {
+	head map[string]int32
+	next []int32
+	key  []byte
+}
+
+func newJoinTable(rows [][]string, cols []int) *joinTable {
+	t := &joinTable{head: make(map[string]int32, len(rows)), next: make([]int32, len(rows))}
+	// Back to front, so every chain runs in ascending row order.
+	for i := len(rows) - 1; i >= 0; i-- {
+		k := rows[i][cols[0]]
+		if len(cols) > 1 {
+			k = string(t.rowKey(rows[i], cols))
+		}
+		t.next[i], t.head[k] = t.head[k], int32(i+1)
+	}
+	return t
+}
+
+func (t *joinTable) rowKey(row []string, cols []int) []byte {
+	t.key = t.key[:0]
+	for _, c := range cols {
+		t.key = appendKeyValue(t.key, row[c])
+	}
+	return t.key
+}
+
+// first returns the first build row whose key equals that of row at cols
+// (the probe side's columns of the shared variables), 0 when none does.
+func (t *joinTable) first(row []string, cols []int) int32 {
+	if len(cols) == 1 {
+		return t.head[row[cols[0]]]
+	}
+	return t.head[string(t.rowKey(row, cols))]
 }
 
 // HashJoin implements the natural join ⋈ on flattened binding sets: rows
@@ -242,9 +319,10 @@ func AppendRowKey(buf []byte, row []string) []byte {
 // cartesian product, as the natural join does. Output schema is left.Vars
 // followed by right-only vars; row order follows the left side (then right
 // order within a probe) regardless of build side, so the join is
-// deterministic for deterministic inputs. One key buffer is reused across
-// all build and probe rows, so the steady-state loop allocates only for
-// table entries and output rows.
+// deterministic for deterministic inputs. Neither the table nor the output
+// allocates per row: keys are the shared column's values themselves (or go
+// through one reused buffer), chains are index arrays, and output rows are
+// carved from shared arrays.
 func HashJoin(left, right *BindingSet) *BindingSet {
 	// Shared variables, in left-schema order, with their column indices.
 	var sharedL, sharedR []int
@@ -265,69 +343,69 @@ func HashJoin(left, right *BindingSet) *BindingSet {
 		}
 	}
 	out := &BindingSet{Vars: outVars}
+	arena := rowArena{width: len(outVars)}
 
-	merge := func(l, r []string) {
-		row := make([]string, 0, len(outVars))
-		row = append(row, l...)
-		for _, ri := range extraR {
-			row = append(row, r[ri])
+	// merge emits l ⋈ r; more estimates the rows still to come after it.
+	merge := func(l, r []string, more int) {
+		if len(out.Rows) == cap(out.Rows) {
+			out.Rows = slices.Grow(out.Rows, more)
+		}
+		row := arena.next(more)
+		n := copy(row, l)
+		for i, ri := range extraR {
+			row[n+i] = r[ri]
 		}
 		out.Rows = append(out.Rows, row)
 	}
 
 	if len(sharedL) == 0 {
 		// Cartesian product.
-		out.Rows = make([][]string, 0, len(left.Rows)*len(right.Rows))
+		total := len(left.Rows) * len(right.Rows)
 		for _, l := range left.Rows {
 			for _, r := range right.Rows {
-				merge(l, r)
+				merge(l, r, total)
 			}
 		}
 		return out
-	}
-
-	var key []byte
-	rowKey := func(row []string, cols []int) []byte {
-		key = key[:0]
-		for _, c := range cols {
-			key = append(key, row[c]...)
-			key = append(key, 0)
-		}
-		return key
 	}
 
 	if len(right.Rows) <= len(left.Rows) {
 		// Build on right, probe with left: emission is naturally left-major.
-		table := make(map[string][]int, len(right.Rows))
-		for i, r := range right.Rows {
-			k := rowKey(r, sharedR)
-			table[string(k)] = append(table[string(k)], i)
-		}
-		for _, l := range left.Rows {
-			for _, ri := range table[string(rowKey(l, sharedL))] {
-				merge(l, right.Rows[ri])
+		// A probe row mostly finds one partner, so an output array holds what
+		// is left of the probe side — as long as the rows found so far bear
+		// that out.
+		table := newJoinTable(right.Rows, sharedR)
+		for i, l := range left.Rows {
+			for ri := table.first(l, sharedL); ri > 0; ri = table.next[ri-1] {
+				merge(l, right.Rows[ri-1], min(len(left.Rows)-i, 2*len(out.Rows)+64))
 			}
 		}
 		return out
 	}
 
-	// Build on the smaller left side, probe with right. Matches are staged
-	// per left row (right indices arrive in probe order, i.e. ascending) and
-	// emitted left-major afterwards, preserving the canonical output order.
-	table := make(map[string][]int, len(left.Rows))
-	for i, l := range left.Rows {
-		k := rowKey(l, sharedL)
-		table[string(k)] = append(table[string(k)], i)
-	}
-	perLeft := make([][]int, len(left.Rows))
+	// Build on the smaller left side, probe with right. Matches are chained
+	// per left row in probe order (ascending right index) and emitted
+	// left-major afterwards, preserving the canonical output order.
+	table := newJoinTable(left.Rows, sharedL)
+	type match struct{ right, next int32 } // next is 1-based into matches
+	var matches []match
+	firstOf := make([]int32, len(left.Rows))
+	lastOf := make([]int32, len(left.Rows))
 	for ri, r := range right.Rows {
-		for _, li := range table[string(rowKey(r, sharedR))] {
-			perLeft[li] = append(perLeft[li], ri)
+		for li := table.first(r, sharedR); li > 0; li = table.next[li-1] {
+			matches = append(matches, match{right: int32(ri)})
+			id := int32(len(matches))
+			if last := lastOf[li-1]; last == 0 {
+				firstOf[li-1] = id
+			} else {
+				matches[last-1].next = id
+			}
+			lastOf[li-1] = id
 		}
 	}
 	for li, l := range left.Rows {
-		for _, ri := range perLeft[li] {
-			merge(l, right.Rows[ri])
+		for id := firstOf[li]; id > 0; id = matches[id-1].next {
+			merge(l, right.Rows[matches[id-1].right], len(matches))
 		}
 	}
 	return out

@@ -10,11 +10,10 @@ import (
 
 func TestBindTriplesFlattens(t *testing.T) {
 	q := Pattern{S: Var("x"), P: Const("A#org"), O: Var("o")}
-	bs := BindTriples(q, []Triple{
+	bs := BindTriplesMatched(q, []Triple{
 		{Subject: "s1", Predicate: "A#org", Object: "v1"},
 		{Subject: "s2", Predicate: "A#org", Object: "v2"},
-		{Subject: "s3", Predicate: "B#org", Object: "v3"}, // does not match
-	})
+	}, true)
 	if !reflect.DeepEqual(bs.Vars, []string{"x", "o"}) {
 		t.Fatalf("Vars = %v", bs.Vars)
 	}
@@ -25,10 +24,10 @@ func TestBindTriplesFlattens(t *testing.T) {
 
 func TestBindTriplesRepeatedVariable(t *testing.T) {
 	q := Pattern{S: Var("x"), P: Const("p"), O: Var("x")}
-	bs := BindTriples(q, []Triple{
+	bs := BindTriplesMatched(q, []Triple{
 		{Subject: "a", Predicate: "p", Object: "a"}, // consistent
 		{Subject: "a", Predicate: "p", Object: "b"}, // inconsistent: dropped
-	})
+	}, true)
 	if bs.Len() != 1 || bs.Rows[0][0] != "a" {
 		t.Errorf("Rows = %v", bs.Rows)
 	}
@@ -41,10 +40,11 @@ func TestBindTriplesDeduplicates(t *testing.T) {
 	// The LIKE position is not a variable, so two triples differing only
 	// there collapse into one binding row.
 	q := Pattern{S: Var("x"), P: Const("p"), O: LikeTerm("%asp%")}
-	bs := BindTriples(q, []Triple{
+	// distinct or not: a LIKE term always keeps the dedupe map.
+	bs := BindTriplesMatched(q, []Triple{
 		{Subject: "s", Predicate: "p", Object: "asp-1"},
 		{Subject: "s", Predicate: "p", Object: "asp-2"},
-	})
+	}, true)
 	if bs.Len() != 1 {
 		t.Errorf("Rows = %v", bs.Rows)
 	}

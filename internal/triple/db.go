@@ -209,187 +209,99 @@ func (db *DB) AllSorted() []Triple {
 	return out
 }
 
-// selectPlan describes how a Select will be executed: which equality index
-// drives the scan (or a full scan), and the candidate-set size it expects.
-type selectPlan struct {
-	index    Position // meaningful only when fullScan is false
-	fullScan bool
-	// candidates is the total size of the chosen candidate set across
-	// shards (or the store size for a full scan).
-	candidates int
-}
-
-// planSelect picks the genuinely most selective equality index for a
-// pattern by comparing candidate-set sizes across every constant position —
-// not a fixed position preference. A constant subject confines the lookup
-// to one shard; constant predicates/objects sum their per-shard index
-// cardinalities. Ties break subject > object > predicate, mirroring the
-// routing specificity order.
-//
-// With fewer than two constant positions there is no choice to make, so the
-// cross-shard counting pass is skipped entirely (candidates is then only a
-// capacity hint; 0 means unknown).
-func (db *DB) planSelect(q Pattern) selectPlan {
-	nConst := 0
-	for _, k := range [3]TermKind{q.S.Kind, q.P.Kind, q.O.Kind} {
-		if k == Constant {
-			nConst++
-		}
+// appendMatches appends the rows of s matching q, scanning the smallest
+// posting a constant of q files them under and filtering the remainder; it
+// also reports how many rows it examined. The choice is made per shard, under
+// the lock the scan holds anyway (one map lookup per constant), instead of
+// counting every shard's postings first: the rows examined over all shards
+// never exceed those of the best single index, Σ min(aᵢ, bᵢ) ≤ min(Σ aᵢ, Σ bᵢ).
+// Ties break subject > object > predicate, the routing specificity order; a
+// pattern without constants scans the whole shard.
+func (s *shard) appendMatches(out []*Triple, q Pattern) ([]*Triple, int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var best rows
+	n := -1
+	if q.O.Kind == Constant {
+		best = s.byObject[q.O.Value]
+		n = best.len()
 	}
-	switch {
-	case nConst == 0:
-		return selectPlan{fullScan: true, candidates: db.Len()}
-	case nConst == 1:
-		switch {
-		case q.S.Kind == Constant:
-			return selectPlan{index: Subject}
-		case q.O.Kind == Constant:
-			return selectPlan{index: Object}
-		default:
-			return selectPlan{index: Predicate}
-		}
-	}
-
-	best := selectPlan{fullScan: true, candidates: db.Len()}
-	consider := func(pos Position, n int) {
-		if best.fullScan || n < best.candidates {
-			best = selectPlan{index: pos, candidates: n}
+	if q.P.Kind == Constant {
+		if p := s.byPredicate[q.P.Value]; n < 0 || p.len() < n {
+			best, n = p, p.len()
 		}
 	}
 	if q.S.Kind == Constant {
-		s := db.shardFor(q.S.Value)
-		s.mu.RLock()
-		n := s.bySubject[q.S.Value].len()
-		s.mu.RUnlock()
-		consider(Subject, n)
-	}
-	if q.O.Kind == Constant {
-		n := 0
-		for i := range db.shards {
-			s := &db.shards[i]
-			s.mu.RLock()
-			n += s.byObject[q.O.Value].len()
-			s.mu.RUnlock()
+		if m := s.bySubject[q.S.Value]; n < 0 || m.len() <= n {
+			return m.appendMatches(slices.Grow(out, m.len()), q), m.len()
 		}
-		consider(Object, n)
 	}
-	if q.P.Kind == Constant {
-		n := 0
-		for i := range db.shards {
-			s := &db.shards[i]
-			s.mu.RLock()
-			n += s.byPredicate[q.P.Value].len()
-			s.mu.RUnlock()
+	if n < 0 {
+		examined := 0
+		for _, m := range s.bySubject {
+			out = m.appendMatches(slices.Grow(out, m.len()), q)
+			examined += m.len()
 		}
-		consider(Predicate, n)
+		return out, examined
 	}
-	return best
+	return best.appendMatches(slices.Grow(out, n), q), n
+}
+
+// matching appends to buf the rows matching q — σ before the copy-out — and
+// reports how many rows it examined to find them. A constant subject lives
+// in exactly one shard; every other pattern visits each shard once.
+func (db *DB) matching(buf []*Triple, q Pattern) (rows []*Triple, examined int) {
+	if q.S.Kind == Constant {
+		return db.shardFor(q.S.Value).appendMatches(buf, q)
+	}
+	rows = buf
+	for i := range db.shards {
+		var n int
+		rows, n = db.shards[i].appendMatches(rows, q)
+		examined += n
+	}
+	return rows, examined
+}
+
+// selectScratch is how many row pointers Select collects on its stack
+// before the collection moves to the heap: room for a point lookup's answer.
+const selectScratch = 64
+
+// copyRows materialises collected rows: the one copy a selected triple
+// costs, into a slice sized to the answer.
+func copyRows(rows []*Triple) []Triple {
+	out := make([]Triple, len(rows))
+	for i, row := range rows {
+		out[i] = *row
+	}
+	return out
 }
 
 // Select implements the selection operator σ for a triple pattern: it
-// returns all stored triples matching the pattern, scanning the most
-// selective available equality index (chosen by comparing candidate-set
-// sizes) and filtering the remainder. Results are in unspecified order;
-// callers that need deterministic output use SelectSorted or sort
-// themselves with SortTriples.
+// returns all stored triples matching the pattern, scanning per shard the
+// most selective available equality index and filtering the remainder.
+// Results are in unspecified order; callers that need deterministic output
+// use SelectSorted or sort themselves with SortTriples.
 func (db *DB) Select(q Pattern) []Triple {
-	plan := db.planSelect(q)
-	out := make([]Triple, 0, plan.candidates)
-
-	match := func(t Triple) {
-		if q.Matches(t) {
-			out = append(out, t)
-		}
-	}
-	scanShard := func(s *shard) {
-		s.mu.RLock()
-		switch {
-		case plan.fullScan:
-			for _, p := range s.bySubject {
-				p.each(match)
-			}
-		case plan.index == Subject:
-			s.bySubject[q.S.Value].each(match)
-		case plan.index == Predicate:
-			s.byPredicate[q.P.Value].each(match)
-		default:
-			s.byObject[q.O.Value].each(match)
-		}
-		s.mu.RUnlock()
-	}
-
-	if !plan.fullScan && plan.index == Subject {
-		// A constant subject lives in exactly one shard.
-		scanShard(db.shardFor(q.S.Value))
-		return out
-	}
-	for i := range db.shards {
-		scanShard(&db.shards[i])
-	}
-	return out
+	var scratch [selectScratch]*Triple
+	rows, _ := db.matching(scratch[:0], q)
+	return copyRows(rows)
 }
 
 // SelectSorted is Select with deterministic (subject, predicate, object)
 // output order — the variant remote query handlers use so answers are
-// reproducible across runs.
+// reproducible across runs. It sorts the row pointers (8-byte swaps) and
+// copies each triple out once, already in place.
 func (db *DB) SelectSorted(q Pattern) []Triple {
-	out := db.Select(q)
-	SortTriples(out)
-	return out
+	var scratch [selectScratch]*Triple
+	rows, _ := db.matching(scratch[:0], q)
+	slices.SortFunc(rows, compareRows)
+	return copyRows(rows)
 }
 
-// Project implements the projection operator π: it extracts the values at
-// the given positions from each triple.
-func Project(ts []Triple, positions ...Position) [][]string {
-	out := make([][]string, len(ts))
-	for i, t := range ts {
-		row := make([]string, len(positions))
-		for j, p := range positions {
-			row[j] = t.Component(p)
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// SelectBindings evaluates a pattern and returns the variable bindings of
-// every matching triple — the unit the conjunctive-query join operates on.
-// Bindings follow the sorted triple order so joins are deterministic.
-func (db *DB) SelectBindings(q Pattern) []Bindings {
-	var out []Bindings
-	for _, t := range db.SelectSorted(q) {
-		if b, ok := q.Bind(t); ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// JoinBindings implements the (self-)join operator ⋈ on binding sets: the
-// natural join on shared variables. It is how conjunctive queries combine
-// the results of their triple patterns (paper §2.3).
-//
-// When both sides are uniform (every row binds the same variables — the
-// shape pattern results always have), the join runs as a hash join on the
-// shared-variable key via the flattened BindingSet representation. Rows with
-// heterogeneous variable sets have no single join key and fall back to the
-// original nested-loop merge.
-func JoinBindings(left, right []Bindings) []Bindings {
-	if left == nil {
-		return right
-	}
-	l, lok := NewBindingSetFromBindings(left)
-	if lok {
-		if r, rok := NewBindingSetFromBindings(right); rok {
-			return HashJoin(l, r).ToBindings()
-		}
-	}
-	return JoinBindingsNestedLoop(left, right)
-}
-
-// JoinBindingsNestedLoop is the O(|L|·|R|) pairwise-merge join — the seed's
-// evaluator, kept as the fallback for heterogeneous binding rows and as the
-// naive baseline the conjunctive planner benchmarks against.
+// JoinBindingsNestedLoop is the O(|L|·|R|) pairwise-merge join on binding
+// maps — the seed's evaluator, kept as the naive baseline the conjunctive
+// planner is benchmarked and property-tested against.
 func JoinBindingsNestedLoop(left, right []Bindings) []Bindings {
 	var out []Bindings
 	for _, l := range left {
@@ -457,13 +369,15 @@ func (db *DB) Predicates() []string {
 // SortTriples orders triples by (subject, predicate, object) in place — the
 // canonical deterministic order of the package.
 func SortTriples(ts []Triple) {
-	slices.SortFunc(ts, func(a, b Triple) int {
-		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Predicate, b.Predicate); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Object, b.Object)
-	})
+	slices.SortFunc(ts, func(a, b Triple) int { return compareRows(&a, &b) })
+}
+
+func compareRows(a, b *Triple) int {
+	if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Predicate, b.Predicate); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Object, b.Object)
 }

@@ -280,3 +280,48 @@ func BenchmarkSelectByPredicate(b *testing.B) {
 		db.Select(q)
 	}
 }
+
+// The seed's map-per-row operators, kept for the tests above: the engine
+// binds and joins flattened BindingSets (bindingset.go) and projects in rdql.
+
+// Project implements the projection operator π: it extracts the values at
+// the given positions from each triple.
+func Project(ts []Triple, positions ...Position) [][]string {
+	out := make([][]string, len(ts))
+	for i, t := range ts {
+		row := make([]string, len(positions))
+		for j, p := range positions {
+			row[j] = t.Component(p)
+		}
+		out[i] = row
+	}
+	return out
+}
+
+// SelectBindings evaluates a pattern and returns the variable bindings of
+// every matching triple, in sorted triple order.
+func (db *DB) SelectBindings(q Pattern) []Bindings {
+	var out []Bindings
+	for _, t := range db.SelectSorted(q) {
+		if b, ok := q.Bind(t); ok {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// JoinBindings is the natural join on binding maps: a hash join through the
+// flattened representation when both sides are uniform, the nested-loop
+// merge for heterogeneous rows, which have no single join key.
+func JoinBindings(left, right []Bindings) []Bindings {
+	if left == nil {
+		return right
+	}
+	l, lok := NewBindingSetFromBindings(left)
+	if lok {
+		if r, rok := NewBindingSetFromBindings(right); rok {
+			return HashJoin(l, r).ToBindings()
+		}
+	}
+	return JoinBindingsNestedLoop(left, right)
+}

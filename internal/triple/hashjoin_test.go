@@ -79,9 +79,20 @@ func TestHashJoinAllocsBoundedByBuildSide(t *testing.T) {
 }
 
 // BenchmarkHashJoin reports time and allocations for a skewed join in both
-// input orders; the build-on-smaller-side rule makes them symmetric.
+// input orders — the build-on-smaller-side rule makes them symmetric — and
+// for the benchmark's join: 256 rows a side, every one finding its partner.
 func BenchmarkHashJoin(b *testing.B) {
 	big, small := joinInputs(20000, 16, 8)
+	b.Run("equal-256", func(b *testing.B) {
+		db, first, second := joinShape(256)
+		l := BindTriplesMatched(first, db.SelectSorted(first), true)
+		r := BindTriplesMatched(second, db.SelectSorted(second), true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			HashJoin(l, r)
+		}
+	})
 	b.Run("small-right", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -65,6 +65,37 @@ func (p rows) each(fn func(Triple)) {
 	}
 }
 
+// appendMatches appends the rows whose triple satisfies q. Rows are never
+// written after insert, so the pointers stay readable once the shard lock
+// is released.
+func (p members) appendMatches(out []*Triple, q Pattern) []*Triple {
+	for _, row := range p.few {
+		if q.Matches(*row) {
+			out = append(out, row)
+		}
+	}
+	for _, row := range p.many {
+		if q.Matches(*row) {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+func (p rows) appendMatches(out []*Triple, q Pattern) []*Triple {
+	for _, row := range p.few {
+		if q.Matches(*row) {
+			out = append(out, row)
+		}
+	}
+	for row := range p.many {
+		if q.Matches(*row) {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
 func (p *members) add(row *Triple) {
 	switch {
 	case p.many != nil:

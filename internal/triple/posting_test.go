@@ -134,7 +134,7 @@ func (c *crossings) check(t *testing.T, db *DB) {
 // growth and shrinkage over a key alphabet sized so that postings of all
 // three indexes cross the promotion size in both directions, and checks
 // every read that goes through a posting — Select on each position,
-// planSelect's candidate counts, Has, Stats, DistinctValues — against
+// matching's examined-row counts, Has, Stats, DistinctValues — against
 // the map-of-sets reference, while concurrent readers run under -race.
 func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 	// Predicate and object postings are per shard, so most subjects are
@@ -238,11 +238,18 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 				t.Fatalf("step %d: Select(%v) = %v, model %v", step, q, got, want)
 			}
 		}
-		// Two constants: the planner compares posting lengths.
+		// Two constants: the scan reads the smaller of the subject's posting
+		// and the predicate's posting in the subject's shard.
 		q := Pattern{S: Const(tr.Subject), P: Const(tr.Predicate), O: Var("o")}
-		wantN := min(len(refs[Subject][tr.Subject]), len(refs[Predicate][tr.Predicate]))
-		if plan := db.planSelect(q); plan.fullScan || plan.candidates != wantN {
-			t.Fatalf("step %d: planSelect(%v) = %+v, smaller posting holds %d", step, q, plan, wantN)
+		inShard := 0
+		for other := range refs[Predicate][tr.Predicate] {
+			if db.shardFor(other.Subject) == db.shardFor(tr.Subject) {
+				inShard++
+			}
+		}
+		wantN := min(len(refs[Subject][tr.Subject]), inShard)
+		if _, examined := db.matching(nil, q); examined != wantN {
+			t.Fatalf("step %d: matching(%v) examined %d rows, smaller posting holds %d", step, q, examined, wantN)
 		}
 		if got, want := db.AllSorted(), (modelDB(all)).select_(everything); !equalTriples(got, want) {
 			t.Fatalf("step %d: All = %d triples, model %d", step, len(got), len(want))

@@ -25,47 +25,43 @@ func skewedDB(hot, rare int) *DB {
 
 // Regression for the "most selective available equality index" contract:
 // with both a constant subject (10k candidates) and a constant object (a
-// handful), the plan must drive off the object index — the seed
+// handful), the scan must drive off the object index — the seed
 // implementation always preferred the subject index regardless of
 // cardinality.
 func TestSelectPicksSmallestIndex(t *testing.T) {
 	db := skewedDB(10000, 3)
 
 	q := Pattern{S: Const("hot-subject"), P: Var("p"), O: Const("rare-object")}
-	plan := db.planSelect(q)
-	if plan.fullScan || plan.index != Object {
-		t.Fatalf("plan = %+v, want object index", plan)
+	rows, examined := db.matching(nil, q)
+	if examined > 6 {
+		t.Fatalf("examined %d rows, want the object posting's ≤6", examined)
 	}
-	if plan.candidates > 6 {
-		t.Fatalf("object candidate set = %d, want ≤6", plan.candidates)
-	}
-	got := db.Select(q)
-	if len(got) != 1 || got[0].Subject != "hot-subject" {
-		t.Fatalf("Select = %v", got)
+	if len(rows) != 1 || rows[0].Subject != "hot-subject" {
+		t.Fatalf("matching = %v", rows)
 	}
 
 	// Constant predicate vs much rarer constant object: object must win too.
 	q = Pattern{S: Var("x"), P: Const("Common#attr"), O: Const("rare-object")}
-	if plan := db.planSelect(q); plan.fullScan || plan.index != Object {
-		t.Fatalf("plan = %+v, want object index", plan)
+	if rows, examined := db.matching(nil, q); examined > 6 || len(rows) != 1 {
+		t.Fatalf("examined %d rows for %d matches, want the object postings' ≤6", examined, len(rows))
 	}
 
 	// And the other way around: rare subject beats a common object.
 	db.Insert(Triple{"lone-subject", "Common#attr", "bulk-1"})
 	q = Pattern{S: Const("lone-subject"), P: Var("p"), O: Const("bulk-1")}
-	if plan := db.planSelect(q); plan.fullScan || plan.index != Subject {
-		t.Fatalf("plan = %+v, want subject index", plan)
+	if rows, examined := db.matching(nil, q); examined != 1 || len(rows) != 1 {
+		t.Fatalf("examined %d rows for %d matches, want the subject posting's 1", examined, len(rows))
 	}
 }
 
 func TestSelectPlanFullScan(t *testing.T) {
 	db := sampleDB()
-	plan := db.planSelect(Pattern{S: Var("x"), P: Var("p"), O: LikeTerm("%a%")})
-	if !plan.fullScan {
-		t.Fatalf("plan = %+v, want full scan", plan)
+	rows, examined := db.matching(nil, Pattern{S: Var("x"), P: Var("p"), O: LikeTerm("%a%")})
+	if examined != db.Len() {
+		t.Fatalf("full scan examined %d rows, want %d", examined, db.Len())
 	}
-	if plan.candidates != db.Len() {
-		t.Fatalf("full-scan candidates = %d, want %d", plan.candidates, db.Len())
+	if len(rows) == 0 || len(rows) > examined {
+		t.Fatalf("full scan matched %d of %d rows", len(rows), examined)
 	}
 }
 

@@ -9,6 +9,7 @@ package triple
 import (
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -225,11 +226,8 @@ func (q Pattern) Bind(t Triple) (Bindings, bool) {
 // subject→predicate→object order.
 func (q Pattern) Variables() []string {
 	var out []string
-	seen := map[string]bool{}
-	for _, pos := range []Position{Subject, Predicate, Object} {
-		t := q.Term(pos)
-		if t.Kind == Variable && !seen[t.Value] {
-			seen[t.Value] = true
+	for _, t := range [3]Term{q.S, q.P, q.O} {
+		if t.Kind == Variable && !slices.Contains(out, t.Value) {
 			out = append(out, t.Value)
 		}
 	}

@@ -1,11 +1,7 @@
-// Command gridvine-lint runs the gridvine analyzer suite. It works both
-// standalone and as a vet tool:
+// Command gridvine-lint runs the gridvine analyzer suite as a vet tool:
 //
-//	go run ./cmd/gridvine-lint ./...              # non-test packages
 //	go build -o bin/gridvine-lint ./cmd/gridvine-lint
 //	go vet -vettool=bin/gridvine-lint ./...       # includes test files
-//
-// Standalone mode accepts -fix to apply suggested fixes.
 package main
 
 import (

@@ -79,8 +79,7 @@ type Assessment struct {
 
 // Assess runs cycle enumeration and probabilistic message passing over the
 // active mappings of the set. It does not mutate the set; callers apply
-// ToDeprecate via ApplyTo or their own logic (e.g. publishing deprecations
-// into the overlay).
+// ToDeprecate themselves (e.g. by publishing deprecations into the overlay).
 func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 	cfg = cfg.withDefaults()
 
@@ -189,23 +188,6 @@ func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 	}
 	sort.Strings(out.ToDeprecate)
 	return out
-}
-
-// ApplyTo writes the assessment back into a mapping set: posteriors become
-// confidences and deprecations are flagged. It returns the number of newly
-// deprecated mappings.
-func (a Assessment) ApplyTo(ms *schema.MappingSet) int {
-	for id, p := range a.Posteriors {
-		ms.SetConfidence(id, p)
-	}
-	n := 0
-	for _, id := range a.ToDeprecate {
-		if m, ok := ms.Get(id); ok && !m.Deprecated {
-			ms.SetDeprecated(id, true)
-			n++
-		}
-	}
-	return n
 }
 
 func clampProb(p float64) float64 {

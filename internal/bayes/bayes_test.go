@@ -236,35 +236,6 @@ func TestAssessNoCyclesKeepsPriors(t *testing.T) {
 	}
 }
 
-func TestApplyTo(t *testing.T) {
-	ms := schema.NewMappingSet()
-	attrs := []string{"x", "y", "z"}
-	ms.Add(identityMapping("A", "B", attrs...))
-	ms.Add(identityMapping("B", "C", attrs...))
-	ms.Add(identityMapping("C", "A", attrs...))
-	bad := shiftedMapping("A", "C", attrs...)
-	ms.Add(bad)
-	a := Assess(ms, AssessorConfig{})
-	n := a.ApplyTo(ms)
-	if n != 1 {
-		t.Errorf("deprecated %d mappings, want 1", n)
-	}
-	got, _ := ms.Get(bad.ID)
-	if !got.Deprecated {
-		t.Error("bad mapping not flagged in set")
-	}
-	// Re-applying deprecates nothing new.
-	if a.ApplyTo(ms) != 0 {
-		t.Error("second ApplyTo should be a no-op")
-	}
-	// Confidences were written back.
-	for _, m := range ms.All() {
-		if m.ID != bad.ID && m.Confidence <= 0.8 && m.Origin == schema.Automatic {
-			t.Errorf("confidence not updated for %s: %v", m.ID, m.Confidence)
-		}
-	}
-}
-
 func TestUninformativeCycleSkipped(t *testing.T) {
 	// Mappings whose correspondences do not chain produce no evidence.
 	ms := schema.NewMappingSet()

@@ -52,6 +52,9 @@ func FuzzOverlayDecode(f *testing.F) {
 	for _, h := range hostilePayloads {
 		seeds = append(seeds, frameOf(FrameOverlay, h.payload))
 	}
+	// What a peer built before tags 23 and 24 were retired sends under
+	// them: a sync request for path 01, an empty sync response.
+	seeds = append(seeds, frameOf(FrameOverlay, uv(0, 0, 23, 2, "01", 0)), frameOf(FrameOverlay, uv(0, 0, 24, 0, 0, 0)))
 	for _, s := range seeds {
 		f.Add(s)
 	}

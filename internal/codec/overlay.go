@@ -79,7 +79,7 @@ func kindOf[T any](walk func(*Codec, *T)) kind {
 // tag's number is part of the layout; tag 0 is nil. The encoder tries them
 // in order, so what every query ships comes first. (Filled in init: the
 // walks refer back to the table.)
-var kinds [33]kind
+var kinds [31]kind
 
 func init() {
 	kinds = [...]kind{
@@ -105,16 +105,14 @@ func init() {
 		20: kindOf((*Codec).statsDigest),
 		21: kindOf(func(c *Codec, m *pgrid.SubtreeRequest) { c.Str(&m.Prefix) }),
 		22: kindOf((*Codec).subtreeResponse),
-		23: kindOf(func(c *Codec, m *pgrid.SyncRequest) { c.Str(&m.Path) }),
-		24: kindOf((*Codec).syncResponse),
-		25: kindOf((*Codec).digestRequest),
-		26: kindOf((*Codec).digestResponse),
-		27: kindOf((*Codec).repairRequest),
-		28: kindOf((*Codec).repairResponse),
-		29: kindOf((*Codec).reformulatedQuery),
-		30: kindOf((*Codec).reformulatedResponse),
-		31: kindOf(func(c *Codec, m *mediation.ConnectivityQuery) { c.Str(&m.Domain) }),
-		32: kindOf((*Codec).connectivityReport),
+		23: kindOf((*Codec).digestRequest),
+		24: kindOf((*Codec).digestResponse),
+		25: kindOf((*Codec).repairRequest),
+		26: kindOf((*Codec).repairResponse),
+		27: kindOf((*Codec).reformulatedQuery),
+		28: kindOf((*Codec).reformulatedResponse),
+		29: kindOf(func(c *Codec, m *mediation.ConnectivityQuery) { c.Str(&m.Domain) }),
+		30: kindOf((*Codec).connectivityReport),
 	}
 }
 
@@ -211,11 +209,6 @@ func (c *Codec) subtreeResponse(m *pgrid.SubtreeResponse) {
 	List(c, &m.Items, 2, c.subtreeItem)
 	c.peerIDs(&m.Onward)
 	c.peerIDs(&m.Replicas)
-}
-
-func (c *Codec) syncResponse(m *pgrid.SyncResponse) {
-	List(c, &m.Items, 2, c.subtreeItem)
-	List(c, &m.Tombs, 2, c.tombstone)
 }
 
 func (c *Codec) digestRequest(m *pgrid.DigestRequest) {

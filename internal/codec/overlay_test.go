@@ -34,10 +34,10 @@ func tagged() []any {
 		10: pgrid.BatchEntry{}, 11: pgrid.BatchUpdate{}, 12: pgrid.BatchResult{}, 13: pgrid.BatchReplicate{},
 		14: "", 15: 0, 16: false, 17: 0.0, 18: []any(nil),
 		19: mediation.DomainDegree{}, 20: mediation.StatsDigest{},
-		21: pgrid.SubtreeRequest{}, 22: pgrid.SubtreeResponse{}, 23: pgrid.SyncRequest{}, 24: pgrid.SyncResponse{},
-		25: pgrid.DigestRequest{}, 26: pgrid.DigestResponse{}, 27: pgrid.RepairRequest{}, 28: pgrid.RepairResponse{},
-		29: mediation.ReformulatedQuery{}, 30: mediation.ReformulatedResponse{},
-		31: mediation.ConnectivityQuery{}, 32: mediation.ConnectivityReport{},
+		21: pgrid.SubtreeRequest{}, 22: pgrid.SubtreeResponse{},
+		23: pgrid.DigestRequest{}, 24: pgrid.DigestResponse{}, 25: pgrid.RepairRequest{}, 26: pgrid.RepairResponse{},
+		27: mediation.ReformulatedQuery{}, 28: mediation.ReformulatedResponse{},
+		29: mediation.ConnectivityQuery{}, 30: mediation.ConnectivityReport{},
 	}
 }
 
@@ -48,7 +48,7 @@ const (
 	tagString         = 14
 	tagList           = 18
 	tagStatsDigest    = 20
-	tagDigestResponse = 26
+	tagDigestResponse = 24
 )
 
 // enums are the types the layout gives one byte and a range; fill keeps
@@ -319,7 +319,7 @@ func inFrame(t *testing.T, payload any) (inside, outside int) {
 
 // TestStoredValuesOwnTheirBytes pins the ownership rule: what a receiver
 // stores — the entries of a mutation, the head entry a probe carries, the
-// items and tombstones of a repair or a sync — holds no pointer into the
+// items and tombstones of a repair — holds no pointer into the
 // frame it arrived in, so storing it does not pin the frame (a batch's
 // 96-byte keys, its neighbours' values). An answer is read and dropped, and
 // its strings stay substrings of the frame: no copy per row.
@@ -334,7 +334,6 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 		"BatchReplicate": pgrid.BatchReplicate{Entries: entries},
 		"probe head":     pgrid.ExecRequest{Op: pgrid.OpProbe, Payload: entries[0]},
 		"RepairResponse": pgrid.RepairResponse{Missing: items, Tombs: tombs},
-		"SyncResponse":   pgrid.SyncResponse{Items: items, Tombs: tombs},
 	} {
 		if inside, outside := inFrame(t, stored); inside != 0 || outside == 0 {
 			t.Errorf("%s: %d of %d decoded strings point into the frame, want none", name, inside, inside+outside)
@@ -370,7 +369,7 @@ var hostilePayloads = []struct {
 	{"2^40 list elements", uv(0, 0, tagList, 1<<40)},
 	{"string past the end", uv(0, 0, tagString, 200, "short")},
 	{"lists nested past the depth bound", append(append([]byte{0, 0}, bytes.Repeat([]byte{tagList, 1}, maxDepth+1)...), 0, 0)},
-	{"unknown tag", uv(0, 0, len(kinds), 0)},
+	{"tag 31, one past the table", uv(0, 0, 31, 0)},
 	{"op 6", uv(0, 0, tagExecRequest, 0, 6, 0, 0)},
 	{"map keys out of order", append(uv(0, 0, tagDigestResponse, 2, 1, "b", "12345678", 1, "a", "12345678", 0), 0)},
 	{"map key twice", append(uv(0, 0, tagDigestResponse, 2, 1, "a", "12345678", 1, "a", "12345678", 0), 0)},

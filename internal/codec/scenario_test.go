@@ -151,10 +151,9 @@ func TestOverlayChurnThroughCodec(t *testing.T) {
 		for _, v := range victims {
 			raw.Recover(v.ID())
 		}
-		merged, seen := victims[0].SyncFromReplicas()
-		tr.note("digest resync", fmt.Sprint(merged, seen))
-		merged, seen = victims[1].FullSyncFromReplicas()
-		tr.note("full resync", fmt.Sprint(merged, seen))
+		for _, v := range victims {
+			tr.note("resync "+string(v.ID()), v.AntiEntropy(ctx))
+		}
 		for _, n := range nodes {
 			tr.note("anti-entropy "+string(n.ID()), n.AntiEntropy(ctx))
 		}

@@ -93,24 +93,10 @@ type Server struct {
 	id        string
 	sim       *Simulator
 	busyUntil time.Duration
-
-	// Metrics.
-	served    int
-	busyTime  time.Duration
-	totalWait time.Duration
 }
 
 // ID returns the server identifier.
 func (srv *Server) ID() string { return srv.id }
-
-// Served returns the number of completed requests.
-func (srv *Server) Served() int { return srv.served }
-
-// BusyTime returns the total time spent servicing requests.
-func (srv *Server) BusyTime() time.Duration { return srv.busyTime }
-
-// TotalWait returns the cumulative queueing delay (excluding service).
-func (srv *Server) TotalWait() time.Duration { return srv.totalWait }
 
 // Enqueue adds a request with the given service demand, arriving now. When
 // the request completes, done is invoked (at the completion time) with the
@@ -119,16 +105,12 @@ func (srv *Server) Enqueue(service time.Duration, done func(start, finish time.D
 	if service < 0 {
 		service = 0
 	}
-	arrival := srv.sim.now
-	start := arrival
+	start := srv.sim.now
 	if srv.busyUntil > start {
 		start = srv.busyUntil
 	}
 	finish := start + service
 	srv.busyUntil = finish
-	srv.served++
-	srv.busyTime += service
-	srv.totalWait += start - arrival
 	srv.sim.Schedule(finish, func() {
 		if done != nil {
 			done(start, finish)

@@ -119,15 +119,6 @@ func TestServerFIFOQueueing(t *testing.T) {
 	if len(finishes) != 2 || finishes[0] != 10*time.Millisecond || finishes[1] != 20*time.Millisecond {
 		t.Errorf("finishes = %v", finishes)
 	}
-	if srv.Served() != 2 {
-		t.Errorf("Served = %d", srv.Served())
-	}
-	if srv.BusyTime() != 20*time.Millisecond {
-		t.Errorf("BusyTime = %v", srv.BusyTime())
-	}
-	if srv.TotalWait() != 8*time.Millisecond {
-		t.Errorf("TotalWait = %v, want 8ms", srv.TotalWait())
-	}
 }
 
 func TestServerIdleGap(t *testing.T) {

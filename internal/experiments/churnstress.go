@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
+	"gridvine/internal/codec"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/metrics"
 	"gridvine/internal/pgrid"
@@ -18,11 +18,11 @@ import (
 
 // ChurnStressConfig parameterizes the sustained-churn experiment: a seeded
 // simnet.FaultPlan crashes peers every round and restarts them after a
-// fixed downtime while a mixed write/delete/query load keeps running. The
-// same seeded schedule is replayed twice — once repairing restarted peers
-// with digest anti-entropy (Node.SyncFromReplicas / Node.AntiEntropy) and
-// once with the full-store pull baseline (Node.FullSyncFromReplicas) — so
-// the repair-bandwidth comparison is apples to apples.
+// fixed downtime while a mixed write/delete/query load keeps running.
+// Restarted peers repair with digest anti-entropy (Node.AntiEntropy); at
+// each repair point the run also accounts what pulling every live replica's
+// whole store would have shipped, so the repair-bandwidth comparison is
+// over the very same divergence.
 type ChurnStressConfig struct {
 	Peers           int     // default 96
 	ReplicaFactor   int     // default 3
@@ -63,9 +63,10 @@ var expO = declare("O", "churn stress: digest anti-entropy repair vs full-store 
 
 // ChurnStressResult reports the digest-run quality figures (recall under
 // churn, degraded answers, post-heal convergence, delete resurrection)
-// plus the repair bandwidth of both runs. Repair bytes are gob-encoded
-// payload sizes accumulated by the transport's bandwidth model during
-// repair calls only, so the comparison isolates what each strategy ships.
+// plus the repair bandwidth of both strategies. Repair bytes are overlay
+// frame lengths: the digest side's accumulated by the transport's bandwidth
+// model during repair calls only, the full-store side's accounted at the
+// same points, so the comparison isolates what each strategy ships.
 type ChurnStressResult struct {
 	Peers           int     `json:"peers"`
 	ReplicaFactor   int     `json:"replica_factor"`
@@ -91,84 +92,26 @@ type ChurnStressResult struct {
 	ByteReduction        float64 `json:"byte_reduction"`
 }
 
-// churnRun is one scenario execution's raw counters.
-type churnRun struct {
-	crashes, restarts              int
-	writes, writeFailures          int
-	deletes, queries               int
-	hits, degraded                 int
-	finalHits, finalQueries        int
-	repairBytes, repairMessages    int
-	converged                      bool
-	convergenceRounds, resurrected int
-}
-
-// RunChurnStress replays the same seeded churn scenario under both repair
-// strategies and combines the results.
-func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
-	cfg = cfg.withDefaults()
-	digest, err := runChurnScenario(cfg, false)
+// framePayloadBytes is the bandwidth sizer of EXP-O and EXP-P: the length
+// of the overlay frame the payload travels in, so Stats.PayloadUnits counts
+// the bytes the product ships rather than triples. Anything unencodable
+// still counts one unit so no traffic vanishes from the books.
+func framePayloadBytes(payload any) int {
+	//gridvine:uncharged this is a sizer itself: the envelope is measured, never sent
+	frame, err := codec.EncodeOverlay(&codec.Envelope{Msg: simnet.Message{Payload: payload}})
 	if err != nil {
-		return ChurnStressResult{}, err
-	}
-	fullRun, err := runChurnScenario(cfg, true)
-	if err != nil {
-		return ChurnStressResult{}, err
-	}
-	res := ChurnStressResult{
-		Peers:           cfg.Peers,
-		ReplicaFactor:   cfg.ReplicaFactor,
-		Rounds:          cfg.Rounds,
-		Crashes:         digest.crashes,
-		Restarts:        digest.restarts,
-		Writes:          digest.writes,
-		WriteFailures:   digest.writeFailures,
-		Deletes:         digest.deletes,
-		Queries:         digest.queries,
-		DegradedQueries: digest.degraded,
-
-		Converged:         digest.converged && fullRun.converged,
-		ConvergenceRounds: digest.convergenceRounds,
-		Resurrected:       digest.resurrected + fullRun.resurrected,
-
-		DigestRepairBytes:    digest.repairBytes,
-		DigestRepairMessages: digest.repairMessages,
-		FullRepairBytes:      fullRun.repairBytes,
-		FullRepairMessages:   fullRun.repairMessages,
-	}
-	if digest.queries > 0 {
-		res.Recall = float64(digest.hits) / float64(digest.queries)
-	}
-	if digest.finalQueries > 0 {
-		res.FinalRecall = float64(digest.finalHits) / float64(digest.finalQueries)
-	}
-	if fullRun.repairBytes > 0 {
-		res.ByteReduction = 1 - float64(digest.repairBytes)/float64(fullRun.repairBytes)
-	}
-	return res, nil
-}
-
-// gobPayloadBytes is the bandwidth sizer for this experiment: the
-// gob-encoded size of the payload, so Stats.PayloadUnits counts bytes
-// rather than triples. Every payload type is gob-registered by its
-// defining package; anything unencodable still counts one unit so no
-// traffic vanishes from the books.
-func gobPayloadBytes(payload any) int {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&payload); err != nil {
 		return 1
 	}
-	return buf.Len()
+	return len(frame)
 }
 
-// runChurnScenario executes one seeded churn run. With full=false restarted
-// peers repair via digest anti-entropy; with full=true they pull complete
-// replica stores. The fault schedule, workload, and all random choices
-// derive from cfg.Seed, so the two runs face the same churn; only the
-// transport-level loss pattern can differ slightly because the repair
-// strategies exchange different message sequences.
-func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
-	var out churnRun
+// RunChurnStress executes the seeded churn run: restarted peers repair via
+// digest anti-entropy. The fault schedule, workload, and all random choices
+// derive from cfg.Seed.
+func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
+	cfg = cfg.withDefaults()
+	out := ChurnStressResult{Peers: cfg.Peers, ReplicaFactor: cfg.ReplicaFactor, Rounds: cfg.Rounds}
+	var hits, finalHits, finalQueries int
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Diverse sample keys so Build splits the trie evenly.
@@ -186,7 +129,7 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 	if err != nil {
 		return out, err
 	}
-	net.SetPayloadDelay(0, gobPayloadBytes)
+	net.SetPayloadDelay(0, framePayloadBytes)
 
 	nodes := ov.Nodes()
 	byID := make(map[simnet.PeerID]*pgrid.Node, len(nodes))
@@ -224,16 +167,35 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 	}
 
 	ctx := context.Background()
+	// repair runs n's digest anti-entropy and, first, accounts the
+	// full-store baseline at the same point: n asks every replica (one
+	// message each) and every live one answers with all it holds under n's
+	// path, items and tombstones.
 	repair := func(n *pgrid.Node) {
-		before := net.Stats()
-		if full {
-			n.FullSyncFromReplicas()
-		} else {
-			n.SyncFromReplicas()
+		path := n.Path().String()
+		ask := framePayloadBytes(pgrid.DigestRequest{Path: path})
+		for _, r := range n.Replicas() {
+			out.FullRepairMessages++
+			if net.Failed(r) {
+				continue
+			}
+			var pull pgrid.RepairResponse
+			byID[r].VisitState(func(key string, value any, tomb bool) {
+				switch {
+				case !strings.HasPrefix(key, path):
+				case tomb:
+					pull.Tombs = append(pull.Tombs, pgrid.Tombstone{Key: key, Value: value})
+				default:
+					pull.Missing = append(pull.Missing, pgrid.SubtreeItem{Key: key, Value: value})
+				}
+			})
+			out.FullRepairBytes += ask + framePayloadBytes(pull)
 		}
+		before := net.Stats()
+		n.AntiEntropy(ctx)
 		after := net.Stats()
-		out.repairBytes += after.PayloadUnits - before.PayloadUnits
-		out.repairMessages += after.Messages - before.Messages
+		out.DigestRepairBytes += after.PayloadUnits - before.PayloadUnits
+		out.DigestRepairMessages += after.Messages - before.Messages
 	}
 
 	// Mixed workload state: model is the expected key→value view, live the
@@ -248,9 +210,9 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 		for _, e := range plan.Step(net) {
 			switch e.Kind {
 			case simnet.FaultCrash:
-				out.crashes++
+				out.Crashes++
 			case simnet.FaultRestart:
-				out.restarts++
+				out.Restarts++
 				repair(byID[e.Peer])
 			}
 		}
@@ -262,10 +224,10 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 			val := fmt.Sprintf("v%05d", seq)
 			seq++
 			if _, err := issuer.Update(ctx, keyspace.HashDefault(name), val); err != nil {
-				out.writeFailures++
+				out.WriteFailures++
 				continue
 			}
-			out.writes++
+			out.Writes++
 			model[name] = val
 			live = append(live, name)
 		}
@@ -276,7 +238,7 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 			if _, err := issuer.Delete(ctx, keyspace.HashDefault(name), val); err != nil {
 				continue
 			}
-			out.deletes++
+			out.Deletes++
 			delete(model, name)
 			deleted[name] = val
 			live[i] = live[len(live)-1]
@@ -286,15 +248,15 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 			name := live[workRng.Intn(len(live))]
 			want := model[name]
 			vals, route, err := issuer.Retrieve(ctx, keyspace.HashDefault(name))
-			out.queries++
+			out.Queries++
 			if err != nil {
 				continue
 			}
 			if route.Degraded {
-				out.degraded++
+				out.DegradedQueries++
 			}
 			if len(vals) == 1 && vals[0] == want {
-				out.hits++
+				hits++
 			}
 		}
 	}
@@ -302,24 +264,16 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 	// Heal: churn is over and background loss stops; run all-node repair
 	// rounds until every replica group holds a byte-identical store.
 	plan.SetDropRate(0)
-	before := net.Stats()
 	for round := 1; round <= cfg.MaxRepairRounds; round++ {
 		for _, n := range nodes {
-			if full {
-				n.FullSyncFromReplicas()
-			} else {
-				n.AntiEntropy(ctx)
-			}
+			repair(n)
 		}
 		if groupsConverged(nodes, "") {
-			out.converged = true
-			out.convergenceRounds = round
+			out.Converged = true
+			out.ConvergenceRounds = round
 			break
 		}
 	}
-	after := net.Stats()
-	out.repairBytes += after.PayloadUnits - before.PayloadUnits
-	out.repairMessages += after.Messages - before.Messages
 
 	// Resurrection probe: no responsible node may still hold a deleted
 	// value after convergence.
@@ -337,7 +291,7 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 				}
 			}
 			if found {
-				out.resurrected++
+				out.Resurrected++
 				break
 			}
 		}
@@ -346,11 +300,20 @@ func runChurnScenario(cfg ChurnStressConfig, full bool) (churnRun, error) {
 	// Final recall over the healed overlay: every acknowledged live write
 	// must be retrievable with its latest value.
 	for name, want := range model {
-		out.finalQueries++
+		finalQueries++
 		vals, _, err := issuer.Retrieve(ctx, keyspace.HashDefault(name))
 		if err == nil && len(vals) == 1 && vals[0] == want {
-			out.finalHits++
+			finalHits++
 		}
+	}
+	if out.Queries > 0 {
+		out.Recall = float64(hits) / float64(out.Queries)
+	}
+	if finalQueries > 0 {
+		out.FinalRecall = float64(finalHits) / float64(finalQueries)
+	}
+	if out.FullRepairBytes > 0 {
+		out.ByteReduction = 1 - float64(out.DigestRepairBytes)/float64(out.FullRepairBytes)
 	}
 	return out, nil
 }

@@ -188,7 +188,7 @@ func runDurabilityScenario(cfg DurabilityConfig, cold bool) (durRun, error) {
 	if err != nil {
 		return out, err
 	}
-	net.SetPayloadDelay(0, gobPayloadBytes)
+	net.SetPayloadDelay(0, framePayloadBytes)
 
 	opts := store.Options{SnapshotEvery: cfg.SnapshotEvery}
 	nodes := ov.Nodes()

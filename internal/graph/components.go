@@ -143,11 +143,3 @@ func (g *Digraph) LargestWCCFraction() float64 {
 	}
 	return float64(max) / float64(g.NumNodes())
 }
-
-// IsStronglyConnected reports whether the whole graph forms one SCC.
-func (g *Digraph) IsStronglyConnected() bool {
-	if g.NumNodes() == 0 {
-		return true
-	}
-	return len(g.StronglyConnectedComponents()) == 1
-}

@@ -29,38 +29,6 @@ func (d *DegreeDistribution) Observe(j, k int) {
 // N returns the number of observations.
 func (d *DegreeDistribution) N() int { return d.total }
 
-// Probability returns the empirical p_{jk}.
-func (d *DegreeDistribution) Probability(j, k int) float64 {
-	if d.total == 0 {
-		return 0
-	}
-	return float64(d.counts[DegreePair{In: j, Out: k}]) / float64(d.total)
-}
-
-// MeanInDegree returns E[j].
-func (d *DegreeDistribution) MeanInDegree() float64 {
-	if d.total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for p, c := range d.counts {
-		sum += float64(p.In) * float64(c)
-	}
-	return sum / float64(d.total)
-}
-
-// MeanOutDegree returns E[k].
-func (d *DegreeDistribution) MeanOutDegree() float64 {
-	if d.total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for p, c := range d.counts {
-		sum += float64(p.Out) * float64(c)
-	}
-	return sum / float64(d.total)
-}
-
 // ConnectivityIndicator computes GridVine's connectivity indicator
 //
 //	ci = Σ_{j,k} (jk − k) p_{jk}

@@ -1,8 +1,7 @@
 // Package graph provides the directed-graph machinery used by GridVine's
 // connectivity analysis (paper §3.1): a directed graph over string-identified
-// nodes, strongly/weakly connected components, reachability, degree
-// distributions, and random-graph generators for testing the connectivity
-// indicator against ground truth.
+// nodes, strongly/weakly connected components, reachability and degree
+// distributions.
 package graph
 
 import (
@@ -48,16 +47,6 @@ func (g *Digraph) AddEdge(from, to string) {
 	g.in[to][from] = true
 }
 
-// RemoveEdge deletes the edge from→to if present.
-func (g *Digraph) RemoveEdge(from, to string) {
-	if m, ok := g.out[from]; ok {
-		delete(m, to)
-	}
-	if m, ok := g.in[to]; ok {
-		delete(m, from)
-	}
-}
-
 // HasEdge reports whether the edge from→to exists.
 func (g *Digraph) HasEdge(from, to string) bool {
 	m, ok := g.out[from]
@@ -89,11 +78,6 @@ func (g *Digraph) Nodes() []string {
 // Successors returns the out-neighbors of id in sorted order.
 func (g *Digraph) Successors(id string) []string {
 	return sortedKeys(g.out[id])
-}
-
-// Predecessors returns the in-neighbors of id in sorted order.
-func (g *Digraph) Predecessors(id string) []string {
-	return sortedKeys(g.in[id])
 }
 
 // OutDegree returns the out-degree of id (0 if absent).
@@ -150,46 +134,4 @@ func (g *Digraph) Reachable(start string) map[string]bool {
 		}
 	}
 	return seen
-}
-
-// PathExists reports whether a directed path from→to exists.
-func (g *Digraph) PathExists(from, to string) bool {
-	return g.Reachable(from)[to]
-}
-
-// ShortestPath returns a minimum-hop directed path from→to (inclusive), or
-// nil if none exists.
-func (g *Digraph) ShortestPath(from, to string) []string {
-	if !g.HasNode(from) || !g.HasNode(to) {
-		return nil
-	}
-	if from == to {
-		return []string{from}
-	}
-	prev := map[string]string{from: from}
-	queue := []string{from}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, succ := range g.Successors(n) {
-			if _, seen := prev[succ]; seen {
-				continue
-			}
-			prev[succ] = n
-			if succ == to {
-				// Reconstruct.
-				path := []string{to}
-				for cur := to; cur != from; {
-					cur = prev[cur]
-					path = append(path, cur)
-				}
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path
-			}
-			queue = append(queue, succ)
-		}
-	}
-	return nil
 }

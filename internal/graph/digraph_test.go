@@ -32,17 +32,6 @@ func TestParallelEdgesCollapse(t *testing.T) {
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
-	g := NewDigraph()
-	g.AddEdge("a", "b")
-	g.RemoveEdge("a", "b")
-	if g.HasEdge("a", "b") {
-		t.Error("edge survived removal")
-	}
-	// Removing a non-existent edge is a no-op.
-	g.RemoveEdge("x", "y")
-}
-
 func TestDegrees(t *testing.T) {
 	g := NewDigraph()
 	g.AddEdge("a", "b")
@@ -67,12 +56,6 @@ func TestSuccessorsPredecessorsSorted(t *testing.T) {
 		if succ[i] != want[i] {
 			t.Fatalf("Successors = %v, want %v", succ, want)
 		}
-	}
-	g.AddEdge("q", "x")
-	g.AddEdge("c", "x")
-	pred := g.Predecessors("x")
-	if pred[0] != "c" || pred[1] != "q" {
-		t.Errorf("Predecessors = %v", pred)
 	}
 }
 
@@ -103,47 +86,11 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func TestPathExists(t *testing.T) {
-	g := ChainDigraph(3)
-	if !g.PathExists("n0", "n2") {
-		t.Error("path n0→n2 should exist")
-	}
-	if g.PathExists("n2", "n0") {
-		t.Error("path n2→n0 should not exist")
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := NewDigraph()
-	// Two routes a→d: short a→d direct? No — a→b→d and a→c→e→d.
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "d")
-	g.AddEdge("a", "c")
-	g.AddEdge("c", "e")
-	g.AddEdge("e", "d")
-	p := g.ShortestPath("a", "d")
-	if len(p) != 3 || p[0] != "a" || p[2] != "d" {
-		t.Errorf("ShortestPath = %v", p)
-	}
-	if got := g.ShortestPath("a", "a"); len(got) != 1 {
-		t.Errorf("ShortestPath(a,a) = %v", got)
-	}
-	if g.ShortestPath("d", "a") != nil {
-		t.Error("no path should yield nil")
-	}
-	if g.ShortestPath("a", "zz") != nil {
-		t.Error("unknown target should yield nil")
-	}
-}
-
 func TestSCCOnRing(t *testing.T) {
 	g := RingDigraph(5)
 	comps := g.StronglyConnectedComponents()
 	if len(comps) != 1 || len(comps[0]) != 5 {
 		t.Errorf("ring SCCs = %v", comps)
-	}
-	if !g.IsStronglyConnected() {
-		t.Error("ring should be strongly connected")
 	}
 }
 
@@ -152,9 +99,6 @@ func TestSCCOnChain(t *testing.T) {
 	comps := g.StronglyConnectedComponents()
 	if len(comps) != 4 {
 		t.Errorf("chain of 4 should have 4 singleton SCCs, got %v", comps)
-	}
-	if g.IsStronglyConnected() {
-		t.Error("chain should not be strongly connected")
 	}
 }
 
@@ -205,9 +149,6 @@ func TestLargestFractions(t *testing.T) {
 	if empty.LargestSCCFraction() != 0 || empty.LargestWCCFraction() != 0 {
 		t.Error("empty graph fractions should be 0")
 	}
-	if !empty.IsStronglyConnected() {
-		t.Error("empty graph is vacuously strongly connected")
-	}
 }
 
 // Property: SCC membership agrees with mutual reachability, on random graphs.
@@ -251,19 +192,7 @@ func TestDegreeDistribution(t *testing.T) {
 	if d.N() != 4 {
 		t.Errorf("N = %d", d.N())
 	}
-	if p := d.Probability(1, 2); p != 0.5 {
-		t.Errorf("p(1,2) = %v", p)
-	}
-	if p := d.Probability(9, 9); p != 0 {
-		t.Errorf("p(9,9) = %v", p)
-	}
-	// E[j] = (1+1+0+3)/4 = 1.25 ; E[k] = (2+2+0+1)/4 = 1.25
-	if got := d.MeanInDegree(); got != 1.25 {
-		t.Errorf("E[j] = %v", got)
-	}
-	if got := d.MeanOutDegree(); got != 1.25 {
-		t.Errorf("E[k] = %v", got)
-	}
+	// E[k] = (2+2+0+1)/4 = 1.25
 	// ci = E[jk] - E[k] = (2+2+0+3)/4 - 1.25 = 1.75 - 1.25 = 0.5
 	if got := d.ConnectivityIndicator(); got != 0.5 {
 		t.Errorf("ci = %v, want 0.5", got)
@@ -272,11 +201,8 @@ func TestDegreeDistribution(t *testing.T) {
 
 func TestConnectivityIndicatorEmpty(t *testing.T) {
 	d := NewDegreeDistribution()
-	if d.ConnectivityIndicator() != 0 || d.MeanInDegree() != 0 || d.MeanOutDegree() != 0 {
-		t.Error("empty distribution should yield zeros")
-	}
-	if d.Probability(0, 0) != 0 {
-		t.Error("empty distribution probability should be 0")
+	if d.ConnectivityIndicator() != 0 {
+		t.Error("empty distribution should yield zero")
 	}
 }
 

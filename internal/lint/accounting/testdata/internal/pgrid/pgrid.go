@@ -10,7 +10,6 @@ type (
 	BatchUpdate     struct{}
 	BatchReplicate  struct{}
 	SubtreeResponse struct{}
-	SyncResponse    struct{}
 	RepairResponse  struct{}
 )
 
@@ -18,7 +17,6 @@ type (
 type (
 	BatchResult    struct{}
 	SubtreeRequest struct{}
-	SyncRequest    struct{}
 	DigestRequest  struct{}
 	DigestResponse struct{}
 	RepairRequest  struct{}

@@ -2,8 +2,7 @@
 // golang.org/x/tools/go/analysis core types. The container this repository
 // builds in has no module proxy access, so the real x/tools framework
 // cannot be vendored; this package reproduces the narrow surface the
-// gridvine analyzers need — Analyzer, Pass, Diagnostic, suggested fixes —
-// with API shapes deliberately kept identical, so a future swap to the
+// gridvine analyzers need — Analyzer, Pass, Diagnostic — with API shapes deliberately kept identical, so a future swap to the
 // upstream framework is a mechanical import rewrite.
 package analysis
 
@@ -54,27 +53,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one finding: a position, a message, and optional
-// mechanical fixes.
+// Diagnostic is one finding: a position and a message.
 type Diagnostic struct {
 	Pos token.Pos
 	// End optionally marks the end of the offending range.
 	End     token.Pos
 	Message string
-	// SuggestedFixes lists mechanical rewrites that would resolve the
-	// finding; the standalone driver applies them under -fix.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained mechanical resolution.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source in [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }

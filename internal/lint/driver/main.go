@@ -5,34 +5,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"gridvine/internal/lint/analysis"
 )
 
-// Main is the shared entry point of the gridvine-lint multichecker. It
-// speaks two protocols:
-//
-//   - `go vet -vettool` mode: invoked with -V=full (tool identity), -flags
-//     (supported-flag inventory) or a single *.cfg argument (one package's
-//     vet configuration). This is the mode CI runs.
-//   - standalone mode: invoked with package patterns
-//     (`gridvine-lint ./...`), it loads, type-checks and analyzes the
-//     matched packages itself via the go command. -fix applies suggested
-//     fixes in this mode.
-//
-// It returns the process exit code: 0 clean, 1 operational failure, 2
-// findings reported.
+// Main is the entry point of the gridvine-lint multichecker. It speaks the
+// `go vet -vettool` protocol: invoked with -V=full (tool identity), -flags
+// (supported-flag inventory) or a single *.cfg argument (one package's vet
+// configuration). It returns the process exit code: 0 clean, 1 operational
+// failure, 2 findings reported.
 func Main(analyzers []*analysis.Analyzer) int {
 	fs := flag.NewFlagSet("gridvine-lint", flag.ExitOnError)
 	versionFlag := fs.String("V", "", "print version and exit (-V=full, for the go command)")
 	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes (standalone mode only)")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: gridvine-lint [-fix] package...\n")
-		fmt.Fprintf(fs.Output(), "   or: go vet -vettool=$(command -v gridvine-lint) package...\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: go vet -vettool=$(command -v gridvine-lint) package...\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
@@ -67,102 +55,13 @@ func Main(analyzers []*analysis.Analyzer) int {
 	case *flagsFlag:
 		// cmd/go queries the tool's flags to tell them apart from package
 		// patterns on the go vet command line.
-		fmt.Println(`[{"Name":"fix","Bool":true,"Usage":"apply suggested fixes"}]`)
+		fmt.Println(`[]`)
 		return 0
 	}
 
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+	if args := fs.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		return runUnitchecker(args[0], analyzers)
 	}
-	if len(args) == 0 {
-		fs.Usage()
-		return 1
-	}
-	return runStandalone(args, analyzers, *fixFlag)
-}
-
-// runStandalone loads the matched packages through the go command and
-// applies every analyzer, printing diagnostics to stderr.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, fix bool) int {
-	pkgs, err := Load("", patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	found := false
-	var edits []fileEdit
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			diags, err := Analyze(a, pkg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			for _, d := range diags {
-				found = true
-				fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, a.Name)
-				if fix {
-					for _, sf := range d.SuggestedFixes {
-						for _, te := range sf.TextEdits {
-							edits = append(edits, fileEdit{
-								file:  pkg.Fset.Position(te.Pos).Filename,
-								start: pkg.Fset.Position(te.Pos).Offset,
-								end:   pkg.Fset.Position(te.End).Offset,
-								text:  te.NewText,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	if fix && len(edits) > 0 {
-		if err := applyEdits(edits); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if found {
-		return 2
-	}
-	return 0
-}
-
-type fileEdit struct {
-	file       string
-	start, end int
-	text       []byte
-}
-
-// applyEdits groups edits per file and applies them back-to-front so
-// earlier offsets stay valid; overlapping edits are rejected.
-func applyEdits(edits []fileEdit) error {
-	byFile := map[string][]fileEdit{}
-	for _, e := range edits {
-		byFile[e.file] = append(byFile[e.file], e)
-	}
-	for file, es := range byFile {
-		sort.Slice(es, func(i, j int) bool { return es[i].start > es[j].start })
-		for i := 1; i < len(es); i++ {
-			if es[i].end > es[i-1].start {
-				return fmt.Errorf("%s: overlapping suggested fixes, not applying", file)
-			}
-		}
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		for _, e := range es {
-			if e.start < 0 || e.end > len(src) || e.start > e.end {
-				return fmt.Errorf("%s: suggested fix out of range", file)
-			}
-			src = append(src[:e.start], append(append([]byte{}, e.text...), src[e.end:]...)...)
-		}
-		if err := os.WriteFile(file, src, 0o666); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fixed %s\n", filepath.Base(file))
-	}
-	return nil
+	fs.Usage()
+	return 1
 }

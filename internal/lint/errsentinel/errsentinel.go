@@ -39,19 +39,12 @@ var stdlibSentinels = map[string]bool{
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
-		importsErrors := false
-		for _, imp := range file.Imports {
-			if imp.Path.Value == `"errors"` {
-				importsErrors = true
-			}
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
 				return true
 			}
-			sentinel, other := pickSentinel(pass.TypesInfo, bin.X, bin.Y)
-			if sentinel == nil {
+			if !comparesSentinel(pass.TypesInfo, bin.X, bin.Y) {
 				return true
 			}
 			reason, annotated := directive.Find(pass.Fset, file, bin.Pos(), "exacterr")
@@ -61,41 +54,22 @@ func run(pass *analysis.Pass) (any, error) {
 				}
 				return true
 			}
-			d := analysis.Diagnostic{
+			pass.Report(analysis.Diagnostic{
 				Pos: bin.Pos(),
 				End: bin.End(),
 				Message: fmt.Sprintf("sentinel error compared with %s: wrapped errors never match; use %serrors.Is",
 					bin.Op, map[token.Token]string{token.EQL: "", token.NEQ: "!"}[bin.Op]),
-			}
-			if importsErrors {
-				neg := ""
-				if bin.Op == token.NEQ {
-					neg = "!"
-				}
-				fixed := fmt.Sprintf("%serrors.Is(%s, %s)",
-					neg, types.ExprString(other), types.ExprString(sentinel))
-				d.SuggestedFixes = []analysis.SuggestedFix{{
-					Message:   "rewrite with errors.Is",
-					TextEdits: []analysis.TextEdit{{Pos: bin.Pos(), End: bin.End(), NewText: []byte(fixed)}},
-				}}
-			}
-			pass.Report(d)
+			})
 			return true
 		})
 	}
 	return nil, nil
 }
 
-// pickSentinel identifies which operand (if either) is a sentinel error
-// variable, returning it and the other operand.
-func pickSentinel(info *types.Info, x, y ast.Expr) (sentinel, other ast.Expr) {
-	switch {
-	case isSentinel(info, x) && isErrorExpr(info, y):
-		return x, y
-	case isSentinel(info, y) && isErrorExpr(info, x):
-		return y, x
-	}
-	return nil, nil
+// comparesSentinel reports whether one operand is a sentinel error
+// variable and the other an error.
+func comparesSentinel(info *types.Info, x, y ast.Expr) bool {
+	return isSentinel(info, x) && isErrorExpr(info, y) || isSentinel(info, y) && isErrorExpr(info, x)
 }
 
 // isSentinel reports whether an expression names a package-level error

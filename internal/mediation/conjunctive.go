@@ -20,7 +20,7 @@ import (
 //  1. Cost-based ordering: patterns are resolved greedily, cheapest first.
 //     Cardinalities are estimated from the distributed statistics digests
 //     peers publish at schema keys (see stats.go), aged by
-//     SearchOptions.StatsTTL; when no fresh digest covers a pattern's
+//     DefaultStatsTTL; when no fresh digest covers a pattern's
 //     schema the planner degrades to the static position weights
 //     (subject > object > predicate), LIKE discounts, and shared-variable
 //     connectivity of the PR 2 engine.
@@ -182,7 +182,7 @@ func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern,
 
 	// One statistics view per query, shared read-only by every component:
 	// at most one digest fetch per schema per TTL window, charged to stats.
-	sv := p.statsViewFor(ctx, patterns, opts, &stats)
+	sv := p.statsViewFor(ctx, patterns, &stats)
 
 	comps := joinComponents(patterns)
 	if len(comps) == 1 {
@@ -897,14 +897,10 @@ func PayloadTriples(payload any) int {
 		// Range-query traversal ships stored items back in bulk; each
 		// triple-valued item is one shipped result triple.
 		return subtreeItemTriples(v.Items)
-	case pgrid.SyncResponse:
-		// Anti-entropy pulls a replica's whole subtree; its data volume is
-		// the same per-item cost as a range shipment. Shipped tombstones
-		// carry the deleted value, so they cost like items too.
-		return subtreeItemTriples(v.Items) + tombstoneTriples(v.Tombs)
 	case pgrid.RepairResponse:
 		// Digest repair ships only the diff: missing items plus tombstones
-		// (the Want/WantTombs digests are data-free).
+		// (the Want/WantTombs digests are data-free). Shipped tombstones
+		// carry the deleted value, so they cost like items too.
 		return subtreeItemTriples(v.Missing) + tombstoneTriples(v.Tombs)
 	}
 	return 0

@@ -109,8 +109,8 @@ func TestSearchForLikeConstraint(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(rs.Results))
 	}
 	subjects := map[string]bool{}
-	for _, b := range rs.Bindings() {
-		subjects[b["x"]] = true
+	for _, r := range rs.Results {
+		subjects[r.Triple.Subject] = true
 	}
 	if !subjects["a1"] || !subjects["a2"] {
 		t.Errorf("bindings = %v", subjects)

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gridvine/internal/compose"
 	"gridvine/internal/graph"
@@ -92,13 +91,6 @@ type SearchOptions struct {
 	// closure cache. 0 disables pruning (full recall); setting it trades
 	// recall for fan-out.
 	MaxLoss float64
-	// StatsTTL is the freshness horizon of distributed statistics: the
-	// conjunctive planner aggregates published StatsDigests no older than
-	// this (cached per schema for the same window) to estimate pattern
-	// cardinalities, and falls back to the static position weights when no
-	// digest is fresh. 0 selects DefaultStatsTTL; negative disables
-	// statistics entirely (no fetches, static weights only).
-	StatsTTL time.Duration
 }
 
 func (o SearchOptions) withDefaults() SearchOptions {
@@ -116,9 +108,6 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	}
 	if o.PushdownLimit == 0 {
 		o.PushdownLimit = DefaultPushdownLimit
-	}
-	if o.StatsTTL == 0 {
-		o.StatsTTL = DefaultStatsTTL
 	}
 	return o
 }
@@ -151,21 +140,6 @@ type ResultSet struct {
 	// reformulation branch was tolerated as failed — so it may be missing
 	// writes that have not finished an anti-entropy round.
 	Degraded bool
-}
-
-// Bindings extracts variable bindings from every result under its matching
-// pattern. The conjunctive engine does not use this — it binds the shipped
-// triples directly into a flattened triple.BindingSet, never building a
-// Result — but single-pattern callers still get the map representation,
-// pre-sized.
-func (rs *ResultSet) Bindings() []triple.Bindings {
-	out := make([]triple.Bindings, 0, len(rs.Results))
-	for _, r := range rs.Results {
-		if b, ok := r.Pattern.Bind(r.Triple); ok {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Triples returns the distinct result triples, sorted.

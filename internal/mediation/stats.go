@@ -17,7 +17,7 @@ import (
 // space that already holds the schema definition and its mappings, so one
 // Retrieve serves planning and reformulation alike. Query planners on any
 // peer fetch and aggregate the digests of a schema (cached per
-// SearchOptions.StatsTTL window), replacing the hard-coded position-weight
+// DefaultStatsTTL window), replacing the hard-coded position-weight
 // selectivity guesses with estimated cardinalities. Digests age out: one
 // older than the TTL is ignored at fetch time (so, with the fetch cache on
 // top, a digest steers plans for at most 2×TTL after publication), and a
@@ -25,10 +25,13 @@ import (
 // cost, never its answer, since ordering and strategy choice do not affect
 // the result set.
 
-// DefaultStatsTTL is the digest freshness horizon used when
-// SearchOptions.StatsTTL is zero: long enough that one publication round
-// serves many queries, short enough that abandoned peers' digests stop
-// steering planners within minutes.
+// DefaultStatsTTL is the freshness horizon of distributed statistics: the
+// conjunctive planner aggregates published StatsDigests no older than this
+// (cached per schema for the same window) to estimate pattern
+// cardinalities, and falls back to the static position weights when no
+// digest is fresh. Long enough that one publication round serves many
+// queries, short enough that abandoned peers' digests stop steering
+// planners within minutes.
 const DefaultStatsTTL = 2 * time.Minute
 
 // StatsDigest is one peer's cardinality summary for one schema, published
@@ -205,8 +208,8 @@ func (p *Peer) schemaStats(ctx context.Context, name string, ttl time.Duration, 
 
 // statsView is the read-only bundle of schema aggregates one conjunctive
 // query plans against; it is built once per query and shared by the
-// concurrent join components. nil (statistics disabled, or no constant
-// predicate names a schema) estimates nothing.
+// concurrent join components. nil (no constant predicate names a schema)
+// estimates nothing.
 type statsView struct {
 	schemas map[string]*schemaEstimate
 }
@@ -214,10 +217,7 @@ type statsView struct {
 // statsViewFor resolves the schema aggregates for every schema a query's
 // constant predicates name. Fresh digest counts are recorded in st so tests
 // and experiments can observe whether statistics actually steered the plan.
-func (p *Peer) statsViewFor(ctx context.Context, patterns []triple.Pattern, opts SearchOptions, st *ConjunctiveStats) *statsView {
-	if opts.StatsTTL < 0 {
-		return nil
-	}
+func (p *Peer) statsViewFor(ctx context.Context, patterns []triple.Pattern, st *ConjunctiveStats) *statsView {
 	var sv *statsView
 	for _, q := range patterns {
 		if q.P.Kind != triple.Constant {
@@ -233,7 +233,7 @@ func (p *Peer) statsViewFor(ctx context.Context, patterns []triple.Pattern, opts
 		if _, seen := sv.schemas[name]; seen {
 			continue
 		}
-		e := p.schemaStats(ctx, name, opts.StatsTTL, st)
+		e := p.schemaStats(ctx, name, DefaultStatsTTL, st)
 		st.StatsDigests += e.digests
 		sv.schemas[name] = e
 	}

@@ -220,25 +220,44 @@ func (p *Peer) Query(ctx context.Context, req Request) (*Cursor, error) {
 // a fresh ctx keeps yielding. Buffered rows are drained before ctx is
 // considered, so rows produced ahead of a cancellation are not lost.
 func (c *Cursor) Next(ctx context.Context) (QueryRow, bool) {
-	if c.next == len(c.chunk) {
-		// Prefer already-produced rows over a concurrently-firing ctx.
-		select {
-		case c.chunk = <-c.ch:
-		default:
-			select {
-			case c.chunk = <-c.ch:
-			case <-ctx.Done():
-				return QueryRow{}, false
-			}
-		}
-		c.next = 0
-		if len(c.chunk) == 0 {
-			return QueryRow{}, false // closed: the stream ended
-		}
+	if c.next == len(c.chunk) && !c.receive(ctx) {
+		return QueryRow{}, false
 	}
 	row := c.chunk[c.next]
 	c.next++
 	return row, true
+}
+
+// NextChunk is Next by the hand-over: it yields every row the engine passed
+// on at once — what is left of the chunk Next was reading, else the next
+// one whole, never none — under Next's rules for ok and ctx. The rows are
+// the caller's to keep. A consumer that forwards rows (the wire server: one
+// RowChunk frame a hand-over) sees them as early as the engine lets go of
+// them, without meeting the engine once a row.
+func (c *Cursor) NextChunk(ctx context.Context) ([]QueryRow, bool) {
+	if c.next == len(c.chunk) && !c.receive(ctx) {
+		return nil, false
+	}
+	rows := c.chunk[c.next:]
+	c.next = len(c.chunk)
+	return rows, true
+}
+
+// receive waits for the engine's next hand-over; false means the stream
+// ended or ctx fired first.
+func (c *Cursor) receive(ctx context.Context) bool {
+	// Prefer already-produced rows over a concurrently-firing ctx.
+	select {
+	case c.chunk = <-c.ch:
+	default:
+		select {
+		case c.chunk = <-c.ch:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	c.next = 0
+	return len(c.chunk) > 0 // none: closed, the stream ended
 }
 
 // Columns returns the output column names (the variable schema rows align
@@ -293,8 +312,8 @@ func (c *Cursor) setCols(cols []string) {
 	c.mu.Unlock()
 }
 
-// rowChunk is how many rows the engine hands the consumer at a time — what
-// one wire.RowChunk frame carries.
+// rowChunk is the most rows the engine hands the consumer at a time — the
+// most one wire.RowChunk frame carries.
 const rowChunk = 128
 
 // send queues one row for the consumer and hands a full chunk over, blocking

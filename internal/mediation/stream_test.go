@@ -546,22 +546,37 @@ func TestCursorLimitInsideAChunk(t *testing.T) {
 		{"rdql", Request{RDQL: `SELECT ?x WHERE (?x, <A#grp>, hot), (?x, <A#len>, ?len)`}, rowChunk + 1},
 	} {
 		tc.req.Limit = tc.limit
-		cur, err := peers[5].Query(context.Background(), tc.req)
-		if err != nil {
-			t.Fatalf("%s: Query: %v", tc.name, err)
-		}
-		rows := 0
-		for {
-			if _, ok := cur.Next(context.Background()); !ok {
-				break
+		// By the row, then one row and the rest by the hand-over: NextChunk
+		// picks up inside the chunk Next was reading.
+		for _, byChunk := range []bool{false, true} {
+			cur, err := peers[5].Query(context.Background(), tc.req)
+			if err != nil {
+				t.Fatalf("%s: Query: %v", tc.name, err)
 			}
-			rows++
-		}
-		if err := cur.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", tc.name, err)
-		}
-		if rows != tc.limit || cur.Stats().Rows != tc.limit {
-			t.Errorf("%s: limit %d yielded %d rows, stats %d", tc.name, tc.limit, rows, cur.Stats().Rows)
+			rows := 0
+			for {
+				if byChunk && rows > 0 {
+					chunk, ok := cur.NextChunk(context.Background())
+					if !ok {
+						break
+					}
+					if len(chunk) == 0 || len(chunk) > rowChunk || rows < rowChunk && rows+len(chunk) != min(tc.limit, rowChunk) {
+						t.Errorf("%s: a chunk of %d rows after %d", tc.name, len(chunk), rows)
+					}
+					rows += len(chunk)
+					continue
+				}
+				if _, ok := cur.Next(context.Background()); !ok {
+					break
+				}
+				rows++
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", tc.name, err)
+			}
+			if rows != tc.limit || cur.Stats().Rows != tc.limit {
+				t.Errorf("%s (by chunk: %v): limit %d yielded %d rows, stats %d", tc.name, byChunk, tc.limit, rows, cur.Stats().Rows)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -43,19 +42,6 @@ func (d *Distribution) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(d.xs))
-}
-
-// StdDev returns the population standard deviation.
-func (d *Distribution) StdDev() float64 {
-	if len(d.xs) == 0 {
-		return 0
-	}
-	m := d.Mean()
-	ss := 0.0
-	for _, x := range d.xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(len(d.xs)))
 }
 
 // Min returns the smallest observation (0 if empty).
@@ -149,11 +135,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
 
 // String renders the table. Column widths count runes, not bytes, so cells

@@ -73,7 +73,7 @@ func TestDeleteNotResurrectedBySync(t *testing.T) {
 	}
 
 	// Digest-based resync must apply the tombstone, not resurrect the value.
-	victim.SyncFromReplicas()
+	victim.AntiEntropy(context.Background())
 	if got := victim.LocalGet(key); len(got) != 0 {
 		t.Errorf("digest resync resurrected deleted value: %v", got)
 	}
@@ -86,37 +86,6 @@ func TestDeleteNotResurrectedBySync(t *testing.T) {
 		if got := n.LocalGet(key); len(got) != 0 {
 			t.Errorf("survivor %s re-acquired deleted value: %v", n.ID(), got)
 		}
-	}
-}
-
-func TestDeleteNotResurrectedByFullSync(t *testing.T) {
-	// The full-store baseline ships tombstones too, so it must reconcile
-	// deletes as well — the digest path only changes the cost.
-	net, ov := testOverlay(t, 16, 2, 29)
-	issuer := ov.Nodes()[0]
-
-	key := keyspace.HashDefault("fullsync-tombstone")
-	if _, err := issuer.Update(context.Background(), key, "doomed"); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	var victim *Node
-	for _, n := range ov.Nodes() {
-		if n.Responsible(key) && n.ID() != issuer.ID() {
-			victim = n
-			break
-		}
-	}
-	if victim == nil || len(victim.LocalGet(key)) != 1 {
-		t.Skip("no replicated victim")
-	}
-	net.Fail(victim.ID())
-	if _, err := issuer.Delete(context.Background(), key, "doomed"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	net.Recover(victim.ID())
-	victim.FullSyncFromReplicas()
-	if got := victim.LocalGet(key); len(got) != 0 {
-		t.Errorf("full-store resync resurrected deleted value: %v", got)
 	}
 }
 

@@ -377,24 +377,3 @@ func (ov *Overlay) MaxPathDepth() int {
 	}
 	return d
 }
-
-// StoreLoadStats returns the min, max and mean number of values stored per
-// node — the quantity P-Grid's load balancing equalizes.
-func (ov *Overlay) StoreLoadStats() (min, max int, mean float64) {
-	if len(ov.nodes) == 0 {
-		return 0, 0, 0
-	}
-	min = ov.nodes[0].StoreSize()
-	total := 0
-	for _, n := range ov.nodes {
-		s := n.StoreSize()
-		total += s
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return min, max, float64(total) / float64(len(ov.nodes))
-}

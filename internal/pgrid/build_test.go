@@ -1,7 +1,6 @@
 package pgrid
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -195,23 +194,5 @@ func TestOverlayAccessors(t *testing.T) {
 	}
 	if ov.MaxPathDepth() != 2 {
 		t.Errorf("MaxPathDepth = %d, want 2", ov.MaxPathDepth())
-	}
-}
-
-func TestStoreLoadStats(t *testing.T) {
-	_, ov := testOverlay(t, 4, 1, 11)
-	issuer := ov.Nodes()[0]
-	for i := 0; i < 40; i++ {
-		k := keyspace.HashDefault(string(rune('a' + i%26)))
-		if _, err := issuer.Update(context.Background(), k, i); err != nil {
-			t.Fatalf("Update: %v", err)
-		}
-	}
-	min, max, mean := ov.StoreLoadStats()
-	if mean <= 0 {
-		t.Errorf("mean load = %v", mean)
-	}
-	if min > max {
-		t.Errorf("min %d > max %d", min, max)
 	}
 }

@@ -212,19 +212,6 @@ func (n *Node) addRefLocked(level int, peer simnet.PeerID) {
 	n.refs[level] = append(cur, peer)
 }
 
-// RemoveRef drops a (presumed dead) reference at the given level.
-func (n *Node) RemoveRef(level int, peer simnet.PeerID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cur := n.refs[level]
-	for i, p := range cur {
-		if p == peer {
-			n.refs[level] = append(cur[:i:i], cur[i+1:]...)
-			return
-		}
-	}
-}
-
 // Refs returns a copy of the routing references at the given level.
 func (n *Node) Refs(level int) []simnet.PeerID {
 	n.mu.RLock()
@@ -482,12 +469,6 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 			return simnet.Message{}, fmt.Errorf("pgrid: bad subtree payload %T", msg.Payload)
 		}
 		return simnet.Message{Type: msgSubtree, Payload: n.handleSubtree(req)}, nil
-	case msgSync:
-		req, ok := msg.Payload.(SyncRequest)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad sync payload %T", msg.Payload)
-		}
-		return simnet.Message{Type: msgSync, Payload: n.handleSync(req)}, nil
 	case msgDigest:
 		req, ok := msg.Payload.(DigestRequest)
 		if !ok {

@@ -48,12 +48,12 @@ func TestSyncFromReplicasAfterRecovery(t *testing.T) {
 
 	// Recover and resync: every missed item must be merged.
 	net.Recover(victim.ID())
-	merged, replicas := victim.SyncFromReplicas()
-	if replicas == 0 {
+	stats := victim.AntiEntropy(context.Background())
+	if stats.Replicas == 0 {
 		t.Fatal("no replicas answered the sync")
 	}
-	if merged < len(missed) {
-		t.Errorf("merged %d < missed %d", merged, len(missed))
+	if stats.Pulled < len(missed) {
+		t.Errorf("pulled %d < missed %d", stats.Pulled, len(missed))
 	}
 	for _, k := range missed {
 		if got := victim.LocalGet(k); len(got) != 1 {
@@ -62,8 +62,8 @@ func TestSyncFromReplicasAfterRecovery(t *testing.T) {
 	}
 
 	// A second sync is a no-op.
-	if again, _ := victim.SyncFromReplicas(); again != 0 {
-		t.Errorf("second sync merged %d items", again)
+	if again := victim.AntiEntropy(context.Background()); again.Pulled+again.TombsPulled != 0 {
+		t.Errorf("second sync merged %d items", again.Pulled+again.TombsPulled)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestSyncFromReplicasInvokesStoreHook(t *testing.T) {
 		t.Fatalf("Update: %v", err)
 	}
 	net.Recover(victim.ID())
-	merged, _ := victim.SyncFromReplicas()
+	merged := victim.AntiEntropy(context.Background()).Pulled
 	if merged == 0 {
 		t.Skip("nothing to merge (write did not land on victim's leaf)")
 	}
@@ -119,7 +119,7 @@ func TestHandleSyncFiltersByPath(t *testing.T) {
 	n.mu.Lock()
 	n.insertLocked(own.String(), "own")
 	n.mu.Unlock()
-	foreign := n.Path().Sibling()
+	foreign := n.Path().FlipBit(n.Path().Len() - 1)
 	for foreign.Len() < keyspace.DefaultDepth {
 		foreign = foreign.Append(0)
 	}
@@ -127,19 +127,25 @@ func TestHandleSyncFiltersByPath(t *testing.T) {
 	n.insertLocked(foreign.String(), "foreign")
 	n.mu.Unlock()
 
-	resp := n.handleSync(SyncRequest{Path: n.Path().String()})
-	for _, it := range resp.Items {
-		if it.Value == "foreign" {
-			t.Error("sync leaked item outside the requested path")
+	// Neither half of the exchange looks outside the requested path: the
+	// digest folds only what lies under it, the repair ships only that.
+	digest := n.handleDigest(DigestRequest{Path: n.Path().String(), BucketBits: 4})
+	for bucket := range digest.Items {
+		if !hasPrefix(bucket, n.Path().String()) {
+			t.Errorf("digest bucket %s lies outside the requested path %s", bucket, n.Path())
 		}
 	}
+	resp := n.handleRepair(RepairRequest{Prefixes: []string{n.Path().String()}})
 	found := false
-	for _, it := range resp.Items {
+	for _, it := range resp.Missing {
+		if it.Value == "foreign" {
+			t.Error("repair leaked item outside the requested path")
+		}
 		if it.Value == "own" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("sync missed matching item")
+		t.Error("repair missed matching item")
 	}
 }

@@ -295,11 +295,6 @@ func TestNodeRefManagement(t *testing.T) {
 	if got := n.Refs(0); len(got) != 2 {
 		t.Errorf("refs = %v", got)
 	}
-	n.RemoveRef(0, "a")
-	if got := n.Refs(0); len(got) != 1 || got[0] != "b" {
-		t.Errorf("refs after remove = %v", got)
-	}
-	n.RemoveRef(0, "ghost") // no-op
 	n.AddReplica("r1")
 	n.AddReplica("r1")
 	n.AddReplica("n1")

@@ -76,90 +76,10 @@ func (q Query) Validate() error {
 // SELECT order of the query.
 type Row []string
 
-// Project extracts the distinguished variables from a binding set, skipping
-// bindings that do not cover every selected variable and deduplicating
-// rows. Row order is deterministic (lexicographic).
-//
-// Slices and the dedupe set are pre-sized and dedupe keys are built in one
-// reused byte buffer (no strings.Join temporary per row); the map lookup on
-// string(keyBuf) does not allocate, so only genuinely new rows intern a key.
-func (q Query) Project(bindings []triple.Bindings) []Row {
-	seen := make(map[string]struct{}, len(bindings))
-	rows := make([]Row, 0, len(bindings))
-	var keyBuf []byte
-	for _, b := range bindings {
-		row := make(Row, len(q.Select))
-		ok := true
-		for i, v := range q.Select {
-			val, present := b[v]
-			if !present {
-				ok = false
-				break
-			}
-			row[i] = val
-		}
-		if !ok {
-			continue
-		}
-		keyBuf = appendRowKey(keyBuf[:0], row)
-		if _, dup := seen[string(keyBuf)]; dup {
-			continue
-		}
-		seen[string(keyBuf)] = struct{}{}
-		rows = append(rows, row)
-	}
-	sortRows(rows)
-	return rows
-}
-
-// ProjectSet projects directly from the conjunctive engine's flattened
-// binding representation: the SELECT variables are resolved to column
-// indices once, so no per-row map is ever built or probed. The engine
-// already deduplicates and binds each triple exactly once, so rows that
-// survive projection only need the projection-level dedupe.
-func (q Query) ProjectSet(bs *triple.BindingSet) []Row {
-	if bs == nil {
-		return nil
-	}
-	cols := make([]int, len(q.Select))
-	for i, v := range q.Select {
-		idx := bs.VarIndex(v)
-		if idx < 0 {
-			// A selected variable no row binds: nothing to project — the
-			// same outcome Project has when every binding misses it.
-			return nil
-		}
-		cols[i] = idx
-	}
-	seen := make(map[string]struct{}, len(bs.Rows))
-	rows := make([]Row, 0, len(bs.Rows))
-	var keyBuf []byte
-	for _, src := range bs.Rows {
-		row := make(Row, len(cols))
-		for i, c := range cols {
-			row[i] = src[c]
-		}
-		keyBuf = appendRowKey(keyBuf[:0], row)
-		if _, dup := seen[string(keyBuf)]; dup {
-			continue
-		}
-		seen[string(keyBuf)] = struct{}{}
-		rows = append(rows, row)
-	}
-	sortRows(rows)
-	return rows
-}
-
-func appendRowKey(buf []byte, row Row) []byte {
-	return triple.AppendRowKey(buf, row)
-}
-
-// SortRows orders result rows lexicographically, the canonical order the
-// blocking projection has always returned. Streaming consumers that
-// collect a cursor's rows use it to reproduce the aggregate answer.
-func SortRows(rows []Row) { sortRows(rows) }
-
-func sortRows(rows []Row) {
+// SortRows orders result rows lexicographically, the canonical order of a
+// whole answer. Consumers that collect a cursor's rows use it to reproduce
+// the aggregate answer.
+func SortRows(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool {
 		for k := range rows[i] {
 			if rows[i][k] != rows[j][k] {

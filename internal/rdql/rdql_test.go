@@ -1,7 +1,6 @@
 package rdql
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,26 +120,6 @@ func TestVariables(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	q, _ := Parse(`SELECT ?x, ?len WHERE (?x <A#org> "v") (?x <A#len> ?len)`)
-	bindings := []triple.Bindings{
-		{"x": "s1", "len": "100"},
-		{"x": "s2", "len": "200"},
-		{"x": "s1", "len": "100"}, // duplicate collapses
-		{"x": "s3"},               // incomplete: skipped
-	}
-	rows := q.Project(bindings)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if rows[0][0] != "s1" || rows[0][1] != "100" {
-		t.Errorf("rows[0] = %v", rows[0])
-	}
-	if rows[1][0] != "s2" {
-		t.Errorf("rows[1] = %v", rows[1])
-	}
-}
-
 func TestStringRoundtrip(t *testing.T) {
 	src := `SELECT ?x, ?len WHERE (?x, <EMBL#Organism>, "%Asp%"), (?x, <EMBL#Length>, ?len)`
 	q1, err := Parse(src)
@@ -243,77 +222,6 @@ func TestStringRoundtripControlChars(t *testing.T) {
 	if got := q2.Patterns[0].O.Value; got != lit {
 		t.Errorf("roundtrip literal = %q, want %q", got, lit)
 	}
-}
-
-func TestProjectSetMatchesProject(t *testing.T) {
-	q, _ := Parse(`SELECT ?x, ?len WHERE (?x <A#org> "v") (?x <A#len> ?len)`)
-	bindings := []triple.Bindings{
-		{"x": "s2", "len": "200"},
-		{"x": "s1", "len": "100"},
-		{"x": "s1", "len": "100"}, // duplicate collapses
-	}
-	bs, ok := triple.NewBindingSetFromBindings(bindings)
-	if !ok {
-		t.Fatal("flatten failed")
-	}
-	fromMaps := q.Project(bindings)
-	fromSet := q.ProjectSet(bs)
-	if len(fromMaps) != 2 || len(fromSet) != 2 {
-		t.Fatalf("rows: maps=%v set=%v", fromMaps, fromSet)
-	}
-	for i := range fromMaps {
-		for j := range fromMaps[i] {
-			if fromMaps[i][j] != fromSet[i][j] {
-				t.Errorf("row %d differs: %v vs %v", i, fromMaps[i], fromSet[i])
-			}
-		}
-	}
-	// A selected variable absent from the schema projects nothing.
-	if rows := q.ProjectSet(&triple.BindingSet{Vars: []string{"x"}, Rows: [][]string{{"s1"}}}); rows != nil {
-		t.Errorf("missing column rows = %v", rows)
-	}
-	if rows := q.ProjectSet(nil); rows != nil {
-		t.Errorf("nil set rows = %v", rows)
-	}
-}
-
-// The projection's dedupe key is injective: values that differ only in
-// where a NUL byte sits are different rows, in both projections.
-func TestProjectKeepsRowsWithNULValuesApart(t *testing.T) {
-	q, _ := Parse(`SELECT ?x, ?y WHERE (?x <A#p> ?y)`)
-	bindings := []triple.Bindings{{"x": "a\x00", "y": "b"}, {"x": "a", "y": "\x00b"}}
-	bs, _ := triple.NewBindingSetFromBindings(bindings)
-	if fromMaps, fromSet := q.Project(bindings), q.ProjectSet(bs); len(fromMaps) != 2 || len(fromSet) != 2 {
-		t.Errorf("rows: maps=%q set=%q, want both", fromMaps, fromSet)
-	}
-}
-
-func BenchmarkProject(b *testing.B) {
-	q, _ := Parse(`SELECT ?x, ?len WHERE (?x <A#org> "v") (?x <A#len> ?len)`)
-	bindings := make([]triple.Bindings, 2000)
-	for i := range bindings {
-		bindings[i] = triple.Bindings{
-			"x":   fmt.Sprintf("s%04d", i%1500),
-			"len": fmt.Sprint(100 + i%1500),
-		}
-	}
-	bs, _ := triple.NewBindingSetFromBindings(bindings)
-	b.Run("maps", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if rows := q.Project(bindings); len(rows) != 1500 {
-				b.Fatal("bad rows")
-			}
-		}
-	})
-	b.Run("flattened", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if rows := q.ProjectSet(bs); len(rows) != 1500 {
-				b.Fatal("bad rows")
-			}
-		}
-	})
 }
 
 func TestLexPositions(t *testing.T) {

@@ -33,16 +33,6 @@ func NewSchema(name, domain string, attributes ...string) Schema {
 	return Schema{Name: name, Domain: domain, Attributes: attrs}
 }
 
-// HasAttribute reports whether the schema defines the attribute.
-func (s Schema) HasAttribute(attr string) bool {
-	for _, a := range s.Attributes {
-		if a == attr {
-			return true
-		}
-	}
-	return false
-}
-
 // PredicateURI returns the full predicate URI for an attribute of this
 // schema, in the paper's "Schema#Attribute" form (e.g. "EMBL#Organism").
 func (s Schema) PredicateURI(attr string) string {

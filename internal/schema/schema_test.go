@@ -20,9 +20,6 @@ func TestNewSchema(t *testing.T) {
 	if s.Attributes[0] != "Accession" {
 		t.Errorf("attributes not sorted: %v", s.Attributes)
 	}
-	if !s.HasAttribute("Organism") || s.HasAttribute("Ghost") {
-		t.Error("HasAttribute broken")
-	}
 }
 
 func TestPredicateURIRoundtrip(t *testing.T) {

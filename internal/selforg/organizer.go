@@ -385,7 +385,7 @@ func (o *Organizer) Round(ctx context.Context, subjects []string) (RoundReport, 
 
 	// 3. Statistics republication: refresh this peer's cardinality digests
 	// once per round so the conjunctive planners keep seeing fresh numbers
-	// (stale digests age out after SearchOptions.StatsTTL — without the
+	// (stale digests age out after mediation.DefaultStatsTTL — without the
 	// maintenance loop republishing, publication stayed a manual,
 	// experiment-driven act). The overlay's atomic replace supersedes the
 	// previous round's digest per (origin, schema) pair. Publication
@@ -416,23 +416,6 @@ func (o *Organizer) Round(ctx context.Context, subjects []string) (RoundReport, 
 	}
 	report.CIAfter = after.CI
 	return report, nil
-}
-
-// RunUntilConnected iterates rounds until ci ≥ target or maxRounds is hit,
-// returning all round reports.
-func (o *Organizer) RunUntilConnected(ctx context.Context, subjects []string, maxRounds int) ([]RoundReport, error) {
-	var reports []RoundReport
-	for i := 0; i < maxRounds; i++ {
-		r, err := o.Round(ctx, subjects)
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, r)
-		if r.CIAfter >= o.cfg.TargetCI && len(r.Created) == 0 && len(r.Deprecated) == 0 {
-			break
-		}
-	}
-	return reports, nil
 }
 
 // warmComposites builds the composite-mapping closure of every attribute of

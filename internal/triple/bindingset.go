@@ -48,11 +48,6 @@ func (a *rowArena) next(more int) []string {
 // drop gives the row next returned last back: the following next reuses it.
 func (a *rowArena) drop() { a.used -= a.width }
 
-// NewBindingSet returns an empty set with the given variable schema.
-func NewBindingSet(vars ...string) *BindingSet {
-	return &BindingSet{Vars: vars}
-}
-
 // Len returns the number of rows.
 func (bs *BindingSet) Len() int { return len(bs.Rows) }
 

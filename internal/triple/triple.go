@@ -91,9 +91,6 @@ func Var(name string) Term { return Term{Kind: Variable, Value: name} }
 // LikeTerm builds a LIKE term; % matches any (possibly empty) substring.
 func LikeTerm(pattern string) Term { return Term{Kind: Like, Value: pattern} }
 
-// IsBound reports whether the term constrains a value (constant or LIKE).
-func (t Term) IsBound() bool { return t.Kind != Variable }
-
 // Matches reports whether a concrete value satisfies the term. Variables
 // match anything; LIKE comparison is case-insensitive, as is GridVine's
 // order-preserving hash normalization.

@@ -50,12 +50,6 @@ func TestTermMatches(t *testing.T) {
 }
 
 func TestTermIsBoundAndString(t *testing.T) {
-	if Var("x").IsBound() {
-		t.Error("variable should not be bound")
-	}
-	if !Const("c").IsBound() || !LikeTerm("%a%").IsBound() {
-		t.Error("constant/LIKE should be bound")
-	}
 	if Var("x").String() != "x?" {
 		t.Errorf("Var string = %q", Var("x").String())
 	}

@@ -27,7 +27,6 @@ func (c walk) query(m *Query) {
 	c.Int(&o.PushdownLimit)
 	c.Bool(&o.ComposeMappings)
 	c.Float(&o.MaxLoss)
-	c.Int64((*int64)(&o.StatsTTL))
 }
 
 func (c walk) rowChunk(m *RowChunk) {

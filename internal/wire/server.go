@@ -6,15 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gridvine/internal/mediation"
 )
-
-// chunkRows is how many rows ride one RowChunk frame.
-const chunkRows = 128
 
 // Hosted is one peer a Server exposes, plus the daemon-level probes
 // the dump surface needs (nil probes report zero).
@@ -345,11 +343,18 @@ func (sc *srvConn) handleQuery(q *Query) {
 	}
 	defer cur.Close()
 
-	rows := make([][]string, 0, chunkRows)
+	// One frame per engine hand-over: rows leave as early as the engine
+	// lets go of them, and the first frame names the columns.
+	var rows [][]string // reused: send has encoded a chunk before the next is built
 	sentCols := false
-	flush := func() bool {
-		if len(rows) == 0 {
-			return true
+	for {
+		handed, ok := cur.NextChunk(ctx)
+		if !ok {
+			break
+		}
+		rows = slices.Grow(rows[:0], len(handed))
+		for _, row := range handed {
+			rows = append(rows, row.Values)
 		}
 		chunk := &RowChunk{ID: q.ID, Rows: rows}
 		if !sentCols {
@@ -358,23 +363,8 @@ func (sc *srvConn) handleQuery(q *Query) {
 		}
 		s.rowsStreamed.Add(uint64(len(rows)))
 		if err := sc.send(TRowChunk, chunk); err != nil {
-			return false
-		}
-		rows = rows[:0] // send has encoded the chunk: the buffer is free again
-		return true
-	}
-	for {
-		row, ok := cur.Next(ctx)
-		if !ok {
-			break
-		}
-		rows = append(rows, row.Values)
-		if len(rows) >= chunkRows && !flush() {
 			return
 		}
-	}
-	if !flush() {
-		return
 	}
 	cur.Close()
 	st := cur.Stats()

@@ -12,6 +12,7 @@ import (
 	"gridvine"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/mediation"
+	"gridvine/internal/schema"
 	"gridvine/internal/store"
 	"gridvine/internal/triple"
 	"gridvine/internal/wire"
@@ -593,5 +594,134 @@ func TestWireStatsCountTraffic(t *testing.T) {
 	}
 	if in := a.BytesIn - b.BytesIn; in < uint64(len(queryFrame)) || a.BytesOut <= b.BytesOut {
 		t.Fatalf("bytes in grew by %d (the Query alone is %d), out %d → %d", in, len(queryFrame), b.BytesOut, a.BytesOut)
+	}
+}
+
+// chainServer is testServer over a three-schema chain A → B → C with three
+// rows under each schema, every overlay send 20 ms long: the root pattern
+// answers after one routed operation, the traversal after several more.
+func chainServer(t *testing.T) (*wire.Client, wire.Query) {
+	t.Helper()
+	var rows []triple.Triple
+	for _, s := range []string{"A", "B", "C"} {
+		for i := 0; i < 3; i++ {
+			rows = append(rows, triple.Triple{Subject: fmt.Sprintf("urn:%s%d", s, i), Predicate: s + "#org", Object: "aspergillus"})
+		}
+	}
+	nw, _, addr := testServer(t, rows)
+	for _, hop := range [][2]string{{"A", "B"}, {"B", "C"}} {
+		m := schema.NewMapping(hop[0], hop[1], schema.Equivalence, schema.Manual,
+			[]schema.Correspondence{{SourceAttr: "org", TargetAttr: "org", Confidence: 1}})
+		if _, err := nw.Peer(0).InsertMappingContext(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Transport().SetSendDelay(20 * time.Millisecond)
+	t.Cleanup(func() { nw.Transport().SetSendDelay(0) })
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	// The issuer stores none of it (the schema names hash next to each
+	// other), so every lookup of the query is a routed one.
+	issuer := nw.Peer(0)
+	for _, p := range nw.Peers() {
+		if !p.Node().Responsible(keyspace.HashDefault("A#org")) {
+			issuer = p
+		}
+	}
+	pat := triple.Pattern{S: triple.Var("s"), P: triple.Const("A#org"), O: triple.Var("o")}
+	return c, wire.Query{Peer: string(issuer.Node().ID()), Pattern: &pat, Reformulate: true}
+}
+
+// TestWireFirstRowLeavesEarly: a RowChunk frame is one engine hand-over, so
+// a reformulated query's own rows reach the client when the root pattern
+// has answered, not with the last wave's.
+func TestWireFirstRowLeavesEarly(t *testing.T) {
+	c, q := chainServer(t)
+	ctx := context.Background()
+	start := time.Now()
+	cur, err := c.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	var first time.Duration
+	for {
+		if _, ok := cur.Next(ctx); !ok {
+			break
+		}
+		if rows++; rows == 1 {
+			first = time.Since(start)
+		}
+	}
+	elapsed := time.Since(start)
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 9 || cur.Stats().Rows != 9 {
+		t.Fatalf("%d rows, trailer says %d; want the 9 of the three schemas", rows, cur.Stats().Rows)
+	}
+	if first >= elapsed/2 {
+		t.Errorf("first row after %v of a %v query: the root schema's rows waited for the traversal", first, elapsed)
+	}
+}
+
+// TestWireCancelInsideAChunk: a client that reads one row of the first
+// hand-over and closes stops the engine between waves; the server streams
+// no further chunk and its trailer counts what it had handed over.
+func TestWireCancelInsideAChunk(t *testing.T) {
+	c, q := chainServer(t)
+	ctx := context.Background()
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := c.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cur.Next(ctx); !ok {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+	cur.Close()
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed := after.RowsStreamed - before.RowsStreamed; streamed != 3 || cur.Stats().Rows != 3 {
+		t.Errorf("%d rows streamed, trailer says %d; want the root schema's 3 and nothing after the cancel", streamed, cur.Stats().Rows)
+	}
+}
+
+// TestWireLimitInsideAChunk: a limit that falls inside a hand-over ends the
+// stream there, and the frame counter, the trailer and the daemon's row
+// counter agree on it.
+func TestWireLimitInsideAChunk(t *testing.T) {
+	_, _, addr := testServer(t, seedTriples(600))
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	pat := triple.Pattern{S: triple.Var("s"), P: triple.Const("Base#p0"), O: triple.Var("o")}
+	for _, tc := range []struct{ limit, rows, chunks int }{{5, 5, 1}, {130, 130, 2}, {0, 200, 2}} {
+		before, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, stats := drainWire(t, c, wire.Query{Pattern: &pat, Limit: tc.limit})
+		after, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Out: the DaemonStats answering before, the chunks, the trailer.
+		chunks := int(after.Wire.FramesOut-before.Wire.FramesOut) - 2
+		if len(rows) != tc.rows || stats.Rows != tc.rows || int(after.RowsStreamed-before.RowsStreamed) != tc.rows || chunks != tc.chunks {
+			t.Errorf("limit %d: %d rows in %d chunks, trailer %d, daemon %d; want %d in %d", tc.limit,
+				len(rows), chunks, stats.Rows, after.RowsStreamed-before.RowsStreamed, tc.rows, tc.chunks)
+		}
 	}
 }

@@ -26,8 +26,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"gridvine/internal/align"
-	"gridvine/internal/bayes"
 	"gridvine/internal/mediation"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/rdql"
@@ -96,10 +94,6 @@ type (
 	ConnectivityReport = mediation.ConnectivityReport
 	// RoundReport summarizes one self-organization round.
 	RoundReport = selforg.RoundReport
-	// MatcherConfig tunes automatic attribute alignment.
-	MatcherConfig = align.MatcherConfig
-	// AssessorConfig tunes the Bayesian mapping analysis.
-	AssessorConfig = bayes.AssessorConfig
 )
 
 // Term constructors.
@@ -337,10 +331,6 @@ func (n *Network) Close() {
 type OrganizerOptions struct {
 	// Domain is the application domain to organize. Default "default".
 	Domain string
-	// Matcher tunes attribute alignment.
-	Matcher MatcherConfig
-	// Assessor tunes the Bayesian analysis.
-	Assessor AssessorConfig
 	// MaxMappingsPerRound bounds creation per round.
 	MaxMappingsPerRound int
 	// Seed drives sampling.
@@ -354,8 +344,6 @@ type Organizer = selforg.Organizer
 func (n *Network) NewOrganizer(p *Peer, opts OrganizerOptions) (*Organizer, error) {
 	return selforg.New(p.Peer, selforg.Config{
 		Domain:              opts.Domain,
-		Matcher:             opts.Matcher,
-		Assessor:            opts.Assessor,
 		MaxMappingsPerRound: opts.MaxMappingsPerRound,
 		Rng:                 rand.New(rand.NewSource(opts.Seed)),
 	})

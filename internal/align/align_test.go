@@ -243,7 +243,7 @@ func TestAlignOneToOne(t *testing.T) {
 func TestAlignThresholdFilters(t *testing.T) {
 	source := []AttrData{{Name: "abc", Values: []string{"1"}}}
 	target := []AttrData{{Name: "xyz", Values: []string{"2"}}}
-	if corrs := Align(source, target, MatcherConfig{Threshold: 0.5}); len(corrs) != 0 {
+	if corrs := Align(source, target, MatcherConfig{}); len(corrs) != 0 {
 		t.Errorf("below-threshold pair emitted: %v", corrs)
 	}
 }

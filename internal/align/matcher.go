@@ -22,17 +22,15 @@ type MatcherConfig struct {
 	// evidence when shared instances exist).
 	LexWeight float64
 	SetWeight float64
-	// Threshold is the minimum combined score for a correspondence to be
-	// emitted. Default 0.5.
-	Threshold float64
 }
+
+// threshold is the minimum combined score for a correspondence to be
+// emitted.
+const threshold = 0.5
 
 func (c MatcherConfig) withDefaults() MatcherConfig {
 	if c.LexWeight == 0 && c.SetWeight == 0 {
 		c.LexWeight, c.SetWeight = 0.4, 0.6
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.5
 	}
 	return c
 }
@@ -99,7 +97,7 @@ func Align(source, target []AttrData, cfg MatcherConfig) []schema.Correspondence
 	usedTgt := map[string]bool{}
 	var out []schema.Correspondence
 	for _, p := range ScorePairs(source, target, cfg) {
-		if p.Combined < cfg.Threshold {
+		if p.Combined < threshold {
 			break
 		}
 		if usedSrc[p.SourceAttr] || usedTgt[p.TargetAttr] {

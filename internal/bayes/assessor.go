@@ -11,50 +11,26 @@ import (
 type AssessorConfig struct {
 	// MaxCycleLen bounds the transitive closures compared. Default 4.
 	MaxCycleLen int
-	// Epsilon is P(cycle observed inconsistent | all mappings correct):
-	// noise from partial correspondences. Default 0.05.
-	Epsilon float64
-	// Delta is P(cycle observed consistent | ≥1 mapping incorrect): the
-	// chance a wrong mapping still returns attributes to themselves.
-	// Default 0.1.
-	Delta float64
-	// ConsistencyThreshold classifies a cycle as consistent when the
-	// identity fraction is at least this. Default 0.7.
-	ConsistencyThreshold float64
-	// DeprecationThreshold deprecates automatic mappings whose posterior
-	// falls below it. Default 0.4.
-	DeprecationThreshold float64
-	// MaxIterations bounds message passing. Default 50.
-	MaxIterations int
-	// Damping mixes old and new beliefs per iteration (0 = no damping).
-	// Default 0.3.
-	Damping float64
 }
 
-func (c AssessorConfig) withDefaults() AssessorConfig {
-	if c.MaxCycleLen == 0 {
-		c.MaxCycleLen = 4
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.1
-	}
-	if c.ConsistencyThreshold == 0 {
-		c.ConsistencyThreshold = 0.7
-	}
-	if c.DeprecationThreshold == 0 {
-		c.DeprecationThreshold = 0.4
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 50
-	}
-	if c.Damping == 0 {
-		c.Damping = 0.3
-	}
-	return c
-}
+const (
+	// epsilon is P(cycle observed inconsistent | all mappings correct):
+	// noise from partial correspondences.
+	epsilon = 0.05
+	// delta is P(cycle observed consistent | ≥1 mapping incorrect): the
+	// chance a wrong mapping still returns attributes to themselves.
+	delta = 0.1
+	// consistencyThreshold classifies a cycle as consistent when the
+	// identity fraction is at least this.
+	consistencyThreshold = 0.7
+	// deprecationThreshold deprecates automatic mappings whose posterior
+	// falls below it.
+	deprecationThreshold = 0.4
+	// maxIterations bounds message passing.
+	maxIterations = 50
+	// damping mixes old and new beliefs per iteration.
+	damping = 0.3
+)
 
 // CycleEvidence is one observed transitive closure with its verdict.
 type CycleEvidence struct {
@@ -81,7 +57,9 @@ type Assessment struct {
 // active mappings of the set. It does not mutate the set; callers apply
 // ToDeprecate themselves (e.g. by publishing deprecations into the overlay).
 func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
-	cfg = cfg.withDefaults()
+	if cfg.MaxCycleLen == 0 {
+		cfg.MaxCycleLen = 4
+	}
 
 	active := ms.Active()
 	prior := map[string]float64{}
@@ -111,7 +89,7 @@ func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 			MappingIDs:  c.MappingIDs(),
 			Schemas:     c.Schemas,
 			Consistency: c.Consistency,
-			Consistent:  c.Consistency >= cfg.ConsistencyThreshold,
+			Consistent:  c.Consistency >= consistencyThreshold,
 		}
 		evidence = append(evidence, ev)
 		idx := len(factors)
@@ -129,7 +107,7 @@ func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 		belief[id] = p
 	}
 	iterations := 0
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		iterations = iter + 1
 		maxDelta := 0.0
 		for _, m := range active {
@@ -150,11 +128,11 @@ func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 				}
 				var l1, l0 float64
 				if f.consistent {
-					l1 = q*(1-cfg.Epsilon) + (1-q)*cfg.Delta
-					l0 = cfg.Delta
+					l1 = q*(1-epsilon) + (1-q)*delta
+					l0 = delta
 				} else {
-					l1 = q*cfg.Epsilon + (1-q)*(1-cfg.Delta)
-					l0 = 1 - cfg.Delta
+					l1 = q*epsilon + (1-q)*(1-delta)
+					l0 = 1 - delta
 				}
 				logL1 += math.Log(clampProb(l1))
 				logL0 += math.Log(clampProb(l0))
@@ -166,7 +144,7 @@ func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 			if den > 0 {
 				post = num / den
 			}
-			post = cfg.Damping*belief[id] + (1-cfg.Damping)*post
+			post = damping*belief[id] + (1-damping)*post
 			if d := math.Abs(post - belief[id]); d > maxDelta {
 				maxDelta = d
 			}
@@ -182,7 +160,7 @@ func Assess(ms *schema.MappingSet, cfg AssessorConfig) Assessment {
 		if manual[m.ID] {
 			continue
 		}
-		if belief[m.ID] < cfg.DeprecationThreshold {
+		if belief[m.ID] < deprecationThreshold {
 			out.ToDeprecate = append(out.ToDeprecate, m.ID)
 		}
 	}

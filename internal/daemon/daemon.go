@@ -76,10 +76,6 @@ type Config struct {
 	// PeerWait bounds how long Start waits for sibling daemons'
 	// address files (default 30s).
 	PeerWait time.Duration
-	// MaxConns caps concurrently served wire connections (0 =
-	// unlimited); connections past the cap are rejected with a clean
-	// error frame.
-	MaxConns int
 }
 
 // AddrFile is the rendezvous record a daemon publishes under
@@ -401,7 +397,7 @@ func Start(cfg Config) (*Daemon, error) {
 	for i, h := range d.hosted {
 		hosted[i] = wire.Hosted{Peer: h.peer, Digest: h.peer.Node().ContentDigest, WALSeq: h.log.Seq}
 	}
-	d.server = wire.NewServerOptions(cfg.Index, hosted, wire.Options{MaxConns: cfg.MaxConns})
+	d.server = wire.NewServer(cfg.Index, hosted)
 	d.server.SetOverlayStats(d.overlayStats)
 	go func() {
 		d.server.Serve(ln)

@@ -75,9 +75,9 @@ func RunAlignment(cfg AlignmentConfig) AlignmentResult {
 		name string
 		cfg  align.MatcherConfig
 	}{
-		{"lex", align.MatcherConfig{LexWeight: 1, SetWeight: 0.0001, Threshold: 0.5}},
-		{"set", align.MatcherConfig{LexWeight: 0.0001, SetWeight: 1, Threshold: 0.5}},
-		{"combined", align.MatcherConfig{LexWeight: 0.4, SetWeight: 0.6, Threshold: 0.5}},
+		{"lex", align.MatcherConfig{LexWeight: 1, SetWeight: 0.0001}},
+		{"set", align.MatcherConfig{LexWeight: 0.0001, SetWeight: 1}},
+		{"combined", align.MatcherConfig{LexWeight: 0.4, SetWeight: 0.6}},
 	}
 
 	var out AlignmentResult

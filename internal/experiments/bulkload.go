@@ -22,9 +22,9 @@ import (
 //     workload is ingested twice into identically-seeded networks — once
 //     through the historical per-triple loop (three routed overlay updates
 //     per triple, §2.2's Update(t)), once through one Peer.Write batch —
-//     and compared on routed messages, payload volume, and final store
-//     state. The in-memory transport runs undelayed, so the full paper
-//     scale completes in seconds.
+//     and compared on routed messages, payload bytes (overlay frame
+//     lengths), and final store state. The in-memory transport runs
+//     undelayed, so the full paper scale completes in seconds.
 //  2. Wall-clock under a WAN transit/bandwidth model on a sub-load of
 //     WallTriples: per-message delays make every serial round-trip pay
 //     transit, so the sub-load must stay small enough for the per-triple
@@ -72,8 +72,8 @@ type BulkLoadResult struct {
 	MessageReduction float64 `json:"message_reduction"`
 	Groups           int     `json:"groups"`
 
-	SerialPayloadUnits  int `json:"serial_payload_units"`
-	BatchedPayloadUnits int `json:"batched_payload_units"`
+	SerialPayloadBytes  int `json:"serial_payload_bytes"`
+	BatchedPayloadBytes int `json:"batched_payload_bytes"`
 
 	// WAN-modeled wall-clock over the WallTriples sub-load.
 	WallTriples   int     `json:"wall_triples"`
@@ -99,14 +99,16 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 	})
 	triples := w.Triples()
 
+	var nets []*simnet.Network
 	build := func() (*simnet.Network, []*mediation.Peer, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		net, peers, err := newSimPeers(cfg.Peers, workloadKeySample(w, 4000, rng), rng)
 		if err != nil {
 			return nil, nil, err
 		}
-		// Sleeps stay off here; PayloadUnits accounting is free.
-		net.SetPayloadDelay(0, mediation.PayloadTriples)
+		// Sleeps stay off here; counting bytes is free.
+		net.SetPayloadDelay(0, frameBytes)
+		nets = append(nets, net)
 		return net, peers, nil
 	}
 	loadSerial := func(peers []*mediation.Peer, ts []triple.Triple) error {
@@ -143,7 +145,7 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 		return out, err
 	}
 	out.SerialMessages = serialNet.Stats().Messages
-	out.SerialPayloadUnits = serialNet.Stats().PayloadUnits
+	out.SerialPayloadBytes = serialNet.Stats().PayloadUnits
 
 	batchedNet, batched, err := build()
 	if err != nil {
@@ -154,7 +156,7 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 		return out, err
 	}
 	out.BatchedMessages = batchedNet.Stats().Messages
-	out.BatchedPayloadUnits = batchedNet.Stats().PayloadUnits
+	out.BatchedPayloadBytes = batchedNet.Stats().PayloadUnits
 	out.Groups = rec.Groups
 	if out.BatchedMessages > 0 {
 		out.MessageReduction = float64(out.SerialMessages) / float64(out.BatchedMessages)
@@ -199,11 +201,17 @@ func RunBulkLoad(cfg BulkLoadConfig) (BulkLoadResult, error) {
 			out.WallSpeedup = out.SerialWallMs / out.BatchedWallMs
 		}
 	}
+	for _, net := range nets {
+		if err := net.SizeErr(); err != nil {
+			return out, err
+		}
+	}
 	return out, nil
 }
 
 // Check is EXP-N's gate: batched ingest ships at least 3x fewer routed
-// messages and leaves every store as the per-triple loop does.
+// messages and fewer payload bytes, and leaves every store as the
+// per-triple loop does.
 func (r BulkLoadResult) Check() error {
 	switch {
 	case !r.BatchedMatchesSerial:
@@ -212,6 +220,8 @@ func (r BulkLoadResult) Check() error {
 		return fmt.Errorf("batched messages %d not below serial %d", r.BatchedMessages, r.SerialMessages)
 	case r.MessageReduction < 3:
 		return fmt.Errorf("message reduction %.1fx, want ≥3x", r.MessageReduction)
+	case !(0 < r.BatchedPayloadBytes && r.BatchedPayloadBytes < r.SerialPayloadBytes):
+		return fmt.Errorf("batched payload %d B not in (0, serial %d B)", r.BatchedPayloadBytes, r.SerialPayloadBytes)
 	}
 	return nil
 }
@@ -221,7 +231,7 @@ func (r BulkLoadResult) Table() string {
 	t := metrics.NewTable("measurement", "per-triple", "batched", "gain")
 	t.AddRow("routed messages", fmt.Sprint(r.SerialMessages), fmt.Sprint(r.BatchedMessages),
 		fmt.Sprintf("%.1fx", r.MessageReduction))
-	t.AddRow("payload units", fmt.Sprint(r.SerialPayloadUnits), fmt.Sprint(r.BatchedPayloadUnits), "")
+	t.AddRow("payload bytes", fmt.Sprint(r.SerialPayloadBytes), fmt.Sprint(r.BatchedPayloadBytes), "")
 	t.AddRow(fmt.Sprintf("WAN wall %d triples (ms)", r.WallTriples),
 		fmt.Sprintf("%.1f", r.SerialWallMs), fmt.Sprintf("%.1f", r.BatchedWallMs),
 		fmt.Sprintf("%.1fx", r.WallSpeedup))

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"gridvine/internal/codec"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/metrics"
 	"gridvine/internal/pgrid"
@@ -92,19 +91,6 @@ type ChurnStressResult struct {
 	ByteReduction        float64 `json:"byte_reduction"`
 }
 
-// framePayloadBytes is the bandwidth sizer of EXP-O and EXP-P: the length
-// of the overlay frame the payload travels in, so Stats.PayloadUnits counts
-// the bytes the product ships rather than triples. Anything unencodable
-// still counts one unit so no traffic vanishes from the books.
-func framePayloadBytes(payload any) int {
-	//gridvine:uncharged this is a sizer itself: the envelope is measured, never sent
-	frame, err := codec.EncodeOverlay(&codec.Envelope{Msg: simnet.Message{Payload: payload}})
-	if err != nil {
-		return 1
-	}
-	return len(frame)
-}
-
 // RunChurnStress executes the seeded churn run: restarted peers repair via
 // digest anti-entropy. The fault schedule, workload, and all random choices
 // derive from cfg.Seed.
@@ -129,7 +115,7 @@ func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
 	if err != nil {
 		return out, err
 	}
-	net.SetPayloadDelay(0, framePayloadBytes)
+	net.SetPayloadDelay(0, frameBytes)
 
 	nodes := ov.Nodes()
 	byID := make(map[simnet.PeerID]*pgrid.Node, len(nodes))
@@ -167,13 +153,23 @@ func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
 	}
 
 	ctx := context.Background()
+	// The full-store baseline is accounted, never sent, so it is sized
+	// here and its sizing errors are kept beside the network's.
+	var sizeErr error
+	size := func(payload any) int {
+		n, err := frameBytes(payload)
+		if sizeErr == nil {
+			sizeErr = err
+		}
+		return n
+	}
 	// repair runs n's digest anti-entropy and, first, accounts the
 	// full-store baseline at the same point: n asks every replica (one
 	// message each) and every live one answers with all it holds under n's
 	// path, items and tombstones.
 	repair := func(n *pgrid.Node) {
 		path := n.Path().String()
-		ask := framePayloadBytes(pgrid.DigestRequest{Path: path})
+		ask := size(pgrid.DigestRequest{Path: path})
 		for _, r := range n.Replicas() {
 			out.FullRepairMessages++
 			if net.Failed(r) {
@@ -189,7 +185,7 @@ func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
 					pull.Missing = append(pull.Missing, pgrid.SubtreeItem{Key: key, Value: value})
 				}
 			})
-			out.FullRepairBytes += ask + framePayloadBytes(pull)
+			out.FullRepairBytes += ask + size(pull)
 		}
 		before := net.Stats()
 		n.AntiEntropy(ctx)
@@ -315,7 +311,7 @@ func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
 	if out.FullRepairBytes > 0 {
 		out.ByteReduction = 1 - float64(out.DigestRepairBytes)/float64(out.FullRepairBytes)
 	}
-	return out, nil
+	return out, errors.Join(sizeErr, net.SizeErr())
 }
 
 // groupsConverged reports whether every replica group (nodes sharing a

@@ -150,7 +150,7 @@ func RunConjunctive(cfg ConjunctiveConfig) (ConjunctiveResult, error) {
 	if out.PlannedWallMs > 0 {
 		out.Speedup = out.NaiveWallMs / out.PlannedWallMs
 	}
-	return out, nil
+	return out, net.SizeErr()
 }
 
 // zipfish draws a skewed species index: low indices are hot, the tail long.

@@ -188,7 +188,7 @@ func runDurabilityScenario(cfg DurabilityConfig, cold bool) (durRun, error) {
 	if err != nil {
 		return out, err
 	}
-	net.SetPayloadDelay(0, framePayloadBytes)
+	net.SetPayloadDelay(0, frameBytes)
 
 	opts := store.Options{SnapshotEvery: cfg.SnapshotEvery}
 	nodes := ov.Nodes()
@@ -323,7 +323,7 @@ func runDurabilityScenario(cfg DurabilityConfig, cold bool) (durRun, error) {
 		}
 	}
 	out.repairBytes = net.Stats().PayloadUnits - preRepair.PayloadUnits
-	return out, nil
+	return out, net.SizeErr()
 }
 
 // Check is EXP-P's gate.

@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"gridvine/internal/bioworkload"
+	"gridvine/internal/keyspace"
 )
 
 // Scaled-down configurations keep the test suite fast; the full paper-scale
@@ -329,7 +334,7 @@ func TestRunSemiJoinBeatsNaive(t *testing.T) {
 		HotEntities: 2000,
 		BoundFanout: 100,
 		Queries:     1,
-		WANModel:    WANModel{TransitDelay: -1, PerTripleDelay: -1},
+		WANModel:    WANModel{TransitDelay: -1, PerByteDelay: -1},
 		Seed:        13,
 	})
 	if err != nil {
@@ -361,7 +366,7 @@ func TestRunConjunctivePlannerBeatsNaive(t *testing.T) {
 		HotEntities: 1500,
 		RareMatches: 4,
 		Queries:     1,
-		WANModel:    WANModel{TransitDelay: -1, PerTripleDelay: -1},
+		WANModel:    WANModel{TransitDelay: -1, PerByteDelay: -1},
 		Seed:        11,
 	})
 	if err != nil {
@@ -388,7 +393,7 @@ func TestRunStreamingFirstRowBeatsFullWall(t *testing.T) {
 		HotEntities:       60,
 		TopK:              5,
 		Queries:           1,
-		WANModel:          WANModel{TransitDelay: 500 * time.Microsecond, PerTripleDelay: 10 * time.Microsecond},
+		WANModel:          WANModel{TransitDelay: 500 * time.Microsecond, PerByteDelay: 500 * time.Nanosecond},
 		Seed:              14,
 	})
 	if err != nil {
@@ -414,8 +419,7 @@ func TestRunStreamingFirstRowBeatsFullWall(t *testing.T) {
 func TestRunBulkLoadBeatsPerTriple(t *testing.T) {
 	// Small workload: beyond the gate, pins honest payload accounting
 	// (batched ships every datum at least once but never re-sends values
-	// across routing hops, so its volume is positive and at most the
-	// per-triple loop's). The WAN wall-clock sub-measurement is skipped to
+	// across routing hops). The WAN wall-clock sub-measurement is skipped to
 	// keep the suite fast; the paper-scale figures live in
 	// BENCH_bulkload.json.
 	r, err := RunBulkLoad(BulkLoadConfig{
@@ -431,17 +435,51 @@ func TestRunBulkLoadBeatsPerTriple(t *testing.T) {
 	if err := r.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if r.BatchedPayloadUnits <= 0 || r.BatchedPayloadUnits > r.SerialPayloadUnits {
-		t.Errorf("payload units implausible: batched %d vs serial %d", r.BatchedPayloadUnits, r.SerialPayloadUnits)
+	// Every key-write ships its triple at least once: the batched bytes
+	// cover each triple's own encoding three times over.
+	w := bioworkload.Generate(bioworkload.Config{Schemas: 12, Entities: 60, MinCoverage: 4, MaxCoverage: 6, Seed: 15 + 1})
+	if len(w.Triples()) != r.Triples {
+		t.Fatalf("regenerated %d triples, the run loaded %d", len(w.Triples()), r.Triples)
 	}
-	if r.BatchedPayloadUnits < 3*r.Triples {
-		t.Errorf("batched payload %d below one unit per key-write (%d) — data went uncharged", r.BatchedPayloadUnits, 3*r.Triples)
+	empty, err := frameBytes(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := 0
+	for _, tr := range w.Triples() {
+		n, err := frameBytes(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		floor += 3 * (n - empty)
+	}
+	if r.BatchedPayloadBytes < floor {
+		t.Errorf("batched payload %d B below the encoded triples once per key-write (%d B) — data went uncharged", r.BatchedPayloadBytes, floor)
 	}
 	if r.Groups == 0 || r.Groups >= r.KeyWrites {
 		t.Errorf("groups = %d over %d key-writes — no grouping happened", r.Groups, r.KeyWrites)
 	}
 	if !strings.Contains(r.Table(), "routed messages") {
 		t.Error("table missing message row")
+	}
+}
+
+// TestUntaggedPayloadFailsTheRun: a payload the overlay codec has no tag for
+// could not cross a socket, so a network sized by frameBytes reports it, by
+// type, through the SizeErr every runner that sizes returns — it is not
+// charged a nominal unit.
+func TestUntaggedPayloadFailsTheRun(t *testing.T) {
+	net, peers, err := newSimPeers(8, nil, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetPayloadDelay(0, frameBytes)
+	type untagged struct{ N int }
+	if _, err := peers[0].Node().Update(context.Background(), keyspace.HashDefault("k"), untagged{1}); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := net.SizeErr(); err == nil || !strings.Contains(err.Error(), "experiments.untagged") {
+		t.Errorf("SizeErr = %v, want an error naming experiments.untagged", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gridvine/internal/bioworkload"
+	"gridvine/internal/codec"
 	"gridvine/internal/keyspace"
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
@@ -46,19 +47,32 @@ func setDefault[T comparable](field *T, def T) {
 	}
 }
 
-// WANModel is the modelled-WAN delay pair the wall-clock experiments (K,
-// L, M, N) embed in their Config. TransitDelay is the per-message
-// wall-clock delay (default 1ms); PerTripleDelay models bandwidth as extra
-// delay per result-triple equivalent a message carries (default 50µs). A
-// negative value disables either.
+// frameBytes is the one bandwidth sizer every experiment installs with
+// simnet.Network.SetPayloadDelay: a payload costs the length of the overlay
+// frame it travels in, so Stats.PayloadUnits counts the bytes a real peer
+// would ship. A payload the codec has no tag for could not travel at all;
+// the error names its type, and a run that installed frameBytes returns the
+// network's SizeErr, so it fails rather than report figures missing a
+// message.
+func frameBytes(payload any) (int, error) {
+	frame, err := codec.EncodeOverlay(&codec.Envelope{Msg: simnet.Message{Payload: payload}})
+	return len(frame), err
+}
+
+// WANModel is the modelled WAN the wall-clock experiments (K, L, M, N)
+// embed in their Config. TransitDelay is the per-message wall-clock delay
+// (default 1ms); PerByteDelay models bandwidth as extra delay per byte of
+// the message's overlay frame (default 2.4µs: an answer's triple, ≈ 21 B,
+// costs ≈ 50µs, and a routed request ≈ 0.5ms). A negative value disables
+// either; the bytes are counted either way.
 type WANModel struct {
-	TransitDelay   time.Duration
-	PerTripleDelay time.Duration
+	TransitDelay time.Duration
+	PerByteDelay time.Duration
 }
 
 func (w WANModel) withDefaults() WANModel {
 	setDefault(&w.TransitDelay, time.Millisecond)
-	setDefault(&w.PerTripleDelay, 50*time.Microsecond)
+	setDefault(&w.PerByteDelay, 2400*time.Nanosecond)
 	return w
 }
 
@@ -68,9 +82,7 @@ func (w WANModel) apply(net *simnet.Network) {
 	if w.TransitDelay > 0 {
 		net.SetSendDelay(w.TransitDelay)
 	}
-	if w.PerTripleDelay > 0 {
-		net.SetPayloadDelay(w.PerTripleDelay, mediation.PayloadTriples)
-	}
+	net.SetPayloadDelay(max(w.PerByteDelay, 0), frameBytes)
 }
 
 // armCost accumulates the per-query costs of one evaluator arm of a

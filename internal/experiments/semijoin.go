@@ -177,7 +177,7 @@ func RunSemiJoin(cfg SemiJoinConfig) (SemiJoinResult, error) {
 	if out.SemiJoinWallMs > 0 {
 		out.Speedup = out.NaiveWallMs / out.SemiJoinWallMs
 	}
-	return out, nil
+	return out, net.SizeErr()
 }
 
 // Check is EXP-L's gate: the semi-join engine returns the naive

@@ -239,7 +239,7 @@ func RunStreaming(cfg StreamingConfig) (StreamingResult, error) {
 	if out.TopKLookups > 0 {
 		out.LookupReduction = out.UnboundedLookups / out.TopKLookups
 	}
-	return out, nil
+	return out, net.SizeErr()
 }
 
 // Check is EXP-M's gate: the first row lands before the full traversal

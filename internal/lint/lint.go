@@ -1,13 +1,12 @@
-// Package lint assembles the gridvine-lint analyzer suite: four custom
+// Package lint assembles the gridvine-lint analyzer suite: three custom
 // analyzers encoding invariants the codebase's design depends on but the
 // compiler cannot check. See DESIGN.md, "Static analysis & enforced
 // invariants", for the invariant catalogue and the escape-hatch
-// directives (//gridvine:serverctx, //gridvine:uncharged,
-// //gridvine:exacterr, //gridvine:lockio).
+// directives (//gridvine:serverctx, //gridvine:exacterr,
+// //gridvine:lockio).
 package lint
 
 import (
-	"gridvine/internal/lint/accounting"
 	"gridvine/internal/lint/analysis"
 	"gridvine/internal/lint/ctxpropagate"
 	"gridvine/internal/lint/errsentinel"
@@ -18,7 +17,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxpropagate.Analyzer,
-		accounting.Analyzer,
 		errsentinel.Analyzer,
 		lockscope.Analyzer,
 	}

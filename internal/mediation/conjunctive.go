@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"gridvine/internal/pgrid"
 	"gridvine/internal/triple"
 )
 
@@ -850,101 +849,4 @@ func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []V
 		return nil, err
 	}
 	return triple.BindTriplesMatched(q, ts, plain), nil
-}
-
-// PayloadTriples measures how many result triples a transport payload
-// carries, unwrapping the overlay envelope. It is the sizer benchmarks and
-// experiments hand to simnet.Network.SetPayloadDelay so wall-clock reflects
-// the volume of data shipped, not just the number of round-trips.
-func PayloadTriples(payload any) int {
-	switch v := payload.(type) {
-	case pgrid.ExecRequest:
-		return PayloadTriples(v.Payload)
-	case pgrid.ExecResponse:
-		return PayloadTriples(v.AppResult)
-	case []triple.Triple:
-		return len(v)
-	case ReformulatedResponse:
-		return len(v.Results)
-	case PatternQuery:
-		// Semi-join filters make the request itself data-bearing.
-		return filterTripleEquivalents(v.Filters)
-	case ReformulatedQuery:
-		return filterTripleEquivalents(v.Filters)
-	case CompositeQuery:
-		// Like PatternQuery: the variant patterns are query-sized, only the
-		// semi-join filters make the request data-bearing.
-		return filterTripleEquivalents(v.Filters)
-	case CompositeResponse:
-		n := 0
-		for _, a := range v.Answers {
-			n += len(a)
-		}
-		return n
-	case pgrid.BatchEntry:
-		// The head entry of a write rides every routing hop of its probe;
-		// charge it like one shipped result triple so per-op ingest pays for
-		// the copies batching avoids.
-		return tripleValued(v.Value)
-	case pgrid.BatchUpdate:
-		// Batched writes carry their values in bulk: charge each
-		// triple-valued entry like one shipped result triple, so batched
-		// and per-op ingest pay the same per-datum bandwidth.
-		return batchEntryTriples(v.Entries)
-	case pgrid.BatchReplicate:
-		return batchEntryTriples(v.Entries)
-	case pgrid.SubtreeResponse:
-		// Range-query traversal ships stored items back in bulk; each
-		// triple-valued item is one shipped result triple.
-		return subtreeItemTriples(v.Items)
-	case pgrid.RepairResponse:
-		// Digest repair ships only the diff: missing items plus tombstones
-		// (the Want/WantTombs digests are data-free). Shipped tombstones
-		// carry the deleted value, so they cost like items too.
-		return subtreeItemTriples(v.Missing) + tombstoneTriples(v.Tombs)
-	}
-	return 0
-}
-
-// tombstoneTriples counts the triple-valued tombstones of an anti-entropy
-// shipment.
-func tombstoneTriples(tombs []pgrid.Tombstone) int {
-	n := 0
-	for _, t := range tombs {
-		if _, ok := t.Value.(triple.Triple); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// tripleValued reports 1 when a stored value is a triple, 0 otherwise.
-func tripleValued(v any) int {
-	if _, ok := v.(triple.Triple); ok {
-		return 1
-	}
-	return 0
-}
-
-// batchEntryTriples counts the triple-valued entries of a batch payload.
-func batchEntryTriples(entries []pgrid.BatchEntry) int {
-	n := 0
-	for _, e := range entries {
-		if _, ok := e.Value.(triple.Triple); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// subtreeItemTriples counts the triple-valued items of a subtree or
-// anti-entropy shipment.
-func subtreeItemTriples(items []pgrid.SubtreeItem) int {
-	n := 0
-	for _, it := range items {
-		if _, ok := it.Value.(triple.Triple); ok {
-			n++
-		}
-	}
-	return n
 }

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
 	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
@@ -409,99 +407,4 @@ func TestTransferMessages(t *testing.T) {
 			t.Errorf("transferMessages(%d) = %d, want %d", n, got, want)
 		}
 	}
-}
-
-// PayloadTriples is exercised indirectly by the benchmark; pin its unwrap
-// logic directly too.
-func TestPayloadTriples(t *testing.T) {
-	ts := []triple.Triple{{Subject: "s"}, {Subject: "t"}}
-	resp := pgrid.ExecResponse{AppResult: ts}
-	if got := PayloadTriples(resp); got != 2 {
-		t.Errorf("ExecResponse = %d", got)
-	}
-	if got := PayloadTriples(ReformulatedResponse{Results: make([]ReformResult, 3)}); got != 3 {
-		t.Errorf("ReformulatedResponse = %d", got)
-	}
-	if got := PayloadTriples("unrelated"); got != 0 {
-		t.Errorf("unrelated = %d", got)
-	}
-}
-
-// BenchmarkConjunctivePlanner compares the naive left-to-right evaluator
-// against the planned engine on a skewed selective join declared
-// unselective-first: a hot A#len/A#ref extension of thousands of entities
-// against a rare A#org constant binding the shared variable to a handful of
-// subjects. Transit and bandwidth delays model a WAN, so wall-clock
-// reflects both round-trips and the volume of shipped triples.
-func BenchmarkConjunctivePlanner(b *testing.B) {
-	const (
-		hotEntities = 4000
-		rareCount   = 5
-	)
-	build := func(b *testing.B) []*Peer {
-		net, ps, err := buildPeers(48, 99)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for e := 0; e < hotEntities; e++ {
-			s := fmt.Sprintf("h%05d", e)
-			org := fmt.Sprintf("species-%d", e%40)
-			if e < rareCount {
-				org = "species-rare"
-			}
-			for _, tr := range []triple.Triple{
-				{Subject: s, Predicate: "A#org", Object: org},
-				{Subject: s, Predicate: "A#len", Object: fmt.Sprint(100 + e)},
-			} {
-				if _, err := ps[e%len(ps)].InsertTripleContext(context.Background(), tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		// WAN-scale delays, well above the OS sleep granularity (~1ms): a
-		// 1 ms transit per message plus 50 µs per shipped triple of
-		// bandwidth, so wall-clock reflects round-trips and data volume.
-		net.SetSendDelay(time.Millisecond)
-		net.SetPayloadDelay(50*time.Microsecond, PayloadTriples)
-		return ps
-	}
-	patterns := []triple.Pattern{
-		{S: triple.Var("x"), P: triple.Const("A#len"), O: triple.Var("len")},
-		{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("species-rare")},
-	}
-
-	b.Run("naive", func(b *testing.B) {
-		ps := build(b)
-		b.ResetTimer()
-		var stats ConjunctiveStats
-		for i := 0; i < b.N; i++ {
-			rows, st, err := ps[9].SearchConjunctiveNaive(context.Background(), patterns, false, SearchOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) != rareCount {
-				b.Fatalf("rows = %d", len(rows))
-			}
-			stats = st
-		}
-		b.ReportMetric(float64(stats.TotalMessages()), "msgs/query")
-		b.ReportMetric(float64(stats.TriplesShipped), "triples/query")
-	})
-	b.Run("planned", func(b *testing.B) {
-		ps := build(b)
-		b.ResetTimer()
-		var stats ConjunctiveStats
-		for i := 0; i < b.N; i++ {
-			bs, st, err := blockingConjunctiveSet(ps[9], patterns, false, SearchOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bs.Len() != rareCount {
-				b.Fatalf("rows = %d", bs.Len())
-			}
-			stats = st
-		}
-		b.ReportMetric(float64(stats.TotalMessages()), "msgs/query")
-		b.ReportMetric(float64(stats.TriplesShipped), "triples/query")
-	})
 }

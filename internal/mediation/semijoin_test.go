@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"gridvine/internal/triple"
 )
@@ -252,81 +251,4 @@ func TestFilterTriples(t *testing.T) {
 	if len(got) != 1 || got[0].Subject != "a" {
 		t.Errorf("repeated-variable filter = %v", got)
 	}
-}
-
-// BenchmarkSemiJoin compares semi-join shipping with the naive reference
-// on a fan-out workload where the bound-value set (150 subjects) exceeds
-// the pushdown cap, under WAN transit and bandwidth delays. The
-// naive-vs-semijoin triples/query gap is the headline of EXP-L
-// (BENCH_semijoin.json).
-func BenchmarkSemiJoin(b *testing.B) {
-	const (
-		hotEntities = 3000
-		fanout      = 150
-	)
-	build := func(b *testing.B) []*Peer {
-		net, ps, err := buildPeers(48, 101)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for e := 0; e < hotEntities; e++ {
-			s := fmt.Sprintf("h%05d", e)
-			grp := fmt.Sprintf("grp-%d", 1+e%30)
-			if e < fanout {
-				grp = "grp-hot"
-			}
-			for _, tr := range []triple.Triple{
-				{Subject: s, Predicate: "A#grp", Object: grp},
-				{Subject: s, Predicate: "A#len", Object: fmt.Sprint(100 + e)},
-			} {
-				if _, err := ps[e%len(ps)].InsertTripleContext(context.Background(), tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		for _, p := range ps {
-			if _, _, err := p.PublishStats(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		net.SetSendDelay(time.Millisecond)
-		net.SetPayloadDelay(50*time.Microsecond, PayloadTriples)
-		return ps
-	}
-	patterns := []triple.Pattern{
-		{S: triple.Var("x"), P: triple.Const("A#len"), O: triple.Var("len")},
-		{S: triple.Var("x"), P: triple.Const("A#grp"), O: triple.Const("grp-hot")},
-	}
-
-	run := func(b *testing.B, naive bool) {
-		ps := build(b)
-		b.ResetTimer()
-		var stats ConjunctiveStats
-		for i := 0; i < b.N; i++ {
-			var st ConjunctiveStats
-			var n int
-			if naive {
-				rows, s, err := ps[9].SearchConjunctiveNaive(context.Background(), patterns, false, SearchOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, n = s, len(rows)
-			} else {
-				bs, s, err := blockingConjunctiveSet(ps[9], patterns, false, SearchOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, n = s, bs.Len()
-			}
-			if n != fanout {
-				b.Fatalf("rows = %d", n)
-			}
-			stats = st
-		}
-		b.ReportMetric(float64(stats.TotalMessages()), "msgs/query")
-		b.ReportMetric(float64(stats.TriplesShipped+stats.FilterTriplesShipped), "triples/query")
-	}
-
-	b.Run("naive", func(b *testing.B) { run(b, true) })
-	b.Run("semijoin", func(b *testing.B) { run(b, false) })
 }

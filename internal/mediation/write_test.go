@@ -202,11 +202,11 @@ func TestWriteReplaceMapping(t *testing.T) {
 func TestWriteCancellation(t *testing.T) {
 	baseline := countGoroutines(t)
 	net, peers := testNetwork(t, 32, 7)
-	net.SetSendDelay(time.Millisecond)
-	// Batched shipping collapses this workload to a handful of messages;
-	// the bandwidth model makes those few (large) messages slow enough that
-	// the deadline reliably fires mid-batch.
-	net.SetPayloadDelay(100*time.Microsecond, PayloadTriples)
+	// Batched shipping collapses this workload to a handful of routed
+	// groups, a few sequential messages each; 5ms of transit per message
+	// makes the whole batch take several times the deadline, so it fires
+	// mid-batch.
+	net.SetSendDelay(5 * time.Millisecond)
 
 	b := &Batch{Parallelism: 4}
 	n := 0

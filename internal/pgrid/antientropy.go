@@ -16,7 +16,7 @@ import (
 // Digest-based push-pull anti-entropy between replica sets (σ(p)).
 //
 // Replicas of a leaf path exchange Merkle-style subtree digests: the key
-// space under the shared path is split into 2^DigestBucketBits prefix
+// space under the shared path is split into 2^digestBucketBits prefix
 // buckets, each summarized by an order-independent XOR fold of its item
 // hashes. Identical stores compare equal in one message; differing stores
 // narrow the repair to the differing buckets and ship only the items (and
@@ -305,7 +305,7 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 	}
 
 	path := n.Path().String()
-	bits := n.cfg.DigestBucketBits
+	bits := digestBucketBits
 	stats.Messages++
 	msg, err := n.net.Send(ctx, n.id, r, simnet.Message{Type: msgDigest, Payload: DigestRequest{Path: path, BucketBits: bits}})
 	if err != nil {

@@ -241,14 +241,14 @@ func TestSuspectedPeersOrderedLast(t *testing.T) {
 
 func TestTombstoneCapPrunes(t *testing.T) {
 	net := simnet.NewNetwork()
-	n := NewNode("solo", keyspace.Key{}, net, Config{TombstoneCap: 8})
+	n := NewNode("solo", keyspace.Key{}, net, Config{})
 	n.mu.Lock()
-	for i := 0; i < 40; i++ {
-		n.recordTombLocked(fmt.Sprintf("k%02d", i), i)
+	for i := 0; i < tombstoneCap+40; i++ {
+		n.recordTombLocked(fmt.Sprintf("k%05d", i), i)
 	}
 	n.mu.Unlock()
-	if got := n.TombstoneCount(); got > 8 {
-		t.Errorf("tombstones = %d, want ≤ cap 8", got)
+	if got := n.TombstoneCount(); got > tombstoneCap {
+		t.Errorf("tombstones = %d, want ≤ cap %d", got, tombstoneCap)
 	}
 }
 

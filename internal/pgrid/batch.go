@@ -114,7 +114,7 @@ func (n *Node) WriteBatch(ctx context.Context, entries []BatchEntry) (*BatchOutc
 	// declines counts, per entry, responsible-peer declines (a concurrent
 	// path split between the routing check and the locked apply): declined
 	// heads re-probe — the next round routes to the new responsible peer —
-	// bounded by MaxRetries so a pathological loop still terminates.
+	// bounded by maxRetries so a pathological loop still terminates.
 	declines := map[int]int{}
 
 	for len(remaining) > 0 {
@@ -149,7 +149,7 @@ func (n *Node) WriteBatch(ctx context.Context, entries []BatchEntry) (*BatchOutc
 			// declined the head under its store lock — its path split
 			// beneath us. Re-probe (bounded), then fail for progress.
 			declines[remaining[0]]++
-			if declines[remaining[0]] > n.cfg.MaxRetries {
+			if declines[remaining[0]] > maxRetries {
 				failHead(fmt.Errorf("pgrid: responsible peer did not apply the head entry for %s", head.Key))
 			}
 			continue

@@ -24,7 +24,6 @@ type BootstrapOptions struct {
 	// Meetings is the number of random pairwise exchanges to run.
 	// Convergence needs O(Peers · MaxDepth · c); default 60·Peers.
 	Meetings int
-	Config   Config
 	Rng      *rand.Rand
 }
 
@@ -49,9 +48,7 @@ func Bootstrap(net simnet.Registrar, opts BootstrapOptions) (*Overlay, error) {
 	ov := &Overlay{byID: make(map[simnet.PeerID]*Node), byPath: make(map[string][]*Node)}
 	for i := 0; i < opts.Peers; i++ {
 		id := simnet.PeerID(fmt.Sprintf("peer-%03d", i))
-		cfg := opts.Config
-		cfg.Seed = opts.Rng.Int63()
-		node := NewNode(id, keyspace.Key{}, net, cfg)
+		node := NewNode(id, keyspace.Key{}, net, Config{Seed: opts.Rng.Int63()})
 		ov.nodes = append(ov.nodes, node)
 		ov.byID[id] = node
 		net.Register(id, node)
@@ -217,12 +214,11 @@ func (ov *Overlay) reindexPaths() {
 // bootstrap peer, either splitting the leaf (if the trie may deepen) or
 // joining its replica set, then copies the relevant data and references.
 // maxDepth bounds trie growth.
-func (ov *Overlay) Join(net simnet.Registrar, id simnet.PeerID, bootstrap *Node, maxDepth int, cfg Config, rng *rand.Rand) (*Node, error) {
+func (ov *Overlay) Join(net simnet.Registrar, id simnet.PeerID, bootstrap *Node, maxDepth int, rng *rand.Rand) (*Node, error) {
 	if _, exists := ov.byID[id]; exists {
 		return nil, fmt.Errorf("pgrid: peer %s already in overlay", id)
 	}
-	cfg.Seed = rng.Int63()
-	node := NewNode(id, keyspace.Key{}, net, cfg)
+	node := NewNode(id, keyspace.Key{}, net, Config{Seed: rng.Int63()})
 	net.Register(id, node)
 
 	meet(node, bootstrap, maxDepth)

@@ -139,7 +139,7 @@ func TestJoinAfterBuild(t *testing.T) {
 	net, ov := testOverlay(t, 16, 2, 6)
 	rng := rand.New(rand.NewSource(7))
 	before := len(ov.Nodes())
-	node, err := ov.Join(net, "joiner-1", ov.Nodes()[3], 8, Config{}, rng)
+	node, err := ov.Join(net, "joiner-1", ov.Nodes()[3], 8, rng)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestJoinAfterBuild(t *testing.T) {
 func TestJoinDuplicateIDRejected(t *testing.T) {
 	net, ov := testOverlay(t, 8, 2, 8)
 	rng := rand.New(rand.NewSource(9))
-	if _, err := ov.Join(net, ov.Nodes()[0].ID(), ov.Nodes()[1], 8, Config{}, rng); err == nil {
+	if _, err := ov.Join(net, ov.Nodes()[0].ID(), ov.Nodes()[1], 8, rng); err == nil {
 		t.Error("duplicate join should fail")
 	}
 }

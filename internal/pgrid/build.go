@@ -22,8 +22,6 @@ type BuildOptions struct {
 	// P-Grid's storage load balancing under the order-preserving hash.
 	// When empty, a balanced trie is built.
 	SampleKeys []keyspace.Key
-	// Config is applied to every node.
-	Config Config
 	// Rng drives randomized assignment; required.
 	Rng *rand.Rand
 }
@@ -75,9 +73,7 @@ func Build(net simnet.Registrar, opts BuildOptions) (*Overlay, error) {
 		for c := 0; c < counts[leafIdx]; c++ {
 			id := simnet.PeerID(fmt.Sprintf("peer-%03d", i))
 			i++
-			cfg := opts.Config
-			cfg.Seed = opts.Rng.Int63()
-			node := NewNode(id, path, net, cfg)
+			node := NewNode(id, path, net, Config{Seed: opts.Rng.Int63()})
 			ov.nodes = append(ov.nodes, node)
 			ov.byID[id] = node
 			ov.byPath[path.String()] = append(ov.byPath[path.String()], node)
@@ -85,14 +81,14 @@ func Build(net simnet.Registrar, opts BuildOptions) (*Overlay, error) {
 		}
 	}
 
-	ov.wire(opts.Rng, opts.Config.withDefaults().RefsPerLevel)
+	ov.wire(opts.Rng)
 	return ov, nil
 }
 
 // wire fills routing tables and replica sets from global knowledge. A
 // prefix index keeps construction near-linear so experiment-scale overlays
 // (thousands of peers) build quickly.
-func (ov *Overlay) wire(rng *rand.Rand, refsPerLevel int) {
+func (ov *Overlay) wire(rng *rand.Rand) {
 	// byPrefix[p] lists the nodes whose path starts with p (including p
 	// itself). Total index size is Σ depth(node).
 	byPrefix := map[string][]*Node{}

@@ -27,46 +27,30 @@ import (
 // runs the local relational query against the peer's triple database.
 type QueryHandler func(key keyspace.Key, payload any) (any, error)
 
-// Config carries the tunables of a node / overlay.
+// Config carries what differs between the nodes of an overlay.
 type Config struct {
-	// RefsPerLevel bounds the routing references kept per trie level
-	// (fault-tolerance fan-out). Default 3.
-	RefsPerLevel int
-	// MaxRetries bounds rerouting attempts after encountering failed peers.
-	// Default 3.
-	MaxRetries int
 	// Seed drives the node's internal randomness (ref choice).
 	Seed int64
-	// TombstoneCap bounds the deletion tombstones a node retains for
-	// anti-entropy reconciliation; the oldest are pruned beyond it.
-	// Default 8192.
-	TombstoneCap int
-	// DigestBucketBits sets how many key bits beyond the node's path the
-	// anti-entropy digest buckets span (2^bits buckets max). Default 4.
-	DigestBucketBits int
 }
 
-func (c Config) withDefaults() Config {
-	if c.RefsPerLevel <= 0 {
-		c.RefsPerLevel = 3
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.TombstoneCap <= 0 {
-		c.TombstoneCap = 8192
-	}
-	if c.DigestBucketBits <= 0 {
-		c.DigestBucketBits = 4
-	}
-	return c
-}
+const (
+	// refsPerLevel bounds the routing references kept per trie level
+	// (fault-tolerance fan-out).
+	refsPerLevel = 3
+	// maxRetries bounds rerouting attempts after encountering failed peers.
+	maxRetries = 3
+	// tombstoneCap bounds the deletion tombstones a node retains for
+	// anti-entropy reconciliation; the oldest are pruned beyond it.
+	tombstoneCap = 8192
+	// digestBucketBits is how many key bits beyond the node's path the
+	// anti-entropy digest buckets span (2^bits buckets max).
+	digestBucketBits = 4
+)
 
 // Node is one P-Grid peer: a leaf of the distributed trie.
 type Node struct {
 	id  simnet.PeerID
 	net simnet.Transport
-	cfg Config
 
 	mu        sync.RWMutex
 	path      keyspace.Key
@@ -78,7 +62,7 @@ type Node struct {
 
 	// tombs records deletions so anti-entropy reconciles them instead of
 	// resurrecting the value from a replica that missed the delete. Guarded
-	// by mu; bounded by Config.TombstoneCap (oldest-seq pruned beyond it).
+	// by mu; bounded by tombstoneCap (oldest-seq pruned beyond it).
 	tombs   map[string][]tombEntry
 	tombSeq uint64
 	tombLen int
@@ -141,11 +125,9 @@ func (n *Node) mutate(apply func() []StoreMutation) {
 // transport. The node must be registered on the transport by the caller
 // (overlay builders do this).
 func NewNode(id simnet.PeerID, path keyspace.Key, net simnet.Transport, cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	return &Node{
 		id:      id,
 		net:     net,
-		cfg:     cfg,
 		path:    path,
 		refs:    make(map[int][]simnet.PeerID),
 		store:   make(map[string][]any),
@@ -189,7 +171,7 @@ func (n *Node) Responsible(key keyspace.Key) bool {
 }
 
 // AddRef records a routing reference to peer at the given trie level,
-// bounded by RefsPerLevel.
+// bounded by refsPerLevel.
 func (n *Node) AddRef(level int, peer simnet.PeerID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -206,7 +188,7 @@ func (n *Node) addRefLocked(level int, peer simnet.PeerID) {
 			return
 		}
 	}
-	if len(cur) >= n.cfg.RefsPerLevel {
+	if len(cur) >= refsPerLevel {
 		return
 	}
 	n.refs[level] = append(cur, peer)
@@ -352,7 +334,7 @@ func (n *Node) recordTombLocked(key string, value any) {
 	}
 	n.tombs[key] = append(n.tombs[key], tombEntry{value: value, seq: n.tombSeq})
 	n.tombLen++
-	if n.tombLen > n.cfg.TombstoneCap {
+	if n.tombLen > tombstoneCap {
 		n.pruneTombsLocked()
 	}
 }
@@ -372,11 +354,11 @@ func (n *Node) clearTombLocked(key string, same valueEq) {
 	}
 }
 
-// pruneTombsLocked drops every tombstone older than the newest TombstoneCap
+// pruneTombsLocked drops every tombstone older than the newest tombstoneCap
 // sequence numbers; n.mu must be held. Sequence numbers are dense (one per
-// recorded tombstone), so the cutoff retains at most TombstoneCap entries.
+// recorded tombstone), so the cutoff retains at most tombstoneCap entries.
 func (n *Node) pruneTombsLocked() {
-	cutoff := n.tombSeq - uint64(n.cfg.TombstoneCap)
+	cutoff := n.tombSeq - tombstoneCap
 	for k, ts := range n.tombs {
 		kept := ts[:0]
 		for _, t := range ts {

@@ -104,7 +104,7 @@ func (n *Node) Query(ctx context.Context, key keyspace.Key, payload any) (any, R
 // execute drives iterative routing for a request: the issuer repeatedly
 // sends the request to the best-known peer; a non-responsible receiver
 // answers with closer references, the responsible receiver answers with the
-// result. Failed peers are excluded and routing restarts up to MaxRetries
+// result. Failed peers are excluded and routing restarts up to maxRetries
 // times (replicas of a failed leaf are reached through sibling references).
 // A cancelled or deadline-expired ctx aborts between hops with ctx.Err().
 func (n *Node) execute(ctx context.Context, req ExecRequest) (ExecResponse, Route, error) {
@@ -115,7 +115,7 @@ func (n *Node) execute(ctx context.Context, req ExecRequest) (ExecResponse, Rout
 	var route Route
 	exclude := map[simnet.PeerID]bool{}
 
-	for attempt := 0; attempt <= n.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return ExecResponse{}, route, err
 		}

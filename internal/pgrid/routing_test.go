@@ -286,13 +286,14 @@ func TestOpString(t *testing.T) {
 
 func TestNodeRefManagement(t *testing.T) {
 	net := simnet.NewNetwork()
-	n := NewNode("n1", keyspace.MustParseKey("01"), net, Config{RefsPerLevel: 2})
+	n := NewNode("n1", keyspace.MustParseKey("01"), net, Config{})
 	n.AddRef(0, "a")
 	n.AddRef(0, "b")
-	n.AddRef(0, "c")  // over capacity, dropped
+	n.AddRef(0, "c")
+	n.AddRef(0, "d")  // over capacity (refsPerLevel = 3), dropped
 	n.AddRef(0, "a")  // duplicate, dropped
 	n.AddRef(0, "n1") // self, dropped
-	if got := n.Refs(0); len(got) != 2 {
+	if got := n.Refs(0); len(got) != refsPerLevel {
 		t.Errorf("refs = %v", got)
 	}
 	n.AddReplica("r1")

@@ -25,21 +25,8 @@ import (
 type Config struct {
 	// Domain is the application domain whose registry is monitored.
 	Domain string
-	// Matcher configures attribute alignment.
-	Matcher align.MatcherConfig
-	// Assessor configures the Bayesian mapping analysis.
-	Assessor bayes.AssessorConfig
-	// TargetCI: new mappings are created while the connectivity indicator is
-	// below this (paper: ci ≥ 0 signals the giant component). Default 0.
-	TargetCI float64
 	// MaxMappingsPerRound bounds mapping creation per round. Default 3.
 	MaxMappingsPerRound int
-	// MaxSharedSubjects bounds the instance sample per candidate pair.
-	// Default 40.
-	MaxSharedSubjects int
-	// MinSharedSubjects is the minimum shared-reference support needed to
-	// attempt an alignment. Default 2.
-	MinSharedSubjects int
 	// Rng drives sampling; required.
 	Rng *rand.Rand
 	// Compose, when non-nil, has every round warm the peer's
@@ -59,14 +46,16 @@ func (c Config) withDefaults() Config {
 	if c.MaxMappingsPerRound == 0 {
 		c.MaxMappingsPerRound = 3
 	}
-	if c.MaxSharedSubjects == 0 {
-		c.MaxSharedSubjects = 40
-	}
-	if c.MinSharedSubjects == 0 {
-		c.MinSharedSubjects = 2
-	}
 	return c
 }
+
+const (
+	// maxSharedSubjects bounds the instance sample per candidate pair.
+	maxSharedSubjects = 40
+	// minSharedSubjects is the minimum shared-reference support needed to
+	// attempt an alignment.
+	minSharedSubjects = 2
+)
 
 // Organizer drives self-organization rounds from one peer (any peer can run
 // maintenance; in the paper every schema keeper contributes — a single
@@ -223,7 +212,7 @@ func (o *Organizer) AlignPair(ctx context.Context, a, b string, subjects []strin
 	valuesB := map[string][]string{}
 	shared := 0
 	for _, subj := range subjects {
-		if shared >= o.cfg.MaxSharedSubjects {
+		if shared >= maxSharedSubjects {
 			break
 		}
 		rs, err := o.searchSubject(ctx, subj)
@@ -258,7 +247,7 @@ func (o *Organizer) AlignPair(ctx context.Context, a, b string, subjects []strin
 			}
 		}
 	}
-	if shared < o.cfg.MinSharedSubjects {
+	if shared < minSharedSubjects {
 		return schema.Mapping{}, false, nil
 	}
 
@@ -270,7 +259,7 @@ func (o *Organizer) AlignPair(ctx context.Context, a, b string, subjects []strin
 	for _, attr := range sb.Attributes {
 		dataB = append(dataB, align.AttrData{Name: attr, Values: valuesB[attr]})
 	}
-	corrs := align.Align(dataA, dataB, o.cfg.Matcher)
+	corrs := align.Align(dataA, dataB, align.MatcherConfig{})
 	if len(corrs) == 0 {
 		return schema.Mapping{}, false, nil
 	}
@@ -316,13 +305,14 @@ func (o *Organizer) Round(ctx context.Context, subjects []string) (RoundReport, 
 		return report, err
 	}
 
-	// 1. Creation: while insufficiently connected, add mappings for the
-	// best-supported schema pairs that are not already actively mapped.
-	// ci ≥ target is a necessary condition only (Cudré-Mauroux & Aberer,
-	// ODBASE'04): a schema with no mappings at all is unreachable whatever
-	// the indicator says, and the degree registry exposes exactly that, so
-	// isolated schemas also trigger creation.
-	if before.CI < o.cfg.TargetCI || noActiveMappings(ms) || o.hasIsolatedSchema(ctx) {
+	// 1. Creation: while insufficiently connected (paper: ci ≥ 0 signals
+	// the giant component), add mappings for the best-supported schema
+	// pairs that are not already actively mapped. ci ≥ 0 is a necessary
+	// condition only (Cudré-Mauroux & Aberer, ODBASE'04): a schema with no
+	// mappings at all is unreachable whatever the indicator says, and the
+	// degree registry exposes exactly that, so isolated schemas also
+	// trigger creation.
+	if before.CI < 0 || noActiveMappings(ms) || o.hasIsolatedSchema(ctx) {
 		candidates, err := o.CandidatePairs(ctx, subjects)
 		if err != nil {
 			return report, err
@@ -352,7 +342,7 @@ func (o *Organizer) Round(ctx context.Context, subjects []string) (RoundReport, 
 	}
 
 	// 2. Assessment: compare transitive closures, deprecate bad mappings.
-	assessment := bayes.Assess(ms, o.cfg.Assessor)
+	assessment := bayes.Assess(ms, bayes.AssessorConfig{})
 	report.Evidence = len(assessment.Evidence)
 	for _, id := range assessment.ToDeprecate {
 		old, ok := ms.Get(id)

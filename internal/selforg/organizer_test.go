@@ -145,7 +145,7 @@ func TestAlignPairInsufficientSupport(t *testing.T) {
 	ps, org := testSetup(t, 16, 4)
 	org.RegisterSchema(context.Background(), schema.NewSchema("A", "bio", "Organism"))
 	org.RegisterSchema(context.Background(), schema.NewSchema("B", "bio", "SystematicName"))
-	// Only one shared subject, below MinSharedSubjects=2.
+	// Only one shared subject, below minSharedSubjects=2.
 	seedEntity(t, ps[0], "acc:only", "Aspergillus", "1", map[string][2]string{
 		"A": {"Organism", "Organism"}, "B": {"SystematicName", "SystematicName"},
 	})

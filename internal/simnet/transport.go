@@ -18,8 +18,8 @@ type PeerID string
 
 // Message is a request or response exchanged between peers. Type routes the
 // message to the right handler logic; Payload carries an operation-specific
-// body. Payload values must be gob-encodable when used over the TCP
-// transport (concrete types are registered by their owning packages).
+// body. Over TCP a payload must be of a type with a tag in internal/codec's
+// kinds table — an untagged one does not encode.
 type Message struct {
 	Type    string
 	Payload any
@@ -102,7 +102,8 @@ type Network struct {
 	trace    []TraceEntry
 	delay    time.Duration
 	perUnit  time.Duration
-	sizer    func(payload any) int
+	sizer    func(payload any) (int, error)
+	sizeErr  error
 	fault    *FaultPlan
 }
 
@@ -198,19 +199,28 @@ func (n *Network) SetSendDelay(d time.Duration) {
 
 // SetPayloadDelay adds a bandwidth model on top of SetSendDelay: every
 // request and response additionally sleeps perUnit × size(payload), where
-// size is a caller-provided measure (e.g. the number of triples an answer
-// carries — the transport itself knows nothing about payload types). A nil
-// size disables the model entirely; a zero perUnit with a non-nil size
-// disables the sleep but still accounts delivered volume in
-// Stats.PayloadUnits, so experiments can audit bandwidth without paying
-// wall-clock. The sleeps affect wall-clock only, never delivery semantics,
-// so benchmarks can observe the cost of shipping large answer sets over a
-// network with finite bandwidth.
-func (n *Network) SetPayloadDelay(perUnit time.Duration, size func(payload any) int) {
+// size is a caller-provided measure (the experiments' is the length of the
+// payload's overlay frame — the transport itself knows nothing about
+// payload types). A nil size disables the model entirely; a zero perUnit
+// with a non-nil size disables the sleep but still accounts delivered
+// volume in Stats.PayloadUnits, so experiments can audit bandwidth without
+// paying wall-clock. The sleeps affect wall-clock only, never delivery
+// semantics, so benchmarks can observe the cost of shipping large answer
+// sets over a network with finite bandwidth. A payload size cannot measure
+// travels uncounted and SizeErr reports it.
+func (n *Network) SetPayloadDelay(perUnit time.Duration, size func(payload any) (int, error)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.perUnit = perUnit
 	n.sizer = size
+}
+
+// SizeErr returns the first error the payload sizer reported: a run whose
+// bandwidth figures miss a message must not report them.
+func (n *Network) SizeErr() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.sizeErr
 }
 
 // SetFaultPlan attaches (or, with nil, detaches) a FaultPlan: every
@@ -293,17 +303,19 @@ func (n *Network) Send(ctx context.Context, from, to PeerID, msg Message) (Messa
 		if sizer == nil {
 			return nil
 		}
-		units := sizer(payload)
-		if units <= 0 {
+		units, err := sizer(payload)
+		n.mu.Lock()
+		if err != nil && n.sizeErr == nil {
+			n.sizeErr = err
+		}
+		if units > 0 {
+			n.stats.PayloadUnits += units
+		}
+		n.mu.Unlock()
+		if units <= 0 || perUnit <= 0 {
 			return nil
 		}
-		n.mu.Lock()
-		n.stats.PayloadUnits += units
-		n.mu.Unlock()
-		if perUnit > 0 {
-			return sleepCtx(ctx, time.Duration(units)*perUnit)
-		}
-		return nil
+		return sleepCtx(ctx, time.Duration(units)*perUnit)
 	}
 	if delay > 0 {
 		if err := sleepCtx(ctx, delay); err != nil {

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -223,11 +224,11 @@ func TestSetPayloadDelaySleepsProportionally(t *testing.T) {
 	n.Register("a", HandlerFunc(func(from PeerID, msg Message) (Message, error) {
 		return Message{Type: "resp", Payload: 40}, nil
 	}))
-	n.SetPayloadDelay(time.Millisecond, func(p any) int {
+	n.SetPayloadDelay(time.Millisecond, func(p any) (int, error) {
 		if v, ok := p.(int); ok {
-			return v
+			return v, nil
 		}
-		return 0
+		return 0, fmt.Errorf("cannot size a %T", p)
 	})
 	start := time.Now()
 	resp, err := n.Send(context.Background(), "b", "a", Message{Type: "req", Payload: 10})
@@ -240,6 +241,21 @@ func TestSetPayloadDelaySleepsProportionally(t *testing.T) {
 	// 10 request units + 40 response units at 1ms each ⇒ ≥50ms.
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Errorf("elapsed = %v, want ≥50ms of modeled transfer", elapsed)
+	}
+	if err := n.SizeErr(); err != nil {
+		t.Fatalf("SizeErr before an unsizable payload = %v", err)
+	}
+	// An unsizable payload is still delivered, uncounted; SizeErr keeps the
+	// first refusal.
+	before := n.Stats().PayloadUnits
+	if _, err := n.Send(context.Background(), "b", "a", Message{Type: "req", Payload: "odd"}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if got := n.Stats().PayloadUnits - before; got != 40 {
+		t.Errorf("counted %d units, want only the 40 of the sizable answer", got)
+	}
+	if err := n.SizeErr(); err == nil || err.Error() != "cannot size a string" {
+		t.Errorf("SizeErr = %v, want the sizer's refusal of the string", err)
 	}
 	// Disabling restores immediate delivery.
 	n.SetPayloadDelay(0, nil)
@@ -281,7 +297,7 @@ func TestSendPayloadDelayHonorsCancellation(t *testing.T) {
 	n.Register("b", HandlerFunc(func(from PeerID, msg Message) (Message, error) {
 		return Message{}, nil
 	}))
-	n.SetPayloadDelay(time.Second, func(any) int { return 100 })
+	n.SetPayloadDelay(time.Second, func(any) (int, error) { return 100, nil })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -87,6 +87,12 @@ func run() int {
 		}
 	}
 	if *jsonPath != "" {
+		// Each entry records the command that produced it, so a committed
+		// snapshot says how to regenerate itself.
+		command := strings.Join(append([]string{"gridvine-bench"}, os.Args[1:]...), " ")
+		for i := range entries {
+			entries[i].Command = command
+		}
 		blob, err := json.MarshalIndent(entries, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
@@ -130,6 +136,7 @@ func selectExperiments(exp string, parallel int) ([]experiments.Experiment, erro
 // jsonEntry is one experiment's machine-readable record.
 type jsonEntry struct {
 	Experiment string             `json:"experiment"`
+	Command    string             `json:"command"`
 	Quick      bool               `json:"quick"`
 	Seed       int64              `json:"seed"`
 	WallMs     float64            `json:"wall_ms"`

@@ -86,13 +86,16 @@ func TestRunRoutingLogarithmic(t *testing.T) {
 	if len(r.Points) != 6 { // 3 sizes × {balanced, skewed}
 		t.Fatalf("points = %d", len(r.Points))
 	}
+	// Logarithmic cold routes, one-exchange shortcuts.
+	if err := r.Check(); err != nil {
+		t.Error(err)
+	}
 	for _, p := range r.Points {
-		if p.MeanHops > float64(p.TrieDepth)+1 {
-			t.Errorf("size %d (%v): mean hops %.2f exceeds depth %d", p.Peers, p.Balanced, p.MeanHops, p.TrieDepth)
+		if p.ColdMeanHops > float64(p.TrieDepth)+1 {
+			t.Errorf("size %d (%v): cold mean hops %.2f exceeds depth %d", p.Peers, p.Balanced, p.ColdMeanHops, p.TrieDepth)
 		}
-		// Logarithmic: mean hops per log2(N) stays below 1.
-		if p.MeanPerLog > 1.0 {
-			t.Errorf("size %d: hops/log2(N) = %.2f", p.Peers, p.MeanPerLog)
+		if p.ShortcutShare == 0 || p.ShortcutShare == 1 {
+			t.Errorf("size %d (%v): shortcut share %.2f — the sweep measures only one kind of route", p.Peers, p.Balanced, p.ShortcutShare)
 		}
 	}
 	if !strings.Contains(r.Table(), "hops/log2(N)") {
@@ -507,7 +510,7 @@ func TestRunDurabilityQuick(t *testing.T) {
 }
 
 // gated lists the experiments whose result type must carry a Check.
-var gated = map[string]bool{"K": true, "L": true, "M": true, "N": true, "O": true, "P": true, "R": true}
+var gated = map[string]bool{"B": true, "K": true, "L": true, "M": true, "N": true, "O": true, "P": true, "R": true}
 
 func TestRegistry(t *testing.T) {
 	const order = "ABCDEGHIJKLMNOPR"

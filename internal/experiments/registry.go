@@ -3,7 +3,7 @@ package experiments
 import "encoding/json"
 
 // Result is what an experiment returns: every result renders the
-// paper-style table, and the gated ones (K, L, M, N, O, P, R) also carry
+// paper-style table, and the gated ones (B, K, L, M, N, O, P, R) also carry
 // a Check() error method holding the inequalities the result must satisfy.
 type Result interface{ Table() string }
 

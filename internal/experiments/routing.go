@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,7 +14,9 @@ import (
 )
 
 // RoutingConfig parameterizes EXP-B: Retrieve resolves in O(log |Π|)
-// messages on both balanced and unbalanced tries (paper §2.1).
+// messages on both balanced and unbalanced tries (paper §2.1) when it
+// starts cold, and in about one when the issuer has reached the leaf
+// before.
 type RoutingConfig struct {
 	// Sizes are the network sizes to sweep. Default 64…4096.
 	Sizes []int
@@ -43,21 +46,56 @@ var expB = declare("B", "routing cost O(log |Π|) (paper §2.1), balanced and sk
 		return RunRouting(cfg)
 	})
 
-// RoutingPoint is one row of the routing-cost table.
+// RoutingPoint is one row of the routing-cost table. Issuers remember the
+// leaves they reach (pgrid's learned leaves), so a route either starts cold,
+// from the issuer's routing references — the O(log |Π|) the paper claims —
+// or takes a shortcut to a leaf the issuer reached before.
 type RoutingPoint struct {
-	Peers      int
-	Balanced   bool
-	TrieDepth  int
-	MeanHops   float64
-	P99Hops    float64
-	MaxHops    int
-	Log2Peers  float64
-	MeanPerLog float64 // mean hops / log2(peers): flat ⇒ logarithmic cost
+	Peers     int  `json:"peers"`
+	Balanced  bool `json:"balanced"`
+	TrieDepth int  `json:"trie_depth"`
+	// MeanHops is over every route; the cold figures are over the routes
+	// that took no shortcut.
+	MeanHops     float64 `json:"mean_hops"`
+	ColdMeanHops float64 `json:"cold_mean_hops"`
+	ColdP99Hops  float64 `json:"cold_p99_hops"`
+	ColdMaxHops  int     `json:"cold_max_hops"`
+	Log2Peers    float64 `json:"log2_peers"`
+	MeanPerLog   float64 `json:"cold_hops_per_log2_peers"` // flat ⇒ logarithmic cost
+	// ShortcutShare is the share of routes whose first exchange went to a
+	// learned leaf, and ShortcutMeanHops their mean hops.
+	ShortcutShare    float64 `json:"shortcut_share"`
+	ShortcutMeanHops float64 `json:"shortcut_mean_hops"`
 }
 
 // RoutingResult is the full sweep.
 type RoutingResult struct {
-	Points []RoutingPoint
+	Points []RoutingPoint `json:"points"`
+}
+
+// Check holds the paper's claim on the cold routes — mean hops at most
+// log2(N) — and holds a shortcut to about one exchange.
+func (r RoutingResult) Check() error {
+	if len(r.Points) == 0 {
+		return errors.New("no routing points")
+	}
+	var errs []error
+	for _, p := range r.Points {
+		if p.MeanPerLog > 1 {
+			errs = append(errs, fmt.Errorf("%d peers (%s): cold hops/log2(N) = %.3f, want ≤ 1", p.Peers, p.shape(), p.MeanPerLog))
+		}
+		if p.ShortcutMeanHops > 1.1 {
+			errs = append(errs, fmt.Errorf("%d peers (%s): shortcut mean hops = %.3f, want ≤ 1.1", p.Peers, p.shape(), p.ShortcutMeanHops))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+func (p RoutingPoint) shape() string {
+	if p.Balanced {
+		return "balanced"
+	}
+	return "skewed"
 }
 
 // RunRouting sweeps network sizes and measures per-retrieval hop counts.
@@ -100,7 +138,7 @@ func routingPoint(size int, balanced bool, cfg RoutingConfig) (RoutingPoint, err
 	if err != nil {
 		return RoutingPoint{}, err
 	}
-	hops := metrics.NewDistribution()
+	all, cold, shortcut := metrics.NewDistribution(), metrics.NewDistribution(), metrics.NewDistribution()
 	for i := 0; i < cfg.QueriesPerSize; i++ {
 		issuer := ov.RandomNode(rng)
 		key := keyspace.HashDefault(fmt.Sprintf("routing-%d-%d", size, rng.Int()))
@@ -108,34 +146,41 @@ func routingPoint(size int, balanced bool, cfg RoutingConfig) (RoutingPoint, err
 		if err != nil {
 			return RoutingPoint{}, fmt.Errorf("retrieve at size %d: %w", size, err)
 		}
-		hops.Add(float64(route.Hops()))
+		hops := float64(route.Hops())
+		all.Add(hops)
+		if route.Shortcut {
+			shortcut.Add(hops)
+		} else {
+			cold.Add(hops)
+		}
 	}
 	logp := math.Log2(float64(size))
 	return RoutingPoint{
-		Peers:      size,
-		Balanced:   balanced,
-		TrieDepth:  ov.MaxPathDepth(),
-		MeanHops:   hops.Mean(),
-		P99Hops:    hops.Percentile(99),
-		MaxHops:    int(hops.Max()),
-		Log2Peers:  logp,
-		MeanPerLog: hops.Mean() / logp,
+		Peers:            size,
+		Balanced:         balanced,
+		TrieDepth:        ov.MaxPathDepth(),
+		MeanHops:         all.Mean(),
+		ColdMeanHops:     cold.Mean(),
+		ColdP99Hops:      cold.Percentile(99),
+		ColdMaxHops:      int(cold.Max()),
+		Log2Peers:        logp,
+		MeanPerLog:       cold.Mean() / logp,
+		ShortcutShare:    float64(shortcut.N()) / float64(all.N()),
+		ShortcutMeanHops: shortcut.Mean(),
 	}, nil
 }
 
 // Table renders the sweep.
 func (r RoutingResult) Table() string {
-	t := metrics.NewTable("peers", "trie", "depth", "mean hops", "p99", "max", "log2(N)", "hops/log2(N)")
+	t := metrics.NewTable("peers", "trie", "depth", "cold hops", "p99", "max", "log2(N)", "hops/log2(N)", "shortcut", "shortcut hops", "all hops")
 	for _, p := range r.Points {
-		shape := "balanced"
-		if !p.Balanced {
-			shape = "skewed"
-		}
 		t.AddRow(
-			fmt.Sprint(p.Peers), shape, fmt.Sprint(p.TrieDepth),
-			fmt.Sprintf("%.2f", p.MeanHops), fmt.Sprintf("%.0f", p.P99Hops),
-			fmt.Sprint(p.MaxHops), fmt.Sprintf("%.1f", p.Log2Peers),
+			fmt.Sprint(p.Peers), p.shape(), fmt.Sprint(p.TrieDepth),
+			fmt.Sprintf("%.2f", p.ColdMeanHops), fmt.Sprintf("%.0f", p.ColdP99Hops),
+			fmt.Sprint(p.ColdMaxHops), fmt.Sprintf("%.1f", p.Log2Peers),
 			fmt.Sprintf("%.3f", p.MeanPerLog),
+			fmt.Sprintf("%.0f%%", 100*p.ShortcutShare), fmt.Sprintf("%.2f", p.ShortcutMeanHops),
+			fmt.Sprintf("%.2f", p.MeanHops),
 		)
 	}
 	return t.String()

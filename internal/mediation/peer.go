@@ -333,12 +333,6 @@ func (p *Peer) domainKey(domain string) keyspace.Key {
 	return keyspace.Hash("domain:"+domain, p.depth)
 }
 
-func accumulate(total *pgrid.Route, r pgrid.Route) {
-	total.Contacted = append(total.Contacted, r.Contacted...)
-	total.Messages += r.Messages
-	total.Retries += r.Retries
-}
-
 func init() {
 	gob.Register(PatternQuery{})
 	gob.Register(ConnectivityQuery{})

@@ -90,7 +90,7 @@ func (p *Peer) PublishStats(ctx context.Context) (int, pgrid.Route, error) {
 			Predicates: bySchema[name],
 		}
 		route, err := p.node.Replace(ctx, p.schemaKey(name), d)
-		accumulate(&total, route)
+		total.Add(route)
 		if err != nil {
 			return i, total, err
 		}

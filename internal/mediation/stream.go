@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -343,12 +344,20 @@ func (c *Cursor) handOver(ctx context.Context) bool {
 		}
 	}
 	c.mu.Lock()
-	if c.stats.Rows == 0 {
+	first := c.stats.Rows == 0
+	if first {
 		c.stats.FirstRow = time.Since(c.started)
 	}
 	c.stats.Rows += len(c.pending)
 	c.mu.Unlock()
 	c.pending = nil
+	if first {
+		// The consumer the send just woke waits in this processor's run
+		// queue, and the engine's next overlay operation is often a local
+		// delivery that would keep the processor: yield, so the first rows
+		// leave (one wire RowChunk) before the engine goes on.
+		runtime.Gosched()
+	}
 	return true
 }
 

@@ -296,7 +296,7 @@ func (p *Peer) Write(ctx context.Context, b *Batch) (*Receipt, error) {
 			continue // segment never ran (pool cancelled before its turn)
 		}
 		rec.Groups += out.Groups
-		accumulate(&rec.Route, out.Route)
+		rec.Route.Add(out.Route)
 		for j, w := range seg {
 			switch out.Statuses[j] {
 			case pgrid.BatchApplied:

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
 	"gridvine/internal/triple"
 )
@@ -297,6 +298,50 @@ func TestWriteEmptyBatch(t *testing.T) {
 	}
 	if len(rec.Entries) != 0 || rec.Messages() != 0 {
 		t.Errorf("empty batch receipt = %+v", rec)
+	}
+}
+
+// TestWriteAroundAFailedPeerIsDegraded: a write whose probe had to route
+// around a failed peer reports Route.Degraded — in the Receipt and in the
+// route a one-write helper returns — as a read does. The issuer's first
+// write learns the peer that applied it, so once that peer fails, the next
+// probe goes to it first and has to route around it.
+func TestWriteAroundAFailedPeerIsDegraded(t *testing.T) {
+	s := schema.NewSchema("Deg", "bio", "p")
+	for name, write := range map[string]func(*Peer) (pgrid.Route, error){
+		"Write": func(p *Peer) (pgrid.Route, error) {
+			b := &Batch{Parallelism: 1}
+			b.PublishSchema(s)
+			rec, err := p.Write(context.Background(), b)
+			if err != nil {
+				return pgrid.Route{}, err
+			}
+			return rec.Route, rec.FirstErr()
+		},
+		"InsertSchemaContext": func(p *Peer) (pgrid.Route, error) {
+			return p.InsertSchemaContext(context.Background(), s)
+		},
+	} {
+		net, peers := testNetwork(t, 32, 6)
+		var issuer *Peer
+		for _, p := range peers {
+			if !p.Node().Responsible(p.schemaKey(s.Name)) {
+				issuer = p
+				break
+			}
+		}
+		route, err := write(issuer)
+		if err != nil || route.Degraded {
+			t.Fatalf("%s: healthy write: route %+v, err %v", name, route, err)
+		}
+		net.Fail(route.Contacted[len(route.Contacted)-1])
+		route, err = write(issuer)
+		if err != nil {
+			t.Fatalf("%s: write with a replica down: %v", name, err)
+		}
+		if !route.Degraded || route.Retries != 0 {
+			t.Errorf("%s: route around the failed peer = %+v, want Degraded", name, route)
+		}
 	}
 }
 

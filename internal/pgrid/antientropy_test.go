@@ -272,29 +272,16 @@ func TestDegradedRouteFlag(t *testing.T) {
 		t.Fatalf("retrieve = %v", vals)
 	}
 
-	// Kill the first-choice responsible peer; a replica must answer and
-	// the route must say the answer was degraded.
-	var killed bool
-	for _, n := range ov.Nodes() {
-		if n.Responsible(key) && n.ID() != issuer.ID() {
-			net.Fail(n.ID())
-			killed = true
-			break
-		}
-	}
-	if !killed {
+	// Kill the peer that answered: the issuer learned it, so the next
+	// retrieve tries it first. A replica must answer and the route must
+	// say the answer was degraded.
+	if route.Hops() == 0 {
 		t.Skip("issuer owns the key")
 	}
-	found := false
-	for i := 0; i < 8; i++ {
-		vals, route, err = issuer.Retrieve(ctx, key)
-		if err == nil && route.Degraded {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Skip("routing never hit the dead peer (shuffle avoided it)")
+	net.Fail(route.Contacted[route.Hops()-1])
+	vals, route, err = issuer.Retrieve(ctx, key)
+	if err != nil || !route.Degraded {
+		t.Fatalf("retrieve around the dead peer: route %+v, err %v, want Degraded", route, err)
 	}
 	if len(vals) != 1 {
 		t.Errorf("degraded retrieve lost the value: %v", vals)

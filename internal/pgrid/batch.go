@@ -132,7 +132,7 @@ func (n *Node) WriteBatch(ctx context.Context, entries []BatchEntry) (*BatchOutc
 		// probe that carries — and applies — the head entry, so a run of one
 		// costs exactly one routed operation.
 		resp, route, err := n.execute(ctx, ExecRequest{Key: head.Key, Op: OpProbe, Payload: head})
-		accumulateRoute(&out.Route, route)
+		out.Route.Add(route)
 		if err != nil {
 			if ctx.Err() != nil {
 				return out, ctx.Err()
@@ -229,11 +229,4 @@ func (n *Node) WriteBatch(ctx context.Context, entries []BatchEntry) (*BatchOutc
 		remaining = append(kept, remaining[runLen:]...)
 	}
 	return out, nil
-}
-
-func accumulateRoute(total *Route, r Route) {
-	total.Contacted = append(total.Contacted, r.Contacted...)
-	total.Messages += r.Messages
-	total.Retries += r.Retries
-	total.Degraded = total.Degraded || r.Degraded
 }

@@ -45,6 +45,9 @@ const (
 	// digestBucketBits is how many key bits beyond the node's path the
 	// anti-entropy digest buckets span (2^bits buckets max).
 	digestBucketBits = 4
+	// learnedLeafCap bounds the leaves a node remembers as routing hints;
+	// beyond it the first-learned is forgotten first.
+	learnedLeafCap = 1024
 )
 
 // Node is one P-Grid peer: a leaf of the distributed trie.
@@ -77,6 +80,10 @@ type Node struct {
 	// that deadline-aware routing weighs remaining context budget against.
 	latMu  sync.Mutex
 	hopLat time.Duration
+
+	// leaves remembers the peer that last answered for each trie leaf this
+	// node reached; routing tries it first (see routeOnce).
+	leaves leafCache
 
 	// rng drives routing tie-breaks. math/rand.Rand is not goroutine-safe
 	// and concurrent queries route through the same node, so it has its own

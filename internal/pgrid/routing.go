@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"time"
 
 	"gridvine/internal/keyspace"
@@ -41,10 +43,25 @@ type Route struct {
 	// from a live replica rather than the first-choice responsible peer, so
 	// under churn it may trail the newest writes by one anti-entropy round.
 	Degraded bool
+	// Shortcut reports that the first exchange went to a learned leaf: a
+	// peer that answered for the key's leaf before (see routeOnce), rather
+	// than one of the issuer's routing references.
+	Shortcut bool
 }
 
 // Hops returns the number of peers contacted.
 func (r Route) Hops() int { return len(r.Contacted) }
+
+// Add folds the route of another operation into r, for a total over
+// several: contacted peers, messages and retries add up, and Degraded and
+// Shortcut hold when they hold for any of the parts.
+func (r *Route) Add(o Route) {
+	r.Contacted = append(r.Contacted, o.Contacted...)
+	r.Messages += o.Messages
+	r.Retries += o.Retries
+	r.Degraded = r.Degraded || o.Degraded
+	r.Shortcut = r.Shortcut || o.Shortcut
+}
 
 // Every routed operation takes a context: routing checks it between hops
 // (and the transport checks it in transit), so cancelling the context or
@@ -173,6 +190,12 @@ func (n *Node) retryBackoff(ctx context.Context, attempt int) error {
 // dead-ends (no live references); newly discovered dead peers are added to
 // exclude so the next pass avoids them. A non-nil error is terminal —
 // cancellation, never a dead peer.
+//
+// A pass starts at the learned leaf for the key when there is one, so a
+// warm operation costs one exchange instead of one per trie level. The
+// hint is never trusted: the receiver still checks its responsibility, and
+// a hint that fails or answers "not me" is forgotten and the pass goes on
+// as if it had never been learned.
 func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest, exclude map[simnet.PeerID]bool, route *Route) (ExecResponse, bool, error) {
 	// Local fast path.
 	if responsible, _ := n.nextHopInfo(key); responsible {
@@ -183,7 +206,18 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 		return resp, true, nil
 	}
 
-	candidates := n.candidateHops(key, exclude)
+	// The references are worked out only when there is no hint, or once it
+	// has let the pass down.
+	var candidates []simnet.PeerID
+	hint, hintPath := n.learnedHop(req.Key, exclude)
+	if hint != "" {
+		candidates = []simnet.PeerID{hint}
+		if route.Messages == 0 {
+			route.Shortcut = true
+		}
+	} else {
+		candidates = n.candidateHops(key, exclude)
+	}
 	visited := map[simnet.PeerID]bool{n.id: true}
 
 	for len(candidates) > 0 {
@@ -210,6 +244,10 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 			}
 			n.markSuspect(next)
 			exclude[next] = true
+			if next == hint {
+				n.leaves.forget(hintPath, hint)
+				candidates = n.candidateHops(key, exclude)
+			}
 			continue
 		}
 		n.clearSuspect(next)
@@ -219,7 +257,14 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 			return ExecResponse{}, false, nil
 		}
 		if resp.Responsible {
+			n.leaves.learn(req.Key, resp.Path, next)
 			return resp, true, nil
+		}
+		if next == hint {
+			// The learned leaf split or moved: the receiver's references
+			// lead on, then the issuer's own.
+			n.leaves.forget(hintPath, hint)
+			candidates = n.candidateHops(key, exclude)
 		}
 		// Prepend the receiver's references: they are strictly closer.
 		closer := make([]simnet.PeerID, 0, len(resp.NextHops)+len(candidates))
@@ -231,6 +276,79 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 		candidates = append(closer, candidates...)
 	}
 	return ExecResponse{}, false, nil
+}
+
+// leafCache remembers, per trie leaf a node has reached, the peer that last
+// answered for it as responsible: a one-hop hint for the next operation on
+// a key under that leaf (one-hop lookups, Gupta, Liskov & Rodrigues,
+// HotOS 2003). It holds at most learnedLeafCap leaves and forgets the
+// first-learned first, so what it holds depends only on the sequence of
+// answers. A forgotten leaf keeps its slot with no peer until it is
+// learned again or evicted.
+type leafCache struct {
+	mu    sync.Mutex
+	peers map[string]simnet.PeerID // leaf path → last responsible peer; "" once forgotten
+	order []string                 // leaf paths in first-learned order, a ring once full
+	next  int                      // the ring's oldest slot
+	depth int                      // the longest path learned: lookups probe no deeper
+}
+
+// learn records peer as the last one to answer for the leaf at path, on a
+// route to key. An answer is input from another peer, so only a non-empty
+// path that prefixes the routed key is learned: a bogus short path must not
+// capture every route.
+func (c *leafCache) learn(key, path string, peer simnet.PeerID) {
+	if path == "" || !strings.HasPrefix(key, path) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, known := c.peers[path]
+	if known && old == peer {
+		return
+	}
+	if !known {
+		// A decoded answer's strings alias its frame; a kept one must not.
+		path = strings.Clone(path)
+		if c.peers == nil {
+			c.peers = make(map[string]simnet.PeerID)
+		}
+		if len(c.order) < learnedLeafCap {
+			c.order = append(c.order, path)
+		} else {
+			delete(c.peers, c.order[c.next])
+			c.order[c.next] = path
+			c.next = (c.next + 1) % learnedLeafCap
+		}
+		c.depth = max(c.depth, len(path))
+	}
+	c.peers[path] = simnet.PeerID(strings.Clone(string(peer)))
+}
+
+// forget drops peer as the hint for the leaf at path, unless another peer
+// has answered for it since.
+func (c *leafCache) forget(path string, peer simnet.PeerID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.peers[path] == peer {
+		c.peers[path] = ""
+	}
+}
+
+// learnedHop returns the peer learned for the deepest leaf on key's path
+// that is neither excluded nor suspected, and that leaf's path; "" when
+// there is none. It probes key's prefixes as substrings, so a lookup
+// allocates nothing.
+func (n *Node) learnedHop(key string, exclude map[simnet.PeerID]bool) (simnet.PeerID, string) {
+	c := &n.leaves
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for l := min(c.depth, len(key)); l > 0; l-- {
+		if p := c.peers[key[:l]]; p != "" && !exclude[p] && !n.Suspected(p) {
+			return p, key[:l]
+		}
+	}
+	return "", ""
 }
 
 // observeHopLatency folds one successful request/response round-trip into

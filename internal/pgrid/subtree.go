@@ -93,9 +93,7 @@ func (n *Node) SubtreeRetrieve(ctx context.Context, prefix keyspace.Key) ([]Subt
 		visit(n.id)
 	} else {
 		_, r, err := n.Retrieve(ctx, probe)
-		route.Messages += r.Messages
-		route.Retries += r.Retries
-		route.Contacted = append(route.Contacted, r.Contacted...)
+		route.Add(r)
 		if err != nil {
 			return nil, route, err
 		}
@@ -127,9 +125,7 @@ func (n *Node) RangeRetrieve(ctx context.Context, lo, hi keyspace.Key) ([]Subtre
 	var items []SubtreeItem
 	for _, prefix := range keyspace.CoverRange(lo, hi, lo.Len()) {
 		part, r, err := n.SubtreeRetrieve(ctx, prefix)
-		route.Messages += r.Messages
-		route.Retries += r.Retries
-		route.Contacted = append(route.Contacted, r.Contacted...)
+		route.Add(r)
 		if err != nil {
 			return items, route, err
 		}

@@ -56,7 +56,7 @@ var ErrShortFrame = errors.New("codec: truncated frame")
 // Decoding is sticky: the first failure is kept in err, every later read
 // yields zero, and nothing is allocated for a count the remaining bytes
 // cannot hold. Decoded strings are substrings of in, except while own is
-// set: then each is its own copy (see keyed).
+// set: then each is its own copy (see Owned).
 type Codec struct {
 	encoding bool
 	own      bool
@@ -240,6 +240,15 @@ func (c *Codec) Str(v *string) {
 		}
 		c.off += n
 	}
+}
+
+// Owned runs walk with every string it decodes copied out of the payload:
+// for what the receiver stores, so a stored string does not pin its frame.
+func (c *Codec) Owned(walk func()) {
+	was := c.own
+	c.own = true
+	walk()
+	c.own = was
 }
 
 // List is a count followed by the elements; an empty slice decodes as nil.

@@ -170,11 +170,10 @@ func (c *Codec) peerIDs(v *[]simnet.PeerID) {
 // 96-byte keys, its neighbours' values — so these strings are decoded as
 // copies; answers, which are read and dropped, stay substrings.
 func (c *Codec) keyed(key *string, value *any) {
-	was := c.own
-	c.own = true
-	c.Str(key)
-	c.any(value)
-	c.own = was
+	c.Owned(func() {
+		c.Str(key)
+		c.any(value)
+	})
 }
 
 func (c *Codec) execRequest(m *pgrid.ExecRequest) {
@@ -192,12 +191,11 @@ func (c *Codec) execResponse(m *pgrid.ExecResponse) {
 }
 
 func (c *Codec) batchEntry(m *pgrid.BatchEntry) {
-	was := c.own
-	c.own = true
-	c.Str(&m.Key)
-	c.Enum((*int)(&m.Op), int(pgrid.OpProbe))
-	c.any(&m.Value)
-	c.own = was
+	c.Owned(func() {
+		c.Str(&m.Key)
+		c.Enum((*int)(&m.Op), int(pgrid.OpProbe))
+		c.any(&m.Value)
+	})
 }
 
 func (c *Codec) subtreeItem(m *pgrid.SubtreeItem) { c.keyed(&m.Key, &m.Value) }

@@ -340,6 +340,16 @@ func Start(cfg Config) (*Daemon, error) {
 		return fail(fmt.Errorf("daemon %d: hosts no peers (%d peers / %d daemons)",
 			cfg.Index, cfg.Peers, cfg.Daemons))
 	}
+	// Every hosted peer is recovered and reachable in-process: each routes
+	// to the others first, so a key whose leaf has a replica here is
+	// answered without crossing the transport.
+	nodes := make([]*pgrid.Node, len(d.hosted))
+	for i, h := range d.hosted {
+		nodes[i] = h.peer.Node()
+	}
+	for _, n := range nodes {
+		n.SetCoHosted(nodes)
+	}
 
 	// Client listener, same reuse discipline as the peer sockets.
 	caddr := cfg.ClientAddr

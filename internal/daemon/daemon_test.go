@@ -53,24 +53,26 @@ func drainRows(ctx context.Context, cur *wire.Cursor) int {
 	}
 }
 
-// startPair boots a two-daemon cluster concurrently (each Start blocks
-// on the other's address file).
-func startPair(t *testing.T, cfg0, cfg1 daemon.Config) (*daemon.Daemon, *daemon.Daemon) {
+// startDaemons boots n daemons of base's shape concurrently (each Start
+// blocks on the others' address files).
+func startDaemons(t *testing.T, base daemon.Config, n int) []*daemon.Daemon {
 	t.Helper()
-	var d0, d1 *daemon.Daemon
-	var err0, err1 error
+	ds := make([]*daemon.Daemon, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); d0, err0 = daemon.Start(cfg0) }()
-	go func() { defer wg.Done(); d1, err1 = daemon.Start(cfg1) }()
+	for i := range ds {
+		cfg := base
+		cfg.Index, cfg.Daemons = i, n
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); ds[i], errs[i] = daemon.Start(cfg) }(i)
+	}
 	wg.Wait()
-	if err0 != nil {
-		t.Fatalf("start daemon 0: %v", err0)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("start daemon %d: %v", i, err)
+		}
 	}
-	if err1 != nil {
-		t.Fatalf("start daemon 1: %v", err1)
-	}
-	return d0, d1
+	return ds
 }
 
 // loadWorker hammers one daemon address with writes and streamed
@@ -180,9 +182,10 @@ func TestDaemonSigtermCycleUnderLoad(t *testing.T) {
 		SnapshotEvery: 64,
 		PeerWait:      10 * time.Second,
 	}
-	cfg0, cfg1 := base, base
-	cfg0.Index, cfg1.Index = 0, 1
-	d0, d1 := startPair(t, cfg0, cfg1)
+	ds := startDaemons(t, base, 2)
+	d0, d1 := ds[0], ds[1]
+	cfg1 := base
+	cfg1.Index = 1
 
 	stop := make(chan struct{})
 	var workers sync.WaitGroup
@@ -255,11 +258,15 @@ func TestDaemonSigtermCycleUnderLoad(t *testing.T) {
 
 // TestRestartedSiblingIsRedialled: daemon 0 holds pooled connections to
 // daemon 1's peers when daemon 1 restarts on the same ports. Every one of
-// them is dead, and the first queries to find that out must not show it:
+// them is dead, and the first exchanges to find that out must not show it:
 // a stale pooled connection is redialled, not surfaced as an unreachable
-// peer, so the answers are complete and un-Degraded on the first try.
-// Messages between daemon 0's own peers never reach the transport, so
-// every transport send counted there crossed to daemon 1.
+// peer. Every leaf has a replica on each daemon, so daemon 0's reads never
+// leave it; its writes do — each one is pushed to the leaf's replica on
+// daemon 1 before it is acknowledged. A push lost to a stale connection
+// would leave that replica without the write, so daemon 1's own peers
+// reading it back is the check. Messages between daemon 0's own peers never
+// reach the transport, so every transport send counted there crossed to
+// daemon 1.
 func TestRestartedSiblingIsRedialled(t *testing.T) {
 	base := daemon.Config{
 		Dir:           t.TempDir(),
@@ -269,9 +276,10 @@ func TestRestartedSiblingIsRedialled(t *testing.T) {
 		Seed:          42,
 		PeerWait:      10 * time.Second,
 	}
-	cfg0, cfg1 := base, base
-	cfg0.Index, cfg1.Index = 0, 1
-	d0, d1 := startPair(t, cfg0, cfg1)
+	ds := startDaemons(t, base, 2)
+	d0, d1 := ds[0], ds[1]
+	cfg1 := base
+	cfg1.Index = 1
 	defer func() {
 		d0.Shutdown(context.Background()) //nolint:errcheck
 		d1.Shutdown(context.Background()) //nolint:errcheck
@@ -284,22 +292,30 @@ func TestRestartedSiblingIsRedialled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// The hash preserves order, so these subjects spread over the trie.
-	subjects := []string{"0-s", "9-s", "A-s", "Z-s", "a-s", "m-s", "z-s", "~-s"}
-	var ins []triple.Triple
-	for _, s := range subjects {
-		ins = append(ins, triple.Triple{Subject: s, Predicate: "Redial#p", Object: "o-" + s})
+	// The hash preserves order, so subjects led by these spread over the
+	// trie. Each issuer writes its own.
+	leads := []string{"0", "9", "A", "Z", "a", "m", "z", "~"}
+	write := func(phase string, issuers []string) []string {
+		var subjects []string
+		for _, issuer := range issuers {
+			var ins []triple.Triple
+			for _, l := range leads {
+				s := fmt.Sprintf("%s-%s-%s", l, phase, issuer)
+				subjects = append(subjects, s)
+				ins = append(ins, triple.Triple{Subject: s, Predicate: "Redial#p", Object: "o-" + s})
+			}
+			if rec, err := cl.Write(ctx, wire.Write{Peer: issuer, Inserts: ins}); err != nil || rec.Applied != len(ins) {
+				t.Fatalf("%s: write from %s: receipt %+v, err %v", phase, issuer, rec, err)
+			}
+		}
+		return subjects
 	}
-	if rec, err := cl.Write(ctx, wire.Write{Inserts: ins}); err != nil || rec.Applied != len(ins) {
-		t.Fatalf("write: receipt %+v, err %v", rec, err)
-	}
-	// Each subject from each of daemon 0's peers; with phase set, any
-	// flaw in an answer fails the test.
-	sweep := func(phase string) {
-		for _, issuer := range d0.PeerIDs() {
+	// Each subject from each issuer; any flaw in an answer fails the test.
+	sweep := func(c *wire.Client, phase string, issuers, subjects []string) {
+		for _, issuer := range issuers {
 			for _, s := range subjects {
 				pat := triple.Pattern{S: triple.Const(s), P: triple.Var("p"), O: triple.Var("o")}
-				cur, err := cl.Query(ctx, wire.Query{Peer: issuer, Pattern: &pat})
+				cur, err := c.Query(ctx, wire.Query{Peer: issuer, Pattern: &pat})
 				if err != nil {
 					t.Fatalf("%s: query %s from %s: %v", phase, s, issuer, err)
 				}
@@ -319,7 +335,8 @@ func TestRestartedSiblingIsRedialled(t *testing.T) {
 		return st.Overlay
 	}
 
-	sweep("warm-up")
+	warmSubjects := write("warm", d0.PeerIDs()[:1])
+	sweep(cl, "warm-up", d0.PeerIDs(), warmSubjects)
 	warm := overlay()
 	if warm.PoolIdle == 0 || warm.LocalDeliveries == 0 || warm.Sends == 0 {
 		t.Fatalf("after the warm-up daemon 0 reports %+v; want pooled connections to daemon 1, local deliveries and transport sends", warm)
@@ -332,11 +349,18 @@ func TestRestartedSiblingIsRedialled(t *testing.T) {
 		t.Fatalf("restart daemon 1: %v", err)
 	}
 
-	sweep("after the restart")
+	fresh := write("after", d0.PeerIDs())
 	after := overlay()
 	if after.Sends == warm.Sends || after.PoolRedials == warm.PoolRedials {
-		t.Errorf("overlay stats %+v -> %+v across the restart: the sweep met no stale connection, so it proved nothing", warm, after)
+		t.Errorf("overlay stats %+v -> %+v across the restart: the writes met no stale connection, so they proved nothing", warm, after)
 	}
+	sweep(cl, "after the restart", d0.PeerIDs(), append(warmSubjects, fresh...))
+	cl1, err := wire.Dial(d1.ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl1.Close()
+	sweep(cl1, "daemon 1's replicas", d1.PeerIDs(), fresh)
 }
 
 // TestDaemonColdStartServesAndDumps pins the basic single-daemon

@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridvine/internal/keyspace"
@@ -84,6 +85,11 @@ type Node struct {
 	// leaves remembers the peer that last answered for each trie leaf this
 	// node reached; routing tries it first (see routeOnce).
 	leaves leafCache
+
+	// cohosted maps the leaves of the peers sharing this node's process to
+	// one of them; routing tries it before the learned leaf (see
+	// SetCoHosted). Nil until set.
+	cohosted atomic.Pointer[coHosted]
 
 	// rng drives routing tie-breaks. math/rand.Rand is not goroutine-safe
 	// and concurrent queries route through the same node, so it has its own

@@ -43,9 +43,10 @@ type Route struct {
 	// from a live replica rather than the first-choice responsible peer, so
 	// under churn it may trail the newest writes by one anti-entropy round.
 	Degraded bool
-	// Shortcut reports that the first exchange went to a learned leaf: a
-	// peer that answered for the key's leaf before (see routeOnce), rather
-	// than one of the issuer's routing references.
+	// Shortcut reports that the first exchange went to a co-hosted peer of
+	// the key's leaf or to a learned leaf — a peer that answered for it
+	// before (see routeOnce) — rather than one of the issuer's routing
+	// references.
 	Shortcut bool
 }
 
@@ -191,11 +192,15 @@ func (n *Node) retryBackoff(ctx context.Context, attempt int) error {
 // exclude so the next pass avoids them. A non-nil error is terminal —
 // cancellation, never a dead peer.
 //
-// A pass starts at the learned leaf for the key when there is one, so a
-// warm operation costs one exchange instead of one per trie level. The
-// hint is never trusted: the receiver still checks its responsibility, and
-// a hint that fails or answers "not me" is forgotten and the pass goes on
-// as if it had never been learned.
+// A pass starts at a co-hosted peer of the key's leaf when there is one
+// (see SetCoHosted), else at the learned leaf, so a warm operation costs
+// one exchange instead of one per trie level, and in a daemon that exchange
+// never leaves the process. Neither hint is trusted: the receiver still
+// checks its responsibility. A co-hosted peer that fails is excluded for
+// this operation only — it is not suspected, since an in-process delivery
+// fails on its handler, not on the network. A learned hint that fails or
+// answers "not me" is forgotten. Either way the pass goes on as if the hint
+// had not been there.
 func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest, exclude map[simnet.PeerID]bool, route *Route) (ExecResponse, bool, error) {
 	// Local fast path.
 	if responsible, _ := n.nextHopInfo(key); responsible {
@@ -206,17 +211,26 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 		return resp, true, nil
 	}
 
-	// The references are worked out only when there is no hint, or once it
-	// has let the pass down.
-	var candidates []simnet.PeerID
-	hint, hintPath := n.learnedHop(req.Key, exclude)
-	if hint != "" {
-		candidates = []simnet.PeerID{hint}
-		if route.Messages == 0 {
-			route.Shortcut = true
+	// The learned leaf is looked up only without a co-hosted peer, and the
+	// references are worked out only when there is no hint, or once it has
+	// let the pass down.
+	var hint simnet.PeerID
+	var hintPath string
+	remote := func() []simnet.PeerID {
+		if hint, hintPath = n.learnedHop(req.Key, exclude); hint != "" {
+			return []simnet.PeerID{hint}
 		}
+		return n.candidateHops(key, exclude)
+	}
+	var candidates []simnet.PeerID
+	co := n.coHostedHop(req.Key, exclude)
+	if co != "" {
+		candidates = []simnet.PeerID{co}
 	} else {
-		candidates = n.candidateHops(key, exclude)
+		candidates = remote()
+	}
+	if (co != "" || hint != "") && route.Messages == 0 {
+		route.Shortcut = true
 	}
 	visited := map[simnet.PeerID]bool{n.id: true}
 
@@ -242,11 +256,16 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 			if cerr := ctx.Err(); cerr != nil {
 				return ExecResponse{}, false, cerr
 			}
-			n.markSuspect(next)
 			exclude[next] = true
-			if next == hint {
+			switch next {
+			case co:
+				candidates = remote()
+			case hint:
+				n.markSuspect(next)
 				n.leaves.forget(hintPath, hint)
 				candidates = n.candidateHops(key, exclude)
+			default:
+				n.markSuspect(next)
 			}
 			continue
 		}
@@ -257,10 +276,17 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 			return ExecResponse{}, false, nil
 		}
 		if resp.Responsible {
-			n.leaves.learn(req.Key, resp.Path, next)
+			if next != co {
+				n.leaves.learn(req.Key, resp.Path, next)
+			}
 			return resp, true, nil
 		}
-		if next == hint {
+		switch next {
+		case co:
+			// The co-hosted peer's leaf split or moved: its references lead
+			// on, then the learned leaf or the issuer's own references.
+			candidates = remote()
+		case hint:
 			// The learned leaf split or moved: the receiver's references
 			// lead on, then the issuer's own.
 			n.leaves.forget(hintPath, hint)
@@ -276,6 +302,52 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 		candidates = append(closer, candidates...)
 	}
 	return ExecResponse{}, false, nil
+}
+
+// coHosted is a node's table of the leaves its co-hosted peers serve: leaf
+// path → the first co-hosted peer on it. It is built once and never
+// changed, so routing reads it without a lock.
+type coHosted struct {
+	peers map[string]simnet.PeerID
+	depth int // the longest path: lookups probe no deeper
+}
+
+// SetCoHosted tells the node which peers share its process, so routing
+// tries one of them first for any key under their leaves (proximity
+// routing: a replica in the same process answers without a network
+// exchange). Where several serve one leaf, the first in peers is kept.
+// The table takes the peers' paths as they are now and is replaced whole
+// by the next call; it is meant to be set once, when every peer in it is
+// reachable. The node itself and peers on its own leaf are left out: the
+// node answers for those keys itself.
+func (n *Node) SetCoHosted(peers []*Node) {
+	own := n.Path().String()
+	t := &coHosted{peers: make(map[string]simnet.PeerID, len(peers))}
+	for _, p := range peers {
+		path := p.Path().String()
+		if _, dup := t.peers[path]; dup || p == n || path == "" || path == own {
+			continue
+		}
+		t.peers[path] = p.ID()
+		t.depth = max(t.depth, len(path))
+	}
+	n.cohosted.Store(t)
+}
+
+// coHostedHop returns the co-hosted peer for the deepest leaf on key's path
+// unless this operation has excluded it; "" when there is none. Suspicion
+// does not count: a co-hosted peer is tried on every operation.
+func (n *Node) coHostedHop(key string, exclude map[simnet.PeerID]bool) simnet.PeerID {
+	t := n.cohosted.Load()
+	if t == nil {
+		return ""
+	}
+	for l := min(t.depth, len(key)); l > 0; l-- {
+		if p, ok := t.peers[key[:l]]; ok && !exclude[p] {
+			return p
+		}
+	}
+	return ""
 }
 
 // leafCache remembers, per trie leaf a node has reached, the peer that last

@@ -58,12 +58,17 @@ func (c walk) trailer(m *Trailer) {
 func (c walk) write(m *Write) {
 	c.Uint(&m.ID)
 	c.Str(&m.Peer)
-	codec.List(c.Codec, &m.Inserts, 3, c.Triple)
-	codec.List(c.Codec, &m.Deletes, 3, c.Triple)
-	codec.List(c.Codec, &m.Schemas, 3, c.Schema)
-	codec.List(c.Codec, &m.Mappings, 24, c.Mapping)
-	codec.List(c.Codec, &m.ReplaceOld, 24, c.Mapping)
-	codec.List(c.Codec, &m.ReplaceNew, 24, c.Mapping)
+	// What a write carries is stored as it is — in-process deliveries hand
+	// it over uncopied — so it is decoded as copies, not substrings of the
+	// frame.
+	c.Owned(func() {
+		codec.List(c.Codec, &m.Inserts, 3, c.Triple)
+		codec.List(c.Codec, &m.Deletes, 3, c.Triple)
+		codec.List(c.Codec, &m.Schemas, 3, c.Schema)
+		codec.List(c.Codec, &m.Mappings, 24, c.Mapping)
+		codec.List(c.Codec, &m.ReplaceOld, 24, c.Mapping)
+		codec.List(c.Codec, &m.ReplaceNew, 24, c.Mapping)
+	})
 	c.Int(&m.Parallelism)
 }
 

@@ -405,25 +405,7 @@ func (sc *srvConn) handleWrite(w *Write) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer sc.track(w.ID, cancel)()
 
-	var b mediation.Batch
-	b.Parallelism = w.Parallelism
-	for _, t := range w.Inserts {
-		b.InsertTriple(t)
-	}
-	for _, t := range w.Deletes {
-		b.DeleteTriple(t)
-	}
-	for _, sch := range w.Schemas {
-		b.PublishSchema(sch)
-	}
-	for _, m := range w.Mappings {
-		b.PublishMapping(m)
-	}
-	for i := range w.ReplaceOld {
-		b.ReplaceMapping(w.ReplaceOld[i], w.ReplaceNew[i])
-	}
-
-	rec, err := h.Peer.Write(ctx, &b)
+	rec, err := h.Peer.Write(ctx, batchOf(w))
 	out := &Receipt{ID: w.ID}
 	if err != nil {
 		out.Err = err.Error()
@@ -441,6 +423,27 @@ func (sc *srvConn) handleWrite(w *Write) {
 		}
 	}
 	sc.send(TReceipt, out)
+}
+
+// batchOf is the engine batch a Write frame asks for.
+func batchOf(w *Write) *mediation.Batch {
+	b := &mediation.Batch{Parallelism: w.Parallelism}
+	for _, t := range w.Inserts {
+		b.InsertTriple(t)
+	}
+	for _, t := range w.Deletes {
+		b.DeleteTriple(t)
+	}
+	for _, sch := range w.Schemas {
+		b.PublishSchema(sch)
+	}
+	for _, m := range w.Mappings {
+		b.PublishMapping(m)
+	}
+	for i := range w.ReplaceOld {
+		b.ReplaceMapping(w.ReplaceOld[i], w.ReplaceNew[i])
+	}
+	return b
 }
 
 func (s *Server) statsSnapshot(id uint64) *DaemonStats {

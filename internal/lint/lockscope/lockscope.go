@@ -1,10 +1,10 @@
 // Package lockscope encodes the deadlock-freedom discipline the batched
 // write path was designed around (DESIGN.md §2, "Write path & bulk
 // ingest"): no transport send, channel operation, or select may execute
-// while a triple.DB shard lock or pgrid node lock is held. A blocked
+// while a triple.DB lock or pgrid node lock is held. A blocked
 // transport peer, a full channel, or a never-firing select would then
 // pin the lock — and with it every routed operation that needs the same
-// shard or node state on the remote side of the send.
+// store or node state on the remote side of the send.
 //
 // The analyzer tracks sync.Mutex/RWMutex hold regions per function body
 // (Lock/RLock … Unlock/RUnlock in straight-line order; a deferred Unlock

@@ -124,7 +124,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // Race test: many issuers run reformulating searches concurrently while
 // writers keep inserting. Run with -race this exercises the full stack —
-// sharded store, parallel fan-out, overlay routing (shared per-node rngs).
+// triple store, parallel fan-out, overlay routing (shared per-node rngs).
 func TestConcurrentReformulatingSearches(t *testing.T) {
 	_, ps := fanNetwork(t, 32, 4, 12)
 	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("species-1")}

@@ -347,7 +347,7 @@ func (p *Peer) Write(ctx context.Context, b *Batch) (*Receipt, error) {
 }
 
 // mirrorStore mirrors one applied pass of store changes into the local
-// relational database, absorbing runs of inserted triples in sharded passes
+// relational database, absorbing each run of inserted triples in one batch
 // (triple.DB.InsertBatch) and running deletions through the multi-key
 // refcount logic of mirrorDelete. Mutation order is preserved — pending
 // inserts flush before any delete — so an insert-then-delete of the same

@@ -8,139 +8,68 @@ import (
 	"sync/atomic"
 )
 
-// shardCount is the number of lock stripes of a DB. A power of two so the
-// shard of a subject is a cheap mask of its hash. 32 stripes keep lock
-// contention negligible up to several hundred concurrent readers/writers
-// while the per-shard fixed cost (three small maps) stays trivial.
-const shardCount = 32
-
-// shard is one lock stripe: the triples whose subject hashes to this stripe,
-// filed under the three positional equality indexes restricted to those
-// triples. A given subject lives in exactly one shard, so bySubject doubles
-// as the shard's membership set (there is no separate triple set) and owns
-// the lookup from a triple's value to its row; predicate and object indexes
-// hold row pointers only, are partial per shard, and cross-shard lookups
-// union them.
-type shard struct {
-	mu          sync.RWMutex
-	bySubject   map[string]members
-	byPredicate map[string]rows
-	byObject    map[string]rows
-}
-
 // DB is the local database DB_p each peer maintains for the triples it is
 // responsible for (paper §2.2). Its physical schema is the fixed ternary
 // relation (subject, predicate, object); every component is indexed so that
 // constraint searches on any position are index lookups.
 //
-// The store is sharded by subject hash into shardCount lock stripes, so
-// concurrent inserts, deletes and selects on different subjects proceed
-// without contending on a single database-wide mutex. DB is safe for
-// concurrent use; each individual operation is atomic per shard, and
-// cross-shard reads (Select by predicate/object, All) observe each shard at
-// a consistent point but not the database as one global snapshot — callers
-// that interleave writes and expect a frozen global view must serialize
-// externally, as with any concurrent map.
+// Each index maps a key to the posting of the rows filed under it (see
+// members). bySubject doubles as the membership set — there is no separate
+// triple set — and owns the lookup from a triple's value to its row;
+// byPredicate and byObject hold row pointers only.
+//
+// One RWMutex guards the three indexes. A daemon hosts one DB per peer, so
+// its peers already write under separate locks. DB is safe for concurrent
+// use, and every operation, Stats included, observes one consistent state.
 type DB struct {
-	shards [shardCount]shard
-	size   atomic.Int64
+	mu          sync.RWMutex
+	bySubject   map[string]members
+	byPredicate map[string][]*Triple
+	byObject    map[string][]*Triple
+	size        atomic.Int64
 
 	// statsGen counts committed mutations; statsCache holds the last
 	// computed Stats tagged with the generation it was computed at. A
 	// cache hit requires the tags to match, so any intervening mutation
 	// invalidates it without the mutators ever touching the cache
-	// pointer. See Stats.
+	// pointer. size and statsGen move under the write lock. See Stats.
 	statsGen   atomic.Uint64
 	statsCache atomic.Pointer[cachedStats]
 }
 
 // NewDB returns an empty local triple database.
 func NewDB() *DB {
-	db := &DB{}
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.bySubject = make(map[string]members)
-		s.byPredicate = make(map[string]rows)
-		s.byObject = make(map[string]rows)
+	return &DB{
+		bySubject:   make(map[string]members),
+		byPredicate: make(map[string][]*Triple),
+		byObject:    make(map[string][]*Triple),
 	}
-	return db
-}
-
-// fnv1a is the 64-bit FNV-1a hash, inlined to keep shard selection
-// allocation-free on the hot path.
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-func (db *DB) shardFor(subject string) *shard {
-	return &db.shards[fnv1a(subject)&(shardCount-1)]
-}
-
-// insert files t under its three keys unless it is already stored; s.mu
-// must be held.
-func (s *shard) insert(t Triple) bool {
-	m := s.bySubject[t.Subject]
-	if m.find(t) != nil {
-		return false
-	}
-	row := new(Triple) // after the check: a duplicate allocates nothing
-	*row = t
-	m.add(row)
-	s.bySubject[t.Subject] = m
-	addRow(s.byPredicate, t.Predicate, row)
-	addRow(s.byObject, t.Object, row)
-	return true
 }
 
 // Insert adds a triple (idempotent) and reports whether it was new.
 func (db *DB) Insert(t Triple) bool {
-	s := db.shardFor(t.Subject)
-	s.mu.Lock()
-	inserted := s.insert(t)
-	s.mu.Unlock()
-	if inserted {
-		db.size.Add(1)
-		db.statsGen.Add(1)
-	}
-	return inserted
+	return db.InsertBatch([]Triple{t}) == 1
 }
 
-// InsertBatch adds a set of triples, visiting each affected shard once
-// (triples are grouped by shard and applied under a single lock
-// acquisition per stripe) instead of paying one lock round-trip per
-// triple. It returns the number of newly inserted triples.
+// InsertBatch adds a set of triples under one lock acquisition instead of
+// paying one lock round-trip per triple. It returns the number of newly
+// inserted triples.
 func (db *DB) InsertBatch(ts []Triple) int {
-	if len(ts) == 0 {
-		return 0
-	}
-	var byShard [shardCount][]Triple
-	for _, t := range ts {
-		i := fnv1a(t.Subject) & (shardCount - 1)
-		byShard[i] = append(byShard[i], t)
-	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	inserted := 0
-	for i := range byShard {
-		group := byShard[i]
-		if len(group) == 0 {
+	for _, t := range ts {
+		m := db.bySubject[t.Subject]
+		if m.find(t) != nil {
 			continue
 		}
-		s := &db.shards[i]
-		s.mu.Lock()
-		for _, t := range group {
-			if s.insert(t) {
-				inserted++
-			}
-		}
-		s.mu.Unlock()
+		row := new(Triple) // after the check: a duplicate allocates nothing
+		*row = t
+		m.add(row)
+		db.bySubject[t.Subject] = m
+		db.byPredicate[t.Predicate] = append(db.byPredicate[t.Predicate], row)
+		db.byObject[t.Object] = append(db.byObject[t.Object], row)
+		inserted++
 	}
 	if inserted > 0 {
 		db.size.Add(int64(inserted))
@@ -151,22 +80,20 @@ func (db *DB) InsertBatch(ts []Triple) int {
 
 // Delete removes a triple and reports whether it was present.
 func (db *DB) Delete(t Triple) bool {
-	s := db.shardFor(t.Subject)
-	s.mu.Lock()
-	m := s.bySubject[t.Subject]
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	m := db.bySubject[t.Subject]
 	row := m.find(t)
 	if row == nil {
-		s.mu.Unlock()
 		return false
 	}
 	if m.remove(row); m.len() == 0 {
-		delete(s.bySubject, t.Subject)
+		delete(db.bySubject, t.Subject)
 	} else {
-		s.bySubject[t.Subject] = m
+		db.bySubject[t.Subject] = m
 	}
-	dropRow(s.byPredicate, t.Predicate, row)
-	dropRow(s.byObject, t.Object, row)
-	s.mu.Unlock()
+	dropRow(db.byPredicate, t.Predicate, row)
+	dropRow(db.byObject, t.Object, row)
 	db.size.Add(-1)
 	db.statsGen.Add(1)
 	return true
@@ -174,11 +101,9 @@ func (db *DB) Delete(t Triple) bool {
 
 // Has reports whether the exact triple is stored.
 func (db *DB) Has(t Triple) bool {
-	s := db.shardFor(t.Subject)
-	s.mu.RLock()
-	ok := s.bySubject[t.Subject].find(t) != nil
-	s.mu.RUnlock()
-	return ok
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.bySubject[t.Subject].find(t) != nil
 }
 
 // Len returns the number of stored triples.
@@ -189,14 +114,11 @@ func (db *DB) Len() int {
 // All returns every stored triple in unspecified order. Use AllSorted when
 // deterministic order matters.
 func (db *DB) All() []Triple {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	out := make([]Triple, 0, db.Len())
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for _, p := range s.bySubject {
-			p.each(func(t Triple) { out = append(out, t) })
-		}
-		s.mu.RUnlock()
+	for _, p := range db.bySubject {
+		p.each(func(t Triple) { out = append(out, t) })
 	}
 	return out
 }
@@ -209,58 +131,56 @@ func (db *DB) AllSorted() []Triple {
 	return out
 }
 
-// appendMatches appends the rows of s matching q, scanning the smallest
-// posting a constant of q files them under and filtering the remainder; it
-// also reports how many rows it examined. The choice is made per shard, under
-// the lock the scan holds anyway (one map lookup per constant), instead of
-// counting every shard's postings first: the rows examined over all shards
-// never exceed those of the best single index, Σ min(aᵢ, bᵢ) ≤ min(Σ aᵢ, Σ bᵢ).
-// Ties break subject > object > predicate, the routing specificity order; a
-// pattern without constants scans the whole shard.
-func (s *shard) appendMatches(out []*Triple, q Pattern) ([]*Triple, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best rows
+// matching appends to out the rows matching q — σ before the copy-out — and
+// reports how many rows it examined to find them. It scans the smallest
+// posting a constant of q files them under and filters the remainder. Ties
+// break subject > object > predicate, the routing specificity order; a
+// pattern without constants scans the whole database.
+func (db *DB) matching(out []*Triple, q Pattern) ([]*Triple, int) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var best []*Triple
 	n := -1
 	if q.O.Kind == Constant {
-		best = s.byObject[q.O.Value]
-		n = best.len()
+		best = db.byObject[q.O.Value]
+		n = len(best)
 	}
 	if q.P.Kind == Constant {
-		if p := s.byPredicate[q.P.Value]; n < 0 || p.len() < n {
-			best, n = p, p.len()
+		if p := db.byPredicate[q.P.Value]; n < 0 || len(p) < n {
+			best, n = p, len(p)
 		}
 	}
 	if q.S.Kind == Constant {
-		if m := s.bySubject[q.S.Value]; n < 0 || m.len() <= n {
-			return m.appendMatches(slices.Grow(out, m.len()), q), m.len()
+		if m := db.bySubject[q.S.Value]; n < 0 || m.len() <= n {
+			return m.appendMatches(growForAnswer(out, q, 1, m.len()), q), m.len()
 		}
 	}
 	if n < 0 {
-		examined := 0
-		for _, m := range s.bySubject {
-			out = m.appendMatches(slices.Grow(out, m.len()), q)
-			examined += m.len()
+		out = growForAnswer(out, q, 0, db.Len())
+		for _, m := range db.bySubject {
+			out = m.appendMatches(out, q)
 		}
-		return out, examined
+		return out, db.Len()
 	}
-	return best.appendMatches(slices.Grow(out, n), q), n
+	return appendMatches(growForAnswer(out, q, 1, n), best, q), n
 }
 
-// matching appends to buf the rows matching q — σ before the copy-out — and
-// reports how many rows it examined to find them. A constant subject lives
-// in exactly one shard; every other pattern visits each shard once.
-func (db *DB) matching(buf []*Triple, q Pattern) (rows []*Triple, examined int) {
-	if q.S.Kind == Constant {
-		return db.shardFor(q.S.Value).appendMatches(buf, q)
+// growForAnswer makes room in out for the n rows of a scan when all of them
+// are the answer: q binds no term but the filed constants the scan's posting
+// is filed under (1 for a posting, 0 for the full scan). When another term
+// filters the scan, its answer may be a few rows of a long posting, and out
+// grows by append instead.
+func growForAnswer(out []*Triple, q Pattern, filed, n int) []*Triple {
+	bound := 0
+	for _, t := range [3]Term{q.S, q.P, q.O} {
+		if t.Kind != Variable {
+			bound++
+		}
 	}
-	rows = buf
-	for i := range db.shards {
-		var n int
-		rows, n = db.shards[i].appendMatches(rows, q)
-		examined += n
+	if bound > filed {
+		return out
 	}
-	return rows, examined
+	return slices.Grow(out, n)
 }
 
 // selectScratch is how many row pointers Select collects on its stack
@@ -278,8 +198,8 @@ func copyRows(rows []*Triple) []Triple {
 }
 
 // Select implements the selection operator σ for a triple pattern: it
-// returns all stored triples matching the pattern, scanning per shard the
-// most selective available equality index and filtering the remainder.
+// returns all stored triples matching the pattern, scanning the most
+// selective available equality index and filtering the remainder.
 // Results are in unspecified order; callers that need deterministic output
 // use SelectSorted or sort themselves with SortTriples.
 func (db *DB) Select(q Pattern) []Triple {
@@ -332,35 +252,26 @@ func mergeBindings(a, b Bindings) (Bindings, bool) {
 // position of triples with the given predicate. The automatic alignment
 // algorithm uses it to compare attribute value sets across schemas (§4).
 func (db *DB) DistinctValues(predicate string, pos Position) []string {
-	set := map[string]bool{}
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		s.byPredicate[predicate].each(func(t Triple) { set[t.Component(pos)] = true })
-		s.mu.RUnlock()
+	set := map[string]struct{}{}
+	db.mu.RLock()
+	for _, row := range db.byPredicate[predicate] {
+		set[row.Component(pos)] = struct{}{}
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	db.mu.RUnlock()
+	return sortedKeys(set)
 }
 
 // Predicates returns the sorted set of predicates present in the database.
 func (db *DB) Predicates() []string {
-	set := map[string]bool{}
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for p := range s.byPredicate {
-			set[p] = true
-		}
-		s.mu.RUnlock()
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return sortedKeys(db.byPredicate)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -21,7 +21,7 @@ func batchTriples(n int, seed int64) []Triple {
 	return out
 }
 
-// TestInsertBatchMatchesSerial: the one-pass-per-shard batch insert must
+// TestInsertBatchMatchesSerial: the one-lock batch insert must
 // produce the same database and the same new-triple count as the
 // per-triple loop, duplicates included.
 func TestInsertBatchMatchesSerial(t *testing.T) {
@@ -50,8 +50,8 @@ func TestInsertBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestInsertBatchConcurrent: concurrent batch writers over overlapping
-// shards must neither race nor lose triples.
+// TestInsertBatchConcurrent: concurrent batch writers sharing a predicate
+// and an object must neither race nor lose triples.
 func TestInsertBatchConcurrent(t *testing.T) {
 	db := NewDB()
 	var wg sync.WaitGroup
@@ -79,8 +79,8 @@ func TestInsertBatchConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkInsertBatch compares the per-triple loop against the sharded
-// one-pass batch on a bulk-load shaped workload.
+// BenchmarkInsertBatch compares the per-triple loop against the one-lock
+// batch on a bulk-load shaped workload.
 func BenchmarkInsertBatch(b *testing.B) {
 	ts := batchTriples(20000, 4)
 	b.Run("serial", func(b *testing.B) {

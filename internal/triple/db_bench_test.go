@@ -10,7 +10,7 @@ import (
 
 // legacyDB reimplements the seed's store — one RWMutex, one triple map,
 // fixed subject>object>predicate index preference, unconditional sort — as
-// the serial baseline BenchmarkSelect compares the sharded store against.
+// the baseline BenchmarkSelect compares the store against.
 type legacyDB struct {
 	mu          sync.RWMutex
 	triples     map[Triple]struct{}
@@ -92,16 +92,16 @@ func benchTriples() []Triple {
 	return out
 }
 
-// BenchmarkSelect compares the sharded, selectivity-aware store against the
-// seed's single-mutex baseline on a 20k-triple skewed workload.
+// BenchmarkSelect compares the selectivity-aware store against the seed's
+// baseline on a 20k-triple skewed workload. Both take one read lock per
+// select; they differ in the posting they scan and in what a posting is.
 //
 // skewed: the pattern constrains both the hot subject (10k candidates) and
 // a rare object (~10 candidates). The legacy store scans the 10k-entry
-// subject index and sorts; the sharded store picks the object index.
+// subject index and sorts; the store picks the object index.
 //
-// parallel: many goroutines issue predicate-constrained selects — the
-// single RWMutex serializes the legacy baseline's map scans while the
-// striped store runs them concurrently.
+// parallel: the same select from many goroutines, which share the read
+// lock.
 func BenchmarkSelect(b *testing.B) {
 	data := benchTriples()
 	skewed := Pattern{S: Const("hot-subject"), P: Var("p"), O: Const("rare-object")}
@@ -117,7 +117,7 @@ func BenchmarkSelect(b *testing.B) {
 			db.selectPattern(skewed)
 		}
 	})
-	b.Run("skewed/sharded", func(b *testing.B) {
+	b.Run("skewed/db", func(b *testing.B) {
 		db := NewDB()
 		for _, t := range data {
 			db.Insert(t)
@@ -139,7 +139,7 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		})
 	})
-	b.Run("parallel/sharded", func(b *testing.B) {
+	b.Run("parallel/db", func(b *testing.B) {
 		db := NewDB()
 		for _, t := range data {
 			db.Insert(t)
@@ -151,7 +151,7 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		})
 	})
-	b.Run("bypredicate/sharded", func(b *testing.B) {
+	b.Run("bypredicate/db", func(b *testing.B) {
 		db := NewDB()
 		for _, t := range data {
 			db.Insert(t)
@@ -176,8 +176,8 @@ func BenchmarkSelect(b *testing.B) {
 	})
 }
 
-// BenchmarkInsert compares write throughput under concurrent load: the
-// striped store admits parallel inserts on distinct subjects.
+// BenchmarkInsert compares write throughput under concurrent load, where
+// both stores serialize inserts on one write lock.
 func BenchmarkInsert(b *testing.B) {
 	b.Run("parallel/legacy", func(b *testing.B) {
 		db := newLegacyDB()
@@ -189,7 +189,7 @@ func BenchmarkInsert(b *testing.B) {
 			}
 		})
 	})
-	b.Run("parallel/sharded", func(b *testing.B) {
+	b.Run("parallel/db", func(b *testing.B) {
 		db := NewDB()
 		var n atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
@@ -223,4 +223,25 @@ func BenchmarkInsert(b *testing.B) {
 		b.ReportMetric(retained, "retained-B/triple")
 		runtime.KeepAlive(data)
 	})
+}
+
+// BenchmarkDeleteUnderHotPredicate prices the one linear step of the store:
+// taking a row out of a 10k-row predicate posting, a slice searched for the
+// row's pointer. Each iteration deletes one triple and inserts it back, so
+// the posting stays at 10k rows while the victims walk it.
+func BenchmarkDeleteUnderHotPredicate(b *testing.B) {
+	const rows = 10000
+	data := make([]Triple, rows)
+	for i := range data {
+		data[i] = Triple{fmt.Sprintf("s%d", i), "hot", fmt.Sprintf("o%d", i)}
+	}
+	db := NewDB()
+	db.InsertBatch(data)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := data[i*7919%rows]
+		db.Delete(t)
+		db.Insert(t)
+	}
 }

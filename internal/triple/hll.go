@@ -92,8 +92,8 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// fnv64a is the 64-bit FNV-1a string hash, inlined to keep Add
-// allocation-free on the stats scan's hot path.
+// fnv64a is the 64-bit FNV-1a string hash, inlined to keep Add (on the
+// stats scan's hot path) and ValueFilter's probes allocation-free.
 func fnv64a(s string) uint64 {
 	const (
 		offset = 14695981039346656037

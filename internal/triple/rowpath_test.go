@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // The path of a joined row through this package — σ over row pointers, the
@@ -120,7 +121,7 @@ func TestBindReformulatedVariantsCollapse(t *testing.T) {
 }
 
 // SelectSorted is SortTriples over Select, also while writers add and remove
-// other triples: rows are read through pointers after the shard lock is
+// other triples: rows are read through pointers after the database lock is
 // released, which is only sound because a stored row is never written.
 func TestSelectSortedUnderConcurrentWrites(t *testing.T) {
 	db := NewDB()
@@ -244,6 +245,37 @@ func TestRowPathAllocationBudgets(t *testing.T) {
 		} else {
 			t.Logf("%s: %.3f allocations per row", tc.name, got)
 		}
+	}
+
+	// σ grows its scratch by the answer, not by the posting it scans. A
+	// reformulated variant (?x, P, "v") whose value is as common under
+	// another schema's attribute scans P's 640 rows for 5 matches: it pays
+	// their copy-out and a constant, not a pointer per scanned row.
+	variants := NewDB()
+	for i := 0; i < 640; i++ {
+		s, v := fmt.Sprintf("acc:%05d", i), fmt.Sprint("other-", i)
+		if i%128 == 0 {
+			v = "v"
+		}
+		variants.Insert(Triple{s, "S#organism", v})
+		variants.Insert(Triple{s, "T#organism", "v"})
+	}
+	variant := Pattern{S: Var("x"), P: Const("S#organism"), O: Const("v")}
+	matches, examined := variants.matching(nil, variant)
+	if len(matches) != 5 || examined != 640 {
+		t.Fatalf("fixture: %d matches of %d rows examined", len(matches), examined)
+	}
+	const slack = 256
+	copyOut := int64(len(matches)) * int64(unsafe.Sizeof(Triple{}))
+	bytes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			variants.SelectSorted(variant)
+		}
+	}).AllocedBytesPerOp()
+	if bytes > copyOut+slack {
+		t.Errorf("SelectSorted(%v): %d bytes per call, budget %d (the answer's copy-out) + %d", variant, bytes, copyOut, slack)
+	} else {
+		t.Logf("SelectSorted(%v): %d bytes per call, copy-out %d", variant, bytes, copyOut)
 	}
 }
 

@@ -40,24 +40,17 @@ type cachedStats struct {
 }
 
 // Stats digests the database. The digest is cached: it is computed in one
-// pass over the shards, tagged with the current mutation generation, and
-// reused until any Insert/Delete/batch commits — so a freshly recovered
-// peer (or any quiescent store) pays the scan once and republishes from
-// the cache thereafter. Each shard is observed at a consistent point but
-// the database is not frozen globally — the digest is an estimate by
-// design (it is published, cached, and aged at the planning layer), so
-// cross-shard drift during concurrent writes is acceptable.
+// pass under the read lock, tagged with the mutation generation of the state
+// it read, and reused until any Insert/Delete/batch commits — so a freshly
+// recovered peer (or any quiescent store) pays the scan once and republishes
+// from the cache thereafter.
 func (db *DB) Stats() Stats {
 	if c := db.statsCache.Load(); c != nil && c.gen == db.statsGen.Load() {
 		return c.stats.copyOut()
 	}
-	gen := db.statsGen.Load()
 	s := db.computeStats()
-	// Tagged with the generation read *before* the scan: a mutation that
-	// committed mid-scan bumped the generation, so this entry simply
-	// never hits and the next caller recomputes.
-	db.statsCache.Store(&cachedStats{gen: gen, stats: s})
-	return s.copyOut()
+	db.statsCache.Store(&s)
+	return s.stats.copyOut()
 }
 
 // copyOut returns a Stats whose slice and sketches the caller may keep or
@@ -73,53 +66,26 @@ func (s Stats) copyOut() Stats {
 	return out
 }
 
-// computeStats is the uncached one-pass scan behind Stats.
-func (db *DB) computeStats() Stats {
-	type card struct {
-		triples  int
-		subjects map[string]struct{}
-		objects  map[string]struct{}
-		subj     *HLL
-		obj      *HLL
-	}
-	perPred := map[string]*card{}
-	total := 0
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for pred, ts := range s.byPredicate {
-			c := perPred[pred]
-			if c == nil {
-				c = &card{
-					subjects: map[string]struct{}{}, objects: map[string]struct{}{},
-					subj: &HLL{}, obj: &HLL{},
-				}
-				perPred[pred] = c
-			}
-			c.triples += ts.len()
-			total += ts.len()
-			ts.each(func(t Triple) {
-				c.subjects[t.Subject] = struct{}{}
-				c.objects[t.Object] = struct{}{}
-				c.subj.Add(t.Subject)
-				c.obj.Add(t.Object)
-			})
+// computeStats is the uncached one-pass scan behind Stats, tagged with the
+// generation of the state it read: mutators bump it under the write lock.
+func (db *DB) computeStats() cachedStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := Stats{Triples: db.Len(), Predicates: make([]PredicateStats, 0, len(db.byPredicate))}
+	for pred, rows := range db.byPredicate {
+		subjects, objects := map[string]struct{}{}, map[string]struct{}{}
+		ps := PredicateStats{Predicate: pred, Triples: len(rows), SubjectSketch: &HLL{}, ObjectSketch: &HLL{}}
+		for _, t := range rows {
+			subjects[t.Subject] = struct{}{}
+			objects[t.Object] = struct{}{}
+			ps.SubjectSketch.Add(t.Subject)
+			ps.ObjectSketch.Add(t.Object)
 		}
-		s.mu.RUnlock()
-	}
-	out := Stats{Triples: total, Predicates: make([]PredicateStats, 0, len(perPred))}
-	for pred, c := range perPred {
-		out.Predicates = append(out.Predicates, PredicateStats{
-			Predicate:        pred,
-			Triples:          c.triples,
-			DistinctSubjects: len(c.subjects),
-			DistinctObjects:  len(c.objects),
-			SubjectSketch:    c.subj,
-			ObjectSketch:     c.obj,
-		})
+		ps.DistinctSubjects, ps.DistinctObjects = len(subjects), len(objects)
+		out.Predicates = append(out.Predicates, ps)
 	}
 	sort.Slice(out.Predicates, func(i, j int) bool {
 		return out.Predicates[i].Predicate < out.Predicates[j].Predicate
 	})
-	return out
+	return cachedStats{gen: db.statsGen.Load(), stats: out}
 }

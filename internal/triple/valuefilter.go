@@ -55,7 +55,7 @@ func NewValueFilterFromValues(values []string, fpRate float64) *ValueFilter {
 // h1, a splitmix64-style remix for h2, forced odd so successive probe
 // positions cycle the whole (power-of-two-free) bit space.
 func (f *ValueFilter) probes(value string) (uint64, uint64) {
-	h1 := fnv1a(value)
+	h1 := fnv64a(value)
 	h2 := h1
 	h2 ^= h2 >> 30
 	h2 *= 0xbf58476d1ce4e5b9

@@ -88,11 +88,6 @@ var experimentBenchmarks = []struct {
 			}
 		}
 	}},
-	{"I", false, 8, func(b *testing.B, res experiments.Result) {
-		last := lastOf(res.(experiments.StrategiesResult).Points)
-		b.ReportMetric(float64(last.IterMessages), fmt.Sprintf("iter-msgs@%d", last.ChainLength))
-		b.ReportMetric(float64(last.RecIssuerMsgs), fmt.Sprintf("rec-issuer-msgs@%d", last.ChainLength))
-	}},
 	{"K", true, 9, func(b *testing.B, res experiments.Result) {
 		r := res.(experiments.ConjunctiveResult)
 		b.ReportMetric(r.MessageRatio, "msg-ratio")

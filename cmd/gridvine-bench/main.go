@@ -44,7 +44,7 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	exp := flag.String("exp", "all", "experiments to run: comma-separated IDs (A,B,C,D,E,G,H,I,J,K,L,M,N,O,P,R) or all")
+	exp := flag.String("exp", "all", "experiments to run: comma-separated IDs (A,B,C,D,E,G,H,J,K,L,M,N,O,P,R) or all")
 	quick := flag.Bool("quick", false, "run with scaled-down parameters")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 1, "reformulation fan-out width for query-heavy experiments (D); 1 keeps message counts exactly reproducible")

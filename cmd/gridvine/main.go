@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gridvine -peers 32 -query "x? EMBL#Organism %Aspergillus%"
-//	gridvine -tcp -peers 8 -mode recursive
+//	gridvine -tcp -peers 8
 //
 // Query syntax: three whitespace-separated terms (subject predicate
 // object); "name?" is a variable, a term containing % is a LIKE pattern,
@@ -28,7 +28,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	tcp := flag.Bool("tcp", false, "run peers over local TCP sockets")
 	bootstrap := flag.Bool("bootstrap", false, "construct the overlay by self-organizing pairwise exchanges")
-	mode := flag.String("mode", "iterative", "reformulation mode: iterative or recursive")
 	queryStr := flag.String("query", "x? EMBL#Organism %Aspergillus%", "triple pattern to resolve")
 	rdqlStr := flag.String("rdql", "", "RDQL query (overrides -query), e.g. 'SELECT ?x WHERE (?x, <EMBL#Organism>, \"%Aspergillus%\")'")
 	flag.Parse()
@@ -77,14 +76,10 @@ func main() {
 	}
 	fmt.Printf("inserted %d triples, 2 schemas, 1 mapping (EMBL#Organism ↔ EMP#SystematicName)\n\n", len(seedData))
 
-	opts := gridvine.SearchOptions{}
-	if strings.EqualFold(*mode, "recursive") {
-		opts.Mode = gridvine.Recursive
-	}
 	issuer := net.Peer(net.NumPeers() - 1)
 
 	if *rdqlStr != "" {
-		cur, err := issuer.Query(ctx, gridvine.Request{RDQL: *rdqlStr, Reformulate: true, Options: opts})
+		cur, err := issuer.Query(ctx, gridvine.Request{RDQL: *rdqlStr, Reformulate: true})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "RDQL query failed:", err)
 			os.Exit(1)
@@ -95,7 +90,7 @@ func main() {
 			os.Exit(1)
 		}
 		q, _ := gridvine.ParseRDQL(*rdqlStr)
-		fmt.Printf("%s\n(%s reformulation)\n", q, *mode)
+		fmt.Printf("%s\n", q)
 		for _, row := range rows {
 			fmt.Printf("  %v\n", []string(row))
 		}
@@ -108,8 +103,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "parsing query:", err)
 		os.Exit(2)
 	}
-	fmt.Printf("SearchFor(%v) from %s, %s reformulation:\n", pattern, issuer.Node().ID(), *mode)
-	cur, err := issuer.Query(ctx, gridvine.Request{Pattern: &pattern, Reformulate: true, Options: opts})
+	fmt.Printf("SearchFor(%v) from %s:\n", pattern, issuer.Node().ID())
+	cur, err := issuer.Query(ctx, gridvine.Request{Pattern: &pattern, Reformulate: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "query failed:", err)
 		os.Exit(1)

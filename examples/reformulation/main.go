@@ -55,31 +55,22 @@ func main() {
 	}
 	fmt.Printf("SearchFor(x1? : %v)\n\n", query)
 
-	// Both strategies of §4 return the same aggregate. Iterative: the issuer
-	// looks the mappings of each schema it reaches up and sends the
-	// rewritten patterns in one message per destination key. Recursive: the
-	// peers that answer reformulate and forward.
-	for _, mode := range []gridvine.SearchOptions{
-		{Mode: gridvine.Iterative},
-		{Mode: gridvine.Recursive},
-	} {
-		cur, err := net.Peer(11).Query(ctx, gridvine.Request{Pattern: &query, Reformulate: true, Options: mode})
-		if err != nil {
-			log.Fatal(err)
+	// The issuer looks the mappings of each schema it reaches up and sends
+	// the rewritten patterns in one message per destination key.
+	cur, err := net.Peer(11).Query(ctx, gridvine.Request{Pattern: &query, Reformulate: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rs, err := gridvine.CollectPattern(ctx, cur)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d results, %d reformulations, %d messages\n", len(rs.Results), rs.Reformulations, rs.Messages)
+	for _, r := range rs.Results {
+		step := "original query"
+		if len(r.MappingPath) > 0 {
+			step = fmt.Sprintf("reformulated via %v", r.MappingPath)
 		}
-		rs, err := gridvine.CollectPattern(ctx, cur)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%v reformulation: %d reformulations, %d messages\n",
-			mode.Mode, rs.Reformulations, rs.Messages)
-		for _, r := range rs.Results {
-			step := "original query"
-			if len(r.MappingPath) > 0 {
-				step = fmt.Sprintf("reformulated via %v", r.MappingPath)
-			}
-			fmt.Printf("  %-13s ← %-24s (%s)\n", r.Triple.Subject, r.Pattern.P.Value, step)
-		}
-		fmt.Println()
+		fmt.Printf("  %-13s ← %-24s (%s)\n", r.Triple.Subject, r.Pattern.P.Value, step)
 	}
 }

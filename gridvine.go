@@ -120,16 +120,6 @@ var (
 	CollectRows = mediation.CollectRows
 )
 
-// Reformulation modes.
-const (
-	// Iterative reformulation: the issuer looks each reached schema's
-	// mappings up and ships the rewritten patterns grouped by destination
-	// key — after every wave under a row limit, else once at the end.
-	Iterative = mediation.Iterative
-	// Recursive reformulation: destinations reformulate and forward.
-	Recursive = mediation.Recursive
-)
-
 // Receipt entry states.
 const (
 	// EntryApplied marks a batch entry all of whose key-writes reached

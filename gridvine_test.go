@@ -45,7 +45,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	q := Pattern{S: Var("x"), P: Const("EMBL#Organism"), O: Like("%Aspergillus%")}
-	rs, err := blockingSearchReformulated(net.Peer(7), q, SearchOptions{Mode: Recursive})
+	rs, err := blockingSearchReformulated(net.Peer(7), q, SearchOptions{})
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}

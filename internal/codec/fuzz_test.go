@@ -55,6 +55,13 @@ func FuzzOverlayDecode(f *testing.F) {
 	// What a peer built before tags 23 and 24 were retired sends under
 	// them: a sync request for path 01, an empty sync response.
 	seeds = append(seeds, frameOf(FrameOverlay, uv(0, 0, 23, 2, "01", 0)), frameOf(FrameOverlay, uv(0, 0, 24, 0, 0, 0)))
+	// And under tags 27 and 28, before the recursive reformulation messages
+	// were retired: a step for (?x, <A#org>, "v") with TTL 5 and confidence
+	// 1, an empty aggregated answer.
+	seeds = append(seeds,
+		frameOf(FrameOverlay, uv(0, 0, 27, 1, 1, "x", 0, 5, "A#org", 0, 1, "v", 10, 1, 5, "A#org", 0,
+			"\x00\x00\x00\x00\x00\x00\xf0\x3f", "\x00\x00\x00\x00\x00\x00\x00\x00", 2, 0, 0)),
+		frameOf(FrameOverlay, uv(0, 0, 28, 0, 0, 0, 0, 0)))
 	for _, s := range seeds {
 		f.Add(s)
 	}

@@ -79,7 +79,7 @@ func kindOf[T any](walk func(*Codec, *T)) kind {
 // tag's number is part of the layout; tag 0 is nil. The encoder tries them
 // in order, so what every query ships comes first. (Filled in init: the
 // walks refer back to the table.)
-var kinds [31]kind
+var kinds [29]kind
 
 func init() {
 	kinds = [...]kind{
@@ -109,10 +109,8 @@ func init() {
 		24: kindOf((*Codec).digestResponse),
 		25: kindOf((*Codec).repairRequest),
 		26: kindOf((*Codec).repairResponse),
-		27: kindOf((*Codec).reformulatedQuery),
-		28: kindOf((*Codec).reformulatedResponse),
-		29: kindOf(func(c *Codec, m *mediation.ConnectivityQuery) { c.Str(&m.Domain) }),
-		30: kindOf((*Codec).connectivityReport),
+		27: kindOf(func(c *Codec, m *mediation.ConnectivityQuery) { c.Str(&m.Domain) }),
+		28: kindOf((*Codec).connectivityReport),
 	}
 }
 
@@ -274,31 +272,6 @@ func (c *Codec) varFilters(v *[]mediation.VarFilter) { List(c, v, 3, c.varFilter
 func (c *Codec) patternQuery(m *mediation.PatternQuery) {
 	c.Pattern(&m.Pattern)
 	c.varFilters(&m.Filters)
-}
-
-func (c *Codec) reformulatedQuery(m *mediation.ReformulatedQuery) {
-	c.Pattern(&m.Pattern)
-	c.Int(&m.TTL)
-	c.Strs(&m.VisitedPredicates)
-	c.Strs(&m.MappingPath)
-	c.Float(&m.Confidence)
-	c.Float(&m.MinConfidence)
-	c.Int(&m.Fanout)
-	c.varFilters(&m.Filters)
-}
-
-func (c *Codec) reformResult(m *mediation.ReformResult) {
-	c.Triple(&m.Triple)
-	c.Pattern(&m.Pattern)
-	c.Strs(&m.MappingPath)
-	c.Float(&m.Confidence)
-}
-
-func (c *Codec) reformulatedResponse(m *mediation.ReformulatedResponse) {
-	List(c, &m.Results, 18, c.reformResult)
-	c.Int(&m.Messages)
-	c.Int(&m.Reformulations)
-	c.Bool(&m.Degraded)
 }
 
 func (c *Codec) compositeQuery(m *mediation.CompositeQuery) {

@@ -185,11 +185,10 @@ func rowsOf(rs *mediation.ResultSet) []string {
 
 // TestMediationThroughCodec drives the application payloads: a batched
 // write of schemas, mappings and triples with a mapping replacement,
-// plain, composite (wave loop and warm closure) and recursive
-// reformulation, a semi-join that ships a Bloom filter, an object-range
-// scan, published statistics digests feeding the planner, and the
-// connectivity registry — answers and message counts as on the plain
-// network.
+// plain and composite (wave loop and warm closure) reformulation, a
+// semi-join that ships a Bloom filter, an object-range scan, published
+// statistics digests feeding the planner, and the connectivity registry —
+// answers and message counts as on the plain network.
 func TestMediationThroughCodec(t *testing.T) {
 	onBothNetworks(t, func(t *testing.T, net simnet.Registrar, raw *simnet.Network) []string {
 		ctx := context.Background()
@@ -237,12 +236,11 @@ func TestMediationThroughCodec(t *testing.T) {
 			{"plain", mediation.Request{Pattern: &q}},
 			{"waves", mediation.Request{Pattern: &q, Reformulate: true, Options: mediation.SearchOptions{Parallelism: 1}}},
 			{"limited", mediation.Request{Pattern: &q, Reformulate: true, Limit: 30, Options: mediation.SearchOptions{Parallelism: 1}}},
-			{"recursive", mediation.Request{Pattern: &q, Reformulate: true, Options: mediation.SearchOptions{Parallelism: 1, Mode: mediation.Recursive}}},
 			{"closure", mediation.Request{Pattern: &q, Reformulate: true, Options: mediation.SearchOptions{Parallelism: 1, ComposeMappings: true}}},
 			{"warm closure", mediation.Request{Pattern: &q, Reformulate: true, Options: mediation.SearchOptions{Parallelism: 1, ComposeMappings: true}}},
 		}
-		// An issuer away from the data, so the recursive cascade's first
-		// hop crosses the network too.
+		// An issuer away from the data, so the root pattern's hop crosses the
+		// network too.
 		issuer := peers[0]
 		for _, p := range peers {
 			if !p.Node().Responsible(keyspace.HashDefault("species-2")) {

@@ -10,9 +10,8 @@
 // confidences, drop chains below the confidence gate, and let the caller
 // decide whether the rewritten predicate is new. Every traversal of the
 // mapping graph is a visitor over that rule: the mediation layer's wave loop
-// claims predicates in a wave-global visited set, its recursive handler
-// checks the path-local visited list of the request it serves, and Builder
-// is the wave loop's visitor when a closure is wanted — it additionally
+// claims predicates in a wave-global visited set, and Builder is the wave
+// loop's visitor when a closure is wanted — it additionally
 // composes each chain and gates on accumulated loss before claiming. A
 // closure's targets are therefore the traversal's reformulations by
 // construction: same claims, same wave order, same gate. Each target carries

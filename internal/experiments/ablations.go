@@ -10,7 +10,6 @@ import (
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
 	"gridvine/internal/pgrid"
-	"gridvine/internal/schema"
 	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
@@ -293,110 +292,6 @@ func (r ChurnResult) Table() string {
 		t.AddRow(fmt.Sprint(p.ReplicaFactor),
 			fmt.Sprintf("%.0f%%", 100*p.FailureRate),
 			fmt.Sprintf("%.1f%%", 100*p.Availability))
-	}
-	return t.String()
-}
-
-// --- EXP-I: iterative vs recursive reformulation ------------------------
-
-// StrategiesConfig parameterizes the §4 strategy comparison on mapping
-// chains of growing length.
-type StrategiesConfig struct {
-	Peers        int   // default 32
-	ChainLengths []int // default {1..6}
-	Seed         int64
-}
-
-func (c StrategiesConfig) withDefaults() StrategiesConfig {
-	setDefault(&c.Peers, 32)
-	if len(c.ChainLengths) == 0 {
-		c.ChainLengths = []int{1, 2, 3, 4, 5, 6}
-	}
-	return c
-}
-
-var expI = declare("I", "ablation: iterative vs recursive reformulation (paper §4 design)",
-	func(quick bool, seed int64) (StrategiesResult, error) {
-		cfg := StrategiesConfig{Seed: seed}
-		if quick {
-			cfg.ChainLengths = []int{1, 2, 3, 4}
-		}
-		return RunStrategies(cfg)
-	})
-
-// StrategyPoint compares the modes at one chain length.
-type StrategyPoint struct {
-	ChainLength   int
-	Results       int
-	IterMessages  int // all issued by the querying peer
-	RecMessages   int // total across the network
-	RecIssuerMsgs int // issued by the querying peer only
-}
-
-// StrategiesResult is the sweep.
-type StrategiesResult struct {
-	Points []StrategyPoint
-}
-
-// RunStrategies builds a schema chain S0→S1→…→SL with one data item per
-// schema and measures message costs of both reformulation strategies.
-func RunStrategies(cfg StrategiesConfig) (StrategiesResult, error) {
-	cfg = cfg.withDefaults()
-	var out StrategiesResult
-	for _, chain := range cfg.ChainLengths {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(chain)))
-		_, peers, err := newSimPeers(cfg.Peers, nil, rng)
-		if err != nil {
-			return out, err
-		}
-		ctx := context.Background()
-		for i := 0; i <= chain; i++ {
-			name := fmt.Sprintf("S%d", i)
-			peers[0].InsertTripleContext(ctx, triple.Triple{ //nolint:errcheck
-				Subject:   fmt.Sprintf("%s-item", name),
-				Predicate: name + "#organism",
-				Object:    "aspergillus",
-			})
-			if i < chain {
-				m := schema.NewMapping(name, fmt.Sprintf("S%d", i+1), schema.Equivalence, schema.Manual,
-					[]schema.Correspondence{{SourceAttr: "organism", TargetAttr: "organism", Confidence: 1}})
-				peers[0].InsertMappingContext(ctx, m) //nolint:errcheck
-			}
-		}
-		issuer := peers[len(peers)-1]
-		q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#organism"), O: triple.Const("aspergillus")}
-
-		// Parallelism pinned to 1: this experiment compares message counts,
-		// which only stay exactly per-seed reproducible when routing
-		// tie-breaks are consumed serially.
-		it, err := searchWithReformulation(ctx, issuer, q, mediation.SearchOptions{Mode: mediation.Iterative, MaxDepth: chain + 1, Parallelism: 1})
-		if err != nil {
-			return out, err
-		}
-		rec, err := searchWithReformulation(ctx, issuer, q, mediation.SearchOptions{Mode: mediation.Recursive, MaxDepth: chain + 1, Parallelism: 1})
-		if err != nil {
-			return out, err
-		}
-		if len(it.Results) != len(rec.Results) {
-			return out, fmt.Errorf("chain %d: iterative %d vs recursive %d results", chain, len(it.Results), len(rec.Results))
-		}
-		out.Points = append(out.Points, StrategyPoint{
-			ChainLength:   chain,
-			Results:       len(it.Results),
-			IterMessages:  it.Messages,
-			RecMessages:   rec.Messages,
-			RecIssuerMsgs: rec.Route.Messages,
-		})
-	}
-	return out, nil
-}
-
-// Table renders the comparison.
-func (r StrategiesResult) Table() string {
-	t := metrics.NewTable("chain", "results", "iter msgs (issuer)", "rec msgs (total)", "rec msgs (issuer)")
-	for _, p := range r.Points {
-		t.AddRow(fmt.Sprint(p.ChainLength), fmt.Sprint(p.Results),
-			fmt.Sprint(p.IterMessages), fmt.Sprint(p.RecMessages), fmt.Sprint(p.RecIssuerMsgs))
 	}
 	return t.String()
 }

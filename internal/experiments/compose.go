@@ -67,7 +67,7 @@ type ComposePoint struct {
 	TraversalMicrosPerQuery float64 `json:"traversal_micros_per_query"`
 	CompositeMicrosPerQuery float64 `json:"composite_micros_per_query"`
 	// CompositeMatchesTraversal: every query's cached results were
-	// byte-identical to the uncached engine's and the recursive mode's.
+	// byte-identical to the uncached engine's.
 	CompositeMatchesTraversal bool `json:"composite_matches_traversal"`
 	// Recall of loss-pruned (MaxLoss 0.5) vs unpruned composite answers:
 	// overall fraction retained, and the fraction of full-coverage chain
@@ -199,15 +199,6 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 			}
 			compArm.add(start, cr.Messages, 0)
 			if !reflect.DeepEqual(cr.Results, trav.Results) {
-				point.CompositeMatchesTraversal = false
-			}
-			rec, err := searchWithReformulation(ctx, issuer, q, mediation.SearchOptions{
-				Mode: mediation.Recursive, MaxDepth: depth + 1, Parallelism: 1,
-			})
-			if err != nil {
-				return out, err
-			}
-			if !reflect.DeepEqual(cr.Results, rec.Results) {
 				point.CompositeMatchesTraversal = false
 			}
 

@@ -6,9 +6,9 @@
 // cancellation"). Minting a fresh context.Background() or context.TODO()
 // in those packages severs that chain silently.
 //
-// Genuinely server-side work — replication fan-out, recursive forwarding,
-// anti-entropy — legitimately outlives any client request and is exempt,
-// but each such site must say so: annotate it
+// Genuinely server-side work — replication fan-out, anti-entropy —
+// legitimately outlives any client request and is exempt, but each such
+// site must say so: annotate it
 //
 //	//gridvine:serverctx <one-line reason>
 //

@@ -826,10 +826,9 @@ func (p *Peer) resolvePushdownStream(ctx context.Context, q triple.Pattern, plan
 // and the join. Reformulated variants bind identically: reformulation only
 // rewrites the (constant) predicate, so variable positions coincide with
 // q's. The filter payload rides every routed copy of the pattern, charged as
-// one per variant — the primary lookup and each reformulation: exact for the
-// recursive cascade and for variants with distinct destination keys, an
-// upper bound where key-grouped shipping puts several variants in one
-// message.
+// one per variant — the primary lookup and each reformulation: exact for
+// variants with distinct destination keys, an upper bound where key-grouped
+// shipping puts several variants in one message.
 func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*triple.BindingSet, error) {
 	ts, rs, plain, err := p.patternTriples(ctx, q, filters, reformulate, opts)
 	if rs != nil {

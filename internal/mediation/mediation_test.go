@@ -3,7 +3,6 @@ package mediation
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -204,35 +203,33 @@ func TestFigure2Reformulation(t *testing.T) {
 	m.Bidirectional = true
 	peers[0].InsertMappingContext(context.Background(), m)
 
-	for _, mode := range []Mode{Iterative, Recursive} {
-		q := triple.Pattern{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}
-		rs, err := blockingSearchReformulated(peers[4], q, SearchOptions{Mode: mode})
-		if err != nil {
-			t.Fatalf("[%v] SearchWithReformulation: %v", mode, err)
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}
+	rs, err := blockingSearchReformulated(peers[4], q, SearchOptions{})
+	if err != nil {
+		t.Fatalf("SearchWithReformulation: %v", err)
+	}
+	subjects := map[string]bool{}
+	for _, r := range rs.Results {
+		if b, ok := r.Pattern.Bind(r.Triple); ok {
+			subjects[b["x"]] = true
 		}
-		subjects := map[string]bool{}
-		for _, r := range rs.Results {
-			if b, ok := r.Pattern.Bind(r.Triple); ok {
-				subjects[b["x"]] = true
-			}
+	}
+	for _, want := range []string{"EMBL:A78712", "EMBL:A78767", "NEN94295-05"} {
+		if !subjects[want] {
+			t.Errorf("missing result %s (got %v)", want, subjects)
 		}
-		for _, want := range []string{"EMBL:A78712", "EMBL:A78767", "NEN94295-05"} {
-			if !subjects[want] {
-				t.Errorf("[%v] missing result %s (got %v)", mode, want, subjects)
-			}
-		}
-		if subjects["NEN00001-99"] {
-			t.Errorf("[%v] Homo sapiens should not match %%Aspergillus%%", mode)
-		}
-		if rs.Reformulations < 1 {
-			t.Errorf("[%v] reformulations = %d", mode, rs.Reformulations)
-		}
-		// Provenance: the EMP result must carry the mapping path.
-		for _, r := range rs.Results {
-			if r.Triple.Subject == "NEN94295-05" {
-				if len(r.MappingPath) != 1 || r.MappingPath[0] != m.ID {
-					t.Errorf("[%v] EMP result path = %v", mode, r.MappingPath)
-				}
+	}
+	if subjects["NEN00001-99"] {
+		t.Errorf("Homo sapiens should not match %%Aspergillus%%")
+	}
+	if rs.Reformulations < 1 {
+		t.Errorf("reformulations = %d", rs.Reformulations)
+	}
+	// Provenance: the EMP result must carry the mapping path.
+	for _, r := range rs.Results {
+		if r.Triple.Subject == "NEN94295-05" {
+			if len(r.MappingPath) != 1 || r.MappingPath[0] != m.ID {
+				t.Errorf("EMP result path = %v", r.MappingPath)
 			}
 		}
 	}
@@ -254,25 +251,23 @@ func TestReformulationChain(t *testing.T) {
 	peers[0].InsertMappingContext(context.Background(), ab)
 	peers[0].InsertMappingContext(context.Background(), bc)
 
-	for _, mode := range []Mode{Iterative, Recursive} {
-		q := triple.Pattern{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("aspergillus")}
-		rs, err := blockingSearchReformulated(peers[2], q, SearchOptions{Mode: mode})
-		if err != nil {
-			t.Fatalf("[%v] search: %v", mode, err)
-		}
-		bySubject := map[string]Result{}
-		for _, r := range rs.Results {
-			bySubject[r.Triple.Subject] = r
-		}
-		if len(bySubject) != 3 {
-			t.Fatalf("[%v] results = %v", mode, bySubject)
-		}
-		if got := bySubject["c1"].Confidence; got < 0.71 || got > 0.73 {
-			t.Errorf("[%v] c1 confidence = %v, want ≈0.72", mode, got)
-		}
-		if len(bySubject["c1"].MappingPath) != 2 {
-			t.Errorf("[%v] c1 path = %v", mode, bySubject["c1"].MappingPath)
-		}
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("aspergillus")}
+	rs, err := blockingSearchReformulated(peers[2], q, SearchOptions{})
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	bySubject := map[string]Result{}
+	for _, r := range rs.Results {
+		bySubject[r.Triple.Subject] = r
+	}
+	if len(bySubject) != 3 {
+		t.Fatalf("results = %v", bySubject)
+	}
+	if got := bySubject["c1"].Confidence; got < 0.71 || got > 0.73 {
+		t.Errorf("c1 confidence = %v, want ≈0.72", got)
+	}
+	if len(bySubject["c1"].MappingPath) != 2 {
+		t.Errorf("c1 path = %v", bySubject["c1"].MappingPath)
 	}
 }
 
@@ -284,15 +279,13 @@ func TestReformulationRespectsMaxDepth(t *testing.T) {
 	peers[0].InsertMappingContext(context.Background(), ab)
 	peers[0].InsertMappingContext(context.Background(), bc)
 	q := triple.Pattern{S: triple.Var("v"), P: triple.Const("A#org"), O: triple.Const("x")}
-	for _, mode := range []Mode{Iterative, Recursive} {
-		rs, err := blockingSearchReformulated(peers[1], q, SearchOptions{Mode: mode, MaxDepth: 1})
-		if err != nil {
-			t.Fatalf("[%v] search: %v", mode, err)
-		}
-		for _, r := range rs.Results {
-			if r.Triple.Subject == "c1" {
-				t.Errorf("[%v] depth-2 result returned despite MaxDepth=1", mode)
-			}
+	rs, err := blockingSearchReformulated(peers[1], q, SearchOptions{MaxDepth: 1})
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	for _, r := range rs.Results {
+		if r.Triple.Subject == "c1" {
+			t.Errorf("depth-2 result returned despite MaxDepth=1")
 		}
 	}
 }
@@ -378,15 +371,13 @@ func TestMappingCycleTerminates(t *testing.T) {
 	ba := schema.NewMapping("B", "A", schema.Equivalence, schema.Manual, []schema.Correspondence{{SourceAttr: "y", TargetAttr: "x", Confidence: 1}})
 	peers[0].InsertMappingContext(context.Background(), ab)
 	peers[0].InsertMappingContext(context.Background(), ba)
-	for _, mode := range []Mode{Iterative, Recursive} {
-		q := triple.Pattern{S: triple.Var("s"), P: triple.Const("A#x"), O: triple.Const("v")}
-		rs, err := blockingSearchReformulated(peers[1], q, SearchOptions{Mode: mode})
-		if err != nil {
-			t.Fatalf("[%v] search: %v", mode, err)
-		}
-		if len(rs.Results) != 2 {
-			t.Errorf("[%v] results = %v", mode, rs.Results)
-		}
+	q := triple.Pattern{S: triple.Var("s"), P: triple.Const("A#x"), O: triple.Const("v")}
+	rs, err := blockingSearchReformulated(peers[1], q, SearchOptions{})
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	if len(rs.Results) != 2 {
+		t.Errorf("results = %v", rs.Results)
 	}
 }
 
@@ -522,89 +513,46 @@ func TestLocalDBMirrorsResponsibility(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Iterative.String() != "iterative" || Recursive.String() != "recursive" {
-		t.Error("Mode strings")
-	}
-}
-
-func TestIterativeVsRecursiveSameResults(t *testing.T) {
-	_, peers := testNetwork(t, 24, 23)
-	// Star topology: hub schema H mapped to 4 spokes.
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("S%d", i)
-		peers[0].InsertTripleContext(context.Background(), triple.Triple{
-			Subject:   fmt.Sprintf("%s-rec", name),
-			Predicate: name + "#organism",
-			Object:    "aspergillus oryzae",
-		})
-		m := schema.NewMapping("H", name, schema.Equivalence, schema.Manual, []schema.Correspondence{
-			{SourceAttr: "org", TargetAttr: "organism", Confidence: 1},
-		})
-		peers[0].InsertMappingContext(context.Background(), m)
-	}
-	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("H#org"), O: triple.LikeTerm("%aspergillus%")}
-	it, err := blockingSearchReformulated(peers[5], q, SearchOptions{Mode: Iterative})
-	if err != nil {
-		t.Fatalf("iterative: %v", err)
-	}
-	rec, err := blockingSearchReformulated(peers[5], q, SearchOptions{Mode: Recursive})
-	if err != nil {
-		t.Fatalf("recursive: %v", err)
-	}
-	ti, tr := it.Triples(), rec.Triples()
-	if len(ti) != 4 || len(tr) != 4 {
-		t.Fatalf("iterative %d vs recursive %d results", len(ti), len(tr))
-	}
-	for i := range ti {
-		if ti[i] != tr[i] {
-			t.Errorf("result %d differs: %v vs %v", i, ti[i], tr[i])
-		}
-	}
-}
-
 // TestTruncatedTraversalIsDegraded: when no replica of a schema key is
 // reachable the mapping retrieval fails, the traversal stops below that
-// schema, and the partial answer must say so — in both modes. All
+// schema, and the partial answer must say so. All
 // "schema:"-prefixed keys share one leaf under the order-preserving hash, so
 // killing the peers responsible for one schema's key cuts every mapping
 // retrieval; the data key (the pattern routes on its object) stays alive.
 // Seed 2 is one where routing to the data key does not itself detour around
 // a dead peer, which would set Degraded by accident.
 func TestTruncatedTraversalIsDegraded(t *testing.T) {
-	for _, mode := range []Mode{Iterative, Recursive} {
-		net, peers := chainNetwork(t, 3, 2)
-		full, err := blockingSearchReformulated(peers[0], triple.Pattern{
-			S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("aspergillus"),
-		}, SearchOptions{Mode: mode, Parallelism: 1})
-		if err != nil || len(full.Results) != 3 || full.Degraded {
-			t.Fatalf("[%v] healthy run: %d rows, degraded=%v, err=%v", mode, len(full.Results), full.Degraded, err)
-		}
+	net, peers := chainNetwork(t, 3, 2)
+	full, err := blockingSearchReformulated(peers[0], triple.Pattern{
+		S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("aspergillus"),
+	}, SearchOptions{Parallelism: 1})
+	if err != nil || len(full.Results) != 3 || full.Degraded {
+		t.Fatalf("healthy run: %d rows, degraded=%v, err=%v", len(full.Results), full.Degraded, err)
+	}
 
-		dataKey := keyspace.Hash("aspergillus", peers[0].depth)
-		var issuer *Peer
-		for _, p := range peers {
-			if !p.Node().Responsible(p.schemaKey("S0")) {
-				if issuer == nil && !p.Node().Responsible(dataKey) {
-					issuer = p
-				}
-				continue
+	dataKey := keyspace.Hash("aspergillus", peers[0].depth)
+	var issuer *Peer
+	for _, p := range peers {
+		if !p.Node().Responsible(p.schemaKey("S0")) {
+			if issuer == nil && !p.Node().Responsible(dataKey) {
+				issuer = p
 			}
-			if p.Node().Responsible(dataKey) {
-				t.Fatalf("test setup: %s holds both the schema and the data key", p.Node().ID())
-			}
-			net.Fail(p.Node().ID())
+			continue
 		}
+		if p.Node().Responsible(dataKey) {
+			t.Fatalf("test setup: %s holds both the schema and the data key", p.Node().ID())
+		}
+		net.Fail(p.Node().ID())
+	}
 
-		rs, err := blockingSearchReformulated(issuer, full.Query, SearchOptions{Mode: mode, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("[%v] truncated run: %v", mode, err)
-		}
-		if len(rs.Results) != 1 {
-			t.Errorf("[%v] rows = %d, want only the unreformulated answer", mode, len(rs.Results))
-		}
-		if !rs.Degraded {
-			t.Errorf("[%v] %d of %d reachable rows returned without Degraded", mode, len(rs.Results), len(full.Results))
-		}
+	rs, err := blockingSearchReformulated(issuer, full.Query, SearchOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("truncated run: %v", err)
+	}
+	if len(rs.Results) != 1 {
+		t.Errorf("rows = %d, want only the unreformulated answer", len(rs.Results))
+	}
+	if !rs.Degraded {
+		t.Errorf("%d of %d reachable rows returned without Degraded", len(rs.Results), len(full.Results))
 	}
 }

@@ -154,9 +154,8 @@ func queryShapes(pred, subject, common string) []triple.Pattern {
 // TestEngineMatchesOracleOnChains is the equivalence property: over chains
 // of every depth (with a lossy branch per schema), every query shape returns
 // exactly the oracle's rows in the oracle's order — uncached, cold and warm,
-// serial and parallel — the recursive mode aggregates to the same answer,
-// and all of it holds again after every mapping replace (a stale closure
-// would surface as a row diff immediately).
+// serial and parallel — and all of it holds again after every mapping
+// replace (a stale closure would surface as a row diff immediately).
 func TestEngineMatchesOracleOnChains(t *testing.T) {
 	for _, depth := range []int{1, 2, 3, 5} {
 		_, peers := testNetwork(t, 24, int64(100+depth))
@@ -173,17 +172,7 @@ func TestEngineMatchesOracleOnChains(t *testing.T) {
 		check := func(phase string) {
 			t.Helper()
 			for _, q := range queryShapes("S0#a0", "urn:S:e1", "shared") {
-				want := &ResultSet{Results: checkAgainstOracle(t, phase, issuer, q, depth+1)}
-				dedupeResults(want)
-				for _, par := range []int{1, 0} {
-					rec, err := blockingSearchReformulated(issuer, q, SearchOptions{Mode: Recursive, MaxDepth: depth + 1, Parallelism: par})
-					if err != nil {
-						t.Fatalf("%s: recursive par=%d %v: %v", phase, par, q, err)
-					}
-					if !reflect.DeepEqual(rec.Results, want.Results) {
-						t.Fatalf("%s: depth %d recursive par=%d %v diverges from the oracle\noracle %+v\nengine %+v", phase, depth, par, q, want.Results, rec.Results)
-					}
-				}
+				checkAgainstOracle(t, phase, issuer, q, depth+1)
 			}
 		}
 		check("initial")
@@ -205,9 +194,7 @@ func TestEngineMatchesOracleOnChains(t *testing.T) {
 
 // TestEngineMatchesOracleOnKnot runs the same comparison on a graph with a
 // cycle, a chord, a bidirectional and a sub-threshold mapping, where claim
-// order decides which path a predicate is reported under. (The recursive
-// mode explores every path and keeps the most confident, so it is not
-// compared here.)
+// order decides which path a predicate is reported under.
 func TestEngineMatchesOracleOnKnot(t *testing.T) {
 	_, peers := testNetwork(t, 24, 31)
 	issuer := peers[5]

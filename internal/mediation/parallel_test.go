@@ -85,39 +85,37 @@ func resultKey(r Result) string {
 }
 
 // The parallel fan-out must return exactly the serial traversal's result
-// set, in the same deterministic order, for both reformulation modes.
+// set, in the same deterministic order.
 func TestParallelMatchesSerial(t *testing.T) {
 	_, ps := fanNetwork(t, 32, 6, 21)
 	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("species-3")}
 
-	for _, mode := range []Mode{Iterative, Recursive} {
-		serial, err := blockingSearchReformulated(ps[3], q, SearchOptions{Mode: mode, Parallelism: 1})
+	serial, err := blockingSearchReformulated(ps[3], q, SearchOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	if len(serial.Results) == 0 || serial.Reformulations < 6 {
+		t.Fatalf("serial results=%d reformulations=%d — workload too small to mean anything",
+			len(serial.Results), serial.Reformulations)
+	}
+	for _, width := range []int{2, 4, 8} {
+		par, err := blockingSearchReformulated(ps[3], q, SearchOptions{Parallelism: width})
 		if err != nil {
-			t.Fatalf("[%v] serial: %v", mode, err)
+			t.Fatalf("parallel(%d): %v", width, err)
 		}
-		if len(serial.Results) == 0 || serial.Reformulations < 6 {
-			t.Fatalf("[%v] serial results=%d reformulations=%d — workload too small to mean anything",
-				mode, len(serial.Results), serial.Reformulations)
+		if len(par.Results) != len(serial.Results) {
+			t.Fatalf("parallel(%d) = %d results, serial = %d",
+				width, len(par.Results), len(serial.Results))
 		}
-		for _, width := range []int{2, 4, 8} {
-			par, err := blockingSearchReformulated(ps[3], q, SearchOptions{Mode: mode, Parallelism: width})
-			if err != nil {
-				t.Fatalf("[%v] parallel(%d): %v", mode, width, err)
+		for i := range par.Results {
+			if resultKey(par.Results[i]) != resultKey(serial.Results[i]) {
+				t.Errorf("parallel(%d) result %d = %s, serial %s",
+					width, i, resultKey(par.Results[i]), resultKey(serial.Results[i]))
 			}
-			if len(par.Results) != len(serial.Results) {
-				t.Fatalf("[%v] parallel(%d) = %d results, serial = %d",
-					mode, width, len(par.Results), len(serial.Results))
-			}
-			for i := range par.Results {
-				if resultKey(par.Results[i]) != resultKey(serial.Results[i]) {
-					t.Errorf("[%v] parallel(%d) result %d = %s, serial %s",
-						mode, width, i, resultKey(par.Results[i]), resultKey(serial.Results[i]))
-				}
-			}
-			if par.Reformulations != serial.Reformulations {
-				t.Errorf("[%v] parallel(%d) reformulations = %d, serial = %d",
-					mode, width, par.Reformulations, serial.Reformulations)
-			}
+		}
+		if par.Reformulations != serial.Reformulations {
+			t.Errorf("parallel(%d) reformulations = %d, serial = %d",
+				width, par.Reformulations, serial.Reformulations)
 		}
 	}
 }
@@ -136,11 +134,7 @@ func TestConcurrentReformulatingSearches(t *testing.T) {
 			defer wg.Done()
 			issuer := ps[w%len(ps)]
 			for i := 0; i < 10; i++ {
-				mode := Iterative
-				if i%2 == 1 {
-					mode = Recursive
-				}
-				if _, err := blockingSearchReformulated(issuer, q, SearchOptions{Mode: mode, Parallelism: 4}); err != nil {
+				if _, err := blockingSearchReformulated(issuer, q, SearchOptions{Parallelism: 4}); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -196,17 +190,6 @@ func BenchmarkParallelReformulation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := blockingSearchReformulated(ps[5], q, SearchOptions{Parallelism: width}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, width := range []int{1, 8} {
-		b.Run(fmt.Sprintf("recursive/parallelism=%d", width), func(b *testing.B) {
-			ps := build(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := blockingSearchReformulated(ps[5], q, SearchOptions{Mode: Recursive, Parallelism: width}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,7 @@
 // subject, predicate and object), schema and schema-mapping sharing, triple
 // pattern and conjunctive queries resolved through overlay look-ups and
 // local relational queries, and query reformulation across schema mappings
-// in both iterative and recursive mode (§4).
+// (§4), evaluated by the issuer.
 package mediation
 
 import (

@@ -2,7 +2,6 @@ package mediation
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"runtime"
@@ -24,24 +23,6 @@ import (
 // unconstrained pattern has no destination key space.
 var ErrNotRoutable = errors.New("mediation: pattern has no routable constant term")
 
-// Mode selects the reformulation strategy of §4: iterative (the issuer
-// looks up mapping paths and reformulates itself) or recursive (successive
-// reformulations are delegated to the intermediate peers).
-type Mode int
-
-// Reformulation modes.
-const (
-	Iterative Mode = iota
-	Recursive
-)
-
-func (m Mode) String() string {
-	if m == Recursive {
-		return "recursive"
-	}
-	return "iterative"
-}
-
 // DefaultParallelism is the reformulation fan-out width used when
 // SearchOptions.Parallelism is zero: wide enough to overlap overlay
 // round-trips, bounded so a single query cannot monopolize the host.
@@ -49,8 +30,6 @@ var DefaultParallelism = min(8, runtime.GOMAXPROCS(0))
 
 // SearchOptions tunes reformulating and conjunctive searches.
 type SearchOptions struct {
-	// Mode selects iterative or recursive reformulation. Default Iterative.
-	Mode Mode
 	// MaxDepth bounds the mapping-path length. Default 5.
 	MaxDepth int
 	// MinConfidence prunes mapping paths whose composed confidence falls
@@ -80,9 +59,8 @@ type SearchOptions struct {
 	// and served until a mapping publish or replace this peer observes
 	// invalidates them. Rows are identical to the uncached traversal's
 	// unless MaxLoss prunes, and ship the same way, one routed operation per
-	// distinct destination key. It takes precedence over Mode. Off by
-	// default: invalidation reaches only the issuer and the peers storing
-	// the mapping (DESIGN.md §9).
+	// distinct destination key. Off by default: invalidation reaches only
+	// the issuer and the peers storing the mapping (DESIGN.md §9).
 	ComposeMappings bool
 	// MaxLoss prunes composite chains whose attribute loss — the fraction
 	// of the chain's first-hop source attributes that no longer survive the
@@ -261,7 +239,7 @@ func rewritable(q triple.Pattern, reformulate bool) bool {
 func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, limited bool, sink answerSink) (rs *ResultSet, traversed bool, err error) {
 	opts = opts.withDefaults()
 	if rewritable(q, reformulate) {
-		rs, err := p.streamRewritten(ctx, q, filters, opts, limited, sink)
+		rs, err := p.streamReformulated(ctx, q, filters, opts, limited, sink)
 		return rs, true, err
 	}
 	// No Schema#Attr predicate to rewrite: plain search, emitted in the
@@ -271,15 +249,6 @@ func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []Va
 		sink.emit(ts, provenance{pattern: q, confidence: 1})
 	}
 	return rs, false, err
-}
-
-// streamRewritten runs the reformulating search of a rewritable pattern in
-// the mode opts selects.
-func (p *Peer) streamRewritten(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, limited bool, sink answerSink) (*ResultSet, error) {
-	if opts.Mode == Recursive && !opts.ComposeMappings {
-		return p.streamRecursive(ctx, q, filters, opts, sink)
-	}
-	return p.streamReformulated(ctx, q, filters, opts, limited, sink)
 }
 
 // patternTriples resolves one pattern into the triples it matches — the
@@ -300,25 +269,18 @@ func (p *Peer) patternTriples(ctx context.Context, q triple.Pattern, filters []V
 		},
 		flush: func() {},
 	}
-	rs, err = p.streamRewritten(ctx, q, filters, opts.withDefaults(), false, collect)
+	rs, err = p.streamReformulated(ctx, q, filters, opts.withDefaults(), false, collect)
 	triple.SortTriples(ts)
 	return slices.Compact(ts), rs, false, err
 }
 
-// runPool executes fn(0)…fn(n-1) across at most workers goroutines,
+// runPoolCtx executes fn(0)…fn(n-1) across at most workers goroutines,
 // blocking until all complete; workers ≤ 1 runs inline. fn must only write
 // state owned by its index, so callers merge results in index order and
-// stay deterministic regardless of completion order. Used by server-side
-// handlers, which have no issuer context to honour.
-func runPool(n, workers int, fn func(int)) {
-	//gridvine:serverctx server-side handler pool; the issuer's context ended at the hop that delivered the request
-	runPoolCtx(context.Background(), n, workers, fn) //nolint:errcheck // Background never cancels
-}
-
-// runPoolCtx is runPool under a context: once ctx is done, workers stop
-// claiming new indices (in-flight fn calls finish — they observe ctx at
-// their own next hop) and the pool returns ctx.Err(). All pool goroutines
-// have exited by the time it returns, whatever the outcome.
+// stay deterministic regardless of completion order. Once ctx is done,
+// workers stop claiming new indices (in-flight fn calls finish — they
+// observe ctx at their own next hop) and the pool returns ctx.Err(). All
+// pool goroutines have exited by the time it returns, whatever the outcome.
 func runPoolCtx(ctx context.Context, n, workers int, fn func(int)) error {
 	if workers > n {
 		workers = n
@@ -460,160 +422,6 @@ func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters
 	return rs, nil
 }
 
-// ReformulatedQuery is the payload of recursive reformulation: the
-// responsible peer answers locally, then reformulates and forwards the
-// query itself, aggregating downstream answers (paper §4, "recursive").
-type ReformulatedQuery struct {
-	Pattern           triple.Pattern
-	TTL               int
-	VisitedPredicates []string
-	MappingPath       []string
-	Confidence        float64
-	MinConfidence     float64
-	// Fanout bounds how many reformulated forwards this step may issue
-	// concurrently; it halves at each hop so the total concurrency of a
-	// recursive cascade stays bounded. 0 or 1 forwards serially.
-	Fanout int
-	// Filters carries the issuer's semi-join filters; every step applies
-	// them to its local answer and passes them to its forwards.
-	Filters []VarFilter
-}
-
-// ReformResult is one triple found by a recursive reformulation step.
-type ReformResult struct {
-	Triple      triple.Triple
-	Pattern     triple.Pattern
-	MappingPath []string
-	Confidence  float64
-}
-
-// ReformulatedResponse aggregates a recursive step's own and downstream
-// results plus the messages spent downstream.
-type ReformulatedResponse struct {
-	Results        []ReformResult
-	Messages       int
-	Reformulations int
-	// Degraded reports that the cascade below this step is truncated or was
-	// answered around unreachable peers: a mapping retrieval or a forward
-	// failed or fell back to a replica.
-	Degraded bool
-}
-
-// streamRecursive delegates reformulation to the destination peers. The
-// whole cascade resolves through one routed operation, so results arrive in
-// a single batch once the recursion unwinds; ctx still cancels the routed
-// operation between hops and in transit.
-func (p *Peer) streamRecursive(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, sink answerSink) (*ResultSet, error) {
-	rs := &ResultSet{Query: q}
-	_, constant, ok := q.MostSpecificConstant()
-	if !ok {
-		return nil, ErrNotRoutable
-	}
-	key := keyspace.Hash(constant, p.depth)
-	payload := ReformulatedQuery{
-		Pattern:           q,
-		TTL:               opts.MaxDepth,
-		VisitedPredicates: []string{q.P.Value},
-		Confidence:        1,
-		MinConfidence:     opts.MinConfidence,
-		Fanout:            opts.Parallelism,
-		Filters:           filters,
-	}
-	result, route, err := p.node.Query(ctx, key, payload)
-	rs.Messages += route.Messages
-	rs.Route = route
-	rs.Degraded = route.Degraded
-	if err != nil {
-		return rs, err
-	}
-	resp, ok := result.(ReformulatedResponse)
-	if !ok {
-		return rs, fmt.Errorf("mediation: unexpected recursive result %T", result)
-	}
-	rs.Messages += resp.Messages
-	rs.Reformulations = resp.Reformulations
-	rs.Degraded = rs.Degraded || resp.Degraded
-	// Every downstream result names its own variant: one-triple answers.
-	var one [1]triple.Triple
-	for _, r := range resp.Results {
-		one[0] = r.Triple
-		if !sink.emit(one[:], provenance{pattern: r.Pattern, path: r.MappingPath, confidence: r.Confidence}) {
-			break
-		}
-	}
-	return rs, nil
-}
-
-// handleReformulated executes one recursive reformulation step at the
-// responsible peer.
-func (p *Peer) handleReformulated(req ReformulatedQuery) (ReformulatedResponse, error) {
-	var resp ReformulatedResponse
-	// Local answers, unsorted: the issuer dedupes and sorts the aggregated
-	// result set, so this hot path skips the per-step sort. Semi-join
-	// filters apply before anything ships.
-	for _, t := range filterTriples(req.Pattern, req.Filters, p.db.Select(req.Pattern)) {
-		resp.Results = append(resp.Results, ReformResult{
-			Triple:      t,
-			Pattern:     req.Pattern,
-			MappingPath: req.MappingPath,
-			Confidence:  req.Confidence,
-		})
-	}
-	if req.TTL <= 0 || req.Pattern.P.Kind != triple.Constant {
-		return resp, nil
-	}
-	schemaName, attr, ok := schema.SplitPredicateURI(req.Pattern.P.Value)
-	if !ok {
-		return resp, nil
-	}
-	//gridvine:serverctx reformulation handler runs on the responsible peer; the issuer's context ended at the hop that delivered the request
-	mappings, route, err := p.MappingsFrom(context.Background(), schemaName)
-	resp.Messages += route.Messages
-	resp.Degraded = err != nil || route.Degraded
-	// The forwards are the rule's steps from this request, checked against
-	// the request's own path only: siblings are not claimed, each cascades
-	// independently. Fanned out across a bounded pool and merged in mapping
-	// order, the aggregation stays deterministic; each forward inherits half
-	// the fanout budget so a recursive cascade cannot multiply concurrency
-	// without bound.
-	from := compose.Step{Predicate: req.Pattern.P.Value, SchemaName: schemaName, Attr: attr, Path: req.MappingPath, Confidence: req.Confidence}
-	forwards := compose.Expand(nil, from, mappings, req.MinConfidence, func(pred string, _ schema.Mapping) bool {
-		return !slices.Contains(req.VisitedPredicates, pred)
-	})
-	resp.Reformulations += len(forwards)
-
-	subs := make([]ReformulatedResponse, len(forwards))
-	runPool(len(forwards), req.Fanout, func(i int) {
-		step := forwards[i]
-		fwd := req
-		fwd.Pattern = req.Pattern.WithTerm(triple.Predicate, triple.Const(step.Predicate))
-		fwd.TTL = req.TTL - 1
-		fwd.VisitedPredicates = append(append([]string{}, req.VisitedPredicates...), step.Predicate)
-		fwd.MappingPath = step.Path
-		fwd.Confidence = step.Confidence
-		fwd.Fanout = req.Fanout / 2
-		_, constant, ok := fwd.Pattern.MostSpecificConstant()
-		if !ok {
-			return
-		}
-		// Server-side forwarding carries no issuer context: the recursive
-		// cascade completes (or fails) on its own.
-		//gridvine:serverctx recursive reformulation fan-out runs on the responsible peer, past the issuer's context
-		result, fwdRoute, err := p.node.Query(context.Background(), keyspace.Hash(constant, p.depth), fwd)
-		sub, ok := result.(ReformulatedResponse)
-		sub.Messages += fwdRoute.Messages
-		sub.Degraded = sub.Degraded || err != nil || !ok || fwdRoute.Degraded
-		subs[i] = sub
-	})
-	for i := range forwards {
-		resp.Messages += subs[i].Messages
-		resp.Results = append(resp.Results, subs[i].Results...)
-		resp.Reformulations += subs[i].Reformulations
-		resp.Degraded = resp.Degraded || subs[i].Degraded
-	}
-	return resp, nil
-}
-
 // handleQuery dispatches application queries arriving at this peer.
 func (p *Peer) handleQuery(key keyspace.Key, payload any) (any, error) {
 	switch req := payload.(type) {
@@ -625,8 +433,6 @@ func (p *Peer) handleQuery(key keyspace.Key, payload any) (any, error) {
 		// they ship (SelectSorted returns a fresh slice, so the in-place
 		// filter is safe).
 		return filterTriples(req.Pattern, req.Filters, p.db.SelectSorted(req.Pattern)), nil
-	case ReformulatedQuery:
-		return p.handleReformulated(req)
 	case CompositeQuery:
 		return p.handleComposite(req), nil
 	case ConnectivityQuery:
@@ -677,10 +483,4 @@ func dedupeResults(rs *ResultSet) {
 		return a.Object < b.Object
 	})
 	rs.Results = out
-}
-
-func init() {
-	gob.Register(ReformulatedQuery{})
-	gob.Register(ReformulatedResponse{})
-	gob.Register(ReformResult{})
 }

@@ -159,7 +159,7 @@ func TestMultiVariablePushdown(t *testing.T) {
 
 // TestSemiJoinWithReformulation: filters ride reformulated patterns too —
 // results across a mapping must match the naive reformulating evaluator
-// even when the engine semi-joins, in both reformulation modes.
+// even when the engine semi-joins.
 func TestSemiJoinWithReformulation(t *testing.T) {
 	_, ps := conjNetwork(t, 32, 48)
 	issuer := ps[2]
@@ -167,21 +167,19 @@ func TestSemiJoinWithReformulation(t *testing.T) {
 		{S: triple.Var("x"), P: triple.Const("A#len"), O: triple.Var("len")},
 		{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Var("org")},
 	}
-	for _, mode := range []Mode{Iterative, Recursive} {
-		naive, _, err := issuer.SearchConjunctiveNaive(context.Background(), patterns, true, SearchOptions{Parallelism: 1, Mode: mode})
-		if err != nil {
-			t.Fatalf("%v naive: %v", mode, err)
-		}
-		got, stats, err := blockingConjunctiveSet(issuer, patterns, true, SearchOptions{Parallelism: 1, Mode: mode, PushdownLimit: 2})
-		if err != nil {
-			t.Fatalf("%v semi-join: %v", mode, err)
-		}
-		if stats.SemiJoins == 0 {
-			t.Errorf("%v: no semi-join fired, stats = %+v", mode, stats)
-		}
-		if !equalStrings(bindingKeys(got.ToBindings()), bindingKeys(naive)) {
-			t.Errorf("%v: semi-join under reformulation diverged from naive", mode)
-		}
+	naive, _, err := issuer.SearchConjunctiveNaive(context.Background(), patterns, true, SearchOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("naive: %v", err)
+	}
+	got, stats, err := blockingConjunctiveSet(issuer, patterns, true, SearchOptions{Parallelism: 1, PushdownLimit: 2})
+	if err != nil {
+		t.Fatalf("semi-join: %v", err)
+	}
+	if stats.SemiJoins == 0 {
+		t.Errorf("no semi-join fired, stats = %+v", stats)
+	}
+	if !equalStrings(bindingKeys(got.ToBindings()), bindingKeys(naive)) {
+		t.Error("semi-join under reformulation diverged from naive")
 	}
 }
 

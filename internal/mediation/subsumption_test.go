@@ -32,40 +32,36 @@ func subsumptionFixture(t *testing.T) []*Peer {
 
 func TestSubsumptionUnfoldsDownward(t *testing.T) {
 	peers := subsumptionFixture(t)
-	for _, mode := range []Mode{Iterative, Recursive} {
-		q := triple.Pattern{S: triple.Var("x"), P: triple.Const("GEN#Sequence"), O: triple.Const("ATGC")}
-		rs, err := blockingSearchReformulated(peers[3], q, SearchOptions{Mode: mode})
-		if err != nil {
-			t.Fatalf("[%v] search: %v", mode, err)
-		}
-		subjects := map[string]bool{}
-		for _, r := range rs.Results {
-			subjects[r.Triple.Subject] = true
-		}
-		if !subjects["g1"] || !subjects["n1"] {
-			t.Errorf("[%v] downward query results = %v, want both", mode, subjects)
-		}
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("GEN#Sequence"), O: triple.Const("ATGC")}
+	rs, err := blockingSearchReformulated(peers[3], q, SearchOptions{})
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	subjects := map[string]bool{}
+	for _, r := range rs.Results {
+		subjects[r.Triple.Subject] = true
+	}
+	if !subjects["g1"] || !subjects["n1"] {
+		t.Errorf("downward query results = %v, want both", subjects)
 	}
 }
 
 func TestSubsumptionDoesNotUnfoldUpward(t *testing.T) {
 	peers := subsumptionFixture(t)
-	for _, mode := range []Mode{Iterative, Recursive} {
-		// Query on the SPECIFIC attribute: the subsumption mapping must not
-		// be reversed, so only n1 comes back.
-		q := triple.Pattern{S: triple.Var("x"), P: triple.Const("NUC#NucleotideSeq"), O: triple.Const("ATGC")}
-		rs, err := blockingSearchReformulated(peers[5], q, SearchOptions{Mode: mode})
-		if err != nil {
-			t.Fatalf("[%v] search: %v", mode, err)
+	// Query on the SPECIFIC attribute: the subsumption mapping must not
+	// be reversed, so only n1 comes back.
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("NUC#NucleotideSeq"), O: triple.Const("ATGC")}
+	rs, err := blockingSearchReformulated(peers[5], q, SearchOptions{})
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	for _, r := range rs.Results {
+		if r.Triple.Subject == "g1" {
+			t.Errorf("subsumption wrongly reversed: %v", r)
 		}
-		for _, r := range rs.Results {
-			if r.Triple.Subject == "g1" {
-				t.Errorf("[%v] subsumption wrongly reversed: %v", mode, r)
-			}
-		}
-		if len(rs.Results) != 1 {
-			t.Errorf("[%v] results = %v", mode, rs.Results)
-		}
+	}
+	if len(rs.Results) != 1 {
+		t.Errorf("results = %v", rs.Results)
 	}
 }
 

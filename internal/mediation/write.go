@@ -68,7 +68,8 @@ func (b *Batch) DeleteTriple(t triple.Triple) {
 	b.entries = append(b.entries, writeEntry{kind: writeDeleteTriple, t: t})
 }
 
-// PublishSchema queues a schema publication at its name's key.
+// PublishSchema queues a schema publication at its name's key, replacing
+// the version stored there.
 func (b *Batch) PublishSchema(s schema.Schema) {
 	b.entries = append(b.entries, writeEntry{kind: writePublishSchema, s: s})
 }
@@ -190,7 +191,7 @@ func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
 				add(i, k, op, t)
 			}
 		case writePublishSchema:
-			add(i, p.schemaKey(e.s.Name), pgrid.OpInsert, e.s)
+			add(i, p.schemaKey(e.s.Name), pgrid.OpReplace, e.s)
 		case writePublishMapping:
 			for _, k := range mappingKeys(e.m) {
 				add(i, k, pgrid.OpInsert, e.m)

@@ -197,6 +197,92 @@ func TestWriteReplaceMapping(t *testing.T) {
 	}
 }
 
+// TestRepublishedSchemaReplacesItsPredecessor: publishing a schema again
+// from another peer leaves one version under its key, the new one — every
+// peer reads it, the other values stored at the key survive, and a replica
+// that missed the push converges to it in anti-entropy.
+func TestRepublishedSchemaReplacesItsPredecessor(t *testing.T) {
+	ctx := context.Background()
+	net, peers := testNetwork(t, 16, 43)
+	key := peers[0].schemaKey("EMBL")
+	m := testMapping("EMBL", "EMP", "Organism", "SystematicName")
+	degree := DomainDegree{Schema: "EMBL", InDegree: 1, OutDegree: 2}
+	b := &Batch{Parallelism: 1}
+	b.PublishSchema(schema.NewSchema("EMBL", "bio", "Organism", "Length"))
+	b.PublishMapping(m)
+	if rec, err := peers[0].Write(ctx, b); err != nil || rec.FirstErr() != nil {
+		t.Fatalf("Write: %v / %v", err, rec.FirstErr())
+	}
+	if _, err := peers[0].Node().Replace(ctx, key, degree); err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+
+	var holders []*Peer
+	for _, p := range peers {
+		if p.Node().Responsible(key) {
+			holders = append(holders, p)
+		}
+	}
+	if len(holders) < 2 {
+		t.Fatalf("%d peers hold the schema key, want a replica group", len(holders))
+	}
+	// schemasAt checks what p stores under the key: want as its only
+	// schema, beside the mapping and the degree report.
+	schemasAt := func(phase string, p *Peer, want schema.Schema) {
+		t.Helper()
+		var got []schema.Schema
+		others := 0
+		for _, v := range p.Node().LocalGet(key) {
+			switch v := v.(type) {
+			case schema.Schema:
+				got = append(got, v)
+			case schema.Mapping, DomainDegree:
+				if reflect.DeepEqual(v, m) || reflect.DeepEqual(v, degree) {
+					others++
+				}
+			}
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%s: %s stores schemas %+v, want only %+v", phase, p.Node().ID(), got, want)
+		}
+		if others != 2 {
+			t.Errorf("%s: %s lost the mapping or the degree report stored beside the schema", phase, p.Node().ID())
+		}
+	}
+
+	v2 := schema.NewSchema("EMBL", "bio", "Organism", "Taxon")
+	if _, err := peers[7].InsertSchemaContext(ctx, v2); err != nil {
+		t.Fatalf("republish: %v", err)
+	}
+	for _, p := range peers {
+		got, err := p.LookupSchema(ctx, "EMBL")
+		if err != nil || !reflect.DeepEqual(got, v2) {
+			t.Errorf("%s reads %+v (%v), want %+v", p.Node().ID(), got, err, v2)
+		}
+	}
+	for _, p := range holders {
+		schemasAt("republished", p, v2)
+	}
+
+	// One replica is down while the schema changes again.
+	missed := holders[len(holders)-1]
+	net.Fail(missed.Node().ID())
+	v3 := schema.NewSchema("EMBL", "bio", "Organism", "Taxon", "Host")
+	if _, err := peers[11].InsertSchemaContext(ctx, v3); err != nil {
+		t.Fatalf("republish with a replica down: %v", err)
+	}
+	net.Recover(missed.Node().ID())
+	schemasAt("missed the push", missed, v2)
+	for round := 0; round < 4; round++ {
+		for _, p := range holders {
+			p.Node().AntiEntropy(ctx)
+		}
+	}
+	for _, p := range holders {
+		schemasAt("after anti-entropy", p, v3)
+	}
+}
+
 // TestWriteCancellation: cancelling a Write mid-flight returns ctx.Err(),
 // a receipt covering every entry (applied + failed + skipped), and leaks
 // no goroutine.

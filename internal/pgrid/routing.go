@@ -29,8 +29,7 @@ var ErrRetryBudget = errors.New("pgrid: deadline budget below observed per-hop l
 // for the O(log |Π|) routing-cost experiment.
 type Route struct {
 	// Contacted lists, in order, the remote peers the issuer exchanged a
-	// request/response with (iterative mode) or that forwarded the request
-	// (recursive mode). The final entry is the peer that answered.
+	// request/response with. The final entry is the peer that answered.
 	Contacted []simnet.PeerID
 	// Messages is the number of transport sends attributed to the operation
 	// as observed by the issuer (request+response counted once), excluding

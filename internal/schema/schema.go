@@ -33,6 +33,13 @@ func NewSchema(name, domain string, attributes ...string) Schema {
 	return Schema{Name: name, Domain: domain, Attributes: attrs}
 }
 
+// Replaces implements pgrid.Replacer: a republished schema supersedes the
+// stored definition of the same name, so its key holds one version.
+func (s Schema) Replaces(old any) bool {
+	o, ok := old.(Schema)
+	return ok && o.Name == s.Name
+}
+
 // PredicateURI returns the full predicate URI for an attribute of this
 // schema, in the paper's "Schema#Attribute" form (e.g. "EMBL#Organism").
 func (s Schema) PredicateURI(attr string) string {

@@ -176,19 +176,17 @@ func TestMediationOverTCP(t *testing.T) {
 	m.Bidirectional = true
 	peers[0].InsertMappingContext(context.Background(), m)
 
-	for _, mode := range []mediation.Mode{mediation.Iterative, mediation.Recursive} {
-		q := triple.Pattern{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}
-		cur, err := peers[5].Query(context.Background(), mediation.Request{Pattern: &q, Reformulate: true, Options: mediation.SearchOptions{Mode: mode}})
-		if err != nil {
-			t.Fatalf("[%v] search over TCP: %v", mode, err)
-		}
-		rs, err := mediation.CollectPattern(context.Background(), cur)
-		if err != nil {
-			t.Fatalf("[%v] search over TCP: %v", mode, err)
-		}
-		if len(rs.Results) != 2 {
-			t.Errorf("[%v] results = %d, want 2 (both schemas)", mode, len(rs.Results))
-		}
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}
+	cur, err := peers[5].Query(context.Background(), mediation.Request{Pattern: &q, Reformulate: true})
+	if err != nil {
+		t.Fatalf("search over TCP: %v", err)
+	}
+	rs, err := mediation.CollectPattern(context.Background(), cur)
+	if err != nil {
+		t.Fatalf("search over TCP: %v", err)
+	}
+	if len(rs.Results) != 2 {
+		t.Errorf("results = %d, want 2 (both schemas)", len(rs.Results))
 	}
 
 	// Schema lookup over TCP.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gridvine/internal/codec"
-	"gridvine/internal/mediation"
 )
 
 // walk is the shared codec walking this package's messages: one method per
@@ -20,7 +19,6 @@ func (c walk) query(m *Query) {
 	c.Bool(&m.Reformulate)
 	c.Int(&m.Limit)
 	o := &m.Options
-	c.Enum((*int)(&o.Mode), int(mediation.Recursive))
 	c.Int(&o.MaxDepth)
 	c.Float(&o.MinConfidence)
 	c.Int(&o.Parallelism)

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"gridvine/internal/mediation"
 	"gridvine/internal/schema"
 	"gridvine/internal/triple"
 )
@@ -37,7 +36,6 @@ func frameTypes() []frameCase {
 // them at 1, which every one of them admits.
 var enums = map[reflect.Type]bool{
 	reflect.TypeOf(triple.TermKind(0)):    true,
-	reflect.TypeOf(mediation.Mode(0)):     true,
 	reflect.TypeOf(schema.MappingType(0)): true,
 	reflect.TypeOf(schema.Origin(0)):      true,
 }

@@ -11,17 +11,17 @@ import (
 	"gridvine/internal/triple"
 )
 
-// BenchmarkStagingSend times one in-process delivery of a pattern lookup's
-// ExecRequest to the hosted peer responsible for it, the peer's handler and
-// its one-row select included: the unit cost of a routed operation whose
-// leaf has a replica in the daemon, and the in-process counterpart of
-// tcpnet's BenchmarkSend.
-func BenchmarkStagingSend(b *testing.B) {
-	d, err := Start(Config{Dir: b.TempDir(), Peers: 4, ReplicaFactor: 2, Seed: 7, Daemons: 1})
+// capturedLookup starts a one-daemon cluster holding one triple and captures
+// the in-process delivery a pattern lookup for its subject makes: the
+// ExecRequest, its sender and the hosted peer responsible for it. The
+// daemon is shut down when the test ends.
+func capturedLookup(tb testing.TB) (d *Daemon, from, to simnet.PeerID, msg simnet.Message) {
+	tb.Helper()
+	d, err := Start(Config{Dir: tb.TempDir(), Peers: 4, ReplicaFactor: 2, Seed: 7, Daemons: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer d.Shutdown(context.Background()) //nolint:errcheck
+	tb.Cleanup(func() { d.Shutdown(context.Background()) }) //nolint:errcheck
 	ctx := context.Background()
 	tr := triple.Triple{Subject: "s", Predicate: "Bench#p", Object: "o"}
 	key := keyspace.HashDefault(tr.Subject)
@@ -32,13 +32,11 @@ func BenchmarkStagingSend(b *testing.B) {
 		}
 	}
 	if _, err := issuer.InsertTripleContext(ctx, tr); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	// The delivery is the one the issuer's own lookup makes, captured on
-	// its way through and then replayed.
-	var to simnet.PeerID
-	var msg simnet.Message
+	// its way through.
 	d.stage.mu.Lock()
 	hosted := d.stage.hosted
 	d.stage.hosted = map[simnet.PeerID]simnet.Handler{}
@@ -52,22 +50,50 @@ func BenchmarkStagingSend(b *testing.B) {
 	d.stage.mu.Unlock()
 	pat := triple.Pattern{S: triple.Const(tr.Subject), P: triple.Var("p"), O: triple.Var("o")}
 	if _, _, err := issuer.Node().Query(ctx, key, mediation.PatternQuery{Pattern: pat}); err != nil || to == "" {
-		b.Fatalf("lookup: delivered to %q, err %v", to, err)
+		tb.Fatalf("lookup: delivered to %q, err %v", to, err)
 	}
 	d.stage.mu.Lock()
 	d.stage.hosted = hosted
 	d.stage.mu.Unlock()
+	return d, issuer.Node().ID(), to, msg
+}
 
-	from := issuer.Node().ID()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := d.stage.Send(ctx, from, to, msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r, ok := resp.Payload.(pgrid.ExecResponse); !ok || !r.Responsible {
-			b.Fatalf("answer %+v", resp.Payload)
-		}
+// BenchmarkStagingSend times one in-process delivery of a pattern lookup's
+// ExecRequest to the hosted peer responsible for it, the peer's handler and
+// its one-row select included: the unit cost of a routed operation whose
+// leaf has a replica in the daemon, and the in-process counterpart of
+// tcpnet's BenchmarkSend. /read is the lookup as routed, run on the
+// caller's goroutine; /goroutine reaches the same handler through a message
+// type that is not a read, so it pays the goroutine and reply channel every
+// write delivery pays.
+func BenchmarkStagingSend(b *testing.B) {
+	d, from, to, msg := capturedLookup(b)
+	d.stage.mu.Lock()
+	h := d.stage.hosted[to]
+	d.stage.hosted["goroutine"] = simnet.HandlerFunc(func(from simnet.PeerID, _ simnet.Message) (simnet.Message, error) {
+		return h.HandleMessage(from, msg)
+	})
+	d.stage.mu.Unlock()
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name string
+		to   simnet.PeerID
+		msg  simnet.Message
+	}{
+		{"read", to, msg},
+		{"goroutine", "goroutine", simnet.Message{Type: "x"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp, err := d.stage.Send(ctx, from, bc.to, bc.msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r, ok := resp.Payload.(pgrid.ExecResponse); !ok || !r.Responsible {
+					b.Fatalf("answer %+v", resp.Payload)
+				}
+			}
+		})
 	}
 }

@@ -194,16 +194,23 @@ func (s *staging) drain() {
 
 // Send keeps tcpnet.Send's contract on the local path too: a fired ctx
 // returns at once, and the handler it leaves behind finishes under
-// inflight. The payload is handed over uncopied, as simnet.Network does.
+// inflight. A read (pgrid.ReadOnly) is the exception: its handler cannot
+// block, so it runs on the caller's goroutine, and a ctx that fires meanwhile
+// returns after that one handler. The payload is handed over uncopied, as
+// simnet.Network does.
 func (s *staging) Send(ctx context.Context, from, to simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
 	h := s.acquire(to)
 	if h == nil {
 		return s.t.Send(ctx, from, to, msg)
 	}
-	s.local.Add(1)
 	if err := ctx.Err(); err != nil {
 		s.inflight.Done()
 		return simnet.Message{}, err
+	}
+	s.local.Add(1)
+	if pgrid.ReadOnly(msg) {
+		defer s.inflight.Done()
+		return h.HandleMessage(from, msg)
 	}
 	type reply struct {
 		msg simnet.Message

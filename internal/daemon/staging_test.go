@@ -3,12 +3,14 @@ package daemon
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/mediation"
+	"gridvine/internal/pgrid"
 	"gridvine/internal/simnet"
 	"gridvine/internal/tcpnet"
 	"gridvine/internal/triple"
@@ -56,12 +58,12 @@ func TestStagingLocalDeliveryOpensNoSocket(t *testing.T) {
 
 // TestStagingAbandonedDeliveryIsDrained: a fired ctx returns the sender
 // at once, as on the socket path, but the handler it walked away from
-// keeps running; drain waits for it and turns later deliveries away.
+// keeps running; drain waits for it and turns later deliveries away. The
+// message type "x" is not a read (pgrid.ReadOnly), so the delivery takes
+// the goroutine path: only there can the sender walk away.
 func TestStagingAbandonedDeliveryIsDrained(t *testing.T) {
-	tr := tcpnet.NewTransport()
-	defer tr.Close()
+	s := newStaging(t)
 	entered, release := make(chan struct{}), make(chan struct{})
-	s := &staging{t: tr, handlers: map[simnet.PeerID]simnet.Handler{}, hosted: map[simnet.PeerID]simnet.Handler{}}
 	s.Register("mine", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
 		close(entered)
 		<-release
@@ -94,6 +96,140 @@ func TestStagingAbandonedDeliveryIsDrained(t *testing.T) {
 	// address for a peer only ever reached in-process.
 	if _, err := s.Send(context.Background(), "a", "mine", simnet.Message{Type: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("send after drain: err = %v, want ErrUnreachable", err)
+	}
+}
+
+// readMsg is a message pgrid answers from local state, so staging delivers
+// it on the caller's goroutine.
+var readMsg = simnet.Message{Type: "pgrid.ping"}
+
+func newStaging(t *testing.T) *staging {
+	t.Helper()
+	if !pgrid.ReadOnly(readMsg) {
+		t.Fatalf("%q is no longer a read; pick another", readMsg.Type)
+	}
+	tr := tcpnet.NewTransport()
+	t.Cleanup(tr.Close)
+	return &staging{t: tr, handlers: map[simnet.PeerID]simnet.Handler{}, hosted: map[simnet.PeerID]simnet.Handler{}}
+}
+
+// TestStagingCancelledSendIsNotDelivered: a send whose ctx fired before it
+// started calls no handler and is not counted as a local delivery.
+func TestStagingCancelledSendIsNotDelivered(t *testing.T) {
+	s := newStaging(t)
+	var calls atomic.Int32
+	s.Register("mine", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+		calls.Add(1)
+		return m, nil
+	}))
+	s.host("mine")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, msg := range []simnet.Message{readMsg, {Type: "x"}} {
+		if _, err := s.Send(ctx, "a", "mine", msg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", msg.Type, err)
+		}
+	}
+	if calls.Load() != 0 || s.local.Load() != 0 {
+		t.Fatalf("after cancelled sends: %d handler calls, %d local deliveries; want none", calls.Load(), s.local.Load())
+	}
+	s.drain() // nothing is left in flight
+}
+
+// TestStagingReadRunsOnTheCallersGoroutine: a read starts no goroutine, so
+// the handler sees the caller's goroutine count; any other kind runs on a
+// goroutine of its own. Each side retries, in case an unrelated goroutine
+// starts or exits between the two counts.
+func TestStagingReadRunsOnTheCallersGoroutine(t *testing.T) {
+	s := newStaging(t)
+	var inside int
+	s.Register("mine", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+		inside = runtime.NumGoroutine()
+		return m, nil
+	}))
+	s.host("mine")
+	extra := func(msg simnet.Message, want int) bool {
+		for i := 0; i < 10; i++ {
+			caller := runtime.NumGoroutine()
+			if _, err := s.Send(context.Background(), "a", "mine", msg); err != nil {
+				t.Fatal(err)
+			}
+			if inside-caller == want {
+				return true
+			}
+		}
+		return false
+	}
+	if !extra(readMsg, 0) {
+		t.Errorf("a read's handler never saw the caller's goroutine count (last %d)", inside)
+	}
+	if !extra(simnet.Message{Type: "x"}, 1) {
+		t.Errorf("a non-read's handler never saw one goroutine more than the caller (last %d)", inside)
+	}
+}
+
+// TestStagingDrainWaitsForInlineRead: a read running on its caller's
+// goroutine still counts as in flight, so drain waits for it. Its sender's
+// ctx firing meanwhile does not cut it short: the sender gets the answer
+// once the one handler returns.
+func TestStagingDrainWaitsForInlineRead(t *testing.T) {
+	s := newStaging(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.Register("mine", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
+		close(entered)
+		<-release
+		return m, nil
+	}))
+	s.host("mine")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	type reply struct {
+		msg simnet.Message
+		err error
+	}
+	sent := make(chan reply, 1)
+	go func() {
+		m, err := s.Send(ctx, "a", "mine", readMsg)
+		sent <- reply{m, err}
+	}()
+	<-entered
+	cancel()
+	drained := make(chan struct{})
+	go func() {
+		s.drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("drain returned with an inline read still in its handler")
+	case r := <-sent:
+		t.Fatalf("Send returned (%+v) before its inline handler", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-drained
+	if r := <-sent; r.err != nil || r.msg.Type != readMsg.Type {
+		t.Fatalf("inline read: %+v, want the handler's answer despite the fired ctx", r)
+	}
+}
+
+// TestStagingReadDeliveryAllocs: an in-process pattern lookup, handler and
+// one-row select included, allocates its answer and nothing for the
+// delivery itself. It gates in the un-raced test job.
+func TestStagingReadDeliveryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates testing.AllocsPerRun")
+	}
+	d, from, to, msg := capturedLookup(t)
+	ctx := context.Background()
+	const budget = 3
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := d.stage.Send(ctx, from, to, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("in-process pattern lookup: %.1f allocations, budget %d", got, budget)
 	}
 }
 

@@ -353,9 +353,10 @@ func (c *Cursor) handOver(ctx context.Context) bool {
 	c.pending = nil
 	if first {
 		// The consumer the send just woke waits in this processor's run
-		// queue, and the engine's next overlay operation is often a local
-		// delivery that would keep the processor: yield, so the first rows
-		// leave (one wire RowChunk) before the engine goes on.
+		// queue. In a daemon the engine's next overlay operation is a read
+		// of a co-hosted peer, delivered on this goroutine, so it never
+		// gives the processor up: yield, so the first rows leave (one wire
+		// RowChunk) before the engine goes on.
 		runtime.Gosched()
 	}
 	return true

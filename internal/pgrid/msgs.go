@@ -15,6 +15,30 @@ const (
 	msgPing     = "pgrid.ping"     // liveness probe
 )
 
+// ReadOnly reports whether msg's handler only reads the receiving node's
+// local state: it takes the node's and the index's read locks, answers, and
+// never sends, appends to the journal or fsyncs. A transport that delivers
+// between co-hosted peers may run such a message on the sender's goroutine.
+//
+// That holds for a ping, a routed get, a routed query and a probe without a
+// head entry. A query runs the node's QueryHandler, and mediation's sends
+// nothing: a pattern's σ, one σ per CompositeQuery variant, or the
+// connectivity indicator from the degree reports stored under the key. A
+// probe carrying a BatchEntry, a batch, a replica push and a repair apply
+// mutations (journal append, fsync, BatchReplicate). A subtree step and a
+// digest scan the whole store, so they stay off the caller's goroutine and
+// an inline delivery costs at most one key's values.
+func ReadOnly(msg simnet.Message) bool {
+	switch msg.Type {
+	case msgPing:
+		return true
+	case msgExec:
+		req, ok := msg.Payload.(ExecRequest)
+		return ok && (req.Op == OpGet || req.Op == OpQuery || req.Op == OpProbe && req.Payload == nil)
+	}
+	return false
+}
+
 // Op names an operation at the responsible peer.
 type Op int
 

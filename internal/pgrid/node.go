@@ -25,7 +25,8 @@ import (
 
 // QueryHandler is the application hook invoked when an OpQuery reaches the
 // peer responsible for its key: the mediation layer registers a handler that
-// runs the local relational query against the peer's triple database.
+// runs the local relational query against the peer's triple database. It
+// must not send: ReadOnly classes an OpQuery as a local read.
 type QueryHandler func(key keyspace.Key, payload any) (any, error)
 
 // Config carries what differs between the nodes of an overlay.

@@ -73,21 +73,6 @@ var experimentBenchmarks = []struct {
 		b.ReportMetric(prec/n, "precision")
 		b.ReportMetric(rec/n, "recall")
 	}},
-	{"G", false, 6, func(b *testing.B, res experiments.Result) {
-		for _, p := range res.(experiments.IndexingResult).Points {
-			if p.Constraint == "predicate" {
-				b.ReportMetric(p.FullIndexing, "pred-full")
-				b.ReportMetric(p.SubjectOnly, "pred-subjonly")
-			}
-		}
-	}},
-	{"H", false, 7, func(b *testing.B, res experiments.Result) {
-		for _, p := range res.(experiments.ChurnResult).Points {
-			if p.FailureRate == 0.3 {
-				b.ReportMetric(p.Availability, fmt.Sprintf("avail-rf%d@30%%", p.ReplicaFactor))
-			}
-		}
-	}},
 	{"K", true, 9, func(b *testing.B, res experiments.Result) {
 		r := res.(experiments.ConjunctiveResult)
 		b.ReportMetric(r.MessageRatio, "msg-ratio")
@@ -137,6 +122,17 @@ var experimentBenchmarks = []struct {
 }
 
 func lastOf[T any](xs []T) T { return xs[len(xs)-1] }
+
+// TestExperimentBenchmarksAreRegistered resolves every row of
+// experimentBenchmarks under plain go test: a row naming a retired
+// experiment would otherwise fail only when the benchmarks run.
+func TestExperimentBenchmarksAreRegistered(t *testing.T) {
+	for _, row := range experimentBenchmarks {
+		if _, ok := experiments.Lookup(row.id); !ok {
+			t.Errorf("experimentBenchmarks row %q names no registered experiment", row.id)
+		}
+	}
+}
 
 // BenchmarkExperiment/<ID> runs one registry experiment per iteration,
 // fails on its gate, and reports its headline figures as custom metrics.

@@ -3,7 +3,7 @@
 // registry, experiments.All: the §2.3 deployment latency distribution, the
 // O(log |Π|) routing cost, the connectivity-indicator emergence curve, the
 // §4 recall-growth demonstration, the Bayesian deprecation quality, the
-// design ablations, and the engine comparisons (conjunctive planner,
+// matcher ablation, and the engine comparisons (conjunctive planner,
 // semi-join shipping, streaming, bulk ingest, churn repair, durability,
 // composite mappings).
 //
@@ -44,7 +44,7 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	exp := flag.String("exp", "all", "experiments to run: comma-separated IDs (A,B,C,D,E,G,H,J,K,L,M,N,O,P,R) or all")
+	exp := flag.String("exp", "all", "experiments to run: comma-separated IDs ("+strings.Join(experimentIDs(), ",")+") or all")
 	quick := flag.Bool("quick", false, "run with scaled-down parameters")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 1, "reformulation fan-out width for query-heavy experiments (D); 1 keeps message counts exactly reproducible")
@@ -116,11 +116,7 @@ func selectExperiments(exp string, parallel int) ([]experiments.Experiment, erro
 		for _, id := range strings.Split(strings.ToUpper(exp), ",") {
 			e, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
-				have := make([]string, len(experiments.All))
-				for i, e := range experiments.All {
-					have[i] = e.ID
-				}
-				return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(have, ","))
+				return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(experimentIDs(), ","))
 			}
 			selected = append(selected, e)
 		}
@@ -131,6 +127,15 @@ func selectExperiments(exp string, parallel int) ([]experiments.Experiment, erro
 		}
 	}
 	return selected, nil
+}
+
+// experimentIDs lists the registry's IDs in run order.
+func experimentIDs() []string {
+	ids := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 // jsonEntry is one experiment's machine-readable record.

@@ -334,7 +334,7 @@ func groupsConverged(nodes []*pgrid.Node, path string) bool {
 }
 
 // churnWord draws a 10-letter random string: diverse value-like keys that
-// spread across the key space (EXP-H and EXP-O).
+// spread across the key space.
 func churnWord(rng *rand.Rand) string {
 	s := make([]byte, 10)
 	for i := range s {

@@ -1,22 +1,22 @@
 // Package experiments implements the reproduction harness: one runner per
 // experiment of DESIGN.md §3, each regenerating a quantitative claim of the
 // paper (deployment latency CDF, routing cost, connectivity emergence,
-// recall growth, deprecation quality) or an ablation of a design choice
-// (triple indexing, replication under churn, reformulation strategies).
+// recall growth, deprecation quality), an ablation of a design choice
+// (the schema matcher), or a comparison of engine strategies.
 // Every experiment is declared once in the registry (All), which
 // cmd/gridvine-bench, the root benchmarks and the tests all iterate.
 package experiments
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"gridvine/internal/bioworkload"
-	"gridvine/internal/des"
 	"gridvine/internal/metrics"
-	"gridvine/internal/simnet"
 )
 
 // DeploymentConfig parameterizes EXP-A, the §2.3 deployment reproduction:
@@ -82,9 +82,8 @@ type DeploymentResult struct {
 
 // RunDeployment builds the 340-peer network, inserts the ≈17k-triple
 // bioinformatic workload, resolves the 23k triple-pattern queries at the
-// logic layer (capturing routing traces), and replays the traces through
-// the discrete-event simulator under the WAN latency model to obtain the
-// query-latency distribution.
+// logic layer (capturing each one's route), and replays the routes under
+// the WAN latency model to obtain the query-latency distribution.
 func RunDeployment(cfg DeploymentConfig) (DeploymentResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -106,7 +105,7 @@ func RunDeployment(cfg DeploymentConfig) (DeploymentResult, error) {
 	}
 
 	queries := w.Queries(cfg.Queries, rng)
-	traces := make([]des.QueryTrace, 0, len(queries))
+	routes := make([][]string, 0, len(queries))
 	hops := metrics.NewDistribution()
 	failed := 0
 	for _, q := range queries {
@@ -121,31 +120,13 @@ func RunDeployment(cfg DeploymentConfig) (DeploymentResult, error) {
 			contacted = append(contacted, string(id))
 		}
 		hops.Add(float64(len(contacted)))
-		traces = append(traces, des.QueryTrace{
-			Issuer:    string(issuer.Node().ID()),
-			Contacted: contacted,
-		})
+		routes = append(routes, contacted)
 	}
 
-	// Replay under the WAN model.
-	sim := des.New()
-	arrivals := des.PoissonArrivals(len(traces), cfg.ArrivalGap, rng)
-	latencies := des.Replay(sim, traces, arrivals, des.ReplayConfig{
-		Transit: simnet.MixtureLatency{
-			Fast:     simnet.LogNormalLatency{Median: cfg.TransitMedian, Sigma: cfg.TransitSigma},
-			Slow:     simnet.LogNormalLatency{Median: cfg.SlowMedian, Sigma: cfg.TransitSigma},
-			SlowProb: cfg.SlowProb,
-		},
-		Service: simnet.ExponentialLatency{Mean: cfg.ServiceMean},
-		Rng:     rng,
-	})
-	events := sim.Run()
-
+	latencies, events := replayWAN(routes, cfg, rng)
 	dist := metrics.NewDistribution()
 	for _, l := range latencies {
-		if l >= 0 {
-			dist.AddDuration(l)
-		}
+		dist.AddDuration(l)
 	}
 	return DeploymentResult{
 		Peers:     cfg.Peers,
@@ -175,4 +156,127 @@ func (r DeploymentResult) Table() string {
 	t.AddRow("mean latency", fmt.Sprintf("%.2f s", r.MeanSec), "-")
 	t.AddRow("mean hops", fmt.Sprintf("%.2f", r.MeanHops), "O(log |Π|)")
 	return t.String()
+}
+
+// --- Trace replay ---------------------------------------------------------
+
+// replayWAN issues the routes as Poisson arrivals and replays them under
+// cfg's WAN model: a message crosses a healthy path (log-normal around
+// TransitMedian) or, with probability SlowProb, meets an overloaded testbed
+// node (log-normal around SlowMedian); a peer's service time is exponential
+// with mean ServiceMean. It returns each query's latency and the number of
+// events the replay processed.
+func replayWAN(routes [][]string, cfg DeploymentConfig, rng *rand.Rand) ([]time.Duration, int) {
+	arrivals := poissonArrivals(len(routes), cfg.ArrivalGap, rng)
+	transit := func() time.Duration {
+		median := cfg.TransitMedian
+		if rng.Float64() < cfg.SlowProb {
+			median = cfg.SlowMedian
+		}
+		return logNormal(rng, median, cfg.TransitSigma)
+	}
+	service := func() time.Duration { return exponential(rng, cfg.ServiceMean) }
+	return replay(routes, arrivals, transit, service)
+}
+
+// poissonArrivals returns n issue times separated by exponential gaps of
+// mean meanGap. The first arrival comes one drawn gap after 0, not at 0.
+func poissonArrivals(n int, meanGap time.Duration, rng *rand.Rand) []time.Duration {
+	out := make([]time.Duration, n)
+	var t time.Duration
+	for i := range out {
+		t += exponential(rng, meanGap)
+		out[i] = t
+	}
+	return out
+}
+
+// logNormal draws a delay whose median is median and whose logarithm has
+// standard deviation sigma: most draws land near the median, a few far
+// above it.
+func logNormal(rng *rand.Rand, median time.Duration, sigma float64) time.Duration {
+	return time.Duration(math.Exp(math.Log(float64(median)) + sigma*rng.NormFloat64()))
+}
+
+// exponential draws a duration exponentially distributed with the given mean.
+func exponential(rng *rand.Rand, mean time.Duration) time.Duration {
+	return time.Duration(rng.ExpFloat64() * float64(mean))
+}
+
+// replay is a discrete-event simulation of iterative routing in virtual
+// time: query i is issued at arrivals[i] and its issuer contacts the peers
+// of routes[i] one after the other. Each hop is a request transit, service
+// at the peer, and a response transit back. A peer serves its requests one
+// at a time in arrival order, and events due at the same time run in the
+// order they were scheduled. transit and service are drawn when the event
+// that needs them runs, so the draw order follows virtual time. replay
+// returns each query's latency and the number of events processed.
+func replay(routes [][]string, arrivals []time.Duration, transit, service func() time.Duration) ([]time.Duration, int) {
+	latencies := make([]time.Duration, len(routes))
+	busyUntil := map[string]time.Duration{}
+	var events replayQueue
+	seq := 0
+	schedule := func(at time.Duration, query, hop int, stage hopStage) {
+		seq++
+		heap.Push(&events, replayEvent{at: at, seq: seq, query: query, hop: hop, stage: stage})
+	}
+	for i, at := range arrivals {
+		schedule(at, i, 0, atIssuer)
+	}
+	processed := 0
+	for ; events.Len() > 0; processed++ {
+		ev := heap.Pop(&events).(replayEvent)
+		route := routes[ev.query]
+		switch ev.stage {
+		case atIssuer:
+			if ev.hop == len(route) {
+				latencies[ev.query] = ev.at - arrivals[ev.query]
+				continue
+			}
+			schedule(ev.at+transit(), ev.query, ev.hop, atPeer)
+		case atPeer:
+			d := service()
+			finish := max(ev.at, busyUntil[route[ev.hop]]) + d
+			busyUntil[route[ev.hop]] = finish
+			schedule(finish, ev.query, ev.hop, served)
+		case served:
+			schedule(ev.at+transit(), ev.query, ev.hop+1, atIssuer)
+		}
+	}
+	return latencies, processed
+}
+
+// hopStage is where a query stands on its current hop.
+type hopStage uint8
+
+const (
+	atIssuer hopStage = iota // issued, or the previous hop's answer is back
+	atPeer                   // the request reached the hop's peer
+	served                   // the peer finished serving it
+)
+
+type replayEvent struct {
+	at         time.Duration
+	seq        int // ties at equal times break in schedule order
+	query, hop int
+	stage      hopStage
+}
+
+// replayQueue is a min-heap of events ordered by (at, seq).
+type replayQueue []replayEvent
+
+func (q replayQueue) Len() int { return len(q) }
+func (q replayQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q replayQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *replayQueue) Push(x any)   { *q = append(*q, x.(replayEvent)) }
+func (q *replayQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
 }

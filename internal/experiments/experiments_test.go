@@ -193,61 +193,6 @@ func TestRunDeprecationDetection(t *testing.T) {
 	}
 }
 
-func TestRunIndexingAblation(t *testing.T) {
-	r, err := RunIndexing(IndexingConfig{Peers: 16, Entities: 30, Schemas: 6, Queries: 30, Seed: 7})
-	if err != nil {
-		t.Fatalf("RunIndexing: %v", err)
-	}
-	if len(r.Points) != 3 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	byName := map[string]IndexingPoint{}
-	for _, p := range r.Points {
-		byName[p.Constraint] = p
-	}
-	// Subject queries work in both worlds.
-	if byName["subject"].FullIndexing < 0.95 || byName["subject"].SubjectOnly < 0.95 {
-		t.Errorf("subject queries: %+v", byName["subject"])
-	}
-	// Predicate/object recall collapses without the extra indexes: only the
-	// coincidental co-location of subject keys answers anything.
-	if byName["predicate"].FullIndexing < 0.95 {
-		t.Errorf("predicate with full indexing: %+v", byName["predicate"])
-	}
-	if byName["predicate"].SubjectOnly > 0.5 {
-		t.Errorf("predicate subject-only recall too high: %+v", byName["predicate"])
-	}
-	if byName["object"].SubjectOnly > 0.5 {
-		t.Errorf("object subject-only recall too high: %+v", byName["object"])
-	}
-	if byName["object"].FullIndexing < 0.95 {
-		t.Errorf("object with full indexing: %+v", byName["object"])
-	}
-}
-
-func TestRunChurnAvailability(t *testing.T) {
-	r, err := RunChurn(ChurnConfig{
-		Peers:          48,
-		Keys:           60,
-		ReplicaFactors: []int{1, 3},
-		FailureRates:   []float64{0.25},
-		Seed:           8,
-	})
-	if err != nil {
-		t.Fatalf("RunChurn: %v", err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	if r.Points[1].Availability <= r.Points[0].Availability {
-		t.Errorf("replication did not help: rf=1 %.2f vs rf=3 %.2f",
-			r.Points[0].Availability, r.Points[1].Availability)
-	}
-	if r.Points[1].Availability < 0.9 {
-		t.Errorf("rf=3 availability = %.2f", r.Points[1].Availability)
-	}
-}
-
 func TestRunChurnStress(t *testing.T) {
 	r, err := RunChurnStress(ChurnStressConfig{
 		Peers:           32,
@@ -490,7 +435,7 @@ func TestRunDurabilityQuick(t *testing.T) {
 var gated = map[string]bool{"B": true, "K": true, "L": true, "M": true, "N": true, "O": true, "P": true, "R": true}
 
 func TestRegistry(t *testing.T) {
-	const order = "ABCDEGHJKLMNOPR"
+	const order = "ABCDEJKLMNOPR"
 	if len(All) != len(order) {
 		t.Fatalf("registry holds %d experiments, want %d", len(All), len(order))
 	}
@@ -509,7 +454,7 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("EXP-%s: result type %T has Check = %v, want %v", e.ID, zero, ok, gated[e.ID])
 		}
 	}
-	for _, id := range []string{"I", "Q"} {
+	for _, id := range []string{"G", "H", "I", "Q"} {
 		if _, ok := Lookup(id); ok {
 			t.Errorf("Lookup found the deleted EXP-%s", id)
 		}

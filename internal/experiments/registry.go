@@ -42,7 +42,7 @@ func declare[R Result](id, title string, run func(quick bool, seed int64) (R, er
 
 // All lists every experiment of DESIGN.md §3 in run order.
 var All = []Experiment{
-	expA, expB, expC, RecallExperiment(1), expE, expG, expH, expJ,
+	expA, expB, expC, RecallExperiment(1), expE, expJ,
 	expK, expL, expM, expN, expO, expP, expR,
 }
 

@@ -44,15 +44,6 @@ func (d *Distribution) Mean() float64 {
 	return sum / float64(len(d.xs))
 }
 
-// Min returns the smallest observation (0 if empty).
-func (d *Distribution) Min() float64 {
-	d.ensureSorted()
-	if len(d.xs) == 0 {
-		return 0
-	}
-	return d.xs[0]
-}
-
 // Max returns the largest observation (0 if empty).
 func (d *Distribution) Max() float64 {
 	d.ensureSorted()
@@ -99,14 +90,6 @@ func (d *Distribution) FractionBelow(x float64) float64 {
 		}
 	}
 	return float64(lo) / float64(len(d.xs))
-}
-
-// Values returns a sorted copy of the observations.
-func (d *Distribution) Values() []float64 {
-	d.ensureSorted()
-	out := make([]float64, len(d.xs))
-	copy(out, d.xs)
-	return out
 }
 
 func (d *Distribution) ensureSorted() {

@@ -190,7 +190,9 @@ func TestRetryBudgetFailsFast(t *testing.T) {
 	// Make the first pass dead-end instantly (drops cost no delay), leaving
 	// a remaining budget far below one observed hop.
 	net.SetSendDelay(0)
-	net.DropNext(1000)
+	drops := simnet.NewFaultPlan(1)
+	drops.SetDropRate(1)
+	net.SetFaultPlan(drops)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -10,9 +10,9 @@ import (
 // FaultPlan is a seeded, deterministic fault-injection layer over a
 // Network: crash/restart schedules keyed to a logical step counter, link
 // partitions, per-link and global drop probability, message duplication,
-// and transit-delay jitter. It composes with the Network's own
-// Fail/Recover/DropNext primitives — the plan never bypasses them, it
-// drives them (schedules) or adds independent loss on top (probabilities).
+// and transit-delay jitter. It composes with the Network's own Fail/Recover
+// primitives — the plan never bypasses them, it drives them (schedules) or
+// adds independent loss on top (probabilities).
 //
 // Every random decision is drawn from the plan's seeded rng, so a churn
 // scenario replays bit-identically from its seed as long as the message

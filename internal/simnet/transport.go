@@ -1,8 +1,6 @@
 // Package simnet provides the message substrate the GridVine layers run on:
 // a Transport abstraction with a deterministic in-memory implementation,
-// per-message tracing and statistics, failure injection, and the latency
-// models used by the discrete-event simulator to reproduce the paper's
-// deployment measurements (§2.3).
+// per-message statistics, and failure injection.
 package simnet
 
 import (
@@ -63,16 +61,6 @@ type Registrar interface {
 // ErrUnreachable reports that a destination peer could not be contacted.
 var ErrUnreachable = errors.New("simnet: peer unreachable")
 
-// TraceEntry records one delivered (or dropped) message for analysis. The
-// discrete-event simulator replays these to attach latencies, and the
-// experiment harness counts them to report per-operation message costs.
-type TraceEntry struct {
-	From    PeerID
-	To      PeerID
-	Type    string
-	Dropped bool
-}
-
 // Stats aggregates transport activity. All counters are monotone.
 type Stats struct {
 	Messages int // requests attempted (including dropped)
@@ -90,16 +78,13 @@ type Stats struct {
 
 // Network is the deterministic in-memory Transport: messages are delivered
 // by direct handler invocation on the caller's goroutine, so tests and
-// experiments are reproducible. It supports peer failure and message-drop
-// injection, and records traces when tracing is enabled.
+// experiments are reproducible. Peers fail and recover through Fail and
+// Recover; message loss, duplication and jitter come from a FaultPlan.
 type Network struct {
 	mu       sync.Mutex
 	handlers map[PeerID]Handler
 	failed   map[PeerID]bool
-	dropNext int // number of upcoming messages to drop (failure injection)
 	stats    Stats
-	tracing  bool
-	trace    []TraceEntry
 	delay    time.Duration
 	perUnit  time.Duration
 	sizer    func(payload any) (int, error)
@@ -123,14 +108,6 @@ func (n *Network) Register(id PeerID, h Handler) {
 	n.handlers[id] = h
 }
 
-// Deregister removes a peer entirely.
-func (n *Network) Deregister(id PeerID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.handlers, id)
-	delete(n.failed, id)
-}
-
 // Fail marks a peer as crashed: requests to it return ErrUnreachable until
 // Recover is called. The handler is retained.
 func (n *Network) Fail(id PeerID) {
@@ -151,38 +128,6 @@ func (n *Network) Failed(id PeerID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.failed[id]
-}
-
-// DropNext arranges for the next k requests to be dropped (each costs a
-// message but returns ErrUnreachable), simulating transient loss.
-func (n *Network) DropNext(k int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dropNext = k
-}
-
-// SetTracing enables or disables trace recording; enabling resets the trace.
-func (n *Network) SetTracing(on bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tracing = on
-	n.trace = nil
-}
-
-// Trace returns a copy of the recorded trace.
-func (n *Network) Trace() []TraceEntry {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]TraceEntry, len(n.trace))
-	copy(out, n.trace)
-	return out
-}
-
-// ResetTrace clears the recorded trace, keeping tracing enabled/disabled.
-func (n *Network) ResetTrace() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trace = nil
 }
 
 // SetSendDelay imposes a fixed wall-clock transit delay on every delivered
@@ -266,28 +211,18 @@ func (n *Network) Send(ctx context.Context, from, to PeerID, msg Message) (Messa
 	n.mu.Lock()
 	fault := n.fault
 	n.mu.Unlock()
-	var dup bool
-	var planDrop bool
+	var drop, dup bool
 	var extraDelay time.Duration
 	if fault != nil {
-		planDrop, dup, extraDelay = fault.decide(from, to)
+		drop, dup, extraDelay = fault.decide(from, to)
 	}
 
 	n.mu.Lock()
 	n.stats.Messages++
 	h, ok := n.handlers[to]
-	dead := n.failed[to]
-	drop := planDrop
-	if n.dropNext > 0 {
-		n.dropNext--
-		drop = true
-	}
-	failed := !ok || dead || drop
+	failed := !ok || n.failed[to] || drop
 	if failed {
 		n.stats.Dropped++
-	}
-	if n.tracing {
-		n.trace = append(n.trace, TraceEntry{From: from, To: to, Type: msg.Type, Dropped: failed})
 	}
 	delay := n.delay + extraDelay
 	perUnit, sizer := n.perUnit, n.sizer

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -61,56 +60,6 @@ func TestFailAndRecover(t *testing.T) {
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	n := NewNetwork()
-	n.Register("b", echoHandler("b"))
-	n.Deregister("b")
-	if _, err := n.Send(context.Background(), "a", "b", Message{}); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("send after deregister: %v", err)
-	}
-}
-
-func TestDropNext(t *testing.T) {
-	n := NewNetwork()
-	n.Register("b", echoHandler("b"))
-	n.DropNext(2)
-	for i := 0; i < 2; i++ {
-		if _, err := n.Send(context.Background(), "a", "b", Message{}); !errors.Is(err, ErrUnreachable) {
-			t.Fatalf("message %d should have been dropped", i)
-		}
-	}
-	if _, err := n.Send(context.Background(), "a", "b", Message{}); err != nil {
-		t.Errorf("third message should pass: %v", err)
-	}
-}
-
-func TestTracing(t *testing.T) {
-	n := NewNetwork()
-	n.Register("b", echoHandler("b"))
-	n.SetTracing(true)
-	n.Send(context.Background(), "a", "b", Message{Type: "t1"})
-	n.Send(context.Background(), "a", "ghost", Message{Type: "t2"})
-	tr := n.Trace()
-	if len(tr) != 2 {
-		t.Fatalf("trace length = %d", len(tr))
-	}
-	if tr[0].Type != "t1" || tr[0].Dropped {
-		t.Errorf("trace[0] = %+v", tr[0])
-	}
-	if tr[1].Type != "t2" || !tr[1].Dropped {
-		t.Errorf("trace[1] = %+v", tr[1])
-	}
-	n.ResetTrace()
-	if len(n.Trace()) != 0 {
-		t.Error("ResetTrace did not clear")
-	}
-	n.SetTracing(false)
-	n.Send(context.Background(), "a", "b", Message{Type: "t3"})
-	if len(n.Trace()) != 0 {
-		t.Error("tracing disabled but trace recorded")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	n := NewNetwork()
 	n.Register("b", echoHandler("b"))
@@ -144,78 +93,6 @@ func TestHandlerError(t *testing.T) {
 	}))
 	if _, err := n.Send(context.Background(), "a", "b", Message{}); !errors.Is(err, wantErr) {
 		t.Errorf("err = %v, want boom", err)
-	}
-}
-
-func TestConstantLatency(t *testing.T) {
-	m := ConstantLatency{D: 5 * time.Millisecond}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10; i++ {
-		if d := m.Sample(rng); d != 5*time.Millisecond {
-			t.Fatalf("sample = %v", d)
-		}
-	}
-}
-
-func TestUniformLatency(t *testing.T) {
-	m := UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		d := m.Sample(rng)
-		if d < m.Min || d > m.Max {
-			t.Fatalf("sample %v outside [%v,%v]", d, m.Min, m.Max)
-		}
-	}
-	degenerate := UniformLatency{Min: 3 * time.Millisecond, Max: 3 * time.Millisecond}
-	if d := degenerate.Sample(rng); d != 3*time.Millisecond {
-		t.Errorf("degenerate sample = %v", d)
-	}
-}
-
-func TestLogNormalLatencyMedian(t *testing.T) {
-	m := LogNormalLatency{Median: 100 * time.Millisecond, Sigma: 1.0}
-	rng := rand.New(rand.NewSource(42))
-	samples := make([]time.Duration, 20001)
-	for i := range samples {
-		samples[i] = m.Sample(rng)
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	med := samples[len(samples)/2]
-	// Median of a log-normal is exp(mu); allow 10% sampling error.
-	lo, hi := 90*time.Millisecond, 110*time.Millisecond
-	if med < lo || med > hi {
-		t.Errorf("empirical median %v outside [%v,%v]", med, lo, hi)
-	}
-}
-
-func TestLogNormalHeavyTail(t *testing.T) {
-	m := LogNormalLatency{Median: 100 * time.Millisecond, Sigma: 1.0}
-	rng := rand.New(rand.NewSource(7))
-	over1s := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if m.Sample(rng) > time.Second {
-			over1s++
-		}
-	}
-	// P(X > 10×median) = P(Z > ln10) ≈ 1.07% for sigma=1.
-	frac := float64(over1s) / n
-	if frac < 0.003 || frac > 0.03 {
-		t.Errorf("tail fraction = %v, want ≈0.01", frac)
-	}
-}
-
-func TestExponentialLatencyMean(t *testing.T) {
-	m := ExponentialLatency{Mean: 15 * time.Millisecond}
-	rng := rand.New(rand.NewSource(3))
-	var sum time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += m.Sample(rng)
-	}
-	mean := sum / n
-	if mean < 14*time.Millisecond || mean > 16*time.Millisecond {
-		t.Errorf("empirical mean %v, want ≈15ms", mean)
 	}
 }
 

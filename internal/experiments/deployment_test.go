@@ -64,6 +64,17 @@ func TestReplay(t *testing.T) {
 			wantEvents: 2 * (1 + 3),
 		},
 		{
+			// Disjoint first hops are served side by side; both requests
+			// then reach dest at 50ms and the second waits for the first.
+			name:       "queries meeting at a shared peer serialize on its queue",
+			routes:     [][]string{{"a", "dest"}, {"b", "dest"}},
+			arrivals:   []time.Duration{0, 0},
+			transit:    0,
+			service:    50 * ms,
+			want:       []time.Duration{100 * ms, 150 * ms},
+			wantEvents: 2 * (1 + 3*2),
+		},
+		{
 			name:       "an empty route completes at its arrival",
 			routes:     [][]string{nil},
 			arrivals:   []time.Duration{3 * ms},

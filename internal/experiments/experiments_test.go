@@ -48,6 +48,26 @@ func TestRunDeploymentSmall(t *testing.T) {
 	}
 }
 
+// TestDeploymentReplaysAtPaperScale: a seeded EXP-A run at paper scale
+// prints the same table every time — the harness loads and queries
+// serially, so no table depends on how goroutines were scheduled.
+func TestDeploymentReplaysAtPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two paper-scale EXP-A runs")
+	}
+	var tables [2]string
+	for i := range tables {
+		r, err := expA.Run(false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = r.Table()
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("EXP-A seed 1 printed two tables:\n%s\n%s", tables[0], tables[1])
+	}
+}
+
 func TestRunDeploymentLatencyShape(t *testing.T) {
 	// With the default WAN model at reduced scale, the distribution must
 	// have the paper's qualitative shape: a meaningful fraction inside 1 s,

@@ -101,8 +101,10 @@ func (a *armCost) wallMs() float64 { return a.wallMicros.Mean() / 1000 }
 // bulkInsert loads a triple set through the batched write path — the way
 // every experiment now assimilates its dataset (one Write, key-grouped
 // shipping) instead of a per-triple loop over three routed updates each.
+// The batch runs serially: which leaf a peer learns for a key depends on
+// the order key groups ship in, and a seeded run must replay bit for bit.
 func bulkInsert(issuer *mediation.Peer, ts []triple.Triple) error {
-	b := &mediation.Batch{}
+	b := &mediation.Batch{Parallelism: 1}
 	for _, t := range ts {
 		b.InsertTriple(t)
 	}

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
+	"time"
 
+	"gridvine/internal/keyspace"
 	"gridvine/internal/pgrid"
+	"gridvine/internal/schema"
 	"gridvine/internal/simnet"
 	"gridvine/internal/store"
 	"gridvine/internal/triple"
@@ -200,8 +205,7 @@ func TestDurablePeerColdStart(t *testing.T) {
 		if err := p.LogErr(); err != nil {
 			t.Fatalf("peer %s log degraded: %v", p.Node().ID(), err)
 		}
-		data, err := fsys.ReadFile(filepath.Join(peerDir(p.Node().ID()), "wal.log"))
-		if err == nil && len(data) > 0 {
+		if p.JournalStats().WALBytes > 0 {
 			logged++
 		}
 	}
@@ -261,5 +265,101 @@ func TestTombstoneOnlyDeleteIsJournaled(t *testing.T) {
 	}
 	if got := replica.Node().LocalGet(key); len(got) != 0 {
 		t.Fatalf("replica still holds %v after the round: the tombstone was not pushed (stats %+v)", got, stats)
+	}
+}
+
+// TestDurablePeerRestoresEveryStoredKind: a durable peer that holds a
+// value of every kind the overlay stores — a triple, a schema, a
+// bidirectional and a deprecated mapping, a domain degree, a stats digest
+// with its sketches — and a tombstone of each restarts with the same
+// store digest and the same tombstones, recovered once from its WAL and
+// once from a snapshot.
+func TestDurablePeerRestoresEveryStoredKind(t *testing.T) {
+	ctx := context.Background()
+	fsys := store.NewMemFS()
+	net, peers := durableTestNetwork(t, fsys, 4, 3)
+
+	bidi := schema.NewMapping("EMBL", "EMP", schema.Equivalence, schema.Manual,
+		[]schema.Correspondence{{SourceAttr: "Organism", TargetAttr: "Species", Confidence: 0.9}})
+	bidi.Bidirectional = true
+	deprecated := schema.NewMapping("EMP", "SWP", schema.Subsumption, schema.Automatic,
+		[]schema.Correspondence{{SourceAttr: "Species", TargetAttr: "Taxon", Confidence: 0.4}})
+	deprecated.Deprecated = true
+	db := triple.NewDB()
+	db.Insert(triple.Triple{Subject: "urn:a", Predicate: "EMBL#Organism", Object: "Aspergillus"})
+	kinds := func(tag string) []any {
+		return []any{
+			triple.Triple{Subject: "urn:" + tag, Predicate: "EMBL#Organism", Object: "Aspergillus " + tag},
+			schema.NewSchema("EMBL"+tag, "bio", "Organism"),
+			bidi, deprecated,
+			DomainDegree{Schema: "EMBL" + tag, InDegree: 1, OutDegree: 2},
+			StatsDigest{Origin: tag, Schema: "EMBL", Published: time.Now(), Predicates: db.Stats().Predicates},
+		}
+	}
+	for i, v := range kinds("kept") {
+		if _, err := peers[0].Node().Update(ctx, keyspace.HashDefault(fmt.Sprint("kept", i)), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range kinds("gone") {
+		if _, err := peers[0].Node().Delete(ctx, keyspace.HashDefault(fmt.Sprint("gone", i)), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type held struct {
+		digest uint64
+		tombs  []string
+	}
+	state := func(p *Peer) held {
+		_, tombs := p.Node().DumpState()
+		h := held{digest: p.Node().ContentDigest()}
+		for _, tb := range tombs {
+			h.tombs = append(h.tombs, fmt.Sprintf("%s %#v", tb.Key, tb.Value))
+		}
+		sort.Strings(h.tombs)
+		return h
+	}
+	restartAll := func(how string) {
+		for i, p := range peers {
+			before := state(p)
+			if err := p.journal().Close(); err != nil {
+				t.Fatal(err)
+			}
+			peers[i], _ = rebuildPeer(t, fsys, net, p.Node())
+			if after := state(peers[i]); after.digest != before.digest || !reflect.DeepEqual(after.tombs, before.tombs) {
+				t.Errorf("%s: peer %s restarted with digest %x and %d tombstones, held %x and %d",
+					how, p.Node().ID(), after.digest, len(after.tombs), before.digest, len(before.tombs))
+			}
+		}
+	}
+	restartAll("from the WAL")
+	for _, p := range peers {
+		if err := p.journal().Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restartAll("from a snapshot")
+
+	items, tombs := map[string]bool{}, map[string]bool{}
+	for _, p := range peers {
+		p.Node().VisitState(func(_ string, v any, tomb bool) {
+			seen := items
+			if tomb {
+				seen = tombs
+			}
+			seen[fmt.Sprintf("%T", v)] = true
+			if m, ok := v.(schema.Mapping); ok && !tomb {
+				seen[fmt.Sprintf("bidirectional=%v deprecated=%v", m.Bidirectional, m.Deprecated)] = true
+			}
+		})
+	}
+	for _, kind := range []string{"triple.Triple", "schema.Schema", "schema.Mapping", "mediation.DomainDegree", "mediation.StatsDigest"} {
+		if !items[kind] || !tombs[kind] {
+			t.Errorf("restarted peers hold a %s: %v, a tombstone of one: %v", kind, items[kind], tombs[kind])
+		}
+	}
+	if !items["bidirectional=true deprecated=false"] || !items["bidirectional=false deprecated=true"] {
+		t.Errorf("restarted peers lack the bidirectional or the deprecated mapping: %v", items)
 	}
 }

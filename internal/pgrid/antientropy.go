@@ -96,7 +96,8 @@ type RepairStats struct {
 
 // itemHash digests one stored (key, value) pair. Values are hashed by their
 // Go representation (type + %#v), which is deterministic for the flat
-// struct/string/scalar values the overlay stores.
+// struct/string/scalar values the overlay stores (a stats digest's
+// sketches print their registers: triple.HLL.GoString).
 func itemHash(key string, value any) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, key)                        //nolint:errcheck

@@ -1,48 +1,55 @@
-package store
+package store_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
-	"gridvine/internal/triple"
+	"gridvine/internal/store"
 )
 
-// buildValidLog frames a few realistic records the way Append would.
+// buildValidLog journals a few records holding every stored kind through
+// the Log and returns the WAL file.
 func buildValidLog(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	for seq := uint64(1); seq <= 3; seq++ {
-		rec := Record{Seq: seq, Entries: []Entry{
-			{Op: OpInsert, Key: "0101", Value: triple.Triple{Subject: "urn:s", Predicate: "urn:p", Object: "o"}},
-			{Op: OpDelete, Key: "1100", Value: triple.Triple{Subject: "urn:s2", Predicate: "urn:p", Object: "o2"}},
-		}}
-		b, err := encodeRecord(nil, rec)
-		if err != nil {
+	fs := store.NewMemFS()
+	l, _, err := store.Open(fs, "d", store.Options{SnapshotEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append(everyKind(i)); err != nil {
 			tb.Fatal(err)
 		}
-		buf.Write(b)
 	}
-	return buf.Bytes()
+	l.Close()
+	data, err := fs.ReadFile(filepath.Join("d", "wal.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
-// FuzzWALDecode feeds the record decoder arbitrary bytes — including
-// truncated and bit-flipped variants of a valid log — and asserts it
-// never panics, never reports an offset outside the input, and never
-// returns a record region that fails re-verification: decoding the
+// FuzzWALDecode feeds the journal-file decoder arbitrary bytes —
+// including truncated and bit-flipped variants of a valid log — and
+// asserts it never panics, never reports an offset outside the input, and
+// never returns a record region that fails re-verification: decoding the
 // reported good prefix must yield exactly the same records, cleanly.
 func FuzzWALDecode(f *testing.F) {
 	valid := buildValidLog(f)
+	head := len(store.FileHeader)
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid[:len(valid)-3])                       // torn tail
-	f.Add(valid[:frameHeader-2])                      // torn header
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // implausible length
+	f.Add(valid[:len(valid)-3])                                                 // torn tail
+	f.Add(valid[:head+6])                                                       // torn record header
+	f.Add(valid[:head-2])                                                       // cut inside the file header
+	f.Add(append([]byte(store.FileHeader), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0)) // implausible length
+	f.Add(valid[head:])                                                         // records without the file header
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40 // checksum corruption mid-log
 	f.Add(flipped)
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad, 0xbe)) // garbage tail
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, goodLen, err := DecodeRecords(data)
+		recs, goodLen, err := store.DecodeRecords(data)
 		if goodLen < 0 || goodLen > len(data) {
 			t.Fatalf("goodLen %d outside input of %d bytes", goodLen, len(data))
 		}
@@ -52,7 +59,7 @@ func FuzzWALDecode(f *testing.F) {
 		// The good prefix must re-decode to the identical records with
 		// no error: what DecodeRecords vouches for is stable and every
 		// vouched record sits in a checksum-valid frame.
-		recs2, goodLen2, err2 := DecodeRecords(data[:goodLen])
+		recs2, goodLen2, err2 := store.DecodeRecords(data[:goodLen])
 		if err2 != nil {
 			t.Fatalf("good prefix failed to re-decode: %v", err2)
 		}

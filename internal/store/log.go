@@ -8,7 +8,9 @@ import (
 	"sync"
 )
 
-// Log file layout inside a log directory.
+// Log file layout inside a log directory. The snapshot keeps the name
+// it had when it was gob-encoded, so a directory a gob-era build wrote is
+// refused on its snapshot rather than started without it.
 const (
 	walFile  = "wal.log"
 	snapFile = "snapshot.gob"
@@ -104,8 +106,15 @@ type Log struct {
 // Open opens (or creates) the log directory, removes any half-written
 // snapshot temp file, loads the newest snapshot, replays the WAL tail
 // — truncating it at the first record that is short, checksum-corrupt,
-// or out of sequence — and leaves the WAL open for appending.
+// or out of sequence — and leaves the WAL open for appending. A
+// snapshot or WAL that does not start with the journal's file header (a
+// gob-era file, say) is an error naming the file, whose bytes are left
+// as they are; a WAL no longer than the header holds no record and is
+// started afresh.
 func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
+	if recordCodec == nil {
+		return nil, nil, errNoCodec
+	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
@@ -123,7 +132,8 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		if derr != nil {
 			// A crash cannot produce a corrupt snapshot (it is written
 			// to a temp file, synced, then atomically renamed), so
-			// this is real corruption — surface it, don't guess.
+			// this is real corruption or a foreign format — surface
+			// it, don't guess.
 			return nil, nil, fmt.Errorf("store: snapshot %s: %w", snapPath, derr)
 		}
 		snapSeq = snap.Seq
@@ -139,7 +149,19 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("store: read WAL: %w", err)
 	}
+	if len(data) <= len(fileHeader) && string(data) != fileHeader {
+		// Absent, empty, or cut short by a crash while its header was
+		// being written (torn, perhaps): no record can be in it.
+		if err := resetWAL(fsys, walPath); err != nil {
+			return nil, nil, fmt.Errorf("store: reset WAL %s: %w", walPath, err)
+		}
+		rec.TruncatedBytes = len(data)
+		data = []byte(fileHeader)
+	}
 	recs, goodLen, decErr := DecodeRecords(data)
+	if errors.Is(decErr, errNotJournal) {
+		return nil, nil, fmt.Errorf("store: WAL %s: %w", walPath, decErr)
+	}
 	// Walk the records, skipping those the snapshot already covers and
 	// cutting at the first sequence violation (which only tampering or
 	// undetected corruption could produce — cheap insurance).
@@ -163,10 +185,10 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("store: truncate corrupt WAL tail: %w", err)
 		}
 	} else if decErr != nil {
-		return nil, nil, fmt.Errorf("store: WAL decode: %w", decErr)
+		return nil, nil, fmt.Errorf("store: WAL %s: %w", walPath, decErr)
 	}
 	rec.LastSeq = lastSeq
-	stats.WALBytes = int64(goodLen)
+	stats.WALBytes = int64(goodLen - len(fileHeader))
 
 	wal, err := fsys.Append(walPath)
 	if err != nil {
@@ -186,10 +208,26 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
+// resetWAL makes path an empty WAL: the file header, synced on its own,
+// so that no torn write of a later record can reach it.
+func resetWAL(fsys FS, path string) error {
+	f, err := fsys.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write([]byte(fileHeader)); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // recordOffset returns the byte offset of the i-th record in data.
 // data is known to decode cleanly through at least i records.
 func recordOffset(data []byte, i int) int {
-	off := 0
+	off := len(fileHeader)
 	for ; i > 0; i-- {
 		n := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
 		off += frameHeader + n
@@ -301,11 +339,19 @@ func (l *Log) flushPendingLocked() error {
 		l.err = werr
 	} else {
 		l.flushedLocked(target, recs, len(group))
+		if l.pending == nil && cap(group) <= maxReusedGroup {
+			// Nothing staged behind this flush: the next record is
+			// encoded into the buffer just written.
+			l.pending = group[:0]
+		}
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	return werr
 }
+
+// maxReusedGroup caps the flushed buffer a Log keeps for its next record.
+const maxReusedGroup = 64 << 10
 
 // flushedLocked accounts for one group that reached the disk.
 func (l *Log) flushedLocked(target uint64, recs, bytes int) {
@@ -344,8 +390,9 @@ func (l *Log) Snapshot() error {
 // snapshotLocked writes the source state to a temp file, syncs it,
 // atomically renames it over the snapshot, syncs the directory, then
 // resets the WAL. A crash anywhere in the sequence leaves either the
-// old snapshot + full WAL or the new snapshot + (possibly stale) WAL —
-// both recover exactly, because stale records are skipped by Seq.
+// old snapshot + full WAL or the new snapshot + a stale WAL (or one cut
+// inside its header) — all recover exactly, because stale records are
+// skipped by Seq.
 //
 // Any records still pending when the snapshot lands are absorbed by
 // it: the apply-then-append discipline means the snapshot source
@@ -365,7 +412,8 @@ func (l *Log) snapshotLocked() error {
 		return errors.New("store: no snapshot source registered")
 	}
 	items, tombs := l.source()
-	buf, err := encodeRecord(make([]byte, 0, l.stats.SnapshotBytes), Record{Seq: l.seq, Entries: append(items, tombs...)})
+	buf := append(make([]byte, 0, l.stats.SnapshotBytes), fileHeader...)
+	buf, err := encodeRecord(buf, Record{Seq: l.seq, Entries: append(items, tombs...)})
 	if err != nil {
 		l.err = err
 		l.cond.Broadcast()
@@ -382,9 +430,11 @@ func (l *Log) snapshotLocked() error {
 		return fail("create temp", err)
 	}
 	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close() //nolint:errcheck // the write error is the one to report
 		return fail("write temp", err)
 	}
 	if err := tmp.Sync(); err != nil {
+		tmp.Close() //nolint:errcheck // the sync error is the one to report
 		return fail("sync temp", err)
 	}
 	if err := tmp.Close(); err != nil {
@@ -397,14 +447,18 @@ func (l *Log) snapshotLocked() error {
 		return fail("sync dir", err)
 	}
 	// The snapshot is durable; every WAL record is now ≤ its Seq, so
-	// the log can be reset. A crash before the truncate just leaves
+	// the log can be reset. A crash before the reset just leaves
 	// records that replay as no-ops (skipped by Seq).
 	if err := l.wal.Close(); err != nil {
 		return fail("close old WAL", err)
 	}
-	wal, err := l.fs.Create(filepath.Join(l.dir, walFile))
-	if err != nil {
+	walPath := filepath.Join(l.dir, walFile)
+	if err := resetWAL(l.fs, walPath); err != nil {
 		return fail("reset WAL", err)
+	}
+	wal, err := l.fs.Append(walPath)
+	if err != nil {
+		return fail("reopen WAL", err)
 	}
 	l.wal = wal
 	l.sinceSnap = 0
@@ -456,7 +510,7 @@ func (l *Log) Syncs() int64 {
 type Stats struct {
 	Snapshots     int64 // snapshots taken since Open
 	SnapshotBytes int64 // length of the snapshot file (0: none yet)
-	WALBytes      int64 // length of the WAL file: bytes flushed since that snapshot
+	WALBytes      int64 // records flushed to the WAL since that snapshot, in bytes (the file adds its header)
 }
 
 // Stats returns the journal's current bookkeeping.

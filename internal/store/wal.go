@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -21,8 +19,9 @@ const (
 )
 
 // Entry is one logged mutation. Key is the overlay key the value lives
-// under. Value must be gob-encodable with its concrete type registered,
-// which every type shipped over the simnet wire already is.
+// under. Value must have an overlay tag (internal/codec's kinds table),
+// as every value the overlay stores does: the journal writes it the way
+// an overlay frame carries it.
 type Entry struct {
 	Op    Op
 	Key   string
@@ -39,25 +38,58 @@ type Record struct {
 	Entries []Entry
 }
 
-// Record framing: a fixed 8-byte header — little-endian payload length
-// then CRC32C (Castagnoli) of the payload — followed by the payload, a
-// self-contained gob stream of one Record. Self-contained means a
-// fresh encoder per record: any record can be decoded without the ones
-// before it, so a corrupt record never poisons its predecessors.
+// Codec lays a record's payload out and reads it back. Package
+// internal/codec registers the one the product journals with at init:
+// it imports this package (through mediation), so this package cannot
+// import it. Open refuses to run with none registered.
+type Codec interface {
+	// AppendRecord appends rec's payload to dst.
+	AppendRecord(dst []byte, rec *Record) ([]byte, error)
+	// DecodeRecord decodes one payload into a record that shares no
+	// bytes with it: a replayed value lives as long as the process, and
+	// a substring would pin the whole file it was read from.
+	DecodeRecord(payload []byte) (Record, error)
+}
+
+var recordCodec Codec
+
+// RegisterCodec sets the codec every Log writes and reads its records
+// with. Call it from an init function.
+func RegisterCodec(c Codec) { recordCodec = c }
+
+var errNoCodec = errors.New("store: no record codec registered (import gridvine/internal/codec)")
+
+// A journal file — the WAL and the snapshot alike — is fileHeader, then
+// records. A record is a fixed 8-byte header — little-endian payload
+// length then CRC32C (Castagnoli) of the payload — followed by the
+// payload, one Record as the registered Codec lays it out. Every record
+// decodes without the ones before it, so a corrupt record never poisons
+// its predecessors.
 const (
+	// fileHeader's little-endian value, 0x314A5647, exceeds
+	// maxRecordSize, so no record header can start a file this way —
+	// in particular none of the gob-encoded layout that preceded it:
+	// such a file is refused, not mistaken for a torn tail.
+	fileHeader  = "GVJ1"
 	frameHeader = 8
 	// maxRecordSize bounds a claimed payload length so a corrupt
-	// header can't drive a giant allocation.
+	// header can't drive a giant allocation. It is the journal's own,
+	// above the socket's codec.MaxPayload: a large store's snapshot is
+	// one record.
 	maxRecordSize = 1 << 28
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // errBadRecord tags any undecodable tail condition — truncated header,
-// truncated payload, checksum mismatch, or gob garbage. Recovery
-// treats them all the same way: truncate the log at the last good
-// record.
+// truncated payload, checksum mismatch, or an undecodable payload.
+// Recovery treats them all the same way: truncate the log at the last
+// good record.
 var errBadRecord = errors.New("store: bad WAL record")
+
+// errNotJournal reports a file that does not start with fileHeader.
+// Recovery refuses it and leaves its bytes as they are.
+var errNotJournal = errors.New("store: no journal header: the file predates this format or is not a journal")
 
 // encodeRecord appends one framed record to dst and returns the extended
 // slice (dst itself, unextended, on error). The payload is encoded straight
@@ -66,11 +98,10 @@ var errBadRecord = errors.New("store: bad WAL record")
 // snapshot's length — pays no copy at all.
 func encodeRecord(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	w := bytes.NewBuffer(append(dst, make([]byte, frameHeader)...))
-	if err := gob.NewEncoder(w).Encode(rec); err != nil {
+	buf, err := recordCodec.AppendRecord(append(dst, make([]byte, frameHeader)...), &rec)
+	if err != nil {
 		return dst, fmt.Errorf("store: encode WAL record: %w", err)
 	}
-	buf := w.Bytes()
 	payload := buf[start+frameHeader:]
 	if len(payload) > maxRecordSize {
 		return dst, fmt.Errorf("store: WAL record too large (%d bytes)", len(payload))
@@ -80,16 +111,28 @@ func encodeRecord(dst []byte, rec Record) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRecords decodes as many whole, checksum-valid records as data
-// holds. It returns them along with goodLen, the byte offset of the
-// first undecodable position — recovery truncates the log there. err
-// is nil on a clean end and errBadRecord-wrapped when trailing bytes
-// had to be discarded; the returned records are valid either way.
-// Every returned record passed its CRC32C check, and no input —
-// truncated, bit-flipped, or arbitrary — can cause a panic or an
-// unbounded allocation.
+// DecodeRecords decodes a journal file: its header, then as many whole,
+// checksum-valid records as data holds. It returns them along with
+// goodLen, the byte offset of the first undecodable position — recovery
+// truncates the log there. err is nil on a clean end (an empty file is
+// one), errBadRecord-wrapped when trailing bytes had to be discarded, and
+// errNotJournal-wrapped, with goodLen 0, when data does not start with
+// the file header; the returned records are valid either way. Every
+// returned record passed its CRC32C check, and no input — truncated,
+// bit-flipped, or arbitrary — can cause a panic or an unbounded
+// allocation.
 func DecodeRecords(data []byte) (recs []Record, goodLen int, err error) {
-	off := 0
+	switch {
+	case recordCodec == nil:
+		return nil, 0, errNoCodec
+	case len(data) == 0:
+		return nil, 0, nil
+	case len(data) < len(fileHeader) && string(data) == fileHeader[:len(data)]:
+		return nil, 0, fmt.Errorf("%w: file ends inside its header", errBadRecord)
+	case len(data) < len(fileHeader) || string(data[:len(fileHeader)]) != fileHeader:
+		return nil, 0, errNotJournal
+	}
+	off := len(fileHeader)
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
@@ -109,9 +152,9 @@ func DecodeRecords(data []byte) (recs []Record, goodLen int, err error) {
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return recs, off, fmt.Errorf("%w: checksum mismatch at offset %d", errBadRecord, off)
 		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return recs, off, fmt.Errorf("%w: gob decode at offset %d: %v", errBadRecord, off, err)
+		rec, err := recordCodec.DecodeRecord(payload)
+		if err != nil {
+			return recs, off, fmt.Errorf("%w: undecodable payload at offset %d: %v", errBadRecord, off, err)
 		}
 		recs = append(recs, rec)
 		off += frameHeader + n

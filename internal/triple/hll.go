@@ -1,6 +1,7 @@
 package triple
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -78,6 +79,17 @@ func (h *HLL) Clone() *HLL {
 	}
 	out := *h
 	return &out
+}
+
+// GoString spells a sketch by its registers. pgrid digests a stored value
+// by its %#v, which prints a pointer field inside it as an address: a
+// stats digest would then digest differently in every process and on
+// every replica.
+func (h *HLL) GoString() string {
+	if h == nil {
+		return "(*triple.HLL)(nil)"
+	}
+	return fmt.Sprintf("&triple.HLL{Registers:%x}", h.Registers)
 }
 
 // fmix64 is the MurmurHash3 finalizer. FNV-1a's high bits avalanche

@@ -18,7 +18,7 @@
 //	cur, _ := net.Peer(3).Query(ctx, gridvine.Request{Pattern: &q})
 //	rs, _ := gridvine.CollectPattern(ctx, cur)
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// See the Examples (checked by go test) for walk-throughs and DESIGN.md for the architecture.
 package gridvine
 
 import (

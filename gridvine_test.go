@@ -77,7 +77,7 @@ func TestFacadeTCP(t *testing.T) {
 }
 
 // TestFacadeBatchWrite exercises the public bulk-ingest surface — a mixed
-// Batch written over TCP, so the new batch messages' gob wire forms are
+// Batch written over TCP, so the batch messages' overlay-codec frames are
 // pinned end to end.
 func TestFacadeBatchWrite(t *testing.T) {
 	net, err := NewNetwork(Options{Peers: 6, Seed: 9, TCP: true})

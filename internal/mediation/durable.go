@@ -15,8 +15,8 @@ import (
 // store that a crash must not lose. Every mutation the node observes
 // through its store hook is appended to an attached store.Log at exactly
 // the hook granularity (one hook invocation — a batch, or one
-// anti-entropy repair response — = one WAL record), and snapshots dump
-// the node's full store + tombstones via Node.DumpState. This is the
+// anti-entropy repair response — = one WAL record), and snapshots walk
+// the node's full store + tombstones via Node.VisitState. This is the
 // only durability layer: there is no journaled triple store beneath it.
 //
 // The hook runs after the node has applied the mutation, so the log is

@@ -148,8 +148,8 @@ func TestOverlayOverTCP(t *testing.T) {
 }
 
 // TestMediationOverTCP exercises the full mediation stack — triples,
-// schemas, mappings, reformulation — across TCP, proving all payloads are
-// gob-clean.
+// schemas, mappings, reformulation — across TCP, proving the overlay codec
+// encodes every payload.
 func TestMediationOverTCP(t *testing.T) {
 	tr := NewTransport()
 	defer tr.Close()

@@ -21,8 +21,8 @@ const (
 // the 3-way index store every triple on several peers — estimates the true
 // distinct cardinality instead of summing each copy.
 //
-// The zero value is an empty sketch. Fields are exported for gob; treat
-// them as opaque.
+// The zero value is an empty sketch. Fields are exported so the overlay
+// codec's walk can reach them; treat them as opaque.
 type HLL struct {
 	Registers [hllRegisters]byte
 }

@@ -75,7 +75,7 @@ var experimentBenchmarks = []struct {
 	}},
 	{"K", true, 9, func(b *testing.B, res experiments.Result) {
 		r := res.(experiments.ConjunctiveResult)
-		b.ReportMetric(r.MessageRatio, "msg-ratio")
+		b.ReportMetric(r.ByteReduction, "byte-cut")
 		b.ReportMetric(r.Speedup, "speedup")
 		b.ReportMetric(r.PlannedMessages, "planned-msgs/query")
 		b.ReportMetric(r.NaiveMessages, "naive-msgs/query")

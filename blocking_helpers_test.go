@@ -32,9 +32,9 @@ func blockingConjunctive(p *Peer, patterns []Pattern, reformulate bool, opts Sea
 	}
 	bs, stats, err := CollectSet(ctx, cur)
 	if err != nil {
-		return nil, stats.TotalMessages(), err
+		return nil, stats.RouteMessages, err
 	}
-	return bs.ToBindings(), stats.TotalMessages(), nil
+	return bs.ToBindings(), stats.RouteMessages, nil
 }
 
 func blockingRDQL(p *Peer, query string, reformulate bool, opts SearchOptions) ([]Row, error) {

@@ -51,7 +51,7 @@ type (
 	// plus tuple rows) the conjunctive query engine joins over.
 	BindingSet = triple.BindingSet
 	// ConjunctiveStats reports how a conjunctive query was executed:
-	// routing and transfer messages, pushdowns, full scans, triples shipped.
+	// messages sent, pushdowns, semi-joins, full scans, triples shipped.
 	ConjunctiveStats = mediation.ConjunctiveStats
 	// Schema is a named set of attributes used as triple predicates.
 	Schema = schema.Schema

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"time"
 
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
@@ -144,7 +143,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 
 	for _, depth := range cfg.Depths {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(depth)))
-		_, peers, err := newSimPeers(cfg.Peers, nil, rng)
+		net, peers, err := newSimPeers(cfg.Peers, nil, rng)
 		if err != nil {
 			return out, err
 		}
@@ -179,25 +178,25 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		}
 		point.ColdBuildMessages = cold.Messages
 
-		var travArm, compArm armCost
+		travArm, compArm := armCost{net: net}, armCost{net: net}
 		var prunedMsgs metrics.Distribution
 		prunedKept, prunedTotal := 0, 0
 		chainKept, chainTotal := 0, 0
 		for _, q := range queries {
-			start := time.Now()
+			travArm.begin()
 			trav, err := searchWithReformulation(ctx, issuer, q, base)
 			if err != nil {
 				return out, err
 			}
-			travArm.add(start, trav.Messages, 0)
+			travArm.add(0)
 			point.Reformulations = trav.Reformulations
 
-			start = time.Now()
+			compArm.begin()
 			cr, err := searchWithReformulation(ctx, issuer, q, comp)
 			if err != nil {
 				return out, err
 			}
-			compArm.add(start, cr.Messages, 0)
+			compArm.add(0)
 			if !reflect.DeepEqual(cr.Results, trav.Results) {
 				point.CompositeMatchesTraversal = false
 			}

@@ -304,8 +304,9 @@ func TestRunSemiJoinBeatsNaive(t *testing.T) {
 }
 
 func TestRunConjunctivePlannerBeatsNaive(t *testing.T) {
-	// Small workload, delays disabled (negative): the gate pins result
-	// equivalence and the message/transfer reductions, not wall-clock.
+	// Small workload, delays disabled (negative; frame bytes are still
+	// counted): the gate pins result equivalence and the frame-byte and
+	// triples-shipped reductions, not wall-clock.
 	r, err := RunConjunctive(ConjunctiveConfig{
 		Peers:       24,
 		HotEntities: 1500,

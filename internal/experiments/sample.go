@@ -86,13 +86,25 @@ func (w WANModel) apply(net *simnet.Network) {
 }
 
 // armCost accumulates the per-query costs of one evaluator arm of a
-// comparison; the result fields are means over the arm's queries.
-type armCost struct{ wallMicros, msgs, shipped metrics.Distribution }
+// comparison; the result fields are means over the arm's queries. Messages
+// and bytes are what net carried, the bytes being overlay frames as
+// frameBytes sizes them — requests, with any filters they carry, and answers.
+type armCost struct {
+	net                              *simnet.Network
+	at                               time.Time
+	sent                             simnet.Stats
+	wallMicros, msgs, bytes, shipped metrics.Distribution
+}
 
-// add records one query that started at start.
-func (a *armCost) add(start time.Time, msgs, shipped int) {
-	a.wallMicros.Add(float64(time.Since(start).Microseconds()))
-	a.msgs.Add(float64(msgs))
+// begin marks the start of one query of the arm.
+func (a *armCost) begin() { a.at, a.sent = time.Now(), a.net.Stats() }
+
+// add records the query begun last, which reported shipped triples.
+func (a *armCost) add(shipped int) {
+	sent := a.net.Stats()
+	a.wallMicros.Add(float64(time.Since(a.at).Microseconds()))
+	a.msgs.Add(float64(sent.Messages - a.sent.Messages))
+	a.bytes.Add(float64(sent.PayloadUnits - a.sent.PayloadUnits))
 	a.shipped.Add(float64(shipped))
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"gridvine/internal/mediation"
 	"gridvine/internal/metrics"
@@ -65,12 +64,15 @@ type SemiJoinResult struct {
 	NaiveMessages    float64 `json:"naive_messages_per_query"`
 	SemiJoinMessages float64 `json:"semijoin_messages_per_query"`
 
+	// The semi-join arm's frame bytes include the filters its requests carry.
+	NaiveFrameBytes    float64 `json:"naive_frame_bytes_per_query"`
+	SemiJoinFrameBytes float64 `json:"semijoin_frame_bytes_per_query"`
+
 	NaiveTriplesShipped    float64 `json:"naive_triples_shipped_per_query"`
 	SemiJoinTriplesShipped float64 `json:"semijoin_triples_shipped_per_query"`
-	FilterTriplesShipped   float64 `json:"semijoin_filter_triples_shipped_per_query"`
 
-	// ShippingReduction is naive-vs-semi-join triples shipped (the filter
-	// payload counted against semi-join) — the headline figure.
+	// ShippingReduction is naive-vs-semi-join triples shipped — the
+	// headline figure.
 	ShippingReduction float64 `json:"semijoin_vs_naive_shipping_reduction"`
 
 	NaiveWallMs    float64 `json:"naive_wall_ms_per_query"`
@@ -79,8 +81,9 @@ type SemiJoinResult struct {
 }
 
 // RunSemiJoin builds the high-fan-out workload, publishes statistics
-// digests, runs the same join through both evaluators, and reports
-// message, shipping, and wall-clock costs plus result equivalence.
+// digests, runs the same join through both evaluators, and reports the
+// messages and frame bytes the transport carried, the triples shipped and
+// wall-clock costs, plus result equivalence.
 func RunSemiJoin(cfg SemiJoinConfig) (SemiJoinResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -132,27 +135,25 @@ func RunSemiJoin(cfg SemiJoinConfig) (SemiJoinResult, error) {
 		PushdownLimit: mediation.DefaultPushdownLimit,
 		BoundFanout:   cfg.BoundFanout,
 	}
-	var naiveArm, sjArm armCost
-	var sjFilter metrics.Distribution
+	naiveArm, sjArm := armCost{net: net}, armCost{net: net}
 	for q := 0; q < cfg.Queries; q++ {
 		issuer := peers[rng.Intn(len(peers))]
 
-		start := time.Now()
+		naiveArm.begin()
 		naive, naiveStats, err := issuer.SearchConjunctiveNaive(ctx, patterns, false, opts)
 		if err != nil {
 			return out, fmt.Errorf("naive query %d: %w", q, err)
 		}
-		naiveArm.add(start, naiveStats.TotalMessages(), naiveStats.TriplesShipped)
+		naiveArm.add(naiveStats.TriplesShipped)
 
 		// The semi-join run pays its own cold statistics fetch (the
 		// issuer's digest cache is empty): the naive evaluator never plans.
-		start = time.Now()
+		sjArm.begin()
 		sj, sjStats, err := searchConjunctiveSet(ctx, issuer, patterns, false, opts)
 		if err != nil {
 			return out, fmt.Errorf("semijoin query %d: %w", q, err)
 		}
-		sjArm.add(start, sjStats.TotalMessages(), sjStats.TriplesShipped+sjStats.FilterTriplesShipped)
-		sjFilter.Add(float64(sjStats.FilterTriplesShipped))
+		sjArm.add(sjStats.TriplesShipped)
 		out.StatsDigests = sjStats.StatsDigests
 		if sjStats.SemiJoins == 0 {
 			return out, fmt.Errorf("semijoin query %d: no semi-join fired (stats %+v)", q, sjStats)
@@ -166,9 +167,10 @@ func RunSemiJoin(cfg SemiJoinConfig) (SemiJoinResult, error) {
 
 	out.NaiveMessages = naiveArm.msgs.Mean()
 	out.SemiJoinMessages = sjArm.msgs.Mean()
+	out.NaiveFrameBytes = naiveArm.bytes.Mean()
+	out.SemiJoinFrameBytes = sjArm.bytes.Mean()
 	out.NaiveTriplesShipped = naiveArm.shipped.Mean()
 	out.SemiJoinTriplesShipped = sjArm.shipped.Mean()
-	out.FilterTriplesShipped = sjFilter.Mean()
 	out.NaiveWallMs = naiveArm.wallMs()
 	out.SemiJoinWallMs = sjArm.wallMs()
 	if out.SemiJoinTriplesShipped > 0 {
@@ -191,9 +193,9 @@ func (r SemiJoinResult) Check() error {
 
 // Table renders the comparison.
 func (r SemiJoinResult) Table() string {
-	t := metrics.NewTable("evaluator", "msgs/query", "shipped (incl. filters)", "wall ms/query")
-	t.AddRow("naive", fmt.Sprintf("%.0f", r.NaiveMessages), fmt.Sprintf("%.0f", r.NaiveTriplesShipped), fmt.Sprintf("%.1f", r.NaiveWallMs))
-	t.AddRow("semi-join", fmt.Sprintf("%.0f", r.SemiJoinMessages), fmt.Sprintf("%.0f", r.SemiJoinTriplesShipped), fmt.Sprintf("%.1f", r.SemiJoinWallMs))
+	t := metrics.NewTable("evaluator", "msgs/query", "frame bytes/query", "triples shipped", "wall ms/query")
+	t.AddRow("naive", fmt.Sprintf("%.1f", r.NaiveMessages), fmt.Sprintf("%.0f", r.NaiveFrameBytes), fmt.Sprintf("%.0f", r.NaiveTriplesShipped), fmt.Sprintf("%.1f", r.NaiveWallMs))
+	t.AddRow("semi-join", fmt.Sprintf("%.1f", r.SemiJoinMessages), fmt.Sprintf("%.0f", r.SemiJoinFrameBytes), fmt.Sprintf("%.0f", r.SemiJoinTriplesShipped), fmt.Sprintf("%.1f", r.SemiJoinWallMs))
 	return t.String() +
 		fmt.Sprintf("fan-out %d over cap %d; shipping reduction %.1fx, wall-clock speedup %.1fx, rows %d, digests %d, match: %v\n",
 			r.BoundFanout, r.PushdownLimit, r.ShippingReduction, r.Speedup, r.Rows, r.StatsDigests, r.Match)

@@ -221,14 +221,14 @@ func RunStreaming(cfg StreamingConfig) (StreamingResult, error) {
 					return out, fmt.Errorf("unbounded run yielded %d rows, want %d", rows, cfg.HotEntities)
 				}
 				unboundedLk.Add(float64(st.PatternLookups))
-				unboundedMsg.Add(float64(st.TotalMessages()))
+				unboundedMsg.Add(float64(st.RouteMessages))
 			} else {
 				if rows != cfg.TopK {
 					return out, fmt.Errorf("top-%d run yielded %d rows", cfg.TopK, rows)
 				}
 				out.TopKRows = rows
 				topkLk.Add(float64(st.PatternLookups))
-				topkMsg.Add(float64(st.TotalMessages()))
+				topkMsg.Add(float64(st.RouteMessages))
 			}
 		}
 	}

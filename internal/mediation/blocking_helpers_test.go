@@ -41,9 +41,9 @@ func blockingConjunctiveSet(p *Peer, patterns []triple.Pattern, reformulate bool
 func blockingConjunctive(p *Peer, patterns []triple.Pattern, reformulate bool, opts SearchOptions) ([]triple.Bindings, int, error) {
 	bs, stats, err := blockingConjunctiveSet(p, patterns, reformulate, opts)
 	if err != nil {
-		return nil, stats.TotalMessages(), err
+		return nil, stats.RouteMessages, err
 	}
-	return bs.ToBindings(), stats.TotalMessages(), nil
+	return bs.ToBindings(), stats.RouteMessages, nil
 }
 
 func blockingRDQL(p *Peer, query string, reformulate bool, opts SearchOptions) ([]rdql.Row, error) {

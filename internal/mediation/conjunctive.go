@@ -55,31 +55,12 @@ import (
 // overlay with more lookups than the unconstrained pattern would cost.
 const DefaultPushdownLimit = 32
 
-// ResponseChunk is the number of triples assumed to fit in one transport
-// message. Overlay routing counts one message per hop regardless of payload,
-// which would make a 20k-triple answer as "cheap" as a point lookup; the
-// conjunctive engine instead charges one extra transfer message per
-// ResponseChunk triples beyond the first chunk, so message counts reflect
-// data actually moved.
-const ResponseChunk = 64
-
-// transferMessages returns the extra transfer messages charged for an
-// answer of n triples (the first chunk rides the already-counted response).
-func transferMessages(n int) int {
-	if n <= ResponseChunk {
-		return 0
-	}
-	return (n+ResponseChunk-1)/ResponseChunk - 1
-}
-
 // ConjunctiveStats reports how a conjunctive query was executed.
 type ConjunctiveStats struct {
-	// RouteMessages is the overlay routing cost (route messages of every
-	// pattern lookup and mapping retrieval).
+	// RouteMessages is the overlay message cost: every send of every
+	// pattern lookup, mapping retrieval and statistics fetch, however much
+	// data the send carried.
 	RouteMessages int
-	// TransferMessages is the data-transfer cost: extra messages charged
-	// for shipped answer chunks beyond the first (see ResponseChunk).
-	TransferMessages int
 	// TriplesShipped counts result triples transferred to the issuer.
 	TriplesShipped int
 	// PatternLookups is the number of routed pattern operations issued.
@@ -90,10 +71,6 @@ type ConjunctiveStats struct {
 	SemiJoins int
 	// FullScans counts patterns shipped unconstrained.
 	FullScans int
-	// FilterTriplesShipped is the semi-join filter payload shipped to the
-	// data, in result-triple equivalents (see VarFilter.TripleEquivalents);
-	// its chunked transfer cost is charged to TransferMessages.
-	FilterTriplesShipped int
 	// Reformulations aggregates per-pattern reformulation counts.
 	Reformulations int
 	// StatsFetches counts overlay retrievals of statistics digests (cache
@@ -109,20 +86,13 @@ type ConjunctiveStats struct {
 	Degraded bool
 }
 
-// TotalMessages is the overlay message cost including data transfer.
-func (s ConjunctiveStats) TotalMessages() int {
-	return s.RouteMessages + s.TransferMessages
-}
-
 func (s *ConjunctiveStats) add(o ConjunctiveStats) {
 	s.RouteMessages += o.RouteMessages
-	s.TransferMessages += o.TransferMessages
 	s.TriplesShipped += o.TriplesShipped
 	s.PatternLookups += o.PatternLookups
 	s.Pushdowns += o.Pushdowns
 	s.SemiJoins += o.SemiJoins
 	s.FullScans += o.FullScans
-	s.FilterTriplesShipped += o.FilterTriplesShipped
 	s.Reformulations += o.Reformulations
 	s.StatsFetches += o.StatsFetches
 	s.StatsDigests += o.StatsDigests
@@ -251,9 +221,9 @@ func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern,
 // SearchConjunctiveNaive is the textbook left-to-right evaluator the seed
 // shipped: every pattern resolved in declaration order, unconstrained, with
 // the nested-loop binding join. Kept as the baseline the planner is
-// benchmarked and property-tested against; message accounting matches the
-// planned engine (routing plus transfer chunks) so comparisons are
-// apples-to-apples.
+// benchmarked and property-tested against; its stats count messages and
+// shipped triples exactly as the planned engine's do, so comparisons are
+// like for like.
 func (p *Peer) SearchConjunctiveNaive(ctx context.Context, patterns []triple.Pattern, reformulate bool, opts SearchOptions) ([]triple.Bindings, ConjunctiveStats, error) {
 	opts = opts.withDefaults()
 	var stats ConjunctiveStats
@@ -820,15 +790,13 @@ func (p *Peer) resolvePushdownStream(ctx context.Context, q triple.Pattern, plan
 }
 
 // resolvePattern issues one (possibly reformulating, possibly semi-join
-// filtered) overlay search, charges its routing, transfer, filter shipment
-// and reformulation costs to stats, and binds the shipped triples straight
-// into q's variable schema — a row is materialised once between the frame
-// and the join. Reformulated variants bind identically: reformulation only
-// rewrites the (constant) predicate, so variable positions coincide with
-// q's. The filter payload rides every routed copy of the pattern, charged as
-// one per variant — the primary lookup and each reformulation: exact for
-// variants with distinct destination keys, an upper bound where key-grouped
-// shipping puts several variants in one message.
+// filtered) overlay search, charges its messages, shipped triples and
+// reformulations to stats, and binds the shipped triples straight into q's
+// variable schema — a row is materialised once between the frame and the
+// join. Reformulated variants bind identically: reformulation only rewrites
+// the (constant) predicate, so variable positions coincide with q's. The
+// filters ride inside the routed requests, so their bytes cost no message
+// of their own.
 func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, stats *ConjunctiveStats) (*triple.BindingSet, error) {
 	ts, rs, plain, err := p.patternTriples(ctx, q, filters, reformulate, opts)
 	if rs != nil {
@@ -836,13 +804,7 @@ func (p *Peer) resolvePattern(ctx context.Context, q triple.Pattern, filters []V
 		stats.Degraded = stats.Degraded || rs.Degraded
 		stats.RouteMessages += rs.Messages
 		stats.TriplesShipped += len(ts)
-		stats.TransferMessages += transferMessages(len(ts))
 		stats.Reformulations += rs.Reformulations
-		if ship := filterTripleEquivalents(filters); ship > 0 {
-			lookups := 1 + rs.Reformulations
-			stats.FilterTriplesShipped += ship * lookups
-			stats.TransferMessages += lookups * transferMessages(ship)
-		}
 	}
 	if err != nil {
 		return nil, err

@@ -67,33 +67,9 @@ func (f VarFilter) Accepts(value string) bool {
 }
 
 // filterValueBytes is the nominal wire size of one triple component — the
-// conversion rate between filter payload bytes and the triple-denominated
-// transfer accounting (a triple ≈ three components).
+// planner's conversion rate between filter payload bytes and the triples
+// its cost estimates count in (a triple ≈ three components).
 const filterValueBytes = 16
-
-// TripleEquivalents converts the filter's wire footprint into result-triple
-// equivalents so filter shipment is charged in the same currency as shipped
-// answers (see ConjunctiveStats.FilterTriplesShipped and ResponseChunk).
-func (f VarFilter) TripleEquivalents() int {
-	bytes := 0
-	if f.Bloom != nil {
-		bytes = f.Bloom.SizeBytes()
-	} else {
-		for _, v := range f.Values {
-			bytes += len(v) + 1
-		}
-	}
-	return (bytes + 3*filterValueBytes - 1) / (3 * filterValueBytes)
-}
-
-// filterTripleEquivalents sums the shipping cost of a filter set.
-func filterTripleEquivalents(filters []VarFilter) int {
-	total := 0
-	for _, f := range filters {
-		total += f.TripleEquivalents()
-	}
-	return total
-}
 
 // filterTriples applies semi-join filters to a σ answer in place: a triple
 // survives when, for every filter whose variable appears in the pattern,

@@ -100,8 +100,8 @@ type QueryStats struct {
 	// Rows is the number of rows the engine has handed over so far — taken
 	// by the consumer or sitting in the cursor's buffer ahead of it.
 	Rows int
-	// Messages is the overlay message cost (for conjunctive requests:
-	// routing plus transfer chunks, i.e. Conjunctive.TotalMessages()).
+	// Messages is the number of overlay messages the request sent (for
+	// conjunctive requests, Conjunctive.RouteMessages).
 	Messages int
 	// Reformulations counts mapping-graph rewrites performed.
 	Reformulations int
@@ -490,7 +490,7 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 	stats, err := p.streamConjunctive(ctx, req.Patterns, req.Reformulate, req.Options, sink)
 	c.mu.Lock()
 	c.stats.Conjunctive = stats
-	c.stats.Messages = stats.TotalMessages()
+	c.stats.Messages = stats.RouteMessages
 	c.stats.Reformulations = stats.Reformulations
 	c.stats.Degraded = stats.Degraded
 	c.mu.Unlock()

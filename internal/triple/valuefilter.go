@@ -89,8 +89,8 @@ func (f *ValueFilter) Contains(value string) bool {
 	return true
 }
 
-// SizeBytes is the wire footprint of the bit array — what semi-join
-// shipping charges against the transfer budget.
+// SizeBytes is the wire footprint of the bit array — what a semi-join
+// weighs against the exact value list when it picks a filter encoding.
 func (f *ValueFilter) SizeBytes() int {
 	return 8 * len(f.Bits)
 }

@@ -160,9 +160,15 @@ func (c *Codec) Int64(v *int64) {
 	}
 }
 
+// Int, Bool and Float write through v only when decoding: an encoded value
+// may be shared by goroutines encoding it at once (one mapping's
+// correspondences, journaled by two replicas).
 func (c *Codec) Int(v *int) {
 	x := int64(*v)
 	c.Int64(&x)
+	if c.encoding {
+		return
+	}
 	if *v = int(x); int64(*v) != x {
 		c.fail("integer out of range")
 	}
@@ -193,7 +199,9 @@ func (c *Codec) Bool(v *bool) {
 		b = 1
 	}
 	c.Enum(&b, 1)
-	*v = b == 1
+	if !c.encoding {
+		*v = b == 1
+	}
 }
 
 // fixed64 is eight little-endian bytes.
@@ -211,7 +219,9 @@ func (c *Codec) fixed64(v *uint64) {
 func (c *Codec) Float(v *float64) {
 	bits := math.Float64bits(*v)
 	c.fixed64(&bits)
-	*v = math.Float64frombits(bits)
+	if !c.encoding {
+		*v = math.Float64frombits(bits)
+	}
 }
 
 // count writes or reads the length of a string or slice. A length read is

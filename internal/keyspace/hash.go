@@ -16,6 +16,16 @@ const OrderPreservingBits = 96
 // order-preserving prefix plus a 64-bit tie-break suffix.
 const DefaultDepth = OrderPreservingBits + 64
 
+// bitChars[c] spells byte c as key characters, most significant bit first.
+var bitChars = func() (t [256][8]byte) {
+	for c := range t {
+		for i := range t[c] {
+			t[c][i] = '0' + byte(c>>(7-i)&1)
+		}
+	}
+	return t
+}()
+
 // Hash is GridVine's order-preserving hash function (paper §2.2): it maps a
 // string onto a binary key such that the lexicographic order of inputs is
 // preserved by the numeric order of outputs, which makes prefix/range
@@ -32,42 +42,51 @@ func Hash(s string, depth int) Key {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	norm := normalize(s)
-
 	var b strings.Builder
 	b.Grow(depth)
-	prefixBits := depth
-	if prefixBits > OrderPreservingBits {
-		prefixBits = OrderPreservingBits
-	}
-	for i := 0; i < prefixBits; i++ {
-		byteIdx := i / 8
-		var c byte
-		if byteIdx < len(norm) {
-			c = norm[byteIdx]
-		}
-		if c&(1<<uint(7-i%8)) != 0 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+	prefixBits := min(depth, OrderPreservingBits)
+	for i := 0; i < prefixBits; i += 8 {
+		b.Write(bitChars[normalizedByte(s, i/8)][:min(8, prefixBits-i)])
 	}
 	if depth > OrderPreservingBits {
-		sum := sha1.Sum([]byte(norm))
-		for i := 0; i < depth-OrderPreservingBits; i++ {
-			byteIdx := (i / 8) % len(sum)
-			if sum[byteIdx]&(1<<uint(7-i%8)) != 0 {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
+		sum := normalizedSum(s)
+		writeBits(&b, sum[:], depth-OrderPreservingBits)
 	}
 	return Key{bits: b.String()}
 }
 
 // HashDefault applies Hash at DefaultDepth.
 func HashDefault(s string) Key { return Hash(s, DefaultDepth) }
+
+// CouldHashUnder reports whether Hash(s, depth) can lie under prefix, as far
+// as the order-preserving bits decide: false means it cannot, at any depth;
+// true means the first min(len(prefix), OrderPreservingBits) bits agree. It
+// neither allocates nor runs SHA-1, so a walk can skip most strings before
+// hashing them.
+func CouldHashUnder(s, prefix string) bool {
+	n := min(len(prefix), OrderPreservingBits)
+	for i := 0; i < n; i += 8 {
+		m := min(8, n-i)
+		if string(bitChars[normalizedByte(s, i/8)][:m]) != prefix[i:i+m] {
+			return false
+		}
+	}
+	return true
+}
+
+// SameKey reports whether a and b are equal once normalized, which is when
+// Hash gives them one key (a tie-break collision aside).
+func SameKey(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if normalizedByte(a, i) != normalizedByte(b, i) {
+			return false
+		}
+	}
+	return true
+}
 
 // UniformHash is a non-order-preserving cryptographic hash onto the key
 // space. It is used where uniform load spreading matters more than range
@@ -79,29 +98,42 @@ func UniformHash(s string, depth int) Key {
 	sum := sha1.Sum([]byte(s))
 	var b strings.Builder
 	b.Grow(depth)
-	for i := 0; i < depth; i++ {
-		byteIdx := (i / 8) % len(sum)
-		bitIdx := uint(7 - i%8)
-		if sum[byteIdx]&(1<<bitIdx) != 0 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
+	writeBits(&b, sum[:], depth)
 	return Key{bits: b.String()}
 }
 
-// normalize lower-cases ASCII letters; other bytes pass through. Keeping the
-// transform byte-wise preserves order on the normalized alphabet.
-func normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b.WriteByte(c)
+// writeBits writes the first n bits of sum, cycling through it when n
+// exceeds its length.
+func writeBits(b *strings.Builder, sum []byte, n int) {
+	for i := 0; i < n; i += 8 {
+		b.Write(bitChars[sum[(i/8)%len(sum)]][:min(8, n-i)])
 	}
-	return b.String()
+}
+
+// normalizedByte returns byte i of s with ASCII letters lower-cased, and 0
+// past the end of s. Normalizing byte-wise preserves order on the
+// normalized alphabet.
+func normalizedByte(s string, i int) byte {
+	if i >= len(s) {
+		return 0
+	}
+	c := s[i]
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
+}
+
+// normalizedSum is the SHA-1 of s with ASCII letters lower-cased. Strings up
+// to a small length are lower-cased on the stack.
+func normalizedSum(s string) [sha1.Size]byte {
+	var buf [64]byte
+	norm := buf[:0]
+	if len(s) > len(buf) {
+		norm = make([]byte, 0, len(s))
+	}
+	for i := 0; i < len(s); i++ {
+		norm = append(norm, normalizedByte(s, i))
+	}
+	return sha1.Sum(norm)
 }

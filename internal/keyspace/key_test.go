@@ -1,6 +1,7 @@
 package keyspace
 
 import (
+	"crypto/sha1"
 	"math/rand"
 	"strings"
 	"testing"
@@ -292,7 +293,86 @@ func TestFlipBitProperty(t *testing.T) {
 }
 
 func BenchmarkHash(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Hash("EMBL#Organism/Aspergillus-nidulans", DefaultDepth)
 	}
+}
+
+// referenceHash is the bit-at-a-time Hash the table-driven one replaced,
+// kept as its specification.
+func referenceHash(s string, depth int) Key {
+	if depth <= 0 {
+		depth = DefaultDepth
+	}
+	norm := normalize(s)
+	var b strings.Builder
+	for i := 0; i < depth && i < OrderPreservingBits; i++ {
+		var c byte
+		if i/8 < len(norm) {
+			c = norm[i/8]
+		}
+		b.WriteByte('0' + c>>uint(7-i%8)&1)
+	}
+	if depth > OrderPreservingBits {
+		sum := sha1.Sum([]byte(norm))
+		for i := 0; i < depth-OrderPreservingBits; i++ {
+			b.WriteByte('0' + sum[(i/8)%len(sum)]>>uint(7-i%8)&1)
+		}
+	}
+	return Key{bits: b.String()}
+}
+
+// TestHashMatchesReference checks Hash against the bit loop on random
+// strings of every length class (short, around the 12-byte order-preserving
+// prefix, past the stack buffer) and bytes (mixed case, NUL, high bytes), at
+// depths that do and do not end on a byte boundary; that SameKey holds
+// across case changes and not across a trailing NUL; and that
+// CouldHashUnder never rules out a prefix of the string's own key.
+func TestHashMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := "aAzZ09:#% \x00\xff"
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(80))
+		for j := range b {
+			if rng.Intn(4) == 0 {
+				b[j] = byte(rng.Intn(256))
+			} else {
+				b[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		s := string(b)
+		depth := []int{0, 1, 7, 64, 95, 96, 100, 160, 200}[i%9]
+		got, want := Hash(s, depth), referenceHash(s, depth)
+		if !got.Equal(want) {
+			t.Fatalf("Hash(%q, %d) = %s, reference %s", s, depth, got, want)
+		}
+		if cut := rng.Intn(got.Len() + 1); !CouldHashUnder(s, got.String()[:cut]) {
+			t.Fatalf("CouldHashUnder(%q, own key[:%d]) = false", s, cut)
+		}
+		flipped := []byte(s)
+		for j, c := range flipped {
+			if ('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') && rng.Intn(2) == 0 {
+				flipped[j] ^= 'a' - 'A'
+			}
+		}
+		if !SameKey(s, string(flipped)) || !HashDefault(string(flipped)).Equal(HashDefault(s)) || SameKey(s, s+"\x00") {
+			t.Fatalf("SameKey(%q, %q) disagrees with Hash", s, flipped)
+		}
+		other := HashDefault(string(rune('a' + rng.Intn(26)))).String()
+		if !strings.HasPrefix(HashDefault(s).String(), other[:OrderPreservingBits]) && CouldHashUnder(s, other) {
+			t.Fatalf("CouldHashUnder(%q, %s) = true for a key it cannot reach", s, other)
+		}
+	}
+}
+
+// normalize lower-cases ASCII letters; other bytes pass through.
+func normalize(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if c >= 'A' && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }

@@ -50,7 +50,7 @@ type CompositeResponse struct {
 func (p *Peer) handleComposite(req CompositeQuery) CompositeResponse {
 	resp := CompositeResponse{Answers: make([][]triple.Triple, len(req.Patterns))}
 	for i, q := range req.Patterns {
-		resp.Answers[i] = filterTriples(q, req.Filters, p.db.SelectSorted(q))
+		resp.Answers[i] = filterTriples(q, req.Filters, p.node.DB().SelectSorted(q))
 	}
 	return resp
 }

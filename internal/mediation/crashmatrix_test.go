@@ -90,9 +90,9 @@ func TestCrashMatrixDurablePeers(t *testing.T) {
 		for i, p := range ps {
 			j, p := &journal{node: p.Node()}, p
 			js[i] = j
-			p.Node().SetStoreHook(func(muts []pgrid.StoreMutation) {
+			p.Node().SetStoreHook(func(muts []pgrid.StoreMutation) func() {
 				j.records = append(j.records, muts)
-				p.hookStore(muts)
+				return p.hookStore(muts)
 			})
 		}
 		for i, b := range crashWrites() {

@@ -6,18 +6,17 @@ import (
 	"gridvine/internal/keyspace"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/store"
-	"gridvine/internal/triple"
 )
 
-// Peer-level durability: the overlay store (keys → triples, schemas,
-// mappings, stats digests) is the authoritative local state — the
-// relational triple database is a derived mirror — so it is the overlay
-// store that a crash must not lose. Every mutation the node observes
-// through its store hook is appended to an attached store.Log at exactly
-// the hook granularity (one hook invocation — a batch, or one
-// anti-entropy repair response — = one WAL record), and snapshots walk
-// the node's full store + tombstones via Node.VisitState. This is the
-// only durability layer: there is no journaled triple store beneath it.
+// Peer-level durability: the node's store — its triple database plus the
+// other values (schemas, mappings, stats digests) and tombstones — is the
+// authoritative local state, and what a crash must not lose. Every
+// mutation the node observes through its store hook is appended to an
+// attached store.Log at exactly the hook granularity (one hook invocation
+// — a batch, or one anti-entropy repair response — = one WAL record), and
+// snapshots walk the node's (key, value) pairs + tombstones via
+// Node.VisitState. This is the only durability layer: there is no
+// journaled triple store beneath it.
 //
 // The hook runs after the node has applied the mutation, so the log is
 // write-behind by one handler invocation: a crash between apply and
@@ -27,7 +26,9 @@ import (
 // repair bytes after recovery rather than assuming zero. A delete of a
 // value that was never present locally changes no stored value but does
 // leave a tombstone; the hook reports it like any other delete, so the
-// tombstone is as durable as the record that carries it.
+// tombstone is as durable as the record that carries it. The node calls
+// the hook in apply order and the hook stages its record before
+// returning, so records replay in the order their passes applied.
 
 // NewDurablePeer wraps a fresh overlay node with mediation behaviour,
 // loads the recovered state from rec into it (a nil rec or an empty
@@ -46,9 +47,8 @@ func NewDurablePeer(node *pgrid.Node, l *store.Log, rec *store.Recovery) (*Peer,
 
 // RestoreFromRecovery loads a store.Open recovery into the peer: the
 // snapshot items and tombstones plus the replayed WAL mutations go
-// into the overlay store (quietly — no hooks, no replication), and the
-// relational mirror is rebuilt from the restored store. Must run on a
-// fresh peer before it serves traffic.
+// into the node's store (quietly — no hooks, no replication). Must run
+// on a fresh peer before it serves traffic.
 func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
 	items := make([]pgrid.SubtreeItem, len(rec.SnapshotItems))
 	for i, e := range rec.SnapshotItems {
@@ -71,20 +71,9 @@ func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
 		muts[i] = pgrid.StoreMutation{Op: op, Key: k, Value: e.Value}
 	}
 	p.node.RestoreState(items, tombs, muts)
-
-	// Rebuild the relational mirror: every triple value in the restored
-	// overlay store belongs in it, and set-semantic inserts collapse the
-	// up-to-three key copies of each triple to one row.
-	var ts []triple.Triple
-	p.node.VisitState(func(_ string, value any, tomb bool) {
-		if t, ok := value.(triple.Triple); ok && !tomb {
-			ts = append(ts, t)
-		}
-	})
-	p.db.InsertBatch(ts)
 	// Warm the stats cache once over the recovered state so the peer can
 	// republish stats digests immediately.
-	p.db.Stats()
+	p.node.DB().Stats()
 	return nil
 }
 
@@ -96,7 +85,7 @@ func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
 func (p *Peer) AttachLog(l *store.Log) {
 	l.SetSnapshotSource(func() (items, tombs []store.Entry) {
 		// One slice, items then tombstones, so the log encodes it as is.
-		all := make([]store.Entry, 0, p.node.StoreSize()+p.node.TombstoneCount())
+		var all []store.Entry
 		live := 0
 		p.node.VisitState(func(key string, value any, tomb bool) {
 			op := store.OpDelete
@@ -139,11 +128,13 @@ func (p *Peer) journal() *store.Log {
 	return p.wal
 }
 
-// logMutations appends one observed hook invocation as one WAL record.
-func (p *Peer) logMutations(muts []pgrid.StoreMutation) {
+// logMutations stages one observed hook invocation as one WAL record and
+// returns the wait for it to be durable, after which a due snapshot is
+// taken.
+func (p *Peer) logMutations(muts []pgrid.StoreMutation) (wait func()) {
 	l := p.journal()
 	if l == nil || len(muts) == 0 {
-		return
+		return nil
 	}
 	entries := make([]store.Entry, len(muts))
 	for i, m := range muts {
@@ -153,8 +144,13 @@ func (p *Peer) logMutations(muts []pgrid.StoreMutation) {
 		}
 		entries[i] = store.Entry{Op: op, Key: m.Key.String(), Value: m.Value}
 	}
-	if l.Append(entries) != nil {
-		return // sticky; surfaced via LogErr
+	seq, err := l.Stage(entries)
+	if err != nil {
+		return nil // sticky; surfaced via LogErr
 	}
-	l.MaybeSnapshot()
+	return func() {
+		if l.Wait(seq) == nil {
+			l.MaybeSnapshot()
+		}
+	}
 }

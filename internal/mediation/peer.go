@@ -21,11 +21,10 @@ import (
 )
 
 // Peer is one GridVine participant: a P-Grid node extended with the
-// mediation-layer state — the local triple database DB_p for the keys the
-// node is responsible for — and the mediation operations.
+// mediation-layer state and operations. The local triple database DB_p for
+// the keys the node is responsible for is the node's own (pgrid.Node.DB).
 type Peer struct {
 	node  *pgrid.Node
-	db    *triple.DB
 	depth int
 
 	// walMu guards wal, the durable mutation log attached by AttachLog
@@ -84,11 +83,11 @@ func (d DomainDegree) Replaces(old any) bool {
 	return ok && o.Schema == d.Schema
 }
 
-// NewPeer wraps an overlay node with mediation-layer behaviour, backed by
-// the in-memory triple store. It registers the node's query handler and
-// store hook; one node must back at most one Peer.
+// NewPeer wraps an overlay node with mediation-layer behaviour, answering
+// from the node's triple database. It registers the node's query handler
+// and store hook; one node must back at most one Peer.
 func NewPeer(node *pgrid.Node) *Peer {
-	p := &Peer{node: node, db: triple.NewDB(), depth: keyspace.DefaultDepth, composites: compose.NewCache()}
+	p := &Peer{node: node, depth: keyspace.DefaultDepth, composites: compose.NewCache()}
 	node.SetStoreHook(p.hookStore)
 	node.SetQueryHandler(p.handleQuery)
 	return p
@@ -98,18 +97,17 @@ func NewPeer(node *pgrid.Node) *Peer {
 func (p *Peer) Node() *pgrid.Node { return p.node }
 
 // DB returns the peer's local triple database (the triples this peer is
-// responsible for).
-func (p *Peer) DB() *triple.DB { return p.db }
+// responsible for), which its node owns.
+func (p *Peer) DB() *triple.DB { return p.node.DB() }
 
 // hookStore is the node's StoreHook: one locked apply pass of the overlay
-// store becomes one durable log record (if a log is attached) before it is
-// mirrored into the relational view. Mapping values landing or leaving the
+// store becomes one log record (if a log is attached), staged now and
+// waited for in the returned wait. Mapping values landing or leaving the
 // local store invalidate the composite closures through their schemas, once
 // — the responsible-peer side of the schema-graph version counter (the
 // issuer side is Peer.Write).
-func (p *Peer) hookStore(muts []pgrid.StoreMutation) {
-	p.logMutations(muts)
-	p.mirrorStore(muts)
+func (p *Peer) hookStore(muts []pgrid.StoreMutation) (wait func()) {
+	wait = p.logMutations(muts)
 	var mappings []schema.Mapping
 	for _, mut := range muts {
 		if m, ok := mut.Value.(schema.Mapping); ok {
@@ -117,6 +115,7 @@ func (p *Peer) hookStore(muts []pgrid.StoreMutation) {
 		}
 	}
 	p.invalidateComposites(mappings)
+	return wait
 }
 
 // GUID builds a globally unique identifier for a local resource name,
@@ -124,25 +123,6 @@ func (p *Peer) hookStore(muts []pgrid.StoreMutation) {
 // identifier (paper §2.2).
 func (p *Peer) GUID(localID string) string {
 	return schema.GUID(p.node.Path().String(), localID)
-}
-
-// mirrorDelete drops a triple deleted under key from the relational view.
-// The same triple is indexed under up to three keys, so it goes only when
-// no copy remains in the overlay store.
-func (p *Peer) mirrorDelete(key keyspace.Key, t triple.Triple) {
-	for _, k := range p.tripleKeys(t) {
-		if key.Equal(k) {
-			continue
-		}
-		if p.node.Responsible(k) {
-			for _, v := range p.node.LocalGet(k) {
-				if v == t {
-					return
-				}
-			}
-		}
-	}
-	p.db.Delete(t)
 }
 
 // tripleKeys returns the three overlay keys a triple is indexed under.

@@ -432,7 +432,7 @@ func (p *Peer) handleQuery(key keyspace.Key, payload any) (any, error) {
 		// Semi-join filters, when present, drop non-joining rows before
 		// they ship (SelectSorted returns a fresh slice, so the in-place
 		// filter is safe).
-		return filterTriples(req.Pattern, req.Filters, p.db.SelectSorted(req.Pattern)), nil
+		return filterTriples(req.Pattern, req.Filters, p.node.DB().SelectSorted(req.Pattern)), nil
 	case CompositeQuery:
 		return p.handleComposite(req), nil
 	case ConnectivityQuery:
@@ -448,7 +448,7 @@ func (p *Peer) handleQuery(key keyspace.Key, payload any) (any, error) {
 func (p *Peer) handleConnectivity(key keyspace.Key, req ConnectivityQuery) ConnectivityReport {
 	dist := graph.NewDegreeDistribution()
 	n := 0
-	for _, v := range p.node.LocalGet(key) {
+	for _, v := range p.node.Values(key) {
 		if d, ok := v.(DomainDegree); ok {
 			dist.Observe(d.InDegree, d.OutDegree)
 			n++

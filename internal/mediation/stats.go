@@ -66,7 +66,7 @@ func (d StatsDigest) Replaces(old any) bool {
 // number of digests published and the accumulated route cost. The
 // per-schema publishes abort at the first one ctx cancels.
 func (p *Peer) PublishStats(ctx context.Context) (int, pgrid.Route, error) {
-	stats := p.db.Stats()
+	stats := p.node.DB().Stats()
 	bySchema := map[string][]triple.PredicateStats{}
 	for _, ps := range stats.Predicates {
 		name, _, ok := schema.SplitPredicateURI(ps.Predicate)

@@ -346,33 +346,3 @@ func (p *Peer) Write(ctx context.Context, b *Batch) (*Receipt, error) {
 	}
 	return rec, nil
 }
-
-// mirrorStore mirrors one applied pass of store changes into the local
-// relational database, absorbing each run of inserted triples in one batch
-// (triple.DB.InsertBatch) and running deletions through the multi-key
-// refcount logic of mirrorDelete. Mutation order is preserved — pending
-// inserts flush before any delete — so an insert-then-delete of the same
-// triple within one batch nets out; a bulk load (all inserts) still lands in
-// one pass.
-func (p *Peer) mirrorStore(muts []pgrid.StoreMutation) {
-	var inserts []triple.Triple
-	flush := func() {
-		if len(inserts) > 0 {
-			p.db.InsertBatch(inserts)
-			inserts = inserts[:0]
-		}
-	}
-	for _, m := range muts {
-		t, ok := m.Value.(triple.Triple)
-		if !ok {
-			continue
-		}
-		if m.Op == pgrid.OpInsert {
-			inserts = append(inserts, t)
-			continue
-		}
-		flush()
-		p.mirrorDelete(m.Key, t)
-	}
-	flush()
-}

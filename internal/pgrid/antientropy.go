@@ -115,23 +115,17 @@ func bucketOf(key string, pathLen, bucketBits int) string {
 	return key[:end]
 }
 
-// digestBuckets folds the node's store and tombstones under path into
-// per-bucket digests. XOR folding makes the digest order-independent, so
-// replicas agree regardless of map iteration or arrival order.
+// digestBuckets folds the node's stored pairs and tombstones under path
+// into per-bucket digests. XOR folding makes the digest order-independent,
+// so replicas agree regardless of map iteration or arrival order.
 func (n *Node) digestBuckets(path string, bucketBits int) (items, tombs map[string]uint64) {
 	items = make(map[string]uint64)
 	tombs = make(map[string]uint64)
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for k, vs := range n.store {
-		if !hasPrefix(k, path) {
-			continue
-		}
-		b := bucketOf(k, len(path), bucketBits)
-		for _, v := range vs {
-			items[b] ^= itemHash(k, v)
-		}
-	}
+	n.eachPairLocked(path, func(k string, v any) {
+		items[bucketOf(k, len(path), bucketBits)] ^= itemHash(k, v)
+	})
 	for k, ts := range n.tombs {
 		if !hasPrefix(k, path) {
 			continue
@@ -162,18 +156,13 @@ func (n *Node) localDiff(prefixes []string) (have, haveTombs []ItemDigest, items
 	tombVals = make(map[ItemDigest]any)
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for k, vs := range n.store {
-		for _, p := range prefixes {
-			if hasPrefix(k, p) {
-				for _, v := range vs {
-					d := ItemDigest{Key: k, Hash: itemHash(k, v)}
-					have = append(have, d)
-					items[d] = v
-				}
-				break
-			}
+	n.eachPairLocked("", func(k string, v any) {
+		if slices.ContainsFunc(prefixes, func(p string) bool { return hasPrefix(k, p) }) {
+			d := ItemDigest{Key: k, Hash: itemHash(k, v)}
+			have = append(have, d)
+			items[d] = v
 		}
-	}
+	})
 	for k, ts := range n.tombs {
 		for _, p := range prefixes {
 			if hasPrefix(k, p) {
@@ -381,9 +370,19 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 func (n *Node) hotEntries(keys []string) []BatchEntry {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
+	live := make(map[string][]any, len(keys))
+	for _, k := range keys {
+		live[k] = nil
+	}
+	// One walk for all the keys: each walk derives every stored pair.
+	n.eachPairLocked("", func(k string, v any) {
+		if vs, hot := live[k]; hot {
+			live[k] = append(vs, v)
+		}
+	})
 	var entries []BatchEntry
 	for _, k := range keys {
-		for _, v := range n.store[k] {
+		for _, v := range live[k] {
 			entries = append(entries, BatchEntry{Key: k, Op: OpInsert, Value: v})
 		}
 		for _, t := range n.tombs[k] {
@@ -419,18 +418,14 @@ func diffBuckets(aItems, aTombs, bItems, bTombs map[string]uint64) []string {
 	return out
 }
 
-// ContentDigest folds the node's entire store into one order-independent
+// ContentDigest folds the node's stored pairs into one order-independent
 // digest: replicas holding byte-identical stores compare equal. Tombstones
 // are excluded — they are repair metadata, pruned independently.
 func (n *Node) ContentDigest() uint64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	var d uint64
-	for k, vs := range n.store {
-		for _, v := range vs {
-			d ^= itemHash(k, v)
-		}
-	}
+	n.eachPairLocked("", func(k string, v any) { d ^= itemHash(k, v) })
 	return d
 }
 

@@ -342,7 +342,7 @@ func TestRepairResponseFiresHookOnce(t *testing.T) {
 	net.Recover(victim.ID())
 
 	var calls [][]StoreMutation
-	victim.SetStoreHook(func(muts []StoreMutation) { calls = append(calls, muts) })
+	victim.SetStoreHook(func(muts []StoreMutation) func() { calls = append(calls, muts); return nil })
 	stats := victim.AntiEntropy(ctx)
 	if stats.Pulled != inserts || stats.TombsPulled != deletes {
 		t.Fatalf("pulled %d items and %d tombstones, want %d and %d", stats.Pulled, stats.TombsPulled, inserts, deletes)

@@ -6,6 +6,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/triple"
 )
 
 // BootstrapOptions parameterizes the self-organizing construction of the
@@ -132,7 +133,9 @@ func meet(a, b *Node, maxDepth int) {
 
 // exchangeOnSplitLocked moves items to whichever of the two peers now
 // matches their keys; items matching neither stay put (they will migrate on
-// later meetings). Callers hold both locks.
+// later meetings). A triple moves when one of its keys does, and leaves
+// from only when from's path covers none of its keys and to's covers one.
+// Callers hold both locks.
 func exchangeOnSplitLocked(a, b *Node) {
 	moveMatching := func(from, to *Node) {
 		for k, vs := range from.store {
@@ -146,6 +149,25 @@ func exchangeOnSplitLocked(a, b *Node) {
 				}
 				delete(from.store, k)
 			}
+		}
+		var moved, gone []triple.Triple
+		for _, t := range from.db.All() {
+			stays, moves := false, false
+			for _, s := range [3]string{t.Subject, t.Predicate, t.Object} {
+				k := keyspace.HashDefault(s).String()
+				stays = stays || from.covers(k)
+				moves = moves || to.covers(k)
+			}
+			if moves {
+				moved = append(moved, t)
+				if !stays {
+					gone = append(gone, t)
+				}
+			}
+		}
+		to.db.InsertBatch(moved)
+		for _, t := range gone {
+			from.db.Delete(t)
 		}
 	}
 	moveMatching(a, b)
@@ -189,6 +211,9 @@ func syncStoresLocked(a, b *Node) {
 			appendUniqueLocked(a, k, v)
 		}
 	}
+	ta := a.db.All()
+	a.db.InsertBatch(b.db.All())
+	b.db.InsertBatch(ta)
 }
 
 func appendUniqueLocked(n *Node, key string, value any) {

@@ -21,6 +21,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/triple"
 )
 
 // QueryHandler is the application hook invoked when an OpQuery reaches the
@@ -57,13 +58,24 @@ type Node struct {
 	id  simnet.PeerID
 	net simnet.Transport
 
-	mu        sync.RWMutex
-	path      keyspace.Key
-	refs      map[int][]simnet.PeerID // trie level → peers in complementary subtree
-	replicas  []simnet.PeerID         // σ(p): peers with the same path
-	store     map[string][]any        // key bits → stored values
+	mu       sync.RWMutex
+	path     keyspace.Key
+	refs     map[int][]simnet.PeerID // trie level → peers in complementary subtree
+	replicas []simnet.PeerID         // σ(p): peers with the same path
+	// store holds every stored value but triples: key bits → values.
+	store map[string][]any
+	// db is the peer's triple database DB_p (paper §2.2), the one copy of
+	// its stored triples. A triple is filed under each key of its subject,
+	// predicate and object that the path covers (see eachTripleLocked).
+	// The node mutates it under mu only.
+	db        *triple.DB
 	handler   QueryHandler
 	storeHook StoreHook
+
+	// order serializes mutate: one pass's apply and its hook run under it,
+	// so the hook observes (and a journal records) passes in the order
+	// they were applied. It is taken before mu, never while holding it.
+	order sync.Mutex
 
 	// tombs records deletions so anti-entropy reconciles them instead of
 	// resurrecting the value from a replica that missed the delete. Guarded
@@ -111,9 +123,16 @@ type StoreMutation struct {
 // StoreHook observes the store changes of one locked apply pass — a routed
 // or replicated batch, or one anti-entropy repair response — in a single
 // call (not construction-time data exchanges). The mediation layer uses it
-// to journal the pass as one record and keep the peer's local relational
-// database in sync with the overlay store.
-type StoreHook func(muts []StoreMutation)
+// to journal the pass as one record. Hook calls are made in apply order,
+// one at a time, under the node's order lock, so a hook must not wait on
+// another pass of its node: it stages its record and returns the wait (nil
+// for none), which runs once the next pass may apply — the place to wait
+// for the record to be durable.
+//
+// A triple insert is reported only when it created a row in the node's
+// triple database or cleared a tombstone under its key: filing a triple
+// under its second or third key changes nothing.
+type StoreHook func(muts []StoreMutation) (wait func())
 
 // SetStoreHook registers the mutation observer.
 func (n *Node) SetStoreHook(h StoreHook) {
@@ -123,15 +142,22 @@ func (n *Node) SetStoreHook(h StoreHook) {
 }
 
 // mutate runs apply under the store lock and delivers the changes it
-// reports to the store hook in one call, outside the lock. Every hooked
-// store mutation goes through here.
+// reports to the store hook in one call, outside the store lock but under
+// the order lock, so hook calls follow apply order. The hook's wait runs
+// after both are released. Every hooked store mutation goes through here.
 func (n *Node) mutate(apply func() []StoreMutation) {
+	n.order.Lock()
 	n.mu.Lock()
 	muts := apply()
 	hook := n.storeHook
 	n.mu.Unlock()
+	var wait func()
 	if hook != nil && len(muts) > 0 {
-		hook(muts)
+		wait = hook(muts)
+	}
+	n.order.Unlock()
+	if wait != nil {
+		wait()
 	}
 }
 
@@ -145,6 +171,7 @@ func NewNode(id simnet.PeerID, path keyspace.Key, net simnet.Transport, cfg Conf
 		path:    path,
 		refs:    make(map[int][]simnet.PeerID),
 		store:   make(map[string][]any),
+		db:      triple.NewDB(),
 		tombs:   make(map[string][]tombEntry),
 		suspect: make(map[simnet.PeerID]int),
 		hotlist: make(map[simnet.PeerID]map[string]bool),
@@ -158,6 +185,10 @@ type tombEntry struct {
 	value any
 	seq   uint64
 }
+
+// DB returns the node's triple database: the stored triples, which the
+// node files under their keys. Callers read it; the node writes it.
+func (n *Node) DB() *triple.DB { return n.db }
 
 // ID returns the node's transport identity.
 func (n *Node) ID() simnet.PeerID { return n.id }
@@ -241,14 +272,13 @@ func (n *Node) Replicas() []simnet.PeerID {
 	return out
 }
 
-// StoreSize returns the number of stored values (across all keys).
+// StoreSize returns the number of stored (key, value) pairs, a triple
+// counting once per key it is filed under.
 func (n *Node) StoreSize() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	total := 0
-	for _, vs := range n.store {
-		total += len(vs)
-	}
+	n.eachPairLocked("", func(string, any) { total++ })
 	return total
 }
 
@@ -256,29 +286,93 @@ func (n *Node) StoreSize() int {
 func (n *Node) LocalKeys() []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.store))
-	for k := range n.store {
+	keys := make(map[string]bool, len(n.store))
+	n.eachPairLocked("", func(k string, _ any) { keys[k] = true })
+	out := make([]string, 0, len(keys))
+	for k := range keys {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// LocalGet returns the values stored locally under key.
+// LocalGet returns the values stored locally under key: the values other
+// than triples in arrival order, then the triples filed under it. Finding
+// the triples walks the triple database (testing/diagnostics); Retrieve
+// answers with Values.
 func (n *Node) LocalGet(key keyspace.Key) []any {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	vs := n.store[key.String()]
-	out := make([]any, len(vs))
-	copy(out, vs)
+	out := append([]any(nil), n.store[key.String()]...)
+	n.eachTripleLocked(key.String(), func(_ string, t triple.Triple) { out = append(out, t) })
 	return out
 }
 
+// Values returns the values other than triples stored locally under key:
+// what a Retrieve answers. Triples are read through the node's triple
+// database (DB, or Query at the responsible peer).
+func (n *Node) Values(key keyspace.Key) []any {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return append([]any(nil), n.store[key.String()]...)
+}
+
+// eachPairLocked calls visit with every stored (key, value) pair under
+// prefix: the values other than triples, then the triples as they are
+// filed (see eachTripleLocked). n.mu must be held.
+func (n *Node) eachPairLocked(prefix string, visit func(key string, value any)) {
+	for k, vs := range n.store {
+		if hasPrefix(k, prefix) {
+			for _, v := range vs {
+				visit(k, v)
+			}
+		}
+	}
+	n.eachTripleLocked(prefix, func(k string, t triple.Triple) { visit(k, t) })
+}
+
+// eachTripleLocked calls visit with every (key, triple) pair the node
+// stores under prefix: each distinct key of a stored triple's subject,
+// predicate and object that lies under both prefix and the node's path. It
+// walks the triple database's index keys, hashing each at most once, and
+// only those whose order-preserving bits can reach prefix. n.mu must be held.
+func (n *Node) eachTripleLocked(prefix string, visit func(key string, t triple.Triple)) {
+	under := n.path.String()
+	switch {
+	case hasPrefix(prefix, under):
+		under = prefix
+	case !hasPrefix(under, prefix):
+		return
+	}
+	var last, key string
+	started := false
+	n.db.EachFiled(func(pos triple.Position, s string, t triple.Triple) {
+		if !started || s != last {
+			started, last, key = true, s, ""
+			if keyspace.CouldHashUnder(s, under) {
+				if k := keyspace.HashDefault(s).String(); hasPrefix(k, under) {
+					key = k
+				}
+			}
+		}
+		// A row already filed under this key at an earlier position is
+		// visited there.
+		if key == "" || pos > triple.Subject && keyspace.SameKey(t.Subject, s) ||
+			pos > triple.Predicate && keyspace.SameKey(t.Predicate, s) {
+			return
+		}
+		visit(key, t)
+	})
+}
+
+// covers reports whether the node's path covers key; n.mu must be held.
+func (n *Node) covers(key string) bool { return hasPrefix(key, n.path.String()) }
+
 // valueEq is the store's value equality against one value: the answer of
-// reflect.DeepEqual, reached with == when the value is plain
-// (triple.Triple — an insert under a predicate key compares against every
-// value there, and DeepEqual was most of its cost). A scan builds it once,
-// with sameAs.
+// reflect.DeepEqual, reached with == when the value is plain (a deleted
+// triple: a tombstone scan under a predicate key compares against every
+// deletion there, and DeepEqual was most of its cost). A scan builds it
+// once, with sameAs.
 type valueEq struct {
 	value any
 	plain bool
@@ -320,9 +414,22 @@ func (e valueEq) is(other any) bool {
 // reports whether the store changed; n.mu must be held. A direct insert
 // supersedes any matching tombstone: re-publishing a previously deleted
 // value must stick, so the tombstone is cleared before the value lands.
+//
+// A triple goes into the triple database, which files it under all its
+// keys the path covers. It changes the store when it creates a row or
+// clears a tombstone under key: the row may be there already, inserted
+// under another of its keys, while key still holds an earlier delete's
+// tombstone. Under a key the path does not cover it is not applied.
 func (n *Node) insertLocked(key string, value any) bool {
+	t, isTriple := value.(triple.Triple)
+	if isTriple && !n.covers(key) {
+		return false
+	}
 	same := sameAs(value)
-	n.clearTombLocked(key, same)
+	cleared := n.clearTombLocked(key, same)
+	if isTriple {
+		return n.db.Insert(t) || cleared
+	}
 	for _, v := range n.store[key] {
 		if same.is(v) {
 			return false
@@ -353,8 +460,9 @@ func (n *Node) recordTombLocked(key string, value any) {
 	}
 }
 
-// clearTombLocked removes a tombstone for the value under key; n.mu held.
-func (n *Node) clearTombLocked(key string, same valueEq) {
+// clearTombLocked removes a tombstone for the value under key and reports
+// whether there was one; n.mu held.
+func (n *Node) clearTombLocked(key string, same valueEq) bool {
 	ts := n.tombs[key]
 	for i, t := range ts {
 		if same.is(t.value) {
@@ -363,9 +471,10 @@ func (n *Node) clearTombLocked(key string, same valueEq) {
 				delete(n.tombs, key)
 			}
 			n.tombLen--
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // pruneTombsLocked drops every tombstone older than the newest tombstoneCap
@@ -397,8 +506,13 @@ func (n *Node) TombstoneCount() int {
 }
 
 // deleteLocked removes the first value deep-equal to value under key and
-// reports whether the store changed; n.mu must be held.
+// reports whether the store changed; n.mu must be held. A triple leaves
+// the triple database, and so every key it was filed under, unless key
+// lies outside the node's path.
 func (n *Node) deleteLocked(key string, value any) bool {
+	if t, ok := value.(triple.Triple); ok {
+		return n.covers(key) && n.db.Delete(t)
+	}
 	vs := n.store[key]
 	same := sameAs(value)
 	for i, v := range vs {
@@ -485,8 +599,11 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 // replaceLocked removes every stored value under key that value Replaces
 // (see Replacer) and inserts value; n.mu must be held. It returns the
 // removed values and whether value was newly inserted (false when an exact
-// duplicate was already stored).
+// duplicate was already stored). A triple replaces nothing.
 func (n *Node) replaceLocked(key string, value any) (removed []any, inserted bool) {
+	if _, ok := value.(triple.Triple); ok {
+		return nil, n.insertLocked(key, value)
+	}
 	rep, _ := value.(Replacer)
 	vs := n.store[key]
 	kept := make([]any, 0, len(vs)+1)

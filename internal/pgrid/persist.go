@@ -1,12 +1,10 @@
 package pgrid
 
-import "sort"
-
 // DumpState returns the node's full local store — live (key, value)
-// items plus retained deletion tombstones — in deterministic key
-// order, for use as a durable snapshot source. Routing state (refs,
-// replicas) is deliberately excluded: it is rediscovered on rejoin,
-// while store content is what a crash must not lose.
+// items plus retained deletion tombstones — for use as a durable snapshot
+// source. Routing state (refs, replicas) is deliberately excluded: it is
+// rediscovered on rejoin, while store content is what a crash must not
+// lose.
 func (n *Node) DumpState() (items []SubtreeItem, tombs []Tombstone) {
 	n.VisitState(func(key string, value any, tomb bool) {
 		if tomb {
@@ -19,29 +17,15 @@ func (n *Node) DumpState() (items []SubtreeItem, tombs []Tombstone) {
 }
 
 // VisitState is DumpState without the slices: it calls visit for every
-// live item, then for every tombstone (tomb true), each group in key
-// order. visit runs under the node's read lock and must not call back
-// into the node.
+// live item, then for every tombstone (tomb true), each group in
+// unspecified order. visit runs under the node's read lock and must not
+// call back into the node.
 func (n *Node) VisitState(visit func(key string, value any, tomb bool)) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	keys := make([]string, 0, len(n.store))
-	for k := range n.store {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, v := range n.store[k] {
-			visit(k, v, false)
-		}
-	}
-	keys = keys[:0]
-	for k := range n.tombs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, t := range n.tombs[k] {
+	n.eachPairLocked("", func(k string, v any) { visit(k, v, false) })
+	for k, ts := range n.tombs {
+		for _, t := range ts {
 			visit(k, t.value, true)
 		}
 	}
@@ -50,8 +34,8 @@ func (n *Node) VisitState(visit func(key string, value any, tomb bool)) {
 // RestoreState loads recovered durable state into the node: snapshot
 // items and tombstones first, then logged mutations replayed in append
 // order. The apply is quiet — no store hooks fire and nothing
-// replicates, because the state is already durable locally and the
-// caller rebuilds any derived views itself. Replay is idempotent
+// replicates, because the state is already durable locally. Triples land
+// in the node's triple database like any insert. Replay is idempotent
 // (duplicate inserts collapse, deletes of absent values only refresh
 // their tombstone), so a mutation a snapshot already absorbed is
 // harmless. Must run before the node starts serving traffic.

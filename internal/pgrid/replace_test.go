@@ -115,12 +115,13 @@ func TestReplaceFiresStoreHook(t *testing.T) {
 	var mu sync.Mutex
 	events := map[string]int{}
 	for _, n := range ov.Nodes() {
-		n.SetStoreHook(func(muts []StoreMutation) {
+		n.SetStoreHook(func(muts []StoreMutation) func() {
 			mu.Lock()
 			for _, m := range muts {
 				events[m.Op.String()]++
 			}
 			mu.Unlock()
+			return nil
 		})
 	}
 	issuer := ov.Nodes()[0]

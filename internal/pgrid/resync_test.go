@@ -82,12 +82,13 @@ func TestSyncFromReplicasInvokesStoreHook(t *testing.T) {
 		t.Skip("no suitable victim")
 	}
 	hookCalls := 0
-	victim.SetStoreHook(func(muts []StoreMutation) {
+	victim.SetStoreHook(func(muts []StoreMutation) func() {
 		for _, m := range muts {
 			if m.Op == OpInsert {
 				hookCalls++
 			}
 		}
+		return nil
 	})
 	net.Fail(victim.ID())
 	if _, err := issuer.Update(context.Background(), key, "v"); err != nil {

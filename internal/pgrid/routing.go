@@ -70,7 +70,8 @@ func (r *Route) Add(o Route) {
 // context.Background().
 
 // Retrieve resolves key to its responsible peer and returns the values
-// stored there (paper §2.1: Retrieve(key)).
+// stored there (paper §2.1: Retrieve(key)), triples excepted: those are
+// answered by the peer's triple database, through Query.
 func (n *Node) Retrieve(ctx context.Context, key keyspace.Key) ([]any, Route, error) {
 	resp, route, err := n.execute(ctx, ExecRequest{Key: key.String(), Op: OpGet})
 	if err != nil {
@@ -522,7 +523,7 @@ func (n *Node) handleExec(req ExecRequest) (ExecResponse, error) {
 	resp := ExecResponse{Responsible: true, Path: n.Path().String()}
 	switch req.Op {
 	case OpGet:
-		resp.Values = n.LocalGet(key)
+		resp.Values = n.Values(key)
 	case OpProbe:
 		// The response's Path is the answer. A probe piggybacking the head
 		// entry of a batched write additionally applies (and replicates) it

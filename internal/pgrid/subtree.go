@@ -17,13 +17,9 @@ func (n *Node) handleSubtree(req SubtreeRequest) SubtreeResponse {
 
 	resp := SubtreeResponse{Path: n.path.String()}
 	prefix := req.Prefix
-	for k, vs := range n.store {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			for _, v := range vs {
-				resp.Items = append(resp.Items, SubtreeItem{Key: k, Value: v})
-			}
-		}
-	}
+	n.eachPairLocked(prefix, func(k string, v any) {
+		resp.Items = append(resp.Items, SubtreeItem{Key: k, Value: v})
+	})
 	// References that cover the rest of the prefix subtree: for every level
 	// l ≥ len(prefix) of this node's path, the complementary refs at l lie
 	// under the prefix as well.

@@ -268,35 +268,49 @@ func (l *Log) SetSnapshotSource(fn func() (items, tombs []Entry)) {
 	l.source = fn
 }
 
-// Append durably logs one batch. A nil return is the durability ack:
-// the record reached the disk via a group fsync (possibly shared with
-// concurrent appends) or was absorbed by a concurrent snapshot whose
-// Seq covers it. On failure the error is sticky and all further
+// Append durably logs one batch: Stage, then Wait. A nil return is the
+// durability ack: the record reached the disk via a group fsync (possibly
+// shared with concurrent appends) or was absorbed by a concurrent snapshot
+// whose Seq covers it. On failure the error is sticky and all further
 // appends are refused.
 func (l *Log) Append(entries []Entry) error {
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+	seq, err := l.Stage(entries)
+	if err != nil {
 		return err
 	}
+	return l.Wait(seq)
+}
+
+// Stage encodes one batch as the next record and returns its sequence
+// number; it does not wait for the disk. Records reach the WAL in the
+// order they were staged, so a caller that must journal changes in the
+// order it applied them stages under its own ordering lock and waits
+// outside it.
+func (l *Log) Stage(entries []Entry) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, l.err
+	}
 	if l.closed {
-		l.mu.Unlock()
-		return errors.New("store: log closed")
+		return 0, errors.New("store: log closed")
 	}
 	var err error
 	if l.pending, err = encodeRecord(l.pending, Record{Seq: l.seq + 1, Entries: entries}); err != nil {
 		l.err = err
 		l.cond.Broadcast()
-		l.mu.Unlock()
-		return err
+		return 0, err
 	}
 	l.seq++
-	seq := l.seq
 	l.pendingRecs++
+	return l.seq, nil
+}
 
-	// Wait until our record is durable, an error kills the log, or it
-	// is our turn to lead the flush.
+// Wait returns once the record staged as seq is durable, leading the
+// group flush that makes it so when no flush is in flight. Its result is
+// Append's.
+func (l *Log) Wait(seq uint64) error {
+	l.mu.Lock()
 	for {
 		if l.err != nil {
 			err := l.err

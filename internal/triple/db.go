@@ -292,3 +292,25 @@ func compareRows(a, b *Triple) int {
 	}
 	return strings.Compare(a.Object, b.Object)
 }
+
+// EachFiled calls visit with every stored triple once per position, with
+// the string it is filed under there: the rows of one (position, string)
+// come together. It runs under the read lock, so visit must not call back
+// into the database.
+func (db *DB) EachFiled(visit func(pos Position, s string, t Triple)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for s, m := range db.bySubject {
+		m.each(func(t Triple) { visit(Subject, s, t) })
+	}
+	for s, rows := range db.byPredicate {
+		for _, row := range rows {
+			visit(Predicate, s, *row)
+		}
+	}
+	for s, rows := range db.byObject {
+		for _, row := range rows {
+			visit(Object, s, *row)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gridvine/internal/compose"
@@ -41,7 +42,22 @@ type Peer struct {
 	// compose.go), invalidated by mapping publishes and replacements
 	// observed on either the write path or the store hooks.
 	composites *compose.Cache
+
+	// reversedMu guards reversed, the memo of bidirectional mappings'
+	// reverses MappingsFrom hands out (see reverse).
+	reversedMu sync.RWMutex
+	reversed   map[string]*reversal
 }
+
+// reversal is one memo entry: a forward mapping as it was reversed, owning
+// its correspondences, and its reverse.
+type reversal struct {
+	fwd, rev schema.Mapping
+}
+
+// reversedMemoSize bounds the reversal memo; a full memo is cleared rather
+// than evicted piecemeal, since one entry costs one Reverse to rebuild.
+const reversedMemoSize = 1024
 
 // PatternQuery ships a triple pattern to the peer responsible for its key;
 // the handler runs σ against the local database and returns the matching
@@ -240,12 +256,50 @@ func (p *Peer) MappingsFrom(ctx context.Context, schemaName string) ([]schema.Ma
 		case m.Source == schemaName:
 			out = append(out, m)
 		case m.Target == schemaName && m.Bidirectional && m.Type == schema.Equivalence:
-			if rev, err := m.Reverse(); err == nil {
+			if rev, err := p.reverse(m); err == nil {
 				out = append(out, rev)
 			}
 		}
 	}
 	return out, route, nil
+}
+
+// reverse is m.Reverse() computed once per stored version of m. The memo is
+// keyed by ID and validated by content: a hit requires m to equal, field by
+// field, the forward mapping the entry was reversed from, so a replacement
+// under the same ID (a confidence change, a deprecation) misses and is
+// reversed afresh, with no invalidation hook. The reverse carries the ID
+// Reverse gives it, and shares its correspondences with every caller, who
+// reads them only, as they read the stored forward mappings.
+func (p *Peer) reverse(m schema.Mapping) (schema.Mapping, error) {
+	p.reversedMu.RLock()
+	r := p.reversed[m.ID]
+	p.reversedMu.RUnlock()
+	if r != nil && sameMapping(&r.fwd, &m) {
+		return r.rev, nil
+	}
+	rev, err := m.Reverse()
+	if err != nil {
+		return rev, err
+	}
+	fwd := m
+	fwd.Correspondences = slices.Clone(m.Correspondences)
+	p.reversedMu.Lock()
+	if p.reversed == nil || len(p.reversed) >= reversedMemoSize {
+		p.reversed = make(map[string]*reversal)
+	}
+	p.reversed[m.ID] = &reversal{fwd: fwd, rev: rev}
+	p.reversedMu.Unlock()
+	return rev, nil
+}
+
+// sameMapping reports whether a and b agree on every field.
+func sameMapping(a, b *schema.Mapping) bool {
+	return a.ID == b.ID && a.Source == b.Source && a.Target == b.Target &&
+		a.Type == b.Type && a.Bidirectional == b.Bidirectional &&
+		a.Origin == b.Origin && a.Confidence == b.Confidence &&
+		a.Deprecated == b.Deprecated &&
+		slices.Equal(a.Correspondences, b.Correspondences)
 }
 
 // MappingsAt returns every mapping stored at a schema's key, including

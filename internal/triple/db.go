@@ -68,7 +68,7 @@ func (db *DB) InsertBatch(ts []Triple) int {
 		m.add(row)
 		db.bySubject[t.Subject] = m
 		db.byPredicate[t.Predicate] = append(db.byPredicate[t.Predicate], row)
-		db.byObject[t.Object] = append(db.byObject[t.Object], row)
+		db.byObject[t.Object] = fileObjectRow(db.byObject[t.Object], row)
 		inserted++
 	}
 	if inserted > 0 {
@@ -93,7 +93,7 @@ func (db *DB) Delete(t Triple) bool {
 		db.bySubject[t.Subject] = m
 	}
 	dropRow(db.byPredicate, t.Predicate, row)
-	dropRow(db.byObject, t.Object, row)
+	dropObjectRow(db.byObject, row)
 	db.size.Add(-1)
 	db.statsGen.Add(1)
 	return true
@@ -135,7 +135,9 @@ func (db *DB) AllSorted() []Triple {
 // reports how many rows it examined to find them. It scans the smallest
 // posting a constant of q files them under and filters the remainder. Ties
 // break subject > object > predicate, the routing specificity order; a
-// pattern without constants scans the whole database.
+// pattern without constants scans the whole database. With P and O both
+// constant the object posting's P-range is the scan: exactly the (P, O)
+// rows, in subject order, and with S a variable the answer as it stands.
 func (db *DB) matching(out []*Triple, q Pattern) ([]*Triple, int) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -143,12 +145,13 @@ func (db *DB) matching(out []*Triple, q Pattern) ([]*Triple, int) {
 	n := -1
 	if q.O.Kind == Constant {
 		best = db.byObject[q.O.Value]
-		n = len(best)
-	}
-	if q.P.Kind == Constant {
-		if p := db.byPredicate[q.P.Value]; n < 0 || len(p) < n {
-			best, n = p, len(p)
+		if q.P.Kind == Constant {
+			best = objectRange(best, q.P.Value)
 		}
+		n = len(best)
+	} else if q.P.Kind == Constant {
+		best = db.byPredicate[q.P.Value]
+		n = len(best)
 	}
 	if q.S.Kind == Constant {
 		if m := db.bySubject[q.S.Value]; n < 0 || m.len() <= n {
@@ -161,6 +164,9 @@ func (db *DB) matching(out []*Triple, q Pattern) ([]*Triple, int) {
 			out = m.appendMatches(out, q)
 		}
 		return out, db.Len()
+	}
+	if q.S.Kind == Variable && q.P.Kind == Constant && q.O.Kind == Constant {
+		return append(out, best...), n
 	}
 	return appendMatches(growForAnswer(out, q, 1, n), best, q), n
 }

@@ -2,6 +2,7 @@ package triple
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -243,5 +244,36 @@ func BenchmarkDeleteUnderHotPredicate(b *testing.B) {
 		t := data[i*7919%rows]
 		db.Delete(t)
 		db.Insert(t)
+	}
+}
+
+// BenchmarkInsertUnderHotObject prices the object posting's OPS order: a
+// triple filed under an object that already holds 1k or 10k rows, in random
+// (predicate, subject) order, binary-searches its slot and moves the tail
+// to insert, then binary-searches its row and moves the tail back to
+// delete. Each iteration is one such insert and delete, so the posting
+// stays at its size — the mirror of BenchmarkDeleteUnderHotPredicate.
+func BenchmarkInsertUnderHotObject(b *testing.B) {
+	for _, held := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("held=%d", held), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			data := make([]Triple, held)
+			for i, j := range rng.Perm(held) {
+				data[i] = Triple{fmt.Sprintf("s%d", j), fmt.Sprintf("p%d", rng.Intn(64)), "hot"}
+			}
+			victims := make([]Triple, 1024)
+			for i := range victims {
+				victims[i] = Triple{fmt.Sprintf("n%d", rng.Intn(held)), fmt.Sprintf("p%d", rng.Intn(64)), "hot"}
+			}
+			db := NewDB()
+			db.InsertBatch(data)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := victims[i%len(victims)]
+				db.Insert(t)
+				db.Delete(t)
+			}
+		})
 	}
 }

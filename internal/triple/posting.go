@@ -1,6 +1,9 @@
 package triple
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
 // postingPromote is the largest subject posting kept as a slice. Most
 // subjects carry a handful of attributes and a Go map costs several hundred
@@ -16,11 +19,14 @@ const postingPromote = 8
 // to its row once it outgrew that — never both. The predicate and object
 // postings are plain row slices holding the pointer the subject posting
 // handed out, so a predicate's extension does not store a second copy of
-// every triple. Nothing asks them about membership: insert appends, delete
-// swaps the row out (linear in the posting, paid only on delete), and σ walks
-// a slice several times faster than it walks a map. The zero value of members
-// is the empty posting; add and remove leave membership to the caller, who
-// asked find first.
+// every triple, and σ walks a slice several times faster than it walks a
+// map. Nothing asks them about membership. A predicate posting is in
+// insertion order: insert appends, delete swaps the row out (linear in the
+// posting, paid only on delete). An object posting is ordered by (predicate,
+// subject), the OPS order: insert and delete binary-search the row's slot
+// and move the tail, and σ on (?, P, O) reads only P's range (see
+// objectRange). The zero value of members is the empty posting; add and
+// remove leave membership to the caller, who asked find first.
 type members struct {
 	few  []*Triple
 	many map[Triple]*Triple
@@ -128,4 +134,56 @@ func dropRow(idx map[string][]*Triple, key string, row *Triple) {
 	} else {
 		idx[key] = rest
 	}
+}
+
+// opsSlot binary-searches an object posting, ordered by (predicate,
+// subject) — the object is fixed within it, so the order is total — for
+// row's slot, and reports whether row is there.
+func opsSlot(rows []*Triple, row *Triple) (int, bool) {
+	return slices.BinarySearchFunc(rows, row, func(held, row *Triple) int {
+		if c := strings.Compare(held.Predicate, row.Predicate); c != 0 {
+			return c
+		}
+		return strings.Compare(held.Subject, row.Subject)
+	})
+}
+
+// fileObjectRow inserts row into its object posting at its slot. A full
+// posting of under postingPromote rows grows to fit, as appendFit does; a
+// longer one by append's doubling, so a hot object's insert pays a memmove
+// of the tail but amortised O(1) allocations.
+func fileObjectRow(rows []*Triple, row *Triple) []*Triple {
+	i, _ := opsSlot(rows, row)
+	if len(rows) == cap(rows) && len(rows) < postingPromote {
+		rows = append(make([]*Triple, 0, len(rows)+1), rows...)
+	}
+	return slices.Insert(rows, i, row)
+}
+
+// dropObjectRow takes row out of its object posting, found in O(log k),
+// keeping the rest in order.
+func dropObjectRow(idx map[string][]*Triple, row *Triple) {
+	rows := idx[row.Object]
+	i, found := opsSlot(rows, row)
+	if !found {
+		return
+	}
+	if rest := slices.Delete(rows, i, i+1); len(rest) == 0 {
+		delete(idx, row.Object)
+	} else {
+		idx[row.Object] = rest
+	}
+}
+
+// objectRange returns the rows of an object posting filed under predicate:
+// one contiguous run, in subject order.
+func objectRange(rows []*Triple, predicate string) []*Triple {
+	lo, _ := slices.BinarySearchFunc(rows, predicate, func(row *Triple, p string) int {
+		return strings.Compare(row.Predicate, p)
+	})
+	hi := lo
+	for hi < len(rows) && rows[hi].Predicate == predicate {
+		hi++
+	}
+	return rows[lo:hi]
 }

@@ -194,6 +194,7 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 		if db.Has(tr) != insert || db.Len() != len(all) {
 			t.Fatalf("step %d: Has(%v) = %v, Len = %d, model holds %d", step, tr, db.Has(tr), db.Len(), len(all))
 		}
+		checkObjectOrder(t, db, step)
 		if step%25 != 0 {
 			continue
 		}
@@ -212,17 +213,36 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 				t.Fatalf("step %d: Select(%v) = %v, model %v", step, q, got, want)
 			}
 		}
-		// Two constants: the scan reads the smaller of the two postings.
+		// (S, P, ?): the scan reads the smaller of the two postings. (?, P, O)
+		// and (LIKE, P, O): it reads the object posting's P-range, exactly
+		// the model's (P, O) rows.
+		pairRows := 0
+		for held := range refs[Object][tr.Object] {
+			if held.Predicate == tr.Predicate {
+				pairRows++
+			}
+		}
 		for _, q := range []Pattern{
 			{S: Const(tr.Subject), P: Const(tr.Predicate), O: Var("o")},
 			{S: Var("s"), P: Const(tr.Predicate), O: Const(tr.Object)},
+			{S: LikeTerm("s%"), P: Const(tr.Predicate), O: Const(tr.Object)},
 		} {
 			wantN := min(len(refs[Subject][tr.Subject]), len(refs[Predicate][tr.Predicate]))
-			if q.S.Kind == Variable {
-				wantN = min(len(refs[Object][tr.Object]), len(refs[Predicate][tr.Predicate]))
+			if q.S.Kind != Constant {
+				wantN = pairRows
 			}
 			if _, examined := db.matching(nil, q); examined != wantN {
-				t.Fatalf("step %d: matching(%v) examined %d rows, smaller posting holds %d", step, q, examined, wantN)
+				t.Fatalf("step %d: matching(%v) examined %d rows, want %d", step, q, examined, wantN)
+			}
+			var want []Triple
+			for held := range refs[Predicate][tr.Predicate] {
+				if q.Matches(held) {
+					want = append(want, held)
+				}
+			}
+			SortTriples(want)
+			if got := db.SelectSorted(q); !equalTriples(got, want) {
+				t.Fatalf("step %d: Select(%v) = %v, model %v", step, q, got, want)
 			}
 		}
 		if got, want := db.AllSorted(), (modelDB(all)).select_(everything); !equalTriples(got, want) {
@@ -252,6 +272,21 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 	}
 	if longest <= 4*postingPromote {
 		t.Fatalf("the longest predicate posting held %d rows; the waves do not grow slices far past the promotion size", longest)
+	}
+}
+
+// checkObjectOrder asserts that every object posting is in OPS order:
+// strictly increasing by (predicate, subject).
+func checkObjectOrder(t *testing.T, db *DB, step int) {
+	t.Helper()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for key, rows := range db.byObject {
+		for i := 1; i < len(rows); i++ {
+			if prev := rows[i-1]; prev.Predicate > rows[i].Predicate || prev.Predicate == rows[i].Predicate && prev.Subject >= rows[i].Subject {
+				t.Fatalf("step %d: object posting %q out of (predicate, subject) order at row %d: %v after %v", step, key, i, *rows[i], *rows[i-1])
+			}
+		}
 	}
 }
 

@@ -65,6 +65,10 @@ type (
 	ResultSet = mediation.ResultSet
 	// Result is one retrieved triple with its reformulation provenance.
 	Result = mediation.Result
+	// Provenance is how a Result was reached: the (possibly reformulated)
+	// pattern that matched, the mapping path and its confidence. The rows
+	// of one answer share one.
+	Provenance = mediation.Provenance
 	// Request unifies the streaming query surface: one triple pattern, a
 	// conjunctive pattern set, or an RDQL text query, plus reformulation,
 	// a row Limit (top-k) and SearchOptions. Execute with Peer.Query.

@@ -220,7 +220,7 @@ func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
 			continue
 		}
 		r.emitted += len(answers[i])
-		if !r.sink.emit(answers[i], provenance{pattern: patterns[i], path: v.Path, confidence: v.Confidence}) {
+		if !r.sink.emit(answers[i], Provenance{Pattern: patterns[i], MappingPath: v.Path, Confidence: v.Confidence}) {
 			return true, nil
 		}
 	}

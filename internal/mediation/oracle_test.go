@@ -77,7 +77,7 @@ func oracleRows(t *testing.T, p *Peer, q triple.Pattern, maxDepth int) (rows []R
 			t.Fatalf("oracle: plain query %v: %v", pattern, err)
 		}
 		for _, r := range rs.Results {
-			rows = append(rows, Result{Triple: r.Triple, Pattern: pattern, MappingPath: v.path, Confidence: v.conf})
+			rows = append(rows, Result{Triple: r.Triple, Provenance: &Provenance{Pattern: pattern, MappingPath: v.path, Confidence: v.conf}})
 		}
 	}
 	return rows, len(variants) - 1

@@ -90,9 +90,15 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	return o
 }
 
-// Result is one retrieved triple with its reformulation provenance.
+// Result is one retrieved triple with its reformulation provenance. The
+// provenance is never nil, and the rows of one answer share it.
 type Result struct {
 	Triple triple.Triple
+	*Provenance
+}
+
+// Provenance is how an answer was reached.
+type Provenance struct {
 	// Pattern is the (possibly reformulated) pattern that matched.
 	Pattern triple.Pattern
 	// MappingPath lists the IDs of the mappings traversed to reach the
@@ -165,22 +171,13 @@ func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	return rs, err
 }
 
-// provenance is how an answer was reached: the (possibly reformulated)
-// pattern that matched, the IDs of the mappings traversed to reach its schema
-// and the product of their confidences (no path and 1 for the query itself).
-type provenance struct {
-	pattern    triple.Pattern
-	path       []string
-	confidence float64
-}
-
 // answerSink receives the raw (undeduplicated) answers of a pattern search,
 // in deterministic order. The engine invokes it from a single goroutine.
 type answerSink struct {
 	// emit delivers the triples one variant of the query matched, which are
 	// only valid during the call; returning false stops the search early (row
 	// limit reached or the consumer is gone).
-	emit func(ts []triple.Triple, via provenance) bool
+	emit func(ts []triple.Triple, via Provenance) bool
 	// flush runs whenever the engine goes back to the overlay after emitting:
 	// a consumer that batches rows hands them over now, so no row waits on a
 	// lookup it does not depend on.
@@ -246,7 +243,7 @@ func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []Va
 	// server's deterministic (sorted) order.
 	ts, rs, err := p.searchForFiltered(ctx, q, filters)
 	if err == nil && len(ts) > 0 {
-		sink.emit(ts, provenance{pattern: q, confidence: 1})
+		sink.emit(ts, Provenance{Pattern: q, Confidence: 1})
 	}
 	return rs, false, err
 }
@@ -263,7 +260,7 @@ func (p *Peer) patternTriples(ctx context.Context, q triple.Pattern, filters []V
 		return ts, rs, true, err
 	}
 	collect := answerSink{
-		emit: func(answer []triple.Triple, _ provenance) bool {
+		emit: func(answer []triple.Triple, _ Provenance) bool {
 			ts = append(ts, answer...)
 			return true
 		},

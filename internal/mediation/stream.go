@@ -374,18 +374,19 @@ func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
 	}
 
 	emitted := 0
-	emit := func(ts []triple.Triple, via provenance) bool {
+	emit := func(ts []triple.Triple, via Provenance) bool {
 		if req.Limit > 0 {
 			ts = ts[:min(len(ts), req.Limit-emitted)]
 		}
-		// One array of results and one of values per answer, not per row.
+		// One provenance, one array of results and one of values per answer,
+		// not per row.
 		results := make([]Result, len(ts))
 		values := make([]string, len(ts)*len(vars))
 		if c.pending == nil {
 			c.pending = make([]QueryRow, 0, min(len(ts), rowChunk))
 		}
 		for i, t := range ts {
-			results[i] = Result{Triple: t, Pattern: via.pattern, MappingPath: via.path, Confidence: via.confidence}
+			results[i] = Result{Triple: t, Provenance: &via}
 			row := values[i*len(vars) : (i+1)*len(vars) : (i+1)*len(vars)]
 			for j := range row {
 				// Reformulation rewrites only the constant predicate, so the

@@ -131,6 +131,58 @@ func TestQueryPatternStreamsPerWave(t *testing.T) {
 	}
 }
 
+// TestResultsShareOneProvenancePerAnswer: every Result, streamed or
+// collected, plain or reformulated, carries a non-nil Provenance, and the
+// rows of one variant's answer share it.
+func TestResultsShareOneProvenancePerAnswer(t *testing.T) {
+	_, peers := chainNetwork(t, 3, 13)
+	issuer := peers[7]
+	var more Batch
+	for i := 0; i < 3; i++ {
+		for k := 0; k < 3; k++ {
+			more.InsertTriple(triple.Triple{Subject: fmt.Sprintf("acc:%d-%d", i, k), Predicate: fmt.Sprintf("S%d#org", i), Object: "aspergillus"})
+		}
+	}
+	if rec, err := issuer.Write(context.Background(), &more); err != nil || rec.FirstErr() != nil {
+		t.Fatalf("write: %v / %v", err, rec.FirstErr())
+	}
+	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#org"), O: triple.Const("aspergillus")}
+
+	// check wants answers distinct provenances, one per variant reached, each
+	// shared by that variant's 4 rows.
+	check := func(name string, rows []Result, answers int) {
+		t.Helper()
+		shared := map[string]*Provenance{}
+		for _, r := range rows {
+			if r.Provenance == nil {
+				t.Fatalf("%s: %v has no provenance", name, r.Triple)
+			}
+			if prev, ok := shared[r.Pattern.P.Value]; ok && prev != r.Provenance {
+				t.Errorf("%s: rows of the %s answer carry different provenances", name, r.Pattern.P.Value)
+			}
+			shared[r.Pattern.P.Value] = r.Provenance
+		}
+		if len(rows) != 4*answers || len(shared) != answers {
+			t.Errorf("%s: %d rows over %d answers, want %d over %d", name, len(rows), len(shared), 4*answers, answers)
+		}
+	}
+	streamed, _ := streamRows(t, issuer, q, 0, SearchOptions{})
+	check("streamed", streamed, 3)
+	rs, err := blockingSearchReformulated(issuer, q, SearchOptions{})
+	if err != nil {
+		t.Fatalf("collected: %v", err)
+	}
+	check("collected", rs.Results, 3)
+	plain, err := blockingSearchFor(issuer, q)
+	if err != nil {
+		t.Fatalf("plain: %v", err)
+	}
+	check("plain", plain.Results, 1)
+	if p := plain.Results[0].Provenance; p.Pattern != q || p.MappingPath != nil || p.Confidence != 1 {
+		t.Errorf("plain answer's provenance = %+v, want the query itself at confidence 1", *p)
+	}
+}
+
 // TestQueryCancelMidWave cancels a reformulating query while later waves
 // are still fanning out: the rows already produced stand, Err reports
 // context.Canceled, and no goroutine outlives the cursor.

@@ -14,16 +14,16 @@ import (
 // constraint searches on any position are index lookups.
 //
 // Each index maps a key to the posting of the rows filed under it (see
-// members). bySubject doubles as the membership set — there is no separate
-// triple set — and owns the lookup from a triple's value to its row;
-// byPredicate and byObject hold row pointers only.
+// posting.go). bySubject doubles as the membership set — there is no
+// separate triple set — and is the posting looked up by value; byPredicate
+// and byObject hold the pointers it handed out.
 //
 // One RWMutex guards the three indexes. A daemon hosts one DB per peer, so
 // its peers already write under separate locks. DB is safe for concurrent
 // use, and every operation, Stats included, observes one consistent state.
 type DB struct {
 	mu          sync.RWMutex
-	bySubject   map[string]members
+	bySubject   map[string][]*Triple
 	byPredicate map[string][]*Triple
 	byObject    map[string][]*Triple
 	size        atomic.Int64
@@ -40,7 +40,7 @@ type DB struct {
 // NewDB returns an empty local triple database.
 func NewDB() *DB {
 	return &DB{
-		bySubject:   make(map[string]members),
+		bySubject:   make(map[string][]*Triple),
 		byPredicate: make(map[string][]*Triple),
 		byObject:    make(map[string][]*Triple),
 	}
@@ -59,16 +59,18 @@ func (db *DB) InsertBatch(ts []Triple) int {
 	defer db.mu.Unlock()
 	inserted := 0
 	for _, t := range ts {
-		m := db.bySubject[t.Subject]
-		if m.find(t) != nil {
+		rows := db.bySubject[t.Subject]
+		i, found := spoSlot(rows, t)
+		if found {
 			continue
 		}
 		row := new(Triple) // after the check: a duplicate allocates nothing
 		*row = t
-		m.add(row)
-		db.bySubject[t.Subject] = m
+		db.bySubject[t.Subject] = fileAt(rows, i, row)
 		db.byPredicate[t.Predicate] = append(db.byPredicate[t.Predicate], row)
-		db.byObject[t.Object] = fileObjectRow(db.byObject[t.Object], row)
+		objects := db.byObject[t.Object]
+		j, _ := opsSlot(objects, row)
+		db.byObject[t.Object] = fileAt(objects, j, row)
 		inserted++
 	}
 	if inserted > 0 {
@@ -82,18 +84,17 @@ func (db *DB) InsertBatch(ts []Triple) int {
 func (db *DB) Delete(t Triple) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	m := db.bySubject[t.Subject]
-	row := m.find(t)
-	if row == nil {
+	subjects := db.bySubject[t.Subject]
+	i, found := spoSlot(subjects, t)
+	if !found {
 		return false
 	}
-	if m.remove(row); m.len() == 0 {
-		delete(db.bySubject, t.Subject)
-	} else {
-		db.bySubject[t.Subject] = m
-	}
+	row := subjects[i]
+	dropAt(db.bySubject, t.Subject, subjects, i)
 	dropRow(db.byPredicate, t.Predicate, row)
-	dropObjectRow(db.byObject, row)
+	objects := db.byObject[t.Object]
+	j, _ := opsSlot(objects, row)
+	dropAt(db.byObject, t.Object, objects, j)
 	db.size.Add(-1)
 	db.statsGen.Add(1)
 	return true
@@ -103,7 +104,8 @@ func (db *DB) Delete(t Triple) bool {
 func (db *DB) Has(t Triple) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.bySubject[t.Subject].find(t) != nil
+	_, found := spoSlot(db.bySubject[t.Subject], t)
+	return found
 }
 
 // Len returns the number of stored triples.
@@ -117,8 +119,10 @@ func (db *DB) All() []Triple {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := make([]Triple, 0, db.Len())
-	for _, p := range db.bySubject {
-		p.each(func(t Triple) { out = append(out, t) })
+	for _, rows := range db.bySubject {
+		for _, row := range rows {
+			out = append(out, *row)
+		}
 	}
 	return out
 }
@@ -131,62 +135,58 @@ func (db *DB) AllSorted() []Triple {
 	return out
 }
 
-// matching appends to out the rows matching q — σ before the copy-out — and
-// reports how many rows it examined to find them. It scans the smallest
-// posting a constant of q files them under and filters the remainder. Ties
-// break subject > object > predicate, the routing specificity order; a
-// pattern without constants scans the whole database. With P and O both
-// constant the object posting's P-range is the scan: exactly the (P, O)
-// rows, in subject order, and with S a variable the answer as it stands.
-func (db *DB) matching(out []*Triple, q Pattern) ([]*Triple, int) {
+// matching appends to out the rows matching q — σ before the copy-out —
+// reports how many rows it examined to find them, and whether it appended
+// them in (S, P, O) order. It scans the smallest posting a constant of q
+// files them under and filters the remainder. Ties break subject > object >
+// predicate, the routing specificity order; a pattern without constants
+// scans the whole database. The choice compares whole postings, except that
+// with P and O constant the object posting's P-range stands for it; an
+// ordered posting chosen with P constant is read only in P's range. A
+// subject posting comes out in order, filtered or not, and so does an object
+// posting's range or one read for a constant subject; the predicate posting
+// and the full scan do not. When q binds no term but the constants the scan
+// is filed under, the scan is the answer and is appended as it stands.
+func (db *DB) matching(out []*Triple, q Pattern) (rows []*Triple, examined int, ordered bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var best []*Triple
-	n := -1
-	if q.O.Kind == Constant {
-		best = db.byObject[q.O.Value]
-		if q.P.Kind == Constant {
-			best = objectRange(best, q.P.Value)
-		}
-		n = len(best)
-	} else if q.P.Kind == Constant {
-		best = db.byPredicate[q.P.Value]
-		n = len(best)
-	}
-	if q.S.Kind == Constant {
-		if m := db.bySubject[q.S.Value]; n < 0 || m.len() <= n {
-			return m.appendMatches(growForAnswer(out, q, 1, m.len()), q), m.len()
-		}
-	}
-	if n < 0 {
-		out = growForAnswer(out, q, 0, db.Len())
-		for _, m := range db.bySubject {
-			out = m.appendMatches(out, q)
-		}
-		return out, db.Len()
-	}
-	if q.S.Kind == Variable && q.P.Kind == Constant && q.O.Kind == Constant {
-		return append(out, best...), n
-	}
-	return appendMatches(growForAnswer(out, q, 1, n), best, q), n
-}
-
-// growForAnswer makes room in out for the n rows of a scan when all of them
-// are the answer: q binds no term but the filed constants the scan's posting
-// is filed under (1 for a posting, 0 for the full scan). When another term
-// filters the scan, its answer may be a few rows of a long posting, and out
-// grows by append instead.
-func growForAnswer(out []*Triple, q Pattern, filed, n int) []*Triple {
 	bound := 0
 	for _, t := range [3]Term{q.S, q.P, q.O} {
 		if t.Kind != Variable {
 			bound++
 		}
 	}
-	if bound > filed {
-		return out
+	var best []*Triple
+	filed := 0
+	if q.O.Kind == Constant {
+		best, filed, ordered = db.byObject[q.O.Value], 1, q.S.Kind == Constant
+		if q.P.Kind == Constant {
+			best, filed, ordered = predicateRange(best, q.P.Value), 2, true
+		}
+	} else if q.P.Kind == Constant {
+		best, filed = db.byPredicate[q.P.Value], 1
 	}
-	return slices.Grow(out, n)
+	if q.S.Kind == Constant {
+		if s := db.bySubject[q.S.Value]; filed == 0 || len(s) <= len(best) {
+			best, filed, ordered = s, 1, true
+			if q.P.Kind == Constant {
+				best, filed = predicateRange(s, q.P.Value), 2
+			}
+		}
+	}
+	if filed == 0 {
+		if bound == 0 {
+			out = slices.Grow(out, db.Len())
+		}
+		for _, rows := range db.bySubject {
+			out = appendMatches(out, rows, q)
+		}
+		return out, db.Len(), false
+	}
+	if bound == filed {
+		return append(out, best...), len(best), ordered
+	}
+	return appendMatches(out, best, q), len(best), ordered
 }
 
 // selectScratch is how many row pointers Select collects on its stack
@@ -210,18 +210,21 @@ func copyRows(rows []*Triple) []Triple {
 // use SelectSorted or sort themselves with SortTriples.
 func (db *DB) Select(q Pattern) []Triple {
 	var scratch [selectScratch]*Triple
-	rows, _ := db.matching(scratch[:0], q)
+	rows, _, _ := db.matching(scratch[:0], q)
 	return copyRows(rows)
 }
 
 // SelectSorted is Select with deterministic (subject, predicate, object)
 // output order — the variant remote query handlers use so answers are
-// reproducible across runs. It sorts the row pointers (8-byte swaps) and
-// copies each triple out once, already in place.
+// reproducible across runs. A scan that came out in order is copied out as
+// it stands; any other sorts the row pointers (8-byte swaps) first, so each
+// triple is copied once, already in place.
 func (db *DB) SelectSorted(q Pattern) []Triple {
 	var scratch [selectScratch]*Triple
-	rows, _ := db.matching(scratch[:0], q)
-	slices.SortFunc(rows, compareRows)
+	rows, _, ordered := db.matching(scratch[:0], q)
+	if !ordered {
+		slices.SortFunc(rows, compareRows)
+	}
 	return copyRows(rows)
 }
 
@@ -306,17 +309,11 @@ func compareRows(a, b *Triple) int {
 func (db *DB) EachFiled(visit func(pos Position, s string, t Triple)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for s, m := range db.bySubject {
-		m.each(func(t Triple) { visit(Subject, s, t) })
-	}
-	for s, rows := range db.byPredicate {
-		for _, row := range rows {
-			visit(Predicate, s, *row)
-		}
-	}
-	for s, rows := range db.byObject {
-		for _, row := range rows {
-			visit(Object, s, *row)
+	for pos, idx := range [3]map[string][]*Triple{db.bySubject, db.byPredicate, db.byObject} {
+		for s, rows := range idx {
+			for _, row := range rows {
+				visit(Position(pos), s, *row)
+			}
 		}
 	}
 }

@@ -277,3 +277,33 @@ func BenchmarkInsertUnderHotObject(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInsertUnderHotSubject prices the subject posting's SPO order the
+// same way: a triple of a subject that already carries 1k or 10k rows, in
+// random (predicate, object) order, binary-searches its slot and moves the
+// tail to insert, then binary-searches its row and moves the tail back to
+// delete.
+func BenchmarkInsertUnderHotSubject(b *testing.B) {
+	for _, held := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("held=%d", held), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			data := make([]Triple, held)
+			for i, j := range rng.Perm(held) {
+				data[i] = Triple{"hot", fmt.Sprintf("p%d", rng.Intn(64)), fmt.Sprintf("o%d", j)}
+			}
+			victims := make([]Triple, 1024)
+			for i := range victims {
+				victims[i] = Triple{"hot", fmt.Sprintf("p%d", rng.Intn(64)), fmt.Sprintf("n%d", rng.Intn(held))}
+			}
+			db := NewDB()
+			db.InsertBatch(data)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := victims[i%len(victims)]
+				db.Insert(t)
+				db.Delete(t)
+			}
+		})
+	}
+}

@@ -34,9 +34,9 @@ func TestSelectPicksSmallestIndex(t *testing.T) {
 	db := skewedDB(10000, 3)
 
 	q := Pattern{S: Const("hot-subject"), P: Var("p"), O: Const("rare-object")}
-	rows, examined := db.matching(nil, q)
-	if examined > 6 {
-		t.Fatalf("examined %d rows, want the object posting's ≤6", examined)
+	rows, examined, ordered := db.matching(nil, q)
+	if examined > 6 || !ordered {
+		t.Fatalf("examined %d rows (in SPO order: %v), want the object posting's ≤6, in order with S constant", examined, ordered)
 	}
 	if len(rows) != 1 || rows[0].Subject != "hot-subject" {
 		t.Fatalf("matching = %v", rows)
@@ -44,23 +44,49 @@ func TestSelectPicksSmallestIndex(t *testing.T) {
 
 	// Constant predicate vs much rarer constant object: object must win too.
 	q = Pattern{S: Var("x"), P: Const("Common#attr"), O: Const("rare-object")}
-	if rows, examined := db.matching(nil, q); examined > 6 || len(rows) != 1 {
-		t.Fatalf("examined %d rows for %d matches, want the object postings' ≤6", examined, len(rows))
+	if rows, examined, ordered := db.matching(nil, q); examined > 6 || len(rows) != 1 || !ordered {
+		t.Fatalf("examined %d rows for %d matches (in order: %v), want the object posting's P-range of ≤6, in order", examined, len(rows), ordered)
 	}
 
 	// And the other way around: rare subject beats a common object.
 	db.Insert(Triple{"lone-subject", "Common#attr", "bulk-1"})
 	q = Pattern{S: Const("lone-subject"), P: Var("p"), O: Const("bulk-1")}
-	if rows, examined := db.matching(nil, q); examined != 1 || len(rows) != 1 {
-		t.Fatalf("examined %d rows for %d matches, want the subject posting's 1", examined, len(rows))
+	if rows, examined, ordered := db.matching(nil, q); examined != 1 || len(rows) != 1 || !ordered {
+		t.Fatalf("examined %d rows for %d matches (in order: %v), want the subject posting's 1", examined, len(rows), ordered)
+	}
+}
+
+// With S and P constant and a predicate posting shorter than the subject
+// posting, the scan reads the predicate posting, which is in insertion
+// order: SelectSorted must sort what it collects, and agree with the model.
+func TestSelectSortedSortsPredicateScan(t *testing.T) {
+	db, model := NewDB(), modelDB{}
+	insert := func(tr Triple) {
+		db.Insert(tr)
+		model[tr] = struct{}{}
+	}
+	for i := 0; i < 40; i++ {
+		insert(Triple{"hot", fmt.Sprintf("q%d", i), "x"})
+	}
+	for i := 4; i > 0; i-- {
+		insert(Triple{"hot", "p", fmt.Sprint("o", i)})
+		insert(Triple{fmt.Sprint("s", i), "p", "o"})
+	}
+	q := Pattern{S: Const("hot"), P: Const("p"), O: Var("o")}
+	rows, examined, ordered := db.matching(nil, q)
+	if examined != 8 || len(rows) != 4 || ordered {
+		t.Fatalf("examined %d rows for %d matches (in order: %v), want the predicate posting's 8, unordered", examined, len(rows), ordered)
+	}
+	if got, want := db.SelectSorted(q), model.select_(q); !equalTriples(got, want) {
+		t.Fatalf("SelectSorted(%v) = %v, model %v", q, got, want)
 	}
 }
 
 func TestSelectPlanFullScan(t *testing.T) {
 	db := sampleDB()
-	rows, examined := db.matching(nil, Pattern{S: Var("x"), P: Var("p"), O: LikeTerm("%a%")})
-	if examined != db.Len() {
-		t.Fatalf("full scan examined %d rows, want %d", examined, db.Len())
+	rows, examined, ordered := db.matching(nil, Pattern{S: Var("x"), P: Var("p"), O: LikeTerm("%a%")})
+	if examined != db.Len() || ordered {
+		t.Fatalf("full scan examined %d rows, want %d, and reported them in order: %v", examined, db.Len(), ordered)
 	}
 	if len(rows) == 0 || len(rows) > examined {
 		t.Fatalf("full scan matched %d of %d rows", len(rows), examined)
@@ -196,7 +222,7 @@ func TestDBMatchesModelProperty(t *testing.T) {
 				}
 				db.mu.RUnlock()
 			}
-			if shape.name == "long-postings" && longest < 32*postingPromote {
+			if shape.name == "long-postings" && longest < 32*postingFit {
 				t.Fatalf("the longest predicate posting held %d rows; the stream never grew one far past the promotion size", longest)
 			}
 		})

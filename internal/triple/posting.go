@@ -5,66 +5,97 @@ import (
 	"strings"
 )
 
-// postingPromote is the largest subject posting kept as a slice. Most
-// subjects carry a handful of attributes and a Go map costs several hundred
-// bytes before its first entry; a slice of up to postingPromote rows costs
-// what it holds. A larger subject posting (a hot subject) is a map, so
-// membership stays O(1).
-const postingPromote = 8
+// postingFit is the length up to which a full posting grows to fit rather
+// than by append's doubling: most keys file a handful of triples, and
+// doubling would leave a five-row posting holding room for eight.
+const postingFit = 8
 
-// A stored triple is one row; the postings filed under its three keys hold
-// pointers to it. members, the subject posting, is the database's membership
-// set and the only posting that answers "is this triple stored?": a slice
-// while it holds up to postingPromote rows and a map from the triple's value
-// to its row once it outgrew that — never both. The predicate and object
-// postings are plain row slices holding the pointer the subject posting
-// handed out, so a predicate's extension does not store a second copy of
-// every triple, and σ walks a slice several times faster than it walks a
-// map. Nothing asks them about membership. A predicate posting is in
-// insertion order: insert appends, delete swaps the row out (linear in the
-// posting, paid only on delete). An object posting is ordered by (predicate,
-// subject), the OPS order: insert and delete binary-search the row's slot
-// and move the tail, and σ on (?, P, O) reads only P's range (see
-// objectRange). The zero value of members is the empty posting; add and
-// remove leave membership to the caller, who asked find first.
-type members struct {
-	few  []*Triple
-	many map[Triple]*Triple
-}
+// A stored triple is one row; the postings filed under its three keys are
+// row slices holding pointers to it, so a predicate's extension does not
+// store a second copy of every triple. The subject posting (DB.bySubject)
+// is the database's membership set and the only posting that answers "is
+// this triple stored?". Two postings are kept in order, so a lookup by
+// value and σ on a key's predicate both binary-search them:
+//   - a subject posting by (predicate, object), the SPO order (spoSlot);
+//   - an object posting by (predicate, subject), the OPS order (opsSlot).
+//
+// Insert and delete binary-search the row's slot and move the tail. A
+// predicate posting is in insertion order: insert appends, delete swaps the
+// row out (linear in the posting, paid only on delete). Nothing asks it
+// about membership.
 
-func (p members) len() int { return len(p.few) + len(p.many) }
-
-// find returns the row holding t, nil when t is not stored.
-func (p members) find(t Triple) *Triple {
-	if p.many != nil {
-		return p.many[t]
-	}
-	for _, row := range p.few {
-		if *row == t {
-			return row
+// spoSlot binary-searches a subject posting — the subject is fixed within
+// it, so the order is total — for t's slot, and reports whether t is there.
+// It compares by value, so the probe stays on the caller's stack.
+func spoSlot(rows []*Triple, t Triple) (int, bool) {
+	return slices.BinarySearchFunc(rows, t, func(held *Triple, t Triple) int {
+		if c := strings.Compare(held.Predicate, t.Predicate); c != 0 {
+			return c
 		}
-	}
-	return nil
+		return strings.Compare(held.Object, t.Object)
+	})
 }
 
-// each calls fn for every triple, in unspecified order.
-func (p members) each(fn func(Triple)) {
-	for _, row := range p.few {
-		fn(*row)
-	}
-	for _, row := range p.many {
-		fn(*row)
-	}
-}
-
-func (p members) appendMatches(out []*Triple, q Pattern) []*Triple {
-	out = appendMatches(out, p.few, q)
-	for _, row := range p.many {
-		if q.Matches(*row) {
-			out = append(out, row)
+// opsSlot binary-searches an object posting for row's slot, as spoSlot
+// does a subject posting; row is already on the heap.
+func opsSlot(rows []*Triple, row *Triple) (int, bool) {
+	return slices.BinarySearchFunc(rows, row, func(held, row *Triple) int {
+		if c := strings.Compare(held.Predicate, row.Predicate); c != 0 {
+			return c
 		}
+		return strings.Compare(held.Subject, row.Subject)
+	})
+}
+
+// fileAt inserts row into an ordered posting at slot i. A full posting of
+// under postingFit rows grows to fit; a longer one by append's doubling, so
+// a hot key's insert pays a memmove of the tail but amortised O(1)
+// allocations.
+func fileAt(rows []*Triple, i int, row *Triple) []*Triple {
+	if len(rows) == cap(rows) && len(rows) < postingFit {
+		rows = append(make([]*Triple, 0, len(rows)+1), rows...)
 	}
-	return out
+	return slices.Insert(rows, i, row)
+}
+
+// dropAt takes slot i out of rows, the ordered posting filed under key,
+// keeping the rest in order; an emptied posting leaves the index.
+func dropAt(idx map[string][]*Triple, key string, rows []*Triple, i int) {
+	if rest := slices.Delete(rows, i, i+1); len(rest) == 0 {
+		delete(idx, key)
+	} else {
+		idx[key] = rest
+	}
+}
+
+// dropRow swaps row out of the predicate posting filed under key.
+func dropRow(idx map[string][]*Triple, key string, row *Triple) {
+	rows := idx[key]
+	i := slices.Index(rows, row)
+	if i < 0 {
+		return
+	}
+	last := len(rows) - 1
+	rows[i], rows[last] = rows[last], nil
+	if last == 0 {
+		delete(idx, key)
+	} else {
+		idx[key] = rows[:last]
+	}
+}
+
+// predicateRange returns the rows of an ordered posting filed under
+// predicate: one contiguous run, in the order of the component the posting's
+// key leaves free after it.
+func predicateRange(rows []*Triple, predicate string) []*Triple {
+	lo, _ := slices.BinarySearchFunc(rows, predicate, func(row *Triple, p string) int {
+		return strings.Compare(row.Predicate, p)
+	})
+	hi := lo
+	for hi < len(rows) && rows[hi].Predicate == predicate {
+		hi++
+	}
+	return rows[lo:hi]
 }
 
 // appendMatches appends the rows whose triple satisfies q. Rows are never
@@ -77,113 +108,4 @@ func appendMatches(out, rows []*Triple, q Pattern) []*Triple {
 		}
 	}
 	return out
-}
-
-func (p *members) add(row *Triple) {
-	switch {
-	case p.many != nil:
-		p.many[*row] = row
-	case len(p.few) < postingPromote:
-		p.few = appendFit(p.few, row)
-	default:
-		p.many = make(map[Triple]*Triple)
-		for _, old := range append(p.few, row) {
-			p.many[*old] = old
-		}
-		p.few = nil
-	}
-}
-
-// remove drops row. A map that shrank to half of postingPromote goes back to
-// a slice; the gap to the promotion size keeps a posting that hovers around
-// either from converting on every write.
-func (p *members) remove(row *Triple) {
-	if p.many == nil {
-		p.few = swapOut(p.few, row)
-	} else if delete(p.many, *row); len(p.many) <= postingPromote/2 {
-		p.few = make([]*Triple, 0, len(p.many))
-		for _, old := range p.many {
-			p.few = append(p.few, old)
-		}
-		p.many = nil
-	}
-}
-
-// appendFit grows a full slice by one: append's doubling would leave a
-// five-row posting holding room for eight.
-func appendFit(few []*Triple, row *Triple) []*Triple {
-	if len(few) == cap(few) {
-		few = append(make([]*Triple, 0, len(few)+1), few...)
-	}
-	return append(few, row)
-}
-
-func swapOut(few []*Triple, row *Triple) []*Triple {
-	i := slices.Index(few, row)
-	if i < 0 {
-		return few
-	}
-	last := len(few) - 1
-	few[i], few[last] = few[last], nil
-	return few[:last]
-}
-
-func dropRow(idx map[string][]*Triple, key string, row *Triple) {
-	if rest := swapOut(idx[key], row); len(rest) == 0 {
-		delete(idx, key)
-	} else {
-		idx[key] = rest
-	}
-}
-
-// opsSlot binary-searches an object posting, ordered by (predicate,
-// subject) — the object is fixed within it, so the order is total — for
-// row's slot, and reports whether row is there.
-func opsSlot(rows []*Triple, row *Triple) (int, bool) {
-	return slices.BinarySearchFunc(rows, row, func(held, row *Triple) int {
-		if c := strings.Compare(held.Predicate, row.Predicate); c != 0 {
-			return c
-		}
-		return strings.Compare(held.Subject, row.Subject)
-	})
-}
-
-// fileObjectRow inserts row into its object posting at its slot. A full
-// posting of under postingPromote rows grows to fit, as appendFit does; a
-// longer one by append's doubling, so a hot object's insert pays a memmove
-// of the tail but amortised O(1) allocations.
-func fileObjectRow(rows []*Triple, row *Triple) []*Triple {
-	i, _ := opsSlot(rows, row)
-	if len(rows) == cap(rows) && len(rows) < postingPromote {
-		rows = append(make([]*Triple, 0, len(rows)+1), rows...)
-	}
-	return slices.Insert(rows, i, row)
-}
-
-// dropObjectRow takes row out of its object posting, found in O(log k),
-// keeping the rest in order.
-func dropObjectRow(idx map[string][]*Triple, row *Triple) {
-	rows := idx[row.Object]
-	i, found := opsSlot(rows, row)
-	if !found {
-		return
-	}
-	if rest := slices.Delete(rows, i, i+1); len(rest) == 0 {
-		delete(idx, row.Object)
-	} else {
-		idx[row.Object] = rest
-	}
-}
-
-// objectRange returns the rows of an object posting filed under predicate:
-// one contiguous run, in subject order.
-func objectRange(rows []*Triple, predicate string) []*Triple {
-	lo, _ := slices.BinarySearchFunc(rows, predicate, func(row *Triple, p string) int {
-		return strings.Compare(row.Predicate, p)
-	})
-	hi := lo
-	for hi < len(rows) && rows[hi].Predicate == predicate {
-		hi++
-	}
-	return rows[lo:hi]
 }

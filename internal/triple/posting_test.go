@@ -3,7 +3,6 @@ package triple
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,52 +35,16 @@ func (r refIndex) sorted(key string) []Triple {
 	return out
 }
 
-// crossings watches the subject postings' representation between checks:
-// wasMany remembers which were maps, up and down count the postings seen to
-// convert since.
-type crossings struct {
-	wasMany  map[string]bool
-	up, down int
-}
-
-// check asserts every posting's representation invariant — a subject
-// posting a slice or a map, never both, each within its size range, its map
-// keyed by the value of the row it points to; a predicate or object posting a
-// non-empty slice of distinct rows, each the very row the subject posting
-// holds for that triple, filed under the key it belongs to — and records the
-// subject postings' conversions.
-func (c *crossings) check(t *testing.T, db *DB) {
+// checkPostings asserts every posting's representation invariant: a
+// non-empty slice of distinct rows, each filed under the key it belongs to,
+// each in a predicate or object posting the very row the subject posting
+// holds for that triple.
+func checkPostings(t *testing.T, db *DB) {
 	t.Helper()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for key, p := range db.bySubject {
-		switch {
-		case p.len() == 0:
-			t.Fatalf("empty subject posting left under %q", key)
-		case p.many != nil && (p.few != nil || len(p.many) <= postingPromote/2):
-			t.Fatalf("subject posting %q: map of %d beside a slice of %d", key, len(p.many), len(p.few))
-		case p.many == nil && len(p.few) > postingPromote:
-			t.Fatalf("subject posting %q: slice of %d, over the promotion size", key, len(p.few))
-		}
-		p.each(func(tr Triple) {
-			if tr.Subject != key {
-				t.Fatalf("subject posting %q holds %v", key, tr)
-			}
-		})
-		for value, row := range p.many {
-			if *row != value {
-				t.Fatalf("subject posting maps %v to a row holding %v", value, *row)
-			}
-		}
-		switch was, is := c.wasMany[key], p.many != nil; {
-		case is && !was:
-			c.up++
-		case was && !is:
-			c.down++
-		}
-		c.wasMany[key] = p.many != nil
-	}
-	for pos, idx := range map[Position]map[string][]*Triple{Predicate: db.byPredicate, Object: db.byObject} {
+	for pos, idx := range [3]map[string][]*Triple{db.bySubject, db.byPredicate, db.byObject} {
+		pos := Position(pos)
 		for key, rows := range idx {
 			if len(rows) == 0 {
 				t.Fatalf("empty %s posting left under %q", pos, key)
@@ -91,7 +54,7 @@ func (c *crossings) check(t *testing.T, db *DB) {
 				if row.Component(pos) != key {
 					t.Fatalf("%s posting %q holds %v", pos, key, *row)
 				}
-				if owner := db.bySubject[row.Subject].find(*row); owner != row {
+				if owner := findRow(db, *row); owner != row {
 					t.Fatalf("%s posting %q holds a row of %v that is not the subject posting's (%p, %p)", pos, key, *row, row, owner)
 				}
 				if seen[row] {
@@ -103,10 +66,20 @@ func (c *crossings) check(t *testing.T, db *DB) {
 	}
 }
 
+// findRow returns the subject posting's row holding tr, nil when tr is not
+// stored. The caller holds the read lock.
+func findRow(db *DB, tr Triple) *Triple {
+	rows := db.bySubject[tr.Subject]
+	if i, found := spoSlot(rows, tr); found {
+		return rows[i]
+	}
+	return nil
+}
+
 // TestPostingsMatchModelAcrossPromotion drives the store through waves of
-// growth and shrinkage over a key alphabet sized so that subject postings
-// cross the promotion size in both directions while predicate and object
-// postings grow to dozens of rows and drain again, and checks every read
+// growth and shrinkage over a key alphabet sized so that subject, predicate
+// and object postings grow to dozens of rows and drain again, and checks
+// that every posting stays in its order after every step and every read
 // that goes through a posting — Select on each position, matching's
 // examined-row counts, Has, Stats, DistinctValues — against the map-of-sets
 // reference, while concurrent readers run under -race.
@@ -161,8 +134,7 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 		readers.Wait()
 	}()
 
-	seen := crossings{wasMany: map[string]bool{}}
-	longest := 0
+	longest := map[Position]int{}
 	for step := 0; step < 6000; step++ {
 		// Waves: 600 steps mostly inserting, 600 mostly deleting — a stored
 		// triple as a rule, so the store drains and postings shrink.
@@ -194,14 +166,17 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 		if db.Has(tr) != insert || db.Len() != len(all) {
 			t.Fatalf("step %d: Has(%v) = %v, Len = %d, model holds %d", step, tr, db.Has(tr), db.Len(), len(all))
 		}
+		checkSubjectOrder(t, db, step)
 		checkObjectOrder(t, db, step)
 		if step%25 != 0 {
 			continue
 		}
 
-		seen.check(t, db)
-		for _, set := range refs[Predicate] {
-			longest = max(longest, len(set))
+		checkPostings(t, db)
+		for pos, ref := range refs {
+			for _, set := range ref {
+				longest[pos] = max(longest[pos], len(set))
+			}
 		}
 		for pos, q := range map[Position]Pattern{
 			Subject:   {S: Const(tr.Subject), P: Var("p"), O: Var("o")},
@@ -213,13 +188,17 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 				t.Fatalf("step %d: Select(%v) = %v, model %v", step, q, got, want)
 			}
 		}
-		// (S, P, ?): the scan reads the smaller of the two postings. (?, P, O)
-		// and (LIKE, P, O): it reads the object posting's P-range, exactly
-		// the model's (P, O) rows.
-		pairRows := 0
-		for held := range refs[Object][tr.Object] {
-			if held.Predicate == tr.Predicate {
-				pairRows++
+		// (S, P, ?): the scan reads the subject posting's P-range, exactly
+		// the model's (S, P) rows, when the subject posting is no longer than
+		// the predicate posting, and the predicate posting otherwise.
+		// (?, P, O) and (LIKE, P, O): it reads the object posting's P-range,
+		// exactly the model's (P, O) rows.
+		pairRows := map[Position]int{}
+		for _, pos := range []Position{Subject, Object} {
+			for held := range refs[pos][tr.Component(pos)] {
+				if held.Predicate == tr.Predicate {
+					pairRows[pos]++
+				}
 			}
 		}
 		for _, q := range []Pattern{
@@ -227,11 +206,13 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 			{S: Var("s"), P: Const(tr.Predicate), O: Const(tr.Object)},
 			{S: LikeTerm("s%"), P: Const(tr.Predicate), O: Const(tr.Object)},
 		} {
-			wantN := min(len(refs[Subject][tr.Subject]), len(refs[Predicate][tr.Predicate]))
-			if q.S.Kind != Constant {
-				wantN = pairRows
+			wantN := pairRows[Object]
+			if q.S.Kind == Constant {
+				if wantN = pairRows[Subject]; len(refs[Subject][tr.Subject]) > len(refs[Predicate][tr.Predicate]) {
+					wantN = len(refs[Predicate][tr.Predicate])
+				}
 			}
-			if _, examined := db.matching(nil, q); examined != wantN {
+			if _, examined, _ := db.matching(nil, q); examined != wantN {
 				t.Fatalf("step %d: matching(%v) examined %d rows, want %d", step, q, examined, wantN)
 			}
 			var want []Triple
@@ -267,11 +248,24 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 			}
 		}
 	}
-	if seen.up == 0 || seen.down == 0 {
-		t.Fatalf("subject postings: %d promotions and %d demotions seen — the waves do not cross the promotion size both ways", seen.up, seen.down)
+	if longest[Subject] <= 2*postingFit || longest[Predicate] <= 4*postingFit || longest[Object] <= 2*postingFit {
+		t.Fatalf("the longest subject, predicate and object postings held %d, %d and %d rows; the waves do not grow postings far past the size they grow to fit",
+			longest[Subject], longest[Predicate], longest[Object])
 	}
-	if longest <= 4*postingPromote {
-		t.Fatalf("the longest predicate posting held %d rows; the waves do not grow slices far past the promotion size", longest)
+}
+
+// checkSubjectOrder asserts that every subject posting is in SPO order:
+// strictly increasing by (predicate, object).
+func checkSubjectOrder(t *testing.T, db *DB, step int) {
+	t.Helper()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for key, rows := range db.bySubject {
+		for i := 1; i < len(rows); i++ {
+			if prev := rows[i-1]; prev.Predicate > rows[i].Predicate || prev.Predicate == rows[i].Predicate && prev.Object >= rows[i].Object {
+				t.Fatalf("step %d: subject posting %q out of (predicate, object) order at row %d: %v after %v", step, key, i, *rows[i], *rows[i-1])
+			}
+		}
 	}
 }
 
@@ -302,84 +296,13 @@ func equalTriples(a, b []Triple) bool {
 	return true
 }
 
-// TestPostingPromotionHysteresis pins the subject posting's two conversion
-// points — a map with its ninth row, a slice again when it is back to four,
-// keeping its rows, the same pointers, across both — and that a predicate
-// posting never converts: at any length it is the slice of its rows in
-// insertion order, and each delete takes exactly its row out.
-func TestPostingPromotionHysteresis(t *testing.T) {
-	stored := make([]*Triple, 4*postingPromote)
-	for i := range stored {
-		stored[i] = &Triple{Subject: "s", Predicate: "p", Object: fmt.Sprint(i)}
-	}
-	t.Run("members", func(t *testing.T) {
-		var p members
-		for _, row := range stored[:postingPromote] {
-			p.add(row)
-		}
-		if p.many != nil || cap(p.few) != postingPromote {
-			t.Fatalf("%d rows: map %v, slice capacity %d; want a slice grown to fit", postingPromote, p.many != nil, cap(p.few))
-		}
-		p.add(stored[postingPromote])
-		if p.many == nil || p.few != nil || p.len() != postingPromote+1 {
-			t.Fatalf("%d rows: not promoted (len %d)", postingPromote+1, p.len())
-		}
-		for i := postingPromote; i >= postingPromote/2; i-- {
-			if p.many == nil {
-				t.Fatalf("demoted at %d rows, above half the promotion size", p.len())
-			}
-			p.remove(stored[i])
-		}
-		if p.many != nil || len(p.few) != postingPromote/2 {
-			t.Fatalf("%d rows: map %v, slice of %d; want a slice again", p.len(), p.many != nil, len(p.few))
-		}
-		for _, row := range stored[:postingPromote/2] {
-			if !slices.Contains(p.few, row) {
-				t.Fatalf("row %v lost across promotion and demotion", *row)
-			}
-		}
-	})
-	t.Run("rows", func(t *testing.T) {
-		db := NewDB()
-		for _, row := range stored {
-			db.Insert(*row)
-		}
-		want := slices.Clone(db.byPredicate["p"])
-		if len(want) != len(stored) {
-			t.Fatalf("predicate posting holds %d rows, %d stored", len(want), len(stored))
-		}
-		for i, row := range want {
-			if *row != *stored[i] || row != sharedRow(t, db, *row) {
-				t.Fatalf("predicate posting row %d holds %v; want the subject posting's row of %v", i, *row, *stored[i])
-			}
-		}
-		slices.SortFunc(want, compareRows)
-		rng := rand.New(rand.NewSource(3))
-		for len(want) > 0 {
-			victim := want[rng.Intn(len(want))]
-			if !db.Delete(*victim) {
-				t.Fatalf("Delete(%v) found nothing", *victim)
-			}
-			want = slices.DeleteFunc(want, func(row *Triple) bool { return row == victim })
-			got := slices.Clone(db.byPredicate["p"])
-			slices.SortFunc(got, compareRows)
-			if !slices.Equal(got, want) {
-				t.Fatalf("after deleting %v the predicate posting holds %d rows, want the other %d", *victim, len(got), len(want))
-			}
-		}
-		if _, left := db.byPredicate["p"]; left {
-			t.Fatal("emptied predicate posting left under its key")
-		}
-	})
-}
-
 // sharedRow returns the one row all three postings of tr hold, failing the
 // test when they hold none or different ones.
 func sharedRow(t *testing.T, db *DB, tr Triple) *Triple {
 	t.Helper()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	row := db.bySubject[tr.Subject].find(tr)
+	row := findRow(db, tr)
 	if row == nil {
 		t.Fatalf("%v is not in its subject posting", tr)
 	}
@@ -400,23 +323,24 @@ func sharedRow(t *testing.T, db *DB, tr Triple) *Triple {
 }
 
 // TestDeleteAcrossPostingForms deletes a triple filed under a long
-// predicate posting while its subject posting is a slice, and one whose
-// subject posting is a map while its predicate posting holds one row: the
+// predicate posting while its subject posting holds one row, and one whose
+// subject posting is long while its predicate posting holds one row: the
 // row found by value in the subject posting must leave the others by
-// pointer. A re-insert files one fresh row under all three keys.
+// pointer, and the subject posting must stay in order. A re-insert files
+// one fresh row under all three keys, in its slot.
 func TestDeleteAcrossPostingForms(t *testing.T) {
-	subjects := make([]string, 2*postingPromote)
+	subjects := make([]string, 2*postingFit)
 	for i := range subjects {
 		subjects[i] = fmt.Sprintf("s%d", i)
 	}
 	for name, triples := range map[string][]Triple{
-		"long-predicate/subject-slice": func() (ts []Triple) {
+		"long-predicate/short-subject": func() (ts []Triple) {
 			for i, s := range subjects {
 				ts = append(ts, Triple{Subject: s, Predicate: "p", Object: fmt.Sprint("o", i)})
 			}
 			return ts
 		}(),
-		"short-predicate/subject-map": func() (ts []Triple) {
+		"short-predicate/long-subject": func() (ts []Triple) {
 			for i := range subjects {
 				ts = append(ts, Triple{Subject: subjects[0], Predicate: fmt.Sprint("p", i), Object: "o"})
 			}
@@ -427,14 +351,15 @@ func TestDeleteAcrossPostingForms(t *testing.T) {
 			db := NewDB()
 			db.InsertBatch(triples)
 			victim := triples[3]
-			subjectIsMap, predicateRows := db.bySubject[victim.Subject].many != nil, len(db.byPredicate[victim.Predicate])
-			if subjectIsMap != (predicateRows == 1) || subjectIsMap != (name == "short-predicate/subject-map") {
-				t.Fatalf("postings of %v not in the forms this case is about (subject map %v, %d predicate rows)", victim, subjectIsMap, predicateRows)
+			subjectRows, predicateRows := len(db.bySubject[victim.Subject]), len(db.byPredicate[victim.Predicate])
+			if longSubject := name == "short-predicate/long-subject"; subjectRows == 1 == longSubject || predicateRows == 1 != longSubject {
+				t.Fatalf("postings of %v not the lengths this case is about (%d subject rows, %d predicate rows)", victim, subjectRows, predicateRows)
 			}
 			sharedRow(t, db, victim)
 			if !db.Delete(victim) || db.Delete(victim) || db.Has(victim) || db.Len() != len(triples)-1 {
 				t.Fatalf("Delete(%v) did not remove exactly that triple (Len %d)", victim, db.Len())
 			}
+			checkSubjectOrder(t, db, 0)
 			for _, q := range []Pattern{
 				{S: Const(victim.Subject), P: Var("p"), O: Var("o")},
 				{S: Var("s"), P: Const(victim.Predicate), O: Var("o")},
@@ -460,7 +385,8 @@ func TestDeleteAcrossPostingForms(t *testing.T) {
 				t.Fatalf("re-insert of %v refused (Len %d)", victim, db.Len())
 			}
 			sharedRow(t, db, victim)
-			(&crossings{wasMany: map[string]bool{}}).check(t, db)
+			checkSubjectOrder(t, db, 1)
+			checkPostings(t, db)
 		})
 	}
 }

@@ -211,6 +211,20 @@ func joinShape(rows int) (db *DB, first, second Pattern) {
 		Pattern{S: Var("x"), P: Const("S#length"), O: Var("b")}
 }
 
+// subjectShape is a subject lookup's store: one subject carrying rows
+// attributes, filed in shuffled order, among subjects of four attributes
+// each up to total rows.
+func subjectShape(total, rows int) (db *DB, lookup Pattern) {
+	db = NewDB()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(rows) {
+		db.Insert(Triple{"acc:hot", fmt.Sprintf("S%d#attr%d", i%3, i), fmt.Sprint("value-", i)})
+	}
+	for i := rows; i < total; i++ {
+		db.Insert(Triple{fmt.Sprintf("acc:%06d", i/4), fmt.Sprintf("S%d#attr%d", i%3, i%4), fmt.Sprint("value-", i)})
+	}
+	return db, Pattern{S: Const("acc:hot"), P: Var("p"), O: Var("o")}
+}
+
 // Allocation budgets, in allocations per input row: each stage of a joined
 // row's life allocates per answer, not per row. They gate in the un-raced
 // test job.
@@ -226,21 +240,28 @@ func TestRowPathAllocationBudgets(t *testing.T) {
 	if left.Len() != rows || right.Len() != rows || HashJoin(left, right).Len() != rows {
 		t.Fatalf("fixture: %d ⋈ %d rows", left.Len(), right.Len())
 	}
+	subjects, lookup := subjectShape(1024, 37)
+	if got, _, ordered := subjects.matching(nil, lookup); len(got) != 37 || !ordered {
+		t.Fatalf("fixture: subject lookup matched %d rows, in order: %v", len(got), ordered)
+	}
 	for _, tc := range []struct {
 		name   string
+		rows   int
 		perRow float64
 		run    func()
 	}{
 		// The pointer slice grows once per doubling, then one copy-out.
-		{"SelectSorted by predicate", 0.05, func() { db.SelectSorted(second) }},
+		{"SelectSorted by predicate", rows, 0.05, func() { db.SelectSorted(second) }},
+		// The subject posting is the answer, in order: the copy-out only.
+		{"SelectSorted by subject", 37, 0.03, func() { subjects.SelectSorted(lookup) }},
 		// Vars, the row headers and one array of values.
-		{"bind", 0.03, func() { BindTriplesMatched(second, answer, true) }},
+		{"bind", rows, 0.03, func() { BindTriplesMatched(second, answer, true) }},
 		// The same plus the dedupe map and its interned keys.
-		{"bind with the seen map", 1.2, func() { BindTriplesMatched(second, answer, false) }},
+		{"bind with the seen map", rows, 1.2, func() { BindTriplesMatched(second, answer, false) }},
 		// The table and its chain, then row headers and values two arrays each.
-		{"HashJoin on one shared column", 0.08, func() { HashJoin(left, right) }},
+		{"HashJoin on one shared column", rows, 0.08, func() { HashJoin(left, right) }},
 	} {
-		if got := testing.AllocsPerRun(20, tc.run) / rows; got > tc.perRow {
+		if got := testing.AllocsPerRun(20, tc.run) / float64(tc.rows); got > tc.perRow {
 			t.Errorf("%s: %.3f allocations per row, budget %.3f", tc.name, got, tc.perRow)
 		} else {
 			t.Logf("%s: %.3f allocations per row", tc.name, got)
@@ -261,9 +282,9 @@ func TestRowPathAllocationBudgets(t *testing.T) {
 		variants.Insert(Triple{s, "T#organism", "v"})
 	}
 	variant := Pattern{S: Var("x"), P: Const("S#organism"), O: Const("v")}
-	matches, examined := variants.matching(nil, variant)
-	if len(matches) != 5 || examined != 5 {
-		t.Fatalf("fixture: %d matches of %d rows examined", len(matches), examined)
+	matches, examined, ordered := variants.matching(nil, variant)
+	if len(matches) != 5 || examined != 5 || !ordered {
+		t.Fatalf("fixture: %d matches of %d rows examined, in order: %v", len(matches), examined, ordered)
 	}
 	const slack = 256
 	copyOut := int64(len(matches)) * int64(unsafe.Sizeof(Triple{}))
@@ -284,7 +305,9 @@ func TestRowPathAllocationBudgets(t *testing.T) {
 // twoconstants the (?, P, O) shape of a lookup and of every reformulated
 // variant, and variant that shape over a value filed under 64 predicates,
 // 8 rows under each, whose predicates each hold 120 rows of other values:
-// the 8 rows of the object posting's P-range are the whole scan.
+// the 8 rows of the object posting's P-range are the whole scan. subject is
+// the (S, ?, ?) select a subject lookup ends in: one 37-row subject among
+// 64k rows, whose posting is the answer in order.
 func BenchmarkSelectSorted(b *testing.B) {
 	db, _, second := joinShape(256)
 	variants := NewDB()
@@ -295,6 +318,7 @@ func BenchmarkSelectSorted(b *testing.B) {
 		}
 		variants.Insert(Triple{fmt.Sprintf("acc:%05d", i), fmt.Sprintf("S%d#organism", i%64), v})
 	}
+	subjects, lookup := subjectShape(64<<10, 37)
 	for _, bc := range []struct {
 		name string
 		db   *DB
@@ -303,9 +327,10 @@ func BenchmarkSelectSorted(b *testing.B) {
 		{"bypredicate", db, second},
 		{"twoconstants", db, Pattern{S: Var("x"), P: Const("S#organism"), O: Const("species-3")}},
 		{"variant", variants, Pattern{S: Var("x"), P: Const("S7#organism"), O: Const("v")}},
+		{"subject", subjects, lookup},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			_, examined := bc.db.matching(nil, bc.q)
+			_, examined, _ := bc.db.matching(nil, bc.q)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bc.db.SelectSorted(bc.q)

@@ -72,8 +72,8 @@ func TestJoinAllocationBudget(t *testing.T) {
 	}
 	perTriple := testing.AllocsPerRun(10, func() { runJoin(t, issuer, req) }) / float64(shipped)
 	t.Logf("%.2f allocations per shipped triple", perTriple)
-	if perTriple > 2.5 {
-		t.Errorf("%.2f allocations per shipped triple, budget 2.5", perTriple)
+	if perTriple > 0.4 {
+		t.Errorf("%.2f allocations per shipped triple, budget 0.4", perTriple)
 	}
 }
 

@@ -123,15 +123,16 @@ func CollectSet(ctx context.Context, cur *Cursor) (*triple.BindingSet, Conjuncti
 }
 
 // rowSink receives the streamed output of the conjunctive engine. cols is
-// called exactly once, with the final variable schema, before the first
-// emit (and also when the query ends up with zero rows, so aggregating
-// consumers know the schema). emit delivers one row; returning false stops
-// the engine, which skips every lookup the remaining rows would have
-// needed. flush runs when the engine goes back to the overlay with rows
-// emitted — a consumer that batches rows hands them over now. All three are
-// invoked from a single goroutine.
+// called exactly once, with the final variable schema and whether the rows
+// to come ascend in column 0, before the first emit (and also when the
+// query ends up with zero rows, so aggregating consumers know the schema).
+// emit delivers one row; returning false stops the engine, which skips
+// every lookup the remaining rows would have needed. flush runs when the
+// engine goes back to the overlay with rows emitted — a consumer that
+// batches rows hands them over now. All three are invoked from a single
+// goroutine.
 type rowSink struct {
-	cols  func([]string)
+	cols  func(vars []string, ascending bool)
 	emit  func([]string) bool
 	flush func()
 }
@@ -193,7 +194,7 @@ func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern,
 			// failed, e.g. on an unroutable pattern. The naive evaluator
 			// behaves the same way in the orders where it reaches the empty
 			// join first; the planner extends that to every order.
-			sink.cols(outs[i].bs.Vars)
+			sink.cols(outs[i].bs.Vars, true)
 			return stats, nil
 		}
 		parts = append(parts, outs[i].bs)
@@ -209,7 +210,7 @@ func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern,
 		// Disjoint components share no variables: cartesian product.
 		result = triple.HashJoin(result, bs)
 	}
-	sink.cols(result.Vars)
+	sink.cols(result.Vars, result.Ascending(0))
 	for _, row := range result.Rows {
 		if !sink.emit(row) {
 			break
@@ -337,7 +338,7 @@ func (p *Peer) runComponent(ctx context.Context, patterns []triple.Pattern, idxs
 	if sink == nil {
 		return cur, stats, nil
 	}
-	sink.cols(cur.Vars)
+	sink.cols(cur.Vars, cur.Ascending(0))
 	for _, row := range cur.Rows {
 		if !sink.emit(row) {
 			break
@@ -776,7 +777,8 @@ func (p *Peer) resolvePushdownStream(ctx context.Context, q triple.Pattern, plan
 		}
 		joined := triple.HashJoin(cur, part)
 		if !colsSet {
-			sink.cols(joined.Vars)
+			// Later chunks' rows need not follow this one's.
+			sink.cols(joined.Vars, false)
 			colsSet = true
 		}
 		for _, row := range joined.Rows {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -321,6 +322,9 @@ const rowChunk = 128
 // until it is accepted or the query context fires; false reports that the
 // rows could not be delivered.
 func (c *Cursor) send(ctx context.Context, row QueryRow) bool {
+	if c.pending == nil {
+		c.pending = make([]QueryRow, 0, rowChunk)
+	}
 	c.pending = append(c.pending, row)
 	return len(c.pending) < rowChunk || c.handOver(ctx)
 }
@@ -436,21 +440,25 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 		return req.Limit == 0 || emitted < req.Limit
 	}
 
-	sink := rowSink{cols: c.setCols, emit: deliver, flush: func() { c.handOver(ctx) }}
+	sink := rowSink{
+		cols:  func(vars []string, _ bool) { c.setCols(vars) },
+		emit:  deliver,
+		flush: func() { c.handOver(ctx) },
+	}
 	if parsed != nil {
 		var colIdx []int
 		missing := false
-		seen := map[string]struct{}{}
-		var keyBuf []byte
+		var dedupe projectionDedupe
 		// Projected rows are carved from free, which is renewed for twice as
 		// many rows each time, up to a chunk's worth.
 		var free []string
 		grow := 8
 		sink = rowSink{
 			flush: sink.flush,
-			cols: func(vars []string) {
+			cols: func(vars []string, ascending bool) {
 				c.setCols(append([]string(nil), parsed.Select...))
 				colIdx = make([]int, len(parsed.Select))
+				dedupe.lead = -1
 				for i, v := range parsed.Select {
 					colIdx[i] = -1
 					for j, bv := range vars {
@@ -461,6 +469,9 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 					}
 					if colIdx[i] < 0 {
 						missing = true
+					}
+					if colIdx[i] == 0 && ascending {
+						dedupe.lead = i
 					}
 				}
 			},
@@ -477,11 +488,9 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 				for i, idx := range colIdx {
 					out[i] = row[idx]
 				}
-				keyBuf = triple.AppendRowKey(keyBuf[:0], out)
-				if _, dup := seen[string(keyBuf)]; dup {
+				if dedupe.repeat(out) {
 					return true // the next row overwrites out
 				}
-				seen[string(keyBuf)] = struct{}{}
 				free = free[len(colIdx):]
 				return deliver(out)
 			},
@@ -496,6 +505,65 @@ func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parse
 	c.stats.Degraded = stats.Degraded
 	c.mu.Unlock()
 	return err
+}
+
+// runScan is how many rows of a run projectionDedupe compares a row with
+// one by one before it keys the run in a map.
+const runScan = 8
+
+// projectionDedupe drops the repeated rows of an RDQL projection. When the
+// engine's rows ascend in their column 0 and the projection keeps it (at
+// lead), equal projected rows share that value, so a repeat can only sit in
+// the current run of it: a row is compared with the run's rows, one by one
+// up to runScan and through a map of the run's keys beyond. Otherwise
+// (lead < 0) one map holds the key of every row kept.
+type projectionDedupe struct {
+	lead int
+	run  [][]string
+	seen map[string]struct{}
+	key  []byte
+}
+
+// repeat reports whether row repeats a row already kept, and keeps it if
+// not. A kept row must not change afterwards.
+func (d *projectionDedupe) repeat(row []string) bool {
+	if d.lead >= 0 {
+		if len(d.run) > 0 && d.run[0][d.lead] != row[d.lead] {
+			d.run = d.run[:0]
+			if len(d.seen) > 0 {
+				clear(d.seen)
+			}
+		}
+		if len(d.run) < runScan {
+			for _, kept := range d.run {
+				if slices.Equal(kept, row) {
+					return true
+				}
+			}
+			d.run = append(d.run, row)
+			return false
+		}
+		if len(d.seen) == 0 {
+			// The run outgrew the scan: key the rows it holds.
+			for _, kept := range d.run {
+				d.keep(kept)
+			}
+		}
+	}
+	return !d.keep(row)
+}
+
+// keep adds row's key to the seen map and reports whether it was new.
+func (d *projectionDedupe) keep(row []string) bool {
+	d.key = triple.AppendRowKey(d.key[:0], row)
+	if _, dup := d.seen[string(d.key)]; dup {
+		return false
+	}
+	if d.seen == nil {
+		d.seen = make(map[string]struct{})
+	}
+	d.seen[string(d.key)] = struct{}{}
+	return true
 }
 
 // CollectRows drains a cursor under ctx into the deduplicated, sorted

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -690,5 +692,100 @@ func TestRowsWithNULValuesStayDistinct(t *testing.T) {
 	rows, err = blockingRDQL(peers[3], `SELECT ?x, ?y WHERE (?x, <N#p>, ?y), (?x, <N#q>, ?y)`, false, SearchOptions{})
 	if err != nil || len(rows) != 1 || rows[0][0] != "a\x00" {
 		t.Errorf("join on both columns: %q, %v; want only the subject that has both", rows, err)
+	}
+}
+
+// TestRDQLProjectionDedupesPerRun: a join whose rows repeat their projection
+// inside runs of one subject yields each projected row once, in the order
+// the engine emits it. With pushdown off the final set ascends in ?x and
+// the projection dedupes run by run; a run of twelve distinct projected
+// rows outgrows the linear scan. With pushdown the streamed rows come with
+// no order promise and take the query-wide map, and so does a projection
+// that drops ?x.
+func TestRDQLProjectionDedupesPerRun(t *testing.T) {
+	_, peers := testNetwork(t, 16, 44)
+	const subjects, as, bs = 3, 2, 12
+	for i := 0; i < subjects; i++ {
+		x := fmt.Sprintf("acc:R%d", i)
+		for a := 0; a < as; a++ {
+			mustInsert(t, peers[0], x, "R#a", fmt.Sprint("a", a))
+		}
+		for b := 0; b < bs; b++ {
+			mustInsert(t, peers[0], x, "R#b", fmt.Sprintf("b%02d", b))
+		}
+	}
+	const where = `WHERE (?x, <R#a>, ?a), (?x, <R#b>, ?b)`
+	for _, tc := range []struct {
+		name, query string
+		pushdown    bool
+		want        int
+	}{
+		{"long runs", `SELECT ?x, ?b ` + where, false, subjects * bs},
+		{"one row a run", `SELECT ?x ` + where, false, subjects},
+		{"subject not first", `SELECT ?b, ?x ` + where, false, subjects * bs},
+		{"subject dropped", `SELECT ?b ` + where, false, bs},
+		{"streamed", `SELECT ?x, ?b ` + where, true, subjects * bs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := SearchOptions{Parallelism: 1, PushdownLimit: -1}
+			if tc.pushdown {
+				opts.PushdownLimit = 0
+			}
+			ctx := context.Background()
+			cur, err := peers[5].Query(ctx, Request{RDQL: tc.query, Options: opts})
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			seen := map[string]bool{}
+			for {
+				row, ok := cur.Next(ctx)
+				if !ok {
+					break
+				}
+				key := strings.Join(row.Values, "|")
+				if seen[key] {
+					t.Fatalf("row %q yielded twice", row.Values)
+				}
+				seen[key] = true
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if len(seen) != tc.want {
+				t.Fatalf("%d distinct rows, want %d", len(seen), tc.want)
+			}
+			if pushed := cur.Stats().Conjunctive.Pushdowns > 0; pushed != tc.pushdown {
+				t.Fatalf("pushdown ran: %v, want %v", pushed, tc.pushdown)
+			}
+		})
+	}
+}
+
+// Property: over rows that ascend in their column 0, the run-by-run dedupe
+// keeps exactly the rows, in exactly the order, that one query-wide set
+// keeps — for every projected position of that column, runs long and short.
+func TestProjectionDedupeMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 300; trial++ {
+		n, runLength, values := rng.Intn(120), 1+rng.Intn(30), 1+rng.Intn(20)
+		lead := rng.Intn(2)
+		rows := make([][]string, n)
+		first := 0
+		for i := range rows {
+			if rng.Intn(runLength) == 0 {
+				first++
+			}
+			x, v := fmt.Sprintf("x%03d", first), fmt.Sprint("v", rng.Intn(values))
+			rows[i] = []string{x, v}
+			if lead == 1 {
+				rows[i] = []string{v, x}
+			}
+		}
+		ordered, unordered := projectionDedupe{lead: lead}, projectionDedupe{lead: -1}
+		for i, row := range rows {
+			if a, b := ordered.repeat(row), unordered.repeat(row); a != b {
+				t.Fatalf("trial %d row %d %q: per-run dedupe says repeat=%v, query-wide set %v", trial, i, row, a, b)
+			}
+		}
 	}
 }

@@ -64,10 +64,21 @@ func (bs *BindingSet) VarIndex(name string) int {
 // DistinctValues returns the sorted distinct values of a variable's column.
 // The conjunctive engine uses it to enumerate bound values for pushdown; the
 // sort keeps fan-out order — and with it message accounting — deterministic.
+// A column that already ascends is deduped by comparing neighbours: one
+// pass counts its distinct values, a second copies them out.
 func (bs *BindingSet) DistinctValues(name string) []string {
 	idx := bs.VarIndex(name)
 	if idx < 0 {
 		return nil
+	}
+	if n, ok := runsOf(bs.Rows, idx); ok {
+		out := make([]string, 0, n)
+		for i, row := range bs.Rows {
+			if i == 0 || row[idx] != bs.Rows[i-1][idx] {
+				out = append(out, row[idx])
+			}
+		}
+		return out
 	}
 	seen := make(map[string]struct{}, len(bs.Rows))
 	out := make([]string, 0, len(bs.Rows))
@@ -80,6 +91,27 @@ func (bs *BindingSet) DistinctValues(name string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// runsOf reports whether rows ascend in column c and, if they do, how many
+// runs of equal values the column holds. It stops at the first inversion.
+func runsOf(rows [][]string, c int) (runs int, ascending bool) {
+	for i, row := range rows {
+		switch {
+		case i == 0 || row[c] > rows[i-1][c]:
+			runs++
+		case row[c] < rows[i-1][c]:
+			return 0, false
+		}
+	}
+	return runs, true
+}
+
+// Ascending reports whether the rows ascend, not necessarily strictly, in
+// column c.
+func (bs *BindingSet) Ascending(c int) bool {
+	_, ok := runsOf(bs.Rows, c)
+	return ok
 }
 
 // DistinctTuples returns the distinct value combinations of the named
@@ -306,19 +338,65 @@ func (t *joinTable) first(row []string, cols []int) int32 {
 	return t.head[string(t.rowKey(row, cols))]
 }
 
+// mergeRuns walks two row sets that ascend in their key columns (lc of
+// left, rc of right) and calls visit with each left row that has partners
+// and the run of right rows sharing its key: left-major, the run in input
+// order.
+func mergeRuns(left, right [][]string, lc, rc int, visit func(l []string, run [][]string)) {
+	j := 0
+	for i := 0; i < len(left) && j < len(right); {
+		key := left[i][lc]
+		for j < len(right) && right[j][rc] < key {
+			j++
+		}
+		k := j
+		for k < len(right) && right[k][rc] == key {
+			k++
+		}
+		for ; i < len(left) && left[i][lc] == key; i++ {
+			if k > j {
+				visit(left[i], right[j:k])
+			}
+		}
+		j = k
+	}
+}
+
+// bothAscend reports whether left ascends in column lc and right in rc. It
+// scans the smaller side first, so a small side out of order spares the scan
+// of a big one.
+func bothAscend(left, right [][]string, lc, rc int) bool {
+	if len(right) < len(left) {
+		left, right, lc, rc = right, left, rc, lc
+	}
+	_, ok := runsOf(left, lc)
+	if ok {
+		_, ok = runsOf(right, rc)
+	}
+	return ok
+}
+
 // HashJoin implements the natural join ⋈ on flattened binding sets: rows
 // agreeing on every shared variable are merged. The hash table is built on
 // whichever side has fewer rows and probed with the other — O(|L|+|R|+|out|)
 // against the nested loop's O(|L|·|R|), with table memory bounded by the
 // smaller input — and with no shared variables it degenerates to the
-// cartesian product, as the natural join does. Output schema is left.Vars
+// cartesian product, as the natural join does. When the sides share one
+// variable and both ascend in it (σ answers come out in (S, P, O) order),
+// they merge instead: one walk counts the output, a second fills arrays of
+// exactly that size, and no table is built. Output schema is left.Vars
 // followed by right-only vars; row order follows the left side (then right
-// order within a probe) regardless of build side, so the join is
+// order within a key) whatever the build side or path, so the join is
 // deterministic for deterministic inputs. Neither the table nor the output
 // allocates per row: keys are the shared column's values themselves (or go
 // through one reused buffer), chains are index arrays, and output rows are
 // carved from shared arrays.
 func HashJoin(left, right *BindingSet) *BindingSet {
+	return join(left, right, true)
+}
+
+// join is HashJoin; with mergeSorted false it hashes sorted inputs too.
+func join(left, right *BindingSet, mergeSorted bool) *BindingSet {
 	// Shared variables, in left-schema order, with their column indices.
 	var sharedL, sharedR []int
 	for li, v := range left.Vars {
@@ -361,6 +439,23 @@ func HashJoin(left, right *BindingSet) *BindingSet {
 				merge(l, r, total)
 			}
 		}
+		return out
+	}
+
+	if mergeSorted && len(sharedL) == 1 && bothAscend(left.Rows, right.Rows, sharedL[0], sharedR[0]) {
+		total := 0
+		mergeRuns(left.Rows, right.Rows, sharedL[0], sharedR[0], func(_ []string, run [][]string) {
+			total += len(run)
+		})
+		if total == 0 {
+			return out
+		}
+		out.Rows = make([][]string, 0, total)
+		mergeRuns(left.Rows, right.Rows, sharedL[0], sharedR[0], func(l []string, run [][]string) {
+			for _, r := range run {
+				merge(l, r, total-len(out.Rows))
+			}
+		})
 		return out
 	}
 

@@ -24,7 +24,7 @@ import (
 type DB struct {
 	mu          sync.RWMutex
 	bySubject   map[string][]*Triple
-	byPredicate map[string][]*Triple
+	byPredicate map[string]predicatePosting
 	byObject    map[string][]*Triple
 	size        atomic.Int64
 
@@ -41,7 +41,7 @@ type DB struct {
 func NewDB() *DB {
 	return &DB{
 		bySubject:   make(map[string][]*Triple),
-		byPredicate: make(map[string][]*Triple),
+		byPredicate: make(map[string]predicatePosting),
 		byObject:    make(map[string][]*Triple),
 	}
 }
@@ -67,7 +67,7 @@ func (db *DB) InsertBatch(ts []Triple) int {
 		row := new(Triple) // after the check: a duplicate allocates nothing
 		*row = t
 		db.bySubject[t.Subject] = fileAt(rows, i, row)
-		db.byPredicate[t.Predicate] = append(db.byPredicate[t.Predicate], row)
+		db.byPredicate[t.Predicate] = db.byPredicate[t.Predicate].add(row)
 		objects := db.byObject[t.Object]
 		j, _ := opsSlot(objects, row)
 		db.byObject[t.Object] = fileAt(objects, j, row)
@@ -91,7 +91,11 @@ func (db *DB) Delete(t Triple) bool {
 	}
 	row := subjects[i]
 	dropAt(db.bySubject, t.Subject, subjects, i)
-	dropRow(db.byPredicate, t.Predicate, row)
+	if rest := db.byPredicate[t.Predicate].drop(row); len(rest.rows) == 0 {
+		delete(db.byPredicate, t.Predicate)
+	} else {
+		db.byPredicate[t.Predicate] = rest
+	}
 	objects := db.byObject[t.Object]
 	j, _ := opsSlot(objects, row)
 	dropAt(db.byObject, t.Object, objects, j)
@@ -144,9 +148,10 @@ func (db *DB) AllSorted() []Triple {
 // with P and O constant the object posting's P-range stands for it; an
 // ordered posting chosen with P constant is read only in P's range. A
 // subject posting comes out in order, filtered or not, and so does an object
-// posting's range or one read for a constant subject; the predicate posting
-// and the full scan do not. When q binds no term but the constants the scan
-// is filed under, the scan is the answer and is appended as it stands.
+// posting's range or one read for a constant subject, and a predicate
+// posting not marked out of order; the full scan does not. When q binds no
+// term but the constants the scan is filed under, the scan is the answer
+// and is appended as it stands.
 func (db *DB) matching(out []*Triple, q Pattern) (rows []*Triple, examined int, ordered bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -164,7 +169,8 @@ func (db *DB) matching(out []*Triple, q Pattern) (rows []*Triple, examined int, 
 			best, filed, ordered = predicateRange(best, q.P.Value), 2, true
 		}
 	} else if q.P.Kind == Constant {
-		best, filed = db.byPredicate[q.P.Value], 1
+		predicates := db.byPredicate[q.P.Value]
+		best, filed, ordered = predicates.rows, 1, !predicates.unsorted
 	}
 	if q.S.Kind == Constant {
 		if s := db.bySubject[q.S.Value]; filed == 0 || len(s) <= len(best) {
@@ -217,15 +223,43 @@ func (db *DB) Select(q Pattern) []Triple {
 // SelectSorted is Select with deterministic (subject, predicate, object)
 // output order — the variant remote query handlers use so answers are
 // reproducible across runs. A scan that came out in order is copied out as
-// it stands; any other sorts the row pointers (8-byte swaps) first, so each
-// triple is copied once, already in place.
+// it stands. A scan of an out-of-order predicate posting sorts the posting
+// in place and scans again, so later selects find it in order. Any other
+// scan sorts the row pointers (8-byte swaps) first, so each triple is
+// copied once, already in place.
 func (db *DB) SelectSorted(q Pattern) []Triple {
 	var scratch [selectScratch]*Triple
 	rows, _, ordered := db.matching(scratch[:0], q)
+	// With P constant, only an out-of-order predicate posting comes out of
+	// order.
+	if !ordered && q.P.Kind == Constant {
+		db.sortPredicate(q.P.Value)
+		rows, _, ordered = db.matching(scratch[:0], q)
+	}
 	if !ordered {
+		// Unordered scan, or a write marked the posting again in between.
 		slices.SortFunc(rows, compareRows)
 	}
 	return copyRows(rows)
+}
+
+// sortPredicate puts the predicate posting filed under p in (subject,
+// object) order if it is marked out of order. The mark is checked under the
+// read lock first, so only a select that finds it set takes the write lock.
+func (db *DB) sortPredicate(p string) {
+	db.mu.RLock()
+	unsorted := db.byPredicate[p].unsorted
+	db.mu.RUnlock()
+	if !unsorted {
+		return
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if predicates := db.byPredicate[p]; predicates.unsorted {
+		slices.SortFunc(predicates.rows, comparePSO)
+		predicates.unsorted = false
+		db.byPredicate[p] = predicates
+	}
 }
 
 // JoinBindingsNestedLoop is the O(|L|·|R|) pairwise-merge join on binding
@@ -263,7 +297,7 @@ func mergeBindings(a, b Bindings) (Bindings, bool) {
 func (db *DB) DistinctValues(predicate string, pos Position) []string {
 	set := map[string]struct{}{}
 	db.mu.RLock()
-	for _, row := range db.byPredicate[predicate] {
+	for _, row := range db.byPredicate[predicate].rows {
 		set[row.Component(pos)] = struct{}{}
 	}
 	db.mu.RUnlock()
@@ -309,11 +343,19 @@ func compareRows(a, b *Triple) int {
 func (db *DB) EachFiled(visit func(pos Position, s string, t Triple)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for pos, idx := range [3]map[string][]*Triple{db.bySubject, db.byPredicate, db.byObject} {
-		for s, rows := range idx {
-			for _, row := range rows {
-				visit(Position(pos), s, *row)
-			}
+	for s, rows := range db.bySubject {
+		for _, row := range rows {
+			visit(Subject, s, *row)
+		}
+	}
+	for s, predicates := range db.byPredicate {
+		for _, row := range predicates.rows {
+			visit(Predicate, s, *row)
+		}
+	}
+	for s, rows := range db.byObject {
+		for _, row := range rows {
+			visit(Object, s, *row)
 		}
 	}
 }

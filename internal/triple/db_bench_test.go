@@ -227,9 +227,10 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 // BenchmarkDeleteUnderHotPredicate prices the one linear step of the store:
-// taking a row out of a 10k-row predicate posting, a slice searched for the
-// row's pointer. Each iteration deletes one triple and inserts it back, so
-// the posting stays at 10k rows while the victims walk it.
+// taking a row out of a 10k-row predicate posting out of (subject, object)
+// order, a slice searched for the row's pointer. Each iteration deletes one
+// triple and inserts it back, so the posting stays at 10k rows while the
+// victims walk it.
 func BenchmarkDeleteUnderHotPredicate(b *testing.B) {
 	const rows = 10000
 	data := make([]Triple, rows)
@@ -244,6 +245,44 @@ func BenchmarkDeleteUnderHotPredicate(b *testing.B) {
 		t := data[i*7919%rows]
 		db.Delete(t)
 		db.Insert(t)
+	}
+}
+
+// BenchmarkInsertUnderHotPredicate prices the predicate posting's lazy PSO
+// order: a triple filed under a predicate that already holds 1k or 10k rows
+// in (subject, object) order is appended and then deleted. in-order appends
+// sort after every held row, so the posting stays in order and the delete
+// binary-searches its row; out-of-order appends sort before the last row,
+// so the posting is marked out of order and the delete looks for its row
+// from the front and swaps it out.
+func BenchmarkInsertUnderHotPredicate(b *testing.B) {
+	for _, held := range []int{1000, 10000} {
+		for _, order := range []string{"in-order", "out-of-order"} {
+			b.Run(fmt.Sprintf("held=%d/%s", held, order), func(b *testing.B) {
+				data := make([]Triple, held)
+				for i := range data {
+					data[i] = Triple{fmt.Sprintf("s%06d", i), "hot", fmt.Sprint("o", i%64)}
+				}
+				first := "z" // after every held subject
+				if order == "out-of-order" {
+					first = "n" // before them
+				}
+				rng := rand.New(rand.NewSource(1))
+				victims := make([]Triple, 1024)
+				for i := range victims {
+					victims[i] = Triple{fmt.Sprintf("%s%06d", first, rng.Intn(held)), "hot", "v"}
+				}
+				db := NewDB()
+				db.InsertBatch(data)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t := victims[i%len(victims)]
+					db.Insert(t)
+					db.Delete(t)
+				}
+			})
+		}
 	}
 }
 

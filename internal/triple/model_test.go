@@ -57,8 +57,9 @@ func TestSelectPicksSmallestIndex(t *testing.T) {
 }
 
 // With S and P constant and a predicate posting shorter than the subject
-// posting, the scan reads the predicate posting, which is in insertion
-// order: SelectSorted must sort what it collects, and agree with the model.
+// posting, the scan reads the predicate posting, which was filed out of
+// (subject, object) order: SelectSorted must put it in order, and agree
+// with the model.
 func TestSelectSortedSortsPredicateScan(t *testing.T) {
 	db, model := NewDB(), modelDB{}
 	insert := func(tr Triple) {
@@ -79,6 +80,9 @@ func TestSelectSortedSortsPredicateScan(t *testing.T) {
 	}
 	if got, want := db.SelectSorted(q), model.select_(q); !equalTriples(got, want) {
 		t.Fatalf("SelectSorted(%v) = %v, model %v", q, got, want)
+	}
+	if _, _, ordered := db.matching(nil, q); !ordered {
+		t.Fatal("the predicate posting SelectSorted read is still out of order")
 	}
 }
 
@@ -217,8 +221,8 @@ func TestDBMatchesModelProperty(t *testing.T) {
 					t.Fatalf("step %d: Stats = %+v\nmodel's digest %+v", step, got, want)
 				}
 				db.mu.RLock()
-				for _, rows := range db.byPredicate {
-					longest = max(longest, len(rows))
+				for _, predicates := range db.byPredicate {
+					longest = max(longest, len(predicates.rows))
 				}
 				db.mu.RUnlock()
 			}

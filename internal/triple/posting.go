@@ -20,9 +20,13 @@ const postingFit = 8
 //   - an object posting by (predicate, subject), the OPS order (opsSlot).
 //
 // Insert and delete binary-search the row's slot and move the tail. A
-// predicate posting is in insertion order: insert appends, delete swaps the
-// row out (linear in the posting, paid only on delete). Nothing asks it
-// about membership.
+// predicate posting is the PSO vector, (subject, object) order, kept
+// lazily (predicatePosting): insert appends, and a row that sorts before
+// the posting's last marks the posting out of order. The first ordered
+// select that scans it sorts it in place. Delete binary-searches an
+// in-order posting and moves the tail; it swaps the row out of an
+// out-of-order one (linear in the posting). Nothing asks a predicate
+// posting about membership.
 
 // spoSlot binary-searches a subject posting — the subject is fixed within
 // it, so the order is total — for t's slot, and reports whether t is there.
@@ -47,6 +51,48 @@ func opsSlot(rows []*Triple, row *Triple) (int, bool) {
 	})
 }
 
+// comparePSO orders the rows of one predicate posting: by subject, then
+// object, the predicate being fixed within it.
+func comparePSO(a, b *Triple) int {
+	if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Object, b.Object)
+}
+
+// predicatePosting is the posting filed under a predicate. unsorted marks
+// rows that are not in (subject, object) order.
+type predicatePosting struct {
+	rows     []*Triple
+	unsorted bool
+}
+
+// add appends row, marking the posting if row sorts before the last row.
+func (p predicatePosting) add(row *Triple) predicatePosting {
+	if n := len(p.rows); n > 0 && comparePSO(row, p.rows[n-1]) < 0 {
+		p.unsorted = true
+	}
+	p.rows = append(p.rows, row)
+	return p
+}
+
+// drop takes row out: in order, by binary search, from an in-order
+// posting; by swapping the last row in from an out-of-order one.
+func (p predicatePosting) drop(row *Triple) predicatePosting {
+	if !p.unsorted {
+		if i, found := slices.BinarySearchFunc(p.rows, row, comparePSO); found {
+			p.rows = slices.Delete(p.rows, i, i+1)
+		}
+		return p
+	}
+	if i := indexRow(p.rows, row); i >= 0 {
+		last := len(p.rows) - 1
+		p.rows[i], p.rows[last] = p.rows[last], nil
+		p.rows = p.rows[:last]
+	}
+	return p
+}
+
 // fileAt inserts row into an ordered posting at slot i. A full posting of
 // under postingFit rows grows to fit; a longer one by append's doubling, so
 // a hot key's insert pays a memmove of the tail but amortised O(1)
@@ -68,20 +114,24 @@ func dropAt(idx map[string][]*Triple, key string, rows []*Triple, i int) {
 	}
 }
 
-// dropRow swaps row out of the predicate posting filed under key.
-func dropRow(idx map[string][]*Triple, key string, row *Triple) {
-	rows := idx[key]
-	i := slices.Index(rows, row)
-	if i < 0 {
-		return
+// indexRow is slices.Index over a posting, four rows a step: the search is
+// the whole cost of a delete from a long out-of-order posting, and a loop
+// testing one row a step runs at half speed wherever it straddles an
+// instruction-fetch boundary.
+func indexRow(rows []*Triple, row *Triple) int {
+	i := 0
+	for rest := rows; len(rest) >= 4; rest = rest[4:] {
+		if rest[0] == row || rest[1] == row || rest[2] == row || rest[3] == row {
+			break
+		}
+		i += 4
 	}
-	last := len(rows) - 1
-	rows[i], rows[last] = rows[last], nil
-	if last == 0 {
-		delete(idx, key)
-	} else {
-		idx[key] = rows[:last]
+	for ; i < len(rows); i++ {
+		if rows[i] == row {
+			return i
+		}
 	}
+	return -1
 }
 
 // predicateRange returns the rows of an ordered posting filed under

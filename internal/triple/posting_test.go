@@ -43,7 +43,11 @@ func checkPostings(t *testing.T, db *DB) {
 	t.Helper()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for pos, idx := range [3]map[string][]*Triple{db.bySubject, db.byPredicate, db.byObject} {
+	byPredicate := map[string][]*Triple{}
+	for key, predicates := range db.byPredicate {
+		byPredicate[key] = predicates.rows
+	}
+	for pos, idx := range [3]map[string][]*Triple{db.bySubject, byPredicate, db.byObject} {
 		pos := Position(pos)
 		for key, rows := range idx {
 			if len(rows) == 0 {
@@ -135,6 +139,9 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 	}()
 
 	longest := map[Position]int{}
+	// deletes counts the deletes from a predicate posting of two or more
+	// rows, by whether the posting was in order: both paths must run.
+	deletes := map[bool]int{}
 	for step := 0; step < 6000; step++ {
 		// Waves: 600 steps mostly inserting, 600 mostly deleting — a stored
 		// triple as a rule, so the store drains and postings shrink.
@@ -155,6 +162,11 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 			refs[Predicate].add(tr.Predicate, tr)
 			refs[Object].add(tr.Object, tr)
 		} else {
+			db.mu.RLock()
+			if predicates := db.byPredicate[tr.Predicate]; present && len(predicates.rows) > 1 {
+				deletes[!predicates.unsorted]++
+			}
+			db.mu.RUnlock()
 			if db.Delete(tr) != present {
 				t.Fatalf("step %d: Delete(%v) = %v with the triple present: %v", step, tr, !present, present)
 			}
@@ -168,6 +180,7 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 		}
 		checkSubjectOrder(t, db, step)
 		checkObjectOrder(t, db, step)
+		checkPredicateOrder(t, db, step)
 		if step%25 != 0 {
 			continue
 		}
@@ -187,6 +200,18 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 			if got := db.SelectSorted(q); !equalTriples(got, want) {
 				t.Fatalf("step %d: Select(%v) = %v, model %v", step, q, got, want)
 			}
+		}
+		// That (?, P, ?) select left P's posting in order: the model's rows,
+		// as they stand.
+		db.mu.RLock()
+		predicates := db.byPredicate[tr.Predicate]
+		posting := make([]Triple, 0, len(predicates.rows))
+		for _, row := range predicates.rows {
+			posting = append(posting, *row)
+		}
+		db.mu.RUnlock()
+		if want := refs[Predicate].sorted(tr.Predicate); predicates.unsorted || !equalTriples(posting, want) {
+			t.Fatalf("step %d: after SelectSorted, predicate posting %q is marked out of order (%v) or holds %v, model %v", step, tr.Predicate, predicates.unsorted, posting, want)
 		}
 		// (S, P, ?): the scan reads the subject posting's P-range, exactly
 		// the model's (S, P) rows, when the subject posting is no longer than
@@ -248,6 +273,9 @@ func TestPostingsMatchModelAcrossPromotion(t *testing.T) {
 			}
 		}
 	}
+	if deletes[true] == 0 || deletes[false] == 0 {
+		t.Fatalf("deletes from in-order predicate postings: %d, from out-of-order ones: %d; the stream must run both", deletes[true], deletes[false])
+	}
 	if longest[Subject] <= 2*postingFit || longest[Predicate] <= 4*postingFit || longest[Object] <= 2*postingFit {
 		t.Fatalf("the longest subject, predicate and object postings held %d, %d and %d rows; the waves do not grow postings far past the size they grow to fit",
 			longest[Subject], longest[Predicate], longest[Object])
@@ -284,6 +312,25 @@ func checkObjectOrder(t *testing.T, db *DB, step int) {
 	}
 }
 
+// checkPredicateOrder asserts that every predicate posting not marked out of
+// order is in PSO order: strictly increasing by (subject, object).
+func checkPredicateOrder(t *testing.T, db *DB, step int) {
+	t.Helper()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for key, predicates := range db.byPredicate {
+		if predicates.unsorted {
+			continue
+		}
+		rows := predicates.rows
+		for i := 1; i < len(rows); i++ {
+			if prev := rows[i-1]; prev.Subject > rows[i].Subject || prev.Subject == rows[i].Subject && prev.Object >= rows[i].Object {
+				t.Fatalf("step %d: predicate posting %q not marked, but out of (subject, object) order at row %d: %v after %v", step, key, i, *rows[i], *rows[i-1])
+			}
+		}
+	}
+}
+
 func equalTriples(a, b []Triple) bool {
 	if len(a) != len(b) {
 		return false
@@ -306,7 +353,7 @@ func sharedRow(t *testing.T, db *DB, tr Triple) *Triple {
 	if row == nil {
 		t.Fatalf("%v is not in its subject posting", tr)
 	}
-	for name, rows := range map[string][]*Triple{"predicate": db.byPredicate[tr.Predicate], "object": db.byObject[tr.Object]} {
+	for name, rows := range map[string][]*Triple{"predicate": db.byPredicate[tr.Predicate].rows, "object": db.byObject[tr.Object]} {
 		n := 0
 		for _, held := range rows {
 			if *held == tr {
@@ -351,7 +398,7 @@ func TestDeleteAcrossPostingForms(t *testing.T) {
 			db := NewDB()
 			db.InsertBatch(triples)
 			victim := triples[3]
-			subjectRows, predicateRows := len(db.bySubject[victim.Subject]), len(db.byPredicate[victim.Predicate])
+			subjectRows, predicateRows := len(db.bySubject[victim.Subject]), len(db.byPredicate[victim.Predicate].rows)
 			if longSubject := name == "short-predicate/long-subject"; subjectRows == 1 == longSubject || predicateRows == 1 != longSubject {
 				t.Fatalf("postings of %v not the lengths this case is about (%d subject rows, %d predicate rows)", victim, subjectRows, predicateRows)
 			}
@@ -388,5 +435,72 @@ func TestDeleteAcrossPostingForms(t *testing.T) {
 			checkSubjectOrder(t, db, 1)
 			checkPostings(t, db)
 		})
+	}
+}
+
+// Race test: ordered selects sort a predicate posting while InsertBatch
+// appends out of order and Delete takes rows out under the same predicate.
+// Every answer is in (S, P, O) order and duplicate-free, and once the
+// writers stop the posting holds exactly their surviving rows. Run it under
+// -race with -count=10.
+func TestSortPredicateUnderConcurrentWrites(t *testing.T) {
+	const writers, perW = 4, 300
+	db := NewDB()
+	var stop atomic.Bool
+	var readers, wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			q := Pattern{S: Var("s"), P: Const("hot"), O: Var("o")}
+			for !stop.Load() {
+				got := db.SelectSorted(q)
+				for i := 1; i < len(got); i++ {
+					if compareRows(&got[i-1], &got[i]) >= 0 {
+						t.Errorf("SelectSorted(%v) out of order or repeated at %d: %v after %v", q, i, got[i], got[i-1])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i, n := range rng.Perm(perW) {
+				tr := Triple{fmt.Sprintf("w%d-s%03d", w, n), "hot", fmt.Sprint("o", n%7)}
+				db.InsertBatch([]Triple{tr, {tr.Subject, "hot", "extra"}})
+				if i%3 == 0 {
+					db.Delete(tr)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	model := modelDB{}
+	for w := 0; w < writers; w++ {
+		for i, n := range rand.New(rand.NewSource(int64(w))).Perm(perW) {
+			s := fmt.Sprintf("w%d-s%03d", w, n)
+			model[Triple{s, "hot", "extra"}] = struct{}{}
+			if i%3 != 0 {
+				model[Triple{s, "hot", fmt.Sprint("o", n%7)}] = struct{}{}
+			}
+		}
+	}
+	q := Pattern{S: Var("s"), P: Const("hot"), O: Var("o")}
+	if got, want := db.SelectSorted(q), model.select_(q); !equalTriples(got, want) {
+		t.Fatalf("SelectSorted(%v) = %d rows, model %d", q, len(got), len(want))
+	}
+	checkPredicateOrder(t, db, writers*perW)
+	db.mu.RLock()
+	unsorted := db.byPredicate["hot"].unsorted
+	db.mu.RUnlock()
+	if unsorted {
+		t.Fatal("the last SelectSorted left the posting marked out of order")
 	}
 }

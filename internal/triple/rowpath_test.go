@@ -244,6 +244,19 @@ func TestRowPathAllocationBudgets(t *testing.T) {
 	if got, _, ordered := subjects.matching(nil, lookup); len(got) != 37 || !ordered {
 		t.Fatalf("fixture: subject lookup matched %d rows, in order: %v", len(got), ordered)
 	}
+	// A predicate posting filed out of order: the first ordered select sorts
+	// it, and every later one reads it as it stands.
+	shuffled := NewDB()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(rows) {
+		shuffled.Insert(Triple{fmt.Sprintf("acc:%05d", i), "S#length", fmt.Sprint(1000 + i)})
+	}
+	if _, _, ordered := shuffled.matching(nil, second); ordered {
+		t.Fatal("fixture: a predicate posting filed in shuffled order reads as in order")
+	}
+	shuffled.SelectSorted(second)
+	if got, _, ordered := shuffled.matching(nil, second); len(got) != rows || !ordered {
+		t.Fatalf("fixture: after one SelectSorted the predicate posting gave %d rows, in order: %v", len(got), ordered)
+	}
 	for _, tc := range []struct {
 		name   string
 		rows   int
@@ -252,14 +265,20 @@ func TestRowPathAllocationBudgets(t *testing.T) {
 	}{
 		// The pointer slice grows once per doubling, then one copy-out.
 		{"SelectSorted by predicate", rows, 0.05, func() { db.SelectSorted(second) }},
+		// An in-order predicate posting is the answer: the pointer slice and
+		// the copy-out, no sort.
+		{"in-order predicate select", rows, 0.01, func() { shuffled.SelectSorted(second) }},
 		// The subject posting is the answer, in order: the copy-out only.
 		{"SelectSorted by subject", 37, 0.03, func() { subjects.SelectSorted(lookup) }},
 		// Vars, the row headers and one array of values.
 		{"bind", rows, 0.03, func() { BindTriplesMatched(second, answer, true) }},
 		// The same plus the dedupe map and its interned keys.
 		{"bind with the seen map", rows, 1.2, func() { BindTriplesMatched(second, answer, false) }},
+		// Both sides ascend in the shared column, so they merge: no table,
+		// and row headers and values one array each, sized by a counting walk.
+		{"HashJoin on one shared column", rows, 0.03, func() { HashJoin(left, right) }},
 		// The table and its chain, then row headers and values two arrays each.
-		{"HashJoin on one shared column", rows, 0.08, func() { HashJoin(left, right) }},
+		{"hash path on one shared column", rows, 0.08, func() { join(left, right, false) }},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run) / float64(tc.rows); got > tc.perRow {
 			t.Errorf("%s: %.3f allocations per row, budget %.3f", tc.name, got, tc.perRow)

@@ -72,7 +72,8 @@ func (db *DB) computeStats() cachedStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := Stats{Triples: db.Len(), Predicates: make([]PredicateStats, 0, len(db.byPredicate))}
-	for pred, rows := range db.byPredicate {
+	for pred, predicates := range db.byPredicate {
+		rows := predicates.rows
 		subjects, objects := map[string]struct{}{}, map[string]struct{}{}
 		ps := PredicateStats{Predicate: pred, Triples: len(rows), SubjectSketch: &HLL{}, ObjectSketch: &HLL{}}
 		for _, t := range rows {

@@ -62,6 +62,13 @@ func FuzzOverlayDecode(f *testing.F) {
 		frameOf(FrameOverlay, uv(0, 0, 27, 1, 1, "x", 0, 5, "A#org", 0, 1, "v", 10, 1, 5, "A#org", 0,
 			"\x00\x00\x00\x00\x00\x00\xf0\x3f", "\x00\x00\x00\x00\x00\x00\x00\x00", 2, 0, 0)),
 		frameOf(FrameOverlay, uv(0, 0, 28, 0, 0, 0, 0, 0)))
+	// And under tags 5 and 6, before a pattern request carried a list of
+	// patterns and was answered by one triple list: a key group of
+	// (?x, <A#org>, "v") and (?x, <B#name>, "v") filtered to x = s1, and its
+	// answer of one row for the first pattern and none for the second.
+	seeds = append(seeds,
+		frameOf(FrameOverlay, uv(0, 0, 5, 2, 1, 1, "x", 0, 5, "A#org", 0, 1, "v", 1, 1, "x", 0, 6, "B#name", 0, 1, "v", 1, 1, "x", 1, 2, "s1", 0, 0)),
+		frameOf(FrameOverlay, uv(0, 0, 6, 2, 1, 4, "s001", 5, "A#org", 12, "species-rare", 0, 0)))
 	for _, s := range seeds {
 		f.Add(s)
 	}

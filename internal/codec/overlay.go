@@ -79,7 +79,7 @@ func kindOf[T any](walk func(*Codec, *T)) kind {
 // tag's number is part of the layout; tag 0 is nil. The encoder tries them
 // in order, so what every query ships comes first. (Filled in init: the
 // walks refer back to the table.)
-var kinds [29]kind
+var kinds [27]kind
 
 func init() {
 	kinds = [...]kind{
@@ -87,8 +87,8 @@ func init() {
 		2:  kindOf((*Codec).execResponse),
 		3:  kindOf((*Codec).patternQuery),
 		4:  kindOf((*Codec).triples),
-		5:  kindOf((*Codec).compositeQuery),
-		6:  kindOf(func(c *Codec, m *mediation.CompositeResponse) { List(c, &m.Answers, 1, c.triples) }),
+		5:  kindOf(func(c *Codec, m *mediation.ConnectivityQuery) { c.Str(&m.Domain) }),
+		6:  kindOf((*Codec).connectivityReport),
 		7:  kindOf((*Codec).Mapping),
 		8:  kindOf((*Codec).Schema),
 		9:  kindOf((*Codec).Triple),
@@ -109,8 +109,6 @@ func init() {
 		24: kindOf((*Codec).digestResponse),
 		25: kindOf((*Codec).repairRequest),
 		26: kindOf((*Codec).repairResponse),
-		27: kindOf(func(c *Codec, m *mediation.ConnectivityQuery) { c.Str(&m.Domain) }),
-		28: kindOf((*Codec).connectivityReport),
 	}
 }
 
@@ -270,11 +268,6 @@ func (c *Codec) varFilter(m *mediation.VarFilter) {
 func (c *Codec) varFilters(v *[]mediation.VarFilter) { List(c, v, 3, c.varFilter) }
 
 func (c *Codec) patternQuery(m *mediation.PatternQuery) {
-	c.Pattern(&m.Pattern)
-	c.varFilters(&m.Filters)
-}
-
-func (c *Codec) compositeQuery(m *mediation.CompositeQuery) {
 	List(c, &m.Patterns, 6, c.Pattern)
 	c.varFilters(&m.Filters)
 }

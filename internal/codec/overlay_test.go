@@ -29,14 +29,13 @@ func tagged() []any {
 	return []any{
 		0: nil,
 		1: pgrid.ExecRequest{}, 2: pgrid.ExecResponse{}, 3: mediation.PatternQuery{}, 4: []triple.Triple(nil),
-		5: mediation.CompositeQuery{}, 6: mediation.CompositeResponse{},
+		5: mediation.ConnectivityQuery{}, 6: mediation.ConnectivityReport{},
 		7: schema.Mapping{}, 8: schema.Schema{}, 9: triple.Triple{},
 		10: pgrid.BatchEntry{}, 11: pgrid.BatchUpdate{}, 12: pgrid.BatchResult{}, 13: pgrid.BatchReplicate{},
 		14: "", 15: 0, 16: false, 17: 0.0, 18: []any(nil),
 		19: mediation.DomainDegree{}, 20: mediation.StatsDigest{},
 		21: pgrid.SubtreeRequest{}, 22: pgrid.SubtreeResponse{},
 		23: pgrid.DigestRequest{}, 24: pgrid.DigestResponse{}, 25: pgrid.RepairRequest{}, 26: pgrid.RepairResponse{},
-		27: mediation.ConnectivityQuery{}, 28: mediation.ConnectivityReport{},
 	}
 }
 
@@ -219,8 +218,8 @@ var goldenFrames = []struct {
 }{
 	{"request-exec-pattern", Envelope{From: "p3", Msg: simnet.Message{Type: "pgrid.exec", Payload: pgrid.ExecRequest{
 		Key: "0110", Op: pgrid.OpQuery, Payload: mediation.PatternQuery{
-			Pattern: triple.Pattern{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")},
-			Filters: []mediation.VarFilter{{Var: "x", Values: []string{"EMBL:A78712"}}},
+			Patterns: []triple.Pattern{{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}},
+			Filters:  []mediation.VarFilter{{Var: "x", Values: []string{"EMBL:A78712"}}},
 		}}}}},
 	{"response-exec-rows", Envelope{Msg: simnet.Message{Type: "pgrid.exec", Payload: pgrid.ExecResponse{
 		Responsible: true, AppResult: goldenRows(), Path: "011"}}}},
@@ -368,7 +367,7 @@ var hostilePayloads = []struct {
 	{"2^40 list elements", uv(0, 0, tagList, 1<<40)},
 	{"string past the end", uv(0, 0, tagString, 200, "short")},
 	{"lists nested past the depth bound", append(append([]byte{0, 0}, bytes.Repeat([]byte{tagList, 1}, maxDepth+1)...), 0, 0)},
-	{"tag 29, one past the table", uv(0, 0, 29, 0)},
+	{"tag 27, one past the table", uv(0, 0, 27, 0)},
 	{"op 6", uv(0, 0, tagExecRequest, 0, 6, 0, 0)},
 	{"map keys out of order", append(uv(0, 0, tagDigestResponse, 2, 1, "b", "12345678", 1, "a", "12345678", 0), 0)},
 	{"map key twice", append(uv(0, 0, tagDigestResponse, 2, 1, "a", "12345678", 1, "a", "12345678", 0), 0)},

@@ -49,7 +49,7 @@ func capturedLookup(tb testing.TB) (d *Daemon, from, to simnet.PeerID, msg simne
 	}
 	d.stage.mu.Unlock()
 	pat := triple.Pattern{S: triple.Const(tr.Subject), P: triple.Var("p"), O: triple.Var("o")}
-	if _, _, err := issuer.Node().Query(ctx, key, mediation.PatternQuery{Pattern: pat}); err != nil || to == "" {
+	if _, _, err := issuer.Node().Query(ctx, key, mediation.PatternQuery{Patterns: []triple.Pattern{pat}}); err != nil || to == "" {
 		tb.Fatalf("lookup: delivered to %q, err %v", to, err)
 	}
 	d.stage.mu.Lock()

@@ -2,9 +2,9 @@ package mediation
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 
 	"gridvine/internal/compose"
 	"gridvine/internal/keyspace"
@@ -13,12 +13,12 @@ import (
 	"gridvine/internal/triple"
 )
 
-// Key-grouped shipping and the composite closure cache. The reformulation
-// engine (streamReformulated) ships its variants grouped by destination
-// key: every variant routing to the same responsible key rides one
-// CompositeQuery, so a subject- or object-constant query, whose variants all
-// hash to that constant, pays one data operation for the whole closure
-// whatever the chain depth. SearchOptions.ComposeMappings additionally lets
+// Key-grouped shipping and the composite closure cache. The pattern-search
+// engine (streamPattern) ships its variants grouped by destination key:
+// every variant routing to the same responsible key rides one PatternQuery,
+// so a subject- or object-constant query, whose variants all hash to that
+// constant, pays one data operation for the whole closure whatever the
+// chain depth. SearchOptions.ComposeMappings additionally lets
 // the engine reuse a cached closure (internal/compose) — the precomposed
 // transitive mapping chains of the queried predicate — instead of looking
 // the mappings up again; with loss pruning disabled a closure enumerates
@@ -29,31 +29,6 @@ import (
 // store hooks bump it (responsible-peer side) whenever a mapping value
 // lands or leaves the local overlay store, invalidating only the closures
 // whose build consulted the changed mapping's schemas.
-
-// CompositeQuery ships a group of reformulated pattern variants that share
-// one destination key; the responsible peer answers each variant from its
-// local database in one round trip. Filters carry the issuer's semi-join
-// filters, applied to every variant's answer before it ships.
-type CompositeQuery struct {
-	Patterns []triple.Pattern
-	Filters  []VarFilter
-}
-
-// CompositeResponse answers a CompositeQuery: one (sorted, filtered) triple
-// slice per requested pattern, index-aligned.
-type CompositeResponse struct {
-	Answers [][]triple.Triple
-}
-
-// handleComposite answers every variant of a composite query from the local
-// database — the σ of a PatternQuery, batched.
-func (p *Peer) handleComposite(req CompositeQuery) CompositeResponse {
-	resp := CompositeResponse{Answers: make([][]triple.Triple, len(req.Patterns))}
-	for i, q := range req.Patterns {
-		resp.Answers[i] = filterTriples(q, req.Filters, p.node.DB().SelectSorted(q))
-	}
-	return resp
-}
 
 // errReplicaAnswered refuses a mapping list for a closure build: it came
 // from a fallback replica, which may not have seen the latest publish.
@@ -139,96 +114,124 @@ func (b *Batch) mappingSchemas() []schema.Mapping {
 	return out
 }
 
+// keyGroup is the variants of one flush that route to one key: the one
+// PatternQuery that ships them and, once it has, its answer or failure.
+type keyGroup struct {
+	key    keyspace.Key
+	req    PatternQuery
+	answer []triple.Triple
+	route  pgrid.Route // zero, like err, if cancellation skipped the group
+	err    error
+}
+
+// ship sends the group's request to the peer responsible for its key.
+func (g *keyGroup) ship(ctx context.Context, node *pgrid.Node) {
+	var result any
+	if result, g.route, g.err = node.Query(ctx, g.key, g.req); g.err == nil {
+		var ok bool
+		if g.answer, ok = result.([]triple.Triple); !ok {
+			g.err = fmt.Errorf("mediation: unexpected pattern answer %T", result)
+		}
+	}
+}
+
+// next takes the answer of q, the group's next pattern, off the group's
+// answer: all of it for a lone pattern, else the run of rows that carry q's
+// predicate. A group's answer holds its patterns' answers in request order,
+// and its patterns differ in predicate: the traversal claims each once.
+func (g *keyGroup) next(q triple.Pattern) []triple.Triple {
+	n := len(g.answer)
+	if len(g.req.Patterns) > 1 {
+		n = 0
+		for n < len(g.answer) && g.answer[n].Predicate == q.P.Value {
+			n++
+		}
+	}
+	run := g.answer[:n:n]
+	g.answer = g.answer[n:]
+	return run
+}
+
+// group spells out the pending variants' patterns — the root ships q
+// unchanged, every other variant rewrites the predicate only — and groups
+// them by destination key, in order: in holds each variant's group.
+func (r *reformulation) group(pending []compose.Step) (groups []keyGroup, patterns []triple.Pattern, in []int) {
+	patterns = make([]triple.Pattern, len(pending))
+	in = make([]int, len(pending))
+	for i, v := range pending {
+		patterns[i] = r.q
+		if r.shipped+i > 0 {
+			patterns[i] = r.q.WithTerm(triple.Predicate, triple.Const(v.Predicate))
+		}
+		_, constant, _ := patterns[i].MostSpecificConstant() // streamPattern checked q, whose constants variants keep
+		key := keyspace.Hash(constant, r.p.depth)
+		in[i] = slices.IndexFunc(groups, func(g keyGroup) bool { return g.key == key })
+		if in[i] < 0 {
+			in[i] = len(groups)
+			groups = append(groups, keyGroup{key: key, req: PatternQuery{Patterns: patterns[i : i+1 : i+1], Filters: r.filters}})
+		} else {
+			groups[in[i]].req.Patterns = append(groups[in[i]].req.Patterns, patterns[i])
+		}
+	}
+	return groups, patterns, in
+}
+
 // flush ships the variants reached since the last flush — one routed
-// CompositeQuery per destination key, fanned out across the worker pool —
-// and emits their answers in variant order, so rows arrive as the serial
+// PatternQuery per destination key, fanned out across the worker pool — and
+// emits their answers in variant order, so rows arrive as the serial
 // traversal would produce them whatever the grouping, then flushes the sink:
-// the engine goes back to the overlay next. A subject- or
-// object-constant query collapses to one group (reformulation only rewrites
-// the predicate); predicate-keyed queries get one group per variant. stopped
-// reports that emit ended the search.
+// the engine goes back to the overlay next. A subject- or object-constant
+// query collapses to one group (reformulation only rewrites the predicate);
+// a predicate-keyed one gets one group per variant. stopped reports that
+// emit ended the search. Grouping and emitting are functions of their own
+// so that the frames under a routed call stay small: a search runs on a
+// goroutine of its own, whose stack is copied each time it outgrows it, and
+// an in-process answer is selected on that stack.
 func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
 	pending := r.variants[r.shipped:]
 	if len(pending) == 0 {
 		return false, nil
 	}
+	groups, patterns, in := r.group(pending)
+	poolErr := runPoolCtx(ctx, len(groups), r.workers, func(i int) { groups[i].ship(ctx, r.p.node) })
+	return r.emit(pending, groups, patterns, in, poolErr)
+}
 
-	type group struct {
-		key      keyspace.Key
-		variants []int // indices into pending, ascending
-		req      CompositeQuery
-		route    pgrid.Route // zero, like err, if cancellation skipped the group
-		err      error
-	}
-	var groups []*group
-	byKey := map[keyspace.Key]*group{}
-	patterns := make([]triple.Pattern, len(pending))
-	pos, constant, _ := r.q.MostSpecificConstant() // the predicate is constant: always routable
-	key := keyspace.Hash(constant, r.p.depth)
-	for i, v := range pending {
-		patterns[i] = r.q.WithTerm(triple.Predicate, triple.Const(v.Predicate))
-		if pos == triple.Predicate { // only then does rewriting it move the key
-			key = keyspace.Hash(v.Predicate, r.p.depth)
-		}
-		g := byKey[key]
-		if g == nil {
-			g = &group{key: key, req: CompositeQuery{Filters: r.filters}}
-			byKey[key] = g
-			groups = append(groups, g)
-		}
-		g.variants = append(g.variants, i)
-		g.req.Patterns = append(g.req.Patterns, patterns[i])
-	}
-
-	answers := make([][]triple.Triple, len(pending))
-	poolErr := runPoolCtx(ctx, len(groups), r.workers, func(i int) {
-		g := groups[i]
-		var result any
-		result, g.route, g.err = r.p.node.Query(ctx, g.key, g.req)
-		if g.err != nil {
-			return
-		}
-		resp, ok := result.(CompositeResponse)
-		if !ok || len(resp.Answers) != len(g.variants) {
-			g.err = fmt.Errorf("mediation: unexpected composite result %T", result)
-			return
-		}
-		for j, vi := range g.variants {
-			answers[vi] = resp.Answers[j]
-		}
-	})
+// emit accounts for the shipped groups' routes and failures, then emits the
+// pending variants' answers in variant order.
+func (r *reformulation) emit(pending []compose.Step, groups []keyGroup, patterns []triple.Pattern, in []int, poolErr error) (stopped bool, err error) {
 	if r.shipped == 0 {
 		r.rs.Route = groups[0].route // the root pattern's group
 	}
 	r.shipped = len(r.variants)
-	for _, g := range groups {
+	failed := false
+	for i := range groups {
+		g := &groups[i]
 		r.rs.Messages += g.route.Messages
 		r.rs.Degraded = r.rs.Degraded || g.route.Degraded
-		if g.err != nil {
-			// A failed group is tolerated, but the aggregate is now partial.
-			r.rs.Degraded = true
-			if r.firstErr == nil {
-				r.firstErr = g.err
-			}
+		if g.err != nil && r.firstErr == nil {
+			r.firstErr = g.err
 		}
+		failed = failed || g.err != nil
 	}
+	if failed && !r.tolerant {
+		return false, r.firstErr // a search without waves: its one lookup failed
+	}
+	// A failed group is tolerated, but the aggregate is now partial.
+	r.rs.Degraded = r.rs.Degraded || failed
 	if poolErr != nil {
 		return false, poolErr // cancelled, possibly mid-group: the answer is incomplete and says so
 	}
 	for i, v := range pending {
-		if len(answers[i]) == 0 {
+		answer := groups[in[i]].next(patterns[i]) // none if the group failed
+		if len(answer) == 0 {
 			continue
 		}
-		r.emitted += len(answers[i])
-		if !r.sink.emit(answers[i], Provenance{Pattern: patterns[i], MappingPath: v.Path, Confidence: v.Confidence}) {
+		r.emitted += len(answer)
+		if !r.sink.emit(answer, Provenance{Pattern: patterns[i], MappingPath: v.Path, Confidence: v.Confidence}) {
 			return true, nil
 		}
 	}
 	r.sink.flush()
 	return false, nil
-}
-
-func init() {
-	gob.Register(CompositeQuery{})
-	gob.Register(CompositeResponse{})
 }

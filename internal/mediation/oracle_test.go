@@ -243,7 +243,7 @@ func TestEngineMatchesOracleOnKnot(t *testing.T) {
 // by op. The overlay has two leaves of two replicas, so every routed
 // operation costs exactly one message unless the issuer holds its key: an
 // object-constant query over a depth-k chain is the root pattern's route, k
-// mapping lookups and one CompositeQuery for all k variants; a row limit the
+// mapping lookups and one PatternQuery for all k variants; a row limit the
 // root satisfies ends it after the root's route, and a limit reached at wave
 // w has shipped w groups after w lookups.
 func TestReformulationMessageCounts(t *testing.T) {

@@ -59,11 +59,15 @@ type reversal struct {
 // than evicted piecemeal, since one entry costs one Reverse to rebuild.
 const reversedMemoSize = 1024
 
-// PatternQuery ships a triple pattern to the peer responsible for its key;
-// the handler runs σ against the local database and returns the matching
-// triples (paper §2.3: Retrieve(key, q)).
+// PatternQuery ships triple patterns to the peer responsible for their key;
+// the handler runs σ for each against the local database and returns the
+// matching triples (paper §2.3: Retrieve(key, q)) as one []triple.Triple:
+// each pattern's answer, sorted, in request order. A search ships its
+// pattern alone; the reformulation engine ships every variant routed to one
+// key in one request (see flush), so the patterns of a request differ only
+// in their constant predicate.
 type PatternQuery struct {
-	Pattern triple.Pattern
+	Patterns []triple.Pattern
 	// Filters optionally restricts the answer server-side to triples whose
 	// variable values pass every filter — the semi-join reduction (see
 	// semijoin.go). Empty for plain pattern lookups.

@@ -142,10 +142,9 @@ func (rs *ResultSet) Triples() []triple.Triple {
 
 // CollectPattern drains a pattern-request cursor under ctx and rebuilds
 // the aggregate ResultSet: every streamed raw result collected in order,
-// deduplicated (best confidence per triple) when the mapping traversal ran,
-// plus the message and route accounting from the cursor's summary. It
-// closes the cursor. Pair it with Peer.Query to get the whole answer at
-// once.
+// deduplicated (best confidence per triple) and sorted, plus the message
+// and route accounting from the cursor's summary. It closes the cursor.
+// Pair it with Peer.Query to get the whole answer at once.
 func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	var results []Result
 	for {
@@ -158,25 +157,23 @@ func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	cur.Close()
 	err := cur.Err()
 	cur.mu.Lock()
-	rs, traversed := cur.pattern, cur.traversed
+	rs := cur.pattern
 	cur.mu.Unlock()
 	if rs == nil {
 		// The engine had no result set to report (e.g. ErrNotRoutable).
 		return nil, err
 	}
 	rs.Results = results
-	if traversed {
-		dedupeResults(rs)
-	}
+	dedupeResults(rs)
 	return rs, err
 }
 
 // answerSink receives the raw (undeduplicated) answers of a pattern search,
 // in deterministic order. The engine invokes it from a single goroutine.
 type answerSink struct {
-	// emit delivers the triples one variant of the query matched, which are
-	// only valid during the call; returning false stops the search early (row
-	// limit reached or the consumer is gone).
+	// emit delivers the triples one variant of the query matched, which the
+	// engine does not touch again; returning false stops the search early
+	// (row limit reached or the consumer is gone).
 	emit func(ts []triple.Triple, via Provenance) bool
 	// flush runs whenever the engine goes back to the overlay after emitting:
 	// a consumer that batches rows hands them over now, so no row waits on a
@@ -184,91 +181,166 @@ type answerSink struct {
 	flush func()
 }
 
-// searchForFiltered resolves one pattern without reformulation, with
-// optional semi-join filters riding the shipped query: the responsible peer
-// filters its σ answer against them and returns only rows the issuer's
-// bound values can join. The triples are the peer's sorted answer as it
-// arrived; the ResultSet carries the message accounting only.
-func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters []VarFilter) ([]triple.Triple, *ResultSet, error) {
-	_, constant, ok := q.MostSpecificConstant()
-	if !ok {
-		return nil, nil, ErrNotRoutable
-	}
-	key := keyspace.Hash(constant, p.depth)
-	result, route, err := p.node.Query(ctx, key, PatternQuery{Pattern: q, Filters: filters})
-	rs := &ResultSet{Query: q, Messages: route.Messages, Route: route, Degraded: route.Degraded}
-	if err != nil {
-		return nil, rs, err
-	}
-	triples, ok := result.([]triple.Triple)
-	if !ok {
-		return nil, rs, fmt.Errorf("mediation: unexpected query result %T", result)
-	}
-	return triples, rs, nil
-}
-
-// rewritable reports whether reformulation applies to q: only a constant
-// Schema#Attr predicate can be rewritten through the mapping network.
-func rewritable(q triple.Pattern, reformulate bool) bool {
-	if !reformulate || q.P.Kind != triple.Constant {
-		return false
-	}
-	_, _, ok := schema.SplitPredicateURI(q.P.Value)
-	return ok
-}
-
-// streamPattern is the pattern-search engine behind the streaming cursor: it
-// resolves q — traversing the mapping network when reformulate is set —
+// streamPattern is the pattern-search engine (paper §2.3 SearchFor, §4
+// reformulation) behind the streaming cursor and the conjunctive engine: it
+// resolves q, with optional semi-join filters riding every shipped request,
 // delivering every raw (undeduplicated) answer through sink in deterministic
-// order, and returns the ResultSet skeleton (Query, Messages, Reformulations,
-// Route; Results stays empty — they went through the sink).
+// order, and returns the ResultSet skeleton (Query, Messages,
+// Reformulations, Route, Degraded; Results stays empty — they went through
+// the sink). A nil *ResultSet (with ErrNotRoutable) reports a pattern
+// without a routable constant.
 //
-// traversed reports whether the mapping-graph traversal ran, i.e. whether an
-// aggregating caller must apply dedupeResults to build the aggregate
-// answer. A nil *ResultSet (with ErrNotRoutable) reports a pattern without
-// a routable constant.
-//
-// limited tells the reformulation engine that the sink enforces a row limit,
-// so shipping reached variants early can end the traversal early.
+// The variants reached ship grouped by destination key (flush) under one
+// rule: the root pattern at once, so the first row costs one routed
+// operation; after every wave of the traversal while limited says a row
+// limit could still end it early; otherwise once, after the last wave. Only
+// a constant Schema#Attr predicate can be rewritten through the mapping
+// network, and only when reformulate is set: any other search has no waves
+// and is its root flush alone — q shipped unchanged, whose failure is the
+// search's error. Under ComposeMappings a cached closure is the traversal
+// already in hand, and root and targets ship in one flush.
 //
 // Cancelling ctx stops the traversal between hops and between routed
 // operations: the results already emitted stand, and ctx.Err() is returned.
-func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, limited bool, sink answerSink) (rs *ResultSet, traversed bool, err error) {
+func (p *Peer) streamPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions, limited bool, sink answerSink) (*ResultSet, error) {
+	if _, _, ok := q.MostSpecificConstant(); !ok {
+		return nil, ErrNotRoutable
+	}
 	opts = opts.withDefaults()
-	if rewritable(q, reformulate) {
-		rs, err := p.streamReformulated(ctx, q, filters, opts, limited, sink)
-		return rs, true, err
+	root := compose.Step{Predicate: q.P.Value, Confidence: 1}
+	rewritable := false
+	if reformulate && q.P.Kind == triple.Constant {
+		root.SchemaName, root.Attr, rewritable = schema.SplitPredicateURI(q.P.Value)
 	}
-	// No Schema#Attr predicate to rewrite: plain search, emitted in the
-	// server's deterministic (sorted) order.
-	ts, rs, err := p.searchForFiltered(ctx, q, filters)
-	if err == nil && len(ts) > 0 {
-		sink.emit(ts, Provenance{Pattern: q, Confidence: 1})
+	rs := &ResultSet{Query: q}
+	r := &reformulation{p: p, q: q, filters: filters, workers: opts.Parallelism, sink: sink, rs: rs, variants: []compose.Step{root}, tolerant: rewritable}
+
+	if !(rewritable && opts.ComposeMappings && r.cached(composeOptions(opts))) {
+		if stopped, err := r.flush(ctx); stopped || err != nil {
+			return rs, err
+		}
+		if rewritable {
+			if stopped, err := r.traverse(ctx, root, opts, limited); stopped || err != nil {
+				return rs, err
+			}
+		}
 	}
-	return rs, false, err
+	if _, err := r.flush(ctx); err != nil {
+		return rs, err
+	}
+	if r.emitted == 0 && r.firstErr != nil {
+		return rs, r.firstErr
+	}
+	return rs, nil
+}
+
+// cached adds the targets of the root's cached closure to the variants, if
+// the cache holds one under copts, and reports whether it did. It is out of
+// streamPattern's frame, which sits under every routed call (see flush).
+func (r *reformulation) cached(copts compose.Options) bool {
+	entry, ok := r.p.composites.Lookup(r.q.P.Value, copts)
+	if ok {
+		for i := range entry.Targets {
+			r.variants = append(r.variants, entry.Targets[i].Step)
+		}
+		r.rs.Reformulations = entry.Reformulations
+	}
+	return ok
+}
+
+// traverse is the issuer-side reformulation: one wave loop over
+// compose.Expand from root. Each wave looks its schemas' mappings up
+// through the worker pool and claims the predicates they reach in wave
+// order, adding them to the variants; while limited, it flushes them after
+// every wave (stopped: a flush's emit ended the search). Under
+// ComposeMappings the traversal builds the root's closure and installs it if
+// it ran to completion. A failed or replica-answered lookup truncates its
+// branch and marks the answer Degraded; such a traversal installs nothing.
+func (r *reformulation) traverse(ctx context.Context, root compose.Step, opts SearchOptions, limited bool) (stopped bool, err error) {
+	p, rs := r.p, r.rs
+	visited := map[string]bool{root.Predicate: true}
+	expand := func(next []compose.Step, from compose.Step, mappings []schema.Mapping) []compose.Step {
+		return compose.Expand(next, from, mappings, opts.MinConfidence, func(pred string, _ schema.Mapping) bool {
+			claimed := !visited[pred]
+			visited[pred] = true
+			return claimed
+		})
+	}
+	var closure *compose.Builder
+	var version uint64
+	if opts.ComposeMappings {
+		version = p.composites.Version()
+		closure = compose.NewBuilder(root, composeOptions(opts))
+		expand = closure.Expand
+	}
+
+	lookupMsgs, complete := 0, true
+	wave := []compose.Step{root}
+	// Every step of wave k has a path of length k: MaxDepth bounds the waves.
+	for depth := 0; len(wave) > 0 && depth < opts.MaxDepth; depth++ {
+		mappings := make([][]schema.Mapping, len(wave))
+		routes := make([]pgrid.Route, len(wave))
+		errs := make([]error, len(wave))
+		poolErr := runPoolCtx(ctx, len(wave), opts.Parallelism, func(i int) {
+			mappings[i], routes[i], errs[i] = p.MappingsFrom(ctx, wave[i].SchemaName)
+		})
+		var next []compose.Step
+		for i, step := range wave {
+			rs.Messages += routes[i].Messages
+			lookupMsgs += routes[i].Messages
+			complete = complete && errs[i] == nil && !routes[i].Degraded
+			next = expand(next, step, mappings[i])
+		}
+		// The pool reports ctx's state as it returns, so a cancellation any
+		// lookup observed is terminal here, never a lost branch to tolerate.
+		if poolErr != nil {
+			return false, poolErr
+		}
+		rs.Degraded = rs.Degraded || !complete
+		rs.Reformulations += len(next)
+		r.variants = append(r.variants, next...)
+		if limited {
+			if stopped, err := r.flush(ctx); stopped || err != nil {
+				return stopped, err
+			}
+		}
+		wave = next
+	}
+	if closure != nil && complete {
+		entry := closure.Entry()
+		entry.Version, entry.BuildMessages = version, lookupMsgs
+		p.composites.PutIfCurrent(entry)
+	}
+	return false, nil
 }
 
 // patternTriples resolves one pattern into the triples it matches — the
 // conjunctive engine's per-pattern primitive, ctx threaded through every
-// hop. A plain pattern's answer is the responsible peer's sorted σ exactly as
-// it was decoded (plain=true: distinct stored triples that agree with q's
-// constants); a reformulated one is the union of its variants' answers,
-// deduplicated and sorted. rs carries the message accounting.
+// hop. When one variant answered (always so without reformulation), ts is
+// that responsible peer's sorted σ exactly as it was decoded, and plain is
+// true: distinct stored triples that agree at every constant position of
+// the variant, which differs from q at most in its constant predicate.
+// Otherwise ts is the union of the variants' answers, deduplicated and
+// sorted. rs carries the message accounting.
 func (p *Peer) patternTriples(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions) (ts []triple.Triple, rs *ResultSet, plain bool, err error) {
-	if !rewritable(q, reformulate) {
-		ts, rs, err = p.searchForFiltered(ctx, q, filters)
-		return ts, rs, true, err
-	}
+	answers := 0
 	collect := answerSink{
 		emit: func(answer []triple.Triple, _ Provenance) bool {
-			ts = append(ts, answer...)
+			if answers++; answers == 1 {
+				ts = answer
+			} else {
+				ts = append(ts, answer...)
+			}
 			return true
 		},
 		flush: func() {},
 	}
-	rs, err = p.streamReformulated(ctx, q, filters, opts.withDefaults(), false, collect)
-	triple.SortTriples(ts)
-	return slices.Compact(ts), rs, false, err
+	rs, err = p.streamPattern(ctx, q, filters, reformulate, opts, false, collect)
+	if answers > 1 {
+		triple.SortTriples(ts)
+		ts = slices.Compact(ts)
+	}
+	return ts, rs, answers <= 1, err
 }
 
 // runPoolCtx executes fn(0)…fn(n-1) across at most workers goroutines,
@@ -310,9 +382,11 @@ func runPoolCtx(ctx context.Context, n, workers int, fn func(int)) error {
 	return ctx.Err()
 }
 
-// reformulation is one issuer-side traversal of the mapping graph: the
-// variants reached so far — the root pattern's step first, then every claimed
-// predicate in wave order — and how many of them have shipped.
+// reformulation is one issuer-side search: the variants reached so far —
+// the root pattern's step first, then every claimed predicate in wave order
+// — and how many of them have shipped. tolerant reports that the search
+// traverses the mapping graph, so a failed key group is a lost branch
+// rather than the search's failure.
 type reformulation struct {
 	p        *Peer
 	q        triple.Pattern
@@ -321,122 +395,37 @@ type reformulation struct {
 	sink     answerSink
 	rs       *ResultSet
 	variants []compose.Step
+	tolerant bool
 	shipped  int
 	emitted  int
 	firstErr error
-}
-
-// streamReformulated is the issuer-side reformulation engine: one wave loop
-// over compose.Expand. Each wave looks its schemas' mappings up through the
-// worker pool and claims the predicates they reach in wave order; the reached
-// variants ship grouped by destination key (flush) under one rule — the root
-// pattern at once, so the first row costs one routed operation; after every
-// wave while limited says a row limit could still end the traversal early;
-// otherwise once, after the last wave. Under ComposeMappings a cached closure
-// is the traversal already in hand (root and targets ship in one flush), and
-// a cold one is built by this same loop and installed if it ran to
-// completion. A failed or replica-answered lookup truncates its branch and
-// marks the answer Degraded; such a traversal installs nothing.
-func (p *Peer) streamReformulated(ctx context.Context, q triple.Pattern, filters []VarFilter, opts SearchOptions, limited bool, sink answerSink) (*ResultSet, error) {
-	schemaName, attr, _ := schema.SplitPredicateURI(q.P.Value) // rewritable checked the form
-	root := compose.Step{Predicate: q.P.Value, SchemaName: schemaName, Attr: attr, Confidence: 1}
-	rs := &ResultSet{Query: q}
-	r := &reformulation{p: p, q: q, filters: filters, workers: opts.Parallelism, sink: sink, rs: rs, variants: []compose.Step{root}}
-
-	visited := map[string]bool{q.P.Value: true}
-	expand := func(next []compose.Step, from compose.Step, mappings []schema.Mapping) []compose.Step {
-		return compose.Expand(next, from, mappings, opts.MinConfidence, func(pred string, _ schema.Mapping) bool {
-			claimed := !visited[pred]
-			visited[pred] = true
-			return claimed
-		})
-	}
-	wave := []compose.Step{root}
-	var closure *compose.Builder
-	var version uint64
-	if opts.ComposeMappings {
-		copts := composeOptions(opts)
-		if entry, ok := p.composites.Lookup(q.P.Value, copts); ok {
-			for _, t := range entry.Targets {
-				r.variants = append(r.variants, t.Step)
-			}
-			rs.Reformulations = entry.Reformulations
-			wave = nil
-		} else {
-			version = p.composites.Version()
-			closure = compose.NewBuilder(root, copts)
-			expand = closure.Expand
-		}
-	}
-	if len(wave) > 0 {
-		if stopped, err := r.flush(ctx); stopped || err != nil {
-			return rs, err
-		}
-	}
-
-	lookupMsgs, complete := 0, true
-	// Every step of wave k has a path of length k: MaxDepth bounds the waves.
-	for depth := 0; len(wave) > 0 && depth < opts.MaxDepth; depth++ {
-		mappings := make([][]schema.Mapping, len(wave))
-		routes := make([]pgrid.Route, len(wave))
-		errs := make([]error, len(wave))
-		poolErr := runPoolCtx(ctx, len(wave), opts.Parallelism, func(i int) {
-			mappings[i], routes[i], errs[i] = p.MappingsFrom(ctx, wave[i].SchemaName)
-		})
-		var next []compose.Step
-		for i, step := range wave {
-			rs.Messages += routes[i].Messages
-			lookupMsgs += routes[i].Messages
-			complete = complete && errs[i] == nil && !routes[i].Degraded
-			next = expand(next, step, mappings[i])
-		}
-		// The pool reports ctx's state as it returns, so a cancellation any
-		// lookup observed is terminal here, never a lost branch to tolerate.
-		if poolErr != nil {
-			return rs, poolErr
-		}
-		rs.Degraded = rs.Degraded || !complete
-		rs.Reformulations += len(next)
-		r.variants = append(r.variants, next...)
-		if limited {
-			if stopped, err := r.flush(ctx); stopped || err != nil {
-				return rs, err
-			}
-		}
-		wave = next
-	}
-	if closure != nil && complete {
-		entry := closure.Entry()
-		entry.Version, entry.BuildMessages = version, lookupMsgs
-		p.composites.PutIfCurrent(entry)
-	}
-	if _, err := r.flush(ctx); err != nil {
-		return rs, err
-	}
-	if r.emitted == 0 && r.firstErr != nil {
-		return rs, r.firstErr
-	}
-	return rs, nil
 }
 
 // handleQuery dispatches application queries arriving at this peer.
 func (p *Peer) handleQuery(key keyspace.Key, payload any) (any, error) {
 	switch req := payload.(type) {
 	case PatternQuery:
-		// Sorted: a plain pattern search ships these answers back verbatim
-		// (no dedupe pass), so the wire format stays deterministic across
-		// runs.
-		// Semi-join filters, when present, drop non-joining rows before
-		// they ship (SelectSorted returns a fresh slice, so the in-place
-		// filter is safe).
-		return filterTriples(req.Pattern, req.Filters, p.node.DB().SelectSorted(req.Pattern)), nil
-	case CompositeQuery:
-		return p.handleComposite(req), nil
+		return p.answer(req), nil
 	case ConnectivityQuery:
 		return p.handleConnectivity(key, req), nil
 	default:
 		return nil, fmt.Errorf("mediation: unknown query payload %T", payload)
 	}
+}
+
+// answer runs σ for each of req's patterns and returns the answers end to
+// end in one slice, in request order, each sorted so the wire format stays
+// deterministic across runs. Semi-join filters, when present, drop
+// non-joining rows before they ship: a request's patterns differ only in
+// their constant predicate, so their variables sit at the same positions
+// and one pass filters every answer (SelectSorted returns a fresh slice, so
+// the in-place filter is safe).
+func (p *Peer) answer(req PatternQuery) []triple.Triple {
+	ts := p.node.DB().SelectSorted(req.Patterns...)
+	if len(req.Patterns) > 0 {
+		ts = filterTriples(req.Patterns[0], req.Filters, ts)
+	}
+	return ts
 }
 
 // handleConnectivity derives the connectivity indicator from the degree

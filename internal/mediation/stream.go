@@ -156,8 +156,7 @@ type Cursor struct {
 
 	// CollectPattern bookkeeping: the aggregate ResultSet is rebuilt from
 	// the engine's summary.
-	pattern   *ResultSet
-	traversed bool
+	pattern *ResultSet
 
 	started time.Time
 }
@@ -407,9 +406,8 @@ func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
 	}
 	sink := answerSink{emit: emit, flush: func() { c.handOver(ctx) }}
 
-	rs, traversed, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, req.Limit > 0, sink)
+	rs, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, req.Limit > 0, sink)
 	c.mu.Lock()
-	c.traversed = traversed
 	if rs != nil {
 		c.pattern = rs
 		c.stats.Messages = rs.Messages

@@ -22,8 +22,8 @@ const (
 //
 // That holds for a ping, a routed get, a routed query and a probe without a
 // head entry. A query runs the node's QueryHandler, and mediation's sends
-// nothing: a pattern's σ, one σ per CompositeQuery variant, or the
-// connectivity indicator from the degree reports stored under the key. A
+// nothing: one σ per pattern of a PatternQuery, or the connectivity
+// indicator from the degree reports stored under the key. A
 // probe carrying a BatchEntry, a batch, a replica push and a repair apply
 // mutations (journal append, fsync, BatchReplicate). A subtree step and a
 // digest scan the whole store, so they stay off the caller's goroutine and

@@ -226,10 +226,10 @@ func NewBindingSetFromBindings(bindings []Bindings) (*BindingSet, bool) {
 //
 // Binding sets carry set semantics: triples differing only where q has no
 // variable yield one row. distinct promises that ts is one store's answer to
-// q itself — distinct triples that agree at q's constant positions. Unless q
-// has a LIKE term (a position that is neither constant nor bound), any two
-// of them then differ at a variable position, so their rows differ and the
-// dedupe map is skipped.
+// q or to one such variant — distinct triples that agree at its constant
+// positions. Unless q has a LIKE term (a position that is neither constant
+// nor bound), any two of them then differ at a variable position, so their
+// rows differ and the dedupe map is skipped.
 func BindTriplesMatched(q Pattern, ts []Triple, distinct bool) *BindingSet {
 	vars := q.Variables()
 	// col[i] is the first position of vars[i]; equal lists the position

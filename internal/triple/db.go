@@ -222,23 +222,29 @@ func (db *DB) Select(q Pattern) []Triple {
 
 // SelectSorted is Select with deterministic (subject, predicate, object)
 // output order — the variant remote query handlers use so answers are
-// reproducible across runs. A scan that came out in order is copied out as
-// it stands. A scan of an out-of-order predicate posting sorts the posting
-// in place and scans again, so later selects find it in order. Any other
-// scan sorts the row pointers (8-byte swaps) first, so each triple is
-// copied once, already in place.
-func (db *DB) SelectSorted(q Pattern) []Triple {
+// reproducible across runs. Given several patterns, it returns their answers
+// end to end, each in that order, in one slice sized to the whole. A scan
+// that came out in order is copied out as it stands. A scan of an
+// out-of-order predicate posting sorts the posting in place and scans again,
+// so later selects find it in order. Any other scan sorts the row pointers
+// (8-byte swaps) first, so each triple is copied once, already in place.
+func (db *DB) SelectSorted(qs ...Pattern) []Triple {
 	var scratch [selectScratch]*Triple
-	rows, _, ordered := db.matching(scratch[:0], q)
-	// With P constant, only an out-of-order predicate posting comes out of
-	// order.
-	if !ordered && q.P.Kind == Constant {
-		db.sortPredicate(q.P.Value)
-		rows, _, ordered = db.matching(scratch[:0], q)
-	}
-	if !ordered {
-		// Unordered scan, or a write marked the posting again in between.
-		slices.SortFunc(rows, compareRows)
+	rows := scratch[:0]
+	for _, q := range qs {
+		start := len(rows)
+		var ordered bool
+		rows, _, ordered = db.matching(rows, q)
+		// With P constant, only an out-of-order predicate posting comes out
+		// of order.
+		if !ordered && q.P.Kind == Constant {
+			db.sortPredicate(q.P.Value)
+			rows, _, ordered = db.matching(rows[:start], q)
+		}
+		if !ordered {
+			// Unordered scan, or a write marked the posting again in between.
+			slices.SortFunc(rows[start:], compareRows)
+		}
 	}
 	return copyRows(rows)
 }

@@ -177,21 +177,21 @@ func (r *reformulation) group(pending []compose.Step) (groups []keyGroup, patter
 }
 
 // flush ships the variants reached since the last flush — one routed
-// PatternQuery per destination key, fanned out across the worker pool — and
-// emits their answers in variant order, so rows arrive as the serial
-// traversal would produce them whatever the grouping, then flushes the sink:
-// the engine goes back to the overlay next. A subject- or object-constant
-// query collapses to one group (reformulation only rewrites the predicate);
-// a predicate-keyed one gets one group per variant. stopped reports that
-// emit ended the search. Grouping and emitting are functions of their own
-// so that the frames under a routed call stay small: a search runs on a
-// goroutine of its own, whose stack is copied each time it outgrows it, and
-// an in-process answer is selected on that stack.
+// PatternQuery per destination key (one for a subject- or object-constant
+// query, one per variant for a predicate-keyed one), fanned out across the
+// worker pool — and emits their answers in variant order, as a serial
+// traversal would. It flushes the sink first, as traverse does before a
+// wave, so no row waits on the overlay. stopped reports that emit ended the
+// search. group and emit are functions of their own to keep the frames
+// under a routed call small: a search runs on a goroutine of its own, whose
+// stack is copied each time it outgrows it, and an in-process answer is
+// selected on that stack.
 func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
 	pending := r.variants[r.shipped:]
 	if len(pending) == 0 {
 		return false, nil
 	}
+	r.sink.flush() // rows emitted so far leave before the engine waits on the overlay
 	groups, patterns, in := r.group(pending)
 	poolErr := runPoolCtx(ctx, len(groups), r.workers, func(i int) { groups[i].ship(ctx, r.p.node) })
 	return r.emit(pending, groups, patterns, in, poolErr)
@@ -232,6 +232,5 @@ func (r *reformulation) emit(pending []compose.Step, groups []keyGroup, patterns
 			return true, nil
 		}
 	}
-	r.sink.flush()
 	return false, nil
 }

@@ -278,6 +278,7 @@ func (r *reformulation) traverse(ctx context.Context, root compose.Step, opts Se
 	wave := []compose.Step{root}
 	// Every step of wave k has a path of length k: MaxDepth bounds the waves.
 	for depth := 0; len(wave) > 0 && depth < opts.MaxDepth; depth++ {
+		r.sink.flush()
 		mappings := make([][]schema.Mapping, len(wave))
 		routes := make([]pgrid.Route, len(wave))
 		errs := make([]error, len(wave))

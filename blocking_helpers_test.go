@@ -2,35 +2,20 @@ package gridvine
 
 import "context"
 
-// Blocking test helpers: each drives Query and drains the cursor with the
-// matching Collect helper, for facade tests and benchmarks that want the
-// whole answer at once.
+// Blocking test helpers: each runs one request through the matching Collect
+// helper, for facade tests and benchmarks that want the whole answer at
+// once.
 
 func blockingSearchFor(p *Peer, q Pattern) (*ResultSet, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
+	return CollectPattern(context.Background(), p, Request{Pattern: &q})
 }
 
 func blockingSearchReformulated(p *Peer, q Pattern, opts SearchOptions) (*ResultSet, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q, Reformulate: true, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
+	return CollectPattern(context.Background(), p, Request{Pattern: &q, Reformulate: true, Options: opts})
 }
 
 func blockingConjunctive(p *Peer, patterns []Pattern, reformulate bool, opts SearchOptions) ([]Bindings, int, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, 0, err
-	}
-	bs, stats, err := CollectSet(ctx, cur)
+	bs, stats, err := CollectSet(context.Background(), p, Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
 	if err != nil {
 		return nil, stats.RouteMessages, err
 	}
@@ -38,11 +23,6 @@ func blockingConjunctive(p *Peer, patterns []Pattern, reformulate bool, opts Sea
 }
 
 func blockingRDQL(p *Peer, query string, reformulate bool, opts SearchOptions) ([]Row, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{RDQL: query, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := CollectRows(ctx, cur)
+	rows, _, err := CollectRows(context.Background(), p, Request{RDQL: query, Reformulate: reformulate, Options: opts})
 	return rows, err
 }

@@ -79,12 +79,7 @@ func main() {
 	issuer := net.Peer(net.NumPeers() - 1)
 
 	if *rdqlStr != "" {
-		cur, err := issuer.Query(ctx, gridvine.Request{RDQL: *rdqlStr, Reformulate: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "RDQL query failed:", err)
-			os.Exit(1)
-		}
-		rows, _, err := gridvine.CollectRows(ctx, cur)
+		rows, _, err := gridvine.CollectRows(ctx, issuer, gridvine.Request{RDQL: *rdqlStr, Reformulate: true})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "RDQL query failed:", err)
 			os.Exit(1)
@@ -104,12 +99,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("SearchFor(%v) from %s:\n", pattern, issuer.Node().ID())
-	cur, err := issuer.Query(ctx, gridvine.Request{Pattern: &pattern, Reformulate: true})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "query failed:", err)
-		os.Exit(1)
-	}
-	rs, err := gridvine.CollectPattern(ctx, cur)
+	rs, err := gridvine.CollectPattern(ctx, issuer, gridvine.Request{Pattern: &pattern, Reformulate: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "query failed:", err)
 		os.Exit(1)

@@ -73,11 +73,7 @@ func ExampleNewNetwork() {
 		O: gridvine.Like("%Aspergillus%"),
 	}
 	fmt.Printf("SearchFor(x1? : %v)\n", query)
-	cur, err := net.Peer(11).Query(ctx, gridvine.Request{Pattern: &query, Reformulate: true, Options: serial})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rs, err := gridvine.CollectPattern(ctx, cur)
+	rs, err := gridvine.CollectPattern(ctx, net.Peer(11), gridvine.Request{Pattern: &query, Reformulate: true, Options: serial})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,14 +87,10 @@ func ExampleNewNetwork() {
 	}
 
 	// Conjunctive query: join two patterns on the shared variable x.
-	jcur, err := net.Peer(3).Query(ctx, gridvine.Request{Patterns: []gridvine.Pattern{
+	set, _, err := gridvine.CollectSet(ctx, net.Peer(3), gridvine.Request{Patterns: []gridvine.Pattern{
 		{S: gridvine.Var("x"), P: gridvine.Const("EMBL#Organism"), O: gridvine.Like("%Aspergillus%")},
 		{S: gridvine.Var("x"), P: gridvine.Const("EMBL#Length"), O: gridvine.Var("len")},
 	}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	set, _, err := gridvine.CollectSet(ctx, jcur)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -159,11 +151,7 @@ func ExamplePeer_Write() {
 	recall := func(reformulate bool) float64 {
 		sum := 0.0
 		for _, q := range queries {
-			cur, err := net.RandomPeer().Query(ctx, gridvine.Request{Pattern: &q.Pattern, Reformulate: reformulate, Options: serial})
-			if err != nil {
-				log.Fatal(err)
-			}
-			rs, err := gridvine.CollectPattern(ctx, cur)
+			rs, err := gridvine.CollectPattern(ctx, net.RandomPeer(), gridvine.Request{Pattern: &q.Pattern, Reformulate: reformulate, Options: serial})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -176,14 +164,10 @@ func ExamplePeer_Write() {
 
 	// One conjunctive query over a single schema.
 	info := w.Schemas[0]
-	cur, err := net.Peer(1).Query(ctx, gridvine.Request{Patterns: []gridvine.Pattern{
+	set, _, err := gridvine.CollectSet(ctx, net.Peer(1), gridvine.Request{Patterns: []gridvine.Pattern{
 		{S: gridvine.Var("x"), P: gridvine.Const(info.Schema.PredicateURI(info.ConceptAttr["organism"])), O: gridvine.Like("%Aspergillus%")},
 		{S: gridvine.Var("x"), P: gridvine.Const(info.Schema.PredicateURI(info.ConceptAttr["accession"])), O: gridvine.Var("acc")},
 	}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	set, _, err := gridvine.CollectSet(ctx, cur)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -292,9 +276,11 @@ func ExampleNetwork_NewOrganizer() {
 	// final state: 13 active mappings, 1 deprecated; planted wrong mapping deprecated: true
 }
 
-// Peer.Query serves every query shape through one Cursor. Here a query
-// against S0#organism reformulates wave by wave along a chain of four
-// schemas, and a Limit stops the fan-out as soon as enough rows exist.
+// Peer.Query serves every query shape through one Cursor, pulled at the
+// consumer's pace; Peer.Run pushes the same rows to a callback on the
+// caller's goroutine. Here a query against S0#organism reformulates wave by
+// wave along a chain of four schemas, and a Limit stops the fan-out as soon
+// as enough rows exist.
 func ExamplePeer_Query() {
 	net, err := gridvine.NewNetwork(gridvine.Options{Peers: 32, Seed: 11})
 	if err != nil {
@@ -344,14 +330,23 @@ func ExamplePeer_Query() {
 	top := run(3)
 	fmt.Printf("LIMIT 3: %d rows, %d messages\n", top.Rows, top.Messages)
 
-	// RDQL carries the same limit in-language.
-	rcur, err := issuer.Query(ctx, gridvine.Request{
-		RDQL: `SELECT ?x WHERE (?x, <S0#organism>, "%Aspergillus%") LIMIT 2`,
-	})
+	// Run hands the rows over as the engine lets go of them: the root
+	// pattern's before the mapping lookups, then the reformulated ones.
+	handOvers := 0
+	_, pushed, err := issuer.Run(ctx, gridvine.Request{Pattern: &q, Reformulate: true, Options: serial},
+		func(rows []gridvine.QueryRow, _ []string) bool {
+			handOvers++
+			return true
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, _, err := gridvine.CollectRows(ctx, rcur)
+	fmt.Printf("Run: %d rows in %d hand-overs\n", pushed.Rows, handOvers)
+
+	// RDQL carries the same limit in-language.
+	rows, _, err := gridvine.CollectRows(ctx, issuer, gridvine.Request{
+		RDQL: `SELECT ?x WHERE (?x, <S0#organism>, "%Aspergillus%") LIMIT 2`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -360,5 +355,6 @@ func ExamplePeer_Query() {
 	// first row: [acc:S0-0 Aspergillus strain 0] (schema S0#organism)
 	// full answer: 20 rows (3 reformulations, 10 messages)
 	// LIMIT 3: 3 rows, 1 messages
+	// Run: 20 rows in 2 hand-overs
 	// RDQL LIMIT 2: [[acc:S0-0] [acc:S0-1]]
 }

@@ -15,8 +15,11 @@
 //	net.Peer(0).Write(ctx, batch)
 //	q := gridvine.Pattern{
 //		S: gridvine.Var("x"), P: gridvine.Const("EMBL#Organism"), O: gridvine.Like("%Aspergillus%")}
-//	cur, _ := net.Peer(3).Query(ctx, gridvine.Request{Pattern: &q})
-//	rs, _ := gridvine.CollectPattern(ctx, cur)
+//	rs, _ := gridvine.CollectPattern(ctx, net.Peer(3), gridvine.Request{Pattern: &q})
+//
+// Peer.Run pushes a query's rows to a callback on the caller's goroutine as
+// the engine produces them; Peer.Query returns a Cursor that pulls them at
+// the consumer's pace; the Collect helpers return the whole answer.
 //
 // See the Examples (checked by go test) for walk-throughs and DESIGN.md for the architecture.
 package gridvine
@@ -71,10 +74,12 @@ type (
 	Provenance = mediation.Provenance
 	// Request unifies the streaming query surface: one triple pattern, a
 	// conjunctive pattern set, or an RDQL text query, plus reformulation,
-	// a row Limit (top-k) and SearchOptions. Execute with Peer.Query.
+	// a row Limit (top-k) and SearchOptions. Execute with Peer.Run or
+	// Peer.Query.
 	Request = mediation.Request
 	// Cursor yields a streamed query's rows incrementally (Next, Err,
-	// Stats, Close) as reformulation waves and join stages complete.
+	// Stats, Close) as reformulation waves and join stages complete: a
+	// goroutine around Peer.Run.
 	Cursor = mediation.Cursor
 	// QueryRow is one streamed answer: column values plus, for pattern
 	// requests, the matched triple with provenance.
@@ -98,6 +103,17 @@ type (
 	ConnectivityReport = mediation.ConnectivityReport
 	// RoundReport summarizes one self-organization round.
 	RoundReport = selforg.RoundReport
+	// Peer is one GridVine participant. Its query entry point is
+	// Run(ctx, Request, emit), which runs the engine on the caller's
+	// goroutine and pushes rows to emit a chunk at a time, honouring
+	// cancellation, deadlines and Limit; Query(ctx, Request) wraps Run in a
+	// goroutine and returns a Cursor to pull rows from, and CollectPattern,
+	// CollectSet and CollectRows return the whole answer. Its mutation entry
+	// point is Write(ctx, Batch), which plans a mixed batch by responsible
+	// key and ships one grouped message per destination; the …Context
+	// methods (InsertTripleContext, InsertMappingContext, …) are one-entry
+	// batches over it.
+	Peer = mediation.Peer
 )
 
 // Term constructors.
@@ -110,16 +126,15 @@ var (
 	Like = triple.LikeTerm
 )
 
-// Cursor drain helpers: each consumes a Peer.Query cursor to completion,
-// closes it, and rebuilds the aggregate answer (sorted, deduplicated) for
-// callers that want the whole answer at once.
+// Whole-answer helpers: each runs a request on a peer through Peer.Run and
+// returns the aggregate answer (sorted, deduplicated).
 var (
-	// CollectPattern drains a single-pattern cursor into a ResultSet.
+	// CollectPattern runs a pattern request into a ResultSet.
 	CollectPattern = mediation.CollectPattern
-	// CollectSet drains a conjunctive cursor into a BindingSet plus the
+	// CollectSet runs a conjunctive request into a BindingSet plus the
 	// planner's execution statistics.
 	CollectSet = mediation.CollectSet
-	// CollectRows drains an RDQL cursor into projected rows plus the
+	// CollectRows runs an RDQL request into projected rows plus the
 	// planner's execution statistics.
 	CollectRows = mediation.CollectRows
 )
@@ -214,18 +229,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Peer is one GridVine participant. Its query entry point is
-// Query(ctx, Request), which streams rows through a Cursor and honours
-// cancellation, deadlines and Limit; CollectPattern, CollectSet and
-// CollectRows drain a cursor into the whole answer. Its mutation entry
-// point is Write(ctx, Batch), which plans a mixed batch by responsible key
-// and ships one grouped message per destination; the …Context methods
-// (InsertTripleContext, InsertMappingContext, …) are one-entry batches over
-// it.
-type Peer struct {
-	*mediation.Peer
-}
-
 // Row is one RDQL result row (values of the SELECT variables, in order).
 type Row = rdql.Row
 
@@ -287,7 +290,7 @@ func NewNetwork(opts Options) (*Network, error) {
 	}
 	n.overlay = ov
 	for _, node := range ov.Nodes() {
-		n.peers = append(n.peers, &Peer{mediation.NewPeer(node)})
+		n.peers = append(n.peers, mediation.NewPeer(node))
 	}
 	return n, nil
 }
@@ -336,7 +339,7 @@ type Organizer = selforg.Organizer
 
 // NewOrganizer attaches a self-organization driver to a peer.
 func (n *Network) NewOrganizer(p *Peer, opts OrganizerOptions) (*Organizer, error) {
-	return selforg.New(p.Peer, selforg.Config{
+	return selforg.New(p, selforg.Config{
 		Domain:              opts.Domain,
 		MaxMappingsPerRound: opts.MaxMappingsPerRound,
 		Rng:                 rand.New(rand.NewSource(opts.Seed)),

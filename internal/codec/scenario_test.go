@@ -248,11 +248,7 @@ func TestMediationThroughCodec(t *testing.T) {
 			}
 		}
 		for _, r := range requests {
-			cur, err := issuer.Query(ctx, r.req)
-			if err != nil {
-				t.Fatalf("%s: %v", r.name, err)
-			}
-			rs, err := mediation.CollectPattern(ctx, cur)
+			rs, err := mediation.CollectPattern(ctx, issuer, r.req)
 			if err != nil {
 				t.Fatalf("%s: %v", r.name, err)
 			}
@@ -267,12 +263,8 @@ func TestMediationThroughCodec(t *testing.T) {
 			{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("species-3")},
 		}
 		conjunctive := func(name string, reformulate bool) {
-			cur, err := peers[9].Query(ctx, mediation.Request{Patterns: join, Reformulate: reformulate,
+			set, stats, err := mediation.CollectSet(ctx, peers[9], mediation.Request{Patterns: join, Reformulate: reformulate,
 				Options: mediation.SearchOptions{Parallelism: 1, PushdownLimit: 2}})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			set, stats, err := mediation.CollectSet(ctx, cur)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -424,7 +424,7 @@ func Start(cfg Config) (*Daemon, error) {
 }
 
 // Shutdown drains and persists in strict order: wire clients first
-// (in-flight Cursors and Receipts complete), then the overlay
+// (in-flight queries and Receipts complete), then the overlay
 // transport (no handler invoked over a socket survives its Close), then
 // the local deliveries (a handler running on behalf of a hosted peer
 // whose sender's ctx fired may still be mutating a store), then a final

@@ -134,32 +134,20 @@ func bulkInsert(issuer *mediation.Peer, ts []triple.Triple) error {
 // engine and drains it into the sorted binding-set form the experiment
 // tables aggregate.
 func searchConjunctiveSet(ctx context.Context, issuer *mediation.Peer, patterns []triple.Pattern, reformulate bool, opts mediation.SearchOptions) (*triple.BindingSet, mediation.ConjunctiveStats, error) {
-	cur, err := issuer.Query(ctx, mediation.Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, mediation.ConjunctiveStats{}, err
-	}
-	return mediation.CollectSet(ctx, cur)
+	return mediation.CollectSet(ctx, issuer, mediation.Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
 }
 
 // searchFor resolves one pattern without reformulation and drains the
 // stream into the aggregate ResultSet.
 func searchFor(ctx context.Context, issuer *mediation.Peer, q triple.Pattern) (*mediation.ResultSet, error) {
-	cur, err := issuer.Query(ctx, mediation.Request{Pattern: &q})
-	if err != nil {
-		return nil, err
-	}
-	return mediation.CollectPattern(ctx, cur)
+	return mediation.CollectPattern(ctx, issuer, mediation.Request{Pattern: &q})
 }
 
 // searchWithReformulation resolves one pattern with mapping traversal and
 // drains the stream into the aggregate ResultSet the recall and latency
 // experiments score.
 func searchWithReformulation(ctx context.Context, issuer *mediation.Peer, q triple.Pattern, opts mediation.SearchOptions) (*mediation.ResultSet, error) {
-	cur, err := issuer.Query(ctx, mediation.Request{Pattern: &q, Reformulate: true, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return mediation.CollectPattern(ctx, cur)
+	return mediation.CollectPattern(ctx, issuer, mediation.Request{Pattern: &q, Reformulate: true, Options: opts})
 }
 
 // workloadKeySample returns the overlay keys of (a capped sample of) the

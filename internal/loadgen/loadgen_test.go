@@ -32,7 +32,7 @@ func serve(t *testing.T) string {
 	}
 	var hosted []wire.Hosted
 	for _, p := range nw.Peers() {
-		hosted = append(hosted, wire.Hosted{Peer: p.Peer})
+		hosted = append(hosted, wire.Hosted{Peer: p})
 	}
 	srv := wire.NewServer(0, hosted)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -7,35 +7,19 @@ import (
 	"gridvine/internal/triple"
 )
 
-// Blocking test helpers: each drives the streaming entry point and drains
-// the cursor into the aggregate answer, for engine tests that want the whole
-// answer at once.
+// Blocking test helpers: each runs one request through the matching Collect
+// helper, for engine tests that want the whole answer at once.
 
 func blockingSearchFor(p *Peer, q triple.Pattern) (*ResultSet, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
+	return CollectPattern(context.Background(), p, Request{Pattern: &q})
 }
 
 func blockingSearchReformulated(p *Peer, q triple.Pattern, opts SearchOptions) (*ResultSet, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q, Reformulate: true, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
+	return CollectPattern(context.Background(), p, Request{Pattern: &q, Reformulate: true, Options: opts})
 }
 
 func blockingConjunctiveSet(p *Peer, patterns []triple.Pattern, reformulate bool, opts SearchOptions) (*triple.BindingSet, ConjunctiveStats, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, ConjunctiveStats{}, err
-	}
-	return CollectSet(ctx, cur)
+	return CollectSet(context.Background(), p, Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
 }
 
 func blockingConjunctive(p *Peer, patterns []triple.Pattern, reformulate bool, opts SearchOptions) ([]triple.Bindings, int, error) {
@@ -47,11 +31,6 @@ func blockingConjunctive(p *Peer, patterns []triple.Pattern, reformulate bool, o
 }
 
 func blockingRDQL(p *Peer, query string, reformulate bool, opts SearchOptions) ([]rdql.Row, error) {
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{RDQL: query, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := CollectRows(ctx, cur)
+	rows, _, err := CollectRows(context.Background(), p, Request{RDQL: query, Reformulate: reformulate, Options: opts})
 	return rows, err
 }

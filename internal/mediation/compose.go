@@ -181,17 +181,19 @@ func (r *reformulation) group(pending []compose.Step) (groups []keyGroup, patter
 // query, one per variant for a predicate-keyed one), fanned out across the
 // worker pool — and emits their answers in variant order, as a serial
 // traversal would. It flushes the sink first, as traverse does before a
-// wave, so no row waits on the overlay. stopped reports that emit ended the
-// search. group and emit are functions of their own to keep the frames
-// under a routed call small: a search runs on a goroutine of its own, whose
-// stack is copied each time it outgrows it, and an in-process answer is
-// selected on that stack.
+// wave, so no row waits on the overlay. stopped reports that the sink ended
+// the search. group and emit are functions of their own to keep the frames
+// under a routed call small: a search runs on the wire handler's goroutine
+// or on a cursor's, either started afresh for it, whose stack is copied each
+// time it outgrows it, and an in-process answer is selected on that stack.
 func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
 	pending := r.variants[r.shipped:]
 	if len(pending) == 0 {
 		return false, nil
 	}
-	r.sink.flush() // rows emitted so far leave before the engine waits on the overlay
+	if !r.sink.flush() { // rows emitted so far leave before the engine waits on the overlay
+		return true, nil
+	}
 	groups, patterns, in := r.group(pending)
 	poolErr := runPoolCtx(ctx, len(groups), r.workers, func(i int) { groups[i].ship(ctx, r.p.node) })
 	return r.emit(pending, groups, patterns, in, poolErr)

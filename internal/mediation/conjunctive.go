@@ -99,27 +99,23 @@ func (s *ConjunctiveStats) add(o ConjunctiveStats) {
 	s.Degraded = s.Degraded || o.Degraded
 }
 
-// CollectSet drains a conjunctive or RDQL cursor under ctx and rebuilds
-// the sorted BindingSet of the whole join, alongside the full execution
-// statistics. It closes the cursor. Pair it with Peer.Query to get the
-// whole join result at once.
-func CollectSet(ctx context.Context, cur *Cursor) (*triple.BindingSet, ConjunctiveStats, error) {
+// CollectSet runs a conjunctive or RDQL request under ctx and returns the
+// sorted BindingSet of the whole join, alongside the full execution
+// statistics.
+func CollectSet(ctx context.Context, p *Peer, req Request) (*triple.BindingSet, ConjunctiveStats, error) {
 	var rows [][]string
-	for {
-		row, ok := cur.Next(ctx)
-		if !ok {
-			break
+	cols, stats, err := p.Run(ctx, req, func(chunk []QueryRow, _ []string) bool {
+		for _, row := range chunk {
+			rows = append(rows, row.Values)
 		}
-		rows = append(rows, row.Values)
+		return true
+	})
+	if err != nil {
+		return nil, stats.Conjunctive, err
 	}
-	cur.Close()
-	stats := cur.Stats().Conjunctive
-	if err := cur.Err(); err != nil {
-		return nil, stats, err
-	}
-	bs := &triple.BindingSet{Vars: cur.Columns(), Rows: rows}
+	bs := &triple.BindingSet{Vars: cols, Rows: rows}
 	bs.SortRows()
-	return bs, stats, nil
+	return bs, stats.Conjunctive, nil
 }
 
 // rowSink receives the streamed output of the conjunctive engine. cols is
@@ -129,15 +125,15 @@ func CollectSet(ctx context.Context, cur *Cursor) (*triple.BindingSet, Conjuncti
 // emit delivers one row; returning false stops the engine, which skips
 // every lookup the remaining rows would have needed. flush runs when the
 // engine goes back to the overlay with rows emitted — a consumer that
-// batches rows hands them over now. All three are invoked from a single
-// goroutine.
+// batches rows hands them over now — and stops the engine the same way.
+// All three are invoked from a single goroutine.
 type rowSink struct {
 	cols  func(vars []string, ascending bool)
 	emit  func([]string) bool
-	flush func()
+	flush func() bool
 }
 
-// streamConjunctive is the conjunctive engine behind the cursor: it plans
+// streamConjunctive is the conjunctive engine behind Run: it plans
 // and executes the query with ctx threaded through every overlay operation,
 // streaming joined rows through sink as the final join stage produces them.
 // Single-component queries whose last pattern resolves by pushdown emit
@@ -786,7 +782,9 @@ func (p *Peer) resolvePushdownStream(ctx context.Context, q triple.Pattern, plan
 				return nil
 			}
 		}
-		sink.flush()
+		if !sink.flush() {
+			return nil
+		}
 	}
 	return nil
 }

@@ -90,7 +90,9 @@ func TestRoutedRequestCensus(t *testing.T) {
 // cursor drained: /plain is a subject lookup, the request every lookup op
 // of the serving benchmark makes, one routed operation answered by 3 rows;
 // /reformulated follows the A↔B mapping, one mapping lookup and two key
-// groups answered by 50 rows.
+// groups answered by 50 rows. The -handler variants time the served shape:
+// like the wire server's handler, each op starts a goroutine and runs the
+// engine on it with Run, so its stack starts small and grows per query.
 func BenchmarkPatternSearch(b *testing.B) {
 	_, ps := conjNetwork(b, 16, 200)
 	issuer := ps[5]
@@ -121,6 +123,23 @@ func BenchmarkPatternSearch(b *testing.B) {
 					rows += len(chunk)
 				}
 				if err := cur.Close(); err != nil || rows != bc.rows {
+					b.Fatalf("%d rows (%v), want %d", rows, err, bc.rows)
+				}
+			}
+		})
+		b.Run(bc.name+"-handler", func(b *testing.B) {
+			b.ReportAllocs()
+			served := make(chan error)
+			for i := 0; i < b.N; i++ {
+				rows := 0
+				go func() {
+					_, _, err := issuer.Run(ctx, bc.req, func(chunk []QueryRow, _ []string) bool {
+						rows += len(chunk)
+						return true
+					})
+					served <- err
+				}()
+				if err := <-served; err != nil || rows != bc.rows {
 					b.Fatalf("%d rows (%v), want %d", rows, err, bc.rows)
 				}
 			}

@@ -140,32 +140,28 @@ func (rs *ResultSet) Triples() []triple.Triple {
 	return out
 }
 
-// CollectPattern drains a pattern-request cursor under ctx and rebuilds
-// the aggregate ResultSet: every streamed raw result collected in order,
+// CollectPattern runs a pattern request under ctx and returns the
+// aggregate ResultSet: every streamed raw result collected in order,
 // deduplicated (best confidence per triple) and sorted, plus the message
-// and route accounting from the cursor's summary. It closes the cursor.
-// Pair it with Peer.Query to get the whole answer at once.
-func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
-	var results []Result
-	for {
-		row, ok := cur.Next(ctx)
-		if !ok {
-			break
-		}
-		results = append(results, *row.Result)
+// and route accounting. After an error the set is nil.
+func CollectPattern(ctx context.Context, p *Peer, req Request) (*ResultSet, error) {
+	if req.Pattern == nil {
+		return nil, errors.New("mediation: CollectPattern needs a Pattern request")
 	}
-	cur.Close()
-	err := cur.Err()
-	cur.mu.Lock()
-	rs := cur.pattern
-	cur.mu.Unlock()
-	if rs == nil {
-		// The engine had no result set to report (e.g. ErrNotRoutable).
+	var results []Result
+	_, stats, err := p.Run(ctx, req, func(chunk []QueryRow, _ []string) bool {
+		for _, row := range chunk {
+			results = append(results, *row.Result)
+		}
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
-	rs.Results = results
+	rs := &ResultSet{Query: *req.Pattern, Results: results, Messages: stats.Messages,
+		Reformulations: stats.Reformulations, Route: stats.Route, Degraded: stats.Degraded}
 	dedupeResults(rs)
-	return rs, err
+	return rs, nil
 }
 
 // answerSink receives the raw (undeduplicated) answers of a pattern search,
@@ -177,12 +173,13 @@ type answerSink struct {
 	emit func(ts []triple.Triple, via Provenance) bool
 	// flush runs whenever the engine goes back to the overlay after emitting:
 	// a consumer that batches rows hands them over now, so no row waits on a
-	// lookup it does not depend on.
-	flush func()
+	// lookup it does not depend on. Returning false stops the search, as
+	// emit's does.
+	flush func() bool
 }
 
 // streamPattern is the pattern-search engine (paper §2.3 SearchFor, §4
-// reformulation) behind the streaming cursor and the conjunctive engine: it
+// reformulation) behind Run and the conjunctive engine: it
 // resolves q, with optional semi-join filters riding every shipped request,
 // delivering every raw (undeduplicated) answer through sink in deterministic
 // order, and returns the ResultSet skeleton (Query, Messages,
@@ -278,7 +275,9 @@ func (r *reformulation) traverse(ctx context.Context, root compose.Step, opts Se
 	wave := []compose.Step{root}
 	// Every step of wave k has a path of length k: MaxDepth bounds the waves.
 	for depth := 0; len(wave) > 0 && depth < opts.MaxDepth; depth++ {
-		r.sink.flush()
+		if !r.sink.flush() {
+			return true, nil
+		}
 		mappings := make([][]schema.Mapping, len(wave))
 		routes := make([]pgrid.Route, len(wave))
 		errs := make([]error, len(wave))
@@ -334,7 +333,7 @@ func (p *Peer) patternTriples(ctx context.Context, q triple.Pattern, filters []V
 			}
 			return true
 		},
-		flush: func() {},
+		flush: func() bool { return true },
 	}
 	rs, err = p.streamPattern(ctx, q, filters, reformulate, opts, false, collect)
 	if answers > 1 {

@@ -14,23 +14,19 @@ import (
 	"gridvine/internal/triple"
 )
 
-// The streaming query surface. Peer.Query is the single entry point for
-// every query shape GridVine answers — one triple pattern (with or without
-// reformulation), a conjunctive pattern set, or an RDQL text query — and
-// returns a Cursor that yields rows incrementally — a reformulating
-// pattern's own rows after one routed operation, its reformulated rows as
-// their key groups are answered, joined rows as pipeline stages complete —
-// instead of after a full barrier.
+// The query surface. Peer.Run is the one engine entry point for every query
+// shape — one triple pattern (with or without reformulation), a
+// conjunctive pattern set, or an RDQL text query — and pushes rows out as
+// the engine produces them, not after a full barrier. Peer.Query is Run
+// pulled lazily, and CollectPattern, CollectSet and CollectRows return the
+// whole answer at once.
 //
 // The request's context governs the whole query: cancelling it (or letting
 // its deadline expire) stops the engine mid-fan-out — between routing hops,
 // between pool items, between waves and between pushdown chunks — releases
-// every pooled worker, and terminates the cursor with ctx.Err() after the
-// rows already produced. Request.Limit propagates into the engine, so a
-// top-k query stops issuing overlay lookups once enough rows exist.
-//
-// Callers that want the whole answer at once drain the cursor with
-// CollectPattern, CollectSet or CollectRows.
+// every pooled worker, and ends the query with ctx.Err() after the rows
+// already produced. Request.Limit propagates into the engine, so a top-k
+// query stops issuing overlay lookups once enough rows exist.
 
 // Request unifies the query surface. Exactly one of Pattern, Patterns and
 // RDQL must be set.
@@ -40,7 +36,7 @@ type Request struct {
 	// reformulation provenance in Result.
 	Pattern *triple.Pattern
 	// Patterns asks for a conjunctive query over the planning engine. Rows
-	// carry the joined variable values, aligned with Cursor.Columns().
+	// carry the joined variable values, aligned with the output columns.
 	Patterns []triple.Pattern
 	// RDQL is an RDQL text query: its WHERE patterns form the conjunction,
 	// its SELECT clause the output columns (projected rows are
@@ -50,7 +46,7 @@ type Request struct {
 	// Reformulate additionally traverses the schema-mapping network,
 	// rewriting predicates by view unfolding (paper §4).
 	Reformulate bool
-	// Limit caps how many rows the cursor yields; 0 means unlimited. The
+	// Limit caps how many rows the query yields; 0 means unlimited. The
 	// limit reaches into the engine: a limited pattern search ships its
 	// reformulated variants after every wave instead of once at the end, so
 	// a satisfied one looks no further mappings up, and a satisfied
@@ -61,45 +57,56 @@ type Request struct {
 	Options SearchOptions
 }
 
-// kind classifies a validated request.
-func (r Request) kind() (pattern bool, err error) {
+// newRunner validates req and parses its RDQL text, if any: the WHERE
+// patterns become Patterns and an RDQL LIMIT merges into Limit.
+func newRunner(req *Request, emit func([]QueryRow, []string) bool) (*runner, error) {
 	set := 0
-	if r.Pattern != nil {
+	if req.Pattern != nil {
 		set++
 	}
-	if len(r.Patterns) > 0 {
+	if len(req.Patterns) > 0 {
 		set++
 	}
-	if r.RDQL != "" {
+	if req.RDQL != "" {
 		set++
 	}
 	if set != 1 {
-		return false, errors.New("mediation: request must set exactly one of Pattern, Patterns, RDQL")
+		return nil, errors.New("mediation: request must set exactly one of Pattern, Patterns, RDQL")
 	}
-	if r.Limit < 0 {
-		return false, fmt.Errorf("mediation: negative request limit %d", r.Limit)
+	if req.Limit < 0 {
+		return nil, fmt.Errorf("mediation: negative request limit %d", req.Limit)
 	}
-	return r.Pattern != nil, nil
+	r := &runner{req: *req, emit: emit}
+	if req.RDQL == "" {
+		return r, nil
+	}
+	q, err := rdql.Parse(req.RDQL)
+	if err != nil {
+		return nil, err
+	}
+	r.parsed, r.req.Patterns = &q, q.Patterns
+	if q.Limit > 0 && (req.Limit == 0 || q.Limit < req.Limit) {
+		r.req.Limit = q.Limit
+	}
+	return r, nil
 }
 
 // QueryRow is one streamed answer.
 type QueryRow struct {
-	// Values are the output column values, positionally aligned with
-	// Cursor.Columns(): the joined (or SELECT-projected) variable values
-	// for conjunctive and RDQL requests, the pattern's variable bindings
-	// for pattern requests.
+	// Values are the output column values, positionally aligned with the
+	// output columns: the joined (or SELECT-projected) variable values for
+	// conjunctive and RDQL requests, the pattern's variable bindings for
+	// pattern requests.
 	Values []string
 	// Result carries the matched triple and its reformulation provenance;
 	// set for pattern requests only.
 	Result *Result
 }
 
-// QueryStats reports how a streamed query executed. Row, message and
-// timing counters are safe to read mid-stream (they grow as the engine
-// runs); the totals are final once the cursor is exhausted or closed.
+// QueryStats reports how a query executed. A Cursor's Rows grows as the
+// engine hands rows over; every figure is final once the stream has ended.
 type QueryStats struct {
-	// Rows is the number of rows the engine has handed over so far — taken
-	// by the consumer or sitting in the cursor's buffer ahead of it.
+	// Rows is the number of rows the engine handed over.
 	Rows int
 	// Messages is the number of overlay messages the request sent (for
 	// conjunctive requests, Conjunctive.RouteMessages).
@@ -118,18 +125,244 @@ type QueryStats struct {
 	// query still succeeds; consumers needing strict answers can check this
 	// flag and retry after the overlay converges.
 	Degraded bool
-	// FirstRow is the time from Query to the first row becoming available
-	// to the consumer; zero while no row has been produced.
+	// FirstRow is the time from the engine's start to its first hand-over;
+	// zero while no row has been produced.
 	FirstRow time.Duration
 	// Elapsed is the total engine wall-clock, set when the engine finishes.
 	Elapsed time.Duration
 }
 
-// Cursor yields the rows of one streamed query. It is not safe for
-// concurrent use by multiple consumers. Always Close a cursor (draining it
-// to exhaustion also suffices) — Close cancels the engine and waits for
-// every worker it spawned to exit, so abandoned cursors never leak
-// goroutines.
+// rowChunk is the most rows the engine hands the consumer at a time — the
+// most one wire.RowChunk frame carries.
+const rowChunk = 128
+
+// Run executes req on the calling goroutine and hands its rows to emit a
+// chunk at a time (at most rowChunk rows, never none), with the output
+// columns they align with: when a chunk is full, whenever the engine goes
+// back to the overlay with rows emitted (before a flush ships, before a
+// wave's lookups, between pushdown chunks) and as it exits. emit owns what
+// it is handed — the engine never touches the chunk or its rows again — and
+// returning false stops the engine at once, skipping the lookups the
+// remaining rows would have needed. Run returns the output columns (also
+// for no rows), the final statistics and the error: a validation or RDQL
+// parse error, the engine's failure, or ctx.Err() when ctx fired or emit
+// refused under a fired ctx; the rows emitted before it stand. Only wider
+// Options.Parallelism pools start workers, all gone when Run returns.
+func (p *Peer) Run(ctx context.Context, req Request, emit func(rows []QueryRow, cols []string) bool) ([]string, QueryStats, error) {
+	r, err := newRunner(&req, emit)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	err = r.run(ctx, p)
+	return r.cols, r.stats, err
+}
+
+// runner is one query's engine-side state: the validated request, the rows
+// emitted since the last hand-over, the output columns and the statistics
+// so far. It lives on the heap, the engine's frames take no copy of the
+// request and the sinks are built in functions of their own: a query runs
+// on a goroutine started for it, whose stack is copied each time it
+// outgrows it (see reformulation.flush).
+type runner struct {
+	req     Request
+	parsed  *rdql.Query
+	emit    func([]QueryRow, []string) bool
+	chunk   []QueryRow
+	cols    []string
+	stats   QueryStats
+	started time.Time
+	refused bool // emit returned false: no more rows are handed over
+}
+
+// run executes the request and hands the last rows over.
+func (r *runner) run(ctx context.Context, p *Peer) error {
+	r.started = time.Now()
+	var err error
+	if r.req.Pattern != nil {
+		err = r.runPattern(ctx, p)
+	} else {
+		err = r.runConjunctive(ctx, p)
+	}
+	if !r.handOver() && err == nil {
+		err = ctx.Err() // the consumer refused rows: the stream is cut short
+	}
+	r.stats.Elapsed = time.Since(r.started)
+	return err
+}
+
+// send queues one row and hands a full chunk over; false stops the engine.
+func (r *runner) send(row QueryRow) bool {
+	if r.chunk == nil {
+		r.chunk = make([]QueryRow, 0, rowChunk)
+	}
+	r.chunk = append(r.chunk, row)
+	return len(r.chunk) < rowChunk || r.handOver()
+}
+
+// handOver passes the rows sent since the last hand-over to emit as one
+// chunk; false reports that emit refused this chunk or an earlier one.
+func (r *runner) handOver() bool {
+	if r.refused || len(r.chunk) == 0 {
+		return !r.refused
+	}
+	if r.stats.Rows == 0 {
+		r.stats.FirstRow = time.Since(r.started)
+	}
+	r.stats.Rows += len(r.chunk)
+	rows := r.chunk
+	r.chunk = nil
+	r.refused = !r.emit(rows, r.cols)
+	return !r.refused
+}
+
+// runPattern executes a pattern request, emitting each raw result as the
+// engine's flushes deliver it.
+func (r *runner) runPattern(ctx context.Context, p *Peer) error {
+	rs, err := p.streamPattern(ctx, *r.req.Pattern, nil, r.req.Reformulate, r.req.Options, r.req.Limit > 0, r.patternSink())
+	if rs != nil {
+		r.stats.Messages = rs.Messages
+		r.stats.Reformulations = rs.Reformulations
+		r.stats.Route = rs.Route
+		r.stats.Degraded = rs.Degraded
+	}
+	return err
+}
+
+// patternSink turns each answer of a pattern request into rows, enforcing
+// Request.Limit.
+func (r *runner) patternSink() answerSink {
+	q, limit := *r.req.Pattern, r.req.Limit
+	vars := q.Variables()
+	r.cols = vars
+	positions := make([]triple.Position, len(vars))
+	for i, v := range vars {
+		positions[i] = firstVarPosition(q, v)
+	}
+	emitted := 0
+	emit := func(ts []triple.Triple, via Provenance) bool {
+		if limit > 0 {
+			ts = ts[:min(len(ts), limit-emitted)]
+		}
+		// One provenance, one array of results and one of values per answer,
+		// not per row.
+		results := make([]Result, len(ts))
+		values := make([]string, len(ts)*len(vars))
+		if r.chunk == nil {
+			r.chunk = make([]QueryRow, 0, min(len(ts), rowChunk))
+		}
+		for i, t := range ts {
+			results[i] = Result{Triple: t, Provenance: &via}
+			row := values[i*len(vars) : (i+1)*len(vars) : (i+1)*len(vars)]
+			for j := range row {
+				// Reformulation rewrites only the constant predicate, so the
+				// variable positions of every reformulated variant coincide
+				// with the original pattern's.
+				row[j] = t.Component(positions[j])
+			}
+			if !r.send(QueryRow{Values: row, Result: &results[i]}) {
+				return false
+			}
+		}
+		emitted += len(ts)
+		return limit == 0 || emitted < limit
+	}
+	return answerSink{emit: emit, flush: r.handOver}
+}
+
+// runConjunctive executes a conjunctive (or RDQL) request through the
+// planning engine, emitting joined rows as the final join stage produces
+// them.
+func (r *runner) runConjunctive(ctx context.Context, p *Peer) error {
+	stats, err := p.streamConjunctive(ctx, r.req.Patterns, r.req.Reformulate, r.req.Options, r.conjunctiveSink())
+	r.stats.Conjunctive = stats
+	r.stats.Messages = stats.RouteMessages
+	r.stats.Reformulations = stats.Reformulations
+	r.stats.Degraded = stats.Degraded
+	return err
+}
+
+// conjunctiveSink delivers a conjunctive request's rows, enforcing
+// Request.Limit. RDQL requests are projected to their SELECT variables with
+// duplicate rows collapsed.
+func (r *runner) conjunctiveSink() rowSink {
+	// deliver pushes one output row: false stops the engine (which skips
+	// the remaining lookups of its final stage).
+	limit, emitted := r.req.Limit, 0
+	deliver := func(row []string) bool {
+		if limit > 0 && emitted >= limit {
+			return false
+		}
+		if !r.send(QueryRow{Values: row}) {
+			return false
+		}
+		emitted++
+		return limit == 0 || emitted < limit
+	}
+	parsed := r.parsed
+	if parsed == nil {
+		return rowSink{
+			cols:  func(vars []string, _ bool) { r.cols = vars },
+			emit:  deliver,
+			flush: r.handOver,
+		}
+	}
+	var colIdx []int
+	missing := false
+	var dedupe projectionDedupe
+	// Projected rows are carved from free, which is renewed for twice as
+	// many rows each time, up to a chunk's worth.
+	var free []string
+	grow := 8
+	return rowSink{
+		flush: r.handOver,
+		cols: func(vars []string, ascending bool) {
+			r.cols = append([]string(nil), parsed.Select...)
+			colIdx = make([]int, len(parsed.Select))
+			dedupe.lead = -1
+			for i, v := range parsed.Select {
+				colIdx[i] = -1
+				for j, bv := range vars {
+					if bv == v {
+						colIdx[i] = j
+						break
+					}
+				}
+				if colIdx[i] < 0 {
+					missing = true
+				}
+				if colIdx[i] == 0 && ascending {
+					dedupe.lead = i
+				}
+			}
+		},
+		emit: func(row []string) bool {
+			if missing {
+				// A selected variable no row binds: nothing projects.
+				return false
+			}
+			if len(free) < len(colIdx) {
+				free = make([]string, len(colIdx)*grow)
+				grow = min(2*grow, rowChunk)
+			}
+			out := free[:len(colIdx):len(colIdx)]
+			for i, idx := range colIdx {
+				out[i] = row[idx]
+			}
+			if dedupe.repeat(out) {
+				return true // the next row overwrites out
+			}
+			free = free[len(colIdx):]
+			return deliver(out)
+		},
+	}
+}
+
+// Cursor yields the rows of one query pulled lazily: Peer.Query runs Run
+// on a goroutine of its own, whose emit passes each chunk through a
+// one-chunk buffer to the consumer. It is not safe for concurrent use by
+// multiple consumers. Always Close a cursor (draining it to exhaustion also
+// suffices) — Close cancels the engine and waits for every worker it
+// spawned to exit, so abandoned cursors never leak goroutines.
 type Cursor struct {
 	// ch carries the rows a chunk at a time (at most rowChunk, never none):
 	// the engine and the consumer meet once per chunk, not once per row.
@@ -138,9 +371,6 @@ type Cursor struct {
 	// how far into it Next is.
 	chunk []QueryRow
 	next  int
-	// pending is the engine goroutine's: the rows emitted since the last
-	// hand-over.
-	pending []QueryRow
 
 	done   chan struct{}
 	cancel context.CancelFunc
@@ -153,64 +383,61 @@ type Cursor struct {
 	cols  []string
 	err   error
 	stats QueryStats
-
-	// CollectPattern bookkeeping: the aggregate ResultSet is rebuilt from
-	// the engine's summary.
-	pattern *ResultSet
-
-	started time.Time
 }
 
-// Query starts req's execution and returns a cursor over its rows. The
-// returned error covers request validation (and RDQL parsing) only;
-// execution errors surface through Cursor.Err once the stream ends. ctx
-// governs the whole query — see the package notes above.
+// Query validates req and starts its execution on a goroutine of its own,
+// returning a cursor over its rows. The returned error covers request
+// validation (and RDQL parsing) only; execution errors surface through
+// Cursor.Err once the stream ends. ctx governs the whole query — see the
+// package notes above. A consumer that takes every row as it comes calls
+// Run instead and pays no goroutine.
 func (p *Peer) Query(ctx context.Context, req Request) (*Cursor, error) {
-	isPattern, err := req.kind()
+	r, err := newRunner(&req, nil)
 	if err != nil {
 		return nil, err
 	}
-	var parsed *rdql.Query
-	if req.RDQL != "" {
-		q, err := rdql.Parse(req.RDQL)
-		if err != nil {
-			return nil, err
-		}
-		parsed = &q
-		req.Patterns = q.Patterns
-		if q.Limit > 0 && (req.Limit == 0 || q.Limit < req.Limit) {
-			req.Limit = q.Limit
-		}
-	}
-
 	qctx, cancel := context.WithCancel(ctx)
-	c := &Cursor{
-		ch:      make(chan []QueryRow, 1),
-		done:    make(chan struct{}),
-		cancel:  cancel,
-		reqCtx:  ctx,
-		started: time.Now(),
-	}
+	c := &Cursor{ch: make(chan []QueryRow, 1), done: make(chan struct{}), cancel: cancel, reqCtx: ctx}
+	r.emit = func(rows []QueryRow, cols []string) bool { return c.handOver(qctx, rows, cols) }
 	go func() {
-		var err error
-		if isPattern {
-			err = c.runPattern(qctx, p, req)
-		} else {
-			err = c.runConjunctive(qctx, p, req, parsed)
-		}
-		if !c.handOver(qctx) && err == nil {
-			err = qctx.Err() // the last rows were dropped: the stream is cut short
-		}
+		err := r.run(qctx, p)
 		c.mu.Lock()
-		if c.err == nil {
-			c.err = err
-		}
-		c.stats.Elapsed = time.Since(c.started)
+		c.cols, c.err, c.stats = r.cols, err, r.stats
 		c.mu.Unlock()
 		close(c.ch)
 		close(c.done)
 	}()
 	return c, nil
+}
+
+// handOver is the cursor's emit: it passes one chunk to the consumer,
+// blocking until the buffer takes it or ctx fires. A chunk the buffer has
+// room for is delivered even when ctx has already fired: rows produced
+// ahead of a cancellation stand.
+func (c *Cursor) handOver(ctx context.Context, rows []QueryRow, cols []string) bool {
+	c.mu.Lock()
+	first := c.stats.Rows == 0
+	c.cols = cols // known before the consumer sees the rows
+	c.stats.Rows += len(rows)
+	c.mu.Unlock()
+	select {
+	case c.ch <- rows:
+	default:
+		select {
+		case c.ch <- rows:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	if first {
+		// The consumer the send just woke waits in this processor's run
+		// queue. In a daemon the engine's next overlay operation is a read
+		// of a co-hosted peer, delivered on this goroutine, so it never
+		// gives the processor up: yield, so the first rows leave before the
+		// engine goes on.
+		runtime.Gosched()
+	}
+	return true
 }
 
 // Next yields the next row. ok=false means either the stream ended —
@@ -232,9 +459,7 @@ func (c *Cursor) Next(ctx context.Context) (QueryRow, bool) {
 // NextChunk is Next by the hand-over: it yields every row the engine passed
 // on at once — what is left of the chunk Next was reading, else the next
 // one whole, never none — under Next's rules for ok and ctx. The rows are
-// the caller's to keep. A consumer that forwards rows (the wire server: one
-// RowChunk frame a hand-over) sees them as early as the engine lets go of
-// them, without meeting the engine once a row.
+// the caller's to keep.
 func (c *Cursor) NextChunk(ctx context.Context) ([]QueryRow, bool) {
 	if c.next == len(c.chunk) && !c.receive(ctx) {
 		return nil, false
@@ -262,8 +487,8 @@ func (c *Cursor) receive(ctx context.Context) bool {
 }
 
 // Columns returns the output column names (the variable schema rows align
-// with). For conjunctive requests they are known once the first join stage
-// completes; before that, nil.
+// with). They are known once the first rows are handed over, or the stream
+// has ended; before that, nil.
 func (c *Cursor) Columns() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,207 +527,6 @@ func (c *Cursor) Close() error {
 		return nil
 	}
 	return c.err
-}
-
-// setCols records the output schema (first caller wins).
-func (c *Cursor) setCols(cols []string) {
-	c.mu.Lock()
-	if c.cols == nil {
-		c.cols = cols
-	}
-	c.mu.Unlock()
-}
-
-// rowChunk is the most rows the engine hands the consumer at a time — the
-// most one wire.RowChunk frame carries.
-const rowChunk = 128
-
-// send queues one row for the consumer and hands a full chunk over, blocking
-// until it is accepted or the query context fires; false reports that the
-// rows could not be delivered.
-func (c *Cursor) send(ctx context.Context, row QueryRow) bool {
-	if c.pending == nil {
-		c.pending = make([]QueryRow, 0, rowChunk)
-	}
-	c.pending = append(c.pending, row)
-	return len(c.pending) < rowChunk || c.handOver(ctx)
-}
-
-// handOver passes the rows sent since the last hand-over to the consumer as
-// one chunk. The engine calls it whenever it goes back to the overlay after
-// emitting, and as it exits, so a row never waits on an operation it does
-// not depend on. A chunk the buffer has room for is delivered even when ctx
-// has already fired: rows produced ahead of a cancellation stand.
-func (c *Cursor) handOver(ctx context.Context) bool {
-	if len(c.pending) == 0 {
-		return true
-	}
-	select {
-	case c.ch <- c.pending:
-	default:
-		select {
-		case c.ch <- c.pending:
-		case <-ctx.Done():
-			return false
-		}
-	}
-	c.mu.Lock()
-	first := c.stats.Rows == 0
-	if first {
-		c.stats.FirstRow = time.Since(c.started)
-	}
-	c.stats.Rows += len(c.pending)
-	c.mu.Unlock()
-	c.pending = nil
-	if first {
-		// The consumer the send just woke waits in this processor's run
-		// queue. In a daemon the engine's next overlay operation is a read
-		// of a co-hosted peer, delivered on this goroutine, so it never
-		// gives the processor up: yield, so the first rows leave (one wire
-		// RowChunk) before the engine goes on.
-		runtime.Gosched()
-	}
-	return true
-}
-
-// runPattern executes a pattern request, emitting each raw result as the
-// engine's flushes deliver it.
-func (c *Cursor) runPattern(ctx context.Context, p *Peer, req Request) error {
-	q := *req.Pattern
-	vars := q.Variables()
-	c.setCols(vars)
-	positions := make([]triple.Position, len(vars))
-	for i, v := range vars {
-		positions[i] = firstVarPosition(q, v)
-	}
-
-	emitted := 0
-	emit := func(ts []triple.Triple, via Provenance) bool {
-		if req.Limit > 0 {
-			ts = ts[:min(len(ts), req.Limit-emitted)]
-		}
-		// One provenance, one array of results and one of values per answer,
-		// not per row.
-		results := make([]Result, len(ts))
-		values := make([]string, len(ts)*len(vars))
-		if c.pending == nil {
-			c.pending = make([]QueryRow, 0, min(len(ts), rowChunk))
-		}
-		for i, t := range ts {
-			results[i] = Result{Triple: t, Provenance: &via}
-			row := values[i*len(vars) : (i+1)*len(vars) : (i+1)*len(vars)]
-			for j := range row {
-				// Reformulation rewrites only the constant predicate, so the
-				// variable positions of every reformulated variant coincide
-				// with the original pattern's.
-				row[j] = t.Component(positions[j])
-			}
-			if !c.send(ctx, QueryRow{Values: row, Result: &results[i]}) {
-				return false
-			}
-		}
-		emitted += len(ts)
-		return req.Limit == 0 || emitted < req.Limit
-	}
-	sink := answerSink{emit: emit, flush: func() { c.handOver(ctx) }}
-
-	rs, err := p.streamPattern(ctx, q, nil, req.Reformulate, req.Options, req.Limit > 0, sink)
-	c.mu.Lock()
-	if rs != nil {
-		c.pattern = rs
-		c.stats.Messages = rs.Messages
-		c.stats.Reformulations = rs.Reformulations
-		c.stats.Route = rs.Route
-		c.stats.Degraded = rs.Degraded
-	}
-	c.mu.Unlock()
-	return err
-}
-
-// runConjunctive executes a conjunctive (or RDQL) request through the
-// planning engine, emitting joined rows as the final join stage produces
-// them. RDQL requests are projected to their SELECT variables with
-// duplicate rows collapsed.
-func (c *Cursor) runConjunctive(ctx context.Context, p *Peer, req Request, parsed *rdql.Query) error {
-	// deliver pushes one output row, enforcing Request.Limit: false stops
-	// the engine (which skips the remaining lookups of its final stage).
-	emitted := 0
-	deliver := func(row []string) bool {
-		if req.Limit > 0 && emitted >= req.Limit {
-			return false
-		}
-		if !c.send(ctx, QueryRow{Values: row}) {
-			return false
-		}
-		emitted++
-		return req.Limit == 0 || emitted < req.Limit
-	}
-
-	sink := rowSink{
-		cols:  func(vars []string, _ bool) { c.setCols(vars) },
-		emit:  deliver,
-		flush: func() { c.handOver(ctx) },
-	}
-	if parsed != nil {
-		var colIdx []int
-		missing := false
-		var dedupe projectionDedupe
-		// Projected rows are carved from free, which is renewed for twice as
-		// many rows each time, up to a chunk's worth.
-		var free []string
-		grow := 8
-		sink = rowSink{
-			flush: sink.flush,
-			cols: func(vars []string, ascending bool) {
-				c.setCols(append([]string(nil), parsed.Select...))
-				colIdx = make([]int, len(parsed.Select))
-				dedupe.lead = -1
-				for i, v := range parsed.Select {
-					colIdx[i] = -1
-					for j, bv := range vars {
-						if bv == v {
-							colIdx[i] = j
-							break
-						}
-					}
-					if colIdx[i] < 0 {
-						missing = true
-					}
-					if colIdx[i] == 0 && ascending {
-						dedupe.lead = i
-					}
-				}
-			},
-			emit: func(row []string) bool {
-				if missing {
-					// A selected variable no row binds: nothing projects.
-					return false
-				}
-				if len(free) < len(colIdx) {
-					free = make([]string, len(colIdx)*grow)
-					grow = min(2*grow, rowChunk)
-				}
-				out := free[:len(colIdx):len(colIdx)]
-				for i, idx := range colIdx {
-					out[i] = row[idx]
-				}
-				if dedupe.repeat(out) {
-					return true // the next row overwrites out
-				}
-				free = free[len(colIdx):]
-				return deliver(out)
-			},
-		}
-	}
-
-	stats, err := p.streamConjunctive(ctx, req.Patterns, req.Reformulate, req.Options, sink)
-	c.mu.Lock()
-	c.stats.Conjunctive = stats
-	c.stats.Messages = stats.RouteMessages
-	c.stats.Reformulations = stats.Reformulations
-	c.stats.Degraded = stats.Degraded
-	c.mu.Unlock()
-	return err
 }
 
 // runScan is how many rows of a run projectionDedupe compares a row with
@@ -564,24 +588,15 @@ func (d *projectionDedupe) keep(row []string) bool {
 	return true
 }
 
-// CollectRows drains a cursor under ctx into the deduplicated, sorted
-// projected-row representation of an RDQL answer, alongside the execution
-// statistics. It closes the cursor. Pair it with Peer.Query and
-// Request.RDQL to get the whole answer at once.
-func CollectRows(ctx context.Context, cur *Cursor) ([]rdql.Row, ConjunctiveStats, error) {
-	var rows []rdql.Row
-	for {
-		row, ok := cur.Next(ctx)
-		if !ok {
-			break
-		}
-		rows = append(rows, rdql.Row(row.Values))
-	}
-	cur.Close()
-	stats := cur.Stats().Conjunctive
-	if err := cur.Err(); err != nil {
+// CollectRows is CollectSet with the sorted rows as RDQL projected rows.
+func CollectRows(ctx context.Context, p *Peer, req Request) ([]rdql.Row, ConjunctiveStats, error) {
+	bs, stats, err := CollectSet(ctx, p, req)
+	if err != nil {
 		return nil, stats, err
 	}
-	rdql.SortRows(rows)
+	var rows []rdql.Row
+	for _, row := range bs.Rows {
+		rows = append(rows, row)
+	}
 	return rows, stats, nil
 }

@@ -557,6 +557,16 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 			return simnet.Message{}, err
 		}
 		return simnet.Message{Type: msgExec, Payload: resp}, nil
+	default:
+		return n.handleMaintenance(msg)
+	}
+}
+
+// handleMaintenance serves the messages that write, replicate and repair.
+// It is out of HandleMessage's frame, which sits under every in-process
+// read a query makes.
+func (n *Node) handleMaintenance(msg simnet.Message) (simnet.Message, error) {
+	switch msg.Type {
 	case msgBatch:
 		req, ok := msg.Payload.(BatchUpdate)
 		if !ok {

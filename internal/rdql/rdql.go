@@ -76,20 +76,6 @@ func (q Query) Validate() error {
 // SELECT order of the query.
 type Row []string
 
-// SortRows orders result rows lexicographically, the canonical order of a
-// whole answer. Consumers that collect a cursor's rows use it to reproduce
-// the aggregate answer.
-func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		for k := range rows[i] {
-			if rows[i][k] != rows[j][k] {
-				return rows[i][k] < rows[j][k]
-			}
-		}
-		return false
-	})
-}
-
 // token kinds produced by the lexer.
 type tokenKind int
 

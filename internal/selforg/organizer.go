@@ -435,11 +435,7 @@ func (o *Organizer) warmComposites(ctx context.Context) (int, error) {
 // instance probe both candidate selection and alignment sample from.
 func (o *Organizer) searchSubject(ctx context.Context, subj string) (*mediation.ResultSet, error) {
 	q := triple.Pattern{S: triple.Const(subj), P: triple.Var("p"), O: triple.Var("o")}
-	cur, err := o.peer.Query(ctx, mediation.Request{Pattern: &q})
-	if err != nil {
-		return nil, err
-	}
-	return mediation.CollectPattern(ctx, cur)
+	return mediation.CollectPattern(ctx, o.peer, mediation.Request{Pattern: &q})
 }
 
 func noActiveMappings(ms *schema.MappingSet) bool {

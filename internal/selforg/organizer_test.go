@@ -202,11 +202,7 @@ func TestRoundCreatesMappingsAndConnects(t *testing.T) {
 		t.Errorf("final ci = %v, want ≥ 0", final.CIAfter)
 	}
 	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("S0#Organism"), O: triple.Const("Homo sapiens")}
-	cur, err := ps[3].Query(context.Background(), mediation.Request{Pattern: &q, Reformulate: true})
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	rs, err := mediation.CollectPattern(context.Background(), cur)
+	rs, err := mediation.CollectPattern(context.Background(), ps[3], mediation.Request{Pattern: &q, Reformulate: true})
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
@@ -473,11 +469,7 @@ func TestRoundWarmsCompositeCache(t *testing.T) {
 	q := triple.Pattern{S: triple.Var("s"), P: triple.Const("A#org"), O: triple.Var("o")}
 	qopts := opts
 	qopts.ComposeMappings = true
-	cur, err := ps[0].Query(context.Background(), mediation.Request{Pattern: &q, Reformulate: true, Options: qopts})
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if _, err := mediation.CollectPattern(context.Background(), cur); err != nil {
+	if _, err := mediation.CollectPattern(context.Background(), ps[0], mediation.Request{Pattern: &q, Reformulate: true, Options: qopts}); err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
 	after := ps[0].ComposeStats()

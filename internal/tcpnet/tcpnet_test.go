@@ -177,11 +177,7 @@ func TestMediationOverTCP(t *testing.T) {
 	peers[0].InsertMappingContext(context.Background(), m)
 
 	q := triple.Pattern{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}
-	cur, err := peers[5].Query(context.Background(), mediation.Request{Pattern: &q, Reformulate: true})
-	if err != nil {
-		t.Fatalf("search over TCP: %v", err)
-	}
-	rs, err := mediation.CollectPattern(context.Background(), cur)
+	rs, err := mediation.CollectPattern(context.Background(), peers[5], mediation.Request{Pattern: &q, Reformulate: true})
 	if err != nil {
 		t.Fatalf("search over TCP: %v", err)
 	}

@@ -329,48 +329,43 @@ func (sc *srvConn) handleQuery(q *Query) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer sc.track(q.ID, cancel)()
 
-	cur, err := h.Peer.Query(ctx, mediation.Request{
+	// The engine runs on this goroutine, one frame per hand-over: rows leave
+	// as early as the engine lets go of them, and the first frame names the
+	// columns.
+	var rows [][]string // reused: send has encoded a chunk before the next is built
+	gone := false
+	tr := trailer(h.Peer.Run(ctx, mediation.Request{
 		Pattern:     q.Pattern,
 		Patterns:    q.Patterns,
 		RDQL:        q.RDQL,
 		Reformulate: q.Reformulate,
 		Limit:       q.Limit,
 		Options:     q.Options,
-	})
-	if err != nil {
-		sc.send(TTrailer, &Trailer{ID: q.ID, Err: err.Error()})
-		return
-	}
-	defer cur.Close()
-
-	// One frame per engine hand-over: rows leave as early as the engine
-	// lets go of them, and the first frame names the columns.
-	var rows [][]string // reused: send has encoded a chunk before the next is built
-	sentCols := false
-	for {
-		handed, ok := cur.NextChunk(ctx)
-		if !ok {
-			break
+	}, func(handed []mediation.QueryRow, cols []string) bool {
+		chunk := &RowChunk{ID: q.ID}
+		if rows == nil {
+			chunk.Columns = cols
 		}
 		rows = slices.Grow(rows[:0], len(handed))
 		for _, row := range handed {
 			rows = append(rows, row.Values)
 		}
-		chunk := &RowChunk{ID: q.ID, Rows: rows}
-		if !sentCols {
-			chunk.Columns = cur.Columns()
-			sentCols = true
-		}
+		chunk.Rows = rows
 		s.rowsStreamed.Add(uint64(len(rows)))
-		if err := sc.send(TRowChunk, chunk); err != nil {
-			return
-		}
+		gone = sc.send(TRowChunk, chunk) != nil
+		return !gone
+	}))
+	if !gone {
+		tr.ID = q.ID
+		sc.send(TTrailer, tr)
 	}
-	cur.Close()
-	st := cur.Stats()
+}
+
+// trailer is the Trailer of a query's outcome, ID aside. It is out of
+// handleQuery's frame, which sits under the whole engine.
+func trailer(cols []string, st mediation.QueryStats, err error) *Trailer {
 	tr := &Trailer{
-		ID:      q.ID,
-		Columns: cur.Columns(),
+		Columns: cols,
 		Stats: Stats{
 			Rows:           st.Rows,
 			Messages:       st.Messages,
@@ -380,10 +375,10 @@ func (sc *srvConn) handleQuery(q *Query) {
 			ElapsedMicros:  st.Elapsed.Microseconds(),
 		},
 	}
-	if err := cur.Err(); err != nil {
+	if err != nil {
 		tr.Err = err.Error()
 	}
-	sc.send(TTrailer, tr)
+	return tr
 }
 
 func (sc *srvConn) handleWrite(w *Write) {

@@ -24,7 +24,9 @@
 //   - Query → zero or more RowChunk frames, then exactly one Trailer
 //     carrying the terminal error, the output columns, and the
 //     execution stats (including the Degraded flag) — the wire image
-//     of mediation.Cursor.Stats().
+//     of the mediation.QueryStats Peer.Run returns. The server runs the
+//     engine on the request's handler goroutine, one RowChunk per
+//     hand-over.
 //   - Write → exactly one Receipt.
 //   - Cancel (client → server) propagates context cancellation: the
 //     server cancels the request's engine context, and the stream

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func testServer(t *testing.T, triples []triple.Triple) (*gridvine.Network, *wire
 	for _, p := range nw.Peers() {
 		node := p.Node()
 		hosted = append(hosted, wire.Hosted{
-			Peer:   p.Peer,
+			Peer:   p,
 			Digest: node.ContentDigest,
 		})
 	}
@@ -470,7 +471,7 @@ func TestWireMaxConns(t *testing.T) {
 	t.Cleanup(nw.Close)
 	var hosted []wire.Hosted
 	for _, p := range nw.Peers() {
-		hosted = append(hosted, wire.Hosted{Peer: p.Peer})
+		hosted = append(hosted, wire.Hosted{Peer: p})
 	}
 	srv := wire.NewServerOptions(0, hosted, wire.Options{MaxConns: 2})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -722,6 +723,41 @@ func TestWireLimitInsideAChunk(t *testing.T) {
 		if len(rows) != tc.rows || stats.Rows != tc.rows || int(after.RowsStreamed-before.RowsStreamed) != tc.rows || chunks != tc.chunks {
 			t.Errorf("limit %d: %d rows in %d chunks, trailer %d, daemon %d; want %d in %d", tc.limit,
 				len(rows), chunks, stats.Rows, after.RowsStreamed-before.RowsStreamed, tc.rows, tc.chunks)
+		}
+	}
+}
+
+// TestWireColumnsOnEveryAnswer: the trailer names the output columns even
+// when no row, and so no RowChunk, was sent.
+func TestWireColumnsOnEveryAnswer(t *testing.T) {
+	_, _, addr := testServer(t, seedTriples(20))
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	none := triple.Pattern{S: triple.Var("s"), P: triple.Const("Base#p1"), O: triple.Const("no-such-object")}
+	some := triple.Pattern{S: triple.Var("s"), P: triple.Const("Base#p1"), O: triple.Var("o")}
+	for _, tc := range []struct {
+		name string
+		q    wire.Query
+		rows bool
+		cols []string
+	}{
+		{"pattern, rows", wire.Query{Pattern: &some}, true, []string{"s", "o"}},
+		{"pattern, no rows", wire.Query{Pattern: &none}, false, []string{"s"}},
+		{"rdql, no rows", wire.Query{RDQL: `SELECT ?o WHERE (?s, <Base#p0>, "no-such-object"), (?s, <Base#p1>, ?o)`}, false, []string{"o"}},
+	} {
+		cur, err := c.Query(context.Background(), tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok := cur.Next(context.Background())
+		if ok != tc.rows || !slices.Equal(cur.Columns(), tc.cols) {
+			t.Errorf("%s: first row %v, columns %q; want %v, %q", tc.name, ok, cur.Columns(), tc.rows, tc.cols)
+		}
+		if err := cur.Close(); err != nil || !slices.Equal(cur.Columns(), tc.cols) {
+			t.Errorf("%s: Close %v, columns %q after the trailer", tc.name, err, cur.Columns())
 		}
 	}
 }

@@ -91,8 +91,8 @@ func TestRoutedRequestCensus(t *testing.T) {
 // of the serving benchmark makes, one routed operation answered by 3 rows;
 // /reformulated follows the A↔B mapping, one mapping lookup and two key
 // groups answered by 50 rows. The -handler variants time the served shape:
-// like the wire server's handler, each op starts a goroutine and runs the
-// engine on it with Run, so its stack starts small and grows per query.
+// like a wire server's worker, one long-lived goroutine is handed each op
+// and runs the engine with Run, so the stack it grew stays grown.
 func BenchmarkPatternSearch(b *testing.B) {
 	_, ps := conjNetwork(b, 16, 200)
 	issuer := ps[5]
@@ -129,16 +129,21 @@ func BenchmarkPatternSearch(b *testing.B) {
 		})
 		b.Run(bc.name+"-handler", func(b *testing.B) {
 			b.ReportAllocs()
-			served := make(chan error)
-			for i := 0; i < b.N; i++ {
-				rows := 0
-				go func() {
+			work, served := make(chan struct{}), make(chan error)
+			defer close(work)
+			rows := 0
+			go func() {
+				for range work {
 					_, _, err := issuer.Run(ctx, bc.req, func(chunk []QueryRow, _ []string) bool {
 						rows += len(chunk)
 						return true
 					})
 					served <- err
-				}()
+				}
+			}()
+			for i := 0; i < b.N; i++ {
+				rows = 0
+				work <- struct{}{}
 				if err := <-served; err != nil || rows != bc.rows {
 					b.Fatalf("%d rows (%v), want %d", rows, err, bc.rows)
 				}

@@ -1,9 +1,11 @@
 package wire_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"gridvine/internal/schema"
 	"gridvine/internal/triple"
 	"gridvine/internal/wire"
 )
@@ -71,6 +73,63 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(size), "frame-B/op")
+		})
+	}
+}
+
+// BenchmarkServeQuery times one query served over the wire, Query frame to
+// Trailer: one client on loopback TCP to testServer's 8 peers, one query at
+// a time, client and server in this process. /plain is a subject lookup
+// answered by 3 rows; /reformulated follows an A↔B mapping to 50 rows. Both
+// are issued by a peer that stores none of the answer.
+func BenchmarkServeQuery(b *testing.B) {
+	rows := seedTriples(21) // urn:s0 carries Base#p0, p1 and p2
+	for i := 0; i < 25; i++ {
+		rows = append(rows,
+			triple.Triple{Subject: fmt.Sprintf("urn:a%d", i), Predicate: "A#org", Object: "species-2"},
+			triple.Triple{Subject: fmt.Sprintf("urn:b%d", i), Predicate: "B#name", Object: "species-2"})
+	}
+	nw, _, addr := testServer(b, rows)
+	m := schema.NewMapping("A", "B", schema.Equivalence, schema.Manual,
+		[]schema.Correspondence{{SourceAttr: "org", TargetAttr: "name", Confidence: 1}})
+	m.Bidirectional = true
+	ctx := context.Background()
+	if _, err := nw.Peer(0).InsertMappingContext(ctx, m); err != nil {
+		b.Fatal(err)
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	subject := triple.Pattern{S: triple.Const("urn:s0"), P: triple.Var("p"), O: triple.Var("o")}
+	org := triple.Pattern{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("species-2")}
+	for _, bc := range []struct {
+		name string
+		q    wire.Query
+		rows int
+	}{
+		{"plain", wire.Query{Peer: remoteIssuer(nw, "urn:s0"), Pattern: &subject}, 3},
+		{"reformulated", wire.Query{Peer: remoteIssuer(nw, "A#org", "species-2"), Pattern: &org, Reformulate: true}, 50},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cur, err := c.Query(ctx, bc.q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					if _, ok := cur.Next(ctx); !ok {
+						break
+					}
+					n++
+				}
+				if err := cur.Close(); err != nil || n != bc.rows {
+					b.Fatalf("%d rows (%v), want %d", n, err, bc.rows)
+				}
+			}
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,9 +36,12 @@ type Options struct {
 }
 
 // Server speaks the wire protocol on behalf of a set of hosted
-// mediation peers. All engine work runs server-side; each Query/Write
-// frame gets its own goroutine and its own engine context, cancelled
-// by a Cancel frame, a connection loss, or server shutdown.
+// mediation peers. All engine work runs server-side. Each admitted
+// Query/Write frame is handed to an idle worker goroutine, or to a new
+// one when none is idle; a worker serves requests one after another, so
+// the stack an engine grew stays grown for the next. Each request gets
+// its own engine context, cancelled by a Cancel frame, a connection
+// loss, or server shutdown.
 type Server struct {
 	daemon  int
 	opts    Options
@@ -55,6 +59,18 @@ type Server struct {
 	draining bool
 	reqs     sync.WaitGroup // in-flight Query/Write handlers
 	connWg   sync.WaitGroup // connection read loops
+
+	// Workers: work is the unbuffered hand-over to an idle worker, idle
+	// counts the workers committed to receive from it (at most idleCap,
+	// GOMAXPROCS when the server was built), and spawned counts the
+	// workers ever started. Shutdown closes work once no request can be
+	// admitted.
+	work      chan job
+	idle      atomic.Int64
+	idleCap   int64
+	spawned   atomic.Uint64
+	workers   sync.WaitGroup
+	closeWork sync.Once
 
 	rr            atomic.Uint64
 	activeQueries atomic.Int64
@@ -87,6 +103,8 @@ func NewServerOptions(daemon int, hosted []Hosted, opts Options) *Server {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		conns:     map[net.Conn]struct{}{},
+		work:      make(chan job),
+		idleCap:   int64(runtime.GOMAXPROCS(0)),
 	}
 	for _, h := range hosted {
 		id := string(h.Peer.Node().ID())
@@ -137,8 +155,8 @@ func (s *Server) Serve(ln net.Listener) {
 // Shutdown drains the server: stop accepting connections and new
 // requests, wait for every in-flight Query stream and Write to finish
 // (their frames flushed), then hard-cancel anything still running when
-// ctx fires. It returns nil on a clean drain, ctx.Err() if the drain
-// was cut short.
+// ctx fires. It returns, with every worker gone, nil on a clean drain,
+// ctx.Err() if the drain was cut short.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -171,6 +189,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	s.connWg.Wait()
+
+	// Every admitted request has finished, so no dispatch is left to
+	// hand over: release the idle workers and wait for them to exit.
+	s.closeWork.Do(func() { close(s.work) })
+	s.workers.Wait()
 	return err
 }
 
@@ -199,6 +222,68 @@ func (s *Server) beginReq() bool {
 	return true
 }
 
+// job is one admitted request for a worker: a Query or a Write.
+type job struct {
+	sc *srvConn
+	q  *Query
+	w  *Write
+}
+
+// dispatch hands an admitted request to an idle worker, or starts a
+// worker for it when none is idle. Concurrency is as unbounded as one
+// goroutine per request; a claimed worker is already on its way to the
+// receive, so the hand-over waits for nothing else.
+func (s *Server) dispatch(j job) {
+	for {
+		n := s.idle.Load()
+		if n == 0 {
+			s.spawned.Add(1)
+			s.workers.Add(1)
+			go s.worker(j)
+			return
+		}
+		if s.idle.CompareAndSwap(n, n-1) {
+			s.work <- j
+			return
+		}
+	}
+}
+
+// worker serves j, then the requests handed to it while it idles. It
+// exits when idleCap workers are already idle, or when Shutdown closes
+// the hand-over.
+func (s *Server) worker(j job) {
+	defer s.workers.Done()
+	for {
+		if j.q != nil {
+			j.sc.handleQuery(j.q)
+		} else {
+			j.sc.handleWrite(j.w)
+		}
+		if !s.park() {
+			return
+		}
+		var ok bool
+		if j, ok = <-s.work; !ok {
+			return
+		}
+	}
+}
+
+// park counts a worker that finished its request as idle, unless idleCap
+// workers already are: false means the worker should exit.
+func (s *Server) park() bool {
+	for {
+		n := s.idle.Load()
+		if n >= s.idleCap {
+			return false
+		}
+		if s.idle.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // pick resolves a request's peer selector: a hosted peer ID, or empty
 // for round-robin over the hosted set.
 func (s *Server) pick(id string) (Hosted, error) {
@@ -213,12 +298,14 @@ func (s *Server) pick(id string) (Hosted, error) {
 	return h, nil
 }
 
-// srvConn is one client connection's server-side state: a write mutex
-// serialising response frames and the in-flight request registry the
-// Cancel frames act on.
+// srvConn is one client connection's server-side state: the context
+// every request's engine context derives from, a write mutex serialising
+// response frames and the in-flight request registry the Cancel frames
+// act on.
 type srvConn struct {
-	s *Server
-	c net.Conn
+	s   *Server
+	c   net.Conn
+	ctx context.Context // cancelled when the connection is gone
 
 	wmu sync.Mutex
 
@@ -228,15 +315,12 @@ type srvConn struct {
 
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWg.Done()
-	sc := &srvConn{s: s, c: c, inflight: map[uint64]context.CancelFunc{}}
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	sc := &srvConn{s: s, c: c, ctx: ctx, inflight: map[uint64]context.CancelFunc{}}
 	defer func() {
 		// Connection gone: cancel everything it had in flight so
 		// abandoned engines stop promptly.
-		sc.mu.Lock()
-		for _, cancel := range sc.inflight {
-			cancel()
-		}
-		sc.mu.Unlock()
+		cancel()
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
@@ -260,13 +344,13 @@ func (s *Server) serveConn(c net.Conn) {
 				sc.send(TTrailer, &Trailer{ID: m.ID, Err: "wire: server draining"})
 				continue
 			}
-			go sc.handleQuery(m)
+			s.dispatch(job{sc: sc, q: m})
 		case *Write:
 			if !s.beginReq() {
 				sc.send(TReceipt, &Receipt{ID: m.ID, Err: "wire: server draining"})
 				continue
 			}
-			go sc.handleWrite(m)
+			s.dispatch(job{sc: sc, w: m})
 		case *Cancel:
 			sc.mu.Lock()
 			if cancel, ok := sc.inflight[m.ID]; ok {
@@ -326,7 +410,7 @@ func (sc *srvConn) handleQuery(q *Query) {
 		sc.send(TTrailer, &Trailer{ID: q.ID, Err: err.Error()})
 		return
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	ctx, cancel := context.WithCancel(sc.ctx)
 	defer sc.track(q.ID, cancel)()
 
 	// The engine runs on this goroutine, one frame per hand-over: rows leave
@@ -397,7 +481,7 @@ func (sc *srvConn) handleWrite(w *Write) {
 		sc.send(TReceipt, &Receipt{ID: w.ID, Err: "wire: replacement old/new length mismatch"})
 		return
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	ctx, cancel := context.WithCancel(sc.ctx)
 	defer sc.track(w.ID, cancel)()
 
 	rec, err := h.Peer.Write(ctx, batchOf(w))

@@ -21,7 +21,15 @@ import (
 
 // testServer hosts every peer of a deterministic in-memory network
 // behind a real TCP wire server, pre-loaded with a small triple set.
-func testServer(t *testing.T, triples []triple.Triple) (*gridvine.Network, *wire.Server, string) {
+func testServer(t testing.TB, triples []triple.Triple) (*gridvine.Network, *wire.Server, string) {
+	t.Helper()
+	nw := testNetwork(t, triples)
+	srv, addr := serve(t, nw)
+	return nw, srv, addr
+}
+
+// testNetwork is testServer's network, pre-loaded and not yet served.
+func testNetwork(t testing.TB, triples []triple.Triple) *gridvine.Network {
 	t.Helper()
 	nw, err := gridvine.NewNetwork(gridvine.Options{Peers: 8, Seed: 7})
 	if err != nil {
@@ -41,7 +49,13 @@ func testServer(t *testing.T, triples []triple.Triple) (*gridvine.Network, *wire
 			t.Fatalf("seed write: %d failed, %d skipped", rec.Failed, rec.Skipped)
 		}
 	}
+	return nw
+}
 
+// serve hosts every peer of nw behind a wire server on a loopback
+// listener, shut down when the test ends.
+func serve(t testing.TB, nw *gridvine.Network) (*wire.Server, string) {
+	t.Helper()
 	var hosted []wire.Hosted
 	for _, p := range nw.Peers() {
 		node := p.Node()
@@ -61,7 +75,7 @@ func testServer(t *testing.T, triples []triple.Triple) (*gridvine.Network, *wire
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return nw, srv, ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 func seedTriples(n int) []triple.Triple {
@@ -413,9 +427,13 @@ func TestWireReportsFailedJournal(t *testing.T) {
 
 // TestWireShutdownDrainsInFlight proves Shutdown waits for a running
 // stream: rows keep flowing to completion while new requests are
-// rejected with a draining trailer.
+// rejected with a draining trailer. Once the client is gone too, the
+// goroutine count is back to its value before the server started: no
+// read loop or worker outlives Shutdown.
 func TestWireShutdownDrains(t *testing.T) {
-	_, srv, addr := testServer(t, seedTriples(120))
+	nw := testNetwork(t, seedTriples(120))
+	baseline := settledGoroutines()
+	srv, addr := serve(t, nw)
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -457,6 +475,8 @@ func TestWireShutdownDrains(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown did not drain cleanly: %v", err)
 	}
+	c.Close()
+	waitGoroutines(t, baseline)
 }
 
 // TestWireMaxConns pins the connection cap: the server turns the
@@ -599,9 +619,10 @@ func TestWireStatsCountTraffic(t *testing.T) {
 }
 
 // chainServer is testServer over a three-schema chain A → B → C with three
-// rows under each schema, every overlay send 20 ms long: the root pattern
-// answers after one routed operation, the traversal after several more.
-func chainServer(t *testing.T) (*wire.Client, wire.Query) {
+// rows under each schema, every overlay send delay long: the root pattern
+// answers after one routed operation, the traversal after several more. It
+// returns a client, the query and the server's address.
+func chainServer(t *testing.T, delay time.Duration) (*wire.Client, wire.Query, string) {
 	t.Helper()
 	var rows []triple.Triple
 	for _, s := range []string{"A", "B", "C"} {
@@ -617,7 +638,7 @@ func chainServer(t *testing.T) (*wire.Client, wire.Query) {
 			t.Fatal(err)
 		}
 	}
-	nw.Transport().SetSendDelay(20 * time.Millisecond)
+	nw.Transport().SetSendDelay(delay)
 	t.Cleanup(func() { nw.Transport().SetSendDelay(0) })
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -633,14 +654,14 @@ func chainServer(t *testing.T) (*wire.Client, wire.Query) {
 		}
 	}
 	pat := triple.Pattern{S: triple.Var("s"), P: triple.Const("A#org"), O: triple.Var("o")}
-	return c, wire.Query{Peer: string(issuer.Node().ID()), Pattern: &pat, Reformulate: true}
+	return c, wire.Query{Peer: string(issuer.Node().ID()), Pattern: &pat, Reformulate: true}, addr
 }
 
 // TestWireFirstRowLeavesEarly: a RowChunk frame is one engine hand-over, so
 // a reformulated query's own rows reach the client when the root pattern
 // has answered, not with the last wave's.
 func TestWireFirstRowLeavesEarly(t *testing.T) {
-	c, q := chainServer(t)
+	c, q, _ := chainServer(t, 20*time.Millisecond)
 	ctx := context.Background()
 	start := time.Now()
 	cur, err := c.Query(ctx, q)
@@ -673,7 +694,7 @@ func TestWireFirstRowLeavesEarly(t *testing.T) {
 // hand-over and closes stops the engine between waves; the server streams
 // no further chunk and its trailer counts what it had handed over.
 func TestWireCancelInsideAChunk(t *testing.T) {
-	c, q := chainServer(t)
+	c, q, _ := chainServer(t, 20*time.Millisecond)
 	ctx := context.Background()
 	before, err := c.Stats(ctx)
 	if err != nil {
@@ -693,6 +714,43 @@ func TestWireCancelInsideAChunk(t *testing.T) {
 	}
 	if streamed := after.RowsStreamed - before.RowsStreamed; streamed != 3 || cur.Stats().Rows != 3 {
 		t.Errorf("%d rows streamed, trailer says %d; want the root schema's 3 and nothing after the cancel", streamed, cur.Stats().Rows)
+	}
+}
+
+// TestWireConnectionLossCancels: a client that drops its connection while
+// the engine waits on the overlay cancels the engine there, not when it
+// next hands rows to the dead socket.
+func TestWireConnectionLossCancels(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	c, q, addr := chainServer(t, delay)
+	watcher, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watcher.Close()
+	ctx := context.Background()
+	cur, err := c.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cur.Next(ctx); !ok {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+	// The root's rows are out; the engine now waits on a mapping lookup.
+	c.Close()
+	dropped := time.Now()
+	for {
+		st, err := watcher.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ActiveQueries == 0 {
+			return
+		}
+		if since := time.Since(dropped); since > delay/2 {
+			t.Fatalf("engine still running %v after its connection dropped", since)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -53,7 +53,9 @@ func FuzzOverlayDecode(f *testing.F) {
 		seeds = append(seeds, frameOf(FrameOverlay, h.payload))
 	}
 	// What a peer built before tags 23 and 24 were retired sends under
-	// them: a sync request for path 01, an empty sync response.
+	// them: a sync request for path 01, an empty sync response. These old
+	// frames still carry the message type string (empty here) after the
+	// sender.
 	seeds = append(seeds, frameOf(FrameOverlay, uv(0, 0, 23, 2, "01", 0)), frameOf(FrameOverlay, uv(0, 0, 24, 0, 0, 0)))
 	// And under tags 27 and 28, before the recursive reformulation messages
 	// were retired: a step for (?x, <A#org>, "v") with TTL 5 and confidence

@@ -151,7 +151,7 @@ func TestJournalFixtureRestores(t *testing.T) {
 	tomb := storedKinds("tomb")[7]
 	want = append(want, held{tomb.Key, tomb.Value, true})
 	var got []held
-	node.VisitState(func(key string, value any, tomb bool) { got = append(got, held{key, value, tomb}) })
+	node.VisitState(func(e store.Entry) { got = append(got, held{e.Key, e.Value, e.Op == store.OpDelete}) })
 	if len(got) != len(want) {
 		t.Errorf("restored %d values and tombstones, wrote %d", len(got), len(want))
 	}

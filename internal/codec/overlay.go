@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 const FrameOverlay byte = 1
 
 // Envelope is what an overlay frame carries, in this order: a request names
-// its sender, a response the handler's error if there was one.
+// its sender, then the message's payload, whose tag is its kind; a response
+// carries the handler's error if there was one.
 type Envelope struct {
 	From simnet.PeerID
 	Msg  simnet.Message
@@ -43,7 +45,6 @@ func DecodeOverlay(payload []byte) (Envelope, error) {
 
 func (c *Codec) envelope(e *Envelope) {
 	c.Str((*string)(&e.From))
-	c.Str(&e.Msg.Type)
 	c.any(&e.Msg.Payload)
 	c.Str(&e.Err)
 }
@@ -304,17 +305,24 @@ func (c *Codec) predicateStats(m *triple.PredicateStats) {
 	Ptr(c, &m.ObjectSketch, c.sketch)
 }
 
-// instant is a time as Unix seconds and nanoseconds: the instant survives,
-// the monotonic reading and the location do not (it decodes as local time,
-// which is what gob made of a time.Now).
+// instant is a time as Unix nanoseconds, whose varint is nine bytes for
+// every clock from 1971 to 2116: a digest's frame length does not follow the
+// time it was published. The zero time, outside UnixNano's range (years
+// 1678 to 2262, the times this layout carries), is math.MinInt64. The
+// instant survives, the monotonic reading and the location do not (it
+// decodes as local time, which is what gob made of a time.Now).
 func (c *Codec) instant(t *time.Time) {
-	sec, nsec := t.Unix(), t.Nanosecond()
-	c.Int64(&sec)
-	c.Int(&nsec)
-	if nsec < 0 || nsec >= int(time.Second) {
-		c.fail("nanoseconds out of range")
-	} else if !c.encoding {
-		*t = time.Unix(sec, int64(nsec))
+	ns := int64(math.MinInt64)
+	if !t.IsZero() {
+		ns = t.UnixNano()
+	}
+	c.Int64(&ns)
+	switch {
+	case c.encoding:
+	case ns == math.MinInt64:
+		*t = time.Time{}
+	default:
+		*t = time.Unix(0, ns)
 	}
 }
 

@@ -140,7 +140,7 @@ func filled(t testing.TB, zero any) any {
 // it decoded to.
 func roundTrip(t *testing.T, payload any) ([]byte, any) {
 	t.Helper()
-	want := Envelope{From: "from", Msg: simnet.Message{Type: "t", Payload: payload}, Err: "err"}
+	want := Envelope{From: "from", Msg: simnet.Message{Payload: payload}, Err: "err"}
 	frame, err := EncodeOverlay(&want)
 	if err != nil {
 		t.Fatalf("encode %T: %v", payload, err)
@@ -153,7 +153,7 @@ func roundTrip(t *testing.T, payload any) ([]byte, any) {
 	if err != nil {
 		t.Fatalf("decode %T: %v", payload, err)
 	}
-	if got.From != want.From || got.Err != want.Err || got.Msg.Type != "t" {
+	if got.From != want.From || got.Err != want.Err {
 		t.Fatalf("%T envelope came back %+v", payload, got)
 	}
 	again, err := EncodeOverlay(&got)
@@ -168,8 +168,7 @@ func roundTrip(t *testing.T, payload any) ([]byte, any) {
 // every field at every depth non-zero and distinct, what is not carried
 // comes back zero and fails DeepEqual. Every tag has a case here, and the
 // zero value of every type round-trips too (empty slices and maps are nil
-// on both sides; a zero time only re-encodes identically, it comes back in
-// local time).
+// on both sides).
 func TestOverlayRoundTripsEveryField(t *testing.T) {
 	all := tagged()
 	if len(all) != len(kinds) {
@@ -177,11 +176,11 @@ func TestOverlayRoundTripsEveryField(t *testing.T) {
 	}
 	for tag, zero := range all {
 		frame, got := roundTrip(t, zero)
-		// Payload: from "from" (5 bytes), type "t" (2), then the any's tag.
-		if frame[FrameHeader+7] != byte(tag) {
-			t.Errorf("%T encodes under tag %d, listed at %d", zero, frame[FrameHeader+7], tag)
+		// Payload: from "from" (5 bytes), then the any's tag.
+		if frame[FrameHeader+5] != byte(tag) {
+			t.Errorf("%T encodes under tag %d, listed at %d", zero, frame[FrameHeader+5], tag)
 		}
-		if _, isDigest := zero.(mediation.StatsDigest); !isDigest && !reflect.DeepEqual(got, zero) {
+		if !reflect.DeepEqual(got, zero) {
 			t.Errorf("zero %T came back %#v", zero, got)
 		}
 		if zero == nil {
@@ -190,6 +189,28 @@ func TestOverlayRoundTripsEveryField(t *testing.T) {
 		want := filled(t, zero)
 		if _, got := roundTrip(t, want); !reflect.DeepEqual(got, want) {
 			t.Errorf("%T came back different:\n got %+v\nwant %+v", want, got, want)
+		}
+	}
+}
+
+// TestDigestLengthIgnoresTheClock: a statistics digest's frame is as long
+// whenever it was published, so counting frame bytes does not read the
+// clock; the zero time stays apart from the epoch.
+func TestDigestLengthIgnoresTheClock(t *testing.T) {
+	lengths := map[int][]time.Time{}
+	for _, at := range []time.Time{
+		time.Unix(40_000_000, 0), time.Unix(1_700_000_000, 5), time.Now(), time.Unix(4_000_000_000, 999_999_999),
+	} {
+		frame, _ := roundTrip(t, mediation.StatsDigest{Origin: "p", Schema: "EMBL", Published: at})
+		lengths[len(frame)] = append(lengths[len(frame)], at)
+	}
+	if len(lengths) != 1 {
+		t.Errorf("digest frame lengths by publication time: %v", lengths)
+	}
+	for _, at := range []time.Time{{}, time.Unix(0, 0)} {
+		_, got := roundTrip(t, mediation.StatsDigest{Published: at})
+		if back := got.(mediation.StatsDigest).Published; back.IsZero() != at.IsZero() || !back.Equal(at) {
+			t.Errorf("published %v came back %v", at, back)
 		}
 	}
 }
@@ -216,16 +237,16 @@ var goldenFrames = []struct {
 	name string
 	env  Envelope
 }{
-	{"request-exec-pattern", Envelope{From: "p3", Msg: simnet.Message{Type: "pgrid.exec", Payload: pgrid.ExecRequest{
+	{"request-exec-pattern", Envelope{From: "p3", Msg: simnet.Message{Payload: pgrid.ExecRequest{
 		Key: "0110", Op: pgrid.OpQuery, Payload: mediation.PatternQuery{
 			Patterns: []triple.Pattern{{S: triple.Var("x"), P: triple.Const("EMBL#Organism"), O: triple.LikeTerm("%Aspergillus%")}},
 			Filters:  []mediation.VarFilter{{Var: "x", Values: []string{"EMBL:A78712"}}},
 		}}}}},
-	{"response-exec-rows", Envelope{Msg: simnet.Message{Type: "pgrid.exec", Payload: pgrid.ExecResponse{
+	{"response-exec-rows", Envelope{Msg: simnet.Message{Payload: pgrid.ExecResponse{
 		Responsible: true, AppResult: goldenRows(), Path: "011"}}}},
-	{"response-exec-mappings", Envelope{Msg: simnet.Message{Type: "pgrid.exec", Payload: pgrid.ExecResponse{
+	{"response-exec-mappings", Envelope{Msg: simnet.Message{Payload: pgrid.ExecResponse{
 		Responsible: true, Values: []any{goldenMapping(), schema.Schema{Name: "EMBL", Domain: "bio", Attributes: []string{"Organism"}}}, Path: "10"}}}},
-	{"request-batch-update", Envelope{From: "p0", Msg: simnet.Message{Type: "pgrid.batch", Payload: pgrid.BatchUpdate{Entries: []pgrid.BatchEntry{
+	{"request-batch-update", Envelope{From: "p0", Msg: simnet.Message{Payload: pgrid.BatchUpdate{Entries: []pgrid.BatchEntry{
 		{Key: "0101", Op: pgrid.OpInsert, Value: goldenRows()[0]},
 		{Key: "0111", Op: pgrid.OpDelete, Value: goldenRows()[1]},
 		{Key: "1000", Op: pgrid.OpReplace, Value: mediation.DomainDegree{Schema: "EMBL", InDegree: 1, OutDegree: 2}},
@@ -357,24 +378,24 @@ func uv(parts ...any) []byte {
 	return b
 }
 
-// hostilePayloads are payloads (sender "", message type "", then an any)
-// the decoder must refuse. The first three are the allocation attacks.
+// hostilePayloads are payloads (sender "", then an any) the decoder must
+// refuse. The first three are the allocation attacks.
 var hostilePayloads = []struct {
 	name    string
 	payload []byte
 }{
-	{"2^40 batch entries", uv(0, 0, tagBatchUpdate, 1<<40)},
-	{"2^40 list elements", uv(0, 0, tagList, 1<<40)},
-	{"string past the end", uv(0, 0, tagString, 200, "short")},
-	{"lists nested past the depth bound", append(append([]byte{0, 0}, bytes.Repeat([]byte{tagList, 1}, maxDepth+1)...), 0, 0)},
-	{"tag 27, one past the table", uv(0, 0, 27, 0)},
-	{"op 6", uv(0, 0, tagExecRequest, 0, 6, 0, 0)},
-	{"map keys out of order", append(uv(0, 0, tagDigestResponse, 2, 1, "b", "12345678", 1, "a", "12345678", 0), 0)},
-	{"map key twice", append(uv(0, 0, tagDigestResponse, 2, 1, "a", "12345678", 1, "a", "12345678", 0), 0)},
-	{"10^9 nanoseconds", uv(0, 0, tagStatsDigest, 0, 0, 0, 2_000_000_000, 0, 0)},
-	{"truncated sketch", uv(0, 0, tagStatsDigest, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, "short", 0)},
-	{"trailing byte", uv(0, 0, 0, 0, 0)},
-	{"no error text", uv(0, 0, 0)},
+	{"2^40 batch entries", uv(0, tagBatchUpdate, 1<<40)},
+	{"2^40 list elements", uv(0, tagList, 1<<40)},
+	{"string past the end", uv(0, tagString, 200, "short")},
+	{"lists nested past the depth bound", append(append([]byte{0}, bytes.Repeat([]byte{tagList, 1}, maxDepth+1)...), 0, 0)},
+	{"tag 27, one past the table", uv(0, 27, 0)},
+	{"op 6", uv(0, tagExecRequest, 0, 6, 0, 0)},
+	{"map keys out of order", append(uv(0, tagDigestResponse, 2, 1, "b", "12345678", 1, "a", "12345678", 0), 0)},
+	{"map key twice", append(uv(0, tagDigestResponse, 2, 1, "a", "12345678", 1, "a", "12345678", 0), 0)},
+	{"publication time past the end", uv(0, tagStatsDigest, 0, 0, "\xff\xff")},
+	{"truncated sketch", uv(0, tagStatsDigest, 0, 0, 0, 1, 0, 0, 0, 0, 1, "short", 0)},
+	{"trailing byte", uv(0, 0, 0, 0)},
+	{"no error text", uv(0, 0)},
 	{"empty", nil},
 }
 

@@ -41,17 +41,17 @@ func (n codecNet) Send(ctx context.Context, from, to simnet.PeerID, msg simnet.M
 func (n codecNet) cross(e Envelope) Envelope {
 	frame, err := EncodeOverlay(&e)
 	if err != nil {
-		n.t.Errorf("%q message does not encode: %v", e.Msg.Type, err)
+		n.t.Errorf("%T message does not encode: %v", e.Msg.Payload, err)
 		return e
 	}
 	_, payload, err := ReadFrame(bytes.NewReader(frame), FrameOverlay)
 	if err != nil {
-		n.t.Errorf("%q frame does not read back: %v", e.Msg.Type, err)
+		n.t.Errorf("%T frame does not read back: %v", e.Msg.Payload, err)
 		return e
 	}
 	out, err := DecodeOverlay(payload)
 	if err != nil {
-		n.t.Errorf("%q message does not decode: %v", e.Msg.Type, err)
+		n.t.Errorf("%T message does not decode: %v", e.Msg.Payload, err)
 		return e
 	}
 	return out

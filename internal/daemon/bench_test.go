@@ -81,7 +81,7 @@ func BenchmarkStagingSend(b *testing.B) {
 		msg  simnet.Message
 	}{
 		{"read", to, msg},
-		{"goroutine", "goroutine", simnet.Message{Type: "x"}},
+		{"goroutine", "goroutine", simnet.Message{Payload: "x"}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

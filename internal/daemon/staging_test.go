@@ -37,7 +37,7 @@ func TestStagingLocalDeliveryOpensNoSocket(t *testing.T) {
 	s.host("mine")
 
 	ctx := context.Background()
-	resp, err := s.Send(ctx, "theirs", "mine", simnet.Message{Type: "x", Payload: "local"})
+	resp, err := s.Send(ctx, "theirs", "mine", simnet.Message{Payload: "local"})
 	if err != nil || resp.Payload != "local" {
 		t.Fatalf("local send: resp = %+v, err = %v", resp, err)
 	}
@@ -46,7 +46,7 @@ func TestStagingLocalDeliveryOpensNoSocket(t *testing.T) {
 			msgs, tr.PoolStats(), s.local.Load())
 	}
 
-	resp, err = s.Send(ctx, "mine", "theirs", simnet.Message{Type: "x", Payload: "remote"})
+	resp, err = s.Send(ctx, "mine", "theirs", simnet.Message{Payload: "remote"})
 	if err != nil || resp.Payload != "remote" {
 		t.Fatalf("remote send: resp = %+v, err = %v", resp, err)
 	}
@@ -58,8 +58,8 @@ func TestStagingLocalDeliveryOpensNoSocket(t *testing.T) {
 
 // TestStagingAbandonedDeliveryIsDrained: a fired ctx returns the sender
 // at once, as on the socket path, but the handler it walked away from
-// keeps running; drain waits for it and turns later deliveries away. The
-// message type "x" is not a read (pgrid.ReadOnly), so the delivery takes
+// keeps running; drain waits for it and turns later deliveries away. A
+// string payload is not a read (pgrid.ReadOnly), so the delivery takes
 // the goroutine path: only there can the sender walk away.
 func TestStagingAbandonedDeliveryIsDrained(t *testing.T) {
 	s := newStaging(t)
@@ -76,7 +76,7 @@ func TestStagingAbandonedDeliveryIsDrained(t *testing.T) {
 		<-entered
 		cancel()
 	}()
-	if _, err := s.Send(ctx, "a", "mine", simnet.Message{Type: "x"}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Send(ctx, "a", "mine", simnet.Message{Payload: "x"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled while the handler is still running", err)
 	}
 
@@ -94,19 +94,19 @@ func TestStagingAbandonedDeliveryIsDrained(t *testing.T) {
 	<-drained
 	// Draining: the delivery is left to the transport, which knows no
 	// address for a peer only ever reached in-process.
-	if _, err := s.Send(context.Background(), "a", "mine", simnet.Message{Type: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
+	if _, err := s.Send(context.Background(), "a", "mine", simnet.Message{Payload: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("send after drain: err = %v, want ErrUnreachable", err)
 	}
 }
 
 // readMsg is a message pgrid answers from local state, so staging delivers
-// it on the caller's goroutine.
-var readMsg = simnet.Message{Type: "pgrid.ping"}
+// it on the caller's goroutine: the empty message, pgrid's liveness probe.
+var readMsg = simnet.Message{}
 
 func newStaging(t *testing.T) *staging {
 	t.Helper()
 	if !pgrid.ReadOnly(readMsg) {
-		t.Fatalf("%q is no longer a read; pick another", readMsg.Type)
+		t.Fatalf("%+v is no longer a read; pick another", readMsg)
 	}
 	tr := tcpnet.NewTransport()
 	t.Cleanup(tr.Close)
@@ -125,9 +125,9 @@ func TestStagingCancelledSendIsNotDelivered(t *testing.T) {
 	s.host("mine")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, msg := range []simnet.Message{readMsg, {Type: "x"}} {
+	for _, msg := range []simnet.Message{readMsg, {Payload: "x"}} {
 		if _, err := s.Send(ctx, "a", "mine", msg); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", msg.Type, err)
+			t.Fatalf("%+v: err = %v, want context.Canceled", msg, err)
 		}
 	}
 	if calls.Load() != 0 || s.local.Load() != 0 {
@@ -163,7 +163,7 @@ func TestStagingReadRunsOnTheCallersGoroutine(t *testing.T) {
 	if !extra(readMsg, 0) {
 		t.Errorf("a read's handler never saw the caller's goroutine count (last %d)", inside)
 	}
-	if !extra(simnet.Message{Type: "x"}, 1) {
+	if !extra(simnet.Message{Payload: "x"}, 1) {
 		t.Errorf("a non-read's handler never saw one goroutine more than the caller (last %d)", inside)
 	}
 }
@@ -178,7 +178,7 @@ func TestStagingDrainWaitsForInlineRead(t *testing.T) {
 	s.Register("mine", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
 		close(entered)
 		<-release
-		return m, nil
+		return simnet.Message{Payload: "answer"}, nil
 	}))
 	s.host("mine")
 
@@ -208,7 +208,7 @@ func TestStagingDrainWaitsForInlineRead(t *testing.T) {
 	}
 	close(release)
 	<-drained
-	if r := <-sent; r.err != nil || r.msg.Type != readMsg.Type {
+	if r := <-sent; r.err != nil || r.msg.Payload != "answer" {
 		t.Fatalf("inline read: %+v, want the handler's answer despite the fired ctx", r)
 	}
 }

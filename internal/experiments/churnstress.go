@@ -11,6 +11,7 @@ import (
 	"gridvine/internal/metrics"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/simnet"
+	"gridvine/internal/store"
 )
 
 // --- EXP-O: churn stress with digest-based anti-entropy repair ----------
@@ -176,13 +177,13 @@ func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
 				continue
 			}
 			var pull pgrid.RepairResponse
-			byID[r].VisitState(func(key string, value any, tomb bool) {
+			byID[r].VisitState(func(e store.Entry) {
 				switch {
-				case !strings.HasPrefix(key, path):
-				case tomb:
-					pull.Tombs = append(pull.Tombs, pgrid.Tombstone{Key: key, Value: value})
+				case !strings.HasPrefix(e.Key, path):
+				case e.Op == store.OpDelete:
+					pull.Tombs = append(pull.Tombs, pgrid.Tombstone{Key: e.Key, Value: e.Value})
 				default:
-					pull.Missing = append(pull.Missing, pgrid.SubtreeItem{Key: key, Value: value})
+					pull.Missing = append(pull.Missing, pgrid.SubtreeItem{Key: e.Key, Value: e.Value})
 				}
 			})
 			out.FullRepairBytes += ask + size(pull)

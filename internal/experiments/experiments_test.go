@@ -482,6 +482,29 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestExperimentsReplay: C, D, E and J render the same table twice in one
+// process for one seed at quick scale, so nothing they print depends on
+// state an earlier run left behind or on the clock.
+func TestExperimentsReplay(t *testing.T) {
+	for _, id := range []string{"C", "D", "E", "J"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("no EXP-%s", id)
+		}
+		var tables [2]string
+		for i := range tables {
+			r, err := e.Run(true, 1)
+			if err != nil {
+				t.Fatalf("EXP-%s run %d: %v", id, i+1, err)
+			}
+			tables[i] = r.Table()
+		}
+		if tables[0] != tables[1] {
+			t.Errorf("EXP-%s replays differently:\n%s\nthen\n%s", id, tables[0], tables[1])
+		}
+	}
+}
+
 // TestCommittedSnapshotsPassTheirGates decodes every entry of the committed
 // BENCH_*.json trajectory files into its registered result type and runs
 // the gate it was produced under.

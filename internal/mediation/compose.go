@@ -183,9 +183,9 @@ func (r *reformulation) group(pending []compose.Step) (groups []keyGroup, patter
 // traversal would. It flushes the sink first, as traverse does before a
 // wave, so no row waits on the overlay. stopped reports that the sink ended
 // the search. group and emit are functions of their own to keep the frames
-// under a routed call small: a search runs on the wire handler's goroutine
-// or on a cursor's, either started afresh for it, whose stack is copied each
-// time it outgrows it, and an in-process answer is selected on that stack.
+// under a routed call small: a Cursor's goroutine and runPoolCtx's workers
+// start afresh for one search, their stacks are copied each time they
+// outgrow them, and an in-process answer is selected on those stacks.
 func (r *reformulation) flush(ctx context.Context) (stopped bool, err error) {
 	pending := r.variants[r.shipped:]
 	if len(pending) == 0 {

@@ -76,7 +76,7 @@ func TestCrashMatrixDurablePeers(t *testing.T) {
 	// and the acked watermark when the process died.
 	type journal struct {
 		node    *pgrid.Node
-		records [][]pgrid.StoreMutation
+		records [][]store.Entry
 		acked   uint64
 	}
 	setupOps := 0
@@ -90,9 +90,9 @@ func TestCrashMatrixDurablePeers(t *testing.T) {
 		for i, p := range ps {
 			j, p := &journal{node: p.Node()}, p
 			js[i] = j
-			p.Node().SetStoreHook(func(muts []pgrid.StoreMutation) func() {
-				j.records = append(j.records, muts)
-				return p.hookStore(muts)
+			p.Node().SetStoreHook(func(changes []store.Entry) func() {
+				j.records = append(j.records, changes)
+				return p.hookStore(changes)
 			})
 		}
 		for i, b := range crashWrites() {
@@ -140,8 +140,10 @@ func TestCrashMatrixDurablePeers(t *testing.T) {
 					t.Fatalf("%s: peer %s recovered seq %d > %d records written", name, id, seq, len(j.records))
 				}
 				ref := pgrid.NewNode(id, j.node.Path(), simnet.NewNetwork(), pgrid.Config{})
-				for _, muts := range j.records[:seq] {
-					ref.RestoreState(nil, nil, muts)
+				for _, rec := range j.records[:seq] {
+					if err := ref.RestoreState(nil, nil, rec); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if got, want := recovered[i].Node().ContentDigest(), ref.ContentDigest(); got != want {
 					t.Fatalf("%s: peer %s recovered digest %x != reference prefix digest %x (seq %d, acked %d)",

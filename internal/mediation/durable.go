@@ -1,9 +1,6 @@
 package mediation
 
 import (
-	"fmt"
-
-	"gridvine/internal/keyspace"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/store"
 )
@@ -37,44 +34,15 @@ import (
 func NewDurablePeer(node *pgrid.Node, l *store.Log, rec *store.Recovery) (*Peer, error) {
 	p := NewPeer(node)
 	if rec != nil {
-		if err := p.RestoreFromRecovery(rec); err != nil {
+		if err := node.RestoreState(rec.SnapshotItems, rec.SnapshotTombs, rec.WAL); err != nil {
 			return nil, err
 		}
+		// Warm the stats cache once over the recovered state so the peer
+		// can republish stats digests immediately.
+		node.DB().Stats()
 	}
 	p.AttachLog(l)
 	return p, nil
-}
-
-// RestoreFromRecovery loads a store.Open recovery into the peer: the
-// snapshot items and tombstones plus the replayed WAL mutations go
-// into the node's store (quietly — no hooks, no replication). Must run
-// on a fresh peer before it serves traffic.
-func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
-	items := make([]pgrid.SubtreeItem, len(rec.SnapshotItems))
-	for i, e := range rec.SnapshotItems {
-		items[i] = pgrid.SubtreeItem{Key: e.Key, Value: e.Value}
-	}
-	tombs := make([]pgrid.Tombstone, len(rec.SnapshotTombs))
-	for i, e := range rec.SnapshotTombs {
-		tombs[i] = pgrid.Tombstone{Key: e.Key, Value: e.Value}
-	}
-	muts := make([]pgrid.StoreMutation, len(rec.WAL))
-	for i, e := range rec.WAL {
-		k, err := keyspace.ParseKey(e.Key)
-		if err != nil {
-			return fmt.Errorf("mediation: recovered WAL entry %d has bad key %q: %w", i, e.Key, err)
-		}
-		op := pgrid.OpInsert
-		if e.Op == store.OpDelete {
-			op = pgrid.OpDelete
-		}
-		muts[i] = pgrid.StoreMutation{Op: op, Key: k, Value: e.Value}
-	}
-	p.node.RestoreState(items, tombs, muts)
-	// Warm the stats cache once over the recovered state so the peer can
-	// republish stats digests immediately.
-	p.node.DB().Stats()
-	return nil
 }
 
 // AttachLog makes the peer durable: every subsequent overlay-store
@@ -87,13 +55,11 @@ func (p *Peer) AttachLog(l *store.Log) {
 		// One slice, items then tombstones, so the log encodes it as is.
 		var all []store.Entry
 		live := 0
-		p.node.VisitState(func(key string, value any, tomb bool) {
-			op := store.OpDelete
-			if !tomb {
-				op = store.OpInsert
+		p.node.VisitState(func(e store.Entry) {
+			if e.Op == store.OpInsert {
 				live++
 			}
-			all = append(all, store.Entry{Op: op, Key: key, Value: value})
+			all = append(all, e)
 		})
 		return all[:live], all[live:]
 	})
@@ -128,23 +94,15 @@ func (p *Peer) journal() *store.Log {
 	return p.wal
 }
 
-// logMutations stages one observed hook invocation as one WAL record and
+// logChanges stages one observed hook invocation as one WAL record and
 // returns the wait for it to be durable, after which a due snapshot is
 // taken.
-func (p *Peer) logMutations(muts []pgrid.StoreMutation) (wait func()) {
+func (p *Peer) logChanges(changes []store.Entry) (wait func()) {
 	l := p.journal()
-	if l == nil || len(muts) == 0 {
+	if l == nil || len(changes) == 0 {
 		return nil
 	}
-	entries := make([]store.Entry, len(muts))
-	for i, m := range muts {
-		op := store.OpInsert
-		if m.Op == pgrid.OpDelete {
-			op = store.OpDelete
-		}
-		entries[i] = store.Entry{Op: op, Key: m.Key.String(), Value: m.Value}
-	}
-	seq, err := l.Stage(entries)
+	seq, err := l.Stage(changes)
 	if err != nil {
 		return nil // sticky; surfaced via LogErr
 	}

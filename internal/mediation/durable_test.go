@@ -243,7 +243,9 @@ func TestTombstoneOnlyDeleteIsJournaled(t *testing.T) {
 		t.Fatalf("delete: %v", err)
 	}
 	net.Recover(replica.Node().ID())
-	replica.Node().RestoreState([]pgrid.SubtreeItem{{Key: key.String(), Value: tr}}, nil, nil)
+	if err := replica.Node().RestoreState([]store.Entry{{Op: store.OpInsert, Key: key.String(), Value: tr}}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if victim.Node().TombstoneCount() == 0 || len(victim.Node().LocalGet(key)) != 0 {
 		t.Fatalf("victim holds %d tombstones and %d values, want a tombstone and nothing stored",
 			victim.Node().TombstoneCount(), len(victim.Node().LocalGet(key)))
@@ -343,13 +345,13 @@ func TestDurablePeerRestoresEveryStoredKind(t *testing.T) {
 
 	items, tombs := map[string]bool{}, map[string]bool{}
 	for _, p := range peers {
-		p.Node().VisitState(func(_ string, v any, tomb bool) {
-			seen := items
+		p.Node().VisitState(func(e store.Entry) {
+			seen, tomb := items, e.Op == store.OpDelete
 			if tomb {
 				seen = tombs
 			}
-			seen[fmt.Sprintf("%T", v)] = true
-			if m, ok := v.(schema.Mapping); ok && !tomb {
+			seen[fmt.Sprintf("%T", e.Value)] = true
+			if m, ok := e.Value.(schema.Mapping); ok && !tomb {
 				seen[fmt.Sprintf("bidirectional=%v deprecated=%v", m.Bidirectional, m.Deprecated)] = true
 			}
 		})

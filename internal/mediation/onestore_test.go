@@ -75,8 +75,8 @@ func TestJournalKeepsApplyOrder(t *testing.T) {
 
 	inserting, deleted := make(chan struct{}), make(chan struct{})
 	var gateInsert, markDelete sync.Once
-	p.Node().SetStoreHook(func(muts []pgrid.StoreMutation) func() {
-		if muts[0].Op == pgrid.OpInsert {
+	p.Node().SetStoreHook(func(changes []store.Entry) func() {
+		if changes[0].Op == store.OpInsert {
 			gateInsert.Do(func() {
 				close(inserting)
 				select {
@@ -85,8 +85,8 @@ func TestJournalKeepsApplyOrder(t *testing.T) {
 				}
 			})
 		}
-		wait := p.hookStore(muts)
-		if muts[0].Op == pgrid.OpDelete {
+		wait := p.hookStore(changes)
+		if changes[0].Op == store.OpDelete {
 			markDelete.Do(func() { close(deleted) })
 		}
 		return wait

@@ -126,11 +126,11 @@ func (p *Peer) DB() *triple.DB { return p.node.DB() }
 // local store invalidate the composite closures through their schemas, once
 // — the responsible-peer side of the schema-graph version counter (the
 // issuer side is Peer.Write).
-func (p *Peer) hookStore(muts []pgrid.StoreMutation) (wait func()) {
-	wait = p.logMutations(muts)
+func (p *Peer) hookStore(changes []store.Entry) (wait func()) {
+	wait = p.logChanges(changes)
 	var mappings []schema.Mapping
-	for _, mut := range muts {
-		if m, ok := mut.Value.(schema.Mapping); ok {
+	for _, c := range changes {
+		if m, ok := c.Value.(schema.Mapping); ok {
 			mappings = append(mappings, m)
 		}
 	}

@@ -160,9 +160,9 @@ func (p *Peer) Run(ctx context.Context, req Request, emit func(rows []QueryRow, 
 // runner is one query's engine-side state: the validated request, the rows
 // emitted since the last hand-over, the output columns and the statistics
 // so far. It lives on the heap, the engine's frames take no copy of the
-// request and the sinks are built in functions of their own: a query runs
-// on a goroutine started for it, whose stack is copied each time it
-// outgrows it (see reformulation.flush).
+// request and the sinks are built in functions of their own: a query a
+// Cursor pulls runs on a goroutine started for it, whose stack is copied
+// each time it outgrows it (see reformulation.flush).
 type runner struct {
 	req     Request
 	parsed  *rdql.Query

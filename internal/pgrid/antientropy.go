@@ -11,6 +11,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/store"
 )
 
 // Digest-based push-pull anti-entropy between replica sets (σ(p)).
@@ -23,12 +24,6 @@ import (
 // deletion tombstones) one side lacks — replacing the full-store pull the
 // overlay used before, whose cost grew with store size regardless of how
 // little had diverged.
-
-// Message type identifiers for the anti-entropy exchange.
-const (
-	msgDigest = "pgrid.digest" // bucketed subtree digest exchange
-	msgRepair = "pgrid.repair" // item-level diff and data shipment
-)
 
 // tombSalt separates tombstone hashes from live-item hashes so a bucket
 // holding a value and a bucket holding its tombstone never compare equal.
@@ -232,28 +227,27 @@ func (n *Node) handleRepair(req RepairRequest) RepairResponse {
 // are not applied. Returns how many deletions and insertions changed the
 // store.
 func (n *Node) mergeRepair(tombs []Tombstone, items []SubtreeItem) (deleted, inserted int) {
-	n.mutate(func() (muts []StoreMutation) {
+	n.mutate(func() (changes []store.Entry) {
 		for _, t := range tombs {
-			key, err := keyspace.ParseKey(t.Key)
-			if err != nil {
+			if _, err := keyspace.ParseKey(t.Key); err != nil {
 				continue
 			}
 			n.recordTombLocked(t.Key, t.Value)
-			muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: t.Value})
+			changes = append(changes, store.Entry{Op: store.OpDelete, Key: t.Key, Value: t.Value})
 			if n.deleteLocked(t.Key, t.Value) {
 				deleted++
 			}
 		}
 		for _, it := range items {
-			key, err := keyspace.ParseKey(it.Key)
+			_, err := keyspace.ParseKey(it.Key)
 			same := sameAs(it.Value)
 			tombstoned := slices.ContainsFunc(n.tombs[it.Key], func(t tombEntry) bool { return same.is(t.value) })
 			if err == nil && !tombstoned && n.insertLocked(it.Key, it.Value) {
-				muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: it.Value})
+				changes = append(changes, store.Entry{Op: store.OpInsert, Key: it.Key, Value: it.Value})
 				inserted++
 			}
 		}
-		return muts
+		return changes
 	})
 	return deleted, inserted
 }
@@ -286,7 +280,7 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 		entries := n.hotEntries(hot)
 		if len(entries) > 0 {
 			stats.Messages++
-			if _, err := n.net.Send(ctx, n.id, r, simnet.Message{Type: msgBatchRep, Payload: BatchReplicate{Entries: entries}}); err != nil {
+			if _, err := n.net.Send(ctx, n.id, r, simnet.Message{Payload: BatchReplicate{Entries: entries}}); err != nil {
 				n.noteReplicaFailure(r, hot...)
 				return
 			}
@@ -297,7 +291,7 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 	path := n.Path().String()
 	bits := digestBucketBits
 	stats.Messages++
-	msg, err := n.net.Send(ctx, n.id, r, simnet.Message{Type: msgDigest, Payload: DigestRequest{Path: path, BucketBits: bits}})
+	msg, err := n.net.Send(ctx, n.id, r, simnet.Message{Payload: DigestRequest{Path: path, BucketBits: bits}})
 	if err != nil {
 		n.markSuspect(r)
 		return
@@ -317,7 +311,7 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 
 	have, haveTombs, items, tombVals := n.localDiff(prefixes)
 	stats.Messages++
-	msg, err = n.net.Send(ctx, n.id, r, simnet.Message{Type: msgRepair, Payload: RepairRequest{Prefixes: prefixes, Have: have, HaveTombs: haveTombs}})
+	msg, err = n.net.Send(ctx, n.id, r, simnet.Message{Payload: RepairRequest{Prefixes: prefixes, Have: have, HaveTombs: haveTombs}})
 	if err != nil {
 		n.markSuspect(r)
 		return
@@ -351,7 +345,7 @@ func (n *Node) repairWith(ctx context.Context, r simnet.PeerID, stats *RepairSta
 	}
 	if len(push) > 0 {
 		stats.Messages++
-		if _, err := n.net.Send(ctx, n.id, r, simnet.Message{Type: msgBatchRep, Payload: BatchReplicate{Entries: push}}); err != nil {
+		if _, err := n.net.Send(ctx, n.id, r, simnet.Message{Payload: BatchReplicate{Entries: push}}); err != nil {
 			keys := make([]string, len(push))
 			for i, e := range push {
 				keys[i] = e.Key

@@ -7,6 +7,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/store"
 )
 
 // replicaGroups partitions an overlay's nodes by leaf path.
@@ -341,8 +342,8 @@ func TestRepairResponseFiresHookOnce(t *testing.T) {
 	}
 	net.Recover(victim.ID())
 
-	var calls [][]StoreMutation
-	victim.SetStoreHook(func(muts []StoreMutation) func() { calls = append(calls, muts); return nil })
+	var calls [][]store.Entry
+	victim.SetStoreHook(func(changes []store.Entry) func() { calls = append(calls, changes); return nil })
 	stats := victim.AntiEntropy(ctx)
 	if stats.Pulled != inserts || stats.TombsPulled != deletes {
 		t.Fatalf("pulled %d items and %d tombstones, want %d and %d", stats.Pulled, stats.TombsPulled, inserts, deletes)
@@ -350,14 +351,14 @@ func TestRepairResponseFiresHookOnce(t *testing.T) {
 	if len(calls) != 1 {
 		t.Fatalf("hook fired %d times for one repair response, want 1", len(calls))
 	}
-	got := map[Op]int{}
-	for _, m := range calls[0] {
-		got[m.Op]++
+	got := map[store.Op]int{}
+	for _, c := range calls[0] {
+		got[c.Op]++
 	}
 	// All three deletes reach the hook, the tombstone-only one included:
 	// the tombstone is what keeps "never-stored" from being resurrected by
 	// a later repair, so a journal fed from this hook must see it too.
-	if got[OpInsert] != inserts || got[OpDelete] != deletes || len(calls[0]) != inserts+deletes {
+	if got[store.OpInsert] != inserts || got[store.OpDelete] != deletes || len(calls[0]) != inserts+deletes {
 		t.Fatalf("hook saw %v, want %d inserts and %d deletes", got, inserts, deletes)
 	}
 	if survivor.ContentDigest() != victim.ContentDigest() {

@@ -191,7 +191,7 @@ func (n *Node) WriteBatch(ctx context.Context, entries []BatchEntry) (*BatchOutc
 		} else {
 			dest := route.Contacted[len(route.Contacted)-1]
 			out.Route.Messages++
-			msg, err := n.net.Send(ctx, n.id, dest, simnet.Message{Type: msgBatch, Payload: BatchUpdate{Entries: group}})
+			msg, err := n.net.Send(ctx, n.id, dest, simnet.Message{Payload: BatchUpdate{Entries: group}})
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					return out, cerr

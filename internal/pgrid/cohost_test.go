@@ -31,7 +31,7 @@ func replicasOf(ov *Overlay, key keyspace.Key) []*Node {
 func failExec(net *simnet.Network, n *Node, fails func(calls int64) bool) *atomic.Int64 {
 	var calls atomic.Int64
 	net.Register(n.ID(), simnet.HandlerFunc(func(from simnet.PeerID, m simnet.Message) (simnet.Message, error) {
-		if m.Type == msgExec && fails(calls.Add(1)) {
+		if _, exec := m.Payload.(ExecRequest); exec && fails(calls.Add(1)) {
 			return simnet.Message{}, errors.New("handler failed")
 		}
 		return n.HandleMessage(from, m)

@@ -185,7 +185,7 @@ func TestSuspectedPeerIsNeverAHint(t *testing.T) {
 // given.
 func rogue(path string) simnet.Handler {
 	return simnet.HandlerFunc(func(simnet.PeerID, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Type: msgExec, Payload: ExecResponse{Responsible: true, Path: path}}, nil
+		return simnet.Message{Payload: ExecResponse{Responsible: true, Path: path}}, nil
 	})
 }
 

@@ -6,35 +6,26 @@ import (
 	"gridvine/internal/simnet"
 )
 
-// Message type identifiers on the transport.
-const (
-	msgExec     = "pgrid.exec"     // routed storage / query operation
-	msgBatch    = "pgrid.batch"    // direct batched mutation delivery
-	msgBatchRep = "pgrid.batchrep" // batched replica synchronization
-	msgSubtree  = "pgrid.subtree"  // prefix-subtree enumeration step
-	msgPing     = "pgrid.ping"     // liveness probe
-)
-
 // ReadOnly reports whether msg's handler only reads the receiving node's
 // local state: it takes the node's and the index's read locks, answers, and
 // never sends, appends to the journal or fsyncs. A transport that delivers
 // between co-hosted peers may run such a message on the sender's goroutine.
 //
-// That holds for a ping, a routed get, a routed query and a probe without a
-// head entry. A query runs the node's QueryHandler, and mediation's sends
-// nothing: one σ per pattern of a PatternQuery, or the connectivity
-// indicator from the degree reports stored under the key. A
+// That holds for the empty message (the liveness probe), a routed get, a
+// routed query and a probe without a head entry. A query runs the node's
+// QueryHandler, and mediation's sends nothing: one σ per pattern of a
+// PatternQuery, or the connectivity indicator from the degree reports
+// stored under the key. A
 // probe carrying a BatchEntry, a batch, a replica push and a repair apply
 // mutations (journal append, fsync, BatchReplicate). A subtree step and a
 // digest scan the whole store, so they stay off the caller's goroutine and
 // an inline delivery costs at most one key's values.
 func ReadOnly(msg simnet.Message) bool {
-	switch msg.Type {
-	case msgPing:
+	switch req := msg.Payload.(type) {
+	case nil:
 		return true
-	case msgExec:
-		req, ok := msg.Payload.(ExecRequest)
-		return ok && (req.Op == OpGet || req.Op == OpQuery || req.Op == OpProbe && req.Payload == nil)
+	case ExecRequest:
+		return req.Op == OpGet || req.Op == OpQuery || req.Op == OpProbe && req.Payload == nil
 	}
 	return false
 }

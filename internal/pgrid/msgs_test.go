@@ -1,31 +1,29 @@
 package pgrid
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"gridvine/internal/simnet"
 )
 
-// TestReadOnlyClassifiesEveryKind: every overlay message type and every Op
-// an ExecRequest can carry has a row here, so a new kind or op fails this
-// test until someone decides whether its handler may run on the sender's
-// goroutine.
+// TestReadOnlyClassifiesEveryKind: every payload the node's handlers
+// dispatch on and every Op an ExecRequest can carry has a row here, so a
+// new kind or op fails this test until someone decides whether its handler
+// may run on the sender's goroutine.
 func TestReadOnlyClassifiesEveryKind(t *testing.T) {
 	exec := func(op Op, payload any) simnet.Message {
-		return simnet.Message{Type: msgExec, Payload: ExecRequest{Key: "0101", Op: op, Payload: payload}}
+		return simnet.Message{Payload: ExecRequest{Key: "0101", Op: op, Payload: payload}}
 	}
 	cases := []struct {
 		name string
 		msg  simnet.Message
 		want bool
 	}{
-		{"ping", simnet.Message{Type: msgPing}, true},
+		{"ping", simnet.Message{}, true},
 		{"get", exec(OpGet, nil), true},
 		{"query", exec(OpQuery, "pattern"), true},
 		{"probe", exec(OpProbe, nil), true},
@@ -35,21 +33,20 @@ func TestReadOnlyClassifiesEveryKind(t *testing.T) {
 		{"insert", exec(OpInsert, "v"), false},
 		{"delete", exec(OpDelete, "v"), false},
 		{"replace", exec(OpReplace, "v"), false},
-		{"exec with a foreign payload", simnet.Message{Type: msgExec, Payload: "not a request"}, false},
-		{"batch", simnet.Message{Type: msgBatch, Payload: BatchUpdate{}}, false},
-		{"replica push", simnet.Message{Type: msgBatchRep, Payload: BatchReplicate{}}, false},
-		{"repair", simnet.Message{Type: msgRepair, Payload: RepairRequest{}}, false},
+		{"batch", simnet.Message{Payload: BatchUpdate{}}, false},
+		{"replica push", simnet.Message{Payload: BatchReplicate{}}, false},
+		{"repair", simnet.Message{Payload: RepairRequest{}}, false},
 		// Both scan the whole store.
-		{"subtree", simnet.Message{Type: msgSubtree, Payload: SubtreeRequest{}}, false},
-		{"digest", simnet.Message{Type: msgDigest, Payload: DigestRequest{}}, false},
-		{"unknown type", simnet.Message{Type: "x"}, false},
+		{"subtree", simnet.Message{Payload: SubtreeRequest{}}, false},
+		{"digest", simnet.Message{Payload: DigestRequest{}}, false},
+		{"unknown payload", simnet.Message{Payload: "x"}, false},
 	}
-	types, ops := map[string]bool{}, map[Op]bool{}
+	kinds, ops := map[string]bool{}, map[Op]bool{}
 	for _, tc := range cases {
 		if got := ReadOnly(tc.msg); got != tc.want {
 			t.Errorf("%s: ReadOnly = %v, want %v", tc.name, got, tc.want)
 		}
-		types[tc.msg.Type] = true
+		kinds[fmt.Sprintf("%T", tc.msg.Payload)] = true
 		if req, ok := tc.msg.Payload.(ExecRequest); ok {
 			ops[req.Op] = true
 		}
@@ -59,49 +56,44 @@ func TestReadOnlyClassifiesEveryKind(t *testing.T) {
 			t.Errorf("op %v has no row", op)
 		}
 	}
-	for _, name := range messageTypes(t) {
-		if !types[name] {
-			t.Errorf("message type %q has no row", name)
+	for _, name := range handledKinds(t) {
+		if !kinds[name] {
+			t.Errorf("payload %s has no row", name)
 		}
 	}
 }
 
-// messageTypes lists the values of the package's msg* string constants.
-func messageTypes(t *testing.T) []string {
+// handledKinds lists, as %T prints them, the payload types the cases of
+// HandleMessage's and handleMaintenance's type switches name.
+func handledKinds(t *testing.T) []string {
 	t.Helper()
-	files, err := filepath.Glob("*.go")
+	f, err := parser.ParseFile(token.NewFileSet(), "node.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []string
-	fset := token.NewFileSet()
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "HandleMessage" && fn.Name.Name != "handleMaintenance" {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			spec, ok := n.(*ast.ValueSpec)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			clause, ok := n.(*ast.CaseClause)
 			if !ok {
 				return true
 			}
-			for i, id := range spec.Names {
-				if !strings.HasPrefix(id.Name, "msg") || i >= len(spec.Values) {
-					continue
-				}
-				if lit, ok := spec.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					v, _ := strconv.Unquote(lit.Value)
-					out = append(out, v)
+			for _, e := range clause.List {
+				if id, ok := e.(*ast.Ident); ok && id.Name == "nil" {
+					out = append(out, "<nil>")
+				} else if ok {
+					out = append(out, "pgrid."+id.Name)
 				}
 			}
 			return true
 		})
 	}
 	if len(out) == 0 {
-		t.Fatal("found no message type constants")
+		t.Fatal("found no payload cases")
 	}
 	return out
 }

@@ -21,6 +21,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/store"
 	"gridvine/internal/triple"
 )
 
@@ -111,19 +112,14 @@ type Node struct {
 	rng   *rand.Rand
 }
 
-// StoreMutation is one observed store change, as delivered to a StoreHook.
-// An OpDelete is delivered for every recorded tombstone, whether or not the
-// value was stored: the tombstone is the change.
-type StoreMutation struct {
-	Op    Op // OpInsert or OpDelete (replaces are expanded)
-	Key   keyspace.Key
-	Value any
-}
-
 // StoreHook observes the store changes of one locked apply pass — a routed
 // or replicated batch, or one anti-entropy repair response — in a single
-// call (not construction-time data exchanges). The mediation layer uses it
-// to journal the pass as one record. Hook calls are made in apply order,
+// call (not construction-time data exchanges), each change as the journal
+// entry that records it: an insert or a delete (a replace is delivered as
+// the deletes and the insert it made). A delete is delivered for every
+// recorded tombstone, whether or not the value was stored: the tombstone is
+// the change. The mediation layer journals the pass's changes as one
+// record. Hook calls are made in apply order,
 // one at a time, under the node's order lock, so a hook must not wait on
 // another pass of its node: it stages its record and returns the wait (nil
 // for none), which runs once the next pass may apply — the place to wait
@@ -132,7 +128,7 @@ type StoreMutation struct {
 // A triple insert is reported only when it created a row in the node's
 // triple database or cleared a tombstone under its key: filing a triple
 // under its second or third key changes nothing.
-type StoreHook func(muts []StoreMutation) (wait func())
+type StoreHook func(changes []store.Entry) (wait func())
 
 // SetStoreHook registers the mutation observer.
 func (n *Node) SetStoreHook(h StoreHook) {
@@ -145,15 +141,15 @@ func (n *Node) SetStoreHook(h StoreHook) {
 // reports to the store hook in one call, outside the store lock but under
 // the order lock, so hook calls follow apply order. The hook's wait runs
 // after both are released. Every hooked store mutation goes through here.
-func (n *Node) mutate(apply func() []StoreMutation) {
+func (n *Node) mutate(apply func() []store.Entry) {
 	n.order.Lock()
 	n.mu.Lock()
-	muts := apply()
+	changes := apply()
 	hook := n.storeHook
 	n.mu.Unlock()
 	var wait func()
-	if hook != nil && len(muts) > 0 {
-		wait = hook(muts)
+	if hook != nil && len(changes) > 0 {
+		wait = hook(changes)
 	}
 	n.order.Unlock()
 	if wait != nil {
@@ -542,21 +538,18 @@ func (n *Node) nextHopInfo(key keyspace.Key) (responsible bool, hops []simnet.Pe
 	return false, out
 }
 
-// HandleMessage implements simnet.Handler, dispatching overlay RPCs.
+// HandleMessage implements simnet.Handler: a message's payload says what
+// it asks, and the empty message is a liveness probe.
 func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
-	switch msg.Type {
-	case msgPing:
-		return simnet.Message{Type: msgPing}, nil
-	case msgExec:
-		req, ok := msg.Payload.(ExecRequest)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad exec payload %T", msg.Payload)
-		}
+	switch req := msg.Payload.(type) {
+	case nil:
+		return simnet.Message{}, nil
+	case ExecRequest:
 		resp, err := n.handleExec(req)
 		if err != nil {
 			return simnet.Message{}, err
 		}
-		return simnet.Message{Type: msgExec, Payload: resp}, nil
+		return simnet.Message{Payload: resp}, nil
 	default:
 		return n.handleMaintenance(msg)
 	}
@@ -564,45 +557,26 @@ func (n *Node) HandleMessage(from simnet.PeerID, msg simnet.Message) (simnet.Mes
 
 // handleMaintenance serves the messages that write, replicate and repair.
 // It is out of HandleMessage's frame, which sits under every in-process
-// read a query makes.
+// read a query makes: a Cursor's goroutine and runPoolCtx's workers start
+// afresh for one search, and a deeper frame there can cost each of them a
+// stack copy.
 func (n *Node) handleMaintenance(msg simnet.Message) (simnet.Message, error) {
-	switch msg.Type {
-	case msgBatch:
-		req, ok := msg.Payload.(BatchUpdate)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad batch payload %T", msg.Payload)
-		}
-		applied := n.applyBatch(req.Entries, true)
-		return simnet.Message{Type: msgBatch, Payload: BatchResult{Applied: applied}}, nil
-	case msgBatchRep:
-		req, ok := msg.Payload.(BatchReplicate)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad batch replicate payload %T", msg.Payload)
-		}
+	switch req := msg.Payload.(type) {
+	case BatchUpdate:
+		return simnet.Message{Payload: BatchResult{Applied: n.applyBatch(req.Entries, true)}}, nil
+	case BatchReplicate:
 		// Replica synchronization applies unconditionally and never
 		// re-replicates.
 		n.applyBatchLocal(req.Entries, false)
-		return simnet.Message{Type: msgBatchRep}, nil
-	case msgSubtree:
-		req, ok := msg.Payload.(SubtreeRequest)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad subtree payload %T", msg.Payload)
-		}
-		return simnet.Message{Type: msgSubtree, Payload: n.handleSubtree(req)}, nil
-	case msgDigest:
-		req, ok := msg.Payload.(DigestRequest)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad digest payload %T", msg.Payload)
-		}
-		return simnet.Message{Type: msgDigest, Payload: n.handleDigest(req)}, nil
-	case msgRepair:
-		req, ok := msg.Payload.(RepairRequest)
-		if !ok {
-			return simnet.Message{}, fmt.Errorf("pgrid: bad repair payload %T", msg.Payload)
-		}
-		return simnet.Message{Type: msgRepair, Payload: n.handleRepair(req)}, nil
+		return simnet.Message{}, nil
+	case SubtreeRequest:
+		return simnet.Message{Payload: n.handleSubtree(req)}, nil
+	case DigestRequest:
+		return simnet.Message{Payload: n.handleDigest(req)}, nil
+	case RepairRequest:
+		return simnet.Message{Payload: n.handleRepair(req)}, nil
 	default:
-		return simnet.Message{}, fmt.Errorf("pgrid: unknown message type %q", msg.Type)
+		return simnet.Message{}, fmt.Errorf("pgrid: unknown payload %T", msg.Payload)
 	}
 }
 
@@ -662,7 +636,7 @@ func (n *Node) applyBatch(entries []BatchEntry, checkResponsible bool) []int {
 		// lost instead of rescanning the whole store. One message carries
 		// the whole batch.
 		//gridvine:serverctx batch replication must complete even if the issuing batch's context is cancelled, or replicas diverge
-		if _, err := n.net.Send(context.Background(), n.id, r, simnet.Message{Type: msgBatchRep, Payload: rep}); err != nil {
+		if _, err := n.net.Send(context.Background(), n.id, r, simnet.Message{Payload: rep}); err != nil {
 			n.noteReplicaFailure(r, keys...)
 		} else {
 			n.clearSuspect(r)
@@ -679,7 +653,7 @@ func (n *Node) applyBatch(entries []BatchEntry, checkResponsible bool) []int {
 // not applied.
 func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []int {
 	applied := make([]int, 0, len(entries))
-	n.mutate(func() (muts []StoreMutation) {
+	n.mutate(func() (changes []store.Entry) {
 		for i, e := range entries {
 			key, err := keyspace.ParseKey(e.Key)
 			if err != nil {
@@ -691,19 +665,19 @@ func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []in
 			switch e.Op {
 			case OpInsert:
 				if n.insertLocked(e.Key, e.Value) {
-					muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: e.Value})
+					changes = append(changes, store.Entry{Op: store.OpInsert, Key: e.Key, Value: e.Value})
 				}
 			case OpDelete:
 				n.recordTombLocked(e.Key, e.Value)
 				n.deleteLocked(e.Key, e.Value)
-				muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: e.Value})
+				changes = append(changes, store.Entry{Op: store.OpDelete, Key: e.Key, Value: e.Value})
 			case OpReplace:
 				removed, inserted := n.replaceLocked(e.Key, e.Value)
 				for _, v := range removed {
-					muts = append(muts, StoreMutation{Op: OpDelete, Key: key, Value: v})
+					changes = append(changes, store.Entry{Op: store.OpDelete, Key: e.Key, Value: v})
 				}
 				if inserted {
-					muts = append(muts, StoreMutation{Op: OpInsert, Key: key, Value: e.Value})
+					changes = append(changes, store.Entry{Op: store.OpInsert, Key: e.Key, Value: e.Value})
 				}
 			default:
 				continue
@@ -712,7 +686,7 @@ func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []in
 			// entry's intended end state holds.
 			applied = append(applied, i)
 		}
-		return muts
+		return changes
 	})
 	return applied
 }

@@ -7,6 +7,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/store"
 	"gridvine/internal/triple"
 )
 
@@ -48,8 +49,17 @@ func TestStoreHoldsNoTriple(t *testing.T) {
 	victim.AntiEntropy(ctx)
 
 	restored := NewNode("restored", victim.Path(), simnet.NewNetwork(), Config{})
-	items, tombs := victim.DumpState()
-	restored.RestoreState(items, tombs, nil)
+	var items, tombs []store.Entry
+	victim.VisitState(func(e store.Entry) {
+		if e.Op == store.OpDelete {
+			tombs = append(tombs, e)
+		} else {
+			items = append(items, e)
+		}
+	})
+	if err := restored.RestoreState(items, tombs, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	a := NewNode("a", keyspace.Key{}, simnet.NewNetwork(), Config{})
 	b := NewNode("b", keyspace.Key{}, simnet.NewNetwork(), Config{})

@@ -10,6 +10,7 @@ import (
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/simnet"
+	"gridvine/internal/store"
 )
 
 // slotValue is a Replacer test type: one live value per (Owner, Slot) pair.
@@ -113,12 +114,12 @@ func TestReplaceFiresStoreHook(t *testing.T) {
 	ov := buildReplaceOverlay(t, 8, 5)
 	key := keyspace.Hash("hooked-slot", keyspace.DefaultDepth)
 	var mu sync.Mutex
-	events := map[string]int{}
+	events := map[store.Op]int{}
 	for _, n := range ov.Nodes() {
-		n.SetStoreHook(func(muts []StoreMutation) func() {
+		n.SetStoreHook(func(changes []store.Entry) func() {
 			mu.Lock()
-			for _, m := range muts {
-				events[m.Op.String()]++
+			for _, c := range changes {
+				events[c.Op]++
 			}
 			mu.Unlock()
 			return nil
@@ -133,7 +134,7 @@ func TestReplaceFiresStoreHook(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if events["insert"] < 2 || events["delete"] < 1 {
+	if events[store.OpInsert] < 2 || events[store.OpDelete] < 1 {
 		t.Errorf("hook events = %v, want ≥2 inserts and ≥1 delete", events)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridvine/internal/keyspace"
+	"gridvine/internal/store"
 )
 
 func TestSyncFromReplicasAfterRecovery(t *testing.T) {
@@ -82,9 +83,9 @@ func TestSyncFromReplicasInvokesStoreHook(t *testing.T) {
 		t.Skip("no suitable victim")
 	}
 	hookCalls := 0
-	victim.SetStoreHook(func(muts []StoreMutation) func() {
-		for _, m := range muts {
-			if m.Op == OpInsert {
+	victim.SetStoreHook(func(changes []store.Entry) func() {
+		for _, c := range changes {
+			if c.Op == store.OpInsert {
 				hookCalls++
 			}
 		}

@@ -247,7 +247,7 @@ func (n *Node) routeOnce(ctx context.Context, key keyspace.Key, req ExecRequest,
 
 		route.Messages++
 		sendStart := time.Now()
-		msg, err := n.net.Send(ctx, n.id, next, simnet.Message{Type: msgExec, Payload: req})
+		msg, err := n.net.Send(ctx, n.id, next, simnet.Message{Payload: req})
 		if err == nil {
 			n.observeHopLatency(time.Since(sendStart))
 		}

@@ -237,32 +237,36 @@ func TestRoutingConvergenceProperty(t *testing.T) {
 	}
 }
 
+// TestPingMessage: the empty message is the liveness probe, answered with
+// the empty message.
 func TestPingMessage(t *testing.T) {
 	net, ov := testOverlay(t, 4, 2, 15)
-	resp, err := net.Send(context.Background(), ov.Nodes()[0].ID(), ov.Nodes()[1].ID(), simnet.Message{Type: msgPing})
+	resp, err := net.Send(context.Background(), ov.Nodes()[0].ID(), ov.Nodes()[1].ID(), simnet.Message{})
 	if err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if resp.Type != msgPing {
-		t.Errorf("resp.Type = %q", resp.Type)
+	if resp.Payload != nil {
+		t.Errorf("resp.Payload = %+v", resp.Payload)
 	}
 }
 
 func TestUnknownMessageType(t *testing.T) {
 	net, ov := testOverlay(t, 4, 2, 16)
-	_, err := net.Send(context.Background(), ov.Nodes()[0].ID(), ov.Nodes()[1].ID(), simnet.Message{Type: "bogus"})
+	_, err := net.Send(context.Background(), ov.Nodes()[0].ID(), ov.Nodes()[1].ID(), simnet.Message{Payload: "bogus"})
 	if err == nil {
-		t.Error("unknown message type should error")
+		t.Error("unknown payload should error")
 	}
 }
 
+// TestBadPayloads: an answer's payload is not a request, and a node sent
+// one refuses it.
 func TestBadPayloads(t *testing.T) {
 	net, ov := testOverlay(t, 4, 2, 17)
 	to := ov.Nodes()[1].ID()
 	from := ov.Nodes()[0].ID()
-	for _, typ := range []string{msgExec, msgBatch, msgBatchRep, msgSubtree} {
-		if _, err := net.Send(context.Background(), from, to, simnet.Message{Type: typ, Payload: 42}); err == nil {
-			t.Errorf("bad payload for %s should error", typ)
+	for _, payload := range []any{42, ExecResponse{}, BatchResult{}, SubtreeResponse{}, DigestResponse{}, RepairResponse{}} {
+		if _, err := net.Send(context.Background(), from, to, simnet.Message{Payload: payload}); err == nil {
+			t.Errorf("a %T payload should error", payload)
 		}
 	}
 }

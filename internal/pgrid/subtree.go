@@ -61,7 +61,7 @@ func (n *Node) SubtreeRetrieve(ctx context.Context, prefix keyspace.Key) ([]Subt
 			resp = n.handleSubtree(SubtreeRequest{Prefix: prefix.String()})
 		} else {
 			route.Messages++
-			msg, err := n.net.Send(ctx, n.id, id, simnet.Message{Type: msgSubtree, Payload: SubtreeRequest{Prefix: prefix.String()}})
+			msg, err := n.net.Send(ctx, n.id, id, simnet.Message{Payload: SubtreeRequest{Prefix: prefix.String()}})
 			if err != nil {
 				return
 			}

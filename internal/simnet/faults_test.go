@@ -17,7 +17,7 @@ func dropPattern(seed int64, rate float64, msgs int) []bool {
 	n.SetFaultPlan(p)
 	out := make([]bool, msgs)
 	for i := range out {
-		_, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"})
+		_, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"})
 		out[i] = errors.Is(err, ErrUnreachable)
 	}
 	return out
@@ -58,17 +58,17 @@ func TestFaultPlanLinkDropOverride(t *testing.T) {
 	p := NewFaultPlan(1)
 	p.SetLinkDropRate("a", "b", 1)
 	n.SetFaultPlan(p)
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("a→b should drop, got %v", err)
 	}
-	if _, err := n.Send(context.Background(), "a", "c", Message{Type: "ping"}); err != nil {
+	if _, err := n.Send(context.Background(), "a", "c", Message{Payload: "ping"}); err != nil {
 		t.Errorf("a→c should deliver, got %v", err)
 	}
-	if _, err := n.Send(context.Background(), "b", "c", Message{Type: "ping"}); err != nil {
+	if _, err := n.Send(context.Background(), "b", "c", Message{Payload: "ping"}); err != nil {
 		t.Errorf("b→c should deliver, got %v", err)
 	}
 	p.SetLinkDropRate("a", "b", 0)
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); err != nil {
 		t.Errorf("a→b after removing override: %v", err)
 	}
 }
@@ -81,15 +81,15 @@ func TestFaultPlanPartition(t *testing.T) {
 	p := NewFaultPlan(1)
 	p.Partition([]PeerID{"a"}, []PeerID{"b"})
 	n.SetFaultPlan(p)
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("cross-island a→b should drop, got %v", err)
 	}
 	// c is unnamed → island 0, isolated from both named islands.
-	if _, err := n.Send(context.Background(), "a", "c", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.Send(context.Background(), "a", "c", Message{Payload: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("a→c should drop, got %v", err)
 	}
 	p.Heal()
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); err != nil {
 		t.Errorf("a→b after heal: %v", err)
 	}
 }
@@ -132,14 +132,14 @@ func TestFaultPlanDuplication(t *testing.T) {
 	calls := 0
 	n.Register("b", HandlerFunc(func(from PeerID, msg Message) (Message, error) {
 		calls++
-		return Message{Type: "echo"}, nil
+		return Message{Payload: "echo"}, nil
 	}))
 	p := NewFaultPlan(7)
 	p.SetDuplicateRate(1)
 	n.SetFaultPlan(p)
 	const sends = 10
 	for i := 0; i < sends; i++ {
-		if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
+		if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
@@ -157,12 +157,12 @@ func TestFaultPlanJitterHonoursContext(t *testing.T) {
 	p := NewFaultPlan(1)
 	p.SetJitter(time.Nanosecond) // tiny but nonzero: exercises the delay path
 	n.SetFaultPlan(p)
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); err != nil {
 		t.Fatalf("Send with jitter: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := n.Send(ctx, "a", "b", Message{Type: "ping"}); !errors.Is(err, context.Canceled) {
+	if _, err := n.Send(ctx, "a", "b", Message{Payload: "ping"}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -14,12 +14,11 @@ import (
 // PeerID identifies a logical peer on a transport.
 type PeerID string
 
-// Message is a request or response exchanged between peers. Type routes the
-// message to the right handler logic; Payload carries an operation-specific
-// body. Over TCP a payload must be of a type with a tag in internal/codec's
-// kinds table — an untagged one does not encode.
+// Message is a request or response exchanged between peers. Its payload's
+// type is its kind: a handler dispatches on it. Over TCP a payload must be
+// of a type with a tag in internal/codec's kinds table — an untagged one
+// does not encode.
 type Message struct {
-	Type    string
 	Payload any
 }
 

@@ -11,14 +11,14 @@ import (
 
 func echoHandler(id PeerID) Handler {
 	return HandlerFunc(func(from PeerID, msg Message) (Message, error) {
-		return Message{Type: "echo", Payload: msg.Payload}, nil
+		return Message{Payload: msg.Payload}, nil
 	})
 }
 
 func TestSendAndReceive(t *testing.T) {
 	n := NewNetwork()
 	n.Register("b", echoHandler("b"))
-	resp, err := n.Send(context.Background(), "a", "b", Message{Type: "ping", Payload: 42})
+	resp, err := n.Send(context.Background(), "a", "b", Message{Payload: 42})
 	if err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestSendAndReceive(t *testing.T) {
 
 func TestSendToUnknownPeer(t *testing.T) {
 	n := NewNetwork()
-	_, err := n.Send(context.Background(), "a", "ghost", Message{Type: "ping"})
+	_, err := n.Send(context.Background(), "a", "ghost", Message{Payload: "ping"})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
@@ -48,14 +48,14 @@ func TestFailAndRecover(t *testing.T) {
 	if !n.Failed("b") {
 		t.Error("b should be failed")
 	}
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("send to failed peer: %v", err)
 	}
 	n.Recover("b")
 	if n.Failed("b") {
 		t.Error("b should have recovered")
 	}
-	if _, err := n.Send(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
+	if _, err := n.Send(context.Background(), "a", "b", Message{Payload: "ping"}); err != nil {
 		t.Errorf("send after recover: %v", err)
 	}
 }
@@ -99,7 +99,7 @@ func TestHandlerError(t *testing.T) {
 func TestSetPayloadDelaySleepsProportionally(t *testing.T) {
 	n := NewNetwork()
 	n.Register("a", HandlerFunc(func(from PeerID, msg Message) (Message, error) {
-		return Message{Type: "resp", Payload: 40}, nil
+		return Message{Payload: 40}, nil
 	}))
 	n.SetPayloadDelay(time.Millisecond, func(p any) (int, error) {
 		if v, ok := p.(int); ok {
@@ -108,7 +108,7 @@ func TestSetPayloadDelaySleepsProportionally(t *testing.T) {
 		return 0, fmt.Errorf("cannot size a %T", p)
 	})
 	start := time.Now()
-	resp, err := n.Send(context.Background(), "b", "a", Message{Type: "req", Payload: 10})
+	resp, err := n.Send(context.Background(), "b", "a", Message{Payload: 10})
 	if err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestSetPayloadDelaySleepsProportionally(t *testing.T) {
 	// An unsizable payload is still delivered, uncounted; SizeErr keeps the
 	// first refusal.
 	before := n.Stats().PayloadUnits
-	if _, err := n.Send(context.Background(), "b", "a", Message{Type: "req", Payload: "odd"}); err != nil {
+	if _, err := n.Send(context.Background(), "b", "a", Message{Payload: "odd"}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if got := n.Stats().PayloadUnits - before; got != 40 {
@@ -137,7 +137,7 @@ func TestSetPayloadDelaySleepsProportionally(t *testing.T) {
 	// Disabling restores immediate delivery.
 	n.SetPayloadDelay(0, nil)
 	start = time.Now()
-	if _, err := n.Send(context.Background(), "b", "a", Message{Type: "req", Payload: 10}); err != nil {
+	if _, err := n.Send(context.Background(), "b", "a", Message{Payload: 10}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Millisecond {
@@ -157,7 +157,7 @@ func TestSendDelayHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := n.Send(ctx, "a", "b", Message{Type: "slow"})
+	_, err := n.Send(ctx, "a", "b", Message{Payload: "slow"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -182,7 +182,7 @@ func TestSendPayloadDelayHonorsCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := n.Send(ctx, "a", "b", Message{Type: "big"})
+	_, err := n.Send(ctx, "a", "b", Message{Payload: "big"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -67,7 +67,7 @@ func BenchmarkSend(b *testing.B) {
 			defer tr.Close()
 			tr.Register("echo", echo)
 			ctx := context.Background()
-			msg := simnet.Message{Type: "bench", Payload: bc.payload}
+			msg := simnet.Message{Payload: bc.payload}
 			if _, err := tr.Send(ctx, "caller", "echo", msg); err != nil {
 				b.Fatal(err)
 			}

@@ -31,14 +31,14 @@ func TestCancelledExchangeIsNotPooled(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	tr.Register("p", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
-		if m.Type == "slow" {
+		if m.Payload == "slow" {
 			close(entered)
 			<-release
 		}
-		return simnet.Message{Type: "re:" + m.Type}, nil
+		return simnet.Message{Payload: "re:" + m.Payload.(string)}, nil
 	}))
 	// Pool one connection, so the slow request travels on a reused one.
-	if _, err := tr.Send(context.Background(), "a", "p", simnet.Message{Type: "warm"}); err != nil {
+	if _, err := tr.Send(context.Background(), "a", "p", simnet.Message{Payload: "warm"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,7 +47,7 @@ func TestCancelledExchangeIsNotPooled(t *testing.T) {
 		<-entered
 		cancel()
 	}()
-	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "slow"}); !errors.Is(err, context.Canceled) {
+	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "slow"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled send: err = %v, want context.Canceled", err)
 	}
 	if ps := tr.PoolStats(); ps.Idle != 0 {
@@ -55,8 +55,8 @@ func TestCancelledExchangeIsNotPooled(t *testing.T) {
 	}
 	close(release) // the late reply goes out now
 	for i := 0; i < 3; i++ {
-		resp, err := tr.Send(context.Background(), "a", "p", simnet.Message{Type: "fast"})
-		if err != nil || resp.Type != "re:fast" {
+		resp, err := tr.Send(context.Background(), "a", "p", simnet.Message{Payload: "fast"})
+		if err != nil || resp.Payload != "re:fast" {
 			t.Fatalf("send %d after the cancelled one: resp = %+v, err = %v; want its own reply", i, resp, err)
 		}
 	}
@@ -70,18 +70,18 @@ func TestReplyAfterContextFiredIsNotPooled(t *testing.T) {
 	defer tr.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	tr.Register("p", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
-		if m.Type == "race" {
+		if m.Payload == "race" {
 			cancel()
 		}
 		return m, nil
 	}))
-	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "race"}); err != nil && !errors.Is(err, context.Canceled) {
+	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "race"}); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the reply or context.Canceled", err)
 	}
 	if ps := tr.PoolStats(); ps.Idle != 0 {
 		t.Fatalf("pool = %+v, want nothing idle", ps)
 	}
-	if resp, err := tr.Send(context.Background(), "a", "p", simnet.Message{Type: "next"}); err != nil || resp.Type != "next" {
+	if resp, err := tr.Send(context.Background(), "a", "p", simnet.Message{Payload: "next"}); err != nil || resp.Payload != "next" {
 		t.Fatalf("next send: resp = %+v, err = %v", resp, err)
 	}
 }
@@ -96,11 +96,11 @@ func TestBigExchangeLeavesOnlyTheFixedReader(t *testing.T) {
 	defer tr.Close()
 	tr.Register("p", echo)
 	ctx := context.Background()
-	small := simnet.Message{Type: "small", Payload: "x"}
+	small := simnet.Message{Payload: "x"}
 	if _, err := tr.Send(ctx, "a", "p", small); err != nil {
 		t.Fatal(err)
 	}
-	big := simnet.Message{Type: "big", Payload: strings.Repeat("x", 1<<20)}
+	big := simnet.Message{Payload: strings.Repeat("x", 1<<20)}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -143,7 +143,7 @@ func TestIdleConnectionExpires(t *testing.T) {
 	defer tr.Close()
 	tr.Register("p", echo)
 	ctx := context.Background()
-	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"}); err != nil {
+	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	tr.pool.mu.Lock()
@@ -153,7 +153,7 @@ func TestIdleConnectionExpires(t *testing.T) {
 		}
 	}
 	tr.pool.mu.Unlock()
-	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"}); err != nil {
+	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	if ps := tr.PoolStats(); ps.Dials != 2 || ps.Reuses != 0 || ps.Redials != 0 || ps.Idle != 1 {
@@ -175,10 +175,10 @@ func TestCloseWithIdlePooledPeers(t *testing.T) {
 	a.AddPeer("pb", b.Addr("pb"))
 	b.AddPeer("pa", a.Addr("pa"))
 	ctx := context.Background()
-	if _, err := a.Send(ctx, "pa", "pb", simnet.Message{Type: "x"}); err != nil {
+	if _, err := a.Send(ctx, "pa", "pb", simnet.Message{Payload: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Send(ctx, "pb", "pa", simnet.Message{Type: "x"}); err != nil {
+	if _, err := b.Send(ctx, "pb", "pa", simnet.Message{Payload: "x"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +230,7 @@ func TestConcurrentSendersNeverWaitForTheCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"}); err != nil {
+			if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"}); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		}()
@@ -261,7 +261,7 @@ func scriptedPeer(t *testing.T, reply func(good []byte) []byte) string {
 			return
 		}
 		defer conn.Close()
-		good, _ := codec.EncodeOverlay(&codec.Envelope{Msg: simnet.Message{Type: "ok"}})
+		good, _ := codec.EncodeOverlay(&codec.Envelope{Msg: simnet.Message{Payload: "ok"}})
 		for _, out := range [][]byte{good, reply(good)} {
 			if _, _, err := codec.ReadFrame(conn, codec.FrameOverlay); err != nil {
 				return
@@ -301,13 +301,13 @@ func TestBadReplyFrameFailsTheExchange(t *testing.T) {
 		tr := NewTransport()
 		tr.AddPeer("p", scriptedPeer(t, reply))
 		ctx := context.Background()
-		if resp, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"}); err != nil || resp.Type != "ok" {
+		if resp, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"}); err != nil || resp.Payload != "ok" {
 			t.Fatalf("%s: first exchange = %+v, %v", name, resp, err)
 		}
 		if ps := tr.PoolStats(); ps.Idle != 1 {
 			t.Fatalf("%s: pool after a clean exchange = %+v, want the connection idle", name, ps)
 		}
-		_, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"})
+		_, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"})
 		if !errors.Is(err, simnet.ErrUnreachable) || !strings.Contains(err.Error(), "bad frame") {
 			t.Errorf("%s: err = %v, want unreachable over a bad frame", name, err)
 		}
@@ -326,19 +326,19 @@ func TestUntaggedPayloadIsAnErrorNotADeadPeer(t *testing.T) {
 	tr := NewTransport()
 	defer tr.Close()
 	tr.Register("p", simnet.HandlerFunc(func(_ simnet.PeerID, m simnet.Message) (simnet.Message, error) {
-		if m.Type == "reply-untagged" {
+		if m.Payload == "reply-untagged" {
 			return simnet.Message{Payload: unknown{1}}, nil
 		}
 		return m, nil
 	}))
 	ctx := context.Background()
-	for _, msg := range []simnet.Message{{Type: "send-untagged", Payload: unknown{2}}, {Type: "reply-untagged"}} {
+	for _, msg := range []simnet.Message{{Payload: unknown{2}}, {Payload: "reply-untagged"}} {
 		_, err := tr.Send(ctx, "a", "p", msg)
 		if err == nil || errors.Is(err, simnet.ErrUnreachable) || !strings.Contains(err.Error(), "tcpnet.unknown") {
-			t.Errorf("%s: err = %v, want an encoding error naming the type", msg.Type, err)
+			t.Errorf("%+v: err = %v, want an encoding error naming the type", msg.Payload, err)
 		}
 	}
-	if resp, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "fine", Payload: "x"}); err != nil || resp.Payload != "x" {
+	if resp, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"}); err != nil || resp.Payload != "x" {
 		t.Errorf("after the failures: resp = %+v, err = %v", resp, err)
 	}
 	if ps := tr.PoolStats(); ps.Dials != 1 {

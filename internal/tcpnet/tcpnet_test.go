@@ -20,13 +20,13 @@ func TestSendReceiveRoundtrip(t *testing.T) {
 	tr := NewTransport()
 	defer tr.Close()
 	tr.Register("echo", simnet.HandlerFunc(func(from simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Type: "re:" + msg.Type, Payload: msg.Payload}, nil
+		return simnet.Message{Payload: "re:" + msg.Payload.(string)}, nil
 	}))
-	resp, err := tr.Send(context.Background(), "client", "echo", simnet.Message{Type: "ping", Payload: "hello"})
+	resp, err := tr.Send(context.Background(), "client", "echo", simnet.Message{Payload: "hello"})
 	if err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if resp.Type != "re:ping" || resp.Payload != "hello" {
+	if resp.Payload != "re:hello" {
 		t.Errorf("resp = %+v", resp)
 	}
 }
@@ -34,7 +34,7 @@ func TestSendReceiveRoundtrip(t *testing.T) {
 func TestSendToUnknownPeer(t *testing.T) {
 	tr := NewTransport()
 	defer tr.Close()
-	_, err := tr.Send(context.Background(), "a", "ghost", simnet.Message{Type: "x"})
+	_, err := tr.Send(context.Background(), "a", "ghost", simnet.Message{Payload: "x"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Errorf("err = %v", err)
 	}
@@ -46,7 +46,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	tr.Register("failing", simnet.HandlerFunc(func(simnet.PeerID, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{}, errors.New("handler exploded")
 	}))
-	_, err := tr.Send(context.Background(), "a", "failing", simnet.Message{Type: "x"})
+	_, err := tr.Send(context.Background(), "a", "failing", simnet.Message{Payload: "x"})
 	if err == nil || err.Error() != "handler exploded" {
 		t.Errorf("err = %v", err)
 	}
@@ -56,9 +56,9 @@ func TestFailSimulatesCrash(t *testing.T) {
 	tr := NewTransport()
 	defer tr.Close()
 	tr.Register("victim", simnet.HandlerFunc(func(simnet.PeerID, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Type: "ok"}, nil
+		return simnet.Message{Payload: "ok"}, nil
 	}))
-	if _, err := tr.Send(context.Background(), "a", "victim", simnet.Message{Type: "x"}); err != nil {
+	if _, err := tr.Send(context.Background(), "a", "victim", simnet.Message{Payload: "x"}); err != nil {
 		t.Fatalf("pre-crash send: %v", err)
 	}
 	if ps := tr.PoolStats(); ps.Idle != 1 {
@@ -67,7 +67,7 @@ func TestFailSimulatesCrash(t *testing.T) {
 	// The pooled connection must die with the listener: a failed peer
 	// that kept answering on it would never be suspected.
 	tr.Fail("victim")
-	if _, err := tr.Send(context.Background(), "a", "victim", simnet.Message{Type: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
+	if _, err := tr.Send(context.Background(), "a", "victim", simnet.Message{Payload: "x"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Errorf("post-crash err = %v", err)
 	}
 	if ps := tr.PoolStats(); ps.Redials != 1 || ps.Idle != 0 {
@@ -105,16 +105,16 @@ func TestAddPeerExternalAddress(t *testing.T) {
 	host := NewTransport()
 	defer host.Close()
 	host.Register("remote", simnet.HandlerFunc(func(simnet.PeerID, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Type: "from-remote"}, nil
+		return simnet.Message{Payload: "from-remote"}, nil
 	}))
 	client := NewTransport()
 	defer client.Close()
 	client.AddPeer("remote", host.Addr("remote"))
-	resp, err := client.Send(context.Background(), "local", "remote", simnet.Message{Type: "x"})
+	resp, err := client.Send(context.Background(), "local", "remote", simnet.Message{Payload: "x"})
 	if err != nil {
 		t.Fatalf("cross-transport send: %v", err)
 	}
-	if resp.Type != "from-remote" {
+	if resp.Payload != "from-remote" {
 		t.Errorf("resp = %+v", resp)
 	}
 }
@@ -209,14 +209,14 @@ func TestSendHonorsContextCancellation(t *testing.T) {
 	release := make(chan struct{})
 	tr.Register("slow", simnet.HandlerFunc(func(from simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
 		<-release
-		return simnet.Message{Type: "late"}, nil
+		return simnet.Message{Payload: "late"}, nil
 	}))
 	defer close(release)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.Send(ctx, "a", "slow", simnet.Message{Type: "x"})
+	_, err := tr.Send(ctx, "a", "slow", simnet.Message{Payload: "x"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -256,7 +256,7 @@ func TestRegisterOnReusesAddress(t *testing.T) {
 		t.Fatalf("RegisterOn returned %q, Addr reports %q", addr, tr.Addr("p"))
 	}
 	ctx := context.Background()
-	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "x"}); err != nil {
+	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "x"}); err != nil {
 		t.Fatalf("send before re-bind: %v", err)
 	}
 
@@ -273,7 +273,7 @@ func TestRegisterOnReusesAddress(t *testing.T) {
 	// listener. The first send after it must succeed all the same, at
 	// the price of exactly one redial.
 	before := tr.PoolStats()
-	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Type: "y"}); err != nil {
+	if _, err := tr.Send(ctx, "a", "p", simnet.Message{Payload: "y"}); err != nil {
 		t.Fatalf("send after re-bind: %v", err)
 	}
 	after := tr.PoolStats()

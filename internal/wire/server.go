@@ -446,7 +446,8 @@ func (sc *srvConn) handleQuery(q *Query) {
 }
 
 // trailer is the Trailer of a query's outcome, ID aside. It is out of
-// handleQuery's frame, which sits under the whole engine.
+// handleQuery's frame, which sits under the whole engine: a worker started
+// when none was idle grows its small stack through that frame.
 func trailer(cols []string, st mediation.QueryStats, err error) *Trailer {
 	tr := &Trailer{
 		Columns: cols,

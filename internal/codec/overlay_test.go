@@ -249,7 +249,7 @@ var goldenFrames = []struct {
 	{"request-batch-update", Envelope{From: "p0", Msg: simnet.Message{Payload: pgrid.BatchUpdate{Entries: []pgrid.BatchEntry{
 		{Key: "0101", Op: pgrid.OpInsert, Value: goldenRows()[0]},
 		{Key: "0111", Op: pgrid.OpDelete, Value: goldenRows()[1]},
-		{Key: "1000", Op: pgrid.OpReplace, Value: mediation.DomainDegree{Schema: "EMBL", InDegree: 1, OutDegree: 2}},
+		{Key: "1000", Op: pgrid.OpInsert, Value: mediation.DomainDegree{Schema: "EMBL", InDegree: 1, OutDegree: 2}},
 	}}}}},
 }
 

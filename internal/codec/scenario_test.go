@@ -223,7 +223,8 @@ func TestMediationThroughCodec(t *testing.T) {
 		tr.note("write", fmt.Sprint(rec.Applied, rec.Groups, rec.Messages()))
 		bc2 := bc
 		bc2.Confidence = 0.8
-		tr.note("replace mapping", peers[4].ReplaceMappingContext(ctx, bc, bc2))
+		_, err = peers[4].InsertMappingContext(ctx, bc2)
+		tr.note("replace mapping", err)
 		for i, p := range peers {
 			tr.note(fmt.Sprintf("db %d", i), fmt.Sprintf("%d triples, overlay %x", p.DB().Len(), p.Node().ContentDigest()))
 		}

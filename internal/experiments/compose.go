@@ -246,7 +246,7 @@ func RunCompose(cfg ComposeConfig) (ComposeResult, error) {
 		mid := chain[len(chain)/2]
 		updated := mid
 		updated.Confidence = 0.9
-		if err := issuer.ReplaceMappingContext(ctx, mid, updated); err != nil {
+		if _, err := issuer.InsertMappingContext(ctx, updated); err != nil {
 			return out, err
 		}
 		for _, q := range queries {

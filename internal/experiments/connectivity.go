@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -133,6 +134,38 @@ func (r ConnectivityResult) Table() string {
 		)
 	}
 	return t.String() + fmt.Sprintf("ci crosses 0 at ≈%d mappings\n", r.CrossoverMappings())
+}
+
+// giantFraction is the share of the schemas a largest weakly connected
+// component must hold to count as giant: a majority.
+const giantFraction = 0.5
+
+// Check holds the paper's claim (§3.1): where every trial's ci is ≥ 0 the
+// largest weakly connected component is giant, and where none is it is
+// not. The 0-mapping row is left out — its ci is 0 by construction — and
+// at least one row of each kind must exist.
+func (r ConnectivityResult) Check() error {
+	var errs []error
+	positive, negative := 0, 0
+	for _, p := range r.Points {
+		switch {
+		case p.Mappings == 0:
+		case p.FracCIPos == 1:
+			positive++
+			if p.MeanWCCFrac <= giantFraction {
+				errs = append(errs, fmt.Errorf("%d mappings: P(ci≥0) = 1 but largest WCC = %.2f, want > %.1f", p.Mappings, p.MeanWCCFrac, giantFraction))
+			}
+		case p.FracCIPos == 0:
+			negative++
+			if p.MeanWCCFrac >= giantFraction {
+				errs = append(errs, fmt.Errorf("%d mappings: P(ci≥0) = 0 but largest WCC = %.2f, want < %.1f", p.Mappings, p.MeanWCCFrac, giantFraction))
+			}
+		}
+	}
+	if positive == 0 || negative == 0 {
+		errs = append(errs, fmt.Errorf("%d rows with P(ci≥0) = 1 and %d with 0 among those with mappings, want at least one of each", positive, negative))
+	}
+	return errors.Join(errs...)
 }
 
 // CrossoverMappings returns the first non-degenerate mapping count at which

@@ -156,6 +156,17 @@ func TestRunConnectivityEmergence(t *testing.T) {
 	if r.CrossoverMappings() < 0 {
 		t.Error("no ci crossover found")
 	}
+	// EXP-C's gate bites on a giant component where every ci < 0, on none
+	// where every ci ≥ 0, and on a sweep that has only one kind of row.
+	for _, bad := range [][]ConnectivityPoint{
+		{{Mappings: 10, FracCIPos: 0, MeanWCCFrac: 0.6}, {Mappings: 100, FracCIPos: 1, MeanWCCFrac: 0.9}},
+		{{Mappings: 10, FracCIPos: 0, MeanWCCFrac: 0.1}, {Mappings: 100, FracCIPos: 1, MeanWCCFrac: 0.4}},
+		{{Mappings: 0, FracCIPos: 1, MeanWCCFrac: 0.02}, {Mappings: 10, FracCIPos: 0, MeanWCCFrac: 0.1}},
+	} {
+		if err := (ConnectivityResult{Points: bad}).Check(); err == nil {
+			t.Errorf("Check passed %+v", bad)
+		}
+	}
 }
 
 func TestRunRecallGrowth(t *testing.T) {
@@ -453,7 +464,7 @@ func TestRunDurabilityQuick(t *testing.T) {
 }
 
 // gated lists the experiments whose result type must carry a Check.
-var gated = map[string]bool{"B": true, "K": true, "L": true, "M": true, "N": true, "O": true, "P": true, "R": true}
+var gated = map[string]bool{"B": true, "C": true, "K": true, "L": true, "M": true, "N": true, "O": true, "P": true, "R": true}
 
 func TestRegistry(t *testing.T) {
 	const order = "ABCDEJKLMNOPR"

@@ -3,8 +3,9 @@ package experiments
 import "encoding/json"
 
 // Result is what an experiment returns: every result renders the
-// paper-style table, and the gated ones (B, K, L, M, N, O, P, R) also carry
-// a Check() error method holding the inequalities the result must satisfy.
+// paper-style table, and the gated ones (B, C, K, L, M, N, O, P, R) also
+// carry a Check() error method holding the inequalities the result must
+// satisfy.
 type Result interface{ Table() string }
 
 // Experiment is one entry of the registry. Each experiment is declared

@@ -99,16 +99,13 @@ func (p *Peer) invalidateComposites(mappings []schema.Mapping) {
 	p.composites.Invalidate(schemas...)
 }
 
-// mappingSchemas collects the schemas a batch's mapping publishes and
-// replacements touch; empty when the batch carries no mapping entries.
+// mappingSchemas collects the mappings a batch publishes, whose schemas it
+// touches; empty when the batch carries no mapping entries.
 func (b *Batch) mappingSchemas() []schema.Mapping {
 	var out []schema.Mapping
 	for _, e := range b.entries {
-		switch e.kind {
-		case writePublishMapping:
+		if e.kind == writePublishMapping {
 			out = append(out, e.m)
-		case writeReplaceMapping:
-			out = append(out, e.old, e.m)
 		}
 	}
 	return out

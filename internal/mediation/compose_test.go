@@ -95,7 +95,7 @@ func TestCompositeInvalidationIsIncremental(t *testing.T) {
 	old := chainA[1]
 	updated := old
 	updated.Deprecated = true
-	if err := issuer.ReplaceMappingContext(context.Background(), old, updated); err != nil {
+	if _, err := issuer.InsertMappingContext(context.Background(), updated); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 	afterReplace := issuer.ComposeStats()

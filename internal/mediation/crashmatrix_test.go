@@ -49,7 +49,7 @@ func crashWrites() []*Batch {
 		case 1:
 			b.PublishMapping(m)
 		case 4:
-			b.ReplaceMapping(m, updated)
+			b.PublishMapping(updated)
 		}
 		out = append(out, b)
 	}

@@ -339,8 +339,8 @@ func TestReplaceMappingPublishesDeprecation(t *testing.T) {
 	}
 	dep := m
 	dep.Deprecated = true
-	if err := peers[2].ReplaceMappingContext(context.Background(), m, dep); err != nil {
-		t.Fatalf("ReplaceMapping: %v", err)
+	if _, err := peers[2].InsertMappingContext(context.Background(), dep); err != nil {
+		t.Fatalf("InsertMapping: %v", err)
 	}
 	rs, _ = blockingSearchReformulated(peers[1], q, SearchOptions{})
 	if len(rs.Results) != 0 {
@@ -350,15 +350,6 @@ func TestReplaceMappingPublishesDeprecation(t *testing.T) {
 	all, err := peers[3].MappingsAt(context.Background(), "A")
 	if err != nil || len(all) != 1 || !all[0].Deprecated {
 		t.Errorf("MappingsAt = %v err=%v", all, err)
-	}
-}
-
-func TestReplaceMappingIDMismatch(t *testing.T) {
-	_, peers := testNetwork(t, 4, 15)
-	a := schema.NewMapping("A", "B", schema.Equivalence, schema.Manual, nil)
-	b := schema.NewMapping("B", "C", schema.Equivalence, schema.Manual, nil)
-	if err := peers[0].ReplaceMappingContext(context.Background(), a, b); err == nil {
-		t.Error("mismatched IDs should fail")
 	}
 }
 

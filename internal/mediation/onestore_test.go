@@ -156,9 +156,9 @@ func pairHash(key string, v any) uint64 {
 
 // TestStoredPairsMatchPerKeyModel runs seeded random interleavings of
 // batched triple inserts and deletes, schema publishes, mapping publishes
-// and replacements, a replica missing writes and catching up by
-// anti-entropy, and restarts from snapshot + WAL, against a model that
-// keeps a value set per key — the store as it was before triples moved into
+// that replace the version stored under their ID, a replica missing writes
+// and catching up by anti-entropy, and restarts from snapshot + WAL,
+// against a model that keeps a value set per key — the store as it was before triples moved into
 // the node's triple database. After every step each live peer's LocalGet of
 // every key it covers, its StoreSize and its ContentDigest must be the
 // model's.
@@ -297,29 +297,25 @@ func checkPairsAgainstModel(t *testing.T, seed int64) {
 			m := schema.Mapping{ID: word("m", 4), Source: word("S", 3), Target: word("S", 3), Type: schema.Equivalence,
 				Bidirectional: rng.Intn(2) == 0, Confidence: float64(rng.Intn(4)) / 4,
 				Correspondences: []schema.Correspondence{{SourceAttr: word("a", 4), TargetAttr: word("a", 4), Confidence: 1}}}
-			keys := func(m schema.Mapping) []keyspace.Key {
-				ks := []keyspace.Key{peers[0].schemaKey(m.Source)}
-				if m.Bidirectional {
-					ks = append(ks, peers[0].schemaKey(m.Target))
-				}
-				return ks
+			if old, ok := mappings[m.ID]; ok {
+				// A mapping's keys are fixed when it is created, as its
+				// content-hash ID fixes them.
+				m.Source, m.Target, m.Bidirectional = old.Source, old.Target, old.Bidirectional
+			}
+			keys := []keyspace.Key{peers[0].schemaKey(m.Source)}
+			if m.Bidirectional {
+				keys = append(keys, peers[0].schemaKey(m.Target))
 			}
 			if !fresh(m) {
 				continue
 			}
-			b := &Batch{}
-			if old, ok := mappings[m.ID]; ok {
-				b.ReplaceMapping(old, m)
-				for _, k := range keys(old) {
-					forget(k, func(v any) bool { return valueRepr(v) == valueRepr(old) })
-				}
-			} else {
-				b.PublishMapping(m)
-			}
 			mappings[m.ID] = m
-			for _, k := range keys(m) {
+			for _, k := range keys {
+				forget(k, func(v any) bool { old, ok := v.(schema.Mapping); return ok && old.ID == m.ID })
 				model.add(k, m)
 			}
+			b := &Batch{}
+			b.PublishMapping(m)
 			write(b)
 		case r < 8:
 			if failed >= 0 {

@@ -183,7 +183,7 @@ func TestEngineMatchesOracleOnChains(t *testing.T) {
 		for i, old := range chain {
 			updated := old
 			updated.Confidence = 0.9 - 0.05*float64(i)
-			if err := issuer.ReplaceMappingContext(context.Background(), old, updated); err != nil {
+			if _, err := issuer.InsertMappingContext(context.Background(), updated); err != nil {
 				t.Fatalf("replace %d: %v", i, err)
 			}
 			chain[i] = updated

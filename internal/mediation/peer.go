@@ -160,9 +160,6 @@ func (p *Peer) tripleKeys(t triple.Triple) []keyspace.Key {
 // not apply.
 func (p *Peer) writeOne(ctx context.Context, b *Batch) (pgrid.Route, error) {
 	rec, err := p.Write(ctx, b)
-	if rec == nil {
-		return pgrid.Route{}, err
-	}
 	if err == nil {
 		err = rec.FirstErr()
 	}
@@ -227,17 +224,6 @@ func (p *Peer) InsertMappingContext(ctx context.Context, m schema.Mapping) (pgri
 	b := &Batch{Parallelism: 1}
 	b.PublishMapping(m)
 	return p.writeOne(ctx, b)
-}
-
-// ReplaceMappingContext substitutes an updated version of a mapping (same
-// ID) in the overlay — used to publish confidence changes and deprecations
-// — under the caller's context. The deletions of the old version and the
-// insertions of the new one ship as one batch.
-func (p *Peer) ReplaceMappingContext(ctx context.Context, old, updated schema.Mapping) error {
-	b := &Batch{Parallelism: 1}
-	b.ReplaceMapping(old, updated)
-	_, err := p.writeOne(ctx, b)
-	return err
 }
 
 // MappingsFrom returns the active (non-deprecated) mappings usable to
@@ -328,7 +314,7 @@ func (p *Peer) MappingsAt(ctx context.Context, schemaName string) ([]schema.Mapp
 // one routed operation instead of the retrieve + delete + update sequence,
 // which cost three round-trips and raced with concurrent reporters.
 func (p *Peer) ReportDomainDegree(ctx context.Context, domain, schemaName string, in, out int) error {
-	_, err := p.node.Replace(ctx, p.domainKey(domain),
+	_, err := p.node.Update(ctx, p.domainKey(domain),
 		DomainDegree{Schema: schemaName, InDegree: in, OutDegree: out})
 	return err
 }

@@ -71,8 +71,8 @@ func TestMappingsFromReversesStoredVersion(t *testing.T) {
 			t.Fatalf("version %+v changed the ID", version)
 		}
 		if !sameMapping(&version, &prev) {
-			if err := peers[2].ReplaceMappingContext(ctx, prev, version); err != nil {
-				t.Fatalf("ReplaceMapping: %v", err)
+			if _, err := peers[2].InsertMappingContext(ctx, version); err != nil {
+				t.Fatalf("InsertMapping: %v", err)
 			}
 		}
 		for i := 0; i < 2; i++ {
@@ -139,8 +139,8 @@ func TestMappingsFromConcurrentReplace(t *testing.T) {
 		for seen := reads.Load(); reads.Load() < seen+6 && !t.Failed(); {
 			runtime.Gosched()
 		}
-		if err := peers[4].ReplaceMappingContext(ctx, versions[i-1], versions[i]); err != nil {
-			t.Errorf("ReplaceMapping: %v", err)
+		if _, err := peers[4].InsertMappingContext(ctx, versions[i]); err != nil {
+			t.Errorf("InsertMapping: %v", err)
 		}
 	}
 	close(done)

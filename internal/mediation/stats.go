@@ -89,7 +89,7 @@ func (p *Peer) PublishStats(ctx context.Context) (int, pgrid.Route, error) {
 			Published:  now,
 			Predicates: bySchema[name],
 		}
-		route, err := p.node.Replace(ctx, p.schemaKey(name), d)
+		route, err := p.node.Update(ctx, p.schemaKey(name), d)
 		total.Add(route)
 		if err != nil {
 			return i, total, err

@@ -206,7 +206,7 @@ func TestPlannerOrderingSharedSubjects(t *testing.T) {
 				SubjectSketch: mkSketch("t", 50*i, 50*i+50), ObjectSketch: mkSketch("to", 50*i, 50*i+50)},
 			{Predicate: "A#legacy", Triples: 10, DistinctSubjects: 40, DistinctObjects: 40},
 		}}
-		if _, err := issuer.Node().Replace(ctx, issuer.schemaKey("A"), d); err != nil {
+		if _, err := issuer.Node().Update(ctx, issuer.schemaKey("A"), d); err != nil {
 			t.Fatalf("publish digest: %v", err)
 		}
 	}

@@ -2,7 +2,6 @@ package mediation
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"gridvine/internal/keyspace"
@@ -13,8 +12,8 @@ import (
 
 // The batched write surface. Peer.Write is the single mutation entry point
 // of the mediation layer — the write-side mirror of Peer.Query: a Batch
-// mixes triple inserts and deletes, schema publishes and mapping publishes
-// (or replacements), and one Write plans and ships them together.
+// mixes triple inserts and deletes, schema publishes and mapping
+// publishes, and one Write plans and ships them together.
 //
 // Planning hashes every index key up front (a triple costs three, per the
 // paper's Update(t) ≡ 3 × Update(Hash(component)) — §2.2), sorts the
@@ -47,15 +46,13 @@ const (
 	writeDeleteTriple
 	writePublishSchema
 	writePublishMapping
-	writeReplaceMapping
 )
 
 type writeEntry struct {
 	kind writeKind
 	t    triple.Triple
 	s    schema.Schema
-	m    schema.Mapping // publish / replacement value
-	old  schema.Mapping // replaced mapping (writeReplaceMapping only)
+	m    schema.Mapping
 }
 
 // InsertTriple queues a triple insertion (three index key-writes).
@@ -75,16 +72,13 @@ func (b *Batch) PublishSchema(s schema.Schema) {
 }
 
 // PublishMapping queues a mapping publication at its source schema's key
-// (and the target's, when bidirectional).
+// (and the target's, when bidirectional), replacing the version stored
+// there under its ID: a confidence change or a deprecation is published
+// the way the mapping was. A mapping's keys are fixed when it is created —
+// its ID hashes Source, Target and Type, and Bidirectional is set before
+// the first publish — so a new version lands where the old one is.
 func (b *Batch) PublishMapping(m schema.Mapping) {
 	b.entries = append(b.entries, writeEntry{kind: writePublishMapping, m: m})
-}
-
-// ReplaceMapping queues the substitution of updated for old (same ID):
-// deletions of the old version at its keys followed by insertions of the
-// updated one. ID equality is validated when the batch is written.
-func (b *Batch) ReplaceMapping(old, updated schema.Mapping) {
-	b.entries = append(b.entries, writeEntry{kind: writeReplaceMapping, m: updated, old: old})
 }
 
 // Len returns the number of queued entries.
@@ -161,23 +155,14 @@ type keyWrite struct {
 }
 
 // expand flattens the batch into key-writes: three per triple, one per
-// schema, one or two per mapping, deletions-then-insertions for
-// replacements. It validates replacement ID equality up front, so a Write
-// that returns a validation error has shipped nothing.
-func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
+// schema, one or two per mapping.
+func (p *Peer) expand(b *Batch) []keyWrite {
 	writes := make([]keyWrite, 0, 3*len(b.entries))
 	add := func(entry int, key keyspace.Key, op pgrid.Op, value any) {
 		writes = append(writes, keyWrite{
 			be:    pgrid.BatchEntry{Key: key.String(), Op: op, Value: value},
 			entry: entry,
 		})
-	}
-	mappingKeys := func(m schema.Mapping) []keyspace.Key {
-		ks := []keyspace.Key{p.schemaKey(m.Source)}
-		if m.Bidirectional {
-			ks = append(ks, p.schemaKey(m.Target))
-		}
-		return ks
 	}
 	for i, e := range b.entries {
 		switch e.kind {
@@ -191,29 +176,20 @@ func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
 				add(i, k, op, t)
 			}
 		case writePublishSchema:
-			add(i, p.schemaKey(e.s.Name), pgrid.OpReplace, e.s)
+			add(i, p.schemaKey(e.s.Name), pgrid.OpInsert, e.s)
 		case writePublishMapping:
-			for _, k := range mappingKeys(e.m) {
-				add(i, k, pgrid.OpInsert, e.m)
-			}
-		case writeReplaceMapping:
-			if e.old.ID != e.m.ID {
-				return nil, fmt.Errorf("mediation: replacing mapping %s with different mapping %s", e.old.ID, e.m.ID)
-			}
-			for _, k := range mappingKeys(e.old) {
-				add(i, k, pgrid.OpDelete, e.old)
-			}
-			for _, k := range mappingKeys(e.m) {
-				add(i, k, pgrid.OpInsert, e.m)
+			add(i, p.schemaKey(e.m.Source), pgrid.OpInsert, e.m)
+			if e.m.Bidirectional {
+				add(i, p.schemaKey(e.m.Target), pgrid.OpInsert, e.m)
 			}
 		}
 	}
-	return writes, nil
+	return writes
 }
 
 // segmentWrites splits sorted key-writes into at most workers contiguous
 // segments of near-equal size, never splitting between equal keys (so
-// same-key ordering — a replacement's delete before its insert — survives
+// same-key ordering — a triple's delete before its re-insert — survives
 // concurrent segment execution).
 func segmentWrites(writes []keyWrite, workers int) [][]keyWrite {
 	if workers < 1 {
@@ -247,17 +223,13 @@ func segmentWrites(writes []keyWrite, workers int) [][]keyWrite {
 }
 
 // Write plans and ships the batch (see the package notes above). The
-// returned error is terminal only — cancellation, an expired deadline, a
-// tripped retry budget, or an up-front validation failure; per-entry
-// routing failures are reported through the Receipt instead (FirstErr
-// surfaces the first one). The Receipt is non-nil except on validation
-// errors, and on cancellation it records the partial progress: entries
+// returned error is terminal only — cancellation, an expired deadline or a
+// tripped retry budget; per-entry routing failures are reported through
+// the Receipt instead (FirstErr surfaces the first one). The Receipt is
+// never nil, and on cancellation it records the partial progress: entries
 // whose key-writes never shipped are EntrySkipped.
 func (p *Peer) Write(ctx context.Context, b *Batch) (*Receipt, error) {
-	writes, err := p.expand(b)
-	if err != nil {
-		return nil, err
-	}
+	writes := p.expand(b)
 	rec := &Receipt{Entries: make([]EntryStatus, len(b.entries))}
 	if len(writes) == 0 {
 		return rec, ctx.Err()

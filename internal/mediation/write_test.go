@@ -162,38 +162,112 @@ func TestWriteShipsFewerMessages(t *testing.T) {
 	t.Logf("serial %d messages, batched %d (%d groups)", serialMsgs, batchMsgs, rec.Groups)
 }
 
-// TestWriteReplaceMapping: replacement through a batch preserves the
-// delete-then-insert semantics and the ID validation.
+// TestWriteReplaceMapping: publishing a new version of a mapping through a
+// batch replaces the stored one under its ID at both keys of a
+// bidirectional mapping, and of two versions queued in one batch the later
+// one stays.
 func TestWriteReplaceMapping(t *testing.T) {
 	_, peers := testNetwork(t, 16, 42)
-	p := peers[0]
+	ctx := context.Background()
 	m := testMapping("A", "B", "x", "y")
-	if _, err := p.InsertMappingContext(context.Background(), m); err != nil {
+	if _, err := peers[0].InsertMappingContext(ctx, m); err != nil {
 		t.Fatalf("InsertMapping: %v", err)
 	}
-	updated := m
-	updated.Deprecated = true
+	retuned := m
+	retuned.Confidence = 0.5
+	deprecated := retuned
+	deprecated.Deprecated = true
 
 	b := &Batch{}
-	b.ReplaceMapping(m, updated)
-	rec, err := p.Write(context.Background(), b)
+	b.PublishMapping(retuned)
+	b.PublishMapping(deprecated)
+	rec, err := peers[0].Write(ctx, b)
 	if err != nil || rec.FirstErr() != nil {
 		t.Fatalf("Write: %v / %v", err, rec.FirstErr())
 	}
-	stored, err := peers[3].MappingsAt(context.Background(), "A")
-	if err != nil {
-		t.Fatalf("MappingsAt: %v", err)
+	for _, key := range []string{"A", "B"} {
+		stored, err := peers[3].MappingsAt(ctx, key)
+		if err != nil {
+			t.Fatalf("MappingsAt(%s): %v", key, err)
+		}
+		if len(stored) != 1 || !sameMapping(&stored[0], &deprecated) {
+			t.Errorf("stored at %s = %+v, want the deprecated version only", key, stored)
+		}
 	}
-	if len(stored) != 1 || !stored[0].Deprecated {
-		t.Errorf("stored mappings = %+v, want the deprecated replacement only", stored)
-	}
+}
 
-	// ID mismatch is a validation error: nothing ships.
-	other := testMapping("A", "C", "x", "z")
-	bad := &Batch{}
-	bad.ReplaceMapping(m, other)
-	if _, err := p.Write(context.Background(), bad); err == nil {
-		t.Error("replacing with a different mapping ID must fail")
+// TestOneVersionPerMappingID: when peers publish versions of one
+// bidirectional mapping one after another — two of them a different
+// version each, a third the first version again — every holder of the
+// source and of the target key stores exactly one value with the mapping's
+// ID, the last one written, and the target side serves its reverse.
+func TestOneVersionPerMappingID(t *testing.T) {
+	_, peers := testNetwork(t, 16, 44)
+	ctx := context.Background()
+	m := reversible("A", "B")
+	v1, v2 := m, m
+	v1.Confidence = 0.6
+	v2.Confidence = 0.4
+	for i, version := range []schema.Mapping{m, v1, v2, m} {
+		if _, err := peers[i].InsertMappingContext(ctx, version); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+	for _, name := range []string{m.Source, m.Target} {
+		key := peers[0].schemaKey(name)
+		holders := 0
+		for _, p := range peers {
+			if !p.Node().Responsible(key) {
+				continue
+			}
+			holders++
+			var versions []schema.Mapping
+			for _, v := range p.Node().LocalGet(key) {
+				if got, ok := v.(schema.Mapping); ok && got.ID == m.ID {
+					versions = append(versions, got)
+				}
+			}
+			if len(versions) != 1 || !sameMapping(&versions[0], &m) {
+				t.Errorf("%s stores %d versions of %s under %s's key: %+v, want the last one written", p.Node().ID(), len(versions), m.ID, name, versions)
+			}
+		}
+		if holders == 0 {
+			t.Fatalf("no peer holds %s's key", name)
+		}
+	}
+	for _, p := range peers[4:7] {
+		checkReversed(t, p, m)
+	}
+}
+
+// TestSegmentWritesKeepsEqualKeysTogether: over sorted keys with runs of
+// equal keys, the segments for 1 to 9 workers concatenate to the input,
+// number at most the workers, and never split a run between two of them.
+func TestSegmentWritesKeepsEqualKeysTogether(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		var writes []keyWrite
+		for k, n := 0, 5+rng.Intn(60); len(writes) < n; k++ {
+			for run := 1 + rng.Intn(4); run > 0; run-- {
+				writes = append(writes, keyWrite{be: pgrid.BatchEntry{Key: fmt.Sprintf("%07b", k)}, entry: len(writes)})
+			}
+		}
+		for workers := 1; workers <= 9; workers++ {
+			segments := segmentWrites(writes, workers)
+			if len(segments) > workers {
+				t.Fatalf("trial %d: %d segments for %d workers", trial, len(segments), workers)
+			}
+			var joined []keyWrite
+			for i, seg := range segments {
+				if i > 0 && seg[0].be.Key == joined[len(joined)-1].be.Key {
+					t.Fatalf("trial %d, %d workers: key %s spans segments %d and %d", trial, workers, seg[0].be.Key, i-1, i)
+				}
+				joined = append(joined, seg...)
+			}
+			if !reflect.DeepEqual(joined, writes) {
+				t.Fatalf("trial %d, %d workers: segments do not concatenate to the input", trial, workers)
+			}
+		}
 	}
 }
 
@@ -213,8 +287,8 @@ func TestRepublishedSchemaReplacesItsPredecessor(t *testing.T) {
 	if rec, err := peers[0].Write(ctx, b); err != nil || rec.FirstErr() != nil {
 		t.Fatalf("Write: %v / %v", err, rec.FirstErr())
 	}
-	if _, err := peers[0].Node().Replace(ctx, key, degree); err != nil {
-		t.Fatalf("Replace: %v", err)
+	if _, err := peers[0].Node().Update(ctx, key, degree); err != nil {
+		t.Fatalf("Update: %v", err)
 	}
 
 	var holders []*Peer

@@ -10,7 +10,7 @@ import (
 	"gridvine/internal/simnet"
 )
 
-// The write path — the only one: Update, Delete and Replace are one-entry
+// The write path — the only one: Update and Delete are one-entry
 // WriteBatch calls. A bulk mutation over the overlay costs, naively,
 // one routed operation per (key, value) pair — O(log |Π|) messages each,
 // every one carrying its value across every hop. WriteBatch collapses that:

@@ -205,17 +205,16 @@ func TestRetryBudgetFailsFast(t *testing.T) {
 	}
 }
 
-// TestPerOpWritesCostOneRoutedOperation pins what Update, Delete and
-// Replace cost as one-entry batches: the issuer-observed route is the
+// TestPerOpWritesCostOneRoutedOperation pins what Update and Delete cost
+// as one-entry batches: the issuer-observed route is the
 // probe's hops, and the transport carries exactly those plus one
 // replication send per replica of the answering peer — nothing else.
 func TestPerOpWritesCostOneRoutedOperation(t *testing.T) {
 	net, ov := testOverlay(t, 32, 3, 91)
 	ctx := context.Background()
 	ops := map[string]func(*Node, keyspace.Key) (Route, error){
-		"update":  func(n *Node, k keyspace.Key) (Route, error) { return n.Update(ctx, k, "v") },
-		"delete":  func(n *Node, k keyspace.Key) (Route, error) { return n.Delete(ctx, k, "v") },
-		"replace": func(n *Node, k keyspace.Key) (Route, error) { return n.Replace(ctx, k, "w") },
+		"update": func(n *Node, k keyspace.Key) (Route, error) { return n.Update(ctx, k, "v") },
+		"delete": func(n *Node, k keyspace.Key) (Route, error) { return n.Delete(ctx, k, "v") },
 	}
 	for name, op := range ops {
 		for i, issuer := range ov.Nodes() {
@@ -251,7 +250,7 @@ func TestExecRejectsMutationOps(t *testing.T) {
 		if !n.Responsible(key) {
 			continue
 		}
-		for _, op := range []Op{OpInsert, OpDelete, OpReplace} {
+		for _, op := range []Op{OpInsert, OpDelete} {
 			if _, err := n.handleExec(ExecRequest{Key: key.String(), Op: op}); err == nil {
 				t.Errorf("handleExec accepted %s", op)
 			}

@@ -33,17 +33,16 @@ func ReadOnly(msg simnet.Message) bool {
 // Op names an operation at the responsible peer.
 type Op int
 
-// OpGet, OpQuery and OpProbe travel in a routed ExecRequest; OpInsert,
-// OpDelete and OpReplace are the mutations a BatchEntry carries. OpQuery
-// invokes the registered application handler with the request payload —
-// this is the Retrieve(key, q) primitive the mediation layer uses to ship
+// OpGet, OpQuery and OpProbe travel in a routed ExecRequest; OpInsert and
+// OpDelete are the mutations a BatchEntry carries. OpQuery invokes the
+// registered application handler with the request payload — this is the
+// Retrieve(key, q) primitive the mediation layer uses to ship
 // triple-pattern queries to data (paper §2.3).
 const (
 	OpGet Op = iota
 	OpInsert
 	OpDelete
 	OpQuery
-	OpReplace
 	// OpProbe resolves the responsible peer for a key: the answer carries
 	// the peer's path, which the write path uses to compute the full key run
 	// the peer covers before shipping it one BatchUpdate message. A probe
@@ -61,8 +60,6 @@ func (o Op) String() string {
 		return "delete"
 	case OpQuery:
 		return "query"
-	case OpReplace:
-		return "replace"
 	case OpProbe:
 		return "probe"
 	default:
@@ -71,16 +68,15 @@ func (o Op) String() string {
 }
 
 // Replacer lets a stored value type opt into atomic replacement. An
-// OpReplace removes, under one key and one store lock acquisition, every
-// stored value the incoming value Replaces, then inserts the incoming value
-// — a single routed operation where the retrieve + delete + update sequence
-// costs three routed round-trips and races with concurrent publishers of
-// the same logical slot. Values that do not implement Replacer behave like
-// plain inserts under OpReplace.
+// OpInsert of a Replacer removes, under one key and one store lock
+// acquisition, every stored value the incoming value Replaces, then inserts
+// the incoming value — a single routed operation where the retrieve +
+// delete + update sequence costs three routed round-trips and races with
+// concurrent publishers of the same logical slot.
 type Replacer interface {
 	// Replaces reports whether the receiver supersedes the stored value —
 	// e.g. a statistics digest supersedes the same origin peer's previous
-	// digest for the same schema.
+	// digest for the same schema, a mapping the stored one with its ID.
 	Replaces(old any) bool
 }
 
@@ -107,7 +103,7 @@ type ExecResponse struct {
 // BatchEntry is one keyed mutation of a batched write.
 type BatchEntry struct {
 	Key   string
-	Op    Op // OpInsert, OpDelete or OpReplace
+	Op    Op // OpInsert or OpDelete
 	Value any
 }
 

@@ -32,7 +32,6 @@ func TestReadOnlyClassifiesEveryKind(t *testing.T) {
 		// Mutations travel in batches; an exec carrying one is refused.
 		{"insert", exec(OpInsert, "v"), false},
 		{"delete", exec(OpDelete, "v"), false},
-		{"replace", exec(OpReplace, "v"), false},
 		{"batch", simnet.Message{Payload: BatchUpdate{}}, false},
 		{"replica push", simnet.Message{Payload: BatchReplicate{}}, false},
 		{"repair", simnet.Message{Payload: RepairRequest{}}, false},

@@ -580,26 +580,27 @@ func (n *Node) handleMaintenance(msg simnet.Message) (simnet.Message, error) {
 	}
 }
 
-// replaceLocked removes every stored value under key that value Replaces
-// (see Replacer) and inserts value; n.mu must be held. It returns the
-// removed values and whether value was newly inserted (false when an exact
-// duplicate was already stored). A triple replaces nothing.
+// replaceLocked inserts value under key, first removing every stored value
+// it Replaces (see Replacer); n.mu must be held. It returns the removed
+// values and whether value was newly inserted: an exact duplicate already
+// stored stays, and the insert changes nothing else. A value that is no
+// Replacer, a triple among them, goes straight to insertLocked.
 func (n *Node) replaceLocked(key string, value any) (removed []any, inserted bool) {
-	if _, ok := value.(triple.Triple); ok {
+	rep, ok := value.(Replacer)
+	if !ok {
 		return nil, n.insertLocked(key, value)
 	}
-	rep, _ := value.(Replacer)
 	vs := n.store[key]
 	kept := make([]any, 0, len(vs)+1)
 	dup, same := false, sameAs(value)
 	for _, v := range vs {
-		if rep != nil && rep.Replaces(v) {
+		switch {
+		case !dup && same.is(v):
+			dup = true
+		case rep.Replaces(v):
 			removed = append(removed, v)
 			n.recordTombLocked(key, v)
 			continue
-		}
-		if !dup && same.is(v) {
-			dup = true
 		}
 		kept = append(kept, v)
 	}
@@ -647,10 +648,10 @@ func (n *Node) applyBatch(entries []BatchEntry, checkResponsible bool) []int {
 
 // applyBatchLocal performs the store mutations of a batch under one lock
 // acquisition and fires the store hook once with every change. Entries are
-// applied in slice order, so same-key delete/insert sequences (mapping
-// replacement) keep their submission semantics. Entries whose key fails to
-// parse, or — under checkResponsible — lies outside the node's path, are
-// not applied.
+// applied in slice order, so same-key sequences keep their submission
+// semantics, and an insert supersedes what its value Replaces. Entries
+// whose key fails to parse, or — under checkResponsible — lies outside the
+// node's path, are not applied.
 func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []int {
 	applied := make([]int, 0, len(entries))
 	n.mutate(func() (changes []store.Entry) {
@@ -664,14 +665,6 @@ func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []in
 			}
 			switch e.Op {
 			case OpInsert:
-				if n.insertLocked(e.Key, e.Value) {
-					changes = append(changes, store.Entry{Op: store.OpInsert, Key: e.Key, Value: e.Value})
-				}
-			case OpDelete:
-				n.recordTombLocked(e.Key, e.Value)
-				n.deleteLocked(e.Key, e.Value)
-				changes = append(changes, store.Entry{Op: store.OpDelete, Key: e.Key, Value: e.Value})
-			case OpReplace:
 				removed, inserted := n.replaceLocked(e.Key, e.Value)
 				for _, v := range removed {
 					changes = append(changes, store.Entry{Op: store.OpDelete, Key: e.Key, Value: v})
@@ -679,6 +672,10 @@ func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []in
 				if inserted {
 					changes = append(changes, store.Entry{Op: store.OpInsert, Key: e.Key, Value: e.Value})
 				}
+			case OpDelete:
+				n.recordTombLocked(e.Key, e.Value)
+				n.deleteLocked(e.Key, e.Value)
+				changes = append(changes, store.Entry{Op: store.OpDelete, Key: e.Key, Value: e.Value})
 			default:
 				continue
 			}

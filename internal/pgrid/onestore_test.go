@@ -12,10 +12,11 @@ import (
 )
 
 // TestStoreHoldsNoTriple drives triples through every path that writes a
-// node's store — routed and replicated batches, a replace, an anti-entropy
-// repair after a missed write, a restore from dumped state, and a split and
-// a replica sync during construction — and requires that n.store never
-// holds one: a stored triple lives in the node's triple database only.
+// node's store — routed and replicated batches, a one-entry update, an
+// anti-entropy repair after a missed write, a restore from dumped state,
+// and a split and a replica sync during construction — and requires that
+// n.store never holds one: a stored triple lives in the node's triple
+// database only.
 func TestStoreHoldsNoTriple(t *testing.T) {
 	ctx := context.Background()
 	net, ov := testOverlay(t, 8, 2, 3)
@@ -35,7 +36,7 @@ func TestStoreHoldsNoTriple(t *testing.T) {
 	if _, err := issuer.WriteBatch(ctx, entries); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := issuer.Replace(ctx, keys(tr(12))[0], tr(12)); err != nil {
+	if _, err := issuer.Update(ctx, keys(tr(12))[0], tr(12)); err != nil {
 		t.Fatal(err)
 	}
 	victim := ov.Nodes()[3]

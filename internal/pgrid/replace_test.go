@@ -42,7 +42,7 @@ func buildReplaceOverlay(t testing.TB, peers int, seed int64) *Overlay {
 	return ov
 }
 
-// TestReplaceSupersedes pins the core semantics: a replace removes every
+// TestReplaceSupersedes pins the core semantics: an insert removes every
 // value the new one Replaces, keeps unrelated values, and collapses exact
 // duplicates.
 func TestReplaceSupersedes(t *testing.T) {
@@ -50,17 +50,17 @@ func TestReplaceSupersedes(t *testing.T) {
 	n := ov.Nodes()[0]
 	key := keyspace.Hash("replace-slot", keyspace.DefaultDepth)
 
-	if _, err := n.Replace(context.Background(), key, slotValue{Owner: "p1", Slot: "s", Seq: 1}); err != nil {
+	if _, err := n.Update(context.Background(), key, slotValue{Owner: "p1", Slot: "s", Seq: 1}); err != nil {
 		t.Fatalf("first replace: %v", err)
 	}
-	if _, err := n.Replace(context.Background(), key, slotValue{Owner: "p2", Slot: "s", Seq: 1}); err != nil {
+	if _, err := n.Update(context.Background(), key, slotValue{Owner: "p2", Slot: "s", Seq: 1}); err != nil {
 		t.Fatalf("other owner: %v", err)
 	}
-	if _, err := n.Replace(context.Background(), key, slotValue{Owner: "p1", Slot: "s", Seq: 2}); err != nil {
+	if _, err := n.Update(context.Background(), key, slotValue{Owner: "p1", Slot: "s", Seq: 2}); err != nil {
 		t.Fatalf("supersede: %v", err)
 	}
-	// Replacing with an identical value is a no-op, not a duplicate.
-	if _, err := n.Replace(context.Background(), key, slotValue{Owner: "p1", Slot: "s", Seq: 2}); err != nil {
+	// Inserting an identical value is a no-op, not a duplicate.
+	if _, err := n.Update(context.Background(), key, slotValue{Owner: "p1", Slot: "s", Seq: 2}); err != nil {
 		t.Fatalf("idempotent replace: %v", err)
 	}
 
@@ -87,7 +87,7 @@ func TestReplaceReplicates(t *testing.T) {
 	key := keyspace.Hash("replicated-slot", keyspace.DefaultDepth)
 	issuer := ov.Nodes()[1]
 	for seq := 1; seq <= 3; seq++ {
-		if _, err := issuer.Replace(context.Background(), key, slotValue{Owner: "p", Slot: "s", Seq: seq}); err != nil {
+		if _, err := issuer.Update(context.Background(), key, slotValue{Owner: "p", Slot: "s", Seq: seq}); err != nil {
 			t.Fatalf("replace %d: %v", seq, err)
 		}
 	}
@@ -126,10 +126,10 @@ func TestReplaceFiresStoreHook(t *testing.T) {
 		})
 	}
 	issuer := ov.Nodes()[0]
-	if _, err := issuer.Replace(context.Background(), key, slotValue{Owner: "p", Slot: "s", Seq: 1}); err != nil {
+	if _, err := issuer.Update(context.Background(), key, slotValue{Owner: "p", Slot: "s", Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := issuer.Replace(context.Background(), key, slotValue{Owner: "p", Slot: "s", Seq: 2}); err != nil {
+	if _, err := issuer.Update(context.Background(), key, slotValue{Owner: "p", Slot: "s", Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -139,14 +139,14 @@ func TestReplaceFiresStoreHook(t *testing.T) {
 	}
 }
 
-// TestReplaceNonReplacerInserts: values without a Replaces method behave
-// like plain inserts under OpReplace.
+// TestReplaceNonReplacerInserts: values without a Replaces method
+// supersede nothing.
 func TestReplaceNonReplacerInserts(t *testing.T) {
 	ov := buildReplaceOverlay(t, 8, 6)
 	key := keyspace.Hash("plain-slot", keyspace.DefaultDepth)
 	n := ov.Nodes()[2]
 	for i := 0; i < 2; i++ {
-		if _, err := n.Replace(context.Background(), key, fmt.Sprintf("v%d", i)); err != nil {
+		if _, err := n.Update(context.Background(), key, fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestReplaceConcurrentPublishers(t *testing.T) {
 			defer wg.Done()
 			issuer := ov.Nodes()[w%len(ov.Nodes())]
 			for seq := 1; seq <= 5; seq++ {
-				if _, err := issuer.Replace(context.Background(), key, slotValue{Owner: fmt.Sprintf("p%d", w), Slot: "s", Seq: seq}); err != nil {
+				if _, err := issuer.Update(context.Background(), key, slotValue{Owner: fmt.Sprintf("p%d", w), Slot: "s", Seq: seq}); err != nil {
 					t.Errorf("owner %d: %v", w, err)
 					return
 				}

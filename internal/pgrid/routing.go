@@ -81,7 +81,8 @@ func (n *Node) Retrieve(ctx context.Context, key keyspace.Key) ([]any, Route, er
 }
 
 // Update inserts value at the peer responsible for key (paper §2.1:
-// Update(key, value)); the responsible peer synchronizes its replicas.
+// Update(key, value)), replacing the stored values it Replaces (see
+// Replacer); the responsible peer synchronizes its replicas.
 func (n *Node) Update(ctx context.Context, key keyspace.Key, value any) (Route, error) {
 	return n.writeOne(ctx, BatchEntry{Key: key.String(), Op: OpInsert, Value: value})
 }
@@ -89,14 +90,6 @@ func (n *Node) Update(ctx context.Context, key keyspace.Key, value any) (Route, 
 // Delete removes value at the peer responsible for key.
 func (n *Node) Delete(ctx context.Context, key keyspace.Key, value any) (Route, error) {
 	return n.writeOne(ctx, BatchEntry{Key: key.String(), Op: OpDelete, Value: value})
-}
-
-// Replace atomically substitutes value for every stored value it Replaces
-// at the peer responsible for key (see Replacer): one routed operation, one
-// replica synchronization message per replica. A value that implements no
-// Replacer is simply inserted.
-func (n *Node) Replace(ctx context.Context, key keyspace.Key, value any) (Route, error) {
-	return n.writeOne(ctx, BatchEntry{Key: key.String(), Op: OpReplace, Value: value})
 }
 
 // writeOne is a one-entry WriteBatch: the routed probe carries and applies

@@ -138,6 +138,17 @@ type Mapping struct {
 	Deprecated bool
 }
 
+// Replaces implements pgrid.Replacer: a republished mapping supersedes the
+// stored version with its ID, so a confidence change or a deprecation
+// leaves one version per key. A mapping's keys are fixed when it is
+// created: the ID hashes Source, Target and Type, and Bidirectional is set
+// before the first publish and never changed, so every version lands at
+// the keys of the one it replaces.
+func (m Mapping) Replaces(old any) bool {
+	o, ok := old.(Mapping)
+	return ok && o.ID == m.ID
+}
+
 // NewMapping builds a mapping with a deterministic identifier.
 func NewMapping(source, target string, typ MappingType, origin Origin, corrs []Correspondence) Mapping {
 	cs := make([]Correspondence, len(corrs))

@@ -352,7 +352,7 @@ func (o *Organizer) Round(ctx context.Context, subjects []string) (RoundReport, 
 		updated := old
 		updated.Deprecated = true
 		updated.Confidence = assessment.Posteriors[id]
-		if err := o.peer.ReplaceMappingContext(ctx, old, updated); err != nil {
+		if _, err := o.peer.InsertMappingContext(ctx, updated); err != nil {
 			continue
 		}
 		ms.Add(updated)
@@ -367,7 +367,7 @@ func (o *Organizer) Round(ctx context.Context, subjects []string) (RoundReport, 
 		if diff := post - old.Confidence; diff > 0.05 || diff < -0.05 {
 			updated := old
 			updated.Confidence = post
-			if err := o.peer.ReplaceMappingContext(ctx, old, updated); err == nil {
+			if _, err := o.peer.InsertMappingContext(ctx, updated); err == nil {
 				ms.Add(updated)
 			}
 		}

@@ -108,9 +108,10 @@ type Log struct {
 // — truncating it at the first record that is short, checksum-corrupt,
 // or out of sequence — and leaves the WAL open for appending. A
 // snapshot or WAL that does not start with the journal's file header (a
-// gob-era file, say) is an error naming the file, whose bytes are left
-// as they are; a WAL no longer than the header holds no record and is
-// started afresh.
+// gob-era file, say), or a WAL holding a checksum-valid record that does
+// not decode, is an error naming the file, whose bytes are left as they
+// are; a WAL no longer than the header holds no record and is started
+// afresh.
 func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 	if recordCodec == nil {
 		return nil, nil, errNoCodec
@@ -159,7 +160,7 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		data = []byte(fileHeader)
 	}
 	recs, goodLen, decErr := DecodeRecords(data)
-	if errors.Is(decErr, errNotJournal) {
+	if errors.Is(decErr, errNotJournal) || errors.Is(decErr, errUndecodable) {
 		return nil, nil, fmt.Errorf("store: WAL %s: %w", walPath, decErr)
 	}
 	// Walk the records, skipping those the snapshot already covers and

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gridvine/internal/triple"
@@ -382,5 +386,44 @@ func TestTornFirstRecordSparesHeader(t *testing.T) {
 				t.Fatalf("seed %d op %d: recovery = %v, %+v; want an empty log", seed, op, err, rec)
 			}
 		}
+	}
+}
+
+// TestOpenRefusesUndecodableRecord: a whole record whose checksum holds but
+// whose payload does not decode is no torn tail — a good, acked record
+// follows it here — so Open refuses the WAL, naming it, and leaves its
+// bytes as they are instead of truncating both records away.
+func TestOpenRefusesUndecodableRecord(t *testing.T) {
+	fs := NewMemFS()
+	l, _, err := Open(fs, "d", Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(entryN(0)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	garbage := []byte{0xff, 0xfe, 0xfd, 0xfc, 0xfb}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(garbage)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(garbage, crcTable))
+	frame = append(frame, garbage...)
+	good, err := encodeRecord(nil, Record{Seq: 2, Entries: entryN(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join("d", walFile)
+	f, err := fs.Append(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(append(frame, good...))
+	f.Close()
+	before, _ := fs.ReadFile(walPath)
+
+	if _, _, err := Open(fs, "d", Options{}); !errors.Is(err, errUndecodable) || !strings.Contains(err.Error(), walPath) {
+		t.Fatalf("Open = %v, want an undecodable-record error naming %s", err, walPath)
+	}
+	if after, err := fs.ReadFile(walPath); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused Open changed the WAL: %d -> %d bytes (err %v)", len(before), len(after), err)
 	}
 }

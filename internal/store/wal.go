@@ -81,11 +81,16 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// errBadRecord tags any undecodable tail condition — truncated header,
-// truncated payload, checksum mismatch, or an undecodable payload.
-// Recovery treats them all the same way: truncate the log at the last
+// errBadRecord tags any damaged tail condition — truncated header,
+// truncated payload or checksum mismatch — as a crash mid-append leaves
+// one. Recovery treats them all the same way: truncate the log at the last
 // good record.
 var errBadRecord = errors.New("store: bad WAL record")
+
+// errUndecodable reports a whole, checksum-valid record whose payload does
+// not decode: no torn write produces one, and the records after it were
+// acked, so recovery refuses the file and leaves its bytes as they are.
+var errUndecodable = errors.New("store: undecodable WAL record")
 
 // errNotJournal reports a file that does not start with fileHeader.
 // Recovery refuses it and leaves its bytes as they are.
@@ -115,7 +120,8 @@ func encodeRecord(dst []byte, rec Record) ([]byte, error) {
 // checksum-valid records as data holds. It returns them along with
 // goodLen, the byte offset of the first undecodable position — recovery
 // truncates the log there. err is nil on a clean end (an empty file is
-// one), errBadRecord-wrapped when trailing bytes had to be discarded, and
+// one), errBadRecord-wrapped when trailing bytes had to be discarded,
+// errUndecodable-wrapped when a checksum-valid record does not decode, and
 // errNotJournal-wrapped, with goodLen 0, when data does not start with
 // the file header; the returned records are valid either way. Every
 // returned record passed its CRC32C check, and no input — truncated,
@@ -154,7 +160,7 @@ func DecodeRecords(data []byte) (recs []Record, goodLen int, err error) {
 		}
 		rec, err := recordCodec.DecodeRecord(payload)
 		if err != nil {
-			return recs, off, fmt.Errorf("%w: undecodable payload at offset %d: %v", errBadRecord, off, err)
+			return recs, off, fmt.Errorf("%w at offset %d: %v", errUndecodable, off, err)
 		}
 		recs = append(recs, rec)
 		off += frameHeader + n

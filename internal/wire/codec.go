@@ -64,8 +64,6 @@ func (c walk) write(m *Write) {
 		codec.List(c.Codec, &m.Deletes, 3, c.Triple)
 		codec.List(c.Codec, &m.Schemas, 3, c.Schema)
 		codec.List(c.Codec, &m.Mappings, 24, c.Mapping)
-		codec.List(c.Codec, &m.ReplaceOld, 24, c.Mapping)
-		codec.List(c.Codec, &m.ReplaceNew, 24, c.Mapping)
 	})
 	c.Int(&m.Parallelism)
 }

@@ -478,28 +478,18 @@ func (sc *srvConn) handleWrite(w *Write) {
 		sc.send(TReceipt, &Receipt{ID: w.ID, Err: err.Error()})
 		return
 	}
-	if len(w.ReplaceOld) != len(w.ReplaceNew) {
-		sc.send(TReceipt, &Receipt{ID: w.ID, Err: "wire: replacement old/new length mismatch"})
-		return
-	}
 	ctx, cancel := context.WithCancel(sc.ctx)
 	defer sc.track(w.ID, cancel)()
 
 	rec, err := h.Peer.Write(ctx, batchOf(w))
-	out := &Receipt{ID: w.ID}
+	out := &Receipt{ID: w.ID, Applied: rec.Applied, Failed: rec.Failed, Skipped: rec.Skipped,
+		Groups: rec.Groups, Messages: rec.Route.Messages}
 	if err != nil {
 		out.Err = err.Error()
 	}
-	if rec != nil {
-		out.Applied = rec.Applied
-		out.Failed = rec.Failed
-		out.Skipped = rec.Skipped
-		out.Groups = rec.Groups
-		out.Messages = rec.Route.Messages
-		for _, e := range rec.Entries {
-			if e.Err != nil && len(out.EntryErrs) < 8 {
-				out.EntryErrs = append(out.EntryErrs, e.Err.Error())
-			}
+	for _, e := range rec.Entries {
+		if e.Err != nil && len(out.EntryErrs) < 8 {
+			out.EntryErrs = append(out.EntryErrs, e.Err.Error())
 		}
 	}
 	sc.send(TReceipt, out)
@@ -519,9 +509,6 @@ func batchOf(w *Write) *mediation.Batch {
 	}
 	for _, m := range w.Mappings {
 		b.PublishMapping(m)
-	}
-	for i := range w.ReplaceOld {
-		b.ReplaceMapping(w.ReplaceOld[i], w.ReplaceNew[i])
 	}
 	return b
 }

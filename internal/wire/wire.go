@@ -117,8 +117,8 @@ type Trailer struct {
 	Stats   Stats
 }
 
-// Write asks a daemon to apply one mediation batch. Replacements pair
-// old/updated mappings positionally.
+// Write asks a daemon to apply one mediation batch. A mapping replaces
+// the version stored under its ID.
 type Write struct {
 	ID          uint64
 	Peer        string
@@ -126,8 +126,6 @@ type Write struct {
 	Deletes     []triple.Triple
 	Schemas     []schema.Schema
 	Mappings    []schema.Mapping
-	ReplaceOld  []schema.Mapping
-	ReplaceNew  []schema.Mapping
 	Parallelism int
 }
 

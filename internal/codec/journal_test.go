@@ -151,7 +151,13 @@ func TestJournalFixtureRestores(t *testing.T) {
 	tomb := storedKinds("tomb")[7]
 	want = append(want, held{tomb.Key, tomb.Value, true})
 	var got []held
-	node.VisitState(func(e store.Entry) { got = append(got, held{e.Key, e.Value, e.Op == store.OpDelete}) })
+	items, tombs := node.DumpState()
+	for _, it := range items {
+		got = append(got, held{it.Key, it.Value, false})
+	}
+	for _, tb := range tombs {
+		got = append(got, held{tb.Key, tb.Value, true})
+	}
 	if len(got) != len(want) {
 		t.Errorf("restored %d values and tombstones, wrote %d", len(got), len(want))
 	}

@@ -11,7 +11,6 @@ import (
 	"gridvine/internal/metrics"
 	"gridvine/internal/pgrid"
 	"gridvine/internal/simnet"
-	"gridvine/internal/store"
 )
 
 // --- EXP-O: churn stress with digest-based anti-entropy repair ----------
@@ -177,15 +176,17 @@ func RunChurnStress(cfg ChurnStressConfig) (ChurnStressResult, error) {
 				continue
 			}
 			var pull pgrid.RepairResponse
-			byID[r].VisitState(func(e store.Entry) {
-				switch {
-				case !strings.HasPrefix(e.Key, path):
-				case e.Op == store.OpDelete:
-					pull.Tombs = append(pull.Tombs, pgrid.Tombstone{Key: e.Key, Value: e.Value})
-				default:
-					pull.Missing = append(pull.Missing, pgrid.SubtreeItem{Key: e.Key, Value: e.Value})
+			items, tombs := byID[r].DumpState()
+			for _, it := range items {
+				if strings.HasPrefix(it.Key, path) {
+					pull.Missing = append(pull.Missing, it)
 				}
-			})
+			}
+			for _, tb := range tombs {
+				if strings.HasPrefix(tb.Key, path) {
+					pull.Tombs = append(pull.Tombs, tb)
+				}
+			}
 			out.FullRepairBytes += ask + size(pull)
 		}
 		before := net.Stats()

@@ -21,7 +21,18 @@ type Key struct {
 
 // ParseKey builds a Key from a string of '0' and '1' characters.
 func ParseKey(s string) (Key, error) {
-	for i := 0; i < len(s); i++ {
+	// Eight bytes per step: '0' and '1' are 0x30 and 0x31, so a byte is a
+	// bit exactly when it is 0x30 once its low bit is cleared. A word that
+	// fails leaves i at its first byte, and the byte loop names the bad one.
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		if w&^0x0101010101010101 != 0x3030303030303030 {
+			break
+		}
+	}
+	for ; i < len(s); i++ {
 		if s[i] != '0' && s[i] != '1' {
 			return Key{}, fmt.Errorf("keyspace: invalid bit %q at position %d", s[i], i)
 		}

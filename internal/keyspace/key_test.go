@@ -2,6 +2,7 @@ package keyspace
 
 import (
 	"crypto/sha1"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -21,6 +22,47 @@ func TestParseKey(t *testing.T) {
 	}
 	if _, err := ParseKey("01x0"); err == nil {
 		t.Error("ParseKey accepted invalid bit")
+	}
+}
+
+// TestParseKeyMatchesByteRule puts every byte value at every position of
+// keys of 0 to 17 bits and of a hashed key's 160, alone and before a second
+// bad byte at the end, and requires ParseKey to decide as the byte-by-byte
+// rule does and to name the same first bad byte.
+func TestParseKeyMatchesByteRule(t *testing.T) {
+	byByte := func(s string) error {
+		for i := 0; i < len(s); i++ {
+			if s[i] != '0' && s[i] != '1' {
+				return fmt.Errorf("keyspace: invalid bit %q at position %d", s[i], i)
+			}
+		}
+		return nil
+	}
+	check := func(s []byte) {
+		want := byByte(string(s))
+		k, err := ParseKey(string(s))
+		if fmt.Sprint(err) != fmt.Sprint(want) || err == nil && k.String() != string(s) {
+			t.Fatalf("ParseKey(%q) = %q, %v; the byte rule says %v", s, k.String(), err, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, DefaultDepth} {
+		key := make([]byte, n)
+		for i := range key {
+			key[i] = "01"[rng.Intn(2)]
+		}
+		check(key)
+		for pos := 0; pos < n; pos++ {
+			for b := 0; b < 256; b++ {
+				s := append([]byte(nil), key...)
+				s[pos] = byte(b)
+				check(s)
+				if pos < n-1 {
+					s[n-1] = 'x'
+					check(s)
+				}
+			}
+		}
 	}
 }
 

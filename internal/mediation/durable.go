@@ -11,9 +11,9 @@ import (
 // mutation the node observes through its store hook is appended to an
 // attached store.Log at exactly the hook granularity (one hook invocation
 // — a batch, or one anti-entropy repair response — = one WAL record), and
-// snapshots walk the node's (key, value) pairs + tombstones via
-// Node.VisitState. This is the only durability layer: there is no
-// journaled triple store beneath it.
+// snapshots walk the node's values, each triple once with no key, and its
+// tombstones via Node.VisitState. This is the only durability layer: there
+// is no journaled triple store beneath it.
 //
 // The hook runs after the node has applied the mutation, so the log is
 // write-behind by one handler invocation: a crash between apply and

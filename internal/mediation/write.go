@@ -2,7 +2,8 @@ package mediation
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"strings"
 
 	"gridvine/internal/keyspace"
 	"gridvine/internal/pgrid"
@@ -238,7 +239,7 @@ func (p *Peer) Write(ctx context.Context, b *Batch) (*Receipt, error) {
 	// Global sort by key (stable: same-key writes keep submission order),
 	// then contiguous segments for the pool — contiguity keeps each
 	// worker's groups aligned with responsible-peer key runs.
-	sort.SliceStable(writes, func(i, j int) bool { return writes[i].be.Key < writes[j].be.Key })
+	slices.SortStableFunc(writes, func(a, b keyWrite) int { return strings.Compare(a.be.Key, b.be.Key) })
 	workers := b.Parallelism
 	if workers == 0 {
 		workers = DefaultParallelism

@@ -19,9 +19,11 @@ const (
 )
 
 // Entry is one logged mutation. Key is the overlay key the value lives
-// under. Value must have an overlay tag (internal/codec's kinds table),
-// as every value the overlay stores does: the journal writes it the way
-// an overlay frame carries it.
+// under, except in a triple's snapshot entry, which has no key: the node
+// files a triple under every key of it its path covers, so a snapshot
+// lists each triple once (see pgrid.Node.VisitState). Value must have an
+// overlay tag (internal/codec's kinds table), as every value the overlay
+// stores does: the journal writes it the way an overlay frame carries it.
 type Entry struct {
 	Op    Op
 	Key   string
